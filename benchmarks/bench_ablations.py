@@ -22,7 +22,6 @@ from repro.common.config import SimConfig
 from repro.core import (
     HBPS,
     RAIDAgnosticAACache,
-    RAIDAwareAACache,
     seed_heap_cache,
     serialize_heap_seed,
 )
@@ -195,8 +194,7 @@ def test_ablation_fragmentation_threshold(benchmark):
             g.metafile.allocate(np.sort(taken))
             g.metafile.drain_dirty()
             g.keeper.recompute(g.metafile.bitmap)
-            g.adopt_cache(RAIDAwareAACache(g.topology.num_aas, g.keeper.scores))
-            sim.store.rebind_allocators()
+            g.rebuild_cache(g.keeper.scores)
             sim.store.allocator.threshold_fraction = threshold
             fill_volumes(sim, ops_per_cp=16384, seed=6)
             reset_measurement_state(sim)

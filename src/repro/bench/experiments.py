@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.config import AggregateSpec, TierSpec, VolumeDecl
-from ..core import aa_size_for_smr, make_aa_cache
+from ..core import aa_size_for_smr
 from ..devices.smr import SMRConfig
 from ..fs import (
     CPBatch,
@@ -207,8 +207,7 @@ def _build_fig7_sim(seed: int = 24) -> WaflSim:
         g.metafile.allocate(np.sort(taken))
         g.metafile.drain_dirty()
         g.keeper.recompute(g.metafile.bitmap)
-        g.adopt_cache(make_aa_cache(g.topology, g.keeper.scores))
-    sim.store.rebind_allocators()
+        g.rebuild_cache(g.keeper.scores)
     fill_volumes(sim, ops_per_cp=16384, seed=seed + 1)
     reset_measurement_state(sim)
     set_bitmap_checks(sim, False)

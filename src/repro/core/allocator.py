@@ -356,8 +356,12 @@ class AggregateAllocator:
 
     Parameters
     ----------
-    group_allocators:
-        One :class:`RAIDGroupAllocator` per RAID group.
+    spaces:
+        One RAID-group allocation space per group (anything exposing
+        ``.allocator``, a :class:`RAIDGroupAllocator`).  Each group's
+        *current* allocator is resolved through its space on every
+        call, so a space that rebinds (cache adoption, degraded mode)
+        is followed without any aggregate-level refresh.
     threshold_fraction:
         Fragmentation cutoff: a group whose best AA score is below
         ``threshold_fraction * aa_blocks`` is skipped while any other
@@ -370,36 +374,42 @@ class AggregateAllocator:
 
     def __init__(
         self,
-        group_allocators: list[RAIDGroupAllocator],
+        spaces: list,
         *,
         threshold_fraction: float = 0.0,
         stripes_per_round: int = TETRIS_STRIPES,
     ) -> None:
-        if not group_allocators:
-            raise ValueError("need at least one RAID group allocator")
-        self.groups = group_allocators
+        if not spaces:
+            raise ValueError("need at least one RAID group space")
+        self.spaces = spaces
         self.threshold_fraction = float(threshold_fraction)
         self.stripes_per_round = int(stripes_per_round)
         #: Per-CP local VBNs written per group (drained by the CP engine).
-        self._cp_writes: list[list[np.ndarray]] = [[] for _ in self.groups]
+        self._cp_writes: list[list[np.ndarray]] = [[] for _ in spaces]
         #: Count of group-skips due to the fragmentation cutoff (metric).
         self.threshold_skips = 0
 
     # ------------------------------------------------------------------
+    @property
+    def groups(self) -> list[RAIDGroupAllocator]:
+        """Each group's current allocator."""
+        return [s.allocator for s in self.spaces]
+
     def _active_mask(self) -> list[bool]:
         """Apply the fragmentation cutoff across groups."""
         if self.threshold_fraction <= 0.0:
-            return [True] * len(self.groups)
-        scores = [g.best_score() for g in self.groups]
+            return [True] * len(self.spaces)
+        groups = self.groups
+        scores = [g.best_score() for g in groups]
         above = [
             s is None or s >= self.threshold_fraction * g.topology.aa_blocks
-            for g, s in zip(self.groups, scores)
+            for g, s in zip(groups, scores)
         ]
         if any(above):
             self.threshold_skips += above.count(False)
             return above
         # Every group is fragmented: write anyway rather than stall.
-        return [True] * len(self.groups)
+        return [True] * len(self.spaces)
 
     def allocate(self, n: int, groups: list[int] | None = None) -> np.ndarray:
         """Allocate up to ``n`` blocks across RAID groups; returns
@@ -416,14 +426,15 @@ class AggregateAllocator:
             allowed = set(groups)
             active = [a and i in allowed for i, a in enumerate(active)]
             if not any(active):
-                active = [i in allowed for i in range(len(self.groups))]
+                active = [i in allowed for i in range(len(self.spaces))]
         out: list[np.ndarray] = []
         offs: list[int] = []
         lens: list[int] = []
         got = 0
         dry = [not a for a in active]
+        groups = self.groups
         while got < n and not all(dry):
-            for gi, galloc in enumerate(self.groups):
+            for gi, galloc in enumerate(groups):
                 if dry[gi] or got >= n:
                     continue
                 base = len(out)
@@ -462,7 +473,7 @@ class AggregateAllocator:
         drained = [
             np.concatenate(w) if w else np.empty(0, dtype=np.int64) for w in self._cp_writes
         ]
-        self._cp_writes = [[] for _ in self.groups]
+        self._cp_writes = [[] for _ in self.spaces]
         return drained
 
     def cp_flush(self) -> list[list[ScoreChange]]:

@@ -18,6 +18,7 @@ policies without touching allocation logic:
 
 from __future__ import annotations
 
+import enum
 from typing import Protocol
 
 import numpy as np
@@ -27,11 +28,24 @@ from ..common.rng import make_rng
 from .score import ScoreChange
 
 __all__ = [
+    "PolicyKind",
     "AASource",
     "RandomSource",
     "LinearScanSource",
     "BitmapWalkSource",
 ]
+
+
+class PolicyKind(enum.Enum):
+    """AA selection policy for an allocation space (section 4.1
+    comparisons)."""
+
+    #: The paper's AA cache (max-heap or HBPS depending on topology).
+    CACHE = "cache"
+    #: "AA cache disabled": random AA selection.
+    RANDOM = "random"
+    #: First-fit cursor baseline (extension).
+    LINEAR_SCAN = "linear"
 
 
 class AASource(Protocol):

@@ -25,7 +25,11 @@ import zlib
 
 import numpy as np
 
-from ..common.constants import BLOCK_SIZE, TOPAA_RAID_AWARE_ENTRIES
+from ..common.constants import (
+    BLOCK_SIZE,
+    HBPS_LIST_CAPACITY,
+    TOPAA_RAID_AWARE_ENTRIES,
+)
 from ..common.errors import SerializationError
 from .heap_cache import RAIDAwareAACache
 from .hbps_cache import RAIDAgnosticAACache
@@ -179,10 +183,14 @@ def serialize_hbps_cache(cache: RAIDAgnosticAACache) -> bytes:
     return cache.to_pages()
 
 
-def load_hbps_cache(pages: bytes, num_aas: int) -> RAIDAgnosticAACache:
+def load_hbps_cache(
+    pages: bytes, num_aas: int, *, list_capacity: int = HBPS_LIST_CAPACITY
+) -> RAIDAgnosticAACache:
     """Reload a RAID-agnostic cache from its two TopAA blocks.
 
     The result is *seeded*: listed AAs are usable immediately at bin
-    resolution; a background replenish restores exact state.
+    resolution; a background replenish restores exact state.  The pages
+    persist the bin width but not the list capacity, which the caller
+    supplies from its :class:`~repro.common.config.CacheConfig`.
     """
-    return RAIDAgnosticAACache.from_pages(pages, num_aas)
+    return RAIDAgnosticAACache.from_pages(pages, num_aas, list_capacity=list_capacity)

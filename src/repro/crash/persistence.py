@@ -288,8 +288,9 @@ class CommittedImage:
         for name in sorted(self.topaa.vol_pages):
             h.update(name.encode("utf-8"))
             h.update(self.topaa.vol_pages[name])
-        if self.topaa.store_pages is not None:
-            h.update(self.topaa.store_pages)
+        # Unlabelled, so a single-store image hashes as it always has.
+        for where in sorted(self.topaa.store_pages):
+            h.update(self.topaa.store_pages[where])
         return h.hexdigest()
 
 
@@ -332,7 +333,7 @@ def _tear_topaa(
 ) -> TopAAImage:
     """Tear every TopAA page of the in-flight image against the old."""
     old_groups = committed.group_blocks
-    torn = TopAAImage(
+    return TopAAImage(
         group_blocks=[
             tear_page(blob, old_groups[i] if i < len(old_groups) else None, rng)
             for i, blob in enumerate(shadow.group_blocks)
@@ -341,10 +342,11 @@ def _tear_topaa(
             name: tear_page(blob, committed.vol_pages.get(name), rng)
             for name, blob in sorted(shadow.vol_pages.items())
         },
+        store_pages={
+            where: tear_page(blob, committed.store_pages.get(where), rng)
+            for where, blob in sorted(shadow.store_pages.items())
+        },
     )
-    if shadow.store_pages is not None:
-        torn.store_pages = tear_page(shadow.store_pages, committed.store_pages, rng)
-    return torn
 
 
 # ----------------------------------------------------------------------

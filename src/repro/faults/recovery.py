@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..common.errors import MountError
 from ..common.retry import RetryBudget, retry_with_backoff
-from ..core.cache import make_aa_cache
+from ..core.space import AllocSpace
 from ..fs.filesystem import WaflSim
 from ..fs.iron import IronReport, repair
 from ..fs.mount import DEFAULT_MOUNT_RETRIES
@@ -29,14 +29,10 @@ from ..fs.mount import DEFAULT_MOUNT_RETRIES
 __all__ = ["attach_everywhere", "instances", "degraded_instances", "escalate", "exit_degraded"]
 
 
-def instances(sim: WaflSim) -> dict[str, object]:
-    """All fault-addressable file-system instances by ``where`` label."""
-    out: dict[str, object] = {}
-    for where, fs, _ in sim.store.physical_instances():
-        out[where] = fs
-    for vol in sim.vols.values():
-        out[vol.where] = vol
-    return out
+def instances(sim: WaflSim) -> dict[str, AllocSpace]:
+    """All fault-addressable file-system instances by ``where`` label
+    (``sim`` may also be the simulator's ``CPEngine``)."""
+    return {fs.where: fs for fs in sim.spaces()}
 
 
 def attach_everywhere(sim: WaflSim, injector) -> None:
@@ -88,31 +84,13 @@ def exit_degraded(sim: WaflSim, *, budget: RetryBudget | None = None) -> int:
     dry, instead of dying on the first transient hiccup."""
     if budget is None:
         budget = RetryBudget(DEFAULT_MOUNT_RETRIES)
-
-    def _read(fs) -> int:
+    blocks_read = 0
+    for fs in sim.spaces():
+        if not fs.degraded_alloc:
+            continue
         blocks, _, _ = retry_with_backoff(
             fs.read_metafile, budget=budget, base_backoff_us=0.0, where=fs.where
         )
-        return blocks
-
-    blocks_read = 0
-    store = sim.store
-    touched = False
-    for _, fs, _ in store.physical_instances():
-        if not fs.degraded_alloc:
-            continue
-        blocks_read += _read(fs)
-        scores = fs.topology.scores_from_bitmap(fs.metafile.bitmap)
-        fs.adopt_cache(make_aa_cache(fs.topology, scores))
-        touched = True
-    if touched:
-        # Group-level cache adoption invalidates the aggregate
-        # allocator's bindings; linear stores make this a no-op.
-        store.rebind_allocators()
-    for vol in sim.vols.values():
-        if not vol.degraded_alloc:
-            continue
-        blocks_read += _read(vol)
-        scores = vol.topology.scores_from_bitmap(vol.metafile.bitmap)
-        vol.adopt_cache(make_aa_cache(vol.topology, scores))
+        blocks_read += blocks
+        fs.rebuild_cache()
     return blocks_read

@@ -211,22 +211,9 @@ def run_chaos(
     damaged: set[str] = set()
     for f in injector.due(0):
         if f.kind == FaultKind.TOPAA_CORRUPT:
-            if f.target.startswith("vol:"):
-                name = f.target.split(":", 1)[1]
-                if name in image.vol_pages:
-                    image.vol_pages[name] = corrupt_bytes(
-                        image.vol_pages[name], f.count, injector.rng
-                    )
-            elif f.target.startswith("group:"):
-                gi = _group_index(f.target)
-                if gi < len(image.group_blocks):
-                    image.group_blocks[gi] = corrupt_bytes(
-                        image.group_blocks[gi], f.count, injector.rng
-                    )
-            elif f.target == "store" and image.store_pages is not None:
-                image.store_pages = corrupt_bytes(
-                    image.store_pages, f.count, injector.rng
-                )
+            page = image.page_for(f.target)
+            if page is not None:
+                image.put(f.target, corrupt_bytes(page, f.count, injector.rng))
         else:
             _apply_fault(sim, injector, f, metrics, damaged)
     mount = simulate_mount(sim, image)

@@ -5,46 +5,33 @@ An ONTAP aggregate is a pool of physical storage hosting FlexVols
 its RAID groups' spaces (each group owns a contiguous global range),
 or a single linear range when the backing store is natively redundant.
 
-This module binds together, per store:
-
-* geometry and AA topology (:mod:`repro.raid`, :mod:`repro.core.aa`),
-* the bitmap metafile and delayed-free log (:mod:`repro.bitmap`),
-* the score keeper and AA cache/source (:mod:`repro.core`),
-* the write allocator (:mod:`repro.core.allocator`),
-* device models with time costs (:mod:`repro.devices`),
-
-and implements the CP-boundary sequence: price the CP's writes on the
+Each RAID group and each linear store is an
+:class:`~repro.core.space.AllocSpace` (topology, bitmap metafile,
+delayed-free log, score keeper, AA cache, write allocator and their
+lifecycle); this module adds geometry, device models with time costs
+(:mod:`repro.devices`) and the :class:`Store` surface over them, and
+implements the CP-boundary sequence: price the CP's writes on the
 devices, apply delayed frees (with SSD trims), flush batched AA-score
 deltas into the caches, and drain metafile dirty-block counts.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .. import obs
-from ..bitmap.metafile import BitmapMetafile
-from ..core.delayed_frees import DelayedFreeLog
 from ..common.config import SimConfig
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
-from ..common.errors import DegradedError, GeometryError, MediaError, TransientIOError
+from ..common.errors import DegradedError, GeometryError, MediaError
 from ..common.rng import make_rng
 from ..core.aa import LinearAATopology, StripeAATopology
-from ..core.allocator import AggregateAllocator, LinearAllocator, RAIDGroupAllocator
-from ..core.cache import CacheSource, make_aa_cache
-from ..core.hbps_cache import RAIDAgnosticAACache
-from ..core.heap_cache import RAIDAwareAACache
-from ..core.policies import (
-    AASource,
-    LinearScanSource,
-    RandomSource,
-)
-from ..core.score import ScoreKeeper
+from ..core.allocator import AggregateAllocator
+from ..core.policies import PolicyKind
 from ..core.sizing import aa_size_for_hdd, aa_size_for_smr, aa_size_for_ssd
+from ..core.space import AllocSpace
 from ..devices.base import Device, MediaType
 from ..devices.hdd import HDD, HDDConfig
 from ..devices.objectstore import ObjectStore, ObjectStoreConfig
@@ -58,6 +45,7 @@ __all__ = [
     "MediaType",
     "PolicyKind",
     "TierPolicy",
+    "Store",
     "RAIDGroupConfig",
     "RAIDGroupRuntime",
     "GroupCPReport",
@@ -81,7 +69,7 @@ class TierPolicy(Protocol):
 
     def place(
         self,
-        store: object,
+        store: "Store",
         vol_name: str,
         ids: np.ndarray,
         was_mapped: np.ndarray,
@@ -91,15 +79,53 @@ class TierPolicy(Protocol):
         ...
 
 
-class PolicyKind(enum.Enum):
-    """AA selection policy for a store (section 4.1 comparisons)."""
+class Store(Protocol):
+    """The physical-store surface the CP engine, mount, Iron, recovery,
+    the auditor and :class:`repro.tiering.TieredStore` call —
+    implemented by :class:`RAIDStore`, :class:`LinearStore` and
+    ``TieredStore``.  Typing only: nothing dispatches on it."""
 
-    #: The paper's AA cache (max-heap or HBPS depending on topology).
-    CACHE = "cache"
-    #: "AA cache disabled": random AA selection.
-    RANDOM = "random"
-    #: First-fit cursor baseline (extension).
-    LINEAR_SCAN = "linear"
+    nblocks: int
+    tier_policy: TierPolicy | None
+
+    @property
+    def free_count(self) -> int:
+        """Free physical blocks (net of allocator pending spans)."""
+        ...
+
+    @property
+    def devices(self) -> list[Device]:
+        """Every device model backing the store."""
+        ...
+
+    def allocate(self, n: int) -> np.ndarray:
+        """Allocate up to ``n`` blocks; returns global VBNs."""
+        ...
+
+    def log_free(self, vbns: np.ndarray) -> None:
+        """Log global VBNs for freeing at the next CP boundary."""
+        ...
+
+    def charge_reads(self, n_random: int) -> None:
+        """Queue client random reads to be priced at the CP boundary."""
+        ...
+
+    def cp_boundary(self) -> "StoreCPReport":
+        """Price the CP's writes, apply delayed frees, flush caches."""
+        ...
+
+    def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
+        """``(where, space, global_vbn_base)`` per fault-addressable
+        allocation space."""
+        ...
+
+    def attach_injector(self, injector) -> None:
+        """Attach a fault injector to every space's read path."""
+        ...
+
+    def selected_aa_free_fractions(self) -> np.ndarray:
+        """Free fraction of each AA at selection (section 4.1 trace)."""
+        ...
 
 
 @dataclass
@@ -185,31 +211,17 @@ class StoreCPReport:
     #: (each value is a plain single-tier report; empty otherwise).
     by_tier: dict[str, "StoreCPReport"] = field(default_factory=dict)
 
-
-def _make_linear_source(
-    kind: PolicyKind,
-    topology: LinearAATopology,
-    metafile: BitmapMetafile,
-    keeper: ScoreKeeper,
-    seed: int | np.random.Generator | None,
-    config: SimConfig | None = None,
-) -> tuple[AASource, RAIDAgnosticAACache | None]:
-    if kind is PolicyKind.CACHE:
-        cache = make_aa_cache(topology, keeper.scores, config=config)
-
-        def replenisher() -> np.ndarray:
-            # The background replenish walks every bitmap metafile block.
-            metafile.note_scan_read()
-            return topology.scores_from_bitmap(metafile.bitmap)
-
-        return CacheSource(cache, replenisher), cache
-    if kind is PolicyKind.RANDOM:
-        return RandomSource(topology.num_aas, seed), None
-    return LinearScanSource(topology.num_aas), None
+    def add_space_deltas(self, deltas: tuple[int, int, int, int]) -> None:
+        """Fold one space's :meth:`AllocSpace.drain_cp` tuple in."""
+        self.metafile_blocks += deltas[0]
+        self.cache_ops += deltas[1]
+        self.aa_switches += deltas[2]
+        self.spanned_blocks += deltas[3]
 
 
-class RAIDGroupRuntime:
-    """One live RAID group: devices, metafile, cache, allocator."""
+class RAIDGroupRuntime(AllocSpace):
+    """One live RAID group: a stripe-topology :class:`AllocSpace` plus
+    its devices, stripe pricing and degraded-RAID accounting."""
 
     def __init__(
         self,
@@ -219,52 +231,27 @@ class RAIDGroupRuntime:
         policy: PolicyKind = PolicyKind.CACHE,
         seed: int | np.random.Generator | None = None,
         name: str = "rg",
-        batch_flush: bool = True,
+        sim_config: SimConfig | None = None,
     ) -> None:
         self.config = config
         self.name = name
-        self._batch_flush = bool(batch_flush)
         self.geometry = RAIDGeometry(
             config.ndata, config.nparity, config.blocks_per_disk,
             mirrored=config.mirrored,
         )
         stripes_per_aa = config.resolve_stripes_per_aa(self.geometry)
-        self.topology = StripeAATopology(self.geometry, stripes_per_aa)
-        self.metafile = BitmapMetafile(self.geometry.data_blocks)
-        self.delayed_frees = DelayedFreeLog()
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-        self.policy = policy
-        self.cache: RAIDAwareAACache | None = None
-        if policy is PolicyKind.CACHE:
-            self.cache = make_aa_cache(self.topology, self.keeper.scores)
-            self.source: AASource = CacheSource(self.cache)
-        elif policy is PolicyKind.RANDOM:
-            self.source = RandomSource(self.topology.num_aas, seed)
-        else:
-            self.source = LinearScanSource(self.topology.num_aas)
-        self.allocator = RAIDGroupAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            store_offset=offset, batch_flush=self._batch_flush,
+        # :class:`RAIDStore` rewrites ``where`` to ``group:<index>`` so
+        # injector targets match Iron's ``where`` strings.
+        super().__init__(
+            StripeAATopology(self.geometry, stripes_per_aa),
+            where=f"group:{name}", policy=policy, config=sim_config,
+            seed=seed, offset=offset,
         )
-        self.offset = offset
         self.azcs = config.azcs
         self.data_devices = [self._make_device(f"{name}.d{d}") for d in range(config.ndata)]
         self.parity_devices = [
             self._make_device(f"{name}.p{p}") for p in range(config.nparity)
         ]
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.free_budget_blocks: int | None = None
-        #: Iron/faults addressing label; rewritten to ``group:<index>``
-        #: by :class:`RAIDStore` so injector targets match Iron's
-        #: ``where`` strings.
-        self.where = f"group:{name}"
-        #: Attached :class:`repro.faults.FaultInjector` (None = no faults).
-        self.injector = None
-        #: True while allocation runs on the direct bitmap walk
-        #: (cache offline during repair; see :meth:`enter_degraded`).
-        self.degraded_alloc = False
         #: Aging-phase fast path: issue every device write (FTL state
         #: must advance exactly as priced CPs would) but skip the
         #: stripe/tetris/chain classification and parity-read charging,
@@ -298,13 +285,8 @@ class RAIDGroupRuntime:
         return self.data_devices + self.parity_devices
 
     # ------------------------------------------------------------------
-    # Fault injection and degraded mode (:mod:`repro.faults`)
+    # Disk failure and degraded RAID (:mod:`repro.faults`)
     # ------------------------------------------------------------------
-    def attach_injector(self, injector) -> None:
-        """Attach a :class:`repro.faults.FaultInjector` to this group's
-        read paths."""
-        self.injector = injector
-
     @property
     def failed_disks(self) -> int:
         """Number of failed member devices (data + parity)."""
@@ -378,20 +360,12 @@ class RAIDGroupRuntime:
         self._pending_recon_reads += extra
         self._pending_recon_us += us
 
-    def read_metafile(self, nblocks: int | None = None) -> int:
-        """Fault-aware bitmap-metafile read (cache rebuild walks, scrub).
-
-        Consults the attached injector: armed transient faults raise
-        :class:`TransientIOError` (the caller retries with backoff);
-        latent sector errors are reconstructed from parity when within
-        the group's budget (charging the reconstruction reads) and
-        raise :class:`MediaError` when they cannot be — the signal that
-        escalates to Iron.  Returns the metafile blocks read.
-        """
-        n = nblocks if nblocks is not None else self.metafile.metafile_block_count
+    def _check_media(self, n: int) -> None:
+        """RAID-group fault semantics: reads landing on failed members
+        and latent sector errors are reconstructed from parity while
+        within the group's budget (charging the reconstruction reads)
+        and raise :class:`MediaError` when they cannot be."""
         inj = self.injector
-        if inj is not None and inj.consume(self.where, "transient-read"):
-            raise TransientIOError(f"{self.where}: transient metafile read failure")
         # Reads landing on failed members are always degraded.
         degraded = 0
         if self.failed_disks:
@@ -408,51 +382,6 @@ class RAIDGroupRuntime:
                     f"reconstruction"
                 )
             self._reconstruct_blocks(degraded)
-        return self.metafile.note_scan_read(n)
-
-    def enter_degraded(self) -> None:
-        """Serve allocations from a direct bitmap walk while the AA
-        cache is offline (being rebuilt after damage).  The current AA
-        is released; no allocation fails while degraded."""
-        from ..core.policies import BitmapWalkSource
-
-        self.allocator.release()
-        self.source = BitmapWalkSource(self.topology, self.metafile)
-        self.cache = None
-        self.allocator = RAIDGroupAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            store_offset=self.offset, batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = True
-
-    def adopt_cache(self, cache: RAIDAwareAACache) -> None:
-        """Install a freshly built (possibly TopAA-seeded) cache after a
-        remount, with a new allocator bound to it.
-
-        The score keeper is rebuilt from the bitmap as a side effect;
-        in WAFL that bookkeeping is restored lazily per-AA and does not
-        gate the first CP, so mount-time measurements charge only the
-        cache-build I/O (see :mod:`repro.fs.mount`).
-        """
-        self.cache = cache
-        self.source = CacheSource(cache)
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-        self.allocator = RAIDGroupAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            store_offset=self.offset, batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = False
-
-    def cache_ops_total(self) -> int:
-        if self.cache is not None:
-            return self.cache.maintenance_ops
-        return 0
 
     # ------------------------------------------------------------------
     # CP boundary pieces
@@ -587,37 +516,17 @@ class RAIDGroupRuntime:
             us += dev.write_blocks(azcs_expand(seg))
         return us
 
-    def apply_frees(self) -> int:
-        """Apply this group's delayed frees; trim SSDs; return count."""
-        if self.free_budget_blocks is None:
-            freed = self.delayed_frees.apply_all(self.metafile)
-        else:
-            freed = self.delayed_frees.apply_best(
-                self.metafile, self.free_budget_blocks
-            )
-        if freed.size == 0:
-            return 0
-        self.keeper.note_free(freed)
-        if self.config.media is MediaType.SSD:
+    def apply_frees(self) -> np.ndarray:
+        """Apply this group's delayed frees and trim the freed blocks
+        on SSD members."""
+        freed = super().apply_frees()
+        if freed.size and self.config.media is MediaType.SSD:
             disks = self.geometry.disk_of(freed)
             dbns = self.geometry.dbn_of(freed)
             for d, dev in enumerate(self.data_devices):
                 if not dev.failed:
                     dev.trim(dbns[disks == d])
-        return int(freed.size)
-
-    def drain_counters(self) -> tuple[int, int, int]:
-        """(cache_ops, aa_switches, spanned_blocks) since the last CP."""
-        ops = self.cache_ops_total()
-        switches = len(self.allocator.selected_aa_scores)
-        spans = self.allocator.spanned_blocks
-        d_ops = ops - self._last_cache_ops
-        d_sw = switches - self._last_aa_switches
-        d_sp = spans - self._last_spans
-        self._last_cache_ops = ops
-        self._last_aa_switches = switches
-        self._last_spans = spans
-        return d_ops, d_sw, d_sp
+        return freed
 
 
 class RAIDStore:
@@ -641,9 +550,6 @@ class RAIDStore:
         alloc_cfg = (
             config if config is not None else SimConfig.default()
         ).allocator
-        threshold = alloc_cfg.threshold_fraction
-        stripes_per_round = alloc_cfg.stripes_per_round
-        batch_flush = not alloc_cfg.scalar_bitmap_flush
         rng = make_rng(seed)
         self.groups: list[RAIDGroupRuntime] = []
         self.offsets: list[int] = []
@@ -652,16 +558,16 @@ class RAIDStore:
             self.offsets.append(offset)
             g = RAIDGroupRuntime(
                 cfg, offset=offset, policy=policy, seed=rng, name=f"rg{i}",
-                batch_flush=batch_flush,
+                sim_config=config,
             )
             g.where = f"group:{i}"
             self.groups.append(g)
             offset += cfg.ndata * cfg.blocks_per_disk
         self.nblocks = offset
         self.allocator = AggregateAllocator(
-            [g.allocator for g in self.groups],
-            threshold_fraction=threshold,
-            stripes_per_round=stripes_per_round,
+            self.groups,
+            threshold_fraction=alloc_cfg.threshold_fraction,
+            stripes_per_round=alloc_cfg.stripes_per_round,
         )
         self._bounds = np.asarray(self.offsets + [self.nblocks], dtype=np.int64)
         self._pending_read_us: list[float] = [0.0] * len(self.groups)
@@ -669,9 +575,7 @@ class RAIDStore:
     # ------------------------------------------------------------------
     @property
     def free_count(self) -> int:
-        return sum(
-            g.metafile.free_count - g.allocator.pending_count for g in self.groups
-        )
+        return sum(g.free_count for g in self.groups)
 
     @property
     def devices(self) -> list[Device]:
@@ -695,7 +599,7 @@ class RAIDStore:
         """Media type of each RAID group."""
         return [g.config.media for g in self.groups]
 
-    def physical_instances(self) -> list[tuple[str, object, int]]:
+    def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
         """The store's fault-addressable file-system instances as
         ``(where, instance, global_vbn_base)`` triples — the structural
         API Iron, the invariant auditor, and the recovery orchestrator
@@ -770,42 +674,25 @@ class RAIDStore:
             report.reconstruction_reads += grp.reconstruction_reads
             report.degraded_stripes += grp.degraded_stripes
             busy.append(grp.busy_us)
-            report.blocks_freed += g.apply_frees()
+            report.blocks_freed += int(g.apply_frees().size)
         # Flush batched score deltas into the caches (rebalancing).
         with obs.span("cp.cache_flush"):
             self.allocator.cp_flush()
         for g in self.groups:
-            report.metafile_blocks += g.metafile.drain_dirty()
-            d_ops, d_sw, d_sp = g.drain_counters()
-            report.cache_ops += d_ops
-            report.aa_switches += d_sw
-            report.spanned_blocks += d_sp
+            report.add_space_deltas(g.drain_cp())
         report.device_busy_us = max(busy) if busy else 0.0
         report.device_total_us = float(sum(busy))
         return report
 
-    def rebind_allocators(self) -> None:
-        """Recreate the aggregate allocator after group-level cache
-        adoption (remount path)."""
-        self.allocator = AggregateAllocator(
-            [g.allocator for g in self.groups],
-            threshold_fraction=self.allocator.threshold_fraction,
-            stripes_per_round=self.allocator.stripes_per_round,
-        )
-
     def selected_aa_free_fractions(self) -> np.ndarray:
         """Free fraction of every AA at the moment it was selected
-        (the section 4.1 trace)."""
-        fracs: list[float] = []
-        for g in self.groups:
-            cap = g.topology.aa_blocks
-            fracs.extend(s / cap for s in g.allocator.selected_aa_scores)
-        return np.asarray(fracs, dtype=np.float64)
+        (the section 4.1 trace), group by group."""
+        return np.concatenate([g.selected_aa_free_fractions() for g in self.groups])
 
 
-class LinearStore:
-    """Physical store with native redundancy (object store): linear
-    AAs, HBPS cache, a single device model."""
+class LinearStore(AllocSpace):
+    """Physical store with native redundancy (object store): a linear
+    :class:`AllocSpace` (HBPS cache) over a single device model."""
 
     #: See :attr:`RAIDStore.tier_policy`.
     tier_policy: TierPolicy | None = None
@@ -820,114 +707,38 @@ class LinearStore:
         config: SimConfig | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        self.topology = LinearAATopology(nblocks, blocks_per_aa)
+        super().__init__(
+            LinearAATopology(nblocks, blocks_per_aa),
+            where="store", policy=policy, config=config, seed=seed,
+        )
         self.nblocks = nblocks
-        self._batch_flush = not (
-            config if config is not None else SimConfig.default()
-        ).allocator.scalar_bitmap_flush
-        self.metafile = BitmapMetafile(nblocks)
-        self.delayed_frees = DelayedFreeLog()
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-        self.source, self.cache = _make_linear_source(
-            policy, self.topology, self.metafile, self.keeper, seed, config
-        )
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
-        )
         self.device = ObjectStore(nblocks, object_config)
         self._cp_writes: list[np.ndarray] = []
         self._pending_read_us = 0.0
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        #: When set, each CP applies delayed frees for at most this many
-        #: metafile blocks, chosen fullest-first by the log's HBPS (the
-        #: paper's "delayed-free scores" use of HBPS); None = apply all.
-        self.free_budget_blocks: int | None = None
-        #: Iron/faults addressing label.
-        self.where = "store"
-        self.injector = None
-        self.degraded_alloc = False
 
     # ------------------------------------------------------------------
-    @property
-    def free_count(self) -> int:
-        return self.metafile.free_count - self.allocator.pending_count
-
     @property
     def devices(self) -> list[Device]:
         return [self.device]
 
-    def attach_injector(self, injector) -> None:
-        """Attach a fault injector to this store's read paths."""
-        self.injector = injector
-
-    def physical_instances(self) -> list[tuple[str, object, int]]:
+    def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
         """See :meth:`RAIDStore.physical_instances`; a linear store is
         its own (single) fault-addressable instance."""
         return [(self.where, self, 0)]
 
-    def rebind_allocators(self) -> None:
-        """No-op: :meth:`adopt_cache` already rebinds this store's
-        allocator (there is no aggregate-level allocator to refresh)."""
-
-    def read_metafile(self, nblocks: int | None = None) -> int:
-        """Fault-aware metafile read.  A natively redundant object store
-        has no local parity: armed transient faults raise
-        :class:`TransientIOError`, and any latent sector error is
-        immediately unrecoverable (:class:`MediaError` — Iron's case).
-        """
-        n = nblocks if nblocks is not None else self.metafile.metafile_block_count
+    def _check_media(self, n: int) -> None:
+        """A natively redundant object store has no local parity: any
+        latent sector error is immediately unrecoverable
+        (:class:`MediaError` — Iron's case)."""
         inj = self.injector
-        if inj is not None:
-            if inj.consume(self.where, "transient-read"):
-                raise TransientIOError(f"{self.where}: transient metafile read failure")
-            if inj.roll(self.where, "latent-sector-error", n) or inj.consume(
-                self.where, "unreconstructable"
-            ):
-                raise MediaError(
-                    f"{self.where}: metafile blocks damaged (no local RAID to "
-                    f"reconstruct them)"
-                )
-        return self.metafile.note_scan_read(n)
-
-    def enter_degraded(self) -> None:
-        """Serve allocations from a direct bitmap walk while the AA
-        cache is offline (being rebuilt after damage)."""
-        from ..core.policies import BitmapWalkSource
-
-        self.allocator.release()
-        self.source = BitmapWalkSource(self.topology, self.metafile)
-        self.cache = None
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = True
-
-    def adopt_cache(self, cache: RAIDAgnosticAACache) -> None:
-        """Install a freshly built HBPS cache with a new allocator bound
-        to it (remount / exit-degraded path)."""
-        self.cache = cache
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-
-        def replenisher() -> np.ndarray:
-            self.metafile.note_scan_read()
-            return self.topology.scores_from_bitmap(self.metafile.bitmap)
-
-        self.source = CacheSource(cache, replenisher)
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = False
+        if inj is not None and (
+            inj.roll(self.where, "latent-sector-error", n)
+            or inj.consume(self.where, "unreconstructable")
+        ):
+            raise MediaError(
+                f"{self.where}: metafile blocks damaged (no local RAID to "
+                f"reconstruct them)"
+            )
 
     def allocate(self, n: int) -> np.ndarray:
         vbns = self.allocator.allocate(n)
@@ -944,11 +755,6 @@ class LinearStore:
         if n_random > 0:
             self._pending_read_us += self.device.read_blocks(n_random)
 
-    def _cache_ops_total(self) -> int:
-        if self.cache is None:
-            return 0
-        return self.cache.maintenance_ops
-
     def cp_boundary(self) -> StoreCPReport:
         report = StoreCPReport()
         if self._cp_writes:
@@ -964,31 +770,9 @@ class LinearStore:
         # Sync the allocator's pending span before applying frees (a
         # same-CP write-then-delete frees a just-allocated VBN).
         self.allocator.flush_pending()
-        if self.free_budget_blocks is None:
-            freed = self.delayed_frees.apply_all(self.metafile)
-        else:
-            freed = self.delayed_frees.apply_best(
-                self.metafile, self.free_budget_blocks
-            )
-        if freed.size:
-            self.keeper.note_free(freed)
-            report.blocks_freed = int(freed.size)
+        report.blocks_freed = int(self.apply_frees().size)
         with obs.span("cp.cache_flush"):
             self.allocator.cp_flush()
-        report.metafile_blocks = self.metafile.drain_dirty()
-        ops = self._cache_ops_total()
-        report.cache_ops = ops - self._last_cache_ops
-        self._last_cache_ops = ops
-        switches = len(self.allocator.selected_aa_scores)
-        report.aa_switches = switches - self._last_aa_switches
-        self._last_aa_switches = switches
-        report.spanned_blocks = self.allocator.spanned_blocks - self._last_spans
-        self._last_spans = self.allocator.spanned_blocks
+        report.add_space_deltas(self.drain_cp())
         report.device_total_us = report.device_busy_us
         return report
-
-    def selected_aa_free_fractions(self) -> np.ndarray:
-        cap = self.topology.aa_blocks
-        return np.asarray(
-            [s / cap for s in self.allocator.selected_aa_scores], dtype=np.float64
-        )

@@ -24,8 +24,10 @@ import numpy as np
 from .. import obs
 from ..common.arrayops import sorted_unique
 from ..common.errors import OutOfSpaceError
+from ..core.space import AllocSpace
 from ..sim.cpu import CpuModel
 from ..sim.stats import CPStats, MetricsLog
+from .aggregate import Store
 from .flexvol import FlexVol
 
 __all__ = ["CPBatch", "CPEngine"]
@@ -63,7 +65,7 @@ class CPEngine:
 
     def __init__(
         self,
-        store,
+        store: Store,
         vols: dict[str, FlexVol],
         *,
         cpu_model: CpuModel | None = None,
@@ -92,6 +94,14 @@ class CPEngine:
         committed so far).  The crash-consistency subsystem versions
         its committed metadata images by this counter."""
         return self._cp_index
+
+    def spaces(self) -> list[AllocSpace]:
+        """Every allocation space the engine drives: the store's
+        physical instances first, then the volumes."""
+        return [
+            *(fs for _, fs, _ in self.store.physical_instances()),
+            *self.vols.values(),
+        ]
 
     def run_cp(self, batch: CPBatch) -> CPStats:
         """Execute one consistency point and record its statistics."""

@@ -8,7 +8,6 @@ builder functions the examples and benchmarks share.
 from __future__ import annotations
 
 import importlib
-import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -17,6 +16,7 @@ from ..common.config import AggregateSpec, SimConfig, TierSpec
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
 from ..common.errors import GeometryError
 from ..common.rng import make_rng
+from ..core.space import AllocSpace
 from ..devices.objectstore import ObjectStoreConfig
 from ..devices.smr import SMRConfig
 from ..devices.ssd import SSDConfig
@@ -28,6 +28,7 @@ from .aggregate import (
     PolicyKind,
     RAIDGroupConfig,
     RAIDStore,
+    Store,
 )
 from .cp import CPBatch, CPEngine
 from .flexvol import FlexVol, VolSpec
@@ -93,7 +94,7 @@ class WaflSim:
 
     def __init__(
         self,
-        store,
+        store: Store,
         vols: dict[str, FlexVol],
         *,
         cpu_model: CpuModel | None = None,
@@ -134,176 +135,39 @@ class WaflSim:
         agg_policy = PolicyKind(spec.policy)
         vol_policy = PolicyKind(spec.vol_policy)
         vol_specs = _vol_specs(spec)
+        # Physical spaces draw from the shared generator first, in
+        # declaration order, then the volumes.
+        rng = make_rng(seed)
+        by_tier = None
+        tier = spec.tiers[0]
+        store: Store
         if len(spec.tiers) > 1:
             # repro.tiering sits far above fs in the layer DAG, so the
             # multi-tier path binds to it at call time only.
-            tiering = importlib.import_module("repro.tiering")
-            rng = make_rng(seed)
-            store = tiering.make_tiered_store(
+            store = importlib.import_module("repro.tiering").make_tiered_store(
                 spec, policy=agg_policy, config=config,
                 object_config=object_config, seed=rng,
             )
-            vols = {
-                s.name: FlexVol(s, policy=vol_policy, config=config, seed=rng)
-                for s in vol_specs
-            }
-            cls._check_capacity(
-                store.nblocks, vol_specs,
-                by_tier={t.label: t.physical_blocks for t in spec.tiers},
-            )
-            return cls(store, vols, cpu_model=cpu_model)
-        tier = spec.tiers[0]
-        if tier.media == "object":
-            return cls._build_object(
+            by_tier = {t.label: t.physical_blocks for t in spec.tiers}
+        elif tier.media == "object":
+            store = LinearStore(
                 tier.nblocks,
-                vol_specs,
                 blocks_per_aa=tier.blocks_per_aa,
-                aggregate_policy=agg_policy,
-                vol_policy=vol_policy,
+                policy=agg_policy,
                 object_config=object_config,
                 config=config,
-                cpu_model=cpu_model,
-                seed=seed,
+                seed=rng,
             )
-        return cls._build_raid(
-            _tier_group_configs(tier),
-            vol_specs,
-            aggregate_policy=agg_policy,
-            vol_policy=vol_policy,
-            config=config,
-            cpu_model=cpu_model,
-            seed=seed,
-        )
-
-    @classmethod
-    def _build_raid(
-        cls,
-        group_configs: list[RAIDGroupConfig],
-        vol_specs: list[VolSpec],
-        *,
-        aggregate_policy: PolicyKind = PolicyKind.CACHE,
-        vol_policy: PolicyKind = PolicyKind.CACHE,
-        config: SimConfig | None = None,
-        cpu_model: CpuModel | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> "WaflSim":
-        rng = make_rng(seed)
-        store = RAIDStore(
-            group_configs,
-            policy=aggregate_policy,
-            config=config,
-            seed=rng,
-        )
-        kinds = set(store.media_kinds)
-        if MediaType.SSD in kinds and len(kinds) > 1:
-            # Flash Pool (paper section 2.1): a mixed SSD + capacity
-            # aggregate places hot overwrites on its SSD groups.  The
-            # policy is stateless, so attaching it stays byte-identical.
-            store.tier_policy = importlib.import_module(
-                "repro.tiering"
-            ).FlashPoolPolicy()
+        else:
+            store = RAIDStore(
+                _tier_group_configs(tier), policy=agg_policy, config=config, seed=rng
+            )
         vols = {
-            spec.name: FlexVol(spec, policy=vol_policy, config=config, seed=rng)
-            for spec in vol_specs
+            s.name: FlexVol(s, policy=vol_policy, config=config, seed=rng)
+            for s in vol_specs
         }
-        cls._check_capacity(store.nblocks, vol_specs)
+        cls._check_capacity(store.nblocks, vol_specs, by_tier=by_tier)
         return cls(store, vols, cpu_model=cpu_model)
-
-    @classmethod
-    def _build_object(
-        cls,
-        nblocks: int,
-        vol_specs: list[VolSpec],
-        *,
-        blocks_per_aa: int = RAID_AGNOSTIC_AA_BLOCKS,
-        aggregate_policy: PolicyKind = PolicyKind.CACHE,
-        vol_policy: PolicyKind = PolicyKind.CACHE,
-        object_config: ObjectStoreConfig | None = None,
-        config: SimConfig | None = None,
-        cpu_model: CpuModel | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> "WaflSim":
-        rng = make_rng(seed)
-        store = LinearStore(
-            nblocks,
-            blocks_per_aa=blocks_per_aa,
-            policy=aggregate_policy,
-            object_config=object_config,
-            config=config,
-            seed=rng,
-        )
-        vols = {
-            spec.name: FlexVol(spec, policy=vol_policy, config=config, seed=rng)
-            for spec in vol_specs
-        }
-        cls._check_capacity(nblocks, vol_specs)
-        return cls(store, vols, cpu_model=cpu_model)
-
-    @classmethod
-    def build_raid(
-        cls,
-        group_configs: list[RAIDGroupConfig],
-        vol_specs: list[VolSpec],
-        *,
-        aggregate_policy: PolicyKind = PolicyKind.CACHE,
-        vol_policy: PolicyKind = PolicyKind.CACHE,
-        config: SimConfig | None = None,
-        cpu_model: CpuModel | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> "WaflSim":
-        """Deprecated: use :meth:`build` with an
-        :class:`~repro.common.config.AggregateSpec`.  Kept for one
-        release; byte-identical to the equivalent :meth:`build` call.
-        """
-        warnings.warn(
-            "WaflSim.build_raid is deprecated; use "
-            "WaflSim.build(AggregateSpec(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._build_raid(
-            group_configs,
-            vol_specs,
-            aggregate_policy=aggregate_policy,
-            vol_policy=vol_policy,
-            config=config,
-            cpu_model=cpu_model,
-            seed=seed,
-        )
-
-    @classmethod
-    def build_object(
-        cls,
-        nblocks: int,
-        vol_specs: list[VolSpec],
-        *,
-        aggregate_policy: PolicyKind = PolicyKind.CACHE,
-        vol_policy: PolicyKind = PolicyKind.CACHE,
-        object_config: ObjectStoreConfig | None = None,
-        config: SimConfig | None = None,
-        cpu_model: CpuModel | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> "WaflSim":
-        """Deprecated: use :meth:`build` with an
-        :class:`~repro.common.config.AggregateSpec` declaring one
-        object tier.  Kept for one release; byte-identical to the
-        equivalent :meth:`build` call."""
-        warnings.warn(
-            "WaflSim.build_object is deprecated; use "
-            "WaflSim.build(AggregateSpec(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._build_object(
-            nblocks,
-            vol_specs,
-            aggregate_policy=aggregate_policy,
-            vol_policy=vol_policy,
-            object_config=object_config,
-            config=config,
-            cpu_model=cpu_model,
-            seed=seed,
-        )
 
     @staticmethod
     def _check_capacity(
@@ -363,6 +227,11 @@ class WaflSim:
     def vol(self, name: str) -> FlexVol:
         return self.vols[name]
 
+    def spaces(self) -> list[AllocSpace]:
+        """Every allocation space of the system: the store's physical
+        instances first, then the volumes."""
+        return self.engine.spaces()
+
     def set_free_budget(self, metafile_blocks: int | None) -> None:
         """Budget delayed-free application per CP (HBPS-prioritized).
 
@@ -372,9 +241,7 @@ class WaflSim:
         "delayed-free scores" use of HBPS.  ``None`` restores full
         per-CP application.
         """
-        for vol in self.vols.values():
-            vol.free_budget_blocks = metafile_blocks
-        for _, fs, _ in self.store.physical_instances():
+        for fs in self.spaces():
             fs.free_budget_blocks = metafile_blocks
 
     # ------------------------------------------------------------------
@@ -397,9 +264,7 @@ class WaflSim:
         bitmaps (test hook; expensive)."""
         for v in self.vols.values():
             v.verify_consistency()
-            if v.delayed_frees.pending_count == 0:
-                v.keeper.verify_against(v.metafile.bitmap)
-        for _, fs, _ in self.store.physical_instances():
+        for fs in self.spaces():
             if fs.delayed_frees.pending_count == 0:
                 fs.keeper.verify_against(fs.metafile.bitmap)
 

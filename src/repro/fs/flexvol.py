@@ -25,17 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bitmap.metafile import BitmapMetafile
-from ..core.delayed_frees import DelayedFreeLog
 from ..common.config import SimConfig
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
-from ..common.errors import AllocationError, MediaError, TransientIOError
+from ..common.errors import AllocationError
 from ..core.aa import LinearAATopology
-from ..core.allocator import LinearAllocator
-from ..core.score import ScoreKeeper
-from ..core.cache import CacheSource
-from ..core.hbps_cache import RAIDAgnosticAACache
-from .aggregate import PolicyKind, StoreCPReport, _make_linear_source
+from ..core.policies import PolicyKind
+from ..core.space import AllocSpace
+from .aggregate import StoreCPReport
 
 __all__ = ["FlexVol", "VolSpec"]
 
@@ -64,8 +60,10 @@ class VolSpec:
         return -(-want // self.blocks_per_aa) * self.blocks_per_aa
 
 
-class FlexVol:
-    """One live FlexVol: virtual VBN space, maps, AA cache, allocator."""
+class FlexVol(AllocSpace):
+    """One live FlexVol: a linear :class:`AllocSpace` over its virtual
+    VBNs (HBPS cache) plus the logical/virtual/physical maps and
+    snapshots."""
 
     def __init__(
         self,
@@ -77,31 +75,15 @@ class FlexVol:
     ) -> None:
         self.spec = spec
         self.name = spec.name
-        cfg = config if config is not None else SimConfig.default()
-        self._batch_flush = not cfg.allocator.scalar_bitmap_flush
         nblocks = spec.resolve_virtual_blocks()
-        self.topology = LinearAATopology(nblocks, spec.blocks_per_aa)
-        self.metafile = BitmapMetafile(nblocks)
-        self.delayed_frees = DelayedFreeLog()
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-        self.source, self.cache = _make_linear_source(
-            policy, self.topology, self.metafile, self.keeper, seed
-        )
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
+        super().__init__(
+            LinearAATopology(nblocks, spec.blocks_per_aa),
+            where=f"vol:{spec.name}", policy=policy, config=config, seed=seed,
         )
         #: logical block -> virtual VBN (-1 = never written).
         self.l2v = np.full(spec.logical_blocks, -1, dtype=np.int64)
         #: virtual VBN -> physical VBN (-1 = unmapped).
         self.v2p = np.full(nblocks, -1, dtype=np.int64)
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        #: When set, each CP applies delayed frees for at most this many
-        #: metafile blocks, chosen fullest-first (HBPS-prioritized, the
-        #: paper's "delayed-free scores"); None = apply all.
-        self.free_budget_blocks: int | None = None
         #: Snapshots: name -> virtual VBNs captured (COW pinning).
         self._snapshots: dict[str, np.ndarray] = {}
         #: Union mask over the virtual space of snapshot-held VBNs;
@@ -109,12 +91,6 @@ class FlexVol:
         #: snapshot deletion (the mass-free source the paper notes adds
         #: to free-space nonuniformity, section 4.1.1).
         self._snap_mask = np.zeros(nblocks, dtype=bool)
-        #: Iron/faults addressing label (matches Iron's ``where``).
-        self.where = f"vol:{spec.name}"
-        #: Attached :class:`repro.faults.FaultInjector` (None = no faults).
-        self.injector = None
-        #: True while allocation runs on the direct bitmap walk.
-        self.degraded_alloc = False
 
     # ------------------------------------------------------------------
     @property
@@ -230,75 +206,6 @@ class FlexVol:
         self.delayed_frees.add(to_free)
         return old_p
 
-    # ------------------------------------------------------------------
-    # Fault injection and degraded mode (:mod:`repro.faults`)
-    # ------------------------------------------------------------------
-    def attach_injector(self, injector) -> None:
-        """Attach a :class:`repro.faults.FaultInjector` to this volume's
-        metafile read path."""
-        self.injector = injector
-
-    def read_metafile(self, nblocks: int | None = None) -> int:
-        """Fault-aware bitmap-metafile read (cache rebuild walks, scrub).
-
-        A FlexVol's metafile blocks live inside the aggregate, whose
-        RAID layer reconstructs ordinary latent sector errors
-        transparently; only damage RAID could not fix surfaces here.
-        Armed transient faults raise :class:`TransientIOError` (callers
-        retry with backoff); armed unreconstructable damage raises
-        :class:`MediaError`, escalating to Iron.
-        """
-        n = nblocks if nblocks is not None else self.metafile.metafile_block_count
-        inj = self.injector
-        if inj is not None:
-            if inj.consume(self.where, "transient-read"):
-                raise TransientIOError(f"{self.where}: transient metafile read failure")
-            if inj.consume(self.where, "unreconstructable"):
-                raise MediaError(
-                    f"{self.where}: metafile blocks damaged beyond RAID "
-                    f"reconstruction"
-                )
-        return self.metafile.note_scan_read(n)
-
-    def enter_degraded(self) -> None:
-        """Serve allocations from a direct bitmap walk while the AA
-        cache is offline (being rebuilt after damage).  The current AA
-        is released; no allocation fails while degraded."""
-        from ..core.policies import BitmapWalkSource
-
-        self.allocator.release()
-        self.source = BitmapWalkSource(self.topology, self.metafile)
-        self.cache = None
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = True
-
-    def adopt_cache(self, cache: RAIDAgnosticAACache) -> None:
-        """Install a freshly built (possibly TopAA-seeded) HBPS cache
-        after a remount (see :meth:`RAIDGroupRuntime.adopt_cache` for
-        the score-keeper caveat)."""
-        self.cache = cache
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-
-        def replenisher() -> np.ndarray:
-            self.metafile.note_scan_read()
-            return self.topology.scores_from_bitmap(self.metafile.bitmap)
-
-        self.source = CacheSource(cache, replenisher)
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = False
-
     def stage_deletes(self, logical_ids: np.ndarray) -> np.ndarray:
         """Unmap the given logical blocks (file deletion): their virtual
         VBNs are logged as delayed frees and the backing physical VBNs
@@ -328,36 +235,10 @@ class FlexVol:
         # same-CP write-then-delete frees a just-allocated VBN, whose
         # bit must be set before the free clears it.
         self.allocator.flush_pending()
-        if self.free_budget_blocks is None:
-            freed = self.delayed_frees.apply_all(self.metafile)
-        else:
-            freed = self.delayed_frees.apply_best(
-                self.metafile, self.free_budget_blocks
-            )
-        if freed.size:
-            self.keeper.note_free(freed)
-            report.blocks_freed = int(freed.size)
+        report.blocks_freed = int(self.apply_frees().size)
         self.allocator.cp_flush()
-        report.metafile_blocks = self.metafile.drain_dirty()
-        ops = 0
-        if self.cache is not None:
-            ops = self.cache.maintenance_ops
-        report.cache_ops = ops - self._last_cache_ops
-        self._last_cache_ops = ops
-        switches = len(self.allocator.selected_aa_scores)
-        report.aa_switches = switches - self._last_aa_switches
-        self._last_aa_switches = switches
-        report.spanned_blocks = self.allocator.spanned_blocks - self._last_spans
-        self._last_spans = self.allocator.spanned_blocks
+        report.add_space_deltas(self.drain_cp())
         return report
-
-    def selected_aa_free_fractions(self) -> np.ndarray:
-        """Free fraction of each AA at selection time (section 4.1.2's
-        78% vs 61% trace)."""
-        cap = self.topology.aa_blocks
-        return np.asarray(
-            [s / cap for s in self.allocator.selected_aa_scores], dtype=np.float64
-        )
 
     def verify_consistency(self) -> None:
         """Test hook: maps and bitmaps must agree exactly."""

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.cache import make_aa_cache
-from .aggregate import RAIDGroupRuntime
+from ..core.space import AllocSpace
 from .filesystem import WaflSim
 
 __all__ = ["IronFinding", "IronReport", "scan", "repair"]
@@ -122,8 +121,22 @@ def _diff_bitmap(bitmap, reference: np.ndarray) -> tuple[int, int]:
     return leaked, corrupt
 
 
-def _in_scope(where: str, scope) -> bool:
-    return scope is None or where in scope
+def _scoped_references(
+    sim: WaflSim, scope
+) -> list[tuple[AllocSpace, np.ndarray]]:
+    """Each in-scope space paired with its ground-truth allocated
+    (space-local) VBNs: volumes first, then physical instances."""
+    out = [
+        (vol, _vol_reference_virtual(vol))
+        for vol in sim.vols.values()
+        if scope is None or vol.where in scope
+    ]
+    phys_ref = _store_reference_physical(sim)
+    for where, fs, base in sim.store.physical_instances():
+        if scope is None or where in scope:
+            lo, hi = base, base + fs.topology.nblocks
+            out.append((fs, phys_ref[(phys_ref >= lo) & (phys_ref < hi)] - lo))
+    return out
 
 
 def scan(sim: WaflSim, scope=None) -> IronReport:
@@ -134,43 +147,17 @@ def scan(sim: WaflSim, scope=None) -> IronReport:
     None checks everything.
     """
     report = IronReport()
-    for name, vol in sim.vols.items():
-        if not _in_scope(f"vol:{name}", scope):
-            continue
-        ref = _vol_reference_virtual(vol)
-        leaked, corrupt = _diff_bitmap(vol.metafile.bitmap, ref)
+    for fs, ref in _scoped_references(sim, scope):
+        leaked, corrupt = _diff_bitmap(fs.metafile.bitmap, ref)
         if leaked:
-            report.findings.append(IronFinding("leaked", f"vol:{name}", leaked))
+            report.findings.append(IronFinding("leaked", fs.where, leaked))
         if corrupt:
-            report.findings.append(IronFinding("corrupt", f"vol:{name}", corrupt))
-        truth = vol.topology.scores_from_bitmap(vol.metafile.bitmap)
-        diverged = int(np.count_nonzero(truth != vol.keeper.scores))
+            report.findings.append(IronFinding("corrupt", fs.where, corrupt))
+        diverged = int(np.count_nonzero(fs.bitmap_scores() != fs.keeper.scores))
         if diverged:
             report.findings.append(
-                IronFinding("score-divergence", f"vol:{name}", diverged)
+                IronFinding("score-divergence", fs.where, diverged)
             )
-
-    phys_ref = _store_reference_physical(sim)
-    for where, fs, base in sim.store.physical_instances():
-        if not _in_scope(where, scope):
-            continue
-        lo, hi = base, base + fs.topology.nblocks
-        local_ref = phys_ref[(phys_ref >= lo) & (phys_ref < hi)] - lo
-        leaked, corrupt = _diff_bitmap(fs.metafile.bitmap, local_ref)
-        if leaked:
-            report.findings.append(IronFinding("leaked", where, leaked))
-        if corrupt:
-            report.findings.append(IronFinding("corrupt", where, corrupt))
-        if isinstance(fs, RAIDGroupRuntime):
-            # Linear stores keep no group-level score pin (their HBPS
-            # cache is refreshed from bitmap walks), so score
-            # divergence is only a finding for RAID groups.
-            truth = fs.topology.scores_from_bitmap(fs.metafile.bitmap)
-            diverged = int(np.count_nonzero(truth != fs.keeper.scores))
-            if diverged:
-                report.findings.append(
-                    IronFinding("score-divergence", where, diverged)
-                )
     return report
 
 
@@ -193,54 +180,19 @@ def repair(sim: WaflSim, scope=None, *, rebuild_caches: bool = True) -> IronRepo
     like the real tool.
     """
     report = scan(sim, scope)
-    # Volumes: rewrite virtual bitmaps to reference truth.
-    for name, vol in sim.vols.items():
-        if not _in_scope(f"vol:{name}", scope):
-            continue
-        ref = _vol_reference_virtual(vol)
-        bm = vol.metafile.bitmap
-        vol.allocator.release()
-        bm.clear_range(0, bm.nblocks)
-        bm.allocate(ref)
-        vol.metafile.drain_dirty()
-        vol.keeper.recompute(bm)
-        if rebuild_caches:
-            if vol.cache is not None or vol.degraded_alloc:
-                vol.adopt_cache(make_aa_cache(vol.topology, vol.keeper.scores))
-        elif not vol.degraded_alloc:
-            vol.enter_degraded()
-    # Physical stores: rewrite to container-map truth.
-    phys_ref = _store_reference_physical(sim)
-    store = sim.store
-    touched = False
-    for where, fs, base in store.physical_instances():
-        if not _in_scope(where, scope):
-            continue
-        touched = True
-        lo, hi = base, base + fs.topology.nblocks
-        local_ref = phys_ref[(phys_ref >= lo) & (phys_ref < hi)] - lo
+    for fs, ref in _scoped_references(sim, scope):
+        # Rewrite the bitmap to reference truth, then everything
+        # derived from it.
         bm = fs.metafile.bitmap
         fs.allocator.release()
         bm.clear_range(0, bm.nblocks)
-        bm.allocate(local_ref)
+        bm.allocate(ref)
         fs.metafile.drain_dirty()
         fs.keeper.recompute(bm)
-        if isinstance(fs, RAIDGroupRuntime):
-            if rebuild_caches:
-                if fs.cache is not None or fs.degraded_alloc:
-                    fs.adopt_cache(make_aa_cache(fs.topology, fs.keeper.scores))
-            elif not fs.degraded_alloc:
-                fs.enter_degraded()
-        elif not rebuild_caches:
+        if not rebuild_caches:
             if not fs.degraded_alloc:
                 fs.enter_degraded()
-        elif fs.cache is not None:
-            # A linear store's live HBPS cache is refilled in place;
-            # adopt_cache is only for coming back from degraded mode.
-            fs.cache.refill(fs.keeper.scores)
-        elif fs.degraded_alloc:
-            fs.adopt_cache(make_aa_cache(fs.topology, fs.keeper.scores))
-    if touched:
-        store.rebind_allocators()
+        elif fs.cache is not None or fs.degraded_alloc:
+            fs.rebuild_cache(fs.keeper.scores)
     report.repaired = True
     return report

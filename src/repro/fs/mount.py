@@ -42,18 +42,6 @@ from dataclasses import dataclass, field
 
 from ..common.errors import MediaError, SerializationError
 from ..common.retry import RetryBudget, retry_with_backoff
-from ..core.cache import make_aa_cache
-from ..core.topaa import (
-    PAGE_KIND_HBPS,
-    PAGE_KIND_HEAP_SEED,
-    seal_page,
-    seed_heap_cache,
-    serialize_heap_seed,
-    serialize_hbps_cache,
-    load_hbps_cache,
-    unseal_page,
-)
-from .aggregate import LinearStore, RAIDStore
 from .filesystem import WaflSim
 
 __all__ = ["TopAAImage", "MountReport", "export_topaa", "simulate_mount", "background_rebuild"]
@@ -78,22 +66,47 @@ class TopAAImage:
     checksum header of :func:`repro.core.topaa.seal_page`.  The header
     models the block's per-block checksum area (BCS/AZCS), so the
     *modeled* read cost stays 1 block per RAID group and 2 per
-    FlexVol/linear store.
+    FlexVol/linear store.  Pages are filed by the owning space's
+    ``where`` label (:meth:`put` / :meth:`page_for`).
     """
 
-    #: One 4 KiB block per RAID group (512 best AAs each).
+    #: One 4 KiB block per RAID group (512 best AAs each), by the
+    #: aggregate-wide group index of its ``group:<i>`` label.
     group_blocks: list[bytes] = field(default_factory=list)
     #: Two 4 KiB blocks per FlexVol (embedded HBPS), by volume name.
     vol_pages: dict[str, bytes] = field(default_factory=dict)
-    #: Two blocks for a linear physical store, when present.
-    store_pages: bytes | None = None
+    #: Two blocks per linear physical store, by its ``where`` label
+    #: ("store", or "store:<tier>" inside a tiered aggregate).
+    store_pages: dict[str, bytes] = field(default_factory=dict)
 
     @property
     def total_blocks(self) -> int:
-        n = len(self.group_blocks) + 2 * len(self.vol_pages)
-        if self.store_pages is not None:
-            n += 2
-        return n
+        return len(self.group_blocks) + 2 * (len(self.vol_pages) + len(self.store_pages))
+
+    def put(self, where: str, page: bytes) -> None:
+        """File ``page`` under its space's label, replacing any page
+        already there (new groups must arrive in index order, as
+        ``physical_instances`` yields them)."""
+        kind, _, key = where.partition(":")
+        if kind == "group":
+            if int(key) < len(self.group_blocks):
+                self.group_blocks[int(key)] = page
+            else:
+                self.group_blocks.append(page)
+        elif kind == "vol":
+            self.vol_pages[key] = page
+        else:
+            self.store_pages[where] = page
+
+    def page_for(self, where: str) -> bytes | None:
+        """The page filed under ``where``, or None when absent."""
+        kind, _, key = where.partition(":")
+        if kind == "group":
+            gi = int(key)
+            return self.group_blocks[gi] if gi < len(self.group_blocks) else None
+        if kind == "vol":
+            return self.vol_pages.get(key)
+        return self.store_pages.get(where)
 
 
 @dataclass
@@ -148,25 +161,10 @@ def export_topaa(sim: WaflSim) -> TopAAImage:
     count (stale detection).
     """
     image = TopAAImage()
-    store = sim.store
-    if isinstance(store, RAIDStore):
-        for g in store.groups:
-            image.group_blocks.append(
-                seal_page(
-                    serialize_heap_seed(g.keeper.scores),
-                    PAGE_KIND_HEAP_SEED,
-                    g.topology.num_aas,
-                )
-            )
-    elif getattr(store, "cache", None) is not None:
-        image.store_pages = seal_page(
-            serialize_hbps_cache(store.cache), PAGE_KIND_HBPS, store.topology.num_aas
-        )
-    for name, vol in sim.vols.items():
-        if vol.cache is not None:
-            image.vol_pages[name] = seal_page(
-                serialize_hbps_cache(vol.cache), PAGE_KIND_HBPS, vol.topology.num_aas
-            )
+    for fs in sim.spaces():
+        page = fs.topaa_page()
+        if page is not None:
+            image.put(fs.where, page)
     return image
 
 
@@ -252,92 +250,23 @@ def simulate_mount(
     report = MountReport(used_topaa=image is not None)
     report.retry_budget_limit = budget.limit
     t0 = time.perf_counter()
-    store = sim.store
-    if isinstance(store, RAIDStore):
-        for gi, g in enumerate(store.groups):
-            if g.cache is None and not g.degraded_alloc:
-                continue
-            cache = None
-            if image is not None:
-                blob = image.group_blocks[gi] if gi < len(image.group_blocks) else None
-                if blob is None:
-                    report.fallbacks[g.where] = "missing-page"
-                else:
-                    try:
-                        payload = unseal_page(
-                            blob, PAGE_KIND_HEAP_SEED, g.topology.num_aas
-                        )
-                    except SerializationError as exc:
-                        report.fallbacks[g.where] = _unseal_reason(exc)
-                    else:
-                        cache = seed_heap_cache(g.topology.num_aas, payload)
-                        report.blocks_read += 1
-            if cache is None:
-                if _walk_bitmap(
-                    sim, g, report, budget=budget, backoff_us=retry_backoff_us
-                ):
-                    report.caches_built += 1
-                    continue
-                scores = g.topology.scores_from_bitmap(g.metafile.bitmap)
-                cache = make_aa_cache(g.topology, scores)
-            g.adopt_cache(cache)
-            report.caches_built += 1
-        store.rebind_allocators()
-    elif isinstance(store, LinearStore) and (
-        store.cache is not None or store.degraded_alloc
-    ):
-        cache = None
-        if image is not None:
-            if image.store_pages is None:
-                report.fallbacks[store.where] = "missing-page"
-            else:
-                try:
-                    payload = unseal_page(
-                        image.store_pages, PAGE_KIND_HBPS, store.topology.num_aas
-                    )
-                except SerializationError as exc:
-                    report.fallbacks[store.where] = _unseal_reason(exc)
-                else:
-                    cache = load_hbps_cache(payload, store.topology.num_aas)
-                    report.blocks_read += 2
-        if cache is None:
-            if _walk_bitmap(
-                sim, store, report, budget=budget, backoff_us=retry_backoff_us
-            ):
-                report.caches_built += 1
-                cache = None
-            else:
-                scores = store.topology.scores_from_bitmap(store.metafile.bitmap)
-                cache = make_aa_cache(store.topology, scores)
-        if cache is not None:
-            store.adopt_cache(cache)
-            report.caches_built += 1
-    for name, vol in sim.vols.items():
-        if vol.cache is None and not vol.degraded_alloc:
+    for fs in sim.spaces():
+        if fs.cache is None and not fs.degraded_alloc:
             continue
-        cache = None
+        report.caches_built += 1
         if image is not None:
-            blob = image.vol_pages.get(name)
+            blob = image.page_for(fs.where)
             if blob is None:
-                report.fallbacks[vol.where] = "missing-page"
+                report.fallbacks[fs.where] = "missing-page"
             else:
                 try:
-                    payload = unseal_page(blob, PAGE_KIND_HBPS, vol.topology.num_aas)
+                    report.blocks_read += fs.adopt_topaa_page(blob)
                 except SerializationError as exc:
-                    report.fallbacks[vol.where] = _unseal_reason(exc)
+                    report.fallbacks[fs.where] = _unseal_reason(exc)
                 else:
-                    cache = load_hbps_cache(payload, vol.topology.num_aas)
-                    report.blocks_read += 2
-        if cache is None:
-            if _walk_bitmap(
-                sim, vol, report, budget=budget, backoff_us=retry_backoff_us
-            ):
-                report.caches_built += 1
-                continue
-            scores = vol.topology.scores_from_bitmap(vol.metafile.bitmap)
-            cache = make_aa_cache(vol.topology, scores)
-        vol.adopt_cache(cache)
-        report.caches_built += 1
+                    continue
+        if not _walk_bitmap(sim, fs, report, budget=budget, backoff_us=retry_backoff_us):
+            fs.rebuild_cache()
     report.build_wall_s = time.perf_counter() - t0
     report.modeled_read_us = (
         report.blocks_read * metafile_read_us + report.retry_backoff_us
@@ -375,25 +304,11 @@ def background_rebuild(
 
     populated = 0
     refreshed = 0
-    store = sim.store
-    if isinstance(store, RAIDStore):
-        for g in store.groups:
-            cache = g.cache
-            if cache is None or cache.fully_populated:
-                continue
-            _read(g)
-            scores = g.topology.scores_from_bitmap(g.metafile.bitmap)
-            for aa in range(g.topology.num_aas):
-                if cache.score_of(aa) < 0 and aa not in cache.checked_out:
-                    cache.populate(aa, int(scores[aa]))
-                    populated += 1
-            g.keeper.recompute(g.metafile.bitmap)
-    for vol in sim.vols.values():
-        if vol.cache is None or not vol.cache.seeded:
+    for fs in sim.spaces():
+        if not fs.cache_seeded:
             continue
-        _read(vol)
-        scores = vol.topology.scores_from_bitmap(vol.metafile.bitmap)
-        vol.cache.replenish(scores)
-        vol.keeper.recompute(vol.metafile.bitmap)
-        refreshed += 1
+        _read(fs)
+        heap_aas, hbps_caches = fs.complete_cache()
+        populated += heap_aas
+        refreshed += hbps_caches
     return {"heap_aas_populated": populated, "hbps_caches_refreshed": refreshed}

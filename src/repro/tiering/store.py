@@ -29,6 +29,7 @@ from ..fs.aggregate import (
     LinearStore,
     PolicyKind,
     RAIDStore,
+    Store,
     StoreCPReport,
     TierPolicy,
 )
@@ -63,7 +64,7 @@ class TieredStore:
     #: attach a :class:`~repro.tiering.policies.StaticTierPolicy`.
     tier_policy: TierPolicy | None = None
 
-    def __init__(self, tiers: list[TierSpec], members: list[object]) -> None:
+    def __init__(self, tiers: list[TierSpec], members: list[Store]) -> None:
         if len(tiers) != len(members) or not tiers:
             raise TieringError("TieredStore needs one member store per tier")
         self.tiers = list(tiers)
@@ -95,7 +96,7 @@ class TieredStore:
     # ------------------------------------------------------------------
     # Tier addressing
     # ------------------------------------------------------------------
-    def member(self, label: str):
+    def member(self, label: str) -> Store:
         """The member store backing tier ``label``."""
         try:
             return self.members[self.labels.index(label)]
@@ -218,10 +219,6 @@ class TieredStore:
         report.device_busy_us = max(busy) if busy else 0.0
         return report
 
-    def rebind_allocators(self) -> None:
-        for m in self.members:
-            m.rebind_allocators()
-
     def attach_injector(self, injector) -> None:
         for m in self.members:
             m.attach_injector(injector)
@@ -260,7 +257,7 @@ def make_tiered_store(
     from .policies import StaticTierPolicy
 
     rng = make_rng(seed)
-    members: list[object] = []
+    members: list[Store] = []
     for tier in spec.tiers:
         if tier.media == "object":
             members.append(

@@ -108,16 +108,10 @@ def reset_measurement_state(sim: WaflSim) -> None:
     sim.metrics.cps.clear()
     sim.metrics.reset_series()
     sim.engine.cache_maintenance_us = 0.0
-    for vol in sim.vols.values():
-        vol.allocator.selected_aa_scores.clear()
-        vol.allocator.blocks_allocated = 0
-        vol._last_aa_switches = 0
-    for _, fs, _ in sim.store.physical_instances():
-        fs.allocator.selected_aa_scores.clear()
-        fs.allocator.blocks_allocated = 0
-        fs._last_aa_switches = 0
-        for dev in fs.devices:
-            _reset_device(dev)
+    for fs in sim.spaces():
+        fs.reset_selection_trace()
+    for dev in sim.store.devices:
+        _reset_device(dev)
 
 
 def _reset_device(dev) -> None:

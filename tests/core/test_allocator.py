@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,10 @@ class TestAggregateAllocator:
             allocs.append(a)
             parts.append((a, topo, mf, keeper, cache))
             offset += topo.nblocks
-        return AggregateAllocator(allocs, threshold_fraction=threshold), parts
+        # The aggregate resolves each group's current allocator
+        # through its space; a namespace stands in for the space here.
+        spaces = [SimpleNamespace(allocator=a) for a in allocs]
+        return AggregateAllocator(spaces, threshold_fraction=threshold), parts
 
     def test_spreads_across_groups(self):
         agg, parts = self.make_agg()

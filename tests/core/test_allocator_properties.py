@@ -10,6 +10,8 @@ For arbitrary interleavings of allocations, frees, and CP boundaries:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,7 +125,7 @@ def test_aggregate_allocator_never_duplicates(requests, seed):
         allocs.append(a)
         parts.append((mf, keeper))
         offset += topo.nblocks
-    agg = AggregateAllocator(allocs)
+    agg = AggregateAllocator([SimpleNamespace(allocator=a) for a in allocs])
     seen: set[int] = set()
     total_capacity = offset
     for n in requests:

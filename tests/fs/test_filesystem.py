@@ -7,14 +7,7 @@ import pytest
 
 from repro.common import GeometryError
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
-from repro.fs import (
-    CPBatch,
-    MediaType,
-    PolicyKind,
-    RAIDGroupConfig,
-    VolSpec,
-    WaflSim,
-)
+from repro.fs import CPBatch, PolicyKind, WaflSim
 from repro.workloads import RandomOverwriteWorkload, SequentialWriteWorkload
 
 from ..conftest import small_ssd_sim
@@ -50,79 +43,6 @@ class TestBuilders:
                     volumes=(VolumeDecl("v", logical_blocks=3 * 8192 + 1),),
                 ),
             )
-
-    def test_shim_is_byte_identical_to_build(self):
-        """Pins the deprecation contract: for the same geometry and
-        seed, the legacy classmethods and WaflSim.build construct
-        byte-identical systems and replay byte-identically."""
-        import warnings as _warnings
-
-        spec = AggregateSpec(
-            tiers=(TierSpec(label="ssd", media="ssd", ndata=3,
-                            blocks_per_disk=8192, stripes_per_aa=1024,
-                            erase_block_blocks=512,
-                            program_us_per_block=16.0),),
-            volumes=(VolumeDecl("v", logical_blocks=12288),),
-        )
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.devices.ssd import SSDConfig
-            legacy = WaflSim.build_raid(
-                [RAIDGroupConfig(
-                    ndata=3, nparity=1, blocks_per_disk=8192,
-                    media=MediaType.SSD, stripes_per_aa=1024,
-                    ssd_config=SSDConfig(erase_block_blocks=512,
-                                         program_us_per_block=16.0),
-                )],
-                [VolSpec("v", logical_blocks=12288)],
-                seed=42,
-            )
-        modern = WaflSim.build(spec, seed=42)
-        for sim in (legacy, modern):
-            wl = RandomOverwriteWorkload(sim, ops_per_cp=512, seed=9)
-            sim.run(wl, 4)
-        assert legacy.metrics.summary() == modern.metrics.summary()
-        for ga, gb in zip(legacy.store.groups, modern.store.groups):
-            assert (ga.metafile.bitmap.raw_bytes
-                    == gb.metafile.bitmap.raw_bytes).all()
-        for va, vb in zip(legacy.vols.values(), modern.vols.values()):
-            assert (va.l2v == vb.l2v).all()
-
-    def test_object_shim_is_byte_identical_to_build(self):
-        import warnings as _warnings
-
-        spec = AggregateSpec(
-            tiers=(TierSpec(label="s3", media="object", raid="none",
-                            nblocks=32768),),
-            volumes=(VolumeDecl("v", logical_blocks=16384),),
-        )
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = WaflSim.build_object(
-                32768, [VolSpec("v", logical_blocks=16384)], seed=42
-            )
-        modern = WaflSim.build(spec, seed=42)
-        for sim in (legacy, modern):
-            wl = RandomOverwriteWorkload(sim, ops_per_cp=512, seed=9)
-            sim.run(wl, 4)
-        assert legacy.metrics.summary() == modern.metrics.summary()
-        assert (legacy.store.metafile.bitmap.raw_bytes
-                == modern.store.metafile.bitmap.raw_bytes).all()
-
-    def test_deprecated_shims_still_build(self):
-        with pytest.warns(DeprecationWarning, match="build_raid"):
-            raid = WaflSim.build_raid(
-                [RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=8192,
-                                 media=MediaType.SSD, stripes_per_aa=1024)],
-                [VolSpec("v", logical_blocks=8192)],
-                seed=3,
-            )
-        assert raid.store.nblocks == 3 * 8192
-        with pytest.warns(DeprecationWarning, match="build_object"):
-            obj = WaflSim.build_object(
-                32768, [VolSpec("v", logical_blocks=16384)], seed=3
-            )
-        assert obj.store.nblocks == 32768
 
     def test_mixed_policies(self):
         sim = small_ssd_sim(aggregate_policy=PolicyKind.CACHE,

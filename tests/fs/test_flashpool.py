@@ -10,7 +10,6 @@ aggregates of :mod:`repro.tiering`, which compose one store per tier.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.rng import make_rng
@@ -51,20 +50,6 @@ class TestTiering:
             ),
         )
         assert sim.store.tier_policy is None
-
-    def test_shim_attaches_flash_pool_policy(self):
-        # The deprecated builder auto-detects the mixed-media shape.
-        groups = [
-            RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=16384,
-                            media=MediaType.SSD, stripes_per_aa=2048),
-            RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=32768,
-                            media=MediaType.HDD, stripes_per_aa=4096),
-        ]
-        with pytest.warns(DeprecationWarning, match="build_raid"):
-            sim = WaflSim.build_raid(
-                groups, [VolSpec("db", logical_blocks=30_000)], seed=0
-            )
-        assert isinstance(sim.store.tier_policy, FlashPoolPolicy)
 
     def test_first_writes_land_on_capacity_tier(self):
         sim = build_flash_pool()

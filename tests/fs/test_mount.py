@@ -109,3 +109,147 @@ class TestBackgroundRebuild:
         simulate_mount(aged_sim, None)
         rep = background_rebuild(aged_sim)
         assert rep == {"heap_aas_populated": 0, "hbps_caches_refreshed": 0}
+
+
+def _every_cache(sim):
+    return {fs.where: fs.cache for fs in sim.spaces()}
+
+
+def _assert_healthy(sim):
+    from repro.analysis import audit_sim
+    from repro.fs import iron
+
+    audit_sim(sim).raise_if_failed()
+    assert iron.scan(sim).clean
+
+
+class TestTieredMount:
+    """A multi-tier aggregate is mounted space by space like any other
+    (regression: every physical instance used to be skipped)."""
+
+    @pytest.fixture
+    def tiered_sim(self):
+        from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+        from repro.fs import WaflSim
+
+        spec = AggregateSpec(
+            tiers=(
+                TierSpec(label="flash", media="ssd", raid="mirror", ndata=2,
+                         blocks_per_disk=8192, stripes_per_aa=1024),
+                TierSpec(label="disk", media="hdd", raid="raid4", ndata=3,
+                         blocks_per_disk=8192, stripes_per_aa=1024),
+                TierSpec(label="cloud", media="object", raid="none",
+                         nblocks=32768, blocks_per_aa=4096),
+            ),
+            volumes=(
+                VolumeDecl("db", logical_blocks=8192, workload="oltp"),
+                VolumeDecl("logs", logical_blocks=8192, workload="sequential"),
+                VolumeDecl("cold", logical_blocks=8192, workload="archive"),
+            ),
+        )
+        sim = WaflSim.build(spec, seed=5)
+        fill_volumes(sim, ops_per_cp=4096)
+        sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=3), 4)
+        return sim
+
+    def test_one_page_per_space(self, tiered_sim):
+        img = export_topaa(tiered_sim)
+        assert len(img.group_blocks) == 2
+        assert set(img.store_pages) == {"store:cloud"}
+        assert set(img.vol_pages) == set(tiered_sim.vols)
+        n_spaces = len(tiered_sim.store.physical_instances()) + len(tiered_sim.vols)
+        assert len(img.group_blocks) + len(img.store_pages) + len(img.vol_pages) == n_spaces
+        assert img.total_blocks == 2 + 2 * 1 + 2 * 3
+
+    @pytest.mark.parametrize("use_topaa", [True, False])
+    def test_mount_rebuilds_every_space(self, tiered_sim, use_topaa):
+        before = _every_cache(tiered_sim)
+        image = export_topaa(tiered_sim) if use_topaa else None
+        rep = simulate_mount(tiered_sim, image)
+        after = _every_cache(tiered_sim)
+        assert rep.caches_built == len(before) == 6
+        assert not rep.fallbacks
+        for where, cache in after.items():
+            assert cache is not None and cache is not before[where], where
+        if use_topaa:
+            assert rep.blocks_read == image.total_blocks
+            background_rebuild(tiered_sim)
+        for fs in tiered_sim.spaces():
+            assert not fs.cache_seeded
+            fs.keeper.verify_against(fs.metafile.bitmap)
+        tiered_sim.run(RandomOverwriteWorkload(tiered_sim, ops_per_cp=1024, seed=6), 3)
+        tiered_sim.verify_consistency()
+        _assert_healthy(tiered_sim)
+
+    def test_corrupt_group_page_falls_back_for_that_group_only(self, tiered_sim):
+        from repro.faults import corrupt_bytes
+
+        img = export_topaa(tiered_sim)
+        img.group_blocks[1] = corrupt_bytes(img.group_blocks[1], 8, rng=2)
+        rep = simulate_mount(tiered_sim, img)
+        assert rep.fallbacks == {"group:1": "bad-crc"}
+        assert rep.caches_built == 6
+        walked = tiered_sim.store.groups[1].metafile.metafile_block_count
+        assert rep.blocks_read == img.total_blocks - 1 + walked
+        background_rebuild(tiered_sim)
+        _assert_healthy(tiered_sim)
+
+
+class TestObjectTierMount:
+    """One object tier: the physical store is an HBPS space too."""
+
+    CACHE = dict(hbps_bin_width=256, hbps_list_capacity=100)
+
+    @pytest.fixture
+    def object_sim(self):
+        from dataclasses import replace
+
+        from repro.common.config import (
+            AggregateSpec, CacheConfig, SimConfig, TierSpec, VolumeDecl,
+        )
+        from repro.fs import WaflSim
+
+        spec = AggregateSpec(
+            tiers=(TierSpec(label="s3", media="object", raid="none",
+                            nblocks=32768 * 4, blocks_per_aa=4096),),
+            volumes=(VolumeDecl("v", logical_blocks=32768, blocks_per_aa=4096),),
+        )
+        cfg = replace(SimConfig.default(), cache=CacheConfig(**self.CACHE))
+        sim = WaflSim.build(spec, config=cfg, seed=2)
+        fill_volumes(sim, ops_per_cp=4096)
+        sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=3), 4)
+        return sim
+
+    def _assert_tunables(self, sim):
+        for fs in sim.spaces():
+            hbps = fs.cache.hbps
+            assert (hbps.bin_width, hbps.list_capacity) == (256, 100), fs.where
+
+    def test_background_rebuild_replenishes_the_store_cache(self, object_sim):
+        simulate_mount(object_sim, export_topaa(object_sim))
+        assert object_sim.store.cache.seeded
+        rep = background_rebuild(object_sim)
+        assert rep["hbps_caches_refreshed"] == 2  # the store and the volume
+        for fs in object_sim.spaces():
+            assert fs.cache.seeded is False
+            fs.keeper.verify_against(fs.metafile.bitmap)
+
+    def test_cache_tunables_survive_every_rebuild_path(self, object_sim):
+        from repro.faults import escalate, exit_degraded
+        from repro.fs import iron
+
+        sim = object_sim
+        self._assert_tunables(sim)  # build: volumes honour config.cache too
+        simulate_mount(sim, None)
+        self._assert_tunables(sim)
+        simulate_mount(sim, export_topaa(sim))
+        self._assert_tunables(sim)
+        background_rebuild(sim)
+        iron.repair(sim, scope={"store", "vol:v"})
+        self._assert_tunables(sim)
+        escalate(sim, {"store", "vol:v"})
+        assert all(fs.degraded_alloc for fs in sim.spaces())
+        exit_degraded(sim)
+        self._assert_tunables(sim)
+        sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=6), 2)
+        sim.verify_consistency()
