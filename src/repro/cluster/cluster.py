@@ -154,7 +154,9 @@ class Cluster:
             )
             for spec in self.specs
         ]
-        if workers is None or workers <= 1:
+        # Never more workers than shards; one worker is the caller.
+        workers = min(workers or 1, len(tasks))
+        if workers <= 1:
             pairs = [_run_shard_task(t) for t in tasks]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:

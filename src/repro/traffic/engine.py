@@ -139,7 +139,7 @@ class _TenantState:
     reference pipeline for the identity tests); the vectorized mode
     keeps the same quantities as arrays
     — chunk lists for measurements, ``(arrival, admit)`` array pairs
-    for the deferred queue, and consolidated arrays with a head cursor
+    for the deferred queue, and one capacity buffer with a head cursor
     for the backend queue.  The ``*_array`` / ``*_count`` accessors
     below give mode-independent views, so the measurement code reads
     one shape regardless of which pipeline produced it.
@@ -178,8 +178,11 @@ class _TenantState:
         self.deferred_arrays: deque[tuple[np.ndarray, np.ndarray]] = deque()
         #: CP chunks not yet folded into the consolidated queue below.
         self.backend_chunks: list[tuple[np.ndarray, np.ndarray, float, float]] = []
-        #: Consolidated backend queue (arrival/admit/occupancy/latency
-        #: per op) with ``q_head`` ops already served.
+        #: Backend queue storage: rows arrival/admit/occupancy/latency,
+        #: one column per op, spare capacity past the last queued op.
+        self._qbuf = np.empty((4, 0), dtype=np.float64)
+        #: The queued ops as views of ``_qbuf`` rows; the first
+        #: ``q_head`` of them are already served.
         self.q_arrival = _EMPTY
         self.q_admit = _EMPTY
         self.q_occ = _EMPTY
@@ -219,25 +222,44 @@ class _TenantState:
         return np.concatenate(ts_parts), np.concatenate(adm_parts)
 
     def consolidate_backend(self) -> None:
-        """Fold freshly ridden CP chunks into the consolidated queue,
-        dropping the already-served prefix."""
+        """Append freshly ridden CP chunks to the backend queue.
+
+        Amortised append: chunks are written into the buffer's spare
+        capacity.  The served prefix is dropped by moving the live
+        suffix to the front, in place, once the prefix is at least as
+        long (so no more ops move than were served since the last
+        move) or when the tail is full; the buffer is regrown, by a
+        quarter, only when live + new ops exceed its capacity.
+        """
         if not self.backend_chunks:
             return
-        arrs = [self.q_arrival[self.q_head:]]
-        adms = [self.q_admit[self.q_head:]]
-        occs = [self.q_occ[self.q_head:]]
-        lats = [self.q_lat[self.q_head:]]
+        buf = self._qbuf
+        head = self.q_head
+        end = self.q_admit.size
+        live = end - head
+        new = sum(ts.size for ts, _, _, _ in self.backend_chunks)
+        cap = buf.shape[1]
+        if live + new > cap:
+            grown = np.empty((4, max(live + new, cap + cap // 4)), dtype=np.float64)
+            grown[:, :live] = buf[:, head:end]
+            buf = self._qbuf = grown
+            head, end = 0, live
+        elif head and (head >= live or end + new > cap):
+            # Row by row: NumPy moves a 1-D overlap in place (memmove),
+            # but copies the source first for an overlapping 2-D one.
+            for row in buf:
+                row[:live] = row[head:end]
+            head, end = 0, live
         for ts, adm, s_occ, s_lat in self.backend_chunks:
-            arrs.append(ts)
-            adms.append(adm)
-            occs.append(np.full(ts.size, s_occ))
-            lats.append(np.full(ts.size, s_lat))
+            stop = end + ts.size
+            buf[0, end:stop] = ts
+            buf[1, end:stop] = adm
+            buf[2, end:stop] = s_occ
+            buf[3, end:stop] = s_lat
+            end = stop
         self.backend_chunks = []
-        self.q_arrival = np.concatenate(arrs)
-        self.q_admit = np.concatenate(adms)
-        self.q_occ = np.concatenate(occs)
-        self.q_lat = np.concatenate(lats)
-        self.q_head = 0
+        self.q_arrival, self.q_admit, self.q_occ, self.q_lat = buf[:, :end]
+        self.q_head = head
 
     # ---- mode-independent measurement accessors ----------------------
     def _gather(self, chunks: list[np.ndarray], scalars: list[float]) -> np.ndarray:
@@ -480,31 +502,35 @@ class TrafficEngine:
             st.latency_us.append(complete - arrival)
 
     def _drain_vec(self, until_us: float) -> None:
-        """Batched :meth:`_drain` over the consolidated backend arrays.
+        """Batched :meth:`_drain` over the backend queue arrays.
 
         The SFQ pick is data-dependent — each newly admitted op can
         preempt a backlogged neighbor the moment the serve clock passes
         its admission — so a fully batched multi-tenant serve would be
         cut at every admission boundary and degenerate to tiny NumPy
-        calls.  The split that pays: whenever exactly ONE tenant has
-        pending ops, whole stretches collapse to array chains (FIFO
-        order, no preemption possible), and the multi-tenant interleave
-        runs a tight buffered scalar loop over the arrays.
+        calls.  So the multi-tenant interleave runs a tight buffered
+        scalar loop over the arrays, and only while exactly ONE tenant
+        has pending ops (FIFO order, no preemption possible) does the
+        serve collapse to one pass per window.
 
-        The bulk round reproduces the scalar recurrence exactly: serve
-        starts are ``np.add.accumulate`` over occupancies from ``t0 =
-        max(server_free, head admit)`` (the scalar left-to-right
-        addition chain), valid while ``start >= admit`` elementwise —
-        the first violation is where the scalar server would go idle
-        and lift the clock, so the round is cut there and the next
-        round re-lifts ``t0`` the same way.  SFQ tags chain through
-        ``max(vfinish, vtime)`` only at round entry (mid-round the
-        virtual time equals the tenant's own last tag, so the lift
-        never fires).  Cutting a round early is always exact — the
-        next round continues the identical recurrence — which also
-        lets the round length be capped for O(n) total work.  Every
-        float is produced by the same operation on the same operands
-        as the scalar path, so results are bit-identical.
+        That pass does work proportional to the ops it serves at any
+        load.  Serve starts follow the Lindley recurrence ``t =
+        max(free, admit); free = t + occ`` as a plain-float chain over
+        a ``tolist()`` window — an idle gap just lifts the clock and
+        the pass goes on into the next busy period — and completions,
+        latencies and SFQ tags come from one vector op each over the
+        served prefix.  The tags chain through ``max(vfinish, vtime)``
+        only at window entry (mid-window the virtual time equals the
+        tenant's own last tag, so the lift never fires).  The window is
+        bounded by admit time (ops admitted at or past ``until_us``
+        cannot start) and by server time (at the head op's occupancy no
+        more than ``(until_us - t0) / occ0 + 2`` ops start before
+        ``until_us``), so a long backlog is never converted beyond what
+        this call can serve; a window that ends early is always exact —
+        the outer loop re-enters and continues the identical
+        recurrence.  Each tenant's completions leave as one chunk per
+        call.  Every float is produced by the same operation on the
+        same operands as the scalar path, so results are bit-identical.
         """
         states = self.states
         for st in states:
@@ -512,15 +538,13 @@ class TrafficEngine:
         nstates = len(states)
         comp_buf: list[list[float]] = [[] for _ in states]
         lat_buf: list[list[float]] = [[] for _ in states]
+        comp_parts: list[list[np.ndarray]] = [[] for _ in states]
+        lat_parts: list[list[np.ndarray]] = [[] for _ in states]
 
         def flush(k: int) -> None:
             if comp_buf[k]:
-                states[k].complete_chunks.append(
-                    np.asarray(comp_buf[k], dtype=np.float64)
-                )
-                states[k].latency_chunks.append(
-                    np.asarray(lat_buf[k], dtype=np.float64)
-                )
+                comp_parts[k].append(np.asarray(comp_buf[k], dtype=np.float64))
+                lat_parts[k].append(np.asarray(lat_buf[k], dtype=np.float64))
                 comp_buf[k] = []
                 lat_buf[k] = []
 
@@ -534,36 +558,38 @@ class TrafficEngine:
                 k = pending[0]
                 st = states[k]
                 h = st.q_head
+                free = self._server_free_us
                 first = float(st.q_admit[h])
-                t0 = (
-                    self._server_free_us
-                    if self._server_free_us > first
-                    else first
-                )
+                t0 = free if free > first else first
                 if t0 >= until_us:
                     break
+                limit = int(np.searchsorted(st.q_admit[h:], until_us, side="left"))
                 occ0 = float(st.q_occ[h])
-                limit = st.q_admit.size - h
                 if occ0 > 0.0:
-                    cap = int((until_us - t0) / occ0) + 2
-                    if cap < limit:
-                        limit = cap
-                admits = st.q_admit[h:h + limit]
-                occs = st.q_occ[h:h + limit]
-                tacc = np.add.accumulate(np.concatenate(([t0], occs)))
-                starts = tacc[:-1]
-                ok = (starts < until_us) & (starts >= admits)
-                m = int(starts.size) if bool(ok.all()) else int(np.argmax(~ok))
+                    limit = min(limit, int((until_us - t0) / occ0) + 2)
+                starts: list[float] = []
+                for admit, occ in zip(
+                    st.q_admit[h:h + limit].tolist(),
+                    st.q_occ[h:h + limit].tolist(),
+                ):
+                    t = free if free > admit else admit
+                    if t >= until_us:
+                        break
+                    starts.append(t)
+                    free = t + occ
+                m = len(starts)
                 flush(k)
-                completes = starts[:m] + st.q_lat[h:h + m]
-                st.complete_chunks.append(completes)
-                st.latency_chunks.append(completes - st.q_arrival[h:h + m])
+                completes = np.asarray(starts, dtype=np.float64) + st.q_lat[h:h + m]
+                comp_parts[k].append(completes)
+                lat_parts[k].append(completes - st.q_arrival[h:h + m])
                 start = st.vfinish if st.vfinish > self._vtime else self._vtime
-                acc = np.add.accumulate(np.concatenate(([start], occs[:m])))
+                acc = np.add.accumulate(
+                    np.concatenate(([start], st.q_occ[h:h + m]))
+                )
                 st.q_head = h + m
                 st.vfinish = float(acc[m])
                 self._vtime = float(acc[m - 1])
-                self._server_free_us = float(tacc[m])
+                self._server_free_us = free
                 continue
             # Multi-tenant interleave: op-by-op, plain floats, local
             # cursors, buffered output — the scalar algorithm verbatim.
@@ -622,8 +648,11 @@ class TrafficEngine:
                 st.vfinish = vf[k]
             if hit_until or min_admit == inf:
                 break
-        for k in range(nstates):
+        for k, st in enumerate(states):
             flush(k)
+            if comp_parts[k]:
+                st.complete_chunks.append(np.concatenate(comp_parts[k]))
+                st.latency_chunks.append(np.concatenate(lat_parts[k]))
 
     # ------------------------------------------------------------------
     # CP loop

@@ -44,6 +44,30 @@ def test_digests_identical_across_worker_counts(fleet):
     cluster.workers = None
 
 
+def test_fewer_shards_than_workers_starts_no_pool(cfg, monkeypatch):
+    """The pool is capped at the shard count, and a one-worker pool is
+    the in-process path."""
+    from repro.cluster import cluster as cluster_mod
+
+    requests = noisy_fleet_requests(3, seed=9)
+
+    def digest(workers):
+        one = Cluster(
+            make_shard_specs(1, seed=123, config=cfg),
+            scheduler=FilterScheduler(config=cfg),
+            config=cfg,
+            workers=workers,
+        )
+        return one.schedule(requests, rounds=1).digest
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool for one shard")
+
+    serial = digest(None)
+    monkeypatch.setattr(cluster_mod, "ProcessPoolExecutor", no_pool)
+    assert digest(8) == serial
+
+
 def test_rebuilt_cluster_reproduces_the_digest(cfg, fleet):
     _, requests, result = fleet
     specs = make_shard_specs(4, seed=123, config=cfg)

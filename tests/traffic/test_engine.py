@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.traffic import (
@@ -15,6 +16,7 @@ from repro.traffic import (
     TenantSpec,
     TrafficEngine,
 )
+from repro.traffic.scenarios import calibrate_capacity
 from repro.workloads import UniformOverwriteMix
 
 from ..conftest import small_ssd_sim
@@ -220,3 +222,84 @@ class TestDeterminism:
         a = json.dumps(e1.run(8).summary().as_dict(), sort_keys=True)
         b = json.dumps(e2.run(8).summary().as_dict(), sort_keys=True)
         assert a != b
+
+
+class TestDrainWorkIsLinear:
+    """The vectorized drain's work is proportional to the ops it serves
+    (DESIGN.md §9) — counted, not timed."""
+
+    def _light_engine(self):
+        sim = small_ssd_sim()
+        capacity = calibrate_capacity(sim, n_cps=3, ops_per_cp=4096).capacity_ops
+        tenant = TenantSpec(
+            name="a",
+            volume="volA",
+            arrivals=PoissonArrivals(0.1 * capacity, seed=5),
+            mix=UniformOverwriteMix(sim.vols["volA"].spec.logical_blocks, seed=6),
+        )
+        return TrafficEngine(sim, [tenant], target_ops_per_cp=4096, vectorized=True)
+
+    def test_one_completion_chunk_per_drain_at_light_load(self):
+        # At ~10% utilisation nearly every op is its own busy period; a
+        # drain that emits one chunk per busy period gains ~2,000 here.
+        engine = self._light_engine()
+        st = engine.states[0]
+        for _ in range(4):
+            before = len(st.complete_chunks)
+            engine.step()
+            assert len(st.complete_chunks) - before <= len(engine.states) + 2
+            assert len(st.latency_chunks) == len(st.complete_chunks)
+        assert st.complete_array().size > 3 * 4096
+        assert st.backend_pending() == 0
+
+    def test_backend_queue_appends_in_place(self):
+        engine = self._light_engine()
+        st = engine.states[0]
+        # A double-size first CP fixes the capacity; the queue empties
+        # every interval, so each later CP's riders fit it.
+        st.arrival_chunks.append(np.zeros(8192))
+        st.deferred_arrays.append((np.zeros(8192), np.zeros(8192)))
+        st.admitted += 8192
+        engine.step()
+        buf = st.q_admit.base
+        assert buf is not None and buf.shape[1] >= 8192
+        for _ in range(10):
+            engine.step()
+            assert st.q_admit.base is buf
+            assert 0 < st.q_admit.size <= buf.shape[1]
+            assert st.backend_pending() == 0
+
+    def test_queue_contents_survive_moves_and_regrowth(self):
+        """Against a plain-list model: whatever mix of in-place moves
+        (overlapping or not) and regrowth the sizes trigger, the live
+        suffix is the FIFO of everything appended and not yet served."""
+        from repro.traffic.engine import _TenantState
+
+        rng = np.random.default_rng(3)
+        st = _TenantState(
+            TenantSpec(
+                name="a",
+                volume="volA",
+                arrivals=PoissonArrivals(100, seed=0),
+                mix=UniformOverwriteMix(1_000, seed=0),
+            )
+        )
+        model: list[tuple[float, float, float, float]] = []
+        stamp = 0.0
+        for _ in range(200):
+            for _ in range(int(rng.integers(0, 3))):
+                n = int(rng.integers(1, 40))
+                ts = stamp + np.arange(n, dtype=np.float64)
+                stamp += n
+                occ, lat = float(rng.random()), float(rng.random())
+                st.backend_chunks.append((ts, ts + 0.5, occ, lat))
+                model.extend((t, t + 0.5, occ, lat) for t in ts.tolist())
+            st.consolidate_backend()
+            live = np.stack(
+                [q[st.q_head:] for q in (st.q_arrival, st.q_admit, st.q_occ, st.q_lat)],
+                axis=1,
+            )
+            assert live.tolist() == [list(op) for op in model]
+            served = int(rng.integers(0, len(model) + 1))
+            st.q_head += served
+            del model[:served]
