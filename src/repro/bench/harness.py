@@ -133,7 +133,6 @@ def build_aged_ssd_sim(
     fill_fraction: float = 0.55,
     churn_factor: float = 2.0,
     seed: int = 42,
-    unpriced_aging: bool = True,
 ) -> WaflSim:
     """The section 4.1 testbed: an all-SSD aggregate 'filled up to 55%
     and thoroughly fragmented by applying heavy random write traffic',
@@ -169,7 +168,7 @@ def build_aged_ssd_sim(
     # mode skips the stripe classification and timing whose outputs the
     # reset below discards (see RAIDGroupRuntime.unpriced).
     for g in sim.store.groups:
-        g.unpriced = unpriced_aging
+        g.unpriced = True
     try:
         age_filesystem(sim, churn_factor=churn_factor, ops_per_cp=16384, seed=seed)
     finally:

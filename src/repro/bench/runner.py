@@ -14,12 +14,14 @@ metrics.  The runner
 * executes units with :class:`concurrent.futures.ProcessPoolExecutor`
   (``workers=1`` runs in-process, the serial reference);
 * writes one JSON document per experiment under
-  ``benchmarks/results/bench_<experiment>.json`` and a top-level
-  trajectory summary ``BENCH_PR3.json`` (wall time per unit, aggregate
-  units/s, peak capacity per configuration, host metadata, and the
-  optimization before/after record of the PR that introduced it);
+  ``benchmarks/results/bench_<experiment>.json`` and a trajectory
+  summary ``benchmarks/results/trajectory.json`` (wall time per unit,
+  aggregate units/s, peak capacity per configuration, host metadata);
 * optionally diffs the deterministic metrics against a previous
-  trajectory (:func:`compare_to_baseline`) as a perf-regression gate.
+  trajectory (:func:`compare_to_baseline`) as a regression gate.
+
+Wall clocks here are informational; speed is measured with
+``perfbench/`` (see ``perfbench/README.md``).
 
 The ``--audit`` path arms the cross-layer invariant auditor inside each
 worker via :func:`importlib.import_module` — ``repro.analysis`` sits
@@ -47,43 +49,24 @@ from .harness import RESULTS_DIR, ConfigResult
 
 __all__ = [
     "SCHEMA",
-    "TRAJECTORY_NAME",
-    "MACRO_BASELINE",
     "UnitSpec",
     "plan_units",
     "run_unit",
     "run_bench",
     "strip_timing",
     "compare_to_baseline",
-    "perf_regression",
     "write_results",
 ]
 
 SCHEMA = "repro-bench/1"
-TRAJECTORY_NAME = "BENCH_PR10.json"
 
-#: Repo root (two levels above ``benchmarks/results``).
-_REPO_ROOT = os.path.normpath(os.path.join(RESULTS_DIR, "..", ".."))
-
-#: Keys that vary run to run (wall clocks, host identity, pool size).
-#: :func:`strip_timing` removes them so two runs of the same units can
-#: be compared for byte-identical determinism.
+#: Keys that vary run to run (wall clocks, host identity, pool size;
+#: ``optimization`` is the before/after record older trajectory files
+#: carry).  :func:`strip_timing` removes them so two runs of the same
+#: units can be compared for byte-identical determinism.
 _NONDETERMINISTIC_KEYS = frozenset(
     {"timing", "host", "workers", "optimization", "wall_s", "units_per_s"}
 )
-
-#: The macro benchmark measured on this PR's branch point (same host
-#: class as CI), before the batch-pipeline vectorization: the PR 3
-#: trajectory's "after" record, i.e. the state this PR starts from.
-#: ``measure_wall_s`` is the 40-CP random-overwrite measurement phase;
-#: ``age_wall_s`` is the section 4.1 aging phase that precedes it.
-MACRO_BASELINE = {
-    "age_wall_s": 0.7246607130000484,
-    "measure_wall_s": 0.3575506060005864,
-    "cps_per_s": 111.87227578054895,
-    "cpu_us_per_op": 252.7024934387207,
-    "capacity_ops": 79144.45056653117,
-}
 
 #: Canonical seed per experiment (the figures' published seeds), from
 #: the one place seeds now live: :class:`repro.common.config.BenchConfig`.
@@ -173,35 +156,23 @@ def _unit_fig10(spec: UnitSpec) -> dict:
 
 
 def _unit_macro(spec: UnitSpec) -> dict:
-    """The random-overwrite macro benchmark: the hot-path optimization
-    target, timed per phase so the trajectory documents the speedup."""
+    """The random-overwrite macro benchmark, timed per phase."""
     from .harness import build_aged_ssd_sim, measure_random_overwrite
 
     n_cps = 15 if spec.quick else 40
-    # Repeat the full age+measure cycle and keep the minimum wall time
-    # per phase: the simulation is deterministic, so every repeat
-    # produces identical metrics and min() only discards scheduler
-    # noise from the documented speedup record.
-    repeats = 1 if spec.quick else 3
-    age_wall = measure_wall = float("inf")
-    r = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        sim = build_aged_ssd_sim(
-            blocks_per_disk=65_536 if spec.quick else 131_072,
-            churn_factor=1.0 if spec.quick else 2.0,
-            seed=spec.seed,
-        )
-        t1 = time.perf_counter()
-        r = measure_random_overwrite(sim, "macro", n_cps=n_cps)
-        t2 = time.perf_counter()
-        age_wall = min(age_wall, t1 - t0)
-        measure_wall = min(measure_wall, t2 - t1)
-    out = _config_result_metrics(r)
+    t0 = time.perf_counter()
+    sim = build_aged_ssd_sim(
+        blocks_per_disk=65_536 if spec.quick else 131_072,
+        churn_factor=1.0 if spec.quick else 2.0,
+        seed=spec.seed,
+    )
+    t1 = time.perf_counter()
+    r = measure_random_overwrite(sim, "macro", n_cps=n_cps)
+    measure_wall = time.perf_counter() - t1
     return {
-        "metrics": out,
+        "metrics": _config_result_metrics(r),
         "timing": {
-            "age_wall_s": age_wall,
+            "age_wall_s": t1 - t0,
             "measure_wall_s": measure_wall,
             "cps_per_s": n_cps / measure_wall,
         },
@@ -431,14 +402,12 @@ def run_bench(
     units = plan_units(
         quick=quick, experiments=experiments, seed=seed, audit=audit, trace=trace
     )
-    # The macro unit is the one whose *wall time* the trajectory
-    # documents (the optimization before/after record), so it never
-    # shares cores with pool workers: it runs serially, in-process,
-    # BEFORE the pool starts — the quietest window of the run.
-    # Everything else only reports deterministic metrics and can
-    # tolerate contention.  The cluster unit also runs in-process: it
-    # owns a process pool of its own (one worker per shard subset), and
-    # its scaling curve is a timed record too.
+    # The macro unit reports phase wall times, so it never shares
+    # cores with pool workers: it runs serially, in-process, BEFORE the
+    # pool starts.  Everything else only reports deterministic metrics
+    # and can tolerate contention.  The cluster unit also runs
+    # in-process: it owns a process pool of its own (one worker per
+    # shard subset), and its scaling curve is a timed record too.
     _SERIAL = ("macro", "cluster")
     timed = [s for s in units if s.experiment in _SERIAL]
     pooled = [s for s in units if s.experiment not in _SERIAL]
@@ -485,23 +454,6 @@ def run_bench(
             },
         },
     }
-    macro_key = "macro/random-overwrite"
-    if macro_key in ordered and not quick:
-        now = ordered[macro_key]["timing"]
-        doc["optimization"] = {
-            "benchmark": "random-overwrite macro (build_aged_ssd_sim + 40 CPs)",
-            "before": MACRO_BASELINE,
-            "after": {
-                "age_wall_s": now["age_wall_s"],
-                "measure_wall_s": now["measure_wall_s"],
-                "cps_per_s": now["cps_per_s"],
-                "cpu_us_per_op": ordered[macro_key]["metrics"]["cpu_us_per_op"],
-                "capacity_ops": ordered[macro_key]["metrics"]["capacity_ops"],
-            },
-            "speedup_measure": MACRO_BASELINE["measure_wall_s"]
-            / now["measure_wall_s"],
-            "speedup_age": MACRO_BASELINE["age_wall_s"] / now["age_wall_s"],
-        }
     return doc
 
 
@@ -514,7 +466,7 @@ def write_results(
     """Persist per-experiment JSON files plus the trajectory summary;
     returns the paths written."""
     out_dir = out_dir or RESULTS_DIR
-    trajectory_path = trajectory_path or os.path.join(_REPO_ROOT, TRAJECTORY_NAME)
+    trajectory_path = trajectory_path or os.path.join(out_dir, "trajectory.json")
     os.makedirs(out_dir, exist_ok=True)
     paths: list[str] = []
     by_exp: dict[str, dict] = {}
@@ -573,36 +525,6 @@ def _numeric_leaves(doc, prefix: str = "") -> dict[str, float]:
     elif isinstance(doc, (int, float)):
         out[prefix] = float(doc)
     return out
-
-
-def perf_regression(
-    current: dict, baseline: dict, *, threshold: float = 0.10
-) -> list[str]:
-    """Wall-clock regression gate: CP throughput must not drop.
-
-    Unlike :func:`compare_to_baseline` (exact simulated metrics), this
-    inspects the one timing field the trajectory treats as a product
-    number — the macro unit's ``cps_per_s`` — and flags a drop of more
-    than ``threshold`` against the baseline document.  Timing noise on
-    shared runners is real, so the threshold is deliberately loose; a
-    10% drop on the quick macro unit is an order of magnitude above
-    scheduler jitter and means the hot path actually got slower.
-    """
-    problems: list[str] = []
-    for key, base_unit in (baseline.get("units") or {}).items():
-        base_cps = (base_unit.get("timing") or {}).get("cps_per_s")
-        cur_unit = (current.get("units") or {}).get(key)
-        if base_cps is None or cur_unit is None:
-            continue
-        cur_cps = (cur_unit.get("timing") or {}).get("cps_per_s")
-        if cur_cps is None:
-            problems.append(f"{key}: cps_per_s missing (baseline {base_cps:.1f})")
-        elif cur_cps < base_cps * (1.0 - threshold):
-            problems.append(
-                f"{key}: cps_per_s {base_cps:.1f} -> {cur_cps:.1f} "
-                f"({cur_cps / base_cps - 1.0:+.1%}, gate -{threshold:.0%})"
-            )
-    return problems
 
 
 def compare_to_baseline(current: dict, baseline: dict, *, rtol: float = 1e-9) -> list[str]:

@@ -39,13 +39,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Parallel benchmark sweep with JSON perf-trajectory output."""
+    """Parallel benchmark sweep with JSON trajectory output."""
     import os
 
     from repro.bench.runner import (
         ALL_EXPERIMENTS,
         compare_to_baseline,
-        perf_regression,
         run_bench,
         write_results,
     )
@@ -79,13 +78,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     t = doc["timing"]
     print(f"\n{t['units']} unit(s) in {t['total_wall_s']:.2f}s "
           f"({t['units_per_s']:.2f} units/s, {workers} worker(s))")
-    if "optimization" in doc:
-        opt = doc["optimization"]
-        print(f"macro measure phase: {opt['before']['measure_wall_s']:.2f}s -> "
-              f"{opt['after']['measure_wall_s']:.2f}s "
-              f"({opt['speedup_measure']:.2f}x); aging "
-              f"{opt['before']['age_wall_s']:.2f}s -> "
-              f"{opt['after']['age_wall_s']:.2f}s ({opt['speedup_age']:.2f}x)")
     for p in paths:
         print(f"wrote {p}")
     if args.baseline:
@@ -104,13 +96,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 1
         print(f"\nbaseline regression check OK (rtol={args.rtol:g}) "
               f"vs {args.baseline}")
-        slow = perf_regression(doc, baseline)
-        if slow:
-            print("\nperf regression gate FAILED (CP throughput dropped):")
-            for p in slow:
-                print(f"  {p}")
-            return 1
-        print("perf regression gate OK (macro cps_per_s within 10%)")
     return 0
 
 
@@ -770,7 +755,7 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(fn=fn)
     p = sub.add_parser(
         "bench",
-        help="parallel benchmark sweep -> benchmarks/results/*.json + BENCH_PR3.json",
+        help="parallel benchmark sweep -> benchmarks/results/{bench_*,trajectory}.json",
     )
     p.add_argument("--quick", action="store_true",
                    help="smaller configurations for interactive use")
@@ -793,7 +778,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", metavar="DIR",
                    help="per-experiment JSON directory (default benchmarks/results)")
     p.add_argument("--trajectory", metavar="PATH",
-                   help="trajectory summary path (default <repo>/BENCH_PR3.json)")
+                   help="trajectory summary path (default <out dir>/trajectory.json)")
     p.set_defaults(fn=_cmd_bench)
     p = sub.add_parser(
         "traffic",

@@ -250,7 +250,6 @@ class ShardRuntime:
         # epoch (possibly on another shard, if the tenant migrates).
         for st in engine.states:
             left = int(sum(ts.size for ts, _ in st.deferred_arrays))
-            left += len(st.deferred)
             if left:
                 self.carryover[st.spec.name] = (
                     self.carryover.get(st.spec.name, 0) + left

@@ -77,13 +77,6 @@ class AllocatorConfig:
     #: Consecutive full AAs a source may propose before the allocator
     #: declares the space dry (score-blind baselines only).
     max_full_aa_retries: int = 128
-    #: Legacy per-chunk bitmap/score flushing in the write allocators.
-    #: The default batches each AA's taken span into one bitmap scatter
-    #: and one score delta per synchronization point (AA switch,
-    #: release, CP boundary), which is byte-identical in every metric
-    #: (DESIGN.md section 9).  Kept permanently as the scalar reference
-    #: pipeline for the identity tests; never the default.
-    scalar_bitmap_flush: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,11 +104,6 @@ class TrafficConfig:
     knee_nclients: int = 8
     #: Default tenant count for scenarios and the CLI.
     default_tenants: int = 4
-    #: Batched admission and SFQ service (NumPy array pipeline).  The
-    #: scalar per-op loops are byte-identical in every metric and kept
-    #: permanently as the explicit opt-out reference path for the
-    #: identity tests (DESIGN.md section 9); never the default.
-    vectorized: bool = True
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,9 @@ class _BaseAllocator:
     VBNs, nothing reads the bitmap for the checked-out AA between
     flushes, and blocks allocated in a CP are never freed in the same
     CP, so the batched union of bit-sets and integer score deltas
-    commutes with the per-chunk order (see DESIGN.md section 9).
-    ``batch_flush=False`` restores the scalar per-chunk flushing
-    (``SimConfig.allocator.scalar_bitmap_flush``), kept as the
-    reference path for the identity tests.
+    commutes with the per-chunk order (see DESIGN.md section 9;
+    ``tests/fs/test_flush_identity.py`` pins it against a twin that
+    flushes at the end of every allocation call).
     """
 
     def __init__(
@@ -70,15 +69,12 @@ class _BaseAllocator:
         keeper: ScoreKeeper,
         *,
         store_offset: int = 0,
-        batch_flush: bool = True,
     ) -> None:
         self.metafile = metafile
         self.source = source
         self.keeper = keeper
         #: Added to local VBNs to form global (aggregate-wide) VBNs.
         self.store_offset = int(store_offset)
-        #: False selects the legacy per-chunk bitmap/score flushing.
-        self.batch_flush = bool(batch_flush)
         self._current_aa: int | None = None
         self._qv: np.ndarray | None = None  # free local VBNs of current AA
         self._pos = 0
@@ -206,12 +202,8 @@ class LinearAllocator(_BaseAllocator):
         keeper: ScoreKeeper,
         *,
         store_offset: int = 0,
-        batch_flush: bool = True,
     ) -> None:
-        super().__init__(
-            metafile, source, keeper,
-            store_offset=store_offset, batch_flush=batch_flush,
-        )
+        super().__init__(metafile, source, keeper, store_offset=store_offset)
         self.topology = topology
 
     def _load_free_vbns(self, aa: int) -> np.ndarray:
@@ -235,8 +227,6 @@ class LinearAllocator(_BaseAllocator):
             self._pos += take
             got += take
             self.spanned_blocks += int(chunk[-1] - chunk[0]) + 1
-            if not self.batch_flush:
-                self.flush_pending()
             out.append(chunk)
         self.blocks_allocated += got
         if not out:
@@ -258,12 +248,8 @@ class RAIDGroupAllocator(_BaseAllocator):
         keeper: ScoreKeeper,
         *,
         store_offset: int = 0,
-        batch_flush: bool = True,
     ) -> None:
-        super().__init__(
-            metafile, source, keeper,
-            store_offset=store_offset, batch_flush=batch_flush,
-        )
+        super().__init__(metafile, source, keeper, store_offset=store_offset)
         self.topology = topology
         self._starts: np.ndarray | None = None  # stripe-group starts in queue
         self._starts_list: list[int] = []  # same, as ints for bisect
@@ -344,8 +330,6 @@ class RAIDGroupAllocator(_BaseAllocator):
             first_dbn = int(qv[lo]) % bpd
             last_dbn = int(qv[hi - 1]) % bpd
             self.spanned_blocks += (last_dbn - first_dbn + 1) * self._ndata
-            if not self.batch_flush:
-                self.flush_pending()
             out.append(chunk)
         self.blocks_allocated += blocks_taken
         return blocks_taken

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitmap.metafile import BitmapMetafile
+from ..common.arrayops import sorted_unique
 from ..common.constants import BITS_PER_BITMAP_BLOCK
 from ..common.errors import CacheError
 from .hbps import HBPS
@@ -261,7 +262,7 @@ class DelayedFreeLog:
                 f"but {len(self._pending)} have pending frees"
             )
         vbns = self.pending_vbns()
-        if vbns.size and np.unique(vbns).size != vbns.size:
+        if vbns.size and sorted_unique(vbns).size != vbns.size:
             raise CacheError("duplicate VBN in delayed-free log")
         if bitmap is not None and vbns.size and not bool(np.all(bitmap.test(vbns))):
             bad = vbns[~bitmap.test(vbns)]

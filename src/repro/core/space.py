@@ -79,7 +79,6 @@ class AllocSpace:
         self.where = where
         self.offset = offset
         self.cache_config = cfg.cache
-        self._batch_flush = not cfg.allocator.scalar_bitmap_flush
         self._striped = isinstance(topology, StripeAATopology)
         self.metafile = BitmapMetafile(topology.nblocks)
         self.delayed_frees = DelayedFreeLog()
@@ -111,8 +110,7 @@ class AllocSpace:
         self.cache = cache
         allocator_cls = RAIDGroupAllocator if self._striped else LinearAllocator
         self.allocator = allocator_cls(
-            self.topology, self.metafile, source, self.keeper,
-            store_offset=self.offset, batch_flush=self._batch_flush,
+            self.topology, self.metafile, source, self.keeper, store_offset=self.offset
         )
         self._last_cache_ops = 0
         self._last_aa_switches = 0

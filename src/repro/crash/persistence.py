@@ -113,8 +113,7 @@ def serialize_fs(fs) -> bytes:
     """
     # Sync the allocator's pending-span batch into the bitmap first: a
     # mid-CP capture must reflect every block already handed out, not
-    # the batching cursor (scalar and batched pipelines then serialize
-    # byte-identically).
+    # the batching cursor.
     alloc = getattr(fs, "allocator", None)
     if alloc is not None and hasattr(alloc, "flush_pending"):
         alloc.flush_pending()

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..common.arrayops import sorted_unique
 from ..common.config import SimConfig
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
 from ..common.errors import AllocationError
@@ -243,7 +244,7 @@ class FlexVol(AllocSpace):
     def verify_consistency(self) -> None:
         """Test hook: maps and bitmaps must agree exactly."""
         mapped_v = self.l2v[self.l2v >= 0]
-        if mapped_v.size != np.unique(mapped_v).size:
+        if mapped_v.size != sorted_unique(mapped_v).size:
             raise AllocationError(f"FlexVol {self.name}: duplicate virtual mappings")
         for held in self._snapshots.values():
             if held.size and not bool(np.all(self.metafile.bitmap.test(held))):

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..common.arrayops import sorted_unique
 from ..core.space import AllocSpace
 from .filesystem import WaflSim
 
@@ -88,7 +89,7 @@ def _vol_reference_virtual(vol) -> np.ndarray:
         refs.append(pending)
     if not refs:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(refs))
+    return sorted_unique(np.concatenate(refs))
 
 
 def _store_reference_physical(sim: WaflSim) -> np.ndarray:
@@ -105,7 +106,7 @@ def _store_reference_physical(sim: WaflSim) -> np.ndarray:
             refs.append(pending + base)
     if not refs:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(refs))
+    return sorted_unique(np.concatenate(refs))
 
 
 def _diff_bitmap(bitmap, reference: np.ndarray) -> tuple[int, int]:

@@ -38,10 +38,11 @@ class ArrivalProcess(abc.ABC):
         arrival at or past it.
 
         The base implementation iterates :meth:`next_after`, so it
-        consumes the generator exactly as the scalar admission loop
+        consumes the generator exactly as drawing arrival by arrival
         does; subclasses may batch the draws as long as the produced
-        times are bit-identical (the engine's vectorized/scalar identity
-        guarantee rests on that).
+        times are bit-identical (the op-at-a-time oracle in
+        ``tests/traffic/oracle.py`` draws through ``next_after``, and
+        the identity tests rest on that).
         """
         if first_us >= until_us:
             return np.empty(0, dtype=np.float64), first_us

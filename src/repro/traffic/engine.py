@@ -46,7 +46,7 @@ bit-for-bit reproducible and byte-identical across process pools.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,8 +117,6 @@ class TrafficResult:
     total_ops: int
 
     def as_dict(self) -> dict:
-        from dataclasses import asdict
-
         return {
             "capacity_ops": self.capacity_ops,
             "horizon_s": self.horizon_s,
@@ -131,18 +129,19 @@ class TrafficResult:
 _EMPTY = np.empty(0, dtype=np.float64)
 
 
+def _gather(chunks: list[np.ndarray]) -> np.ndarray:
+    if not chunks:
+        return _EMPTY
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 class _TenantState:
     """Mutable per-tenant run state (admission + measurement).
 
-    Two storage modes share this class.  The scalar mode keeps per-op
-    tuples in deques and floats in lists (the permanent opt-out
-    reference pipeline for the identity tests); the vectorized mode
-    keeps the same quantities as arrays
-    — chunk lists for measurements, ``(arrival, admit)`` array pairs
-    for the deferred queue, and one capacity buffer with a head cursor
-    for the backend queue.  The ``*_array`` / ``*_count`` accessors
-    below give mode-independent views, so the measurement code reads
-    one shape regardless of which pipeline produced it.
+    Every per-op quantity is held as arrays: chunk lists for the
+    measurements, ``(arrival, admit)`` array pairs for the deferred
+    queue, and one capacity buffer with a head cursor for the backend
+    queue.
     """
 
     def __init__(self, spec: TenantSpec) -> None:
@@ -154,29 +153,21 @@ class _TenantState:
         self.admit_tail_us = 0.0
         #: Admission times not yet reached (the admission queue).
         self.pending_admits: deque[float] = deque()
-        #: Admitted ops waiting for a CP: (arrival_us, admit_us).
-        self.deferred: deque[tuple[float, float]] = deque()
-        #: Ops that rode a CP and await backend service:
-        #: (arrival_us, admit_us, s_occ_us, s_lat_us).
-        self.backend: deque[tuple[float, float, float, float]] = deque()
         #: SFQ virtual finish tag of this tenant's last served op.
         self.vfinish = 0.0
-        self.arrivals_us: list[float] = []
-        self.rejected_us: list[float] = []
-        self.complete_us: list[float] = []
-        self.latency_us: list[float] = []
         self.admitted = 0
         self.charged_cpu_us = 0.0
         self.charged_device_us = 0.0
-        # ---- vectorized-mode storage ---------------------------------
         #: Measurement chunks (arrays of times, concatenated on read).
         self.arrival_chunks: list[np.ndarray] = []
         self.rejected_chunks: list[np.ndarray] = []
         self.complete_chunks: list[np.ndarray] = []
         self.latency_chunks: list[np.ndarray] = []
-        #: Admitted-not-yet-ridden (arrival, admit) array pairs, FIFO.
+        #: Admitted ops waiting for a CP: (arrival, admit) array pairs,
+        #: FIFO.
         self.deferred_arrays: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        #: CP chunks not yet folded into the consolidated queue below.
+        #: Ops that rode a CP, not yet folded into the queue below:
+        #: (arrivals, admits, s_occ_us, s_lat_us) per CP.
         self.backend_chunks: list[tuple[np.ndarray, np.ndarray, float, float]] = []
         #: Backend queue storage: rows arrival/admit/occupancy/latency,
         #: one column per op, spare capacity past the last queued op.
@@ -189,17 +180,10 @@ class _TenantState:
         self.q_lat = _EMPTY
         self.q_head = 0
 
-    def take_riders(self, before_us: float) -> list[tuple[float, float]]:
+    def take_riders(self, before_us: float) -> tuple[np.ndarray, np.ndarray]:
         """Admitted ops whose admission time falls before ``before_us``
-        (admission times are FIFO-monotone, so this is a prefix)."""
-        riders: list[tuple[float, float]] = []
-        while self.deferred and self.deferred[0][1] < before_us:
-            riders.append(self.deferred.popleft())
-        return riders
-
-    def take_riders_arrays(self, before_us: float) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`take_riders`: the admitted prefix with
-        ``admit < before_us``, as (arrivals, admits) arrays."""
+        (admission times are FIFO-monotone, so this is a prefix), as
+        (arrivals, admits) arrays."""
         ts_parts: list[np.ndarray] = []
         adm_parts: list[np.ndarray] = []
         while self.deferred_arrays:
@@ -261,37 +245,28 @@ class _TenantState:
         self.q_arrival, self.q_admit, self.q_occ, self.q_lat = buf[:, :end]
         self.q_head = head
 
-    # ---- mode-independent measurement accessors ----------------------
-    def _gather(self, chunks: list[np.ndarray], scalars: list[float]) -> np.ndarray:
-        if chunks:
-            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        return np.asarray(scalars, dtype=np.float64)
-
+    # ---- measurement accessors ----------------------------------------
     def arrivals_array(self) -> np.ndarray:
-        return self._gather(self.arrival_chunks, self.arrivals_us)
+        return _gather(self.arrival_chunks)
 
     def rejected_array(self) -> np.ndarray:
-        return self._gather(self.rejected_chunks, self.rejected_us)
+        return _gather(self.rejected_chunks)
 
     def complete_array(self) -> np.ndarray:
-        return self._gather(self.complete_chunks, self.complete_us)
+        return _gather(self.complete_chunks)
 
     def latency_array(self) -> np.ndarray:
-        return self._gather(self.latency_chunks, self.latency_us)
+        return _gather(self.latency_chunks)
 
     def arrived_count(self) -> int:
-        if self.arrival_chunks:
-            return sum(c.size for c in self.arrival_chunks)
-        return len(self.arrivals_us)
+        return sum(c.size for c in self.arrival_chunks)
 
     def rejected_count(self) -> int:
-        if self.rejected_chunks:
-            return sum(c.size for c in self.rejected_chunks)
-        return len(self.rejected_us)
+        return sum(c.size for c in self.rejected_chunks)
 
     def backend_pending(self) -> int:
-        """Ops ridden into a CP but not yet served, either mode."""
-        pending = len(self.backend) + (self.q_admit.size - self.q_head)
+        """Ops ridden into a CP but not yet served."""
+        pending = self.q_admit.size - self.q_head
         return pending + sum(ts.size for ts, _, _, _ in self.backend_chunks)
 
 
@@ -325,18 +300,12 @@ class TrafficEngine:
         cp_interval_us: float | None = None,
         target_ops_per_cp: int | None = None,
         cores: int | None = None,
-        vectorized: bool | None = None,
     ) -> None:
         traffic_cfg = TrafficConfig()
         if target_ops_per_cp is None:
             target_ops_per_cp = traffic_cfg.target_ops_per_cp
         if cores is None:
             cores = traffic_cfg.cores
-        if vectorized is None:
-            vectorized = traffic_cfg.vectorized
-        #: Batched admission/SFQ pipeline (scalar loops when False; the
-        #: two are byte-identical in every metric — see DESIGN.md §9).
-        self.vectorized = bool(vectorized)
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in tenants]
@@ -368,42 +337,12 @@ class TrafficEngine:
     # Admission
     # ------------------------------------------------------------------
     def _generate_arrivals(self, st: _TenantState, until_us: float) -> None:
-        spec = st.spec
-        blocks_per_op = float(spec.mix.blocks_per_op)
-        while st.next_arrival_us < until_us:
-            t = st.next_arrival_us
-            st.arrivals_us.append(t)
-            while st.pending_admits and st.pending_admits[0] <= t:
-                st.pending_admits.popleft()
-            if (
-                spec.queue_depth is not None
-                and len(st.pending_admits) >= spec.queue_depth
-            ):
-                st.rejected_us.append(t)
-            else:
-                admit = t if st.admit_tail_us <= t else st.admit_tail_us
-                for bucket, dim in st.buckets:
-                    n = 1.0 if dim == "ops" else blocks_per_op
-                    ready = bucket.ready_time_us(admit, n)
-                    if ready > admit:
-                        admit = ready
-                for bucket, dim in st.buckets:
-                    n = 1.0 if dim == "ops" else blocks_per_op
-                    bucket.take(admit, n)
-                st.admit_tail_us = admit
-                st.pending_admits.append(admit)
-                st.deferred.append((t, admit))
-                st.admitted += 1
-            st.next_arrival_us = spec.arrivals.next_after(t)
-
-    def _generate_arrivals_vec(self, st: _TenantState, until_us: float) -> None:
-        """Batched :meth:`_generate_arrivals`: one window of arrivals in
-        one array, admitted with the same float expressions.
+        """Generate and admit one window of arrivals as one array.
 
         Unthrottled open-queue tenants admit at ``max(t, tail)`` with a
         monotone tail, so the whole window collapses to one exact
         ``np.maximum`` against the window-entry tail.  QoS/bounded-queue
-        tenants run the scalar recurrence (token-bucket state is a
+        tenants run the per-op recurrence (token-bucket state is a
         sequential dependence) over the pre-generated array, which still
         skips the per-arrival generator calls.
         """
@@ -423,8 +362,8 @@ class TrafficEngine:
         keep = np.ones(ts.size, dtype=bool)
         rejected: list[float] = []
         k = 0
-        # Deliberately scalar reference path: token-bucket state and the
-        # queue-depth gate are sequential (each admit feeds the next).
+        # Deliberately per-op: token-bucket state and the queue-depth
+        # gate are sequential (each admit feeds the next).
         for j, t in enumerate(ts.tolist()):  # simlint: disable=B502
             while st.pending_admits and st.pending_admits[0] <= t:
                 st.pending_admits.popleft()
@@ -463,53 +402,17 @@ class TrafficEngine:
         One shared server advances by each op's occupancy.  Among the
         tenants with an eligible head op (admitted by now), the op with
         the smallest SFQ virtual start tag ``max(vtime, vfinish)`` is
-        served next: a tenant that stayed within its fair share has a
-        lagging ``vfinish`` and therefore preempts a backlogged
-        overloader, whose excess waits in its own queue.  The server
-        never starts an op at or past ``until_us`` — backlog carries
-        into the next CP interval instead of letting the server run
-        ahead of the simulated clock, which is what keeps a
-        well-behaved tenant's latency bounded while a neighbor
-        saturates the backend.
-        """
-        states = self.states
-        while True:
-            min_admit = None
-            for st in states:
-                if st.backend and (min_admit is None or st.backend[0][1] < min_admit):
-                    min_admit = st.backend[0][1]
-            if min_admit is None:
-                return
-            t = self._server_free_us if self._server_free_us > min_admit else min_admit
-            if t >= until_us:
-                return
-            pick = None
-            pick_tag = 0.0
-            for i, st in enumerate(states):
-                if not st.backend or st.backend[0][1] > t:
-                    continue
-                tag = st.vfinish if st.vfinish > self._vtime else self._vtime
-                if pick is None or tag < pick_tag:
-                    pick = i
-                    pick_tag = tag
-            st = states[pick]
-            arrival, _admit, s_occ, s_lat = st.backend.popleft()
-            self._vtime = pick_tag
-            st.vfinish = pick_tag + s_occ
-            self._server_free_us = t + s_occ
-            complete = t + s_lat
-            st.complete_us.append(complete)
-            st.latency_us.append(complete - arrival)
-
-    def _drain_vec(self, until_us: float) -> None:
-        """Batched :meth:`_drain` over the backend queue arrays.
+        served next, and the server never starts an op at or past
+        ``until_us``: backlog carries into the next CP interval instead
+        of letting the server run ahead of the simulated clock (the
+        isolation argument is in the module docstring).
 
         The SFQ pick is data-dependent — each newly admitted op can
         preempt a backlogged neighbor the moment the serve clock passes
         its admission — so a fully batched multi-tenant serve would be
         cut at every admission boundary and degenerate to tiny NumPy
         calls.  So the multi-tenant interleave runs a tight buffered
-        scalar loop over the arrays, and only while exactly ONE tenant
+        per-op loop over the arrays, and only while exactly ONE tenant
         has pending ops (FIFO order, no preemption possible) does the
         serve collapse to one pass per window.
 
@@ -530,7 +433,8 @@ class TrafficEngine:
         the outer loop re-enters and continues the identical
         recurrence.  Each tenant's completions leave as one chunk per
         call.  Every float is produced by the same operation on the
-        same operands as the scalar path, so results are bit-identical.
+        same operands as serving op by op (the oracle in
+        ``tests/traffic/oracle.py``), so results are bit-identical.
         """
         states = self.states
         for st in states:
@@ -592,7 +496,7 @@ class TrafficEngine:
                 self._server_free_us = free
                 continue
             # Multi-tenant interleave: op-by-op, plain floats, local
-            # cursors, buffered output — the scalar algorithm verbatim.
+            # cursors, buffered output.
             # Head admits are cached as Python floats (INF = drained)
             # so the per-op scan never touches the arrays.
             inf = float("inf")
@@ -659,150 +563,77 @@ class TrafficEngine:
     # ------------------------------------------------------------------
     def step(self) -> CPStats | None:
         """Advance one CP interval; returns the CP's stats (None if no
-        ops were admitted in the window)."""
+        ops were admitted in the window).
+
+        Riders move as (arrival, admit) array pairs from admission
+        through the backend queue — no per-op tuples.
+        """
         # Pin the tracer clock to simulated traffic time so spans from
         # different CP intervals never overlap in the trace timeline.
         obs.sync_us(self.clock_us)
         with obs.span("traffic.step", interval=self._cp_count):
-            return self._step_vec() if self.vectorized else self._step()
+            window_end = self.clock_us + self.cp_interval_us
+            traced = obs.active()
+            rejected_before = (
+                [st.rejected_count() for st in self.states] if traced else None
+            )
+            # Riders per tenant index, in tenant order.
+            cp_ops: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            for i, st in enumerate(self.states):
+                self._generate_arrivals(st, window_end)
+                ts, adm = st.take_riders(window_end)
+                if ts.size:
+                    cp_ops[i] = (ts, adm)
+            if traced:
+                for st, before in zip(self.states, rejected_before):
+                    delta = st.rejected_count() - before
+                    if delta:
+                        obs.count("traffic.rejected_ops", delta, tenant=st.spec.name)
+                for i, (ts, _) in cp_ops.items():
+                    spec = self.states[i].spec
+                    obs.count(
+                        "traffic.admitted_ops", int(ts.size),
+                        tenant=spec.name, vol=spec.volume,
+                    )
+            self.clock_us = window_end
+            total = int(sum(ts.size for ts, _ in cp_ops.values()))
+            if total == 0:
+                self._drain(window_end)
+                self._cp_count += 1
+                return None
 
-    def _step(self) -> CPStats | None:
-        window_end = self.clock_us + self.cp_interval_us
-        traced = obs.active()
-        rejected_before = (
-            [len(st.rejected_us) for st in self.states] if traced else None
-        )
-        cp_ops: dict[int, list[tuple[float, float]]] = {}
-        for i, st in enumerate(self.states):
-            self._generate_arrivals(st, window_end)
-            riders = st.take_riders(window_end)
-            if riders:
-                cp_ops[i] = riders
-        if traced:
-            for st, before in zip(self.states, rejected_before):
-                delta = len(st.rejected_us) - before
-                if delta:
-                    obs.count("traffic.rejected_ops", delta, tenant=st.spec.name)
-            for i in sorted(cp_ops):
+            writes: dict[str, np.ndarray] = {}
+            deletes: dict[str, np.ndarray] = {}
+            ops_by_source: dict[str, int] = {}
+            for i, (ts, _) in cp_ops.items():
+                spec = self.states[i].spec
+                w, d = spec.mix.next_ops(int(ts.size))
+                if w.size:
+                    writes[spec.volume] = w
+                if d.size:
+                    deletes[spec.volume] = d
+                ops_by_source[spec.name] = int(ts.size)
+            stats = self.sim.engine.run_cp(
+                CPBatch(writes=writes, ops=total, deletes=deletes,
+                        ops_by_source=ops_by_source)
+            )
+
+            cpu_per_op = stats.cpu_us / total
+            dev_per_op = stats.device_busy_us / total
+            core_share = cpu_per_op / self.cores
+            s_occ = core_share if core_share > dev_per_op else dev_per_op
+            s_lat = cpu_per_op + dev_per_op
+            self._occ_weighted_us += s_occ * total
+            self._total_ops += total
+            for i, (ts, adm) in cp_ops.items():
+                share = ts.size / total
                 st = self.states[i]
-                obs.count(
-                    "traffic.admitted_ops",
-                    len(cp_ops[i]),
-                    tenant=st.spec.name,
-                    vol=st.spec.volume,
-                )
-        self.clock_us = window_end
-        total = sum(len(v) for v in cp_ops.values())
-        if total == 0:
+                st.charged_cpu_us += stats.cpu_us * share
+                st.charged_device_us += stats.device_busy_us * share
+                st.backend_chunks.append((ts, adm, s_occ, s_lat))
             self._drain(window_end)
             self._cp_count += 1
-            return None
-
-        writes: dict[str, np.ndarray] = {}
-        deletes: dict[str, np.ndarray] = {}
-        ops_by_source: dict[str, int] = {}
-        for i in sorted(cp_ops):
-            st = self.states[i]
-            w, d = st.spec.mix.next_ops(len(cp_ops[i]))
-            if w.size:
-                writes[st.spec.volume] = w
-            if d.size:
-                deletes[st.spec.volume] = d
-            ops_by_source[st.spec.name] = len(cp_ops[i])
-        stats = self.sim.engine.run_cp(
-            CPBatch(writes=writes, ops=total, deletes=deletes,
-                    ops_by_source=ops_by_source)
-        )
-
-        cpu_per_op = stats.cpu_us / total
-        dev_per_op = stats.device_busy_us / total
-        core_share = cpu_per_op / self.cores
-        s_occ = core_share if core_share > dev_per_op else dev_per_op
-        s_lat = cpu_per_op + dev_per_op
-        self._occ_weighted_us += s_occ * total
-        self._total_ops += total
-        for i, ops in cp_ops.items():
-            share = len(ops) / total
-            st = self.states[i]
-            st.charged_cpu_us += stats.cpu_us * share
-            st.charged_device_us += stats.device_busy_us * share
-            for arrival, admit in ops:
-                st.backend.append((arrival, admit, s_occ, s_lat))
-        self._drain(window_end)
-        self._cp_count += 1
-        return stats
-
-    def _step_vec(self) -> CPStats | None:
-        """Batched :meth:`_step`: identical control flow, but riders
-        move as (arrival, admit) array pairs from admission through the
-        backend queue — no per-op tuples.  The CP itself and every
-        charged-share float expression are shared with the scalar path
-        verbatim, so the two pipelines produce byte-identical metrics.
-        """
-        window_end = self.clock_us + self.cp_interval_us
-        traced = obs.active()
-        rejected_before = (
-            [st.rejected_count() for st in self.states] if traced else None
-        )
-        cp_ops: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i, st in enumerate(self.states):
-            self._generate_arrivals_vec(st, window_end)
-            ts, adm = st.take_riders_arrays(window_end)
-            if ts.size:
-                cp_ops[i] = (ts, adm)
-        if traced:
-            for st, before in zip(self.states, rejected_before):
-                delta = st.rejected_count() - before
-                if delta:
-                    obs.count("traffic.rejected_ops", delta, tenant=st.spec.name)
-            for i in sorted(cp_ops):
-                st = self.states[i]
-                obs.count(
-                    "traffic.admitted_ops",
-                    int(cp_ops[i][0].size),
-                    tenant=st.spec.name,
-                    vol=st.spec.volume,
-                )
-        self.clock_us = window_end
-        total = int(sum(ts.size for ts, _ in cp_ops.values()))
-        if total == 0:
-            self._drain_vec(window_end)
-            self._cp_count += 1
-            return None
-
-        writes: dict[str, np.ndarray] = {}
-        deletes: dict[str, np.ndarray] = {}
-        ops_by_source: dict[str, int] = {}
-        for i in sorted(cp_ops):
-            st = self.states[i]
-            count = int(cp_ops[i][0].size)
-            w, d = st.spec.mix.next_ops(count)
-            if w.size:
-                writes[st.spec.volume] = w
-            if d.size:
-                deletes[st.spec.volume] = d
-            ops_by_source[st.spec.name] = count
-        stats = self.sim.engine.run_cp(
-            CPBatch(writes=writes, ops=total, deletes=deletes,
-                    ops_by_source=ops_by_source)
-        )
-
-        cpu_per_op = stats.cpu_us / total
-        dev_per_op = stats.device_busy_us / total
-        core_share = cpu_per_op / self.cores
-        s_occ = core_share if core_share > dev_per_op else dev_per_op
-        s_lat = cpu_per_op + dev_per_op
-        self._occ_weighted_us += s_occ * total
-        self._total_ops += total
-        for i, (ts, adm) in cp_ops.items():
-            share = ts.size / total
-            st = self.states[i]
-            st.charged_cpu_us += stats.cpu_us * share
-            st.charged_device_us += stats.device_busy_us * share
-            st.backend_chunks.append((ts, adm, s_occ, s_lat))
-        self._drain_vec(window_end)
-        self._cp_count += 1
-        return stats
+            return stats
 
     def run(self, n_cps: int) -> "TrafficEngine":
         for _ in range(n_cps):

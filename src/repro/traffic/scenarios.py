@@ -279,7 +279,6 @@ def run_traffic(
     blocks_per_disk: int | None = None,
     cores: int = DEFAULT_CORES,
     audit_hook=None,
-    vectorized: bool | None = None,
 ) -> TrafficRun:
     """Build, calibrate, and run one named scenario end to end.
 
@@ -308,8 +307,7 @@ def run_traffic(
         scenario, sim, cal.capacity_ops, n_tenants=n_tenants, seed=seed
     )
     engine = TrafficEngine(
-        sim, tenants, target_ops_per_cp=_TARGET_OPS_PER_CP, cores=cores,
-        vectorized=vectorized,
+        sim, tenants, target_ops_per_cp=_TARGET_OPS_PER_CP, cores=cores
     )
     engine.run(n_cps)
     result = engine.summary()

@@ -1,11 +1,13 @@
 """Aging-lite (unpriced) CPs must land the exact priced-aging state.
 
-``build_aged_ssd_sim(unpriced_aging=True)`` skips stripe classification
-and device-timing *outputs* during the aging phase — outputs that
+``build_aged_ssd_sim`` ages with unpriced CPs, which skip stripe
+classification and device-timing *outputs* — outputs that
 ``reset_measurement_state`` discards anyway — but every device write
 still happens, so the post-aging bitmap bytes and FTL state (valid
 pages, open units, erase counts) must be indistinguishable from a
-fully priced aging run.
+fully priced aging run.  The priced twin is the same build with
+``RAIDGroupRuntime._price_cp_writes_unpriced`` swapped for the priced
+``_price_cp_writes``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.harness import build_aged_ssd_sim
+from repro.fs.aggregate import RAIDGroupRuntime
 
 
-def _small_aged(unpriced: bool):
+def _small_aged():
     # Small but not tiny: age_filesystem batches 16384 churn ops per CP,
     # so the aggregate needs that much transient headroom above the fill.
     return build_aged_ssd_sim(
@@ -25,14 +28,22 @@ def _small_aged(unpriced: bool):
         fill_fraction=0.55,
         churn_factor=1.0,
         seed=11,
-        unpriced_aging=unpriced,
     )
 
 
 class TestAgingLiteIdentity:
-    def test_unpriced_aging_reaches_identical_state(self):
-        priced = _small_aged(False)
-        lite = _small_aged(True)
+    def test_unpriced_aging_reaches_identical_state(self, monkeypatch):
+        priced_cps = []
+
+        def priced_writes(group, local_vbns):
+            priced_cps.append(int(local_vbns.size))
+            return group._price_cp_writes(local_vbns)
+
+        with monkeypatch.context() as m:
+            m.setattr(RAIDGroupRuntime, "_price_cp_writes_unpriced", priced_writes)
+            priced = _small_aged()
+        assert sum(priced_cps) > 0  # the twin's aging CPs really were priced
+        lite = _small_aged()
         assert priced.store.free_count == lite.store.free_count
         for gp, gl in zip(priced.store.groups, lite.store.groups):
             assert np.array_equal(

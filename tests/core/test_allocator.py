@@ -81,12 +81,6 @@ class TestLinearAllocator:
         alloc.flush_pending()
         assert mf.bitmap.allocated_count == before
 
-    def test_scalar_flush_updates_bitmap_eagerly(self):
-        alloc, topo, mf, keeper, _ = make_linear()
-        alloc.batch_flush = False
-        v = alloc.allocate(100)
-        assert mf.bitmap.test(v).all()
-
     def test_store_offset_applied(self):
         topo = LinearAATopology(1024, 512)
         mf = BitmapMetafile(1024)

@@ -1,27 +1,30 @@
-"""Identity of the batched and scalar bitmap-flush paths.
+"""Identity of pending-span batched and eager bitmap flushing.
 
-``AllocatorConfig.scalar_bitmap_flush`` keeps the per-block scalar
-flush as the permanent reference implementation; the fused batch
-pass must reach bit-for-bit the same state (per-CP stats, bitmap bytes,
-free counts) on the same workload and seed.
+The write allocators batch each AA's taken span into one bitmap scatter
+and one score delta per synchronization point (AA switch, release, CP
+boundary).  The reference here flushes at the end of *every* allocation
+call instead: AA switches already flush inside a call and nothing reads
+the bitmap mid-call, so that is the per-chunk eager flush at every
+observable point.  The batched pass must reach bit-for-bit the same
+state (per-CP stats, bitmap bytes, free counts, maps) on the same
+workload and seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+import functools
+from dataclasses import asdict
 
 import numpy as np
+import pytest
 
-from repro.common.config import SimConfig
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+from repro.core.allocator import LinearAllocator, RAIDGroupAllocator
 from repro.fs import WaflSim
 from repro.workloads import RandomOverwriteWorkload
 
 
-def _build(scalar_flush: bool) -> WaflSim:
-    cfg = SimConfig.default()
-    cfg = replace(cfg, allocator=replace(cfg.allocator,
-                                         scalar_bitmap_flush=scalar_flush))
+def _run(n_cps: int = 6) -> tuple[WaflSim, list[dict]]:
     phys = 3 * 32768
     spec = AggregateSpec(
         tiers=(TierSpec(label="ssd", media="ssd", ndata=3,
@@ -31,23 +34,46 @@ def _build(scalar_flush: bool) -> WaflSim:
             VolumeDecl("volB", logical_blocks=phys // 8),
         ),
     )
-    return WaflSim.build(spec, config=cfg, seed=7)
+    sim = WaflSim.build(spec, seed=7)
+    workload = iter(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=5))
+    stats = [asdict(sim.engine.run_cp(next(workload))) for _ in range(n_cps)]
+    return sim, stats
+
+
+@pytest.fixture
+def eager_run(monkeypatch):
+    """The same run with both allocators flushing their pending span on
+    return from every allocation call, plus how many calls flushed."""
+    flushes = {"allocate": 0, "take_stripe_chunks": 0}
+
+    def flushing(method):
+        @functools.wraps(method)
+        def eager(self, *args, **kwargs):
+            result = method(self, *args, **kwargs)
+            flushes[method.__name__] += self.pending_count > 0
+            self.flush_pending()
+            return result
+
+        return eager
+
+    with monkeypatch.context() as m:
+        m.setattr(LinearAllocator, "allocate", flushing(LinearAllocator.allocate))
+        m.setattr(
+            RAIDGroupAllocator,
+            "take_stripe_chunks",
+            flushing(RAIDGroupAllocator.take_stripe_chunks),
+        )
+        sim, stats = _run()
+    return sim, stats, flushes
 
 
 class TestFlushModeIdentity:
-    def test_cp_stats_and_bitmap_state_match(self):
-        sims = {flag: _build(flag) for flag in (False, True)}
-        workloads = {
-            flag: iter(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=5))
-            for flag, sim in sims.items()
-        }
-        for _ in range(6):
-            stats = {
-                flag: sims[flag].engine.run_cp(next(workloads[flag]))
-                for flag in (False, True)
-            }
-            assert asdict(stats[False]) == asdict(stats[True])
-        batched, scalar = sims[False], sims[True]
+    def test_cp_stats_and_bitmap_state_match(self, eager_run):
+        scalar, scalar_stats, flushes = eager_run
+        # The twin really was eager, in both allocators.
+        assert flushes["allocate"] > 0 and flushes["take_stripe_chunks"] > 0
+        batched, batched_stats = _run()
+        assert batched_stats == scalar_stats
         assert batched.store.free_count == scalar.store.free_count
         for gb, gs in zip(batched.store.groups, scalar.store.groups):
             assert np.array_equal(

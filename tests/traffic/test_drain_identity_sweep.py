@@ -1,12 +1,13 @@
-"""Scalar↔vectorized identity of the backend drain across load.
+"""Engine↔oracle identity of admission and the backend drain across load.
 
 ``test_vectorized_identity`` runs the three canned scenarios, all of
 them multi-tenant and contended.  The drain's single-pending pass is
 mostly exercised elsewhere: one tenant, or several lightly loaded ones
 whose queues empty between bursts.  This sweep runs 1 and 3 tenants
-from nearly idle to overloaded, with smooth and bursty arrivals, and
-compares the two pipelines after *every* CP interval — server clock,
-SFQ tags and the raw per-op arrays, exactly, in order.
+from nearly idle to overloaded, with smooth, bursty and QoS-throttled
+arrivals, and compares the engine with the op-at-a-time oracle
+(:mod:`tests.traffic.oracle`) after *every* CP interval — server clock,
+SFQ tags, admission state and the raw per-op arrays, exactly, in order.
 """
 
 from __future__ import annotations
@@ -19,15 +20,24 @@ import pytest
 
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.fs import WaflSim
-from repro.traffic import OnOffArrivals, PoissonArrivals, TenantSpec, TrafficEngine
+from repro.traffic import (
+    OnOffArrivals,
+    PoissonArrivals,
+    QosLimits,
+    TenantSpec,
+    TrafficEngine,
+)
 from repro.traffic.scenarios import calibrate_capacity
 from repro.workloads import UniformOverwriteMix
+
+from .oracle import OracleEngine
 
 CP_INTERVAL_US = 20_000.0
 UTILISATIONS = (0.05, 0.3, 0.7, 1.0, 1.3)
 #: Uneven shares so one tenant's queue regularly outlasts the others'
 #: (the interleave → single-pending hand-over).
 SHARES = {1: (1.0,), 3: (0.5, 0.3, 0.2)}
+BLOCKS_PER_OP = 2
 
 
 def _sim(n_tenants: int) -> WaflSim:
@@ -50,12 +60,27 @@ def _capacity(n_tenants: int) -> float:
     return calibrate_capacity(_sim(n_tenants), n_cps=3, ops_per_cp=1024).capacity_ops
 
 
-def _engine(n_tenants: int, util: float, profile: str, vectorized: bool):
+def _engine(n_tenants: int, util: float, profile: str, engine_cls):
     sim = _sim(n_tenants)
     capacity = _capacity(n_tenants)
     tenants = []
     for i, share in enumerate(SHARES[n_tenants]):
         rate = util * capacity * share
+        qos = None
+        queue_depth = None
+        if profile == "throttled":
+            # Both buckets and the bounded queue, sized against the
+            # tenant's fair share: the blocks bucket binds when load is
+            # sustained, the shallower ops bucket in bursts, and the
+            # queue overflows once offered load passes both budgets.
+            fair = capacity * share
+            qos = QosLimits(
+                iops=0.9 * fair,
+                iops_burst=16.0,
+                dirty_blocks_per_s=0.8 * fair * BLOCKS_PER_OP,
+                dirty_burst_blocks=24.0 * BLOCKS_PER_OP,
+            )
+            queue_depth = 24
         if profile == "victim":
             # The cluster's victim profile (ShardRuntime._tenant_specs):
             # short hard bursts at the ON rate, ~8% duty cycle.
@@ -70,32 +95,44 @@ def _engine(n_tenants: int, util: float, profile: str, vectorized: bool):
                 volume=f"vol{i}",
                 arrivals=arrivals,
                 mix=UniformOverwriteMix(
-                    sim.vols[f"vol{i}"].spec.logical_blocks, seed=200 + i
+                    sim.vols[f"vol{i}"].spec.logical_blocks,
+                    blocks_per_op=BLOCKS_PER_OP,
+                    seed=200 + i,
                 ),
+                qos=qos,
+                queue_depth=queue_depth,
             )
         )
-    return TrafficEngine(
-        sim, tenants, cp_interval_us=CP_INTERVAL_US, vectorized=vectorized
-    )
+    return engine_cls(sim, tenants, cp_interval_us=CP_INTERVAL_US)
 
 
 def _inject_carryover(engine: TrafficEngine, n: int) -> None:
     """Already-admitted riders at the epoch origin, the way
     ``ShardRuntime.run_epoch`` re-injects carried operations (and the
-    scalar pipeline's equivalent per-op form)."""
+    oracle's equivalent per-op form)."""
     st = engine.states[0]
-    if engine.vectorized:
+    if isinstance(engine, OracleEngine):
+        st.arrivals_us.extend([0.0] * n)
+        st.deferred.extend([(0.0, 0.0)] * n)
+    else:
         st.arrival_chunks.append(np.zeros(n, dtype=np.float64))
         st.deferred_arrays.append(
             (np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
         )
-    else:
-        st.arrivals_us.extend([0.0] * n)
-        st.deferred.extend([(0.0, 0.0)] * n)
     st.admitted += n
 
 
-def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> None:
+def _deferred_admits(st) -> list[float]:
+    """Admission times of the ops admitted past the window just closed
+    (only a token bucket can push an admit past its arrival)."""
+    if hasattr(st, "deferred"):
+        return [admit for _, admit in st.deferred]
+    return [a for _, adm in st.deferred_arrays for a in adm.tolist()]
+
+
+def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> int:
+    """Returns how many bucket-delayed admits were compared."""
+    delayed = 0
     for cp in range(n_cps):
         scalar.step()
         batched.step()
@@ -104,6 +141,10 @@ def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> None:
         for ref, st in zip(scalar.states, batched.states):
             assert ref.vfinish == st.vfinish, (cp, st.spec.name)
             assert ref.admitted == st.admitted, (cp, st.spec.name)
+            assert ref.admit_tail_us == st.admit_tail_us, (cp, st.spec.name)
+            held = _deferred_admits(st)
+            assert _deferred_admits(ref) == held, (cp, st.spec.name)
+            delayed += len(held)
             assert ref.backend_pending() == st.backend_pending(), (cp, st.spec.name)
             for raw in ("arrivals", "rejected", "complete", "latency"):
                 assert np.array_equal(
@@ -112,19 +153,30 @@ def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> None:
     assert json.dumps(scalar.summary().as_dict(), sort_keys=True) == json.dumps(
         batched.summary().as_dict(), sort_keys=True
     )
+    return delayed
 
 
-@pytest.mark.parametrize("profile", ["poisson", "victim"])
+@pytest.mark.parametrize("profile", ["poisson", "victim", "throttled"])
 @pytest.mark.parametrize("util", UTILISATIONS)
 @pytest.mark.parametrize("n_tenants", [1, 3])
 def test_identity_across_load(n_tenants, util, profile):
     # The victim's horizon has to outlast a whole off period.
-    n_cps = 12 if profile == "poisson" else 70
-    scalar = _engine(n_tenants, util, profile, vectorized=False)
-    batched = _engine(n_tenants, util, profile, vectorized=True)
-    _assert_identical_after_every_step(scalar, batched, n_cps)
+    n_cps = 70 if profile == "victim" else 12
+    scalar = _engine(n_tenants, util, profile, OracleEngine)
+    batched = _engine(n_tenants, util, profile, TrafficEngine)
+    delayed = _assert_identical_after_every_step(scalar, batched, n_cps)
     served = sum(st.complete_array().size for st in batched.states)
     assert served > 0
+    if profile == "throttled":
+        # The QoS recurrence really ran: admits held past their window
+        # by a token bucket once offered load reaches the sustained
+        # budget, queue-depth rejections once it is overloaded.
+        if util >= 1.0:
+            assert delayed > 0
+        if util >= 1.3:
+            assert all(st.rejected_count() > 0 for st in batched.states)
+    else:
+        assert delayed == 0
     if profile == "poisson":
         # The sweep really spans both regimes: the queue empties every
         # interval when nearly idle and a backlog stands when overloaded.
@@ -136,8 +188,8 @@ def test_identity_across_load(n_tenants, util, profile):
 
 
 def test_identity_with_carryover_riders():
-    scalar = _engine(3, 0.7, "poisson", vectorized=False)
-    batched = _engine(3, 0.7, "poisson", vectorized=True)
+    scalar = _engine(3, 0.7, "poisson", OracleEngine)
+    batched = _engine(3, 0.7, "poisson", TrafficEngine)
     for engine in (scalar, batched):
         _inject_carryover(engine, 600)
     _assert_identical_after_every_step(scalar, batched, 12)

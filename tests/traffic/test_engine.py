@@ -225,7 +225,7 @@ class TestDeterminism:
 
 
 class TestDrainWorkIsLinear:
-    """The vectorized drain's work is proportional to the ops it serves
+    """The drain's work is proportional to the ops it serves
     (DESIGN.md §9) — counted, not timed."""
 
     def _light_engine(self):
@@ -237,7 +237,7 @@ class TestDrainWorkIsLinear:
             arrivals=PoissonArrivals(0.1 * capacity, seed=5),
             mix=UniformOverwriteMix(sim.vols["volA"].spec.logical_blocks, seed=6),
         )
-        return TrafficEngine(sim, [tenant], target_ops_per_cp=4096, vectorized=True)
+        return TrafficEngine(sim, [tenant], target_ops_per_cp=4096)
 
     def test_one_completion_chunk_per_drain_at_light_load(self):
         # At ~10% utilisation nearly every op is its own busy period; a

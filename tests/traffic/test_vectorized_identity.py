@@ -1,12 +1,12 @@
-"""Byte-identity of the scalar and vectorized traffic pipelines.
+"""Byte-identity of the traffic engine and its op-at-a-time oracle.
 
-The batch CP pipeline (``TrafficConfig.vectorized``) must be a pure
-performance transformation: same seed, same scenario, bit-for-bit the
-same summary, per-tenant latency percentiles, and MetricsLog series as
-the scalar reference path it replaces.  Equality here is exact — no
-tolerances — because every batched float expression was chosen to
-reproduce the scalar evaluation order (np.add.accumulate chains,
-np.maximum tail recurrences), not merely approximate it.
+The engine's array pipeline must be a pure performance transformation
+of the per-op model in :mod:`tests.traffic.oracle`: same seed, same
+scenario, bit-for-bit the same summary, per-tenant latency percentiles,
+and MetricsLog series.  Equality here is exact — no tolerances —
+because every batched float expression was chosen to reproduce the
+per-op evaluation order (np.add.accumulate chains, np.maximum tail
+recurrences), not merely approximate it.
 """
 
 from __future__ import annotations
@@ -18,16 +18,18 @@ import pytest
 
 from repro.traffic.scenarios import SCENARIOS, run_traffic
 
+from .oracle import run_oracle
+
 SERIES_METRICS = ("achieved_ops_s", "p99_ms", "queue_depth")
 
 
-def _series(run) -> dict[str, np.ndarray]:
+def _series(sim, engine) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    for st in run.engine.states:
+    for st in engine.states:
         name = st.spec.name
         for metric in SERIES_METRICS:
             out[f"{name}.{metric}"] = np.asarray(
-                run.sim.metrics.query(metric, tenant=name, default=[])
+                sim.metrics.query(metric, tenant=name, default=[])
             )
     return out
 
@@ -35,22 +37,20 @@ def _series(run) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestScalarVectorIdentity:
     def test_summary_is_byte_identical(self, scenario):
-        docs = {}
-        for vec in (False, True):
-            run = run_traffic(scenario, quick=True, seed=7, vectorized=vec)
-            docs[vec] = run.result.as_dict()
-        assert json.dumps(docs[False], sort_keys=True) == json.dumps(
-            docs[True], sort_keys=True
+        _, _, reference = run_oracle(scenario, seed=7)
+        run = run_traffic(scenario, quick=True, seed=7)
+        assert json.dumps(reference.as_dict(), sort_keys=True) == json.dumps(
+            run.result.as_dict(), sort_keys=True
         )
 
     def test_metrics_series_are_byte_identical(self, scenario):
-        series = {}
-        for vec in (False, True):
-            run = run_traffic(scenario, quick=True, seed=11, vectorized=vec)
-            series[vec] = _series(run)
-        assert set(series[False]) == set(series[True])
-        for key, scalar in series[False].items():
-            batched = series[True][key]
+        sim, engine, _ = run_oracle(scenario, seed=11)
+        reference = _series(sim, engine)
+        run = run_traffic(scenario, quick=True, seed=11)
+        series = _series(run.sim, run.engine)
+        assert set(reference) == set(series)
+        for key, scalar in reference.items():
+            batched = series[key]
             assert scalar.shape == batched.shape, key
             assert np.array_equal(scalar, batched), key
 
@@ -59,12 +59,10 @@ class TestEngineStateIdentity:
     def test_per_tenant_raw_series_match(self):
         """Beyond the summary: the raw per-op arrays (arrival, rejection,
         completion, latency) the series are computed from must agree."""
-        runs = {
-            vec: run_traffic("noisy-neighbor", quick=True, seed=3, vectorized=vec)
-            for vec in (False, True)
-        }
-        scalar_states = {st.spec.name: st for st in runs[False].engine.states}
-        for st in runs[True].engine.states:
+        _, oracle, _ = run_oracle("noisy-neighbor", seed=3)
+        run = run_traffic("noisy-neighbor", quick=True, seed=3)
+        scalar_states = {st.spec.name: st for st in oracle.states}
+        for st in run.engine.states:
             ref = scalar_states[st.spec.name]
             assert np.array_equal(ref.arrivals_array(), st.arrivals_array())
             assert np.array_equal(ref.rejected_array(), st.rejected_array())
