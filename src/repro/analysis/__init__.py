@@ -1,14 +1,12 @@
 """Static and runtime verification for the reproduction codebase.
 
-* :mod:`repro.analysis.simlint` — AST lint rules (determinism,
-  layering, unit safety, error hygiene); ``repro lint``.
+* :mod:`repro.analysis.simlint` — the static analyzer (determinism,
+  layering, unit safety, crash consistency, error hygiene; per file and
+  across the call graph); ``repro lint``.
 * :mod:`repro.analysis.auditor` — CP-time whole-system invariant
   auditor; ``repro audit`` and ``pytest --audit``.
 * :mod:`repro.analysis.rules` — the rule catalogue and the enforced
   package DAG.
-* :mod:`repro.analysis.flow` — whole-program dataflow passes
-  (interprocedural determinism taint, unit typestate, commit-path
-  effects, seed threading); ``repro lint --deep``.
 
 This package sits at the top of the dependency DAG: it may import
 everything, nothing imports it.
@@ -22,16 +20,18 @@ from .auditor import (
     audit_sim,
     disarm_global,
 )
-from .flow import DeepFinding, DeepReport, FlowConfig, deep_lint
-from .rules import FLOW_RULES, LAYER_RANK, RULES, Rule
-from .simlint import Finding, format_findings, lint_file, lint_paths, lint_source
+from .passes import FlowConfig
+from .rules import LAYER_RANK, RULES, Rule
+from .simlint import (
+    LintReport,
+    format_findings,
+    lint_paths,
+    lint_source,
+    report_to_json,
+)
+from .symbols import Finding
 
 __all__ = [
-    "DeepFinding",
-    "DeepReport",
-    "FlowConfig",
-    "deep_lint",
-    "FLOW_RULES",
     "AuditReport",
     "InvariantAuditor",
     "Violation",
@@ -42,8 +42,10 @@ __all__ = [
     "RULES",
     "Rule",
     "Finding",
+    "FlowConfig",
+    "LintReport",
     "format_findings",
-    "lint_file",
     "lint_paths",
     "lint_source",
+    "report_to_json",
 ]

@@ -1,8 +1,12 @@
-"""Project symbol table and call graph for the flow analyzer.
+"""Project symbol table and call graph for the whole-program passes.
 
-:func:`load_project` extracts (or re-loads from the content-hash cache)
-every module under the given roots; :func:`build_graph` links the raw
-call sites into a resolved :class:`CallGraph`.
+:func:`load_project` extracts every module under the given roots (the
+one AST walk, :mod:`repro.analysis.symbols`); :func:`build_graph` links
+the raw call sites into a resolved :class:`CallGraph`;
+:func:`reach_down` / :func:`reach_up` are the two reachability
+primitives, with witness edges for source -> sink traces.  All
+iteration orders are sorted, so every pass output is deterministic for
+a given project.
 
 Resolution strategy, in decreasing precision:
 
@@ -27,11 +31,9 @@ through it, but its argument mapping is not checked.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .symbols import (
     CallSite,
@@ -39,12 +41,11 @@ from .symbols import (
     FunctionInfo,
     ModuleInfo,
     extract_module,
+    module_name_for,
 )
 
-__all__ = ["CallEdge", "CallGraph", "Project", "build_graph", "load_project"]
-
-#: Bump when the extraction schema changes; stale caches are discarded.
-CACHE_VERSION = 1
+__all__ = ["CallEdge", "CallGraph", "Project", "build_graph", "load_project",
+           "reach_down", "reach_up"]
 
 #: Method names too generic to resolve by class-hierarchy analysis on
 #: an unknown receiver: they are overwhelmingly builtin container /
@@ -79,14 +80,12 @@ class CallEdge:
 class Project:
     """Every module's extracted symbols, fully indexed."""
 
-    modules: dict[str, ModuleInfo] = field(default_factory=dict)
+    modules: list[ModuleInfo]
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
-    def index(self) -> None:
-        self.functions = {}
-        self.classes = {}
-        for mod in self.modules.values():
+    def __post_init__(self) -> None:
+        for mod in self.modules:
             self.functions.update(mod.functions)
             self.classes.update(mod.classes)
 
@@ -108,78 +107,16 @@ class CallGraph:
     def in_edges(self, fqn: str) -> list[CallEdge]:
         return self.callers.get(fqn, [])
 
-    def entry_points(self) -> list[str]:
-        """Functions with no project-internal callers, sorted."""
-        return sorted(f for f in self.project.functions
-                      if not self.callers.get(f))
 
-
-def _iter_files(paths: Iterable[str | Path]) -> list[Path]:
-    files: list[Path] = []
+def load_project(paths: Iterable[str | Path]) -> Project:
+    """Extract every ``*.py`` file under the given files/directories."""
+    modules: list[ModuleInfo] = []
     for entry in paths:
         p = Path(entry)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        else:
-            files.append(p)
-    return files
-
-
-def _read_cache(cache_path: Path) -> dict[str, dict[str, object]]:
-    try:
-        doc = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
-        return {}
-    entries = doc.get("entries")
-    return entries if isinstance(entries, dict) else {}
-
-
-def load_project(
-    paths: Iterable[str | Path],
-    committed_attrs: frozenset[str],
-    cache_path: str | Path | None = None,
-) -> Project:
-    """Extract every module under ``paths``, reusing cached extractions
-    whose source hash is unchanged.
-
-    The cache holds only per-file extraction output keyed by the
-    sha256 of the file contents, so it can never go stale silently and
-    never changes the analysis result — a cold run and a warm run
-    produce identical projects.
-    """
-    cached: dict[str, dict[str, object]] = {}
-    cache_file = Path(cache_path) if cache_path is not None else None
-    if cache_file is not None:
-        cached = _read_cache(cache_file)
-
-    project = Project()
-    fresh_entries: dict[str, dict[str, object]] = {}
-    dirty = False
-    for file in _iter_files(paths):
-        raw = file.read_bytes()
-        digest = hashlib.sha256(raw).hexdigest()
-        key = str(file)
-        entry = cached.get(key)
-        if (isinstance(entry, dict) and entry.get("sha256") == digest
-                and isinstance(entry.get("module"), dict)):
-            mod = ModuleInfo.from_dict(entry["module"])  # type: ignore[arg-type]
-        else:
-            mod = extract_module(raw.decode("utf-8"), file, committed_attrs)
-            dirty = True
-        project.modules[mod.module] = mod
-        fresh_entries[key] = {"sha256": digest, "module": mod.to_dict()}
-
-    if cache_file is not None and (dirty or set(fresh_entries) != set(cached)):
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(
-            json.dumps({"version": CACHE_VERSION, "entries": fresh_entries},
-                       sort_keys=True),
-            encoding="utf-8",
-        )
-    project.index()
-    return project
+        for file in sorted(p.rglob("*.py")) if p.is_dir() else [p]:
+            modules.append(extract_module(
+                file.read_text(encoding="utf-8"), file, module_name_for(file)))
+    return Project(modules)
 
 
 class _Resolver:
@@ -334,3 +271,46 @@ def build_graph(project: Project) -> CallGraph:
                 graph.edges.setdefault(fqn, []).append(edge)
                 graph.callers.setdefault(target, []).append(edge)
     return graph
+
+
+def reach_down(graph: CallGraph, roots: list[str]) -> dict[str, list[CallEdge]]:
+    """Forward reachability from ``roots`` along call edges: every
+    reachable function mapped to the edge chain from its root (roots
+    map to ``[]``).  The BFS visits functions in sorted order, so the
+    chain (and every reported trace) is deterministic."""
+    chains: dict[str, list[CallEdge]] = {}
+    frontier = sorted(set(roots) & set(graph.project.functions))
+    for root in frontier:
+        chains[root] = []
+    while frontier:
+        next_frontier: list[str] = []
+        for fqn in frontier:
+            for edge in graph.out_edges(fqn):
+                if edge.callee not in chains:
+                    chains[edge.callee] = chains[fqn] + [edge]
+                    next_frontier.append(edge.callee)
+        frontier = sorted(set(next_frontier))
+    return chains
+
+
+def reach_up(
+    graph: CallGraph, seed: str, stop: Callable[[str], bool]
+) -> dict[str, list[CallEdge]]:
+    """Backward reachability: every function that can *reach* ``seed``,
+    mapped to the edge chain from it down to the seed (``[]`` for the
+    seed itself).  ``stop`` prunes the climb: a function for which it
+    returns True is included, but its callers are not explored through
+    it (used to cut paths at sanctioned entry points)."""
+    chains: dict[str, list[CallEdge]] = {seed: []}
+    frontier = [seed]
+    while frontier:
+        next_frontier: list[str] = []
+        for fqn in frontier:
+            if fqn != seed and stop(fqn):
+                continue
+            for edge in graph.in_edges(fqn):
+                if edge.caller not in chains:
+                    chains[edge.caller] = [edge] + chains[fqn]
+                    next_frontier.append(edge.caller)
+        frontier = sorted(set(next_frontier))
+    return chains

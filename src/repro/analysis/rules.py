@@ -1,9 +1,8 @@
 """The simlint rule catalogue and the enforced dependency DAG.
 
-Rule identifiers are stable and documented in the README; inline
-waivers use ``# simlint: disable=<rule>[,<rule>...]`` on the offending
-line, or ``# simlint: disable-file=<rule>`` in the first comment block
-of a module.
+Rule identifiers are stable and documented in the README; the one
+waiver mechanism is the in-place pragma (see
+:mod:`repro.analysis.simlint`).
 
 Rule families
 -------------
@@ -30,15 +29,15 @@ Rule families
 * **C — crash consistency.**  The committed metadata image is the
   state a crash recovers to; only the sanctioned commit path in
   :mod:`repro.crash.persistence` may replace it.
-* **P — pragma hygiene.**  Waivers must name real rules; a typo in a
-  ``# simlint: disable=`` pragma silently waives nothing and hides the
-  violation it meant to document.
-* **F — flow (interprocedural).**  The ``repro lint --deep`` passes
-  (:mod:`repro.analysis.flow`) check the same properties as the D/U/C
-  families but across function boundaries: determinism taint, unit
-  typestate, commit-path effects, and seed threading.  They are
-  catalogued separately in :data:`FLOW_RULES` because they fire from
-  whole-program analysis, not from a single module's AST.
+* **P — pragma hygiene.**  A ``# simlint: disable=`` pragma must
+  suppress a finding: one that names an unknown rule, or whose violation
+  has been fixed, waives nothing and is itself reported.
+* **F — flow (interprocedural).**  The same properties as the D/U/C
+  families, checked across function boundaries over the project call
+  graph (:mod:`repro.analysis.passes`): determinism taint, unit
+  typestate, commit-path effects, and seed threading.  Their findings
+  carry the call chain as a trace, and their waivers must state a
+  reason.
 """
 
 from __future__ import annotations
@@ -48,14 +47,16 @@ from dataclasses import dataclass
 __all__ = [
     "Rule",
     "RULES",
-    "FLOW_RULES",
     "LAYER_RANK",
     "TIER_ROLE_LITERALS",
     "UNIT_SUFFIXES",
     "ORDER_SAFE_CONSUMERS",
     "REPRO_ERROR_NAMES",
     "WALL_CLOCK_CALLS",
+    "REPORTING_CLOCK_CALLS",
+    "ENTROPY_CALLS",
     "COMMITTED_IMAGE_ATTRS",
+    "COMMIT_PATH_MODULE",
     "HOT_PATH_PACKAGES",
 ]
 
@@ -68,6 +69,42 @@ class Rule:
     summary: str
     rationale: str
 
+
+#: The enforced dependency DAG: a package may import only packages with
+#: a strictly *smaller* rank.  Top-level modules (``cli``, ``__main__``,
+#: the root ``__init__``) sit above every package and are unconstrained.
+LAYER_RANK: dict[str, int] = {
+    "common": 0,
+    #: The tracer sits just above common so every simulation layer may
+    #: emit spans/counters into it; it depends only on common.config.
+    "obs": 1,
+    "devices": 2,
+    "raid": 3,
+    "bitmap": 4,
+    "core": 5,
+    "sim": 6,
+    "fs": 7,
+    "workloads": 8,
+    #: The traffic engine consumes the whole substrate (fs CPs, sim
+    #: stats, workload mixes) and is itself consumed only by the
+    #: drivers above it (faults' chaos-under-load, bench, cli).
+    "traffic": 9,
+    "faults": 10,
+    "bench": 11,
+    "analysis": 12,
+    #: Heterogeneous multi-tier aggregates: composes fs stores and uses
+    #: the auditor/Iron for its bench demo; fs and bench reach it by
+    #: name via importlib only (tier policies attach from above).
+    "tiering": 13,
+    #: The crash-consistency subsystem drives the whole stack (mount,
+    #: traffic, the invariant auditor) and is consumed only by cli.
+    "crash": 14,
+    #: The fleet layer: many aggregate-scale sims as shards, scheduled
+    #: and migrated from above.  It may import everything below it;
+    #: nothing below (traffic, fs, bench, ...) may import it — the
+    #: bench runner dispatches to it by name via importlib only.
+    "cluster": 15,
+}
 
 RULES: dict[str, Rule] = {
     r.id: r
@@ -101,10 +138,9 @@ RULES: dict[str, Rule] = {
         Rule(
             "L201",
             "import violates the package dependency DAG",
-            "the layering common -> obs -> devices -> raid -> bitmap -> "
-            "core -> sim -> fs -> workloads -> traffic -> faults -> "
-            "bench -> analysis is acyclic by construction; upward "
-            "imports create cycles.",
+            "the layering "
+            + " -> ".join(sorted(LAYER_RANK, key=LAYER_RANK.__getitem__))
+            + " is acyclic by construction; upward imports create cycles.",
         ),
         Rule(
             "U301",
@@ -161,10 +197,12 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             "P901",
-            "pragma waives an unknown rule id",
-            "a waiver naming a rule id outside the catalogue (a typo "
-            "like D99 for D104) waives nothing and hides the violation "
-            "it meant to document; name a rule from the catalogue.",
+            "pragma suppresses nothing",
+            "a waiver that names a rule id outside the catalogue (a typo "
+            "like D99 for D104), whose violation has since been fixed, or "
+            "that excuses an F-rule without a reason hides or outlives "
+            "what it meant to document; fix the id, delete the comment, "
+            "or state the reason.",
         ),
         Rule(
             "T701",
@@ -185,22 +223,14 @@ RULES: dict[str, Rule] = {
             "moves the recovery target and voids the crash-consistency "
             "guarantee.",
         ),
-    )
-}
-
-#: The interprocedural (``repro lint --deep``) rule catalogue.  These
-#: fire from whole-program analysis in :mod:`repro.analysis.flow` and
-#: are baselined by fingerprint, not waived by pragma.
-FLOW_RULES: dict[str, Rule] = {
-    r.id: r
-    for r in (
         Rule(
             "F801",
             "nondeterministic source reachable from a simulation hot path",
             "wall clocks, stdlib random, unseeded generators, ambient "
             "entropy, and unordered-set iteration anywhere in the call "
-            "cone of the CP/allocator/traffic/crash hot paths break "
-            "bit-for-bit reproducibility, no matter how many calls deep.",
+            "cone of the CP/allocator/traffic/crash/cluster/tiering hot "
+            "paths break bit-for-bit reproducibility, no matter how many "
+            "calls deep.",
         ),
         Rule(
             "F802",
@@ -224,42 +254,6 @@ FLOW_RULES: dict[str, Rule] = {
             "same-seed reproducibility depends on.",
         ),
     )
-}
-
-#: The enforced dependency DAG: a package may import only packages with
-#: a strictly *smaller* rank.  Top-level modules (``cli``, ``__main__``,
-#: the root ``__init__``) sit above every package and are unconstrained.
-LAYER_RANK: dict[str, int] = {
-    "common": 0,
-    #: The tracer sits just above common so every simulation layer may
-    #: emit spans/counters into it; it depends only on common.config.
-    "obs": 1,
-    "devices": 2,
-    "raid": 3,
-    "bitmap": 4,
-    "core": 5,
-    "sim": 6,
-    "fs": 7,
-    "workloads": 8,
-    #: The traffic engine consumes the whole substrate (fs CPs, sim
-    #: stats, workload mixes) and is itself consumed only by the
-    #: drivers above it (faults' chaos-under-load, bench, cli).
-    "traffic": 9,
-    "faults": 10,
-    "bench": 11,
-    "analysis": 12,
-    #: Heterogeneous multi-tier aggregates: composes fs stores and uses
-    #: the auditor/Iron for its bench demo; fs and bench reach it by
-    #: name via importlib only (tier policies attach from above).
-    "tiering": 13,
-    #: The crash-consistency subsystem drives the whole stack (mount,
-    #: traffic, the invariant auditor) and is consumed only by cli.
-    "crash": 14,
-    #: The fleet layer: many aggregate-scale sims as shards, scheduled
-    #: and migrated from above.  It may import everything below it;
-    #: nothing below (traffic, fs, bench, ...) may import it — the
-    #: bench runner dispatches to it by name via importlib only.
-    "cluster": 15,
 }
 
 #: Tier-role names T701 refuses as raw routing literals outside
@@ -314,11 +308,14 @@ REPRO_ERROR_NAMES: frozenset[str] = frozenset(
 #: layers (bench, analysis, cli) may loop scalar-style freely.
 HOT_PATH_PACKAGES: frozenset[str] = frozenset({"fs", "bitmap", "traffic", "sim"})
 
-#: Attribute names C601 treats as the committed image.  Only the
-#: sanctioned commit path (repro/crash/persistence.py) may assign them.
+#: Attribute names C601/F803 treat as the committed image.  Only the
+#: sanctioned commit path (:data:`COMMIT_PATH_MODULE`) may assign them.
 COMMITTED_IMAGE_ATTRS: frozenset[str] = frozenset(
     {"committed", "committed_image", "committed_images"}
 )
+
+#: The module whose writes to the committed image are the commit path.
+COMMIT_PATH_MODULE = "repro.crash.persistence"
 
 #: Dotted calls D103 flags (``perf_counter`` is allowed: it only times
 #: wall-clock reporting of benchmark runs, never simulated state).
@@ -333,4 +330,17 @@ WALL_CLOCK_CALLS: frozenset[str] = frozenset(
         "datetime.today",
         "date.today",
     }
+)
+
+#: Clocks D103 allows (they time wall-clock *reporting* of benchmark
+#: runs) but F801 still treats as sources: they must never be reachable
+#: from a simulation hot path.
+REPORTING_CLOCK_CALLS: frozenset[str] = frozenset(
+    {"time.perf_counter", "time.perf_counter_ns", "time.process_time"}
+)
+
+#: Ambient-entropy calls beyond the clock family (F801 sources).
+ENTROPY_CALLS: frozenset[str] = frozenset(
+    {"os.urandom", "uuid.uuid4", "uuid.uuid1", "secrets.token_bytes",
+     "secrets.token_hex", "secrets.randbelow"}
 )

@@ -1,799 +1,177 @@
-"""simlint: AST-based static analysis with codebase-specific rules.
+"""simlint: the static analyzer with codebase-specific rules.
 
 The rules (catalogue in :mod:`repro.analysis.rules`) encode properties
 the paper's evaluation depends on but Python cannot enforce by itself:
-determinism of every hot path (D), an acyclic package DAG (L), unit
-discipline between ``*_bytes``/``*_blocks``/``*_us`` quantities (U),
-and error hygiene (E).
+determinism of every hot path (D, F801, F804), an acyclic package DAG
+(L), unit discipline between ``*_bytes``/``*_blocks``/``*_us``
+quantities (U, F802), crash-consistency of the committed image (C,
+F803) and error hygiene (E).  One run does everything: each file is
+parsed and walked once (:mod:`repro.analysis.symbols`), the call graph
+is linked (:mod:`repro.analysis.callgraph`), the whole-program passes
+run over it (:mod:`repro.analysis.passes`), then waivers apply.
 
 Usage::
 
     from repro.analysis import lint_paths
-    findings = lint_paths(["src/repro"])
+    report = lint_paths(["src/repro"])
+    assert not report.findings
 
 or from the command line: ``repro lint src/repro``.
 
-Waivers: append ``# simlint: disable=D104`` to the offending line, or
-put ``# simlint: disable-file=D104`` on its own comment line to waive a
-rule for a whole module.  Waivers name specific rules; there is no
-blanket disable.
+Waivers: the in-place pragma is the only mechanism.  Append
+``# simlint: disable=D104`` to the offending line — or put it on its
+own comment line directly above — and follow it with ``— <reason>``
+(mandatory for F-rules; the text may run on over further comment
+lines).  ``# simlint: disable-file=D104`` on its own line waives a rule
+for a whole module.  Waivers name specific rules; there is no blanket
+disable, and a waiver that suppresses nothing is itself a finding
+(P901), so none can outlive its violation.  Whole-program findings are
+judged against the tree that was linted: lint the package root.
 """
 
 from __future__ import annotations
 
-import ast
-import re
+import dataclasses
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .rules import (
-    COMMITTED_IMAGE_ATTRS,
-    HOT_PATH_PACKAGES,
-    LAYER_RANK,
-    REPRO_ERROR_NAMES,
-    RULES,
-    TIER_ROLE_LITERALS,
-    UNIT_SUFFIXES,
-    WALL_CLOCK_CALLS,
-)
+from .callgraph import Project, build_graph, load_project
+from .passes import FlowConfig, run_passes
+from .rules import RULES
+from .symbols import Finding, Pragma, extract_module
 
-__all__ = ["Finding", "lint_source", "lint_file", "lint_paths", "format_findings"]
-
-#: Rank assigned to modules outside the package DAG (``repro.cli``,
-#: ``repro/__init__`` ...): above everything, so ranked packages may
-#: not import them.
-_TOP_RANK = 99
-
-_PRAGMA_LINE = re.compile(r"#\s*simlint:\s*disable=([A-Z]\d+(?:\s*,\s*[A-Z]\d+)*)")
-_PRAGMA_FILE = re.compile(r"#\s*simlint:\s*disable-file=([A-Z]\d+(?:\s*,\s*[A-Z]\d+)*)")
-
-#: Legacy ``numpy.random`` module-level (global-state) entry points.
-_NP_RANDOM_LEGACY = frozenset(
-    {
-        "seed",
-        "random",
-        "rand",
-        "randn",
-        "randint",
-        "random_sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "binomial",
-        "poisson",
-        "exponential",
-    }
-)
-
-_UNIT_BY_WORD = {suffix.lstrip("_"): suffix for suffix in UNIT_SUFFIXES}
-
-#: ``numpy.<tail>`` callables whose result B502 treats as an ndarray.
-#: Deliberately conservative: only constructors/transforms that always
-#: return arrays, so a tracked name is an array with high confidence.
-_NP_ARRAY_CTORS = frozenset(
-    {
-        "empty",
-        "zeros",
-        "ones",
-        "full",
-        "array",
-        "asarray",
-        "ascontiguousarray",
-        "arange",
-        "linspace",
-        "concatenate",
-        "stack",
-        "frombuffer",
-        "fromiter",
-        "where",
-        "cumsum",
-        "sort",
-        "argsort",
-        "maximum",
-        "minimum",
-        "repeat",
-        "tile",
-        "copy",
-        "diff",
-        "empty_like",
-        "zeros_like",
-        "ones_like",
-        "full_like",
-        "add.accumulate",
-        "maximum.accumulate",
-        "minimum.accumulate",
-    }
-)
+__all__ = ["LintReport", "format_findings", "lint_paths", "lint_source",
+           "report_to_json"]
 
 
 @dataclass(frozen=True)
-class Finding:
-    """One lint violation."""
+class LintReport:
+    """Everything one run produced."""
 
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-def _suffix_of(name: str) -> str | None:
-    for suffix in UNIT_SUFFIXES:
-        if name.endswith(suffix) and len(name) > len(suffix):
-            return suffix
-    return None
+    #: Unwaived findings: any of these fails the run.
+    findings: tuple[Finding, ...]
+    #: Findings suppressed by an in-place pragma (``waiver`` holds its
+    #: reason text).
+    waived: tuple[Finding, ...]
+    n_files: int
+    n_functions: int
+    n_edges: int
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+def _lacks_reason(pragma: Pragma) -> bool:
+    """F-rule waivers excuse a whole call chain: the reason is mandatory."""
+    return pragma.rule.startswith("F") and not pragma.reason
 
 
-class _Linter(ast.NodeVisitor):
-    """Single-pass visitor applying every rule family."""
-
-    def __init__(self, path: str, package: str | None,
-                 subpackages: tuple[str, ...] | None = None) -> None:
-        self.path = path
-        self.package = package
-        #: Full package chain under ``repro`` (("analysis", "flow") for
-        #: repro/analysis/flow/symbols.py); resolves relative imports
-        #: from nested subpackages correctly.
-        self.subpackages = (
-            subpackages if subpackages is not None
-            else ((package,) if package is not None else ())
-        )
-        self.findings: list[Finding] = []
-        #: local alias -> canonical dotted origin ("np" -> "numpy").
-        self.aliases: dict[str, str] = {}
-        #: stack of scopes mapping names known to hold sets.
-        self.set_scopes: list[set[str]] = [set()]
-        #: ``self.<attr>`` names known to hold sets (module-wide).
-        self.set_attrs: set[str] = set()
-        #: stack of scopes mapping names known to hold ndarrays (B502).
-        self.array_scopes: list[set[str]] = [set()]
-        #: ``self.<attr>`` names known to hold ndarrays (module-wide).
-        self.array_attrs: set[str] = set()
-
-    # -- helpers -------------------------------------------------------
-    def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            Finding(rule, self.path, getattr(node, "lineno", 0),
-                    getattr(node, "col_offset", 0), message)
-        )
-
-    def _canonical(self, dotted: str) -> str:
-        head, _, rest = dotted.partition(".")
-        head = self.aliases.get(head, head)
-        return f"{head}.{rest}" if rest else head
-
-    # -- imports: aliases, D101, L201 ----------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.aliases[alias.asname or alias.name.split(".")[0]] = (
-                alias.name if alias.asname else alias.name.split(".")[0]
-            )
-            root = alias.name.split(".")[0]
-            if root == "random":
-                self._emit("D101", node, RULES["D101"].summary)
-            if root == "repro":
-                self._check_layering(node, alias.name)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if node.level == 0:
-            for alias in node.names:
-                self.aliases[alias.asname or alias.name] = f"{module}.{alias.name}"
-            if module.split(".")[0] == "random":
-                self._emit("D101", node, RULES["D101"].summary)
-            if module.split(".")[0] == "repro":
-                if module == "repro":
-                    # ``from repro import obs``: each imported name is
-                    # the actual target package.
-                    for alias in node.names:
-                        self._check_layering(node, f"repro.{alias.name}")
-                else:
-                    self._check_layering(node, module)
-        else:
-            target = self._resolve_relative(node)
-            if target == "repro":
-                # ``from .. import obs``: ditto, per-name targets.
-                for alias in node.names:
-                    self._check_layering(node, f"repro.{alias.name}")
-            elif target is not None:
-                self._check_layering(node, target)
-        self.generic_visit(node)
-
-    def _resolve_relative(self, node: ast.ImportFrom) -> str | None:
-        """Absolute ``repro.<pkg>`` target of a relative import, from the
-        linted module's own package position."""
-        if self.package is None:
-            # Top-level module: ``from . import x`` reaches siblings;
-            # top modules are unconstrained.
-            return None
-        # ``level`` dots climb the package chain: level 1 stays in the
-        # containing package, each further dot drops one component.
-        # From repro/analysis/flow/x.py, ``from ..rules import`` has
-        # level 2 over chain ("analysis", "flow") -> base ("analysis",)
-        # -> repro.analysis.rules, which is still package 'analysis'.
-        base = self.subpackages[: len(self.subpackages) - (node.level - 1)]
-        if base:
-            return f"repro.{base[0]}"
-        first = (node.module or "").split(".")[0]
-        return f"repro.{first}" if first else "repro"
-
-    def _check_layering(self, node: ast.AST, target_module: str) -> None:
-        if self.package is None:
-            return
-        source_rank = LAYER_RANK.get(self.package)
-        if source_rank is None:
-            return
-        parts = target_module.split(".")
-        target_pkg = parts[1] if len(parts) > 1 and parts[0] == "repro" else None
-        if target_pkg is None:
-            # ``import repro`` / ``from repro import x``: the root
-            # package re-exports high-level names; treat as top.
-            target_rank = _TOP_RANK
-            target_pkg = "repro"
-        elif target_pkg == self.package:
-            return
-        else:
-            target_rank = LAYER_RANK.get(target_pkg, _TOP_RANK)
-        if target_rank >= source_rank:
-            self._emit(
-                "L201",
-                node,
-                f"package '{self.package}' (rank {source_rank}) may not import "
-                f"'{target_pkg}' (rank {target_rank}); the DAG is "
-                + " -> ".join(sorted(LAYER_RANK, key=LAYER_RANK.__getitem__)),
-            )
-
-    # -- calls: D101/D102/D103, D104 consumers, U301 conversions -------
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if dotted is not None:
-            canonical = self._canonical(dotted)
-            self._check_rng_call(node, canonical)
-            self._check_clock_call(node, canonical)
-            self._check_unpackbits(node, canonical)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-            and self.package is not None
-        ):
-            # Top-level modules (cli.py, __main__) have package None and
-            # are the sanctioned user-facing output sites.
-            self._emit("E404", node, RULES["E404"].summary)
-        if self.package != "tiering":
-            for kw in node.keywords:
-                if (
-                    kw.arg == "tier"
-                    and isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, str)
-                ):
-                    self._emit(
-                        "T701", kw.value,
-                        f"{RULES['T701'].summary}: tier={kw.value.value!r}; "
-                        f"pass a repro.tiering.Tier member",
-                    )
-        func_name = dotted.split(".")[-1] if dotted else None
-        if func_name in {"list", "tuple", "enumerate", "iter"}:
-            for arg in node.args:
-                if self._is_set_expr(arg):
-                    self._emit(
-                        "D104",
-                        arg,
-                        f"{RULES['D104'].summary} (materialized via {func_name}(); "
-                        f"wrap the set in sorted())",
-                    )
-        self.generic_visit(node)
-
-    def _check_rng_call(self, node: ast.Call, canonical: str) -> None:
-        if canonical.split(".")[0] == "random":
-            self._emit("D101", node, f"{RULES['D101'].summary}: {canonical}()")
-            return
-        if canonical in ("numpy.random.default_rng", "np.random.default_rng"):
-            unseeded = not node.args and not node.keywords
-            none_seed = (
-                len(node.args) == 1
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            )
-            if unseeded or none_seed:
-                self._emit("D102", node, RULES["D102"].summary)
-            return
-        parts = canonical.split(".")
-        if (
-            len(parts) == 3
-            and parts[0] in ("numpy", "np")
-            and parts[1] == "random"
-            and parts[2] in _NP_RANDOM_LEGACY
-        ):
-            self._emit(
-                "D102", node,
-                f"legacy global-state RNG call np.random.{parts[2]}(); draw from "
-                f"a seeded Generator (repro.common.rng.make_rng) instead",
-            )
-
-    def _check_clock_call(self, node: ast.Call, canonical: str) -> None:
-        if canonical in WALL_CLOCK_CALLS:
-            self._emit("D103", node, f"{RULES['D103'].summary}: {canonical}()")
-
-    # -- B501: unbounded bit expansion outside the bitmap layer --------
-    def _check_unpackbits(self, node: ast.Call, canonical: str) -> None:
-        if canonical != "numpy.unpackbits":
-            return
-        if Path(self.path).name == "bitmap.py":
-            return  # the Bitmap class is the sanctioned expansion site
-        arg = node.args[0] if node.args else None
-        if (
-            isinstance(arg, ast.Subscript)
-            and isinstance(arg.slice, ast.Slice)
-            and arg.slice.lower is not None
-            and arg.slice.upper is not None
-        ):
-            return  # explicitly windowed [lo:hi] slice: bounded expansion
-        self._emit(
-            "B501", node,
-            f"{RULES['B501'].summary}; use Bitmap.free_in_range/test or "
-            f"slice an explicit [lo:hi] window",
-        )
-
-    # -- B502: element-at-a-time array loops in hot-path packages ------
-    def _is_array_ctor(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted is None:
-                return False
-            canonical = self._canonical(dotted)
-            head, _, tail = canonical.partition(".")
-            return head == "numpy" and tail in _NP_ARRAY_CTORS
-        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
-            # A slice of a known array is still an array view.
-            return self._is_array_expr(node.value)
-        return False
-
-    def _is_array_annotation(self, annotation: ast.AST | None) -> bool:
-        if annotation is None:
-            return False
-        base = annotation.value if isinstance(annotation, ast.Subscript) else annotation
-        name = _dotted(base)
-        return name is not None and name.split(".")[-1] in ("ndarray", "NDArray")
-
-    def _is_array_expr(self, node: ast.AST) -> bool:
-        if self._is_array_ctor(node):
-            return True
-        if isinstance(node, ast.Name):
-            return any(node.id in scope for scope in self.array_scopes)
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr in self.array_attrs
-        return False
-
-    def _record_array_binding(self, target: ast.AST, is_array: bool) -> None:
-        if isinstance(target, ast.Name):
-            scope = self.array_scopes[-1]
-            (scope.add if is_array else scope.discard)(target.id)
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            (self.array_attrs.add if is_array else self.array_attrs.discard)(
-                target.attr
-            )
-
-    def _check_array_index_loop(self, node: ast.For) -> None:
-        """B502: a for body subscripting a tracked ndarray with the loop
-        variable is the interpreter-bound pattern the batch pipeline
-        replaced; flag it only inside the hot-path packages."""
-        if self.package not in HOT_PATH_PACKAGES:
-            return
-        loop_vars = {
-            n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)
-        }
-        if not loop_vars:
-            return
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if not isinstance(sub, ast.Subscript):
-                    continue
-                idx = sub.slice
-                if not (isinstance(idx, ast.Name) and idx.id in loop_vars):
-                    continue
-                if self._is_array_expr(sub.value):
-                    name = _dotted(sub.value) or "<array>"
-                    self._emit(
-                        "B502",
-                        node,
-                        f"{RULES['B502'].summary}: '{name}[{idx.id}]' "
-                        f"inside this loop; batch the operation or waive "
-                        f"the reference path explicitly",
-                    )
-                    return
-
-    # -- D104: set bookkeeping and iteration sites ---------------------
-    def _is_set_ctor(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted in ("set", "frozenset"):
-                return True
-        return False
-
-    def _is_set_annotation(self, annotation: ast.AST | None) -> bool:
-        if annotation is None:
-            return False
-        base = annotation.value if isinstance(annotation, ast.Subscript) else annotation
-        name = _dotted(base)
-        return name is not None and name.split(".")[-1].lower() in ("set", "frozenset")
-
-    def _record_binding(self, target: ast.AST, is_set: bool) -> None:
-        if isinstance(target, ast.Name):
-            scope = self.set_scopes[-1]
-            (scope.add if is_set else scope.discard)(target.id)
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            (self.set_attrs.add if is_set else self.set_attrs.discard)(target.attr)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        is_set = self._is_set_ctor(node.value)
-        is_array = self._is_array_ctor(node.value)
-        for target in node.targets:
-            self._record_binding(target, is_set)
-            self._record_array_binding(target, is_array)
-            self._check_committed_attr(target)
-        self.generic_visit(node)
-
-    # -- C601: committed-image mutation outside the commit path --------
-    def _check_committed_attr(self, target: ast.AST) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_committed_attr(elt)
-            return
-        # Both direct replacement (obj.committed = x) and structural
-        # mutation (obj.committed.pages[k] = x, obj.committed[i] = x)
-        # move the recovery target.
-        while isinstance(target, ast.Subscript):
-            target = target.value
-        attr = target
-        while isinstance(attr, ast.Attribute):
-            if attr.attr in COMMITTED_IMAGE_ATTRS:
-                if (
-                    self.package == "crash"
-                    and Path(self.path).name == "persistence.py"
-                ):
-                    return  # the sanctioned commit path
-                self._emit(
-                    "C601",
-                    target,
-                    f"{RULES['C601'].summary}: assignment to "
-                    f"'.{attr.attr}' — route the change through "
-                    f"PersistenceModel.commit()",
-                )
-                return
-            attr = attr.value
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        is_set = (node.value is not None and self._is_set_ctor(node.value)) or (
-            node.value is None and self._is_set_annotation(node.annotation)
-        )
-        if node.value is not None and not self._is_set_ctor(node.value):
-            is_set = self._is_set_annotation(node.annotation) and self._is_set_ctor(
-                node.value
-            )
-        self._record_binding(node.target, is_set or (
-            node.value is not None
-            and self._is_set_ctor(node.value)
-        ))
-        self._record_array_binding(
-            node.target,
-            (node.value is not None and self._is_array_ctor(node.value))
-            or self._is_array_annotation(node.annotation),
-        )
-        self._check_aug_or_ann_units(node)
-        self._check_committed_attr(node.target)
-        self.generic_visit(node)
-
-    def _is_set_expr(self, node: ast.AST) -> bool:
-        if self._is_set_ctor(node):
-            return True
-        if isinstance(node, ast.Name):
-            return any(node.id in scope for scope in self.set_scopes)
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr in self.set_attrs
-        return False
-
-    def _check_iteration(self, iter_node: ast.AST) -> None:
-        if self._is_set_expr(iter_node):
-            self._emit(
-                "D104", iter_node,
-                f"{RULES['D104'].summary}; wrap it in sorted() for a stable order",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iteration(node.iter)
-        self._check_array_index_loop(node)
-        self.generic_visit(node)
-
-    def _visit_comprehension(self, node: ast.AST) -> None:
-        for comp in getattr(node, "generators", []):
-            self._check_iteration(comp.iter)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.set_scopes.append(set())
-        self.array_scopes.append(set())
-        for arg in [*node.args.args, *node.args.kwonlyargs]:
-            if self._is_array_annotation(arg.annotation):
-                self.array_scopes[-1].add(arg.arg)
-        self.generic_visit(node)
-        self.set_scopes.pop()
-        self.array_scopes.pop()
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.visit_FunctionDef(node)  # type: ignore[arg-type]
-
-    # -- U301: unit suffix mixing --------------------------------------
-    def _unit_of(self, node: ast.AST) -> str | None:
-        if isinstance(node, ast.Name):
-            return _suffix_of(node.id)
-        if isinstance(node, ast.Attribute):
-            return _suffix_of(node.attr)
-        if isinstance(node, ast.Call):
-            # ``blocks_to_bytes(x)`` and friends convert *into* the unit
-            # named last; treat the converter's result as that unit.
-            dotted = _dotted(node.func)
-            if dotted is not None:
-                tail = dotted.split(".")[-1]
-                if "_to_" in tail:
-                    word = tail.rsplit("_to_", 1)[1]
-                    return _UNIT_BY_WORD.get(word)
-            return None
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            left = self._unit_of(node.left)
-            right = self._unit_of(node.right)
-            if left is not None and right is not None and left == right:
-                return left
-        if isinstance(node, ast.UnaryOp):
-            return self._unit_of(node.operand)
-        return None
-
-    def _check_unit_pair(self, node: ast.AST, a: ast.AST, b: ast.AST, op: str) -> None:
-        ua, ub = self._unit_of(a), self._unit_of(b)
-        if ua is not None and ub is not None and ua != ub:
-            self._emit(
-                "U301", node,
-                f"'{op}' mixes units {ua} and {ub}; convert through "
-                f"repro.common.units first",
-            )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_unit_pair(node, node.left, node.right,
-                                  "+" if isinstance(node.op, ast.Add) else "-")
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_unit_pair(node, node.target, node.value,
-                                  "+=" if isinstance(node.op, ast.Add) else "-=")
-        self._record_binding(node.target, False) if not isinstance(
-            node.op, (ast.BitOr, ast.BitAnd)
-        ) else None
-        self._check_committed_attr(node.target)
-        self.generic_visit(node)
-
-    def _check_aug_or_ann_units(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            target_unit = self._unit_of(node.target)
-            value_unit = self._unit_of(node.value)
-            if (
-                target_unit is not None
-                and value_unit is not None
-                and target_unit != value_unit
-            ):
-                self._emit(
-                    "U301", node,
-                    f"assignment binds {value_unit} value to {target_unit} name; "
-                    f"convert through repro.common.units first",
-                )
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-        for i, op in enumerate(node.ops):
-            if isinstance(op, ordering):
-                self._check_unit_pair(node, operands[i], operands[i + 1],
-                                      type(op).__name__)
-            if isinstance(op, (ast.Eq, ast.NotEq)):
-                self._check_tier_literal(operands[i], operands[i + 1])
-        self.generic_visit(node)
-
-    def _check_tier_literal(self, left: ast.AST, right: ast.AST) -> None:
-        """T701: ``something.tier == "fast"``-style comparisons route on
-        raw role names; only :mod:`repro.tiering` may spell them out."""
-        if self.package == "tiering":
-            return
-        for lit, other in ((left, right), (right, left)):
-            if not (
-                isinstance(lit, ast.Constant)
-                and lit.value in TIER_ROLE_LITERALS
-            ):
-                continue
-            dotted = _dotted(other)
-            if dotted is not None and "tier" in dotted.lower():
-                self._emit(
-                    "T701", lit,
-                    f"{RULES['T701'].summary}: compared {dotted} against "
-                    f"{lit.value!r}; compare against repro.tiering.Tier "
-                    f"members instead",
-                )
-
-    # -- E-rules: exception hygiene ------------------------------------
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._emit("E401", node, RULES["E401"].summary)
-        else:
-            names = self._exception_names(node.type)
-            if names & {"Exception", "BaseException"}:
-                self._emit("E402", node, RULES["E402"].summary)
-            elif names & REPRO_ERROR_NAMES and self._body_is_noop(node.body):
-                self._emit(
-                    "E403", node,
-                    f"caught {', '.join(sorted(names & REPRO_ERROR_NAMES))} and "
-                    f"dropped it; handle, log, or re-raise",
-                )
-        self.generic_visit(node)
-
-    @staticmethod
-    def _exception_names(node: ast.AST) -> set[str]:
-        exprs = node.elts if isinstance(node, ast.Tuple) else [node]
-        names: set[str] = set()
-        for expr in exprs:
-            dotted = _dotted(expr)
-            if dotted is not None:
-                names.add(dotted.split(".")[-1])
-        return names
-
-    @staticmethod
-    def _body_is_noop(body: Sequence[ast.stmt]) -> bool:
-        for stmt in body:
-            if isinstance(stmt, ast.Pass):
-                continue
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-                continue  # docstring or bare `...`
-            return False
-        return True
+def _stale(path: str, pragma: Pragma) -> Finding:
+    """The P901 finding for a pragma that suppressed nothing."""
+    if pragma.rule not in RULES:
+        why = f"'{pragma.rule}' is not in the rule catalogue"
+    elif _lacks_reason(pragma):
+        why = (f"an F-rule waiver must state its reason "
+               f"('disable={pragma.rule} — <why>')")
+    else:
+        where = f"line {pragma.covers}" if pragma.covers else "this file"
+        why = f"no {pragma.rule} finding on {where}"
+    return Finding("P901", path, pragma.line, pragma.col,
+                   f"{RULES['P901'].summary}: {why}")
 
 
-def _pragmas(
-    source: str, path: str
-) -> tuple[dict[int, set[str]], set[str], list[Finding]]:
-    """Per-line and file-level waivers from ``# simlint:`` pragmas,
-    plus a P901 finding for every waived rule id that is not in the
-    catalogue (a typo'd waiver waives nothing and hides the violation
-    it meant to document)."""
-    per_line: dict[int, set[str]] = {}
-    file_level: set[str] = set()
-    unknown: list[Finding] = []
+def _apply_pragmas(
+    findings: list[Finding], pragmas: dict[str, list[Pragma]]
+) -> tuple[list[Finding], list[Finding]]:
+    """Split findings into (kept, waived) and add a P901 for every
+    pragma that waived nothing."""
+    kept: list[Finding] = []
+    waived: list[Finding] = []
+    used: set[tuple[str, Pragma]] = set()
 
-    def note_ids(lineno: int, col: int, ids: set[str]) -> None:
-        for rule_id in sorted(ids - set(RULES)):
-            unknown.append(Finding(
-                "P901", path, lineno, col,
-                f"{RULES['P901'].summary}: '{rule_id}' is not in the "
-                f"rule catalogue",
-            ))
+    def sweep(batch: list[Finding]) -> None:
+        for f in batch:
+            hit = next(
+                (p for p in pragmas.get(f.path, ())
+                 if p.rule == f.rule and p.covers in (0, f.line)
+                 and not _lacks_reason(p)), None)
+            if hit is None:
+                kept.append(f)
+            else:
+                used.add((f.path, hit))
+                waived.append(dataclasses.replace(f, waiver=hit.reason))
 
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _PRAGMA_FILE.search(line)
-        if match:
-            ids = {r.strip() for r in match.group(1).split(",")}
-            note_ids(lineno, match.start(), ids)
-            file_level.update(ids)
-            continue
-        match = _PRAGMA_LINE.search(line)
-        if match:
-            ids = {r.strip() for r in match.group(1).split(",")}
-            note_ids(lineno, match.start(), ids)
-            per_line.setdefault(lineno, set()).update(ids)
-    return per_line, file_level, unknown
+    sweep(findings)
+    # P901 pragmas are exempt from the staleness check they implement.
+    sweep([_stale(path, p) for path, ps in pragmas.items() for p in ps
+           if (path, p) not in used and p.rule != "P901"])
+    return kept, waived
 
 
-def _package_chain(path: Path) -> tuple[str, ...] | None:
-    """The chain of repro subpackages a file sits in (("analysis",
-    "flow") for repro/analysis/flow/x.py), () for top-level modules,
-    None for files outside the repro tree."""
-    parts = path.parts
-    for i in range(len(parts) - 1, -1, -1):
-        if parts[i] == "repro":
-            return tuple(parts[i + 1 : -1])
-    return None
+def _order(f: Finding) -> tuple[str, int, int, str, str]:
+    return (f.path, f.line, f.col, f.rule, f.message)
 
 
-def _package_of(path: Path) -> str | None:
-    """The repro subpackage a file belongs to, or None for top-level
-    modules (and files outside the repro tree)."""
-    chain = _package_chain(path)
-    return chain[0] if chain else None
+def _report(project: Project, config: FlowConfig | None) -> LintReport:
+    graph = build_graph(project)
+    findings = [f for mod in project.modules for f in mod.findings]
+    findings += run_passes(graph, config if config is not None else FlowConfig())
+    kept, waived = _apply_pragmas(
+        findings, {mod.path: mod.pragmas for mod in project.modules})
+    return LintReport(
+        findings=tuple(sorted(kept, key=_order)),
+        waived=tuple(sorted(waived, key=_order)),
+        n_files=len(project.modules),
+        n_functions=len(project.functions),
+        n_edges=sum(len(edges) for edges in graph.edges.values()),
+    )
+
+
+def lint_paths(
+    paths: Iterable[str | Path], config: FlowConfig | None = None
+) -> LintReport:
+    """Lint every ``*.py`` file under the given files/directories as one
+    project: per-file rules, whole-program passes, waivers."""
+    return _report(load_project(paths), config)
 
 
 def lint_source(
-    source: str, path: str = "<string>", package: str | None = None,
-    subpackages: tuple[str, ...] | None = None,
-) -> list[Finding]:
-    """Lint one module's source; ``package`` positions it in the DAG
-    (``subpackages`` gives the full nested chain when known)."""
-    tree = ast.parse(source, filename=path)
-    linter = _Linter(path, package, subpackages)
-    linter.visit(tree)
-    per_line, file_level, unknown = _pragmas(source, path)
-    kept = []
-    for f in linter.findings + unknown:
-        if f.rule in file_level or f.rule in per_line.get(f.line, set()):
-            continue
-        kept.append(f)
-    return sorted(kept, key=lambda f: (f.path, f.line, f.col, f.rule))
+    source: str, path: str = "<string>", module: str | None = None,
+    config: FlowConfig | None = None,
+) -> LintReport:
+    """Lint one in-memory module as a one-file project; ``module`` is
+    its dotted name (``repro.fs.cp``), which positions it in the
+    package DAG — by default it is a top-level module."""
+    return _report(Project([extract_module(source, path, module)]), config)
 
 
-def lint_file(path: str | Path) -> list[Finding]:
-    """Lint one file, inferring its package from its location."""
-    p = Path(path)
-    chain = _package_chain(p)
-    return lint_source(p.read_text(encoding="utf-8"), str(p),
-                       chain[0] if chain else None, chain)
-
-
-def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
-    """Lint every ``*.py`` file under the given files/directories."""
-    findings: list[Finding] = []
-    for entry in paths:
-        p = Path(entry)
-        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for f in files:
-            findings.extend(lint_file(f))
-    return findings
-
-
-def format_findings(findings: Sequence[Finding]) -> str:
-    """Human-readable report, one line per finding plus a summary."""
-    if not findings:
-        return "simlint: clean (0 findings)"
-    lines = [str(f) for f in findings]
+def format_findings(report: LintReport) -> str:
+    """Human-readable report: one entry per unwaived finding (with its
+    call-chain trace, if any) plus a summary line."""
+    scope = (f"{len(report.waived)} waived in place; {report.n_files} file(s), "
+             f"{report.n_functions} function(s), {report.n_edges} call edge(s)")
+    if not report.findings:
+        return f"simlint: clean (0 findings; {scope})"
     by_rule: dict[str, int] = {}
-    for f in findings:
+    for f in report.findings:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
     summary = ", ".join(f"{r}: {n}" for r, n in sorted(by_rule.items()))
-    lines.append(f"simlint: {len(findings)} finding(s) ({summary})")
-    return "\n".join(lines)
+    return "\n".join([
+        *(str(f) for f in report.findings),
+        f"simlint: {len(report.findings)} finding(s) ({summary}; {scope})"])
+
+
+def report_to_json(report: LintReport) -> str:
+    """Deterministic JSON serialization: same tree -> same bytes."""
+    doc = {
+        "version": 2,
+        "findings": [dataclasses.asdict(f) for f in report.findings],
+        "waived": [dataclasses.asdict(f) for f in report.waived],
+        "summary": {
+            "files": report.n_files,
+            "functions": report.n_functions,
+            "call_edges": report.n_edges,
+            "findings": len(report.findings),
+            "waived": len(report.waived),
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

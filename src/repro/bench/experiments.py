@@ -97,6 +97,9 @@ def run_fig6_config(
         churn_factor=1.0 if quick else 2.0,
         seed=seed,
     )
+    # simlint: disable=F804 — fig6 measures the allocator under a canonical
+    # workload seed (777) so curves differ only in the config axis; threading
+    # the sweep seed would change the checked-in fig6 baselines
     return measure_random_overwrite(sim, label, n_cps=15 if quick else 40)
 
 

@@ -33,8 +33,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     ):
         print(f"  {name:26s} = {getattr(c, name)}")
     print()
-    print("commands: fig6 fig7 fig8 fig9 fig10 all bench profile traffic "
-          "faults crash lint audit quickstart info")
+    print("commands: " + " ".join(args.commands))
     return 0
 
 
@@ -454,55 +453,20 @@ def _cmd_crash(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """simlint: AST static analysis with the repo's determinism,
-    layering, unit, and error-hygiene rules (see repro.analysis.rules).
-    With --deep, additionally run the whole-program flow passes
-    (repro.analysis.flow): interprocedural determinism taint, unit
-    typestate, commit-path effects, and seed threading."""
+    """simlint: the repo's determinism, layering, unit, crash-consistency
+    and error-hygiene rules (see repro.analysis.rules), per file and
+    across the call graph, in one pass."""
     from pathlib import Path
 
-    from repro.analysis import format_findings, lint_paths
+    from repro.analysis import format_findings, lint_paths, report_to_json
 
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
-    findings = lint_paths(paths)
-    print(format_findings(findings))
-    if not args.deep:
-        return 1 if findings else 0
-
-    from repro.analysis.flow import (
-        deep_lint,
-        default_baseline_path,
-        format_deep_findings,
-        load_baseline,
-        report_to_json,
-        split_findings,
-        write_baseline,
-    )
-
-    t0 = time.perf_counter()
-    report = deep_lint(paths, cache_path=args.cache or None)
-    diff = None
-    baseline_path = None
-    if args.baseline is not None or args.update_baseline:
-        baseline_path = args.baseline or str(default_baseline_path())
-        previous = load_baseline(baseline_path)
-        diff = split_findings(list(report.findings), previous)
-        if args.update_baseline:
-            write_baseline(baseline_path, list(report.findings), previous)
-            print(f"wrote baseline {baseline_path} "
-                  f"({len(report.findings)} waiver(s), "
-                  f"{len(diff.stale)} pruned)")
-            diff = split_findings(list(report.findings),
-                                  load_baseline(baseline_path))
-    print(format_deep_findings(report, diff))
+    report = lint_paths(args.paths or [str(Path(__file__).resolve().parent)])
+    print(format_findings(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
-            f.write(report_to_json(report, diff))
+            f.write(report_to_json(report))
         print(f"wrote {args.json}")
-    print(f"deep lint: [{time.perf_counter() - t0:.1f}s]"
-          + (f" (baseline {baseline_path})" if baseline_path else ""))
-    deep_failed = bool(report.findings) if diff is None else not diff.ok
-    return 1 if (findings or deep_failed) else 0
+    return 1 if report.findings else 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -846,26 +810,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--verbose", action="store_true",
                    help="print every crash point, not just violations")
     p.set_defaults(fn=_cmd_crash)
-    p = sub.add_parser("lint", help="simlint: AST rules (determinism, layering, units); "
-                                    "--deep adds whole-program flow passes")
+    p = sub.add_parser("lint", help="simlint: static analysis (determinism, layering, "
+                                    "units, commit path) per file and across calls")
     p.add_argument("paths", nargs="*",
                    help="files or directories (default: the installed repro package)")
-    p.add_argument("--deep", action="store_true",
-                   help="run the interprocedural flow passes (F801-F804) "
-                        "over the whole tree")
-    p.add_argument("--baseline", nargs="?", const="", default=None,
-                   metavar="PATH",
-                   help="ratchet against a findings baseline (default: the "
-                        "checked-in src/repro/analysis/flow/baseline.json)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline: keep justifications, prune "
-                        "stale waivers, add new findings as unreviewed")
     p.add_argument("--json", metavar="PATH",
-                   help="write deep findings as deterministic JSON")
-    p.add_argument("--cache", metavar="PATH",
-                   default=".flowcache.json",
-                   help="call-graph extraction cache (content-hashed; "
-                        "default .flowcache.json, '' disables)")
+                   help="also write the findings (kept and waived) as "
+                        "deterministic JSON")
     p.set_defaults(fn=_cmd_lint)
     p = sub.add_parser(
         "cluster",
@@ -903,6 +854,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=1234,
                    help="chaos scenario seed")
     p.set_defaults(fn=_cmd_audit)
+    # ``info`` lists what is registered, so it cannot go stale.
+    parser.set_defaults(commands=list(sub.choices))
     args = parser.parse_args(argv)
     return args.fn(args)
 

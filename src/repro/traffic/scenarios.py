@@ -297,11 +297,17 @@ def run_traffic(
         blocks_per_disk = 65_536 if quick else 131_072
     if n_cps is None:
         n_cps = 40 if quick else 80
+    # simlint: disable=F804 — run_traffic's scenario seed drives arrivals/QoS
+    # only; the filesystem substrate is built from the canonical seed (42) so
+    # per-scenario results share one testbed
     sim = build_traffic_sim(
         n_tenants,
         blocks_per_disk=blocks_per_disk,
         churn_factor=1.0 if quick else 2.0,
     )
+    # simlint: disable=F804 — calibration must stay identical across scenario
+    # seeds (canonical 4242) so offered-load fractions are comparable between
+    # runs
     cal = calibrate_capacity(sim, cores=cores)
     tenants = build_scenario(
         scenario, sim, cal.capacity_ops, n_tenants=n_tenants, seed=seed
@@ -338,7 +344,13 @@ def knee_validation(
 
     Returns mm1/event knees (whole-server ops/s) plus the sweep points.
     """
+    # simlint: disable=F804 — knee validation compares measured vs predicted
+    # saturation on the canonical testbed (seed 42); re-seeding per run would
+    # decouple it from the calibration it validates
     sim = build_traffic_sim(1, blocks_per_disk=blocks_per_disk)
+    # simlint: disable=F804 — the validated calibration must be the same
+    # canonical-seed (4242) calibration run_traffic uses, or the comparison is
+    # meaningless
     cal = calibrate_capacity(sim, cores=cores)
     offered_per_client = [
         f * cal.capacity_ops / _NCLIENTS for f in (0.25, 0.5, 0.8, 0.95, 1.0, 1.5, 2.5)

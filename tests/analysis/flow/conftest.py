@@ -1,8 +1,8 @@
-"""Fixture-tree helpers for the flow-analyzer tests.
+"""Fixture-tree helpers for the whole-program (F-rule) tests.
 
 Each test builds a tiny synthetic package under ``tmp_path`` (with
 ``__init__.py`` chains so modules get real dotted names), then runs
-:func:`repro.analysis.deep_lint` over it with a :class:`FlowConfig`
+:func:`repro.analysis.lint_paths` over it with a :class:`FlowConfig`
 pointing at the toy modules.
 """
 
@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow.callgraph import build_graph, load_project
-from repro.analysis.rules import COMMITTED_IMAGE_ATTRS
+from repro.analysis.callgraph import build_graph, load_project
 
 
 @pytest.fixture()
@@ -41,8 +40,7 @@ def make_graph(make_tree):
 
     def _make(files: dict[str, str]):
         root = make_tree(files)
-        project = load_project([root], COMMITTED_IMAGE_ATTRS)
-        return build_graph(project)
+        return build_graph(load_project([root]))
 
     return _make
 
@@ -54,3 +52,8 @@ def edge_pairs(graph) -> set[tuple[str, str, str]]:
         for edges in graph.edges.values()
         for e in edges
     }
+
+
+def hops(finding) -> list[str]:
+    """The function names along a finding's call-chain trace."""
+    return [h.removeprefix("-> ").split(" ")[0] for h in finding.trace]

@@ -1,106 +1,68 @@
-"""The baseline ratchet: new findings fail, waived findings pass,
-fixed findings leave stale waivers that --update-baseline prunes —
-and justifications survive rewrites."""
+"""The waiver ratchet: an unwaived finding fails the run, a finding
+waived in place passes and carries its justification, and a waiver
+whose violation was fixed is itself reported — it cannot outlive what
+it excused."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.analysis import deep_lint
-from repro.analysis.flow import FlowConfig
-from repro.analysis.flow.baseline import (
-    load_baseline,
-    split_findings,
-    write_baseline,
-)
+from repro.analysis import FlowConfig, lint_paths
 from repro.cli import main
 
 CONFIG = FlowConfig(hot_root_modules=("app.hot",))
 
-#: One F801: hot path reaches perf_counter.
-DIRTY = {
-    "app/hot.py": "from app.util import stamp\n"
-                  "def advance():\n    return stamp()\n",
-    "app/util.py": "import time\n"
-                   "def stamp():\n    return time.perf_counter()\n",
-}
+WAIVER = "  # simlint: disable=F801 — known reporting-only clock"
 
-CLEAN = {
-    "app/hot.py": "from app.util import nop\n"
-                  "def advance():\n    return nop()\n",
-    "app/util.py": "def nop():\n    return 0\n",
-}
+
+def dirty(pragma: str = "", header: str = "") -> dict[str, str]:
+    """One F801: the hot path reaches perf_counter."""
+    return {
+        "app/hot.py": "from app.util import stamp\n"
+                      "def advance():\n    return stamp()\n",
+        "app/util.py": f"import time\n{header}"
+                       f"def stamp():\n    return time.perf_counter(){pragma}\n",
+    }
 
 
 class TestSplitAndWrite:
     def test_new_finding_fails_the_ratchet(self, make_tree):
-        report = deep_lint([make_tree(DIRTY)], CONFIG)
-        diff = split_findings(list(report.findings), {})
-        assert not diff.ok
-        assert len(diff.new) == 1 and not diff.waived and not diff.stale
+        report = lint_paths([make_tree(dirty())], CONFIG)
+        assert [f.rule for f in report.findings] == ["F801"]
+        assert not report.waived
 
-    def test_baselined_finding_is_waived(self, make_tree, tmp_path):
-        report = deep_lint([make_tree(DIRTY)], CONFIG)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, list(report.findings))
-        diff = split_findings(list(report.findings), load_baseline(path))
-        assert diff.ok
-        assert not diff.new and len(diff.waived) == 1 and not diff.stale
+    def test_baselined_finding_is_waived(self, make_tree):
+        report = lint_paths([make_tree(dirty(WAIVER))], CONFIG)
+        assert not report.findings
+        assert [f.rule for f in report.waived] == ["F801"]
 
-    def test_fingerprint_survives_line_shuffles(self, make_tree, tmp_path):
-        report = deep_lint([make_tree(DIRTY)], CONFIG)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, list(report.findings))
-        # Unrelated edits move every line; the waiver must still hold.
-        shifted = dict(DIRTY)
-        shifted["app/util.py"] = (
-            "import time\n\n\nHEADER = 1\n\n"
-            "def stamp():\n    return time.perf_counter()\n"
-        )
-        root2 = make_tree(shifted)
-        report2 = deep_lint([root2], CONFIG)
-        diff = split_findings(list(report2.findings), load_baseline(path))
-        assert diff.ok and len(diff.waived) == 1
+    def test_fingerprint_survives_line_shuffles(self, make_tree):
+        # Unrelated edits move every line; the waiver sits on the line
+        # it excuses, so it moves with it.
+        report = lint_paths(
+            [make_tree(dirty(WAIVER, header="\n\nHEADER = 1\n\n"))], CONFIG)
+        assert not report.findings
+        assert [(f.rule, f.line) for f in report.waived] == [("F801", 7)]
 
-    def test_fixed_finding_goes_stale_then_prunes(self, make_tree, tmp_path):
-        report = deep_lint([make_tree(DIRTY)], CONFIG)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, list(report.findings))
-        root2 = make_tree(CLEAN)  # same tree root, violation fixed
-        report2 = deep_lint([root2], CONFIG)
-        diff = split_findings(list(report2.findings), load_baseline(path))
-        assert diff.ok  # stale waivers never fail a run
-        assert len(diff.stale) == 1
-        write_baseline(path, list(report2.findings),
-                       previous=load_baseline(path))
-        assert load_baseline(path) == {}
+    def test_fixed_finding_goes_stale_then_prunes(self, make_tree):
+        fixed = dirty(WAIVER)
+        fixed["app/util.py"] = fixed["app/util.py"].replace(
+            "time.perf_counter()", "0")
+        (finding,) = lint_paths([make_tree(fixed)], CONFIG).findings
+        assert finding.rule == "P901"
+        assert "no F801 finding on line 3" in finding.message
+        # Deleting the comment is the prune.
+        fixed["app/util.py"] = fixed["app/util.py"].replace(WAIVER, "")
+        assert not lint_paths([make_tree(fixed)], CONFIG).findings
 
-    def test_justifications_are_preserved(self, make_tree, tmp_path):
-        report = deep_lint([make_tree(DIRTY)], CONFIG)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, list(report.findings))
-        fp = report.findings[0].fingerprint
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["waivers"][0]["justification"] = "known reporting-only clock"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        write_baseline(path, list(report.findings),
-                       previous=load_baseline(path))
-        assert load_baseline(path)[fp] == "known reporting-only clock"
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
-
-    def test_wrong_version_is_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "waivers": []}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(path)
+    def test_justifications_are_preserved(self, make_tree):
+        (waived,) = lint_paths([make_tree(dirty(WAIVER))], CONFIG).waived
+        assert waived.waiver == "known reporting-only clock"
+        assert waived.trace  # the waived finding keeps its call chain
 
 
 class TestCliRatchet:
-    """End-to-end through ``repro lint --deep``.
+    """End-to-end through ``repro lint``.
 
     The fixture tree deliberately has no hot modules matching the
     shipped FlowConfig, so only F804 (checked tree-wide) can fire.
@@ -114,52 +76,38 @@ class TestCliRatchet:
                       "    return build_sim(1024)\n",
     }
 
-    def _tree(self, make_tree):
-        return str(make_tree(self.FILES))
+    def _waived(self) -> dict[str, str]:
+        files = dict(self.FILES)
+        files["app/run.py"] = files["app/run.py"].replace(
+            "build_sim(1024)\n",
+            "build_sim(1024)  # simlint: disable=F804 — canonical testbed\n")
+        return files
 
     def test_unbaselined_finding_exits_nonzero(self, make_tree, capsys):
-        assert main(["lint", "--deep", self._tree(make_tree),
-                     "--cache", ""]) == 1
+        assert main(["lint", str(make_tree(self.FILES))]) == 1
         out = capsys.readouterr().out
         assert "F804" in out
+        assert "-> app.build.build_sim" in out  # the call-chain trace
 
-    def test_update_baseline_then_clean_run(self, make_tree, tmp_path,
-                                            capsys):
-        tree = self._tree(make_tree)
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["lint", "--deep", tree, "--cache", "",
-                     "--baseline", baseline, "--update-baseline"]) == 0
-        capsys.readouterr()
-        assert main(["lint", "--deep", tree, "--cache", "",
-                     "--baseline", baseline]) == 0
-        out = capsys.readouterr().out
-        assert "0 new, 1 waived" in out
-
-    def test_new_violation_still_fails_with_baseline(self, make_tree,
-                                                     tmp_path, capsys):
-        tree = self._tree(make_tree)
-        baseline = str(tmp_path / "baseline.json")
-        main(["lint", "--deep", tree, "--cache", "",
-              "--baseline", baseline, "--update-baseline"])
-        files = dict(self.FILES)
+    def test_new_violation_still_fails_with_baseline(self, make_tree, capsys):
+        files = self._waived()
+        assert main(["lint", str(make_tree(files))]) == 0
+        assert "0 findings; 1 waived in place" in capsys.readouterr().out
         files["app/more.py"] = (
             "from app.build import build_sim\n"
             "def other(seed):\n"
             "    return build_sim(2048)\n"
         )
-        tree2 = str(make_tree(files))
-        capsys.readouterr()
-        assert main(["lint", "--deep", tree2, "--cache", "",
-                     "--baseline", baseline]) == 1
+        assert main(["lint", str(make_tree(files))]) == 1
         out = capsys.readouterr().out
         assert "app.more.other" in out
-        assert "FAIL THE RATCHET" in out
+        assert "1 finding(s) (F804: 1; 1 waived in place" in out
 
     def test_json_report_is_written(self, make_tree, tmp_path, capsys):
-        tree = self._tree(make_tree)
-        json_path = tmp_path / "deep.json"
-        main(["lint", "--deep", tree, "--cache", "",
-              "--json", str(json_path)])
+        json_path = tmp_path / "lint.json"
+        main(["lint", str(make_tree(self._waived())), "--json", str(json_path)])
         doc = json.loads(json_path.read_text(encoding="utf-8"))
-        assert doc["summary"]["findings"] == 1
-        assert doc["findings"][0]["rule"] == "F804"
+        assert doc["summary"]["findings"] == 0
+        assert doc["summary"]["waived"] == 1
+        assert doc["waived"][0]["rule"] == "F804"
+        assert doc["waived"][0]["waiver"] == "canonical testbed"

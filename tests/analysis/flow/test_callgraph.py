@@ -1,17 +1,8 @@
 """Call-graph construction: symbol extraction, import canonicalization,
-method dispatch through the class hierarchy, indirect edges (partials,
-pool submissions, process targets), and the content-hash cache."""
+method dispatch through the class hierarchy, and indirect edges
+(partials, pool submissions, process targets)."""
 
 from __future__ import annotations
-
-import json
-
-from repro.analysis.flow.callgraph import (
-    CACHE_VERSION,
-    build_graph,
-    load_project,
-)
-from repro.analysis.rules import COMMITTED_IMAGE_ATTRS
 
 from .conftest import edge_pairs
 
@@ -165,54 +156,3 @@ class TestIndirectEdges:
                           "    return Process(target=worker)\n",
         })
         assert ("app.mod.run", "app.mod.worker", "target") in edge_pairs(graph)
-
-
-class TestCache:
-    FILES = {
-        "app/mod.py": "def helper():\n    return 1\n"
-                      "def run():\n    return helper()\n",
-    }
-
-    def _load(self, root, cache):
-        project = load_project([root], COMMITTED_IMAGE_ATTRS,
-                               cache_path=cache)
-        return build_graph(project)
-
-    def test_warm_run_matches_cold_run(self, make_tree, tmp_path):
-        root = make_tree(self.FILES)
-        cache = tmp_path / "cache.json"
-        cold = self._load(root, cache)
-        assert cache.exists()
-        warm = self._load(root, cache)
-        assert edge_pairs(cold) == edge_pairs(warm)
-        assert set(warm.project.functions) == set(cold.project.functions)
-
-    def test_cache_file_is_versioned(self, make_tree, tmp_path):
-        root = make_tree(self.FILES)
-        cache = tmp_path / "cache.json"
-        self._load(root, cache)
-        doc = json.loads(cache.read_text(encoding="utf-8"))
-        assert doc["version"] == CACHE_VERSION
-        assert all("sha256" in e for e in doc["entries"].values())
-
-    def test_edit_invalidates_only_that_entry(self, make_tree, tmp_path):
-        root = make_tree(self.FILES)
-        cache = tmp_path / "cache.json"
-        self._load(root, cache)
-        (root / "app" / "mod.py").write_text(
-            "def helper():\n    return 1\n"
-            "def helper2():\n    return 2\n"
-            "def run():\n    return helper2()\n",
-            encoding="utf-8",
-        )
-        graph = self._load(root, cache)
-        pairs = edge_pairs(graph)
-        assert ("app.mod.run", "app.mod.helper2", "direct") in pairs
-        assert ("app.mod.run", "app.mod.helper", "direct") not in pairs
-
-    def test_corrupt_cache_is_ignored(self, make_tree, tmp_path):
-        root = make_tree(self.FILES)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        graph = self._load(root, cache)
-        assert ("app.mod.run", "app.mod.helper", "direct") in edge_pairs(graph)

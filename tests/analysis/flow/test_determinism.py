@@ -1,11 +1,12 @@
 """F801 determinism taint: nondeterminism sources anywhere in the call
 cone of a hot-path root, including laundering through modules, method
-dispatch, and pool workers that per-line simlint cannot see."""
+dispatch, and pool workers that the per-file D rules cannot see."""
 
 from __future__ import annotations
 
-from repro.analysis import deep_lint, lint_paths
-from repro.analysis.flow import FlowConfig
+from repro.analysis import FlowConfig, lint_paths
+
+from .conftest import hops
 
 
 def hot(config_modules=("app.hot",), **kw):
@@ -16,9 +17,24 @@ def f801(report):
     return [f for f in report.findings if f.rule == "F801"]
 
 
+#: A hot path two hops from a reporting clock; ``{pragma}`` is where a
+#: waiver goes.
+STAMPED = {
+    "app/hot.py": "from app.util import stamp, stamp2\n"
+                  "def advance():\n    return stamp() + stamp2()\n",
+    "app/util.py": "import time\n"
+                   "def stamp():\n    return time.perf_counter(){pragma}\n"
+                   "def stamp2():\n    return time.perf_counter()\n",
+}
+
+
+def stamped(pragma: str) -> dict[str, str]:
+    return {k: v.replace("{pragma}", pragma) for k, v in STAMPED.items()}
+
+
 class TestTruePositives:
     def test_perf_counter_two_hops_from_hot_path(self, make_tree):
-        # time.perf_counter is *allowed* by syntactic simlint (D103
+        # time.perf_counter is *allowed* by the per-file rules (D103
         # permits it for bench timing), so only the flow pass can see
         # it leak into a simulation hot path.
         root = make_tree({
@@ -27,12 +43,11 @@ class TestTruePositives:
             "app/util.py": "import time\n"
                            "def stamp():\n    return time.perf_counter()\n",
         })
-        assert lint_paths([root]) == []  # simlint is blind to this
-        report = deep_lint([root], hot())
-        (finding,) = f801(report)
-        assert finding.function == "app.util.stamp"
+        (finding,) = lint_paths([root], hot()).findings  # no per-file rule fires
+        assert finding.rule == "F801"
+        assert hops(finding)[-1] == "app.util.stamp"
         assert "app.hot.advance" in finding.message
-        assert finding.key == "wall-clock:time.perf_counter()"
+        assert "(wall-clock: time.perf_counter())" in finding.message
 
     def test_trace_runs_root_to_source(self, make_tree):
         root = make_tree({
@@ -43,9 +58,9 @@ class TestTruePositives:
             "app/leaf.py": "import time\n"
                            "def noisy():\n    return time.perf_counter_ns()\n",
         })
-        (finding,) = f801(deep_lint([root], hot()))
-        hops = [h.removeprefix("-> ").split(" ")[0] for h in finding.trace]
-        assert hops == ["app.hot.advance", "app.mid.relay", "app.leaf.noisy"]
+        (finding,) = f801(lint_paths([root], hot()))
+        assert hops(finding) == ["app.hot.advance", "app.mid.relay",
+                                 "app.leaf.noisy"]
         # The last hop pins the source line in the source's own file.
         assert finding.trace[-1].endswith("leaf.py:3)")
         assert finding.line == 3
@@ -63,10 +78,10 @@ class TestTruePositives:
                            "  # simlint: disable=D102\n"
                            "    return rng.random()\n",
         })
-        assert lint_paths([root]) == []
-        (finding,) = f801(deep_lint([root], hot()))
-        assert finding.function == "app.work.worker"
-        assert finding.key.startswith("unseeded-rng:")
+        (finding,) = lint_paths([root], hot()).findings  # D102 is waived
+        assert finding.rule == "F801"
+        assert hops(finding)[-1] == "app.work.worker"
+        assert "(unseeded-rng: " in finding.message
 
     def test_source_through_method_dispatch(self, make_tree):
         root = make_tree({
@@ -80,9 +95,9 @@ class TestTruePositives:
                           "    def tick(self):\n"
                           "        return os.urandom(4)\n",
         })
-        (finding,) = f801(deep_lint([root], hot()))
-        assert finding.function == "app.eng.Engine.tick"
-        assert finding.key == "entropy:os.urandom()"
+        (finding,) = f801(lint_paths([root], hot()))
+        assert hops(finding)[-1] == "app.eng.Engine.tick"
+        assert "(entropy: os.urandom())" in finding.message
 
 
 class TestNegatives:
@@ -92,7 +107,7 @@ class TestNegatives:
             "app/bench.py": "import time\n"
                             "def measure():\n    return time.perf_counter()\n",
         })
-        assert f801(deep_lint([root], hot())) == []
+        assert f801(lint_paths([root], hot())) == []
 
     def test_clean_cone_is_clean(self, make_tree):
         root = make_tree({
@@ -100,37 +115,42 @@ class TestNegatives:
                           "def advance():\n    return double(2)\n",
             "app/util.py": "def double(n):\n    return 2 * n\n",
         })
-        assert f801(deep_lint([root], hot())) == []
+        assert f801(lint_paths([root], hot())) == []
 
     def test_purity_whitelist_suppresses_with_justification(self, make_tree):
-        root = make_tree({
-            "app/hot.py": "from app.util import stamp\n"
-                          "def advance():\n    return stamp()\n",
-            "app/util.py": "import time\n"
-                           "def stamp():\n    return time.perf_counter()\n",
-        })
-        config = hot(pure_fqns={"app.util.stamp": "reporting only"})
-        assert f801(deep_lint([root], config)) == []
+        # The purity whitelist is the in-place pragma on the source line.
+        root = make_tree(stamped("  # simlint: disable=F801 — reporting only"))
+        report = lint_paths([root], hot())
+        (waived,) = [f for f in report.waived if f.rule == "F801"]
+        assert hops(waived)[-1] == "app.util.stamp"
+        assert waived.waiver == "reporting only"
 
     def test_whitelist_does_not_leak_to_other_functions(self, make_tree):
+        root = make_tree(stamped("  # simlint: disable=F801 — reporting only"))
+        (finding,) = lint_paths([root], hot()).findings
+        assert finding.rule == "F801"
+        assert hops(finding)[-1] == "app.util.stamp2"
+
+    def test_set_iteration_through_a_bound_name_is_a_source(self, make_tree):
+        # The same bound-name tracking D104 uses feeds F801.
         root = make_tree({
-            "app/hot.py": "from app.util import stamp, stamp2\n"
-                          "def advance():\n    return stamp() + stamp2()\n",
-            "app/util.py": "import time\n"
-                           "def stamp():\n    return time.perf_counter()\n"
-                           "def stamp2():\n    return time.perf_counter()\n",
+            "app/hot.py": "from app.util import drain\n"
+                          "def advance():\n    return drain()\n",
+            "app/util.py": "def drain():\n"
+                           "    pending = {3, 1}\n"
+                           "    return [x for x in pending]"
+                           "  # simlint: disable=D104\n",
         })
-        config = hot(pure_fqns={"app.util.stamp": "reporting only"})
-        (finding,) = f801(deep_lint([root], config))
-        assert finding.function == "app.util.stamp2"
+        (finding,) = lint_paths([root], hot()).findings
+        assert finding.rule == "F801" and "(set-iteration: " in finding.message
 
     def test_hot_root_fqns_extend_the_roots(self, make_tree):
         root = make_tree({
             "app/misc.py": "import time\n"
                            "def special():\n    return time.process_time()\n",
         })
-        assert f801(deep_lint([root], hot(()))) == []
+        assert f801(lint_paths([root], hot(()))) == []
         config = FlowConfig(hot_root_modules=(),
                             hot_root_fqns=("app.misc.special",))
-        (finding,) = f801(deep_lint([root], config))
-        assert finding.function == "app.misc.special"
+        (finding,) = f801(lint_paths([root], config))
+        assert hops(finding) == ["app.misc.special"]

@@ -6,8 +6,9 @@ path the moment unsanctioned code can call it."""
 
 from __future__ import annotations
 
-from repro.analysis import deep_lint, lint_paths
-from repro.analysis.flow import FlowConfig
+from repro.analysis import FlowConfig, lint_paths
+
+from .conftest import hops
 
 
 def f803(report):
@@ -41,12 +42,13 @@ class TestLaunderPathDetection:
                             "    m = Model()\n"
                             "    m.sneak_write(image)\n",
         })
-        # Syntactic C601 trusts the persistence.py path wholesale.
-        assert lint_paths([root]) == []
-        (finding,) = f803(deep_lint([root], STRICT))
-        assert finding.function == "repro.crash.persistence.Model.sneak_write"
+        # Syntactic C601 trusts the persistence module wholesale: the
+        # launder path is the only finding.
+        (finding,) = lint_paths([root], STRICT).findings
+        assert finding.rule == "F803"
+        assert hops(finding)[-1] == "repro.crash.persistence.Model.sneak_write"
+        assert "'.committed'" in finding.message
         assert "'repro.app.tamper'" in finding.message
-        assert finding.key == "committed:repro.app.tamper"
 
     def test_cross_module_chain_names_the_entry_point(self, make_tree):
         root = make_tree({
@@ -58,10 +60,9 @@ class TestLaunderPathDetection:
                             "def outer(m, image):\n"
                             "    relay(m, image)\n",
         })
-        (finding,) = f803(deep_lint([root], STRICT))
-        assert finding.key == "committed:repro.app.outer"
-        hops = [h.removeprefix("-> ").split(" ")[0] for h in finding.trace]
-        assert hops == [
+        (finding,) = f803(lint_paths([root], STRICT))
+        assert "entry point 'repro.app.outer'" in finding.message
+        assert hops(finding) == [
             "repro.app.outer",
             "repro.mid.relay",
             "repro.crash.persistence.Model.sneak_write",
@@ -80,9 +81,9 @@ class TestLaunderPathDetection:
                            "def run(model, image):\n"
                            "    clobber(model, image)\n",
         })
-        (finding,) = f803(deep_lint([root], config))
-        assert finding.function == "app.state.clobber"
-        assert finding.key == "committed:app.main.run"
+        (finding,) = f803(lint_paths([root], config))
+        assert hops(finding) == ["app.main.run", "app.state.clobber"]
+        assert "entry point 'app.main.run'" in finding.message
 
 
 class TestSanctionedPaths:
@@ -98,7 +99,7 @@ class TestSanctionedPaths:
                             "    m = Model()\n"
                             "    m.commit(image)\n",
         })
-        assert f803(deep_lint([root], STRICT)) == []
+        assert f803(lint_paths([root], STRICT)) == []
 
     def test_helper_called_only_through_commit(self, make_tree):
         # commit() -> _install() is a path *through* the sanctioned
@@ -116,7 +117,7 @@ class TestSanctionedPaths:
                             "    m = Model()\n"
                             "    m.commit(image)\n",
         })
-        assert f803(deep_lint([root], STRICT)) == []
+        assert f803(lint_paths([root], STRICT)) == []
 
     def test_mixed_paths_still_flag_the_unsanctioned_entry(self, make_tree):
         root = make_tree({
@@ -131,8 +132,8 @@ class TestSanctionedPaths:
                             "def bypass(m, image):\n"
                             "    m._install(image)\n",
         })
-        (finding,) = f803(deep_lint([root], STRICT))
-        assert finding.key == "committed:repro.app.bypass"
+        (finding,) = f803(lint_paths([root], STRICT))
+        assert "entry point 'repro.app.bypass'" in finding.message
 
     def test_whole_sanctioned_module_is_trusted_by_default(self, make_tree):
         # Matches the shipped config: any writer inside the sanctioned
@@ -147,4 +148,4 @@ class TestSanctionedPaths:
                             "def tamper(m, image):\n"
                             "    m.sneak_write(image)\n",
         })
-        assert f803(deep_lint([root], config)) == []
+        assert f803(lint_paths([root], config)) == []

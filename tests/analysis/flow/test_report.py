@@ -1,21 +1,17 @@
-"""Deep-lint reporting: byte-identical JSON across runs (cold and warm
-cache), deterministic finding order, and the dogfood gate — the shipped
-tree must produce no finding that is not in the checked-in baseline."""
+"""Reporting: byte-identical JSON across runs, deterministic finding
+order, and the dogfood gate — the shipped tree must produce no unwaived
+finding, and exactly the known, justified in-place waivers."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.analysis import deep_lint
-from repro.analysis.flow import (
-    FlowConfig,
-    default_baseline_path,
-    load_baseline,
-    report_to_json,
-    split_findings,
-)
+from repro.analysis import FlowConfig, format_findings, lint_paths, report_to_json
 
 CONFIG = FlowConfig(hot_root_modules=("app.hot",))
 
@@ -29,47 +25,58 @@ FILES = {
                   "def run(seed):\n    return build_sim(8)\n",
 }
 
+#: Every in-place waiver in src/repro, as (rule, file) -> count.
+EXPECTED_WAIVERS = Counter({
+    ("B502", "fs/flexvol.py"): 1,
+    ("B502", "traffic/engine.py"): 1,
+    ("E404", "bench/harness.py"): 1,
+    # Canonical-seed pins.
+    ("F804", "bench/experiments.py"): 1,
+    ("F804", "faults/underload.py"): 2,
+    ("F804", "traffic/scenarios.py"): 4,
+    # Reporting-only wall clocks (start + stop of one timer each).
+    ("F801", "fs/mount.py"): 2,
+    ("F801", "cluster/cluster.py"): 2,
+})
+
 
 class TestDeterministicOutput:
     def test_json_is_byte_identical_across_runs(self, make_tree):
         root = make_tree(FILES)
-        first = report_to_json(deep_lint([root], CONFIG))
-        second = report_to_json(deep_lint([root], CONFIG))
+        first = report_to_json(lint_paths([root], CONFIG))
+        second = report_to_json(lint_paths([root], CONFIG))
         assert first == second
 
-    def test_warm_cache_matches_cold_run(self, make_tree, tmp_path):
-        root = make_tree(FILES)
-        cache = tmp_path / "cache.json"
-        cold = report_to_json(deep_lint([root], CONFIG, cache_path=cache))
-        warm = report_to_json(deep_lint([root], CONFIG, cache_path=cache))
-        assert cold == warm
-
     def test_findings_are_sorted(self, make_tree):
-        report = deep_lint([make_tree(FILES)], CONFIG)
-        keys = [(f.path, f.rule, f.line, f.fingerprint)
-                for f in report.findings]
+        report = lint_paths([make_tree(FILES)], CONFIG)
+        keys = [(f.path, f.line, f.col, f.rule) for f in report.findings]
+        assert [f.rule for f in report.findings] == ["F804", "F801"]
         assert keys == sorted(keys)
 
     def test_json_carries_no_volatile_fields(self, make_tree):
-        doc = json.loads(report_to_json(deep_lint([make_tree(FILES)],
-                                                  CONFIG)))
-        assert set(doc) == {"version", "findings", "summary"}
+        doc = json.loads(report_to_json(lint_paths([make_tree(FILES)],
+                                                   CONFIG)))
+        assert set(doc) == {"version", "findings", "waived", "summary"}
         for f in doc["findings"]:
             assert "time" not in f and "timestamp" not in f
 
 
-class TestDogfood:
-    def test_shipped_tree_has_no_new_findings(self):
-        pkg_dir = Path(repro.__file__).parent
-        report = deep_lint([pkg_dir])
-        baseline = load_baseline(default_baseline_path())
-        diff = split_findings(list(report.findings), baseline)
-        assert diff.ok, "\n".join(str(f) for f in diff.new)
-        assert not diff.stale, diff.stale
+PKG_DIR = Path(repro.__file__).parent
 
-    def test_every_waiver_is_justified(self):
-        baseline = load_baseline(default_baseline_path())
-        assert baseline, "dogfood baseline should exist"
-        for fp, justification in baseline.items():
-            assert justification.strip(), fp
-            assert "unreviewed" not in justification, fp
+
+@pytest.fixture(scope="module")
+def shipped():
+    return lint_paths([PKG_DIR])
+
+
+class TestDogfood:
+    def test_shipped_tree_has_no_new_findings(self, shipped):
+        assert shipped.findings == (), format_findings(shipped)
+        sites = Counter(
+            (f.rule, str(Path(f.path).relative_to(PKG_DIR))) for f in shipped.waived)
+        assert sites == EXPECTED_WAIVERS
+
+    def test_every_waiver_is_justified(self, shipped):
+        for f in shipped.waived:
+            if f.rule.startswith("F"):
+                assert f.waiver and len(f.waiver.split()) >= 4, str(f)

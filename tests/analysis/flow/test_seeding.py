@@ -4,8 +4,9 @@ to a default and silently re-seed the subsystem."""
 
 from __future__ import annotations
 
-from repro.analysis import deep_lint, lint_paths
-from repro.analysis.flow import FlowConfig
+from repro.analysis import FlowConfig, lint_paths
+
+from .conftest import hops
 
 CONFIG = FlowConfig(hot_root_modules=())
 
@@ -23,11 +24,11 @@ class TestTruePositives:
                           "def run(seed):\n"
                           "    return build_sim(1024)\n",
         })
-        assert lint_paths([root]) == []  # no syntactic rule sees this
-        (finding,) = f804(deep_lint([root], CONFIG))
-        assert finding.function == "app.run.run"
+        (finding,) = lint_paths([root], CONFIG).findings  # no per-file rule sees this
+        assert finding.rule == "F804"
+        assert hops(finding) == ["app.run.run", "app.build.build_sim"]
         assert "'seed'" in finding.message
-        assert finding.key == "app.build.build_sim"
+        assert "calls 'app.build.build_sim'" in finding.message
 
     def test_local_rng_holder_counts(self, make_tree):
         root = make_tree({
@@ -40,7 +41,7 @@ class TestTruePositives:
                           "    rng.random()\n"
                           "    return shuffle(items)\n",
         })
-        (finding,) = f804(deep_lint([root], CONFIG))
+        (finding,) = f804(lint_paths([root], CONFIG))
         assert "locally constructed rng" in finding.message
 
     def test_suffixed_seed_parameter_counts(self, make_tree):
@@ -51,8 +52,8 @@ class TestTruePositives:
                           "def run(sweep_seed):\n"
                           "    return build(4)\n",
         })
-        (finding,) = f804(deep_lint([root], CONFIG))
-        assert finding.key == "app.build.build"
+        (finding,) = f804(lint_paths([root], CONFIG))
+        assert "calls 'app.build.build'" in finding.message
 
 
 class TestContractSatisfied:
@@ -64,7 +65,7 @@ class TestContractSatisfied:
                           "def run(seed):\n"
                           "    return build_sim(1024, seed=seed)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []
 
     def test_seed_passed_positionally(self, make_tree):
         root = make_tree({
@@ -74,7 +75,7 @@ class TestContractSatisfied:
                           "def run(seed):\n"
                           "    return build_sim(seed)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []
 
     def test_explicit_constant_seed_is_deliberate(self, make_tree):
         # Pinning a canonical seed is visible at the call site and
@@ -86,7 +87,7 @@ class TestContractSatisfied:
                           "def run(seed):\n"
                           "    return build_sim(1024, seed=777)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []
 
     def test_threading_a_spawned_generator(self, make_tree):
         root = make_tree({
@@ -98,7 +99,7 @@ class TestContractSatisfied:
                           "    rng = make_rng(3)\n"
                           "    return shuffle(items, rng=rng)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []
 
 
 class TestOutOfScope:
@@ -111,7 +112,7 @@ class TestOutOfScope:
                           "def run(seed):\n"
                           "    return build_sim(seed)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []
 
     def test_holderless_caller_is_fine(self, make_tree):
         # A caller with no seed in scope has nothing to thread; its
@@ -123,7 +124,7 @@ class TestOutOfScope:
                           "def quick_demo():\n"
                           "    return build_sim(64)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []
 
     def test_star_args_are_not_second_guessed(self, make_tree):
         root = make_tree({
@@ -133,7 +134,7 @@ class TestOutOfScope:
                           "def run(seed, **kw):\n"
                           "    return build_sim(1024, **kw)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []
 
     def test_recursion_is_exempt(self, make_tree):
         root = make_tree({
@@ -141,4 +142,4 @@ class TestOutOfScope:
                           "    if depth == 0:\n        return seed\n"
                           "    return run(depth - 1)\n",
         })
-        assert f804(deep_lint([root], CONFIG)) == []
+        assert f804(lint_paths([root], CONFIG)) == []

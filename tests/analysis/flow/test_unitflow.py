@@ -4,11 +4,10 @@ purely per-line U301 rule cannot see."""
 
 from __future__ import annotations
 
-from repro.analysis import deep_lint, lint_paths
-from repro.analysis.flow import FlowConfig
-from repro.analysis.flow.callgraph import build_graph, load_project
-from repro.analysis.flow.unitflow import infer_return_units
-from repro.analysis.rules import COMMITTED_IMAGE_ATTRS
+from repro.analysis import FlowConfig, lint_paths
+from repro.analysis.passes import infer_return_units
+
+from .conftest import hops
 
 CONFIG = FlowConfig(hot_root_modules=())
 
@@ -29,11 +28,11 @@ class TestCallSiteChecking:
                           "    free_blocks = 12\n"
                           "    return reserve(free_blocks)\n",
         })
-        assert lint_paths([root]) == []  # U301 is blind to this
-        (finding,) = f802(deep_lint([root], CONFIG))
-        assert finding.function == "app.run.run"
-        assert "'size_bytes'" in finding.message
-        assert finding.key == "app.geom.reserve:size_bytes:_blocks"
+        (finding,) = lint_paths([root], CONFIG).findings  # U301 is blind to this
+        assert finding.rule == "F802"
+        assert hops(finding) == ["app.run.run", "app.geom.reserve"]
+        assert ("carrying _blocks passed to parameter 'size_bytes' (_bytes) "
+                "of 'app.geom.reserve'") in finding.message
 
     def test_keyword_argument_mix(self, make_tree):
         root = make_tree({
@@ -43,8 +42,9 @@ class TestCallSiteChecking:
                           "def run(n_blocks):\n"
                           "    return reserve(1, size_bytes=n_blocks)\n",
         })
-        (finding,) = f802(deep_lint([root], CONFIG))
-        assert finding.key == "app.geom.reserve:size_bytes:_blocks"
+        (finding,) = f802(lint_paths([root], CONFIG))
+        assert ("carrying _blocks passed to parameter 'size_bytes' (_bytes) "
+                "of 'app.geom.reserve'") in finding.message
 
     def test_method_call_skips_self(self, make_tree):
         root = make_tree({
@@ -56,8 +56,9 @@ class TestCallSiteChecking:
                           "    chunk_bytes = 4096\n"
                           "    return pool.grab(chunk_bytes)\n",
         })
-        (finding,) = f802(deep_lint([root], CONFIG))
-        assert finding.key == "app.mod.Pool.grab:n_blocks:_bytes"
+        (finding,) = f802(lint_paths([root], CONFIG))
+        assert ("carrying _bytes passed to parameter 'n_blocks' (_blocks) "
+                "of 'app.mod.Pool.grab'") in finding.message
 
     def test_matching_units_are_clean(self, make_tree):
         root = make_tree({
@@ -68,7 +69,7 @@ class TestCallSiteChecking:
                           "    hdr_bytes = 24\n"
                           "    return reserve(hdr_bytes)\n",
         })
-        assert f802(deep_lint([root], CONFIG)) == []
+        assert f802(lint_paths([root], CONFIG)) == []
 
     def test_unitless_argument_is_clean(self, make_tree):
         root = make_tree({
@@ -78,17 +79,12 @@ class TestCallSiteChecking:
                           "def run(amount):\n"
                           "    return reserve(amount)\n",
         })
-        assert f802(deep_lint([root], CONFIG)) == []
+        assert f802(lint_paths([root], CONFIG)) == []
 
 
 class TestReturnUnitInference:
-    def _graph(self, make_tree, files):
-        root = make_tree(files)
-        project = load_project([root], COMMITTED_IMAGE_ATTRS)
-        return build_graph(project)
-
-    def test_fixpoint_propagates_through_return_chain(self, make_tree):
-        graph = self._graph(make_tree, {
+    def test_fixpoint_propagates_through_return_chain(self, make_graph):
+        graph = make_graph({
             "app/mod.py": "def leaf():\n"
                           "    elapsed_us = 5\n"
                           "    return elapsed_us\n"
@@ -113,12 +109,13 @@ class TestReturnUnitInference:
                           "def run():\n"
                           "    return record(latency())\n",
         })
-        assert lint_paths([root]) == []
-        (finding,) = f802(deep_lint([root], CONFIG))
-        assert finding.key == "app.sink.record:wait_ms:_us"
+        (finding,) = lint_paths([root], CONFIG).findings
+        assert finding.rule == "F802"
+        assert ("carrying _us passed to parameter 'wait_ms' (_ms) "
+                "of 'app.sink.record'") in finding.message
 
-    def test_mixed_return_units_stay_ambiguous(self, make_tree):
-        graph = self._graph(make_tree, {
+    def test_mixed_return_units_stay_ambiguous(self, make_graph):
+        graph = make_graph({
             "app/mod.py": "def either(flag):\n"
                           "    n_blocks = 1\n"
                           "    n_bytes = 2\n"
@@ -140,9 +137,10 @@ class TestAssignmentsAndSignatures:
                           "    total_bytes = free_blocks()\n"
                           "    return total_bytes\n",
         })
-        assert lint_paths([root]) == []
-        (finding,) = f802(deep_lint([root], CONFIG))
-        assert finding.key == "assign:app.geom.free_blocks:_bytes"
+        (finding,) = lint_paths([root], CONFIG).findings
+        assert finding.rule == "F802"
+        assert ("returned by 'app.geom.free_blocks' carries _blocks but is "
+                "bound to a _bytes name") in finding.message
 
     def test_function_name_contradicts_return_unit(self, make_tree):
         root = make_tree({
@@ -150,9 +148,9 @@ class TestAssignmentsAndSignatures:
                            "    n_blocks = 3\n"
                            "    return n_blocks\n",
         })
-        (finding,) = f802(deep_lint([root], CONFIG))
-        assert finding.function == "app.geom.capacity_bytes"
-        assert finding.key == "return:_blocks"
+        (finding,) = f802(lint_paths([root], CONFIG))
+        assert hops(finding) == ["app.geom.capacity_bytes"]
+        assert "named with _bytes returns a _blocks value" in finding.message
 
     def test_converter_names_are_exempt(self, make_tree):
         # blocks_to_bytes *is* the conversion; its name ends in _bytes
@@ -161,7 +159,7 @@ class TestAssignmentsAndSignatures:
             "app/units.py": "def blocks_to_bytes(n_blocks):\n"
                             "    return n_blocks * 4096\n",
         })
-        assert f802(deep_lint([root], CONFIG)) == []
+        assert f802(lint_paths([root], CONFIG)) == []
 
     def test_ambiguous_return_does_not_fire(self, make_tree):
         root = make_tree({
@@ -175,4 +173,4 @@ class TestAssignmentsAndSignatures:
                           "    total_bytes = either(True)\n"
                           "    return total_bytes\n",
         })
-        assert f802(deep_lint([root], CONFIG)) == []
+        assert f802(lint_paths([root], CONFIG)) == []

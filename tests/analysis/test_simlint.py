@@ -1,6 +1,7 @@
-"""Unit tests for simlint: every rule fires on a minimal synthetic
-violation, clean idioms stay clean, pragmas waive, and the shipped
-source tree itself lints clean (the dogfood gate)."""
+"""Unit tests for simlint: every rule in the one catalogue fires on a
+minimal synthetic violation and stays silent on its near miss, clean
+idioms stay clean, pragmas waive (and may not outlive their violation),
+and the shipped source tree itself lints clean (the dogfood gate)."""
 
 from __future__ import annotations
 
@@ -9,17 +10,32 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import RULES, format_findings, lint_file, lint_paths, lint_source
+from repro.analysis import (
+    RULES,
+    FlowConfig,
+    format_findings,
+    lint_paths,
+    lint_source,
+)
 from repro.analysis.rules import LAYER_RANK, ORDER_SAFE_CONSUMERS
 
 
-def rules_of(source: str, package: str | None = None) -> list[str]:
-    return [f.rule for f in lint_source(source, "mod.py", package)]
+def rules_of(source: str, package: str | None = None,
+             config: FlowConfig | None = None) -> list[str]:
+    """Rule ids fired on a synthetic module ``mod`` living in the DAG
+    package ``package`` (None: a top-level module)."""
+    module = f"repro.{package}.mod" if package else None
+    return [f.rule for f in lint_source(source, "mod.py", module, config).findings]
 
+
+#: ``mod`` (the synthetic module itself) is the simulation hot path.
+HOT = FlowConfig(hot_root_modules=("mod",))
+
+Spec = str | tuple[str, str | None] | tuple[str, str | None, FlowConfig]
 
 #: One minimal violation per rule id; a tuple adds the DAG package the
-#: synthetic module pretends to live in.
-VIOLATIONS: dict[str, str | tuple[str, str]] = {
+#: synthetic module pretends to live in, and the flow config.
+VIOLATIONS: dict[str, Spec] = {
     "D101": "import random\n",
     "D102": "import numpy as np\nrng = np.random.default_rng()\n",
     "D103": "import time\nt0 = time.time()\n",
@@ -44,18 +60,64 @@ VIOLATIONS: dict[str, str | tuple[str, str]] = {
     "C601": "model.committed = image\n",
     "T701": ("blocks = store.allocate(8, tier='fast')\n", "fs"),
     "P901": "x = 1  # simlint: disable=Z999\n",
+    "F801": ("import time\ndef advance():\n    return time.perf_counter()\n",
+             None, HOT),
+    "F802": "def reserve(size_bytes):\n    return size_bytes\n"
+            "def run(free_blocks):\n    return reserve(free_blocks)\n",
+    "F803": "class M:\n    def sneak(self, image):\n        self.committed = image\n"
+            "def tamper(m, image):\n    m.sneak(image)\n",
+    "F804": "def build(n, seed=42):\n    return (n, seed)\n"
+            "def run(seed):\n    return build(8)\n",
 }
+
+#: The near miss of each violation above: what the rule must NOT flag.
+NEAR_MISSES: dict[str, Spec] = {
+    "D101": "from numpy import random\n",
+    "D102": "import numpy as np\nrng = np.random.default_rng(42)\n",
+    "D103": "import time\nt0 = time.perf_counter()\n",
+    "D104": "s = {1, 2, 3}\nfor item in sorted(s):\n    print(item)\n",
+    "L201": ("from ..sim.stats import CPStats\n", "fs"),
+    "U301": "a_blocks = 1\nb_blocks = 2\ntotal = a_blocks + b_blocks\n",
+    "B501": "import numpy as np\nbits = np.unpackbits(buf[b0:b1])\n",
+    "B502": (VIOLATIONS["B502"][0], "bench"),
+    "E401": "try:\n    x = 1\nexcept ValueError:\n    pass\n",
+    "E402": "try:\n    x = 1\nexcept ValueError:\n    x = 2\n",
+    "E403": (
+        "from repro.common.errors import CacheError\n"
+        "try:\n    x = 1\nexcept CacheError:\n    raise\n"
+    ),
+    "E404": "print('cli output')\n",
+    "C601": "image = model.committed\n",
+    "T701": ("blocks = store.allocate(8, tier=Tier.FAST)\n", "fs"),
+    "P901": "s = {1}\nfor x in s:  # simlint: disable=D104\n    print(x)\n",
+    # The same clock outside the hot path's call cone.
+    "F801": VIOLATIONS["F801"][0],
+    "F802": "def reserve(size_bytes):\n    return size_bytes\n"
+            "def run(free_bytes):\n    return reserve(free_bytes)\n",
+    "F803": (VIOLATIONS["F803"], None,
+             FlowConfig(sanctioned_commit_modules=("mod",))),
+    "F804": "def build(n, seed=42):\n    return (n, seed)\n"
+            "def run(seed):\n    return build(8, seed)\n",
+}
+
+
+def fired(spec: Spec) -> list[str]:
+    return rules_of(*(spec if isinstance(spec, tuple) else (spec,)))
 
 
 class TestEveryRuleFires:
     @pytest.mark.parametrize("rule", sorted(RULES))
     def test_rule_fires_on_minimal_violation(self, rule):
-        spec = VIOLATIONS[rule]
-        source, package = spec if isinstance(spec, tuple) else (spec, None)
-        assert rule in rules_of(source, package)
+        assert rule in fired(VIOLATIONS[rule])
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_rule_is_silent_on_its_near_miss(self, rule):
+        assert rule not in fired(NEAR_MISSES[rule])
 
     def test_catalogue_is_covered(self):
-        assert set(VIOLATIONS) == set(RULES)
+        # Adding (or merging) a rule without a firing and a non-firing
+        # fixture fails here.
+        assert set(VIOLATIONS) == set(NEAR_MISSES) == set(RULES)
 
 
 class TestDeterminismRules:
@@ -122,8 +184,8 @@ class TestBitmapDisciplineRules:
 
     def test_bitmap_py_is_exempt(self):
         src = "import numpy as np\nnp.unpackbits(arr)\n"
-        assert [f.rule for f in lint_source(src, "src/repro/bitmap/bitmap.py",
-                                            "bitmap")] == []
+        assert lint_source(src, "src/repro/bitmap/bitmap.py",
+                           "repro.bitmap.bitmap").findings == ()
 
     def test_aliased_import_fires(self):
         assert "B501" in rules_of(
@@ -192,7 +254,7 @@ class TestElementwiseLoopRule:
             "for i in range(6):\n"
             "    print(view[i])\n"
         )
-        assert "B502" in [f.rule for f in lint_source(src, "m.py", "bitmap")]
+        assert "B502" in rules_of(src, "bitmap")
 
     def test_rebound_to_list_is_forgotten(self):
         src = (
@@ -271,13 +333,18 @@ class TestLayeringRules:
         # repro.analysis.rules — not a phantom top-level repro.rules.
         src = "from ..rules import RULES\n"
         assert lint_source(src, "src/repro/analysis/flow/base.py",
-                           "analysis", ("analysis", "flow")) == []
+                           "repro.analysis.flow.base").findings == ()
 
     def test_nested_subpackage_inferred_by_lint_file(self, tmp_path):
         mod = tmp_path / "repro" / "analysis" / "flow" / "mod.py"
         mod.parent.mkdir(parents=True)
+        for pkg in (mod.parent, mod.parent.parent, mod.parent.parent.parent):
+            (pkg / "__init__.py").touch()
         mod.write_text("from ..rules import RULES\n", encoding="utf-8")
-        assert [f.rule for f in lint_file(mod)] == []
+        assert lint_paths([mod]).findings == ()
+
+    def test_rationale_spells_out_the_whole_dag(self):
+        assert all(pkg in RULES["L201"].rationale for pkg in LAYER_RANK)
 
     def test_dag_matches_source_layout(self):
         pkg_dir = Path(repro.__file__).parent
@@ -302,13 +369,15 @@ class TestCrashConsistencyRules:
 
     def test_persistence_commit_path_is_sanctioned(self):
         src = "class M:\n    def commit(self):\n        self.committed = 1\n"
-        findings = lint_source(src, "src/repro/crash/persistence.py", "crash")
-        assert [f.rule for f in findings] == []
+        report = lint_source(src, "src/repro/crash/persistence.py",
+                             "repro.crash.persistence")
+        assert report.findings == ()
 
     def test_other_crash_modules_are_not_sanctioned(self):
         src = "class M:\n    def sneak(self):\n        self.committed = 1\n"
-        findings = lint_source(src, "src/repro/crash/explorer.py", "crash")
-        assert "C601" in [f.rule for f in findings]
+        report = lint_source(src, "src/repro/crash/explorer.py",
+                             "repro.crash.explorer")
+        assert "C601" in [f.rule for f in report.findings]
 
     def test_bare_name_is_clean(self):
         assert rules_of("committed = 1\n") == []
@@ -329,8 +398,9 @@ class TestTierLiteralRule:
 
     def test_tiering_package_is_sanctioned(self):
         src = "FAST = 'fast'\nok = role.tier == 'fast'\n"
-        findings = lint_source(src, "src/repro/tiering/tiers.py", "tiering")
-        assert [f.rule for f in findings] == []
+        report = lint_source(src, "src/repro/tiering/tiers.py",
+                             "repro.tiering.tiers")
+        assert report.findings == ()
 
     def test_tier_enum_member_is_clean(self):
         src = (
@@ -438,7 +508,7 @@ class TestPragmas:
         assert rules_of(src) == []
 
     def test_unknown_rule_in_waiver_fires_p901(self):
-        findings = lint_source("x = 1  # simlint: disable=D99\n", "m.py")
+        findings = lint_source("x = 1  # simlint: disable=D99\n", "m.py").findings
         assert [f.rule for f in findings] == ["P901"]
         assert "'D99'" in findings[0].message
 
@@ -456,6 +526,40 @@ class TestPragmas:
         src = "s = {1}\nfor x in s:  # simlint: disable=D104,Z1,Z2\n    print(x)\n"
         assert rules_of(src) == ["P901", "P901"]
 
+    def test_stale_pragma_fires_p901(self):
+        # The violation was fixed (sorted()), the comment was left: a
+        # waiver may not outlive what it excused.
+        src = "s = {1, 2}\nfor x in sorted(s):  # simlint: disable=D104\n    print(x)\n"
+        (finding,) = lint_source(src, "m.py").findings
+        assert finding.rule == "P901" and (finding.line, finding.col) == (2, 21)
+        assert "no D104 finding on line 2" in finding.message
+
+    def test_stale_file_pragma_fires_p901(self):
+        assert rules_of("# simlint: disable-file=D104\nx = 1\n") == ["P901"]
+
+    def test_own_line_pragma_covers_the_next_code_line(self):
+        src = (
+            "s = {1, 2}\n"
+            "# simlint: disable=D104 — order is irrelevant,\n"
+            "# the loop only sums\n"
+            "for x in s:\n"
+            "    print(x)\n"
+        )
+        report = lint_source(src, "m.py")
+        assert report.findings == ()
+        (waived,) = report.waived
+        assert (waived.rule, waived.line) == ("D104", 4)
+        assert waived.waiver == "order is irrelevant, the loop only sums"
+
+    def test_pragma_text_in_a_string_is_not_a_pragma(self):
+        assert rules_of("doc = 'use  # simlint: disable=D104  here'\n") == []
+
+    def test_f_rule_waiver_needs_a_reason(self):
+        bare = VIOLATIONS["F804"].replace(
+            "build(8)\n", "build(8)  # simlint: disable=F804\n")
+        assert sorted(rules_of(bare)) == ["F804", "P901"]
+        assert rules_of(bare.replace("F804\n", "F804 — canonical seed\n")) == []
+
     def test_p901_is_itself_waivable(self):
         # A deliberate forward-reference to a not-yet-shipped rule can
         # be annotated on its own line.
@@ -468,24 +572,25 @@ class TestPragmas:
 
 class TestReporting:
     def test_finding_str_is_clickable(self):
-        findings = lint_source("import random\n", "pkg/mod.py")
+        findings = lint_source("import random\n", "pkg/mod.py").findings
         assert str(findings[0]).startswith("pkg/mod.py:1:")
         assert "D101" in str(findings[0])
 
     def test_format_findings_summarizes_by_rule(self):
-        findings = lint_source("import random\nimport random\n", "m.py")
-        text = format_findings(findings)
+        text = format_findings(lint_source("import random\nimport random\n", "m.py"))
         assert "D101: 2" in text
 
     def test_lint_file_infers_package(self, tmp_path):
         mod = tmp_path / "repro" / "core" / "bad.py"
         mod.parent.mkdir(parents=True)
+        for pkg in (mod.parent, mod.parent.parent):
+            (pkg / "__init__.py").touch()
         mod.write_text("from repro.fs import WaflSim\n", encoding="utf-8")
-        assert [f.rule for f in lint_file(mod)] == ["L201"]
+        assert [f.rule for f in lint_paths([mod]).findings] == ["L201"]
 
 
 class TestDogfood:
     def test_shipped_tree_is_clean(self):
         pkg_dir = Path(repro.__file__).parent
-        findings = lint_paths([pkg_dir])
-        assert findings == [], format_findings(findings)
+        report = lint_paths([pkg_dir])
+        assert report.findings == (), format_findings(report)

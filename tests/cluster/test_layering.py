@@ -8,7 +8,8 @@ from repro.analysis.rules import LAYER_RANK
 
 
 def rules_of(source: str, package: str) -> list[str]:
-    return [f.rule for f in lint_source(source, "mod.py", package)]
+    return [f.rule for f in
+            lint_source(source, "mod.py", f"repro.{package}.mod").findings]
 
 
 def test_cluster_is_the_top_rank():

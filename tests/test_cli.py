@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.bench import ConfigResult, fmt_table
@@ -14,6 +16,15 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "ICPP 2018" in out
         assert "BLOCK_SIZE" in out
+
+    def test_info_lists_every_registered_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        registered = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1)
+        assert {"trace", "cluster", "tier", "lint"} <= set(registered.split(","))
+        main(["info"])
+        listed = capsys.readouterr().out.rsplit("commands: ", 1)[1].split()
+        assert listed == registered.split(",")
 
     def test_fig10_quick(self, capsys):
         assert main(["fig10", "--quick"]) == 0
