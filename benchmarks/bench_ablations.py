@@ -6,8 +6,8 @@
 4. Fragmentation cutoff threshold for skipping RAID groups (3.3.1).
 5. TopAA seed size: how long seeded AAs sustain allocation (3.4).
 
-Run with ``pytest benchmarks/bench_ablations.py --benchmark-only -s``;
-tables land in benchmarks/results/ablations.txt.
+Run with ``pytest benchmarks/bench_ablations.py --benchmark-only -s``
+(``-s`` shows the tables; needs ``pytest-benchmark``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.bench import build_aged_ssd_sim, emit, fmt_table, measure_random_overwrite
+from repro.bench import build_aged_ssd_sim, fmt_table, measure_random_overwrite
 from repro.common.config import SimConfig
 from repro.core import (
     HBPS,
@@ -55,8 +55,7 @@ def test_ablation_selection_policy(benchmark):
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "ablations",
+    print(
         fmt_table(
             ["policy", "selected AA free", "SSD write amp", "service us/op",
              "peak ops/s"],
@@ -68,8 +67,7 @@ def test_ablation_selection_policy(benchmark):
             title="Ablation 1: AA selection policy",
         ),
     )
-    emit(
-        "ablations",
+    print(
         "Finding: under *uniform* random churn, a first-fit cursor matches the\n"
         "AA cache — the sweep returns to regions only after churn has emptied\n"
         "them (LFS-style threading).  The cache's advantage is robustness: it\n"
@@ -111,8 +109,7 @@ def test_ablation_hbps_bin_width(benchmark):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "ablations",
+    print(
         fmt_table(
             ["bin width", "guaranteed margin", "max regret", "mean regret"],
             rows,
@@ -152,8 +149,7 @@ def test_ablation_hbps_list_capacity(benchmark):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "ablations",
+    print(
         fmt_table(
             ["list capacity", "pops served", "replenish scans"],
             rows,
@@ -204,8 +200,7 @@ def test_ablation_fragmentation_threshold(benchmark):
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "ablations",
+    print(
         fmt_table(
             ["config", "full-stripe fraction", "service us/op", "group skips"],
             [
@@ -238,8 +233,7 @@ def test_ablation_topaa_seed_size(benchmark):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "ablations",
+    print(
         fmt_table(
             ["TopAA entries", "AAs served before rebuild needed"],
             rows,
@@ -273,8 +267,7 @@ def test_ablation_segment_cleaning(benchmark):
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "ablations",
+    print(
         fmt_table(
             ["config", "selected AA free", "SSD write amp", "blocks moved"],
             [

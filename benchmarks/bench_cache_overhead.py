@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import build_aged_ssd_sim, emit
+from repro.bench import build_aged_ssd_sim
 from repro.core import HBPS, RAIDAwareAACache
 from repro.workloads import RandomOverwriteWorkload
 
@@ -33,8 +33,7 @@ def test_cache_maintenance_fraction(benchmark):
         return cache / total
 
     frac = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "cache_overhead",
+    print(
         f"AA-cache maintenance CPU fraction under heavy random overwrites: "
         f"{frac:.5%} (paper: ~0.002% per cache; ours covers all caches)",
     )
@@ -133,8 +132,7 @@ def test_memory_comparison(benchmark):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     from repro.bench import fmt_table
 
-    emit(
-        "cache_overhead",
+    print(
         fmt_table(
             ["AAs tracked", "max-heap bytes", "HBPS bytes"],
             [list(r) for r in rows],

@@ -1,5 +1,6 @@
-"""Shared benchmark harness (configurations, measurement, tables) and
-the parallel runner (process-pool sweep + JSON perf trajectory)."""
+"""Shared benchmark harness (configurations, measurement, tables), the
+experiment table (:mod:`repro.bench.experiments`), and the parallel
+runner (process-pool sweep + one JSON results document)."""
 
 from .harness import (
     CORES,
@@ -7,7 +8,6 @@ from .harness import (
     RESULTS_DIR,
     ConfigResult,
     build_aged_ssd_sim,
-    emit,
     fmt_table,
     measure_random_overwrite,
     popcount_audit,
@@ -27,7 +27,6 @@ __all__ = [
     "RESULTS_DIR",
     "ConfigResult",
     "build_aged_ssd_sim",
-    "emit",
     "fmt_table",
     "measure_random_overwrite",
     "popcount_audit",

@@ -1,11 +1,7 @@
-"""Shared benchmark harness: standard configurations, measurement
-phases, and table formatting used by every figure-reproduction bench.
-
-Each bench in ``benchmarks/`` regenerates one of the paper's evaluation
-figures: it builds the workload and system the figure used (with the
-DESIGN.md substitutions), measures the same quantities, prints the same
-rows/series, and appends the output to ``benchmarks/results/`` so the
-tables survive pytest's output capture.
+"""Shared benchmark harness: the standard testbed, the measurement
+phase, and the table formatting the experiment table
+(:mod:`repro.bench.experiments`), ``perfbench/`` and the ablation
+benches under ``benchmarks/`` are built from.
 """
 
 from __future__ import annotations
@@ -32,12 +28,11 @@ __all__ = [
     "set_bitmap_checks",
     "popcount_audit",
     "fmt_table",
-    "emit",
     "CORES",
     "NCLIENTS",
 ]
 
-#: Where benches persist their tables (pytest captures stdout).
+#: Where ``repro bench`` / ``trace`` / ``profile`` write (git-ignored).
 RESULTS_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks", "results")
 )
@@ -265,23 +260,3 @@ def _fmt_cell(c) -> str:
             return f"{c:,.0f}"
         return f"{c:.3f}"
     return str(c)
-
-
-_emitted: set[str] = set()
-
-
-def emit(name: str, text: str) -> None:
-    """Print a table and persist it under benchmarks/results/.
-
-    The first emit for a name in a process truncates the file, so each
-    benchmark run leaves one fresh copy of its tables.
-    """
-    # The figure harness intentionally streams its tables to stdout (the
-    # experiments predate the CLI and are also run as modules).
-    print("\n" + text)  # simlint: disable=E404
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    mode = "a" if name in _emitted else "w"
-    _emitted.add(name)
-    with open(path, mode, encoding="utf-8") as f:
-        f.write(text + "\n\n")

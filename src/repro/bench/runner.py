@@ -1,76 +1,72 @@
-"""Parallel benchmark runner: fan experiment configurations out to a
-process pool and persist a JSON performance trajectory.
+"""Parallel benchmark runner: fan the experiment table's units out to a
+process pool and persist one JSON results document.
 
-Every figure reproduction decomposes into independent *work units* (one
-aged-and-measured configuration each), so the full suite parallelizes
-trivially across processes: each unit builds its own simulator from a
-deterministic seed, measures, and returns plain JSON-serializable
-metrics.  The runner
+Every experiment in :data:`~repro.bench.experiments.EXPERIMENTS`
+decomposes into independent *work units* (one aged-and-measured
+configuration each), so the full suite parallelizes trivially across
+processes: each unit builds its own simulator from a deterministic
+seed, measures, and returns plain JSON-serializable metrics.  The
+runner
 
-* plans the unit list (:func:`plan_units`) from the experiment
-  registry, deriving a per-unit seed deterministically from the unit's
-  identity — a parallel run is byte-identical to a serial one apart
-  from timing fields (see :func:`strip_timing`);
+* plans the unit list (:func:`plan_units`) from the table, deriving a
+  per-unit seed deterministically from the unit's identity — a parallel
+  run is byte-identical to a serial one apart from timing fields (see
+  :func:`strip_timing`);
 * executes units with :class:`concurrent.futures.ProcessPoolExecutor`
   (``workers=1`` runs in-process, the serial reference);
-* writes one JSON document per experiment under
-  ``benchmarks/results/bench_<experiment>.json`` and a trajectory
-  summary ``benchmarks/results/trajectory.json`` (wall time per unit,
-  aggregate units/s, peak capacity per configuration, host metadata);
-* optionally diffs the deterministic metrics against a previous
-  trajectory (:func:`compare_to_baseline`) as a regression gate.
+* writes the results document (:func:`write_results`; wall time per
+  unit, aggregate units/s, peak capacity per configuration, host
+  metadata) to ``benchmarks/results/trajectory.json``;
+* evaluates every experiment's paper claims on it
+  (:func:`evaluate_claims`) and optionally diffs the deterministic
+  metrics against a checked-in baseline (:func:`compare_to_baseline`).
 
 Wall clocks here are informational; speed is measured with
 ``perfbench/`` (see ``perfbench/README.md``).
-
-The ``--audit`` path arms the cross-layer invariant auditor inside each
-worker via :func:`importlib.import_module` — ``repro.analysis`` sits
-*above* ``bench`` in the package DAG, so a static import here would be
-a layering violation (simlint L201); late binding keeps the dependency
-optional and inverted, exactly like the ``audit_hook`` parameter of
-:func:`~repro.bench.harness.measure_random_overwrite`.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import platform
 import sys
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+
+import numpy as np
 
 from .. import obs
-from ..common.config import SimConfig
-from .harness import RESULTS_DIR, ConfigResult
+from ..common.rng import derive_seed
+from .experiments import EXPERIMENTS, Claim, late_bound
+from .harness import RESULTS_DIR
 
 __all__ = [
     "SCHEMA",
+    "BASELINE_RTOL",
     "UnitSpec",
     "plan_units",
     "run_unit",
     "run_bench",
     "strip_timing",
     "compare_to_baseline",
+    "evaluate_claims",
     "write_results",
 ]
 
 SCHEMA = "repro-bench/1"
 
-#: Keys that vary run to run (wall clocks, host identity, pool size;
-#: ``optimization`` is the before/after record older trajectory files
-#: carry).  :func:`strip_timing` removes them so two runs of the same
-#: units can be compared for byte-identical determinism.
-_NONDETERMINISTIC_KEYS = frozenset(
-    {"timing", "host", "workers", "optimization", "wall_s", "units_per_s"}
-)
+#: Tolerance of the checked-in baseline gate (``repro bench
+#: --baseline``): loose enough to absorb numpy version differences.
+BASELINE_RTOL = 1e-6
 
-#: Canonical seed per experiment (the figures' published seeds), from
-#: the one place seeds now live: :class:`repro.common.config.BenchConfig`.
-_CANONICAL_SEEDS = SimConfig.default().bench.canonical_seeds()
+#: Keys that vary run to run (wall clocks, host identity, pool size).
+#: :func:`strip_timing` removes them so two runs of the same units can
+#: be compared for byte-identical determinism.
+_NONDETERMINISTIC_KEYS = frozenset(
+    {"timing", "host", "workers", "wall_s", "units_per_s"}
+)
 
 
 @dataclass(frozen=True)
@@ -91,191 +87,6 @@ class UnitSpec:
         return f"{self.experiment}/{self.unit}"
 
 
-# ----------------------------------------------------------------------
-# Unit implementations (module-level: workers import this module and
-# dispatch by name, so nothing below needs to pickle)
-# ----------------------------------------------------------------------
-
-
-def _config_result_metrics(r: ConfigResult) -> dict:
-    d = asdict(r)
-    d["capacity_ops"] = r.capacity_ops
-    return d
-
-
-def _unit_fig6(spec: UnitSpec) -> dict:
-    from .experiments import run_fig6_config
-
-    r = run_fig6_config(spec.unit, quick=spec.quick, seed=spec.seed)
-    return _config_result_metrics(r)
-
-
-def _unit_fig7(spec: UnitSpec) -> dict:
-    from .experiments import run_fig7
-
-    res = run_fig7(quick=spec.quick, seed=spec.seed)
-    return {
-        "blocks_per_disk_per_s": [
-            (arr / res.seconds).tolist() for arr in res.blocks_per_disk
-        ],
-        "tetrises_per_s": (res.tetrises / res.seconds).tolist(),
-        "blocks_per_s": (res.blocks / res.seconds).tolist(),
-        "partial_stripe_fraction": [
-            float(p) / float(s) if s else 0.0
-            for p, s in zip(res.partials.tolist(), res.stripes.tolist())
-        ],
-        "aged_groups": res.aged(),
-        "fresh_groups": res.fresh(),
-    }
-
-
-def _unit_fig8(spec: UnitSpec) -> dict:
-    from .experiments import run_fig8_config
-
-    r = run_fig8_config(spec.unit, quick=spec.quick, seed=spec.seed)
-    return _config_result_metrics(r)
-
-
-def _unit_fig9(spec: UnitSpec) -> dict:
-    from .experiments import run_fig9_config
-
-    return run_fig9_config(spec.unit, quick=spec.quick, seed=spec.seed)
-
-
-def _unit_fig10(spec: UnitSpec) -> dict:
-    from .experiments import run_fig10_count, run_fig10_size
-
-    fn = run_fig10_size if spec.unit == "size" else run_fig10_count
-    rows, _series = fn(quick=spec.quick)
-    # The last column is the cache-build *wall* time: nondeterministic,
-    # so it rides in the timing section (stripped for comparisons).
-    return {
-        "metrics": {"rows": [r[:-1] for r in rows]},
-        "timing": {"build_wall_ms": [float(r[-1]) for r in rows]},
-    }
-
-
-def _unit_macro(spec: UnitSpec) -> dict:
-    """The random-overwrite macro benchmark, timed per phase."""
-    from .harness import build_aged_ssd_sim, measure_random_overwrite
-
-    n_cps = 15 if spec.quick else 40
-    t0 = time.perf_counter()
-    sim = build_aged_ssd_sim(
-        blocks_per_disk=65_536 if spec.quick else 131_072,
-        churn_factor=1.0 if spec.quick else 2.0,
-        seed=spec.seed,
-    )
-    t1 = time.perf_counter()
-    r = measure_random_overwrite(sim, "macro", n_cps=n_cps)
-    measure_wall = time.perf_counter() - t1
-    return {
-        "metrics": _config_result_metrics(r),
-        "timing": {
-            "age_wall_s": t1 - t0,
-            "measure_wall_s": measure_wall,
-            "cps_per_s": n_cps / measure_wall,
-        },
-    }
-
-
-def _unit_traffic(spec: UnitSpec) -> dict:
-    """One multi-tenant traffic scenario: per-tenant p50/p95/p99,
-    achieved throughput, and QoS shedding under shared-backend load.
-    Everything reported is simulated-clock derived, so the whole
-    payload participates in the determinism and baseline gates."""
-    from ..traffic import run_traffic
-
-    run = run_traffic(
-        spec.unit,
-        n_tenants=2 if spec.quick else 4,
-        seed=spec.seed,
-        quick=spec.quick,
-    )
-    out = run.result.as_dict()
-    out["calibrated_capacity_ops"] = run.calibration.capacity_ops
-    return out
-
-
-def _unit_cluster(spec: UnitSpec) -> dict:
-    """The fleet bench: filter/weigher vs random placement on the
-    noisy-neighbor fleet, plus the worker-scaling curve re-evaluating
-    the same placement history (byte-identical digest at every worker
-    count; only the wall clocks land in ``timing``).
-
-    Late-bound through importlib: ``repro.cluster`` is the layer above
-    this one in the DAG, so the bench may dispatch to it by name but
-    never import it statically.
-    """
-    import importlib
-
-    cluster = importlib.import_module("repro.cluster")
-    return cluster.run_cluster_bench(
-        quick=spec.quick, seed=spec.seed, audit=spec.audit
-    )
-
-
-def _unit_tier(spec: UnitSpec) -> dict:
-    """The heterogeneous-tier demo: mixed SSD + HDD + SMR aggregate,
-    chooser placement, deliberate misplacement corrected by the
-    background migration pass (block conservation asserted inside).
-
-    Late-bound through importlib: ``repro.tiering`` sits above bench in
-    the DAG (same arrangement as the cluster unit).
-    """
-    import importlib
-
-    tiering = importlib.import_module("repro.tiering")
-    return tiering.run_tier_bench(
-        quick=spec.quick, seed=spec.seed, audit=spec.audit
-    )
-
-
-_EXPERIMENTS: dict[str, tuple[str, ...]] = {}
-
-
-def _unit_names(experiment: str) -> tuple[str, ...]:
-    """Unit labels of one experiment (computed lazily: the registries
-    live in :mod:`repro.bench.experiments`)."""
-    if not _EXPERIMENTS:
-        from .experiments import FIG6_CONFIGS, FIG8_SIZINGS, FIG9_SIZINGS
-
-        _EXPERIMENTS.update(
-            {
-                "fig6": tuple(FIG6_CONFIGS),
-                "fig7": ("oltp",),
-                "fig8": tuple(FIG8_SIZINGS),
-                "fig9": tuple(FIG9_SIZINGS),
-                "fig10": ("size", "count"),
-                "macro": ("random-overwrite",),
-                "traffic": ("uniform", "noisy-neighbor", "throttled"),
-                "cluster": ("fleet",),
-                "tier": ("tiered",),
-            }
-        )
-    return _EXPERIMENTS[experiment]
-
-
-_RUNNERS = {
-    "fig6": _unit_fig6,
-    "fig7": _unit_fig7,
-    "fig8": _unit_fig8,
-    "fig9": _unit_fig9,
-    "fig10": _unit_fig10,
-    "macro": _unit_macro,
-    "traffic": _unit_traffic,
-    "cluster": _unit_cluster,
-    "tier": _unit_tier,
-}
-
-ALL_EXPERIMENTS = tuple(_RUNNERS)
-
-
-def _derive_seed(base: int, key: str) -> int:
-    """Deterministic per-unit seed: stable across processes and runs."""
-    return (base * 1_000_003 + zlib.crc32(key.encode())) & 0x7FFFFFFF
-
-
 def plan_units(
     *,
     quick: bool = False,
@@ -293,51 +104,44 @@ def plan_units(
     Quick units always arm the invariant auditor: the quick sweep is
     the CI bench-smoke, where the cheap configurations exist to catch
     correctness drift, not to document wall clocks — so they should be
-    audited runs (``"audited": true`` in the trajectory).  Full-size
+    audited runs (``"audited": true`` in the document).  Full-size
     runs keep auditing opt-in because the auditor's bookkeeping rides
-    inside the timed region the trajectory records.
+    inside the timed region the document records.
     """
-    chosen = list(experiments) if experiments else list(ALL_EXPERIMENTS)
+    chosen = list(experiments) if experiments else list(EXPERIMENTS)
     for name in chosen:
-        if name not in _RUNNERS:
+        if name not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {name!r}; choose from {sorted(_RUNNERS)}"
+                f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
             )
     units: list[UnitSpec] = []
-    for exp in chosen:
-        for unit in _unit_names(exp):
-            s = (
-                _CANONICAL_SEEDS[exp]
-                if seed is None
-                else _derive_seed(seed, f"{exp}/{unit}")
-            )
-            units.append(UnitSpec(exp, unit, quick, s, audit or quick, trace))
+    for name in chosen:
+        exp = EXPERIMENTS[name]
+        for unit in exp.units:
+            s = exp.seed if seed is None else derive_seed(seed, f"{name}/{unit}")
+            units.append(UnitSpec(name, unit, quick, s, audit or quick, trace))
     return units
 
 
 def run_unit(spec: UnitSpec) -> dict:
     """Execute one unit (in a worker or in-process) and wrap its
-    metrics in the per-unit result document."""
+    payload in the per-unit result document."""
     if spec.audit:
-        # Late-bound: repro.analysis is a higher layer (see module doc).
-        analysis = importlib.import_module("repro.analysis")
-        analysis.arm_global()
+        late_bound("repro.analysis:arm_global")()
     if spec.trace:
         obs.install()
     t0 = time.perf_counter()
     try:
-        payload = _RUNNERS[spec.experiment](spec)
+        payload = EXPERIMENTS[spec.experiment].execute(
+            spec.unit, quick=spec.quick, seed=spec.seed, audit=spec.audit
+        )
         trace_records = len(obs.get_tracer()) if spec.trace else 0
     finally:
         if spec.trace:
             obs.uninstall()
         if spec.audit:
-            analysis.disarm_global()
+            late_bound("repro.analysis:disarm_global")()
     wall = time.perf_counter() - t0
-    timing = {"wall_s": wall}
-    if isinstance(payload, dict) and "timing" in payload and "metrics" in payload:
-        timing.update(payload["timing"])
-        payload = payload["metrics"]
     out = {
         "experiment": spec.experiment,
         "unit": spec.unit,
@@ -345,39 +149,17 @@ def run_unit(spec: UnitSpec) -> dict:
         "quick": spec.quick,
         "audited": spec.audit,
         "traced": spec.trace,
-        "metrics": payload,
-        "timing": timing,
+        "metrics": payload["metrics"],
+        "timing": {"wall_s": wall, **payload.get("timing", {})},
     }
     if spec.trace:
         out["trace_records"] = trace_records
     return out
 
 
-def _run_unit_tuple(args: tuple) -> tuple[str, dict]:
-    """Picklable pool entry point."""
-    spec = UnitSpec(*args)
-    return spec.key, run_unit(spec)
-
-
-def _spec_tuple(s: UnitSpec) -> tuple:
-    return (s.experiment, s.unit, s.quick, s.seed, s.audit, s.trace)
-
-
 # ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
-
-
-def _host_metadata(workers: int) -> dict:
-    import numpy as np
-
-    return {
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-    }
 
 
 def run_bench(
@@ -390,7 +172,7 @@ def run_bench(
     trace: bool = False,
     progress=None,
 ) -> dict:
-    """Run the benchmark suite and return the trajectory document.
+    """Run the benchmark suite and return the results document.
 
     ``workers=1`` executes serially in-process (the determinism
     reference); ``workers>1`` fans units out to a process pool.  The
@@ -402,31 +184,24 @@ def run_bench(
     units = plan_units(
         quick=quick, experiments=experiments, seed=seed, audit=audit, trace=trace
     )
-    # The macro unit reports phase wall times, so it never shares
-    # cores with pool workers: it runs serially, in-process, BEFORE the
-    # pool starts.  Everything else only reports deterministic metrics
-    # and can tolerate contention.  The cluster unit also runs
-    # in-process: it owns a process pool of its own (one worker per
-    # shard subset), and its scaling curve is a timed record too.
-    _SERIAL = ("macro", "cluster")
-    timed = [s for s in units if s.experiment in _SERIAL]
-    pooled = [s for s in units if s.experiment not in _SERIAL]
-    if workers <= 1:
-        timed, pooled = units, []
+    # ``serial`` experiments never share cores with pool workers: they
+    # run in-process BEFORE the pool starts.
+    local = [s for s in units if workers <= 1 or EXPERIMENTS[s.experiment].serial]
+    pooled = [s for s in units if s not in local]
     t0 = time.perf_counter()
     results: dict[str, dict] = {}
-    for spec in timed:
-        key, res = _run_unit_tuple(_spec_tuple(spec))
-        results[key] = res
+
+    def done(spec: UnitSpec, res: dict) -> None:
+        results[spec.key] = res
         if progress:
-            progress(key, res)
+            progress(spec.key, res)
+
+    for spec in local:
+        done(spec, run_unit(spec))
     if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            arg_tuples = [_spec_tuple(s) for s in pooled]
-            for key, res in pool.map(_run_unit_tuple, arg_tuples):
-                results[key] = res
-                if progress:
-                    progress(key, res)
+            for spec, res in zip(pooled, pool.map(run_unit, pooled)):
+                done(spec, res)
     total_wall = time.perf_counter() - t0
 
     # Canonical order: the planned unit order, not completion order.
@@ -434,9 +209,9 @@ def run_bench(
     capacity = {
         key: res["metrics"]["capacity_ops"]
         for key, res in ordered.items()
-        if isinstance(res["metrics"], dict) and "capacity_ops" in res["metrics"]
+        if "capacity_ops" in res["metrics"]
     }
-    doc = {
+    return {
         "schema": SCHEMA,
         "kind": "trajectory",
         "quick": quick,
@@ -444,7 +219,13 @@ def run_bench(
         "units": ordered,
         "capacity_ops": capacity,
         "peak_capacity_ops": max(capacity.values()) if capacity else None,
-        "host": _host_metadata(workers),
+        "host": {
+            "platform": platform.platform(),
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "workers": workers,
+        },
         "timing": {
             "total_wall_s": total_wall,
             "units": len(units),
@@ -454,42 +235,29 @@ def run_bench(
             },
         },
     }
-    return doc
 
 
-def write_results(
-    doc: dict,
-    *,
-    out_dir: str | None = None,
-    trajectory_path: str | None = None,
-) -> list[str]:
-    """Persist per-experiment JSON files plus the trajectory summary;
-    returns the paths written."""
-    out_dir = out_dir or RESULTS_DIR
-    trajectory_path = trajectory_path or os.path.join(out_dir, "trajectory.json")
-    os.makedirs(out_dir, exist_ok=True)
-    paths: list[str] = []
-    by_exp: dict[str, dict] = {}
-    for key, res in doc["units"].items():
-        by_exp.setdefault(res["experiment"], {})[res["unit"]] = res
-    for exp, units in by_exp.items():
-        per_exp = {
-            "schema": SCHEMA,
-            "kind": "experiment",
-            "experiment": exp,
-            "quick": doc["quick"],
-            "units": units,
-        }
-        path = os.path.join(out_dir, f"bench_{exp}.json")
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(per_exp, f, indent=2, sort_keys=True)
-            f.write("\n")
-        paths.append(path)
-    with open(trajectory_path, "w", encoding="utf-8") as f:
+def write_results(doc: dict, path: str | None = None) -> str:
+    """Persist the results document; returns the path written."""
+    path = path or os.path.join(RESULTS_DIR, "trajectory.json")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    paths.append(trajectory_path)
-    return paths
+    return path
+
+
+def evaluate_claims(doc: dict) -> dict[str, list[Claim]]:
+    """The paper claims of every experiment in a results document that
+    declares some, as ``{experiment: [Claim, ...]}``."""
+    by_exp: dict[str, dict[str, dict]] = {}
+    for res in doc["units"].values():
+        by_exp.setdefault(res["experiment"], {})[res["unit"]] = res
+    return {
+        name: EXPERIMENTS[name].claims(units)
+        for name, units in by_exp.items()
+        if EXPERIMENTS[name].claims
+    }
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +296,7 @@ def _numeric_leaves(doc, prefix: str = "") -> dict[str, float]:
 
 
 def compare_to_baseline(current: dict, baseline: dict, *, rtol: float = 1e-9) -> list[str]:
-    """Diff two trajectory documents' deterministic metrics.
+    """Diff two results documents' deterministic metrics.
 
     Returns human-readable violation strings (empty = within ``rtol``).
     Timing and host fields never participate: the gate catches changes

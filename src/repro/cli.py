@@ -37,114 +37,110 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_claims(title: str, claims: list) -> list[str]:
+    """Print one experiment's paper claims; returns the failed ones."""
+    print(f"\n{title}:")
+    for claim in claims:
+        print(f"  {claim}")
+    return [c.text for c in claims if not c.holds]
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Parallel benchmark sweep with JSON trajectory output."""
+    """Parallel benchmark sweep: one JSON results document, the paper's
+    claims evaluated on it, and an optional baseline diff."""
+    import json
     import os
 
-    from repro.bench.runner import (
-        ALL_EXPERIMENTS,
-        compare_to_baseline,
-        run_bench,
-        write_results,
-    )
+    from repro.bench import runner
+    from repro.bench.experiments import EXPERIMENTS
 
     workers = args.workers
     if workers <= 0:
         workers = min(8, os.cpu_count() or 1)
-    experiments = args.experiments or None
-    print(f"bench: {', '.join(experiments or ALL_EXPERIMENTS)} "
+    print(f"bench: {', '.join(args.experiments or EXPERIMENTS)} "
           f"({'quick' if args.quick else 'full'}, {workers} worker(s)"
           + (", audited" if args.audit else "")
           + (", traced" if args.trace else "") + ")")
 
     def progress(key: str, res: dict) -> None:
         wall = res["timing"]["wall_s"]
-        cap = res["metrics"].get("capacity_ops") if isinstance(res["metrics"], dict) else None
+        cap = res["metrics"].get("capacity_ops")
         extra = f", {cap:,.0f} ops/s peak" if cap else ""
         print(f"  [done] {key:40s} {wall:7.2f}s{extra}")
 
-    doc = run_bench(
-        quick=args.quick,
-        workers=workers,
-        experiments=experiments,
-        seed=args.seed,
-        audit=args.audit,
-        trace=args.trace,
-        progress=progress,
+    doc = runner.run_bench(
+        quick=args.quick, workers=workers, experiments=args.experiments,
+        seed=args.seed, audit=args.audit, trace=args.trace, progress=progress,
     )
-    paths = write_results(doc, out_dir=args.out or None,
-                          trajectory_path=args.trajectory or None)
+    path = runner.write_results(doc, args.trajectory)
     t = doc["timing"]
     print(f"\n{t['units']} unit(s) in {t['total_wall_s']:.2f}s "
           f"({t['units_per_s']:.2f} units/s, {workers} worker(s))")
-    for p in paths:
-        print(f"wrote {p}")
-    if args.baseline:
-        import json
+    print(f"wrote {path}")
 
+    # The claims' thresholds describe the full-size canonical-seed
+    # configurations; on any other run they are informational.
+    gated = not doc["quick"] and doc["seed"] is None
+    note = "" if gated else " (informational: quick or re-seeded run)"
+    failed: list[str] = []
+    for name, claims in runner.evaluate_claims(doc).items():
+        failures = _print_claims(f"{name} paper claims{note}", claims)
+        failed += [f"{name}: {text}" for text in failures]
+    status = 0
+    if gated and failed:
+        print(f"\npaper claims check FAILED ({len(failed)} claim(s)):")
+        for line in failed:
+            print(f"  {line}")
+        status = 1
+    if args.baseline:
         with open(args.baseline, encoding="utf-8") as f:
             baseline = json.load(f)
-        problems = compare_to_baseline(doc, baseline, rtol=args.rtol)
+        rtol = runner.BASELINE_RTOL
+        problems = runner.compare_to_baseline(doc, baseline, rtol=rtol)
         if problems:
             print(f"\nbaseline regression check FAILED "
-                  f"({len(problems)} metric(s) moved, rtol={args.rtol:g}):")
+                  f"({len(problems)} metric(s) moved, rtol={rtol:g}):")
             for p in problems[:40]:
                 print(f"  {p}")
             if len(problems) > 40:
                 print(f"  ... and {len(problems) - 40} more")
             return 1
-        print(f"\nbaseline regression check OK (rtol={args.rtol:g}) "
-              f"vs {args.baseline}")
-    return 0
+        print(f"\nbaseline regression check OK (rtol={rtol:g}) vs {args.baseline}")
+    return status
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """cProfile the macro benchmark and report wall-clock hotspots next
-    to the modeled per-phase CPU decomposition."""
+    """cProfile the macro benchmark unit (named by the experiment table)
+    and report wall-clock hotspots next to the modeled per-phase CPU
+    decomposition."""
     import cProfile
-    import io
     import os
     import pstats
 
-    from repro.bench.harness import (
-        RESULTS_DIR,
-        build_aged_ssd_sim,
-        measure_random_overwrite,
-    )
+    from repro.bench.experiments import EXPERIMENTS, PROFILE_UNIT
+    from repro.bench.harness import RESULTS_DIR
+    from repro.bench.runner import UnitSpec, run_unit
 
-    n_cps = 15 if args.quick else 40
-    prof = cProfile.Profile()
-    t0 = time.perf_counter()
-    prof.enable()
-    sim = build_aged_ssd_sim(
-        blocks_per_disk=65_536 if args.quick else 131_072,
-        churn_factor=1.0 if args.quick else 2.0,
-    )
-    t1 = time.perf_counter()
-    result = measure_random_overwrite(sim, "profile", n_cps=n_cps)
-    t2 = time.perf_counter()
-    prof.disable()
+    name, unit = PROFILE_UNIT
+    with cProfile.Profile() as prof:
+        res = run_unit(UnitSpec(name, unit, args.quick, EXPERIMENTS[name].seed))
+    metrics = res["metrics"]
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     dump = os.path.join(RESULTS_DIR, "profile.prof")
     prof.dump_stats(dump)
+    pstats.Stats(prof).sort_stats(args.sort).print_stats(args.top)
 
-    buf = io.StringIO()
-    stats = pstats.Stats(prof, stream=buf)
-    stats.sort_stats(args.sort)
-    stats.print_stats(args.top)
-    print(buf.getvalue().rstrip())
+    print(f"{name}/{unit}: aging + measurement "
+          f"{res['timing']['wall_s']:.2f}s under profiler")
+    print(f"cpu_us_per_op {metrics['cpu_us_per_op']:.3f}, "
+          f"capacity {metrics['capacity_ops']:,.0f} ops/s")
 
-    print(f"\naging {t1 - t0:.2f}s, measurement {t2 - t1:.2f}s "
-          f"({n_cps / (t2 - t1):.1f} CPs/s under profiler)")
-    print(f"cpu_us_per_op {result.cpu_us_per_op:.3f}, "
-          f"capacity {result.capacity_ops:,.0f} ops/s")
-
-    phases = sim.engine.metrics.query("cpu_phase_us", model=sim.engine.cpu_model)
+    phases = metrics["cpu_phase_us"]
     total = sum(phases.values()) or 1.0
     print("\nmodeled CPU by pipeline phase (measurement sweep):")
-    for name, us in sorted(phases.items(), key=lambda kv: -kv[1]):
-        print(f"  {name:20s} {us / 1e6:9.3f} s-CPU  {us / total:7.2%}")
+    for phase, us in sorted(phases.items(), key=lambda kv: -kv[1]):
+        print(f"  {phase:20s} {us / 1e6:9.3f} s-CPU  {us / total:7.2%}")
     print(f"\nprofile dump: {dump} (open with pstats or snakeviz)")
     return 0
 
@@ -271,80 +267,35 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig6_tables, run_fig6
+def _figures() -> list[str]:
+    """The figures are the experiment table's entries that have tables."""
+    from repro.bench.experiments import EXPERIMENTS
 
-    results = run_fig6(quick=args.quick)
-    for table in fig6_tables(results):
-        print("\n" + table)
-    both = results["both caches"]
-    neither = results["neither (baseline)"]
-    print(f"\nPeak-throughput gain, both caches vs neither: "
-          f"{both.capacity_ops / neither.capacity_ops - 1:+.1%}")
-    return 0
+    return [name for name, exp in EXPERIMENTS.items() if exp.tables]
 
 
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig7_tables, run_fig7
+def _cmd_figures(args: argparse.Namespace) -> int:
+    """Run one figure (or ``all``) serially at its canonical seed; print
+    its tables and the paper's claims about it."""
+    from repro.bench.experiments import EXPERIMENTS
+    from repro.bench.runner import UnitSpec, run_unit
 
-    res = run_fig7(quick=args.quick)
-    for table in fig7_tables(res):
-        print("\n" + table)
-    aged, fresh = res.aged(), res.fresh()
-    print(f"\nfresh groups receive "
-          f"{res.blocks[fresh].mean() / res.blocks[aged].mean():.2f}x the blocks "
-          f"of aged groups")
-    return 0
-
-
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig8_tables, run_fig8
-
-    results = run_fig8(quick=args.quick)
-    for table in fig8_tables(results):
-        print("\n" + table)
-    small = results["HDD-sized AA (4k stripes)"]
-    large = results["Large AA (2 erase units)"]
-    print(f"\nWA ratio small/large: "
-          f"{small.write_amplification / large.write_amplification:.2f}x "
-          f"(paper: ~2x)")
-    return 0
-
-
-def _cmd_fig9(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig9_tables, run_fig9
-
-    results = run_fig9(quick=args.quick)
-    for table in fig9_tables(results):
-        print("\n" + table)
-    small = results["HDD-sized AA (4k stripes)"]
-    aligned = results["SMR AA (zone + AZCS aligned)"]
-    print(f"\naligned-AA drive-throughput gain: "
-          f"{aligned['drive_mbps'] / small['drive_mbps'] - 1:+.1%} (paper: +7%)")
-    return 0
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig10_tables, run_fig10
-
-    size_rows, _s, count_rows, _c = run_fig10(quick=args.quick)
-    for table in fig10_tables(size_rows, count_rows):
-        print("\n" + table)
-    return 0
-
-
-def _cmd_all(args: argparse.Namespace) -> int:
-    for name, fn in (
-        ("fig6", _cmd_fig6),
-        ("fig7", _cmd_fig7),
-        ("fig8", _cmd_fig8),
-        ("fig9", _cmd_fig9),
-        ("fig10", _cmd_fig10),
-    ):
+    banner = args.command == "all"
+    for name in _figures() if banner else [args.command]:
+        exp = EXPERIMENTS[name]
         t0 = time.perf_counter()
-        print(f"\n{'=' * 72}\n== {name}\n{'=' * 72}")
-        fn(args)
-        print(f"\n[{name}: {time.perf_counter() - t0:.1f}s]")
+        if banner:
+            print(f"\n{'=' * 72}\n== {name}\n{'=' * 72}")
+        results = {
+            unit: run_unit(UnitSpec(name, unit, args.quick, exp.seed))
+            for unit in exp.units
+        }
+        for table in exp.tables(results):
+            print("\n" + table)
+        _print_claims("paper claims" + (" (informational: quick run)" if args.quick
+                                        else ""), exp.claims(results))
+        if banner:
+            print(f"\n[{name}: {time.perf_counter() - t0:.1f}s]")
     return 0
 
 
@@ -663,15 +614,6 @@ def _cmd_tier(args: argparse.Namespace) -> int:
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
-    # Defer to the shipped example (kept as the single source of truth).
-    import runpy
-    from pathlib import Path
-
-    candidate = Path(__file__).resolve().parents[2].parent / "examples" / "quickstart.py"
-    if candidate.exists():
-        runpy.run_path(str(candidate), run_name="__main__")
-        return 0
-    # Installed without the examples directory: run a minimal inline demo.
     from repro import RandomOverwriteWorkload, WaflSim
     from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
     from repro.workloads import fill_volumes
@@ -699,14 +641,12 @@ def main(argv: list[str] | None = None) -> int:
         description="Reproduce the WAFL free-block-search paper's evaluation figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from repro.bench.experiments import EXPERIMENTS
+
     for name, fn, doc in (
         ("info", _cmd_info, "print version and modelling constants"),
-        ("fig6", _cmd_fig6, "AA cache benefit (section 4.1)"),
-        ("fig7", _cmd_fig7, "imbalanced RAID-group aging (section 4.2)"),
-        ("fig8", _cmd_fig8, "SSD AA sizing (section 4.3)"),
-        ("fig9", _cmd_fig9, "SMR AA sizing with AZCS (section 4.3)"),
-        ("fig10", _cmd_fig10, "TopAA mount time (section 4.4)"),
-        ("all", _cmd_all, "run every figure"),
+        *((f, _cmd_figures, EXPERIMENTS[f].title) for f in _figures()),
+        ("all", _cmd_figures, "run every figure"),
         ("faults", _cmd_faults, "chaos scenario: inject faults, recover, report"),
         ("quickstart", _cmd_quickstart, "run the quickstart demo"),
     ):
@@ -717,32 +657,26 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--seed", type=int, default=1234,
                            help="scenario seed (same seed => identical recovery)")
         p.set_defaults(fn=fn)
-    p = sub.add_parser(
-        "bench",
-        help="parallel benchmark sweep -> benchmarks/results/{bench_*,trajectory}.json",
-    )
+    p = sub.add_parser("bench", help="parallel benchmark sweep -> one results JSON; "
+                                     "the paper's claims gate full-size runs")
     p.add_argument("--quick", action="store_true",
                    help="smaller configurations for interactive use")
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size (1 = serial reference; 0 = auto)")
-    p.add_argument("--experiments", nargs="*", metavar="EXP",
-                   help="subset to run (fig6 fig7 fig8 fig9 fig10 macro "
-                        "traffic cluster tier)")
+    p.add_argument("--experiments", nargs="*", choices=tuple(EXPERIMENTS),
+                   help="subset to run (default: all)")
     p.add_argument("--seed", type=int, default=None,
-                   help="base seed (default: each figure's canonical seed)")
+                   help="base seed (default: each experiment's canonical seed)")
     p.add_argument("--audit", action="store_true",
                    help="arm the CP-time invariant auditor inside workers")
     p.add_argument("--trace", action="store_true",
                    help="run units with the structured tracer installed "
                         "(trace-smoke: metrics must not move)")
     p.add_argument("--baseline", metavar="PATH",
-                   help="trajectory JSON to diff deterministic metrics against")
-    p.add_argument("--rtol", type=float, default=1e-9,
-                   help="relative tolerance for --baseline (default bit-exact)")
-    p.add_argument("--out", metavar="DIR",
-                   help="per-experiment JSON directory (default benchmarks/results)")
+                   help="results JSON to diff deterministic metrics against (rtol 1e-6)")
     p.add_argument("--trajectory", metavar="PATH",
-                   help="trajectory summary path (default <out dir>/trajectory.json)")
+                   help="results document path (default "
+                        "benchmarks/results/trajectory.json)")
     p.set_defaults(fn=_cmd_bench)
     p = sub.add_parser(
         "traffic",

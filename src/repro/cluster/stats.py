@@ -16,23 +16,18 @@ shapes cross the process boundary:
   analogy: what a volume driver reports to the scheduler between
   placement rounds.
 
-Seeds derive with the same crc32 construction the bench runner uses,
-so a shard's stream depends only on its own identity — never on which
-co-tenants landed elsewhere in the fleet.
+Seeds derive with :func:`repro.common.rng.derive_seed` (as the bench
+runner's per-unit seeds do), so a shard's stream depends only on its
+own identity — never on which co-tenants landed elsewhere in the fleet.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import asdict, dataclass, field
 
+from ..common.rng import derive_seed
+
 __all__ = ["derive_seed", "ShardSpec", "ShardStats"]
-
-
-def derive_seed(base: int, key: str) -> int:
-    """Deterministic child seed: stable across processes and runs
-    (same construction as the bench runner's per-unit seeds)."""
-    return (base * 1_000_003 + zlib.crc32(key.encode())) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)

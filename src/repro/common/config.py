@@ -2,11 +2,10 @@
 
 Tunables used to be scattered across keyword defaults (CP threshold
 fractions on :class:`~repro.fs.filesystem.WaflSim`, HBPS tuning on the
-cache constructors, QoS defaults in :mod:`repro.traffic`, canonical
-seeds in :mod:`repro.bench.runner`, chaos defaults in
-:mod:`repro.faults`).  This module consolidates them into immutable
-dataclasses with one entry point, :meth:`SimConfig.default`; callers
-override fields with :func:`dataclasses.replace`:
+cache constructors, QoS defaults in :mod:`repro.traffic`, chaos
+defaults in :mod:`repro.faults`).  This module consolidates them into
+immutable dataclasses with one entry point, :meth:`SimConfig.default`;
+callers override fields with :func:`dataclasses.replace`:
 
     from dataclasses import replace
     from repro.common.config import SimConfig
@@ -30,14 +29,12 @@ from .constants import (
     HBPS_LIST_CAPACITY,
     RAID_AGNOSTIC_AA_BLOCKS,
     TETRIS_STRIPES,
-    TOPAA_RAID_AWARE_ENTRIES,
 )
 
 __all__ = [
     "AllocatorConfig",
     "CacheConfig",
     "TrafficConfig",
-    "BenchConfig",
     "FaultConfig",
     "ObsConfig",
     "ClusterConfig",
@@ -74,9 +71,6 @@ class AllocatorConfig:
     threshold_fraction: float = 0.0
     #: Stripes taken from each group per round-robin turn (one tetris).
     stripes_per_round: int = TETRIS_STRIPES
-    #: Consecutive full AAs a source may propose before the allocator
-    #: declares the space dry (score-blind baselines only).
-    max_full_aa_retries: int = 128
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,6 @@ class CacheConfig:
     hbps_bin_width: int = HBPS_BIN_WIDTH
     #: HBPS best-AA list capacity (paper default: 1,000 entries).
     hbps_list_capacity: int = HBPS_LIST_CAPACITY
-    #: Entries persisted per TopAA page for the RAID-aware cache.
-    topaa_raid_aware_entries: int = TOPAA_RAID_AWARE_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -231,41 +223,9 @@ class AggregateSpec:
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    """Benchmark-runner defaults: the figures' canonical seeds."""
-
-    fig6_seed: int = 42
-    fig7_seed: int = 24
-    fig8_seed: int = 99
-    fig9_seed: int = 3
-    #: fig10 sweeps are seedless (deterministic builds).
-    fig10_seed: int = 0
-    macro_seed: int = 42
-    traffic_seed: int = 7
-    cluster_seed: int = 77
-    tier_seed: int = 55
-
-    def canonical_seeds(self) -> dict[str, int]:
-        """``experiment -> seed`` mapping, as the runner consumes it."""
-        return {
-            "fig6": self.fig6_seed,
-            "fig7": self.fig7_seed,
-            "fig8": self.fig8_seed,
-            "fig9": self.fig9_seed,
-            "fig10": self.fig10_seed,
-            "macro": self.macro_seed,
-            "traffic": self.traffic_seed,
-            "cluster": self.cluster_seed,
-            "tier": self.tier_seed,
-        }
-
-
-@dataclass(frozen=True)
 class FaultConfig:
     """Chaos/fault-injection defaults (:mod:`repro.faults`)."""
 
-    #: Default scenario seed (same seed => identical recovery).
-    default_seed: int = 1234
     #: Disk fails this fraction of the way into a chaos-under-load run.
     fail_at_fraction: float = 1 / 3
     #: Failed disk is replaced (rebuilt) at this fraction.
@@ -289,10 +249,6 @@ class ObsConfig:
 class ClusterConfig:
     """Fleet-scale cluster defaults (:mod:`repro.cluster`)."""
 
-    #: Aggregates (shards) in the default cluster.
-    default_shards: int = 8
-    #: Tenant volumes placed per shard in the default fleet.
-    default_tenants_per_shard: int = 3
     #: Shard testbed size (small: a cluster builds many of these).
     blocks_per_disk: int = 4096
     #: RAID groups per shard aggregate.
@@ -332,7 +288,6 @@ class SimConfig:
     allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    bench: BenchConfig = field(default_factory=BenchConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)

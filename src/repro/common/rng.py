@@ -52,6 +52,6 @@ def permute_in_chunks(
 
 def derive_seed(base: int, key: str) -> int:
     """Deterministic child seed: stable across processes and runs
-    (``base`` mixed with a CRC of ``key``; same construction the bench
-    runner and the cluster use for their per-unit seeds)."""
+    (``base`` mixed with a CRC of ``key``; the bench runner's per-unit
+    seeds and the cluster's per-shard streams derive through it)."""
     return (base * 1_000_003 + zlib.crc32(key.encode())) & 0x7FFFFFFF

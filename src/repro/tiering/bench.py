@@ -6,7 +6,7 @@ the RAID-DP SMR tier, drives fill + random churn through it, then
 deliberately misplaces the OLTP volume and lets the background
 rebalance pass correct it — asserting block conservation on every
 migration.  The payload is fully deterministic for a given seed and is
-pinned by ``benchmarks/baselines/bench_tier_quick.json`` in CI.
+pinned by ``benchmarks/baselines/bench_quick.json`` in CI.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ FILES = {
 EXPECTED_WAIVERS = Counter({
     ("B502", "fs/flexvol.py"): 1,
     ("B502", "traffic/engine.py"): 1,
-    ("E404", "bench/harness.py"): 1,
     # Canonical-seed pins.
     ("F804", "bench/experiments.py"): 1,
     ("F804", "faults/underload.py"): 2,

@@ -1,7 +1,7 @@
-"""Tests for the parallel benchmark runner: unit planning, process-pool
-vs serial determinism (the JSON documents must be byte-identical once
-timing/host fields are stripped), result persistence, and the baseline
-regression gate."""
+"""Tests for the parallel benchmark runner: unit planning from the
+experiment table, process-pool vs serial determinism (the JSON
+documents must be byte-identical once timing/host fields are stripped),
+the one persisted results document, and the baseline regression gate."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import json
 
 import pytest
 
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.runner import (
-    ALL_EXPERIMENTS,
     SCHEMA,
     UnitSpec,
     compare_to_baseline,
@@ -21,14 +21,15 @@ from repro.bench.runner import (
     write_results,
 )
 
-#: Small fast subset used for the expensive serial-vs-parallel check.
-FAST_EXPERIMENTS = ["fig9", "macro"]
+#: Small fast subset used for the expensive serial-vs-parallel check
+#: (one in-package experiment, one late-bound by name).
+FAST_EXPERIMENTS = ["fig9", "tier"]
 
 
 class TestPlanning:
     def test_covers_every_experiment_by_default(self):
         units = plan_units(quick=True)
-        assert {u.experiment for u in units} == set(ALL_EXPERIMENTS)
+        assert {u.experiment for u in units} == set(EXPERIMENTS)
 
     def test_plan_is_deterministic(self):
         assert plan_units(quick=True, seed=9) == plan_units(quick=True, seed=9)
@@ -63,32 +64,19 @@ class TestDeterminism:
         # ...and the full documents carry them.
         assert "wall_s" in json.dumps(serial)
 
-        # Persisted per-experiment files are byte-identical too.
-        s_paths = write_results(
-            serial,
-            out_dir=str(tmp_path / "serial"),
-            trajectory_path=str(tmp_path / "serial.json"),
-        )
-        p_paths = write_results(
-            parallel,
-            out_dir=str(tmp_path / "parallel"),
-            trajectory_path=str(tmp_path / "parallel.json"),
-        )
-        for sp, pp in zip(s_paths[:-1], p_paths[:-1]):
-            sdoc = json.loads(open(sp, encoding="utf-8").read())
-            pdoc = json.loads(open(pp, encoding="utf-8").read())
-            assert json.dumps(strip_timing(sdoc), sort_keys=True) == json.dumps(
-                strip_timing(pdoc), sort_keys=True
-            )
+        # The one persisted document round-trips.
+        write_results(serial, str(tmp_path / "serial.json"))
+        persisted = json.loads((tmp_path / "serial.json").read_text())
+        assert persisted == json.loads(json.dumps(serial))
 
         # Regression gate: identical runs have no drifted metrics, and
         # a perturbed metric is caught.
         assert compare_to_baseline(parallel, serial) == []
         mutated = json.loads(json.dumps(serial))
-        unit = mutated["units"]["macro/random-overwrite"]
-        unit["metrics"]["cpu_us_per_op"] *= 1.01
+        unit = mutated["units"]["fig9/HDD-sized AA (4k stripes)"]
+        unit["metrics"]["drive_mbps"] *= 1.01
         problems = compare_to_baseline(mutated, serial)
-        assert problems and "cpu_us_per_op" in problems[0]
+        assert problems and "drive_mbps" in problems[0]
 
     def test_trajectory_document_shape(self, tmp_path):
         doc = run_bench(quick=True, workers=1, experiments=["fig9"])
@@ -101,25 +89,13 @@ class TestDeterminism:
         for res in doc["units"].values():
             assert res["timing"]["wall_s"] > 0
             assert res["metrics"]["drive_mbps"] > 0
-        paths = write_results(
-            doc,
-            out_dir=str(tmp_path),
-            trajectory_path=str(tmp_path / "BENCH.json"),
-        )
-        per_exp = json.loads((tmp_path / "bench_fig9.json").read_text())
-        assert per_exp["schema"] == SCHEMA
-        assert per_exp["experiment"] == "fig9"
-        assert (tmp_path / "BENCH.json").exists()
-        assert len(paths) == 2
+        path = write_results(doc, str(tmp_path / "BENCH.json"))
+        # One run, one artifact.
+        assert [str(p) for p in tmp_path.iterdir()] == [path]
+        assert json.loads((tmp_path / "BENCH.json").read_text())["schema"] == SCHEMA
 
 
 class TestUnits:
-    def test_macro_unit_reports_phase_timing(self):
-        res = run_unit(UnitSpec("macro", "random-overwrite", True, 42))
-        assert res["timing"]["age_wall_s"] > 0
-        assert res["timing"]["measure_wall_s"] > 0
-        assert res["metrics"]["capacity_ops"] > 0
-
     def test_audited_unit_runs_the_invariant_auditor(self):
         res = run_unit(UnitSpec("fig9", "HDD-sized AA (4k stripes)", True, 3, True))
         assert res["audited"] is True

@@ -38,6 +38,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "drive-throughput gain" in out
 
+    def test_quickstart(self, capsys):
+        assert main(["quickstart"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("consistency verified")
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])

@@ -5,14 +5,15 @@ their tunables from the config object."""
 from __future__ import annotations
 
 import dataclasses
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.common.config import (
     AggregateSpec,
     AllocatorConfig,
-    BenchConfig,
     CacheConfig,
     FaultConfig,
     ObsConfig,
@@ -49,7 +50,6 @@ class TestSimConfig:
         assert isinstance(cfg.allocator, AllocatorConfig)
         assert isinstance(cfg.cache, CacheConfig)
         assert isinstance(cfg.traffic, TrafficConfig)
-        assert isinstance(cfg.bench, BenchConfig)
         assert isinstance(cfg.faults, FaultConfig)
         assert isinstance(cfg.obs, ObsConfig)
 
@@ -69,11 +69,25 @@ class TestSimConfig:
         # The shared default is untouched.
         assert SimConfig.default().allocator.threshold_fraction == 0.0
 
-    def test_canonical_seeds_cover_all_experiments(self):
-        from repro.bench.runner import ALL_EXPERIMENTS
+    def test_every_leaf_field_is_read_somewhere(self):
+        """A knob nothing reads lies to whoever sets it: every leaf of
+        ``SimConfig`` must be read as an attribute under ``src/repro``
+        outside the module that declares it."""
+        import repro
 
-        seeds = SimConfig.default().bench.canonical_seeds()
-        assert set(seeds) == set(ALL_EXPERIMENTS)
+        package = Path(repro.__file__).parent
+        source = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(package.rglob("*.py"))
+            if path != package / "common" / "config.py"
+        )
+        unread = [
+            f"{section.name}.{leaf.name}"
+            for section in dataclasses.fields(SimConfig)
+            for leaf in dataclasses.fields(getattr(SimConfig.default(), section.name))
+            if not re.search(rf"\.{leaf.name}\b", source)
+        ]
+        assert unread == []
 
 
 class TestThresholdFromConfig:
