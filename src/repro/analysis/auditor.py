@@ -414,7 +414,7 @@ class InvariantAuditor:
 
 
 # ----------------------------------------------------------------------
-# Global arming (CLI ``repro audit`` and pytest ``--audit``)
+# Global arming (audited bench units and pytest ``--audit``)
 # ----------------------------------------------------------------------
 def arm_global(*, raise_on_violation: bool = True) -> None:
     """Arm auditing for every :class:`CPEngine` constructed from now on."""

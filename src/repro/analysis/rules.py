@@ -90,20 +90,23 @@ LAYER_RANK: dict[str, int] = {
     #: drivers above it (faults' chaos-under-load, bench, cli).
     "traffic": 9,
     "faults": 10,
-    "bench": 11,
     "analysis": 12,
     #: Heterogeneous multi-tier aggregates: composes fs stores and uses
-    #: the auditor/Iron for its bench demo; fs and bench reach it by
-    #: name via importlib only (tier policies attach from above).
+    #: the auditor/Iron for its bench demo; fs reaches it by name via
+    #: importlib only (tier policies attach from above).
     "tiering": 13,
     #: The crash-consistency subsystem drives the whole stack (mount,
-    #: traffic, the invariant auditor) and is consumed only by cli.
+    #: traffic, the invariant auditor).
     "crash": 14,
-    #: The fleet layer: many aggregate-scale sims as shards, scheduled
-    #: and migrated from above.  It may import everything below it;
-    #: nothing below (traffic, fs, bench, ...) may import it — the
-    #: bench runner dispatches to it by name via importlib only.
+    #: The fleet layer, top of the *simulation* stack: many
+    #: aggregate-scale sims as shards, scheduled and migrated from
+    #: above.  It may import everything below it; nothing below
+    #: (traffic, fs, crash, ...) may import it.
     "cluster": 15,
+    #: The experiment table and its runner: the one consumer of every
+    #: simulation layer (it imports them statically), itself consumed
+    #: only by cli.
+    "bench": 16,
 }
 
 RULES: dict[str, Rule] = {

@@ -1,31 +1,26 @@
-"""The experiment table: every evaluation experiment, declared once.
+"""The experiment table: everything the repository runs, declared once.
 
-:data:`EXPERIMENTS` holds one frozen :class:`Experiment` per experiment
-— the paper's section 4 figures plus the traffic, cluster and tier
-sweeps.  Everything else consumes it: the bench runner plans and
-executes its units, ``repro figN`` / ``repro all`` print its tables and
-claims, ``repro bench`` gates its claims, and the CLI's subcommands and
-``--experiments`` choices are its names.  Adding an entry here is the
-only edit a new experiment needs.
+:data:`EXPERIMENTS` holds one frozen :class:`~repro.bench.claims.
+Experiment` per row — the paper's section 4 figures (this module), the
+traffic, fault, crash, cluster, tier and audit drills
+(:mod:`repro.bench.drills`) and the cache-overhead and ablation
+measurements (:mod:`repro.bench.ablations`).  Everything else consumes
+it: the bench runner plans and executes its units, ``repro <row>`` /
+``repro all`` print a row's tables and claims, ``repro bench`` sweeps
+and gates them, and the CLI's subcommands and ``--experiments`` choices
+are its names.  Adding an entry here is the only edit a new experiment
+needs.  ``bench`` is the top of the package DAG (simlint L201), so the
+table imports every subsystem it runs statically.
 
 ``run(unit, quick=..., seed=...)`` builds the workload and system one
-configuration of the figure used, measures it, and returns the
-*persisted* representation ``{"metrics": ..., "timing": ...}`` (plain
-JSON; ``timing`` holds wall clocks and is optional).  ``tables`` and
-``claims`` are pure functions of ``{unit: result document}`` (as
-:func:`~repro.bench.runner.run_unit` wraps the payload), so they work
-equally on a fresh run and on a results file read back from disk.
-
-The claims' thresholds describe the full-size canonical-seed
-configurations: a ``quick=True`` run is too small for some of them
-(quick Fig 6 gains +4.4 %, below the 10 % bar), so consumers report
-quick claims as informational.
+configuration used, measures it, and returns the *persisted*
+representation ``{"metrics": ..., "timing": ...}``; ``tables`` and
+``claims`` are pure functions of ``{unit: result document}``.  See
+:mod:`repro.bench.claims` for the schema and which claims gate which runs.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,84 +37,31 @@ from ..fs import (
 )
 from ..raid import RAIDGeometry
 from ..sim import LoadPoint, peak_throughput, system_curve
-from ..traffic import SCENARIOS, run_traffic
 from ..workloads import OLTPWorkload, SequentialWriteWorkload, fill_volumes
 from ..workloads.aging import reset_measurement_state
+from . import ablations, drills
+from .claims import Claim, Experiment
 from .harness import (
     CORES,
     NCLIENTS,
     ConfigResult,
     build_aged_ssd_sim,
+    fill_group_statically,
     fmt_table,
     measure_random_overwrite,
     popcount_audit,
     set_bitmap_checks,
 )
 
-__all__ = ["Claim", "Experiment", "EXPERIMENTS", "PROFILE_UNIT", "late_bound"]
+__all__ = ["Claim", "Experiment", "EXPERIMENTS", "PROFILE_UNIT"]
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One of the paper's shape claims, evaluated on a result set."""
-
-    #: What must be true (including the bar, where there is one).
-    text: str
-    #: The paper's own number or statement.
-    paper: str
-    #: Ours, formatted for display.
-    measured: str
-    holds: bool
-
-    def __str__(self) -> str:
-        verdict = "holds" if self.holds else "FAILS"
-        return f"[{verdict}] {self.text}: {self.measured} (paper: {self.paper})"
-
-
-def late_bound(ref: str):
-    """Resolve ``"package.module:attribute"`` at call time.
-
-    The one late-binding helper of ``bench``: the cluster and tier
-    experiments and the invariant auditor live in layers *above* bench
-    in the package DAG (simlint L201), so bench may name them but never
-    import them statically.
-    """
-    module, _, attr = ref.partition(":")
-    return getattr(importlib.import_module(module), attr)
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One row of the experiment table."""
-
-    name: str
-    #: One-line description (the CLI help of ``repro <name>``).
-    title: str
-    #: Canonical seed: the one the published numbers and the checked-in
-    #: baseline use.
-    seed: int
-    #: Independent work units (one configuration each).
-    units: tuple[str, ...]
-    #: ``run(unit, *, quick, seed) -> {"metrics", "timing"}``, or the
-    #: ``"module:function"`` name of a single-unit experiment owned by a
-    #: layer above bench, called as ``fn(quick=, seed=, audit=)``.
-    run: Callable[..., dict] | str
-    #: ``tables({unit: result}) -> [str]``; entries that have tables are
-    #: the figures (``repro <name>`` exists for them).
-    tables: Callable[[dict], list[str]] | None = None
-    #: ``claims({unit: result}) -> [Claim]``.
-    claims: Callable[[dict], list[Claim]] | None = None
-    #: Run in the parent process before the worker pool starts (the
-    #: unit owns a process pool of its own and times it).
-    serial: bool = False
-
-    def execute(self, unit: str, *, quick: bool, seed: int, audit: bool = False) -> dict:
-        """Run one unit and return its ``{"metrics", "timing"}`` payload."""
-        if callable(self.run):
-            return self.run(unit, quick=quick, seed=seed)
-        # Late-bound experiments arm the auditor themselves: the fleet's
-        # shards run in pool workers the caller's arming cannot reach.
-        return late_bound(self.run)(quick=quick, seed=seed, audit=audit)
+def _comparing(
+    units, claims: Callable[[dict], list[Claim]]
+) -> Callable[[dict], list[Claim]]:
+    """Claims that compare ``units`` with each other: about a subset of
+    them (``repro fig6 "both caches"``) there is nothing to claim."""
+    return lambda results: claims(results) if set(units) <= set(results) else []
 
 
 def _metrics(results: dict[str, dict]) -> dict[str, dict]:
@@ -174,15 +116,8 @@ def _last_sustained(curve: list[LoadPoint], default: int) -> int:
 
 def _overwrite_payload(sim: WaflSim, r: ConfigResult) -> dict:
     """Persisted form of a random-overwrite measurement (Figs 6 and 8)."""
-    return {
-        "metrics": dict(
-            asdict(r),
-            capacity_ops=r.capacity_ops,
-            cpu_phase_us=sim.engine.metrics.query(
-                "cpu_phase_us", model=sim.engine.cpu_model
-            ),
-        )
-    }
+    cpu_phase_us = sim.engine.metrics.query("cpu_phase_us", model=sim.engine.cpu_model)
+    return {"metrics": dict(r.as_dict(), cpu_phase_us=cpu_phase_us)}
 
 
 # ----------------------------------------------------------------------
@@ -322,18 +257,11 @@ def _build_fig7_sim(seed: int) -> WaflSim:
         ),
     )
     sim = WaflSim.build(spec, seed=seed)
-    # Age RG0/RG1: a random 50% of their blocks in use (static aging:
-    # the blocks are not volume-mapped, mirroring the paper's old data
+    # Age RG0/RG1 to 50% (static aging, mirroring the paper's old data
     # sitting untouched while OLTP traffic runs).
     rng = np.random.default_rng(seed)
     for gi in FIG7_AGED_GROUPS:
-        g = sim.store.groups[gi]
-        n = g.topology.nblocks
-        taken = rng.choice(n, size=int(n * 0.5), replace=False)
-        g.metafile.allocate(np.sort(taken))
-        g.metafile.drain_dirty()
-        g.keeper.recompute(g.metafile.bitmap)
-        g.rebuild_cache(g.keeper.scores)
+        fill_group_statically(sim.store.groups[gi], 0.5, rng)
     fill_volumes(sim, ops_per_cp=16384, seed=seed + 1)
     reset_measurement_state(sim)
     set_bitmap_checks(sim, False)
@@ -715,21 +643,19 @@ def _run_fig10(unit: str, *, quick: bool, seed: int) -> dict:
 
 
 def _fig10_tables(results: dict[str, dict]) -> list[str]:
-    def table(unit: str, first_header: str, title: str) -> str:
-        res = results[unit]
-        return fmt_table(
-            [first_header, "mount path", "blocks read", "first-CP modeled (ms)",
+    captions = {
+        "size": ("volume size", "Figure 10(A): first CP time vs FlexVol size (8 volumes)"),
+        "count": ("volumes", "Figure 10(B): first CP time vs number of FlexVols"),
+    }
+    return [
+        fmt_table(
+            [captions[unit][0], "mount path", "blocks read", "first-CP modeled (ms)",
              "cache-build wall (ms)"],
             [row + [wall] for row, wall in
              zip(res["metrics"]["rows"], res["timing"]["build_wall_ms"])],
-            title=title,
+            title=captions[unit][1],
         )
-
-    return [
-        table("size", "volume size",
-              "Figure 10(A): first CP time vs FlexVol size (8 volumes)"),
-        table("count", "volumes",
-              "Figure 10(B): first CP time vs number of FlexVols"),
+        for unit, res in results.items()
     ]
 
 
@@ -772,24 +698,6 @@ def _fig10_claims(results: dict[str, dict]) -> list[Claim]:
 
 
 # ----------------------------------------------------------------------
-# Traffic scenarios
-# ----------------------------------------------------------------------
-
-
-def _run_traffic(scenario: str, *, quick: bool, seed: int) -> dict:
-    """One multi-tenant traffic scenario: per-tenant p50/p95/p99,
-    achieved throughput, and QoS shedding under shared-backend load.
-    Everything reported is simulated-clock derived, so the whole
-    payload participates in the determinism and baseline gates."""
-    run = run_traffic(
-        scenario, n_tenants=2 if quick else 4, seed=seed, quick=quick
-    )
-    out = run.result.as_dict()
-    out["calibrated_capacity_ops"] = run.calibration.capacity_ops
-    return {"metrics": out}
-
-
-# ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
 
@@ -797,36 +705,26 @@ EXPERIMENTS: dict[str, Experiment] = {
     e.name: e
     for e in (
         Experiment(
-            "fig6", "AA cache benefit (section 4.1)", 42,
-            tuple(FIG6_CONFIGS), _run_fig6, _fig6_tables, _fig6_claims,
+            "fig6", "AA cache benefit (section 4.1)", 42, tuple(FIG6_CONFIGS),
+            _run_fig6, _fig6_tables, _comparing(FIG6_CONFIGS, _fig6_claims),
         ),
         Experiment(
             "fig7", "imbalanced RAID-group aging (section 4.2)", 24,
             ("oltp",), _run_fig7, _fig7_tables, _fig7_claims,
         ),
         Experiment(
-            "fig8", "SSD AA sizing (section 4.3)", 99,
-            tuple(FIG8_SIZINGS), _run_fig8, _fig8_tables, _fig8_claims,
+            "fig8", "SSD AA sizing (section 4.3)", 99, tuple(FIG8_SIZINGS),
+            _run_fig8, _fig8_tables, _comparing(FIG8_SIZINGS, _fig8_claims),
         ),
         Experiment(
-            "fig9", "SMR AA sizing with AZCS (section 4.3)", 3,
-            FIG9_SIZINGS, _run_fig9, _fig9_tables, _fig9_claims,
+            "fig9", "SMR AA sizing with AZCS (section 4.3)", 3, FIG9_SIZINGS,
+            _run_fig9, _fig9_tables, _comparing(FIG9_SIZINGS, _fig9_claims),
         ),
         Experiment(
-            "fig10", "TopAA mount time (section 4.4)", 0,
-            ("size", "count"), _run_fig10, _fig10_tables, _fig10_claims,
+            "fig10", "TopAA mount time (section 4.4)", 0, ("size", "count"),
+            _run_fig10, _fig10_tables, _comparing(("size", "count"), _fig10_claims),
         ),
-        Experiment(
-            "traffic", "multi-tenant traffic scenarios (QoS, tail latency)", 7,
-            SCENARIOS, _run_traffic,
-        ),
-        Experiment(
-            "cluster", "fleet placement: filter/weigher vs random", 77,
-            ("fleet",), "repro.cluster:run_cluster_bench", serial=True,
-        ),
-        Experiment(
-            "tier", "heterogeneous-tier placement and migration", 55,
-            ("tiered",), "repro.tiering:run_tier_bench",
-        ),
+        *drills.ROWS,
+        *ablations.ROWS,
     )
 }

@@ -1,13 +1,12 @@
 """Shared benchmark harness: the standard testbed, the measurement
 phase, and the table formatting the experiment table
-(:mod:`repro.bench.experiments`), ``perfbench/`` and the ablation
-benches under ``benchmarks/`` are built from.
+(:mod:`repro.bench.experiments`) and ``perfbench/`` are built from.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from ..common.config import AggregateSpec, TierSpec, VolumeDecl
 from ..common.errors import BitmapError
 from ..fs.aggregate import PolicyKind
 from ..fs.filesystem import WaflSim
-from ..sim.latency import LoadPoint, peak_throughput, system_curve
+from ..sim.latency import LoadPoint, bottleneck_capacity_ops, system_curve
 from ..workloads.aging import age_filesystem, reset_measurement_state
 from ..workloads.oltp import OLTPWorkload
 from ..workloads.random_overwrite import RandomOverwriteWorkload
@@ -24,10 +23,12 @@ __all__ = [
     "RESULTS_DIR",
     "ConfigResult",
     "build_aged_ssd_sim",
+    "fill_group_statically",
     "measure_random_overwrite",
     "set_bitmap_checks",
     "popcount_audit",
     "fmt_table",
+    "document_tables",
     "CORES",
     "NCLIENTS",
 ]
@@ -61,9 +62,11 @@ class ConfigResult:
     @property
     def capacity_ops(self) -> float:
         """Bottleneck throughput (ops/s) under the 20-core model."""
-        cpu_cap = CORES * 1e6 / self.cpu_us_per_op if self.cpu_us_per_op else float("inf")
-        dev_cap = 1e6 / self.device_us_per_op if self.device_us_per_op else float("inf")
-        return min(cpu_cap, dev_cap)
+        return bottleneck_capacity_ops(self.cpu_us_per_op, self.device_us_per_op, CORES)
+
+    def as_dict(self) -> dict:
+        """The persisted form: every field plus the derived capacity."""
+        return dict(asdict(self), capacity_ops=self.capacity_ops)
 
     def curve(self, offered: np.ndarray) -> list[LoadPoint]:
         return system_curve(
@@ -73,9 +76,6 @@ class ConfigResult:
             nclients=NCLIENTS,
             cores=CORES,
         )
-
-    def peak(self, offered: np.ndarray) -> LoadPoint:
-        return peak_throughput(self.curve(offered))
 
 
 def _all_metafiles(sim: WaflSim) -> list:
@@ -174,6 +174,18 @@ def build_aged_ssd_sim(
     return sim
 
 
+def fill_group_statically(group, fraction: float, rng: np.random.Generator) -> None:
+    """Mark a random ``fraction`` of a RAID group's blocks in use without
+    mapping them to any volume: old data sitting untouched, so the
+    group stays that fragmented however the workload churns."""
+    n = group.topology.nblocks
+    taken = rng.choice(n, size=int(n * fraction), replace=False)
+    group.metafile.allocate(np.sort(taken))
+    group.metafile.drain_dirty()
+    group.keeper.recompute(group.metafile.bitmap)
+    group.rebuild_cache(group.keeper.scores)
+
+
 def measure_random_overwrite(
     sim: WaflSim,
     label: str,
@@ -184,17 +196,10 @@ def measure_random_overwrite(
     blocks_per_op: int = 2,
     working_set_fraction: float = 1.0,
     seed: int = 777,
-    audit_hook=None,
 ) -> ConfigResult:
     """Run the paper's random-overwrite measurement phase (optionally a
     mixed read/write OLTP-style load, as Figures 7/8 use) and collect
-    every quantity section 4.1 reports.
-
-    ``audit_hook(sim)`` — when given — runs after the sweep; callers
-    pass :func:`repro.analysis.auditor.audit_sim` to get an audited
-    benchmark without this package importing ``analysis`` (which sits
-    above ``bench`` in the package DAG).
-    """
+    every quantity section 4.1 reports."""
     if read_fraction > 0.0:
         wl = OLTPWorkload(
             sim, ops_per_cp=ops_per_cp, read_fraction=read_fraction,
@@ -210,8 +215,6 @@ def measure_random_overwrite(
         )
     sim.run(wl, n_cps)
     popcount_audit(sim)
-    if audit_hook is not None:
-        audit_hook(sim)
     m = sim.metrics
     agg_sel = sim.store.selected_aa_free_fractions()
     vol_sel = np.concatenate(
@@ -254,7 +257,59 @@ def fmt_table(headers: list[str], rows: list[list], title: str = "") -> str:
     return "\n".join(lines)
 
 
+def _flat(value: dict | list) -> bool:
+    items = value.values() if isinstance(value, dict) else value
+    return not any(isinstance(v, (dict, list)) for v in items)
+
+
+def _fits_cell(value) -> bool:
+    """A scalar, or a collection of scalars that renders in 60 characters."""
+    return not isinstance(value, (dict, list)) or (
+        _flat(value) and len(_fmt_cell(value)) <= 60
+    )
+
+
+def document_tables(results: dict[str, dict]) -> list[str]:
+    """Result documents as text, whatever their metrics are.  Per unit:
+    one table of the metrics that fit a cell, then one per metric that
+    is a record (a dict of scalars) or a collection of records (a list
+    of dicts, or a dict of them by name): a row per record, or a column
+    per record when they are few and wide.  Long flat collections (every
+    crash row, a thousand placements) stay in the document only."""
+    tables = []
+    for unit, res in results.items():
+        facts, collections = [], []
+        for key, value in res["metrics"].items():
+            if _fits_cell(value):
+                facts.append([key, value])
+                continue
+            if isinstance(value, dict) and _flat(value) and len(value) <= 16:
+                value = [value]
+            named = isinstance(value, dict)
+            records = list(value.items()) if named else list(enumerate(value))
+            if not all(isinstance(r, dict) for _, r in records):
+                continue
+            columns = [k for k, v in records[0][1].items() if _fits_cell(v)]
+            cells = [[r.get(k, "-") for k in columns] for _, r in records]
+            if len(columns) > max(8, len(records)):
+                header = [key, *(str(name) for name, _ in records)]
+                body = [[k, *(row[j] for row in cells)] for j, k in enumerate(columns)]
+            else:
+                header = ([key] if named else []) + columns
+                body = [([name] if named else []) + row
+                        for (name, _), row in zip(records, cells)]
+            collections.append(fmt_table(header, body, title=f"{unit}: {key}"))
+        if facts:
+            tables.append(fmt_table(["metric", "value"], facts, title=unit))
+        tables += collections
+    return tables
+
+
 def _fmt_cell(c) -> str:
+    if isinstance(c, dict):
+        return ", ".join(f"{k}={_fmt_cell(v)}" for k, v in c.items()) or "-"
+    if isinstance(c, list):
+        return ", ".join(_fmt_cell(v) for v in c) or "-"
     if isinstance(c, float):
         if abs(c) >= 1000:
             return f"{c:,.0f}"

@@ -17,9 +17,9 @@ runner
 * writes the results document (:func:`write_results`; wall time per
   unit, aggregate units/s, peak capacity per configuration, host
   metadata) to ``benchmarks/results/trajectory.json``;
-* evaluates every experiment's paper claims on it
-  (:func:`evaluate_claims`) and optionally diffs the deterministic
-  metrics against a checked-in baseline (:func:`compare_to_baseline`).
+* evaluates every experiment's claims on it (:func:`evaluate_claims`)
+  and optionally diffs every deterministic leaf — numbers, digests,
+  flags — against a checked-in baseline (:func:`compare_to_baseline`).
 
 Wall clocks here are informational; speed is measured with
 ``perfbench/`` (see ``perfbench/README.md``).
@@ -38,8 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
+from ..analysis import arm_global, disarm_global
 from ..common.rng import derive_seed
-from .experiments import EXPERIMENTS, Claim, late_bound
+from .claims import Claim
+from .experiments import EXPERIMENTS
 from .harness import RESULTS_DIR
 
 __all__ = [
@@ -61,11 +63,13 @@ SCHEMA = "repro-bench/1"
 #: --baseline``): loose enough to absorb numpy version differences.
 BASELINE_RTOL = 1e-6
 
-#: Keys that vary run to run (wall clocks, host identity, pool size).
+#: Keys that vary run to run (wall clocks, host identity, pool size) or
+#: say how a unit was instrumented rather than what it measured.
 #: :func:`strip_timing` removes them so two runs of the same units can
-#: be compared for byte-identical determinism.
+#: be compared for byte-identical determinism, traced against untraced.
 _NONDETERMINISTIC_KEYS = frozenset(
-    {"timing", "host", "workers", "wall_s", "units_per_s"}
+    {"timing", "host", "workers", "wall_s", "units_per_s", "audited", "traced",
+     "trace_records"}
 )
 
 
@@ -127,20 +131,20 @@ def run_unit(spec: UnitSpec) -> dict:
     """Execute one unit (in a worker or in-process) and wrap its
     payload in the per-unit result document."""
     if spec.audit:
-        late_bound("repro.analysis:arm_global")()
+        arm_global()
     if spec.trace:
         obs.install()
     t0 = time.perf_counter()
     try:
-        payload = EXPERIMENTS[spec.experiment].execute(
-            spec.unit, quick=spec.quick, seed=spec.seed, audit=spec.audit
+        payload = EXPERIMENTS[spec.experiment].run(
+            spec.unit, quick=spec.quick, seed=spec.seed
         )
         trace_records = len(obs.get_tracer()) if spec.trace else 0
     finally:
         if spec.trace:
             obs.uninstall()
         if spec.audit:
-            late_bound("repro.analysis:disarm_global")()
+            disarm_global()
     wall = time.perf_counter() - t0
     out = {
         "experiment": spec.experiment,
@@ -149,7 +153,9 @@ def run_unit(spec: UnitSpec) -> dict:
         "quick": spec.quick,
         "audited": spec.audit,
         "traced": spec.trace,
-        "metrics": payload["metrics"],
+        # The persisted (JSON) form, so tables and claims see the same
+        # document fresh as read back from disk (string keys, lists).
+        "metrics": json.loads(json.dumps(payload["metrics"])),
         "timing": {"wall_s": wall, **payload.get("timing", {})},
     }
     if spec.trace:
@@ -248,16 +254,12 @@ def write_results(doc: dict, path: str | None = None) -> str:
 
 
 def evaluate_claims(doc: dict) -> dict[str, list[Claim]]:
-    """The paper claims of every experiment in a results document that
-    declares some, as ``{experiment: [Claim, ...]}``."""
+    """The claims of every experiment in a results document, as
+    ``{experiment: [Claim, ...]}``."""
     by_exp: dict[str, dict[str, dict]] = {}
     for res in doc["units"].values():
         by_exp.setdefault(res["experiment"], {})[res["unit"]] = res
-    return {
-        name: EXPERIMENTS[name].claims(units)
-        for name, units in by_exp.items()
-        if EXPERIMENTS[name].claims
-    }
+    return {name: EXPERIMENTS[name].claims(units) for name, units in by_exp.items()}
 
 
 # ----------------------------------------------------------------------
@@ -280,40 +282,50 @@ def strip_timing(doc):
     return doc
 
 
-def _numeric_leaves(doc, prefix: str = "") -> dict[str, float]:
-    out: dict[str, float] = {}
-    if isinstance(doc, dict):
-        for k, v in doc.items():
-            out.update(_numeric_leaves(v, f"{prefix}.{k}" if prefix else str(k)))
-    elif isinstance(doc, list):
-        for i, v in enumerate(doc):
-            out.update(_numeric_leaves(v, f"{prefix}[{i}]"))
-    elif isinstance(doc, bool):
-        pass
-    elif isinstance(doc, (int, float)):
-        out[prefix] = float(doc)
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _leaves(doc, prefix: str = "") -> dict[str, object]:
+    """Every scalar of a document by dotted path (an empty container is
+    a leaf too, so a list that must stay empty is compared)."""
+    if isinstance(doc, dict) and doc:
+        children = ((f"{prefix}.{k}" if prefix else str(k), v) for k, v in doc.items())
+    elif isinstance(doc, list) and doc:
+        children = ((f"{prefix}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return {prefix: doc}
+    out: dict[str, object] = {}
+    for path, value in children:
+        out.update(_leaves(value, path))
     return out
 
 
 def compare_to_baseline(current: dict, baseline: dict, *, rtol: float = 1e-9) -> list[str]:
-    """Diff two results documents' deterministic metrics.
+    """Diff two results documents' deterministic leaves.
 
-    Returns human-readable violation strings (empty = within ``rtol``).
-    Timing and host fields never participate: the gate catches changes
-    in *simulated* behaviour (throughput model, write amplification,
-    metafile traffic), not machine speed.
+    Returns human-readable violation strings (empty = numbers within
+    ``rtol``; digests, placements and flags equal).  Timing and host
+    fields never participate: the gate catches changes in *simulated*
+    behaviour (throughput model, write amplification, metafile traffic,
+    crash matrices), not machine speed.  Leaves only the current
+    document has are new measurements, not regressions.
     """
-    cur = _numeric_leaves(strip_timing(current))
-    base = _numeric_leaves(strip_timing(baseline))
+    cur = _leaves(strip_timing(current))
+    base = _leaves(strip_timing(baseline))
     problems: list[str] = []
     for key in sorted(base):
         if key == "seed":
             continue
+        b = base[key]
+        shown = f"{b:g}" if _is_number(b) else repr(b)
         if key not in cur:
-            problems.append(f"missing metric {key} (baseline {base[key]:g})")
+            problems.append(f"missing metric {key} (baseline {shown})")
             continue
-        b, c = base[key], cur[key]
-        tol = rtol * max(abs(b), abs(c), 1e-12)
-        if abs(b - c) > tol:
-            problems.append(f"{key}: baseline {b:g} -> current {c:g}")
+        c = cur[key]
+        if _is_number(b) and _is_number(c):
+            if abs(b - c) > rtol * max(abs(b), abs(c), 1e-12):
+                problems.append(f"{key}: baseline {b:g} -> current {c:g}")
+        elif b != c:
+            problems.append(f"{key}: baseline {shown} -> current {c!r}")
     return problems

@@ -325,6 +325,9 @@ def run_cluster_bench(
         "digest": scheduled.digest,
         "digest_random": random_result.digest,
         "placements": scheduled.as_dict()["placements"],
+        "shard_stats": [
+            scheduled.shard_stats[sid] for sid in sorted(scheduled.shard_stats)
+        ],
         "victim_p99_ms": _victim_mean_p99(requests, scheduled),
         "victim_p99_ms_random": _victim_mean_p99(requests, random_result),
         "max_volumes_per_shard": max(

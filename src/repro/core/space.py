@@ -20,6 +20,8 @@ one behavioural difference in this module is the fault-semantics hook
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..bitmap.metafile import BitmapMetafile
@@ -49,6 +51,12 @@ from .topaa import (
 )
 
 __all__ = ["AllocSpace"]
+
+
+def _replenish(metafile: BitmapMetafile, topology: AATopology) -> np.ndarray:
+    """The background replenish: walks every bitmap metafile block."""
+    metafile.note_scan_read()
+    return topology.scores_from_bitmap(metafile.bitmap)
 
 
 class AllocSpace:
@@ -124,17 +132,12 @@ class AllocSpace:
         # the heap tracks every AA and never needs the background walk.
         if self._striped:
             return CacheSource(cache)
-        # The closure holds the metafile and topology, not ``self``: a
-        # space must stay free of reference cycles so dropping a
-        # simulator releases its (large) arrays at once.
-        metafile, topology = self.metafile, self.topology
-
-        def replenish() -> np.ndarray:
-            # The background replenish walks every bitmap metafile block.
-            metafile.note_scan_read()
-            return topology.scores_from_bitmap(metafile.bitmap)
-
-        return CacheSource(cache, replenish)
+        # Bound to the metafile and topology, not ``self``: a space must
+        # stay free of reference cycles so dropping a simulator releases
+        # its (large) arrays at once.  A ``partial`` rather than a
+        # closure because deepcopy and pickle treat functions as atoms:
+        # a copied space must scan (and charge) its *own* bitmap.
+        return CacheSource(cache, partial(_replenish, self.metafile, self.topology))
 
     def bitmap_scores(self) -> np.ndarray:
         """Authoritative per-AA scores recomputed from the bitmap."""

@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "LoadPoint",
     "latency_throughput_curve",
+    "bottleneck_capacity_ops",
     "system_curve",
     "peak_throughput",
     "degraded_read_amplification",
@@ -111,6 +112,17 @@ def latency_throughput_curve(
     return points
 
 
+def bottleneck_capacity_ops(
+    cpu_us_per_op: float, device_us_per_op: float, cores: int
+) -> float:
+    """Saturation throughput (ops/s, whole server): WAFL's CP pipeline
+    parallelizes across ``cores`` while the (already parallel-summed)
+    bottleneck device does not; whichever saturates first pins it."""
+    cpu_cap = cores * 1e6 / cpu_us_per_op if cpu_us_per_op else float("inf")
+    dev_cap = 1e6 / device_us_per_op if device_us_per_op else float("inf")
+    return min(cpu_cap, dev_cap)
+
+
 def system_curve(
     cpu_us_per_op: float,
     device_us_per_op: float,
@@ -131,9 +143,7 @@ def system_curve(
     """
     if cpu_us_per_op < 0 or device_us_per_op < 0:
         raise ValueError("per-op costs must be non-negative")
-    cpu_capacity = cores * 1e6 / cpu_us_per_op if cpu_us_per_op else float("inf")
-    dev_capacity = 1e6 / device_us_per_op if device_us_per_op else float("inf")
-    capacity = min(cpu_capacity, dev_capacity)
+    capacity = bottleneck_capacity_ops(cpu_us_per_op, device_us_per_op, cores)
     service_us = cpu_us_per_op + device_us_per_op
     points: list[LoadPoint] = []
     for load in np.asarray(offered_per_client, dtype=np.float64):

@@ -2,10 +2,11 @@
 
 The CP engine consults ``store.tier_policy.place(...)`` for every
 volume's staged writes; these policies decide which tier (and therefore
-which devices) each block lands on.  They are attached by the builders:
-:class:`FlashPoolPolicy` by ``WaflSim.build`` for mixed-media RAID
-aggregates, :class:`StaticTierPolicy` by
-:func:`repro.tiering.make_tiered_store` for multi-tier aggregates.
+which devices) each block lands on.  :class:`StaticTierPolicy` is
+attached by :func:`repro.tiering.make_tiered_store` for multi-tier
+aggregates; no builder attaches :class:`FlashPoolPolicy` — a caller
+sets ``store.tier_policy = FlashPoolPolicy()`` on a mixed-media RAID
+store by hand (``examples/flash_pool.py``).
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ Layers (each importable on its own):
   throttled scenarios plus the single-tenant knee cross-validation
   against :mod:`repro.sim.latency`.
 
-Run one from the CLI with ``repro traffic --tenants 4 --seed 7`` or as
-a benchmark unit via ``repro bench --experiments traffic``.
+Run one from the CLI with ``repro traffic noisy-neighbor --seed 7`` (4
+tenants; 2 with ``--quick``) or the whole row in the sweep via ``repro
+bench --experiments traffic``.
 """
 
 from .arrivals import ArrivalProcess, OnOffArrivals, PoissonArrivals

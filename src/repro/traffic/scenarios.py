@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from ..common.config import AggregateSpec, SimConfig, TierSpec, VolumeDecl
 from ..common.rng import make_rng, spawn
 from ..fs.filesystem import WaflSim
-from ..sim.latency import peak_throughput, system_curve
+from ..sim.latency import bottleneck_capacity_ops, peak_throughput, system_curve
 from ..workloads.aging import age_filesystem, reset_measurement_state
 from ..workloads.mixes import UniformOverwriteMix, ZipfOverwriteMix
 from ..workloads.random_overwrite import RandomOverwriteWorkload
@@ -72,15 +72,9 @@ class CalibratedService:
     @property
     def capacity_ops(self) -> float:
         """Backend saturation throughput (ops/s, whole server)."""
-        cpu_cap = (
-            self.cores * 1e6 / self.cpu_us_per_op
-            if self.cpu_us_per_op
-            else float("inf")
+        return bottleneck_capacity_ops(
+            self.cpu_us_per_op, self.device_us_per_op, self.cores
         )
-        dev_cap = (
-            1e6 / self.device_us_per_op if self.device_us_per_op else float("inf")
-        )
-        return min(cpu_cap, dev_cap)
 
 
 def build_traffic_sim(
@@ -278,18 +272,12 @@ def run_traffic(
     n_cps: int | None = None,
     blocks_per_disk: int | None = None,
     cores: int = DEFAULT_CORES,
-    audit_hook=None,
 ) -> TrafficRun:
     """Build, calibrate, and run one named scenario end to end.
 
     The aging seed is fixed (the testbed is part of the scenario); the
     run ``seed`` drives arrivals and op mixes, so two runs with the
     same seed replay byte-identically and different seeds decorrelate.
-
-    ``audit_hook(sim)`` — when given — runs after the traffic run;
-    callers pass :func:`repro.analysis.auditor.audit_sim` to audit the
-    run without this package importing ``analysis`` (which sits above
-    ``traffic`` in the package DAG).
     """
     if n_tenants is None:
         n_tenants = SimConfig.default().traffic.default_tenants
@@ -317,8 +305,6 @@ def run_traffic(
     )
     engine.run(n_cps)
     result = engine.summary()
-    if audit_hook is not None:
-        audit_hook(sim)
     return TrafficRun(
         scenario=scenario, result=result, calibration=cal, engine=engine, sim=sim
     )

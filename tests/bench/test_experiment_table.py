@@ -1,6 +1,8 @@
 """The experiment table is the only registry: it is complete, every
-consumer (runner, ``repro figN``/``all``/``bench``) is generated from
-it, and its paper claims gate full-size canonical-seed runs."""
+consumer (runner, ``repro <row>``/``all``/``bench``) is generated from
+it, its invariants gate every run and its paper-shape claims full-size
+canonical-seed runs, and its drill rows are the subsystems' own drivers
+at the same size and seed."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import runner
-from repro.bench.experiments import EXPERIMENTS, Claim, Experiment, late_bound
+from repro.bench.experiments import EXPERIMENTS, Claim, Experiment
 from repro.cli import main
 
 BASELINE = Path(__file__).resolve().parents[2] / "benchmarks/baselines/bench_quick.json"
@@ -44,35 +46,56 @@ class TestTableCompleteness:
             assert exp.name == name
             assert isinstance(exp.seed, int)
             assert exp.units and len(set(exp.units)) == len(exp.units)
-            assert callable(exp.run if callable(exp.run) else late_bound(exp.run))
+            assert callable(exp.run)
 
     def test_every_figure_has_tables_and_claims(self):
+        # Every row, that is: the figures were the first rows to have them.
         # The checked-in baseline doubles as a result set read back
-        # from disk: claims are pure functions of the document.
-        claims = runner.evaluate_claims(json.loads(BASELINE.read_text()))
-        figures = [name for name, exp in EXPERIMENTS.items() if exp.tables]
-        assert figures == ["fig6", "fig7", "fig8", "fig9", "fig10"]
-        for name in figures:
+        # from disk: tables and claims are pure functions of the document.
+        doc = json.loads(BASELINE.read_text())
+        claims = runner.evaluate_claims(doc)
+        assert list(EXPERIMENTS)[:5] == ["fig6", "fig7", "fig8", "fig9", "fig10"]
+        for name, exp in EXPERIMENTS.items():
             assert len(claims[name]) >= 1
             assert all(isinstance(c, Claim) for c in claims[name])
+            results = {unit: doc["units"][f"{name}/{unit}"] for unit in exp.units}
+            tables = exp.tables(results)
+            assert tables and all(isinstance(t, str) and t for t in tables)
+
+    def test_tables_and_claims_cope_with_a_subset_of_the_row(self):
+        doc = json.loads(BASELINE.read_text())
+        for name, exp in EXPERIMENTS.items():
+            first = {exp.units[0]: doc["units"][f"{name}/{exp.units[0]}"]}
+            assert exp.tables(first)
+            assert all(isinstance(c, Claim) for c in exp.claims(first))
 
     def test_cli_names_are_the_tables_names(self, capsys):
         commands = re.search(r"\{([\w,]+)\}", _help(capsys)).group(1).split(",")
-        figures = [name for name, exp in EXPERIMENTS.items() if exp.tables]
-        assert [c for c in commands if c.startswith("fig")] == figures
+        tools = ["info", "all", "bench", "trace", "profile", "lint", "quickstart"]
+        assert [c for c in commands if c not in tools] == list(EXPERIMENTS)
         choices = re.search(
             r"--experiments \[\{([\w,]+)\}", _help(capsys, "bench")
         ).group(1)
         assert choices.split(",") == list(EXPERIMENTS)
 
+    @pytest.mark.parametrize("row", list(EXPERIMENTS))
+    def test_a_row_command_rejects_an_unknown_unit(self, row, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([row, "no-such-unit", "--quick"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown unit" in err and "no-such-unit" in err
+
     def test_a_new_entry_needs_no_other_edit(self, monkeypatch, capsys, tmp_path):
-        for name in [n for n, exp in EXPERIMENTS.items() if exp.tables]:
+        for name in list(EXPERIMENTS):
             monkeypatch.delitem(EXPERIMENTS, name)  # keeps `repro all` cheap
         monkeypatch.setitem(EXPERIMENTS, "fig11", _throwaway("fig11"))
 
         assert main(["fig11"]) == 0
         out = capsys.readouterr().out
         assert "Figure fig11: a, bb" in out and "[holds] fig11 claim" in out
+        assert main(["fig11", "bb", "--seed", "9"]) == 0
+        assert "Figure fig11: bb" in capsys.readouterr().out
 
         assert main(["all"]) == 0
         assert "== fig11" in capsys.readouterr().out
@@ -91,10 +114,24 @@ class TestTableCompleteness:
         assert pids == {os.getpid()}
 
 
+def _document(experiment: str, metrics: dict[str, dict], *, quick: bool) -> dict:
+    """A hand-built results document of one row."""
+    units = {
+        f"{experiment}/{unit}": {
+            "experiment": experiment, "unit": unit, "seed": EXPERIMENTS[experiment].seed,
+            "quick": quick, "metrics": m, "timing": {"wall_s": 0.0},
+        }
+        for unit, m in metrics.items()
+    }
+    return {
+        "quick": quick, "seed": None, "units": units,
+        "timing": {"units": len(units), "total_wall_s": 0.0, "units_per_s": 0.0},
+    }
+
+
 def _fig8_document(*, large_wa: float, quick: bool) -> dict:
-    """A hand-built fig8 results document (paper-shaped unless
-    ``large_wa`` is pushed up towards the small AA's)."""
-    metrics = {
+    """Paper-shaped unless ``large_wa`` is pushed up towards the small AA's."""
+    return _document("fig8", {
         "HDD-sized AA (4k stripes)": dict(
             cpu_us_per_op=230.0, device_us_per_op=17.5, capacity_ops=57_000.0,
             write_amplification=10.8,
@@ -103,18 +140,7 @@ def _fig8_document(*, large_wa: float, quick: bool) -> dict:
             cpu_us_per_op=232.0, device_us_per_op=6.0, capacity_ops=86_000.0,
             write_amplification=large_wa,
         ),
-    }
-    units = {
-        f"fig8/{unit}": {
-            "experiment": "fig8", "unit": unit, "seed": 99, "quick": quick,
-            "metrics": m, "timing": {"wall_s": 0.0},
-        }
-        for unit, m in metrics.items()
-    }
-    return {
-        "quick": quick, "seed": None, "units": units,
-        "timing": {"units": 2, "total_wall_s": 0.0, "units_per_s": 0.0},
-    }
+    }, quick=quick)
 
 
 class TestClaims:
@@ -141,3 +167,85 @@ class TestClaims:
         else:
             assert "paper claims check FAILED (1 claim(s)):" in out
             assert "fig8: WA ratio small/large > 1.25" in out
+
+    def test_an_invariant_gates_a_quick_run_too(self, monkeypatch, capsys, tmp_path):
+        doc = _document("faults", {"scripted": dict(
+            failed_allocations=1, cps_completed=7, n_cps=8, final_clean=True,
+        )}, quick=True)
+        monkeypatch.setattr(runner, "run_bench", lambda **kwargs: doc)
+        argv = ["bench", "--quick", "--experiments", "faults",
+                "--trajectory", str(tmp_path / "t.json")]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[FAILS] zero failed allocations: 1 (invariant)" in out
+        assert "paper claims check FAILED (2 claim(s)):" in out
+        assert "faults: zero failed allocations" in out
+        assert "faults: every CP completed" in out
+
+    def test_a_row_command_applies_the_same_gate(self, monkeypatch, capsys):
+        def run(unit, *, quick, seed):
+            return {"metrics": {}}
+
+        failing = Experiment(
+            "drill", "throw-away drill", 1, ("u",), run,
+            tables=lambda results: [],
+            claims=lambda results: [Claim("shape", "1", "2", False),
+                                    Claim("safety", "", "broken", False, invariant=True)],
+        )
+        monkeypatch.setitem(EXPERIMENTS, "drill", failing)
+        assert main(["drill", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert "paper claims check FAILED (1 claim(s)):\n  drill: safety" in out
+        assert main(["drill"]) == 1
+        assert "paper claims check FAILED (2 claim(s)):" in capsys.readouterr().out
+
+
+class TestDrillRowsAreTheDriversThemselves:
+    """A drill row adds nothing to its subsystem's own driver: same
+    size, same seed, same report."""
+
+    @staticmethod
+    def _metrics(row: str, unit: str, seed: int) -> dict:
+        return runner.run_unit(runner.UnitSpec(row, unit, True, seed))["metrics"]
+
+    @staticmethod
+    def _json(payload) -> dict:
+        return json.loads(json.dumps(payload))
+
+    def test_crash_digests(self):
+        from repro.crash import explore_aging, explore_noisy_neighbor, run_crash_under_load
+
+        direct = {
+            "aging": explore_aging(cps=1, seed=3),
+            "noisy-neighbor": explore_noisy_neighbor(cps=1, seed=3),
+            "under-load": run_crash_under_load(steps=2, crash_every=2, seed=3),
+        }
+        for unit, report in direct.items():
+            m = self._metrics("crash", unit, 3)
+            assert m["digest"] == report.digest()
+            assert m["violations"] == [] and report.ok
+        aging = self._metrics("crash", "aging", 3)
+        assert aging["rows"] == [o.row() for o in direct["aging"].outcomes]
+        assert aging["crash_points"] == direct["aging"].crash_points
+
+    def test_faults_and_disk_failure_metrics(self):
+        from repro.faults import default_scenario, run_chaos, run_chaos_under_load
+
+        chaos, _sim = run_chaos(default_scenario(7, quick=True))
+        assert self._metrics("faults", "scripted", 7) == {
+            **self._json(chaos.as_dict()), "n_cps": 8,
+        }
+        under_load, _engine = run_chaos_under_load(
+            scenario="noisy-neighbor", n_tenants=2, seed=7
+        )
+        assert self._metrics("traffic", "disk-failure", 7) == self._json(
+            under_load.as_dict()
+        )
+
+    def test_cluster_rebalance_and_chaos_payloads(self):
+        from repro.cluster import run_cluster_chaos, run_rebalance
+
+        assert self._metrics("cluster", "rebalance", 5) == self._json(run_rebalance(seed=5))
+        assert self._metrics("cluster", "chaos", 5) == self._json(
+            run_cluster_chaos(seed=5).as_dict()
+        )

@@ -22,7 +22,7 @@ from repro.bench.runner import (
 )
 
 #: Small fast subset used for the expensive serial-vs-parallel check
-#: (one in-package experiment, one late-bound by name).
+#: (one figure, one drill whose payload carries a digest and flags).
 FAST_EXPERIMENTS = ["fig9", "tier"]
 
 
@@ -114,3 +114,28 @@ class TestBaselineGate:
         cur = {"units": {"x": {"metrics": {"a": 100.0 + 1e-7}}}}
         assert compare_to_baseline(cur, base, rtol=1e-6) == []
         assert compare_to_baseline(cur, base, rtol=1e-12) != []
+
+    def test_a_changed_digest_or_a_flipped_flag_is_reported(self):
+        base = {"units": {"tier/tiered": {"metrics": {
+            "digest": "20dc9e88e774ede5", "audit_ok": True,
+            "placements": {"oltp0": "flash"}, "stranded": [],
+        }}}}
+        assert compare_to_baseline(json.loads(json.dumps(base)), base) == []
+        prefix = "units.tier/tiered.metrics"
+        for key, changed, problem in [
+            ("digest", "20dc9e88e774ede6",
+             f"{prefix}.digest: baseline '20dc9e88e774ede5' -> current '20dc9e88e774ede6'"),
+            ("audit_ok", False, f"{prefix}.audit_ok: baseline True -> current False"),
+            ("placements", {"oltp0": "smr"},
+             f"{prefix}.placements.oltp0: baseline 'flash' -> current 'smr'"),
+            ("stranded", ["vol0"], f"missing metric {prefix}.stranded (baseline [])"),
+        ]:
+            cur = json.loads(json.dumps(base))
+            cur["units"]["tier/tiered"]["metrics"][key] = changed
+            assert compare_to_baseline(cur, base) == [problem]
+
+    def test_how_a_unit_was_instrumented_is_not_a_metric(self):
+        base = {"units": {"x": {"audited": True, "traced": False, "metrics": {"a": 1}}}}
+        cur = {"units": {"x": {"audited": False, "traced": True, "trace_records": 9,
+                               "metrics": {"a": 1}}}}
+        assert compare_to_baseline(cur, base) == []

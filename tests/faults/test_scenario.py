@@ -99,5 +99,16 @@ class TestCLI:
         rc = main(["faults", "--quick", "--seed", "7"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "recovery PASSED" in out
-        assert "0 failed allocations" in out
+        assert "[holds] zero failed allocations: 0 (invariant)" in out
+        assert "[holds] every CP completed: 8/8 (invariant)" in out
+        assert "[holds] final scrub clean: True (invariant)" in out
+        assert "FAILS" not in out
+
+    def test_faults_command_is_deterministic_per_seed(self, capsys):
+        from repro.cli import main
+
+        outs = []
+        for seed in ("7", "7", "8"):
+            assert main(["faults", "--quick", "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] != outs[2]

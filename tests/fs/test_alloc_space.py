@@ -175,3 +175,49 @@ def test_space_is_freed_without_the_cycle_collector(rig):
         assert ref() is None
     finally:
         gc.enable()
+
+
+class TestCopiedSpaceReplenishesFromItsOwnBitmap:
+    """The HBPS replenisher is bound to the space's metafile; a copy
+    (the crash explorer deep-copies a simulator per crash point) must
+    scan — and charge the scan to — its own bitmap, not the original's."""
+
+    @staticmethod
+    def _assert_bound_to(space: AllocSpace) -> None:
+        mf = space.metafile
+        before = mf.blocks_read_total
+        scores = space.source.replenisher()
+        assert np.array_equal(scores, space.bitmap_scores())
+        assert mf.blocks_read_total == before + mf.metafile_block_count
+
+    def test_deepcopy(self):
+        import copy
+
+        original = _flexvol().space
+        clone = copy.deepcopy(original)
+        clone.allocator.allocate(3000)
+        clone.cp_boundary()
+        assert clone.free_count < original.free_count
+        untouched = original.metafile.blocks_read_total
+        self._assert_bound_to(clone)
+        assert original.metafile.blocks_read_total == untouched
+        assert not np.array_equal(
+            clone.source.replenisher(), original.bitmap_scores()
+        )
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        from repro import WaflSim
+        from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+
+        sim = WaflSim.build(
+            AggregateSpec(
+                tiers=(TierSpec(label="ssd", media="ssd", ndata=3,
+                                blocks_per_disk=4096),),
+                volumes=(VolumeDecl("v", logical_blocks=2048),),
+            ),
+            seed=0,
+        )
+        restored = pickle.loads(pickle.dumps(sim))
+        self._assert_bound_to(restored.vols["v"])

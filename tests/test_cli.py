@@ -57,25 +57,32 @@ class TestCLI:
         assert "D101" in capsys.readouterr().out
 
     def test_traffic_quick(self, capsys):
-        assert main(
-            ["traffic", "--quick", "--tenants", "2", "--seed", "7"]
-        ) == 0
+        # --quick is the table's two-tenant size; --seed 7 its canonical seed.
+        assert main(["traffic", "noisy-neighbor", "--quick", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert "per-tenant results" in out
+        assert "noisy-neighbor: tenants" in out
         assert "t0-aggressor" in out
         assert "t1-victim" in out
-        assert "p99 ms" in out
-        assert "calibrated capacity" in out
+        assert "p99_ms" in out
+        assert "calibrated_capacity_ops" in out
+        assert "uniform" not in out  # only the unit asked for ran
+
+    def test_traffic_disk_failure_quick(self, capsys):
+        assert main(["traffic", "disk-failure", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "disk-failure: phase_p99_ms" in out
+        assert "[holds] zero failed allocations while a data disk fails" in out
 
     def test_traffic_rejects_unknown_scenario(self):
-        with pytest.raises(SystemExit):
-            main(["traffic", "--scenario", "bogus"])
+        with pytest.raises(SystemExit) as exc:
+            main(["traffic", "bogus"])
+        assert exc.value.code == 2
 
     def test_audit_quick(self, capsys):
         assert main(["audit", "--quick", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert "audit PASSED" in out
-        assert "chaos sweep" in out
+        assert "cps_audited" in out
+        assert "[holds] zero audit violations: 0 (invariant)" in out
 
 
 class TestHarness:

@@ -120,4 +120,5 @@ class TestReplay:
             "traffic/uniform",
             "traffic/noisy-neighbor",
             "traffic/throttled",
+            "traffic/disk-failure",
         }
