@@ -44,7 +44,6 @@ from .core import (
     aa_size_for_hdd,
     aa_size_for_smr,
     aa_size_for_ssd,
-    aa_size_raid_agnostic,
 )
 from .fs import (
     CPBatch,
@@ -58,7 +57,7 @@ from .fs import (
     export_topaa,
     simulate_mount,
 )
-from .sim import CpuModel, MetricsLog, latency_throughput_curve, peak_throughput, system_curve
+from .sim import CpuModel, MetricsLog, peak_throughput, system_curve
 from .workloads import (
     FileChurnWorkload,
     OLTPWorkload,
@@ -96,7 +95,6 @@ __all__ = [
     "aa_size_for_hdd",
     "aa_size_for_smr",
     "aa_size_for_ssd",
-    "aa_size_raid_agnostic",
     "CPBatch",
     "FlexVol",
     "MediaType",
@@ -109,7 +107,6 @@ __all__ = [
     "simulate_mount",
     "CpuModel",
     "MetricsLog",
-    "latency_throughput_curve",
     "peak_throughput",
     "system_curve",
     "FileChurnWorkload",

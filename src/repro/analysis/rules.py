@@ -76,7 +76,7 @@ class Rule:
 LAYER_RANK: dict[str, int] = {
     "common": 0,
     #: The tracer sits just above common so every simulation layer may
-    #: emit spans/counters into it; it depends only on common.config.
+    #: emit spans/counters into it; it imports nothing from the simulator.
     "obs": 1,
     "devices": 2,
     "raid": 3,

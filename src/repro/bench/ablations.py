@@ -16,11 +16,9 @@ pairs them.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from ..common.config import AggregateSpec, SimConfig, TierSpec, VolumeDecl
+from ..common.config import AggregateSpec, TierSpec, VolumeDecl
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS as MAX_SCORE
 from ..common.rng import make_rng
 from ..core import HBPS, RAIDAgnosticAACache, RAIDAwareAACache, seed_heap_cache, serialize_heap_seed
@@ -203,10 +201,9 @@ def _fragmentation_cutoff(quick: bool, seed: int) -> dict:
             tiers=(TierSpec(label="ssd", media="ssd", n_groups=2, ndata=4,
                             blocks_per_disk=65536, stripes_per_aa=2048),),
             volumes=(VolumeDecl("lun", logical_blocks=150_000),),
+            threshold_fraction=threshold,
         )
-        base = SimConfig.default()
-        cfg = replace(base, allocator=replace(base.allocator, threshold_fraction=threshold))
-        sim = WaflSim.build(spec, config=cfg, seed=seed)
+        sim = WaflSim.build(spec, seed=seed)
         # Group 0 starts ~15% free per AA.
         fill_group_statically(sim.store.groups[0], 0.85, make_rng(seed + 1))
         fill_volumes(sim, ops_per_cp=16384, seed=seed + 2)

@@ -11,11 +11,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..common.config import AggregateSpec, TierSpec, VolumeDecl
-from ..common.errors import BitmapError
+from ..common.constants import CORES, NCLIENTS
 from ..fs.aggregate import PolicyKind
 from ..fs.filesystem import WaflSim
-from ..sim.latency import LoadPoint, bottleneck_capacity_ops, system_curve
-from ..workloads.aging import age_filesystem, reset_measurement_state
+from ..sim.latency import bottleneck_capacity_ops
+from ..workloads.aging import (
+    age_filesystem,
+    popcount_audit,
+    reset_measurement_state,
+    set_bitmap_checks,
+)
 from ..workloads.oltp import OLTPWorkload
 from ..workloads.random_overwrite import RandomOverwriteWorkload
 
@@ -37,11 +42,6 @@ __all__ = [
 RESULTS_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks", "results")
 )
-
-#: The paper's midrange server: 20 Ivy Bridge cores (section 4.1).
-CORES = 20
-#: Clients in the latency-throughput sweeps.
-NCLIENTS = 8
 
 
 @dataclass
@@ -67,52 +67,6 @@ class ConfigResult:
     def as_dict(self) -> dict:
         """The persisted form: every field plus the derived capacity."""
         return dict(asdict(self), capacity_ops=self.capacity_ops)
-
-    def curve(self, offered: np.ndarray) -> list[LoadPoint]:
-        return system_curve(
-            self.cpu_us_per_op,
-            self.device_us_per_op,
-            offered,
-            nclients=NCLIENTS,
-            cores=CORES,
-        )
-
-
-def _all_metafiles(sim: WaflSim) -> list:
-    """Every bitmap metafile in the simulation (volumes + store)."""
-    mfs = [v.metafile for v in sim.vols.values()]
-    groups = getattr(sim.store, "groups", None)
-    if groups is not None:
-        mfs.extend(g.metafile for g in groups)
-    else:
-        mfs.append(sim.store.metafile)
-    return mfs
-
-
-def set_bitmap_checks(sim: WaflSim, check: bool) -> None:
-    """Toggle per-batch bitmap validation on every metafile.
-
-    Benchmarks disable checking once aging completes (correctness is
-    audited once at teardown via :func:`popcount_audit` instead of per
-    batch) so the measurement phase times the allocation pipeline, not
-    the validation.
-    """
-    for mf in _all_metafiles(sim):
-        mf.bitmap.check = check
-
-
-def popcount_audit(sim: WaflSim) -> None:
-    """One final corruption check: every bitmap's recomputed popcount
-    must equal its running allocated counter.  Raises
-    :class:`~repro.common.errors.BitmapError` on divergence."""
-    for mf in _all_metafiles(sim):
-        bm = mf.bitmap
-        pc = bm.popcount()
-        if pc != bm.allocated_count:
-            raise BitmapError(
-                f"teardown audit: popcount {pc} != allocated counter "
-                f"{bm.allocated_count} (nblocks={bm.nblocks})"
-            )
 
 
 def build_aged_ssd_sim(

@@ -21,6 +21,7 @@ from dataclasses import replace
 from repro.bench import runner
 from repro.bench.claims import gated_failures
 from repro.bench.experiments import EXPERIMENTS, PROFILE_UNIT
+from repro.traffic.scenarios import DEFAULT_TENANTS
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -198,7 +199,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     # Accept underscores for convenience (noisy_neighbor == noisy-neighbor).
     scenario = args.scenario.replace("_", "-")
-    print(f"trace: scenario={scenario}, {args.tenants or 'default'} tenant(s), "
+    print(f"trace: scenario={scenario}, {args.tenants} tenant(s), "
           f"seed={args.seed} ({'quick' if args.quick else 'full'})")
     t0 = time.perf_counter()
     tracer = obs.install()
@@ -349,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scenario", default="noisy-neighbor",
                    help="scenario to trace (uniform, noisy-neighbor, throttled; "
                         "underscores accepted)")
-    p.add_argument("--tenants", type=int, default=None,
-                   help="number of tenants (default from SimConfig)")
+    p.add_argument("--tenants", type=int, default=DEFAULT_TENANTS,
+                   help="number of tenants (default %(default)s)")
     p.add_argument("--seed", type=int, default=7,
                    help="traffic seed (same seed => byte-identical trace)")
     p.add_argument("--quick", **quick)

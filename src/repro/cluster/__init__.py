@@ -41,7 +41,7 @@ from .scheduler import (
 )
 from .shard import ShardRuntime
 from .stats import ShardSpec, ShardStats, derive_seed
-from .volumes import VolumeRequest, fleet_requests, noisy_fleet_requests
+from .volumes import VolumeRequest, noisy_fleet_requests
 
 __all__ = [
     "AAPressureWeigher",
@@ -65,7 +65,6 @@ __all__ = [
     "TailLatencyWeigher",
     "VolumeRequest",
     "derive_seed",
-    "fleet_requests",
     "make_shard_specs",
     "migrate_volume",
     "noisy_fleet_requests",

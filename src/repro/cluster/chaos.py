@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..common.config import SimConfig
 from ..common.errors import PlacementError
 from .cluster import make_shard_specs
 from .migration import MigrationReport, migrate_volume
 from .scheduler import FilterScheduler
-from .shard import ShardRuntime
+from .shard import EPOCH_CPS, ShardRuntime
 from .stats import derive_seed
 from .volumes import VolumeRequest, noisy_fleet_requests
 
@@ -99,19 +98,15 @@ def run_cluster_chaos(
     n_shards: int = 6,
     tenants_per_shard: int = 2,
     seed: int = 77,
-    epoch_cps: int | None = None,
-    config: SimConfig | None = None,
+    epoch_cps: int = EPOCH_CPS,
 ) -> ChaosReport:
     """Kill one aggregate under live traffic and rebalance the fleet."""
-    cfg = config if config is not None else SimConfig.default()
-    if epoch_cps is None:
-        epoch_cps = cfg.cluster.epoch_cps
-    specs = make_shard_specs(n_shards, seed=seed, config=cfg)
-    shards = {s.shard_id: ShardRuntime(s, config=cfg) for s in specs}
+    specs = make_shard_specs(n_shards, seed=seed)
+    shards = {s.shard_id: ShardRuntime(s) for s in specs}
     requests = noisy_fleet_requests(
         n_shards * tenants_per_shard, seed=derive_seed(seed, "fleet")
     )
-    scheduler = FilterScheduler(config=cfg)
+    scheduler = FilterScheduler()
 
     # Initial placement against fresh-build stats.
     stats = [shards[sid].stats() for sid in sorted(shards)]

@@ -27,30 +27,28 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
-from ..common.config import SimConfig
-from .scheduler import FilterScheduler, Placement, RandomPlacer
-from .shard import _run_shard_task, digest_of
+from .scheduler import HEADROOM_FRACTION, FilterScheduler, Placement, RandomPlacer
+from .shard import EPOCH_CPS, _run_shard_task, digest_of
 from .stats import ShardSpec, ShardStats, derive_seed
 from .volumes import VolumeRequest, noisy_fleet_requests
 
 __all__ = ["make_shard_specs", "Cluster", "ClusterResult", "run_cluster_bench"]
 
 
-def make_shard_specs(
-    n_shards: int, *, seed: int, config: SimConfig | None = None
-) -> list[ShardSpec]:
-    """Shard identities for a fleet: geometry from config, per-shard
-    seeds derived from the fleet seed."""
-    cfg = (config if config is not None else SimConfig.default()).cluster
+def make_shard_specs(n_shards: int, *, seed: int) -> list[ShardSpec]:
+    """Shard identities for a fleet: the small shard testbed (a cluster
+    builds many of these — 2 RAID groups of 4 data disks, 4,096 blocks
+    per disk), per-shard seeds derived from the fleet seed."""
     return [
         ShardSpec(
             shard_id=i,
             seed=derive_seed(seed, f"shard{i}"),
-            blocks_per_disk=cfg.blocks_per_disk,
-            n_groups=cfg.groups_per_shard,
-            ndata=cfg.ndata,
+            blocks_per_disk=4096,
+            n_groups=2,
+            ndata=4,
         )
         for i in range(n_shards)
     ]
@@ -105,28 +103,34 @@ def _last_p99s(payloads: dict[int, dict]) -> dict[str, float]:
     return out
 
 
+#: Scheduling rounds (a stats refresh between rounds).
+ROUNDS = 2
+
+
 class Cluster:
     """A fleet of shards plus its placement history."""
+
+    #: Not an input: ``perfbench/workloads.py`` (which a PR may not edit)
+    #: sizes its work from ``cluster.config.cluster.rounds``.  Nothing
+    #: under ``src/`` reads this; drop it once perfbench reads ``ROUNDS``.
+    config = SimpleNamespace(cluster=SimpleNamespace(rounds=ROUNDS))
 
     def __init__(
         self,
         specs: list[ShardSpec],
         *,
         scheduler=None,
-        config: SimConfig | None = None,
+        epoch_cps: int = EPOCH_CPS,
         workers: int | None = None,
         audit: bool = True,
     ) -> None:
+        if epoch_cps <= 0:
+            raise ValueError(f"epoch_cps must be positive, got {epoch_cps}")
         self.specs = list(specs)
-        self.config = config if config is not None else SimConfig.default()
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else FilterScheduler(config=self.config)
-        )
+        self.scheduler = scheduler if scheduler is not None else FilterScheduler()
         self.workers = workers
         self.audit = audit
-        self.epoch_cps = self.config.cluster.epoch_cps
+        self.epoch_cps = epoch_cps
         #: shard id -> [(request, placed_at_epoch), ...]
         self.placements: dict[int, list[tuple[VolumeRequest, int]]] = {
             s.shard_id: [] for s in self.specs
@@ -184,13 +188,11 @@ class Cluster:
         return decision
 
     def schedule(
-        self, requests: list[VolumeRequest], *, rounds: int | None = None
+        self, requests: list[VolumeRequest], *, rounds: int = ROUNDS
     ) -> ClusterResult:
         """Place ``requests`` over ``rounds`` scheduling rounds, with a
         stats refresh (one fleet epoch) between rounds, then run the
         full history and return the deterministic fleet result."""
-        if rounds is None:
-            rounds = self.config.cluster.rounds
         rounds = max(1, min(rounds, len(requests)))
         stats, _ = self.current_stats(0)
         chunk = (len(requests) + rounds - 1) // rounds
@@ -241,7 +243,6 @@ def run_cluster_bench(
     seed: int = 77,
     workers: int | None = None,
     audit: bool = True,
-    config: SimConfig | None = None,
 ) -> dict:
     """The ``cluster`` bench experiment payload.
 
@@ -251,7 +252,6 @@ def run_cluster_bench(
     identical while recording the wall-clock scaling curve (the only
     nondeterministic output, reported under ``timing``).
     """
-    cfg = config if config is not None else SimConfig.default()
     if quick:
         n_shards, per_shard, worker_points = 8, 3, (1, 2)
     else:
@@ -263,29 +263,21 @@ def run_cluster_bench(
     # The full-size fleet deliberately oversubscribes (every 8-slot
     # cycle offers ~2.2x one shard's capacity); widen the QoS admission
     # bound so the run measures placement quality, not admission
-    # control.  The quick fleet stays under the configured bound.
+    # control.  The quick fleet stays under the default bound.
     offered_per_shard = sum(r.offered_fraction for r in requests) / n_shards
-    if offered_per_shard * 1.5 > cfg.cluster.headroom_fraction:
-        cfg = replace(
-            cfg,
-            cluster=replace(
-                cfg.cluster, headroom_fraction=offered_per_shard * 1.5
-            ),
-        )
-    specs = make_shard_specs(n_shards, seed=seed, config=cfg)
+    headroom = max(HEADROOM_FRACTION, offered_per_shard * 1.5)
+    specs = make_shard_specs(n_shards, seed=seed)
 
     scheduled_cluster = Cluster(
         specs,
-        scheduler=FilterScheduler(config=cfg),
-        config=cfg,
+        scheduler=FilterScheduler(headroom_fraction=headroom),
         workers=workers,
         audit=audit,
     )
     scheduled = scheduled_cluster.schedule(requests)
     random_cluster = Cluster(
         specs,
-        scheduler=RandomPlacer(seed=derive_seed(seed, "random"), config=cfg),
-        config=cfg,
+        scheduler=RandomPlacer(seed=derive_seed(seed, "random")),
         workers=workers,
         audit=audit,
     )

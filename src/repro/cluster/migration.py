@@ -33,11 +33,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..analysis import audit_sim
-from ..common.config import SimConfig
 from ..fs import iron
 from ..fs.cp import CPBatch
 from .scheduler import FilterScheduler
-from .shard import ShardRuntime
+from .shard import EPOCH_CPS, ShardRuntime
 
 __all__ = ["MigrationReport", "migrate_volume", "run_rebalance"]
 
@@ -128,8 +127,7 @@ def run_rebalance(
     n_shards: int = 4,
     tenants_per_shard: int = 3,
     seed: int = 77,
-    epoch_cps: int | None = None,
-    config: SimConfig | None = None,
+    epoch_cps: int = EPOCH_CPS,
 ) -> dict:
     """Hot-spot rebalancing demo on in-process shards.
 
@@ -143,11 +141,8 @@ def run_rebalance(
     from .volumes import noisy_fleet_requests
     from .stats import derive_seed
 
-    cfg = config if config is not None else SimConfig.default()
-    if epoch_cps is None:
-        epoch_cps = cfg.cluster.epoch_cps
-    specs = make_shard_specs(n_shards, seed=seed, config=cfg)
-    shards = {s.shard_id: ShardRuntime(s, config=cfg) for s in specs}
+    specs = make_shard_specs(n_shards, seed=seed)
+    shards = {s.shard_id: ShardRuntime(s) for s in specs}
     requests = noisy_fleet_requests(
         n_shards * tenants_per_shard, seed=derive_seed(seed, "fleet")
     )
@@ -168,7 +163,7 @@ def run_rebalance(
     candidates = [
         before[sid] for sid in sorted(shards) if sid != source.spec.shard_id
     ]
-    scheduler = FilterScheduler(config=cfg)
+    scheduler = FilterScheduler()
     decision = scheduler.place(source.tenants[mover_name], candidates)
     report = migrate_volume(source, shards[decision.shard_id], mover_name)
 

@@ -8,8 +8,8 @@ OpenStack Cinder uses for its volume scheduler:
    geometry, QoS headroom).
 2. **Weighers** rank: each weigher scores the survivors, the scores
    are min–max normalized to [0, 1] per weigher, and a weighted sum
-   (per-weigher multipliers from :class:`~repro.common.config
-   .ClusterConfig`) orders the candidates.
+   (the multipliers of :func:`_default_weighers`) orders the
+   candidates.
 
 The winner is the highest-weight survivor; ties break on the lower
 ``shard_id``, so a placement is a pure function of the request and the
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from ..common.config import ClusterConfig, SimConfig
 from ..common.errors import PlacementError
 from ..common.rng import make_rng
 from .stats import ShardStats
@@ -71,7 +70,8 @@ class Weigher(Protocol):
 
 class CapacityFilter:
     """The volume's logical size must fit in the shard's projected free
-    space, with slack held back for COW churn and metadata."""
+    space, with slack held back for COW churn and metadata (``slack``
+    is the fraction of the free blocks a placement may fill)."""
 
     name = "capacity"
 
@@ -94,7 +94,7 @@ class MediaTypeFilter:
 class TierFilter:
     """A requested service-tier role (:class:`repro.tiering.Tier`) must
     be among the roles the shard's media can fill (what the shard
-    advertises via :func:`repro.tiering.serviceable_tiers`)."""
+    advertises via :func:`repro.tiering.media_role`)."""
 
     name = "tier"
 
@@ -111,13 +111,18 @@ class RaidGeometryFilter:
         return stats.ndata >= request.min_ndata
 
 
+#: QoS headroom: total committed offered load admitted per shard, as a
+#: multiple of the shard's calibrated capacity.
+HEADROOM_FRACTION = 3.0
+
+
 class QosHeadroomFilter:
     """Total committed offered load (fractions of calibrated capacity)
     must stay under the oversubscription headroom after placement."""
 
     name = "qos-headroom"
 
-    def __init__(self, headroom: float = 3.0) -> None:
+    def __init__(self, headroom: float = HEADROOM_FRACTION) -> None:
         self.headroom = float(headroom)
 
     def passes(self, request: VolumeRequest, stats: ShardStats) -> bool:
@@ -191,27 +196,40 @@ class Placement:
     rejected: dict[str, tuple[int, ...]]
 
 
-def _default_filters(cfg: ClusterConfig) -> list:
+def _default_filters(headroom_fraction: float) -> list:
     return [
-        CapacityFilter(cfg.capacity_slack),
+        CapacityFilter(),
         MediaTypeFilter(),
         TierFilter(),
         RaidGeometryFilter(),
-        QosHeadroomFilter(cfg.headroom_fraction),
+        QosHeadroomFilter(headroom_fraction),
     ]
 
 
-def _default_weighers(cfg: ClusterConfig) -> list[tuple[object, float]]:
+def _default_weighers() -> list[tuple[object, float]]:
+    """The weighers with their multipliers (Cinder-style weighted sum).
+
+    Free space and AA pressure are kept below the headroom multiplier
+    on purpose: min–max normalization stretches even trivial free-space
+    differences to [0, 1], so an evenly filled fleet would otherwise
+    let noise-level block deltas outvote large committed-load
+    differences.  Committed load (provisioned QoS) is the dominant
+    signal until measured stats exist.
+    """
     return [
-        (FreeSpaceWeigher(), cfg.free_space_weight),
-        (AAPressureWeigher(), cfg.aa_pressure_weight),
-        (HeadroomWeigher(), cfg.headroom_weight),
-        (TailLatencyWeigher(), cfg.tail_latency_weight),
+        (FreeSpaceWeigher(), 0.5),
+        (AAPressureWeigher(), 0.5),
+        (HeadroomWeigher(), 2.0),
+        (TailLatencyWeigher(), 1.0),
     ]
 
 
 class FilterScheduler:
-    """Filter then weigh; deterministic tie-break on ``shard_id``."""
+    """Filter then weigh; deterministic tie-break on ``shard_id``.
+
+    ``headroom_fraction`` is the QoS admission bound of the default
+    filter set (:data:`HEADROOM_FRACTION` unless widened).
+    """
 
     name = "filter-weigher"
 
@@ -220,12 +238,19 @@ class FilterScheduler:
         filters: Sequence[Filter] | None = None,
         weighers: Sequence[tuple[Weigher, float]] | None = None,
         *,
-        config: SimConfig | None = None,
+        headroom_fraction: float = HEADROOM_FRACTION,
     ) -> None:
-        cfg = (config if config is not None else SimConfig.default()).cluster
-        self.filters = list(filters) if filters is not None else _default_filters(cfg)
+        if headroom_fraction <= 0:
+            raise ValueError(
+                f"headroom_fraction must be positive, got {headroom_fraction}"
+            )
+        self.filters = (
+            list(filters)
+            if filters is not None
+            else _default_filters(headroom_fraction)
+        )
         self.weighers = (
-            list(weighers) if weighers is not None else _default_weighers(cfg)
+            list(weighers) if weighers is not None else _default_weighers()
         )
 
     def place(
@@ -289,11 +314,8 @@ class RandomPlacer:
 
     name = "random"
 
-    def __init__(
-        self, *, seed: int = 0, config: SimConfig | None = None
-    ) -> None:
-        cfg = (config if config is not None else SimConfig.default()).cluster
-        self._fit = CapacityFilter(cfg.capacity_slack)
+    def __init__(self, *, seed: int = 0) -> None:
+        self._fit = CapacityFilter()
         self.rng = make_rng(seed)
 
     def place(

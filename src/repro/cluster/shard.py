@@ -35,7 +35,7 @@ import json
 import numpy as np
 
 from ..analysis import arm_global, disarm_global
-from ..common.config import AggregateSpec, SimConfig, TierSpec, VolumeDecl
+from ..common.config import AggregateSpec, TierSpec, VolumeDecl
 from ..common.errors import GeometryError
 from ..fs.aggregate import PolicyKind
 from ..fs.filesystem import WaflSim
@@ -45,12 +45,22 @@ from ..traffic.arrivals import OnOffArrivals, PoissonArrivals
 from ..traffic.engine import TenantSpec, TrafficEngine, TrafficResult
 from ..traffic.qos import QosLimits
 from ..traffic.scenarios import CalibratedService, calibrate_capacity
-from ..workloads.aging import fill_volumes, reset_measurement_state
+from ..workloads.aging import (
+    fill_volumes,
+    reset_measurement_state,
+    set_bitmap_checks,
+)
 from ..workloads.mixes import UniformOverwriteMix, ZipfOverwriteMix
 from .stats import ShardSpec, ShardStats, derive_seed
 from .volumes import VolumeRequest
 
-__all__ = ["TENANT_AA_BLOCKS", "ShardRuntime", "digest_of", "_run_shard_task"]
+__all__ = [
+    "TENANT_AA_BLOCKS",
+    "EPOCH_CPS",
+    "ShardRuntime",
+    "digest_of",
+    "_run_shard_task",
+]
 
 #: RAID-agnostic AA size for cluster FlexVols.  The library default is
 #: one whole bitmap block (32768 blocks) — bigger than an entire small
@@ -60,6 +70,9 @@ TENANT_AA_BLOCKS = 4096
 #: Ops per CP the per-epoch engines target (smaller than the figure
 #: benches: cluster shards are deliberately miniature).
 _TARGET_OPS_PER_CP = 1024
+
+#: Traffic CPs driven per scheduling epoch.
+EPOCH_CPS = 6
 
 
 def digest_of(payload: dict) -> str:
@@ -71,9 +84,8 @@ def digest_of(payload: dict) -> str:
 class ShardRuntime:
     """One live shard: simulator + calibration + tenant registry."""
 
-    def __init__(self, spec: ShardSpec, *, config: SimConfig | None = None) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        self.config = config if config is not None else SimConfig.default()
         ssd = spec.media == "ssd"
         tier = TierSpec(
             label=spec.media,
@@ -99,19 +111,15 @@ class ShardRuntime:
                 ),
             ),
         )
-        self.sim = WaflSim.build(agg, config=self.config, seed=spec.seed)
+        self.sim = WaflSim.build(agg, seed=spec.seed)
         fill_volumes(self.sim, ops_per_cp=8192, seed=derive_seed(spec.seed, "fill"))
         self.calibration: CalibratedService = calibrate_capacity(
             self.sim,
-            cores=self.config.traffic.cores,
             n_cps=4,
             ops_per_cp=_TARGET_OPS_PER_CP,
             seed=derive_seed(spec.seed, "calibrate"),
         )
-        for vol in self.sim.vols.values():
-            vol.metafile.bitmap.check = False
-        for group in self.sim.store.groups:
-            group.metafile.bitmap.check = False
+        set_bitmap_checks(self.sim, False)
         self._logical_committed = agg.volumes[0].logical_blocks
         #: volume name -> the request that placed it here.
         self.tenants: dict[str, VolumeRequest] = {}
@@ -149,7 +157,6 @@ class ShardRuntime:
                 blocks_per_aa=TENANT_AA_BLOCKS,
             ),
             policy=PolicyKind.CACHE,
-            config=self.config,
             seed=derive_seed(self.spec.seed, f"vol/{request.name}"),
         )
         vol.metafile.bitmap.check = False
@@ -217,10 +224,8 @@ class ShardRuntime:
             )
         return specs
 
-    def run_epoch(self, n_cps: int | None = None) -> TrafficResult | None:
+    def run_epoch(self, n_cps: int = EPOCH_CPS) -> TrafficResult | None:
         """Drive one scheduling epoch of traffic (None if no tenants)."""
-        if n_cps is None:
-            n_cps = self.config.cluster.epoch_cps
         if not self.tenants:
             self.epochs_run += 1
             self.results.append(None)
@@ -230,7 +235,6 @@ class ShardRuntime:
             self.sim,
             self._tenant_specs(self.epochs_run),
             target_ops_per_cp=_TARGET_OPS_PER_CP,
-            cores=self.config.traffic.cores,
         )
         # Re-inject carried operations as already-admitted riders of the
         # first CP window (arrival/admit at the epoch origin): replayed

@@ -1,4 +1,4 @@
-"""Tenant volume requests and fleet request builders.
+"""Tenant volume requests and the fleet request builder.
 
 A :class:`VolumeRequest` is what arrives at the cluster scheduler: a
 named FlexVol of a given size with a traffic *profile* (which arrival
@@ -7,9 +7,8 @@ optional placement constraints (media family, minimum RAID width, QoS
 contract).  Requests are frozen dataclasses of primitives so they
 pickle across the shard process pool and serialize into result JSON.
 
-The builders produce deterministic fleets from one seed: a plain
-mixed fleet (:func:`fleet_requests`) and the noisy-neighbor fleet
-(:func:`noisy_fleet_requests`) the placement-quality experiment uses —
+:func:`noisy_fleet_requests` builds, from one seed, the deterministic
+noisy-neighbor fleet the placement-quality experiment uses —
 unthrottled aggressors that saturate whatever shard they land on,
 QoS-protected victims whose tail latency measures placement quality,
 and bursty/moderate bystanders filling out the population.
@@ -22,7 +21,7 @@ from dataclasses import asdict, dataclass
 from ..common.rng import make_rng
 from ..tiering import Tier
 
-__all__ = ["PROFILES", "VolumeRequest", "fleet_requests", "noisy_fleet_requests"]
+__all__ = ["PROFILES", "VolumeRequest", "noisy_fleet_requests"]
 
 #: Tenant traffic shapes a shard knows how to drive (see
 #: :meth:`repro.cluster.shard.ShardRuntime._tenant_specs`).
@@ -69,29 +68,6 @@ class VolumeRequest:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def fleet_requests(
-    n: int, *, logical_blocks: int = 640, seed: int = 0
-) -> list[VolumeRequest]:
-    """``n`` plain tenants with deterministically varied sizes/loads.
-
-    Sizes vary ±25% and offered loads span 2–8% of shard capacity, so
-    capacity and headroom weighing have real differences to act on.
-    """
-    rng = make_rng(seed)
-    sizes = rng.integers(
-        int(logical_blocks * 0.75), int(logical_blocks * 1.25) + 1, size=n
-    )
-    loads = rng.uniform(0.02, 0.08, size=n)
-    return [
-        VolumeRequest(
-            name=f"vol{i:04d}",
-            logical_blocks=int(sizes[i]),
-            offered_fraction=float(loads[i]),
-        )
-        for i in range(n)
-    ]
 
 
 def noisy_fleet_requests(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_unique", "sorted_unique_counts", "group_counts"]
+__all__ = ["sorted_unique", "group_counts"]
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -28,21 +28,6 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(x[1:], x[:-1], out=keep[1:])
     return x[keep]
-
-
-def sorted_unique_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, counts)`` for an integer array, values ascending.
-
-    Equivalent to ``np.unique(a, return_counts=True)`` via the same
-    sort + adjacent comparison as :func:`sorted_unique`; counts come
-    from the gaps between run starts.
-    """
-    x = np.sort(a)
-    if x.size == 0:
-        return x, x.copy()
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    counts = np.diff(np.append(starts, x.size))
-    return x[starts], counts
 
 
 def group_counts(keys: np.ndarray, nkeys: int) -> tuple[np.ndarray, np.ndarray]:

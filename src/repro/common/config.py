@@ -1,44 +1,21 @@
-"""Typed, frozen configuration for the whole simulator.
+"""Declarative, frozen specs of what to build.
 
-Tunables used to be scattered across keyword defaults (CP threshold
-fractions on :class:`~repro.fs.filesystem.WaflSim`, HBPS tuning on the
-cache constructors, QoS defaults in :mod:`repro.traffic`, chaos
-defaults in :mod:`repro.faults`).  This module consolidates them into
-immutable dataclasses with one entry point, :meth:`SimConfig.default`;
-callers override fields with :func:`dataclasses.replace`:
-
-    from dataclasses import replace
-    from repro.common.config import SimConfig
-
-    cfg = SimConfig.default()
-    cfg = replace(cfg, allocator=replace(cfg.allocator,
-                                         threshold_fraction=0.1))
-
-The config object is the only way to set these tunables; the legacy
-loose keyword arguments on the builders were removed after their
-one-release deprecation window.
+An aggregate is described by primitives only — :class:`TierSpec`,
+:class:`VolumeDecl`, :class:`AggregateSpec` — so a spec pickles,
+hashes and compares trivially and never imports above ``common``.
+There is no tunables object: the paper fixes its structures by
+constants (:mod:`repro.common.constants`, or a named constant beside
+the one function that reads it), and its single dial — the section
+3.3.1 fragmentation cutoff — is :attr:`AggregateSpec.threshold_fraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
 
-from .constants import (
-    HBPS_BIN_WIDTH,
-    HBPS_LIST_CAPACITY,
-    RAID_AGNOSTIC_AA_BLOCKS,
-    TETRIS_STRIPES,
-)
+from .constants import RAID_AGNOSTIC_AA_BLOCKS
 
 __all__ = [
-    "AllocatorConfig",
-    "CacheConfig",
-    "TrafficConfig",
-    "FaultConfig",
-    "ObsConfig",
-    "ClusterConfig",
-    "SimConfig",
     "TierSpec",
     "VolumeDecl",
     "AggregateSpec",
@@ -59,43 +36,6 @@ MEDIA_FAMILIES = ("hdd", "ssd", "smr", "object")
 #: (see :mod:`repro.tiering`): random-overwrite OLTP, streaming
 #: sequential churn, archival cold data, or no hint.
 WORKLOAD_HINTS = ("mixed", "oltp", "sequential", "archive")
-
-
-@dataclass(frozen=True)
-class AllocatorConfig:
-    """Write-allocator tunables (paper section 3.3.1)."""
-
-    #: Fragmentation cutoff: a RAID group whose best AA score is below
-    #: ``threshold_fraction * aa_blocks`` is skipped while any other
-    #: group remains above it.  0 disables the cutoff.
-    threshold_fraction: float = 0.0
-    #: Stripes taken from each group per round-robin turn (one tetris).
-    stripes_per_round: int = TETRIS_STRIPES
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """AA-cache tunables (paper sections 3.3.1-3.3.2, 3.4)."""
-
-    #: HBPS histogram bin width (paper default: 1K-wide bins).
-    hbps_bin_width: int = HBPS_BIN_WIDTH
-    #: HBPS best-AA list capacity (paper default: 1,000 entries).
-    hbps_list_capacity: int = HBPS_LIST_CAPACITY
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    """Multi-tenant traffic-engine defaults (QoS substrate)."""
-
-    #: CP pipeline parallelism: the paper's midrange server.
-    cores: int = 20
-    #: Ops per CP the engine targets when deriving ``cp_interval_us``
-    #: (matches the figure benchmarks' batch sizes).
-    target_ops_per_cp: int = 2048
-    #: Closed-loop clients for the knee cross-validation.
-    knee_nclients: int = 8
-    #: Default tenant count for scenarios and the CLI.
-    default_tenants: int = 4
 
 
 @dataclass(frozen=True)
@@ -204,12 +144,21 @@ class AggregateSpec:
     policy: str = "cache"
     #: Volume-side AA selection policy.
     vol_policy: str = "cache"
+    #: Fragmentation cutoff (paper section 3.3.1, its one dial): a RAID
+    #: group whose best AA score is below ``threshold_fraction *
+    #: aa_blocks`` is skipped while any other group remains above it.
+    #: 0 disables the cutoff.
+    threshold_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tiers", tuple(self.tiers))
         object.__setattr__(self, "volumes", tuple(self.volumes))
         if not self.tiers:
             raise ValueError("an aggregate needs at least one tier")
+        if not 0.0 <= self.threshold_fraction < 1.0:
+            raise ValueError(
+                f"threshold_fraction must be in [0, 1), got {self.threshold_fraction}"
+            )
         labels = [t.label for t in self.tiers]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate tier labels in {labels}")
@@ -220,83 +169,3 @@ class AggregateSpec:
     @property
     def physical_blocks(self) -> int:
         return sum(t.physical_blocks for t in self.tiers)
-
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """Chaos/fault-injection defaults (:mod:`repro.faults`)."""
-
-    #: Disk fails this fraction of the way into a chaos-under-load run.
-    fail_at_fraction: float = 1 / 3
-    #: Failed disk is replaced (rebuilt) at this fraction.
-    replace_at_fraction: float = 2 / 3
-    #: Testbed size for chaos-under-load.
-    underload_blocks_per_disk: int = 65_536
-    #: CPs driven by a chaos-under-load run.
-    underload_n_cps: int = 30
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Structured-tracer defaults (:mod:`repro.obs`)."""
-
-    #: Ring-buffer capacity in records (spans + counter samples); the
-    #: oldest records are evicted once full.
-    ring_capacity: int = 65_536
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Fleet-scale cluster defaults (:mod:`repro.cluster`)."""
-
-    #: Shard testbed size (small: a cluster builds many of these).
-    blocks_per_disk: int = 4096
-    #: RAID groups per shard aggregate.
-    groups_per_shard: int = 2
-    #: Data disks per RAID group.
-    ndata: int = 4
-    #: Traffic CPs driven per scheduling epoch.
-    epoch_cps: int = 6
-    #: Scheduling rounds (stats refresh between rounds).
-    rounds: int = 2
-    #: QoS headroom: total committed offered load admitted per shard,
-    #: as a multiple of the shard's calibrated capacity.
-    headroom_fraction: float = 3.0
-    #: Fraction of a shard's free blocks the capacity filter may fill.
-    capacity_slack: float = 0.9
-    #: Weigher multipliers (Cinder-style weighted sum).
-    #: Kept below the headroom multiplier on purpose: min–max
-    #: normalization stretches even trivial free-space differences to
-    #: [0, 1], so an evenly filled fleet would otherwise let noise-level
-    #: block deltas outvote large committed-load differences.
-    free_space_weight: float = 0.5
-    aa_pressure_weight: float = 0.5
-    #: Multiplier for the committed-load (provisioned QoS) weigher —
-    #: the dominant signal until measured stats exist.
-    headroom_weight: float = 2.0
-    tail_latency_weight: float = 1.0
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """All tunables, one immutable object.
-
-    ``SimConfig.default()`` returns a shared default instance; derive
-    variants with :func:`dataclasses.replace`.
-    """
-
-    allocator: AllocatorConfig = field(default_factory=AllocatorConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    faults: FaultConfig = field(default_factory=FaultConfig)
-    obs: ObsConfig = field(default_factory=ObsConfig)
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-
-    _default: ClassVar["SimConfig | None"] = None
-
-    @classmethod
-    def default(cls) -> "SimConfig":
-        """The shared default configuration (created once)."""
-        if cls._default is None:
-            cls._default = cls()
-        return cls._default

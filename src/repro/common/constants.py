@@ -4,13 +4,20 @@ Every constant here is traceable to the paper ("Efficient Search for Free
 Blocks in the WAFL File System", ICPP 2018) or to a documented
 substitution in DESIGN.md.  Values that the paper leaves configurable
 (erase-block size, shingle-zone size) are defaults and can be overridden
-through the relevant config dataclasses.
+through the relevant device config dataclasses.  A constant with one
+reader lives beside that reader instead (DESIGN section 6).
 """
 
 from __future__ import annotations
 
 #: WAFL addresses its storage in 4 KiB blocks (paper section 2).
 BLOCK_SIZE: int = 4096
+
+#: The paper's testbed (section 4.1): one midrange all-SSD filer with
+#: 20 cores — the CP pipeline's parallelism in every latency model —
+#: driven by 8 closed-loop clients.
+CORES: int = 20
+NCLIENTS: int = 8
 
 #: Bits per 4 KiB bitmap-metafile block: 4096 bytes * 8 = 32,768 bits,
 #: one bit per VBN (paper section 3.2.1).

@@ -9,7 +9,6 @@ independent streams derive them with :func:`spawn`.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
 
 import numpy as np
 
@@ -35,19 +34,6 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child generators from ``rng``."""
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
-
-
-def permute_in_chunks(
-    rng: np.random.Generator, total: int, chunk: int
-) -> Iterable[np.ndarray]:
-    """Yield a random permutation of ``range(total)`` in chunks.
-
-    Used by aging workloads to touch every block exactly once in random
-    order without materializing gigantic permutations more than once.
-    """
-    perm = rng.permutation(total)
-    for lo in range(0, total, chunk):
-        yield perm[lo : lo + chunk]
 
 
 def derive_seed(base: int, key: str) -> int:

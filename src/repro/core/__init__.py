@@ -20,7 +20,6 @@ from .sizing import (
     aa_size_for_hdd,
     aa_size_for_smr,
     aa_size_for_ssd,
-    aa_size_raid_agnostic,
     fit_aa_size,
 )
 from .topaa import (
@@ -60,7 +59,6 @@ __all__ = [
     "aa_size_for_hdd",
     "aa_size_for_smr",
     "aa_size_for_ssd",
-    "aa_size_raid_agnostic",
     "fit_aa_size",
     "PAGE_KIND_HBPS",
     "PAGE_KIND_HEAP_SEED",

@@ -184,12 +184,6 @@ class _BaseAllocator:
         self.source.cp_flush(changes, held)
         return changes
 
-    def mean_selected_score(self) -> float:
-        """Mean free-block count of AAs at selection time."""
-        if not self.selected_aa_scores:
-            return 0.0
-        return float(np.mean(self.selected_aa_scores))
-
 
 class LinearAllocator(_BaseAllocator):
     """Sequential VBN assignment within RAID-agnostic AAs."""
@@ -272,30 +266,20 @@ class RAIDGroupAllocator(_BaseAllocator):
         """Best available AA score of this group (cache view)."""
         return self.source.best_score()
 
-    def take_stripes(self, max_stripes: int, max_blocks: int) -> np.ndarray:
+    def take_stripe_chunks(
+        self, out: list[np.ndarray], max_stripes: int, max_blocks: int
+    ) -> int:
         """Allocate free blocks from up to ``max_stripes`` stripes (and
         at most ``max_blocks`` blocks) of the current AA, loading the
-        next AA when exhausted.  Returns *local* (group-relative) VBNs.
+        next AA when exhausted, appending queue-slice views of *local*
+        (group-relative) VBNs to ``out`` — the aggregate round-robin
+        loop calls this once per tetris round and defers all copying to
+        one final concatenate.  Returns the blocks taken.
 
         Stripes that contain no free blocks cost nothing and are
         skipped implicitly — only stripes with assignable blocks count
         against ``max_stripes``.
         """
-        if max_stripes <= 0 or max_blocks <= 0:
-            return np.empty(0, dtype=np.int64)
-        out: list[np.ndarray] = []
-        self.take_stripe_chunks(out, max_stripes, max_blocks)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
-
-    def take_stripe_chunks(
-        self, out: list[np.ndarray], max_stripes: int, max_blocks: int
-    ) -> int:
-        """:meth:`take_stripes`, but appending queue-slice views to
-        ``out`` instead of concatenating them — the aggregate round-robin
-        loop calls this once per tetris round and defers all copying to
-        one final concatenate.  Returns the blocks taken."""
         stripes_taken = 0
         blocks_taken = 0
         bpd = self._blocks_per_disk
@@ -446,11 +430,6 @@ class AggregateAllocator:
             )
         return result
 
-    def flush_pending(self) -> None:
-        """Sync every group allocator's pending span into its bitmap."""
-        for g in self.groups:
-            g.flush_pending()
-
     def drain_cp_writes(self) -> list[np.ndarray]:
         """Local VBNs written to each group since the last drain (for
         stripe/parity/device analysis at the CP boundary)."""
@@ -463,9 +442,3 @@ class AggregateAllocator:
     def cp_flush(self) -> list[list[ScoreChange]]:
         """Run the CP-boundary protocol on every group allocator."""
         return [g.cp_flush() for g in self.groups]
-
-    @property
-    def total_free(self) -> int:
-        """Free blocks across all groups (bitmap truth, net of each
-        group's pending-span batch)."""
-        return sum(g.metafile.free_count - g.pending_count for g in self.groups)

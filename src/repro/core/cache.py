@@ -14,8 +14,8 @@ surface into one :class:`AACache` protocol:
 plus the ``needs_refill`` probe and ``best_available_score()`` used by
 the allocator's fragmentation cutoff.  :func:`make_aa_cache` is the
 single constructor: it picks the implementation from the AA topology
-and takes its tuning from :class:`~repro.common.config.CacheConfig`
-instead of loose keywords.  :class:`CacheSource` adapts any
+(HBPS at the paper's constants: 1K-wide bins, a 1,000-entry list —
+section 3.3.2's "two pages").  :class:`CacheSource` adapts any
 :class:`AACache` to the write allocator's ``AASource`` protocol (one
 class where there used to be two) and owns the background-refill
 trigger.
@@ -28,7 +28,6 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from .. import obs
-from ..common.config import CacheConfig, SimConfig
 from .aa import AATopology, StripeAATopology
 from .hbps_cache import RAIDAgnosticAACache
 from .heap_cache import RAIDAwareAACache
@@ -132,29 +131,13 @@ class CacheSource:
 def make_aa_cache(
     topology: AATopology,
     scores: np.ndarray | None = None,
-    *,
-    config: SimConfig | CacheConfig | None = None,
 ) -> RAIDAwareAACache | RAIDAgnosticAACache:
-    """Build the right AA cache for a topology, tuned by ``config``.
+    """Build the right AA cache for a topology.
 
     Stripe (RAID-group) topologies get the exact max-heap cache;
     linear (RAID-agnostic/FlexVol) topologies get the constant-memory
-    HBPS cache with its bin width and list capacity taken from
-    :class:`~repro.common.config.CacheConfig` — the one place those
-    tunables now live.
+    HBPS cache at the paper's bin width and list capacity.
     """
-    if config is None:
-        cache_cfg = SimConfig.default().cache
-    elif isinstance(config, SimConfig):
-        cache_cfg = config.cache
-    else:
-        cache_cfg = config
     if isinstance(topology, StripeAATopology):
         return RAIDAwareAACache(topology.num_aas, scores)
-    return RAIDAgnosticAACache(
-        topology.num_aas,
-        topology.aa_blocks,
-        scores,
-        bin_width=cache_cfg.hbps_bin_width,
-        list_capacity=cache_cfg.hbps_list_capacity,
-    )
+    return RAIDAgnosticAACache(topology.num_aas, topology.aa_blocks, scores)

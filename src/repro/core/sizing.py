@@ -8,7 +8,8 @@ overhead — and, critically, must respect media geometry:
   that an AA size of 4k stripes works well", section 3.2.1).
 * **RAID-agnostic spaces** — 32k consecutive VBNs, matching one bitmap
   metafile block so filling an AA updates a single metafile block
-  (section 3.2.1).
+  (section 3.2.1): a constant, not a policy —
+  :data:`~repro.common.constants.RAID_AGNOSTIC_AA_BLOCKS`.
 * **SSD RAID groups** — several erase blocks per device, so that
   writing all free blocks of the emptiest AA rewrites whole erase
   blocks and minimizes FTL relocation / write amplification
@@ -18,11 +19,9 @@ overhead — and, critically, must respect media geometry:
   + 1 checksum blocks) so checksum blocks are written sequentially with
   their data (sections 3.2.3-3.2.4, Figure 4C).
 
-Sizes returned here are in *stripes per AA* for RAID topologies (the
-per-device contiguous extent) and *blocks per AA* for linear
-topologies.  Each helper also guarantees the size divides the space so
-:class:`~repro.core.aa.StripeAATopology` /
-:class:`~repro.core.aa.LinearAATopology` accept it.
+Sizes returned here are in *stripes per AA* (the per-device contiguous
+extent).  Each helper also guarantees the size divides the space so
+:class:`~repro.core.aa.StripeAATopology` accepts it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from ..common.constants import (
     DEFAULT_ERASE_BLOCK_BLOCKS,
     DEFAULT_RAID_AA_STRIPES,
     DEFAULT_SMR_ZONE_BLOCKS,
-    RAID_AGNOSTIC_AA_BLOCKS,
 )
 from ..common.errors import GeometryError
 from ..raid.geometry import RAIDGeometry
@@ -45,7 +43,6 @@ __all__ = [
     "aa_size_for_hdd",
     "aa_size_for_ssd",
     "aa_size_for_smr",
-    "aa_size_raid_agnostic",
 ]
 
 
@@ -53,15 +50,12 @@ __all__ = [
 class AASize:
     """A chosen AA size with provenance for logs and benchmark output."""
 
-    #: Stripes per AA (RAID topologies) or blocks per AA (linear).
+    #: Stripes per AA.
     size: int
-    #: Which policy produced it ("hdd", "ssd", "smr", "raid-agnostic").
+    #: Which policy produced it ("hdd", "ssd", "smr").
     policy: str
     #: Human-readable rationale.
     rationale: str
-
-    def __int__(self) -> int:
-        return self.size
 
 
 def fit_aa_size(total: int, target: int, align: int = 8) -> int:
@@ -159,16 +153,3 @@ def _lcm(a: int, b: int) -> int:
     from math import gcd
 
     return a * b // gcd(a, b)
-
-
-def aa_size_raid_agnostic(
-    nblocks: int, target_blocks: int = RAID_AGNOSTIC_AA_BLOCKS
-) -> AASize:
-    """RAID-agnostic sizing: 32k consecutive VBNs, matching the bitmap
-    metafile block alignment (paper section 3.2.1)."""
-    size = fit_aa_size(nblocks, target_blocks)
-    return AASize(
-        size,
-        "raid-agnostic",
-        f"{size} VBNs per AA (bitmap-metafile-block aligned)",
-    )

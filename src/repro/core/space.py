@@ -25,7 +25,6 @@ from functools import partial
 import numpy as np
 
 from ..bitmap.metafile import BitmapMetafile
-from ..common.config import SimConfig
 from ..common.errors import MediaError, TransientIOError
 from .aa import AATopology, StripeAATopology
 from .allocator import LinearAllocator, RAIDGroupAllocator
@@ -65,8 +64,8 @@ class AllocSpace:
 
     The cache and allocator kind follow the topology: stripe topologies
     get the heap cache and a :class:`RAIDGroupAllocator`; linear ones
-    get the HBPS cache (tuned by ``config.cache``), a
-    :class:`LinearAllocator` and the bitmap-walk replenisher.
+    get the HBPS cache, a :class:`LinearAllocator` and the bitmap-walk
+    replenisher.
     ``offset`` is added to local VBNs to form aggregate-wide VBNs.
     """
 
@@ -76,17 +75,14 @@ class AllocSpace:
         *,
         where: str,
         policy: PolicyKind = PolicyKind.CACHE,
-        config: SimConfig | None = None,
         seed: int | np.random.Generator | None = None,
         offset: int = 0,
     ) -> None:
-        cfg = config if config is not None else SimConfig.default()
         self.topology = topology
         #: Iron/faults addressing label ("vol:<name>", "group:<i>",
         #: "store"); injector targets match it.
         self.where = where
         self.offset = offset
-        self.cache_config = cfg.cache
         self._striped = isinstance(topology, StripeAATopology)
         self.metafile = BitmapMetafile(topology.nblocks)
         self.delayed_frees = DelayedFreeLog()
@@ -100,7 +96,7 @@ class AllocSpace:
         cache = None
         source: AASource
         if policy is PolicyKind.CACHE:
-            cache = make_aa_cache(topology, self.keeper.scores, config=cfg.cache)
+            cache = make_aa_cache(topology, self.keeper.scores)
             source = self._cache_source(cache)
         elif policy is PolicyKind.RANDOM:
             source = RandomSource(topology.num_aas, seed)
@@ -163,13 +159,11 @@ class AllocSpace:
         self._bind(self._cache_source(cache), cache, degraded=False)
 
     def rebuild_cache(self, scores: np.ndarray | None = None) -> None:
-        """Build this space's kind of cache, with its own tunables, from
-        ``scores`` (default: a bitmap recompute) and adopt it."""
+        """Build this space's kind of cache from ``scores`` (default: a
+        bitmap recompute) and adopt it."""
         if scores is None:
             scores = self.bitmap_scores()
-        self.adopt_cache(
-            make_aa_cache(self.topology, scores, config=self.cache_config)
-        )
+        self.adopt_cache(make_aa_cache(self.topology, scores))
 
     # ------------------------------------------------------------------
     # TopAA persistence (paper section 3.4)
@@ -198,12 +192,7 @@ class AllocSpace:
             self.adopt_cache(seed_heap_cache(num_aas, payload))
             return 1
         payload = unseal_page(blob, PAGE_KIND_HBPS, num_aas)
-        self.adopt_cache(
-            load_hbps_cache(
-                payload, num_aas,
-                list_capacity=self.cache_config.hbps_list_capacity,
-            )
-        )
+        self.adopt_cache(load_hbps_cache(payload, num_aas))
         return 2
 
     @property

@@ -25,11 +25,7 @@ import zlib
 
 import numpy as np
 
-from ..common.constants import (
-    BLOCK_SIZE,
-    HBPS_LIST_CAPACITY,
-    TOPAA_RAID_AWARE_ENTRIES,
-)
+from ..common.constants import BLOCK_SIZE, TOPAA_RAID_AWARE_ENTRIES
 from ..common.errors import SerializationError
 from .heap_cache import RAIDAwareAACache
 from .hbps_cache import RAIDAgnosticAACache
@@ -45,7 +41,6 @@ __all__ = [
     "TOPAA_HEADER_BYTES",
     "PAGE_KIND_HEAP_SEED",
     "PAGE_KIND_HBPS",
-    "PAGE_KIND_BITMAP",
     "PAGE_KIND_FS_IMAGE",
 ]
 
@@ -69,9 +64,8 @@ TOPAA_HEADER_BYTES = _PAGE_HEADER.size
 
 PAGE_KIND_HEAP_SEED = 1
 PAGE_KIND_HBPS = 2
-#: Persisted bitmap-metafile image (crash-consistency subsystem).
-PAGE_KIND_BITMAP = 3
 #: Persisted per-FS metadata image: bitmap + FlexVol maps + logs.
+#: (Kind 3 is retired; a persisted kind number is never reused.)
 PAGE_KIND_FS_IMAGE = 4
 
 
@@ -183,14 +177,13 @@ def serialize_hbps_cache(cache: RAIDAgnosticAACache) -> bytes:
     return cache.to_pages()
 
 
-def load_hbps_cache(
-    pages: bytes, num_aas: int, *, list_capacity: int = HBPS_LIST_CAPACITY
-) -> RAIDAgnosticAACache:
+def load_hbps_cache(pages: bytes, num_aas: int) -> RAIDAgnosticAACache:
     """Reload a RAID-agnostic cache from its two TopAA blocks.
 
     The result is *seeded*: listed AAs are usable immediately at bin
     resolution; a background replenish restores exact state.  The pages
-    persist the bin width but not the list capacity, which the caller
-    supplies from its :class:`~repro.common.config.CacheConfig`.
+    persist the bin width; the list capacity is the paper's 1,000
+    entries (a cache built away from it reloads through
+    :meth:`RAIDAgnosticAACache.from_pages`).
     """
-    return RAIDAgnosticAACache.from_pages(pages, num_aas, list_capacity=list_capacity)
+    return RAIDAgnosticAACache.from_pages(pages, num_aas)

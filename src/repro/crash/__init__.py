@@ -38,8 +38,6 @@ from .persistence import (
     RecoveryReport,
     capture_image,
     deserialize_fs,
-    load_bitmap_page,
-    seal_bitmap_page,
     serialize_fs,
     tear_page,
 )
@@ -62,10 +60,8 @@ __all__ = [
     "explore_aging",
     "explore_cps",
     "explore_noisy_neighbor",
-    "load_bitmap_page",
     "record_crash_points",
     "run_crash_under_load",
-    "seal_bitmap_page",
     "serialize_fs",
     "tear_page",
 ]

@@ -44,7 +44,7 @@ from ..common.errors import MountError, SerializationError, TornWriteError
 from ..common.retry import RetryBudget
 from ..common.rng import make_rng
 from ..core.delayed_frees import DelayedFreeLog
-from ..core.topaa import PAGE_KIND_BITMAP, PAGE_KIND_FS_IMAGE, seal_page, unseal_page
+from ..core.topaa import PAGE_KIND_FS_IMAGE, seal_page, unseal_page
 from ..faults.recovery import instances
 from ..fs.filesystem import WaflSim
 from ..fs.mount import (
@@ -64,8 +64,6 @@ __all__ = [
     "PersistenceModel",
     "serialize_fs",
     "deserialize_fs",
-    "seal_bitmap_page",
-    "load_bitmap_page",
     "capture_image",
     "tear_page",
 ]
@@ -237,28 +235,6 @@ def deserialize_fs(payload: bytes) -> FSState:
         v2p=v2p,
         snapshots=tuple(snapshots),
     )
-
-
-# ----------------------------------------------------------------------
-# Bitmap-metafile pages (standalone, used by round-trip fuzzing)
-# ----------------------------------------------------------------------
-def seal_bitmap_page(metafile) -> bytes:
-    """Seal a bare bitmap-metafile image (no maps) into a checked page."""
-    return seal_page(metafile.to_bytes(), PAGE_KIND_BITMAP, metafile.nblocks)
-
-
-def load_bitmap_page(metafile, page: bytes) -> None:
-    """Verify and load a :func:`seal_bitmap_page` page into ``metafile``.
-
-    Raises :class:`TornWriteError` when the page fails its checksum
-    envelope (the mid-write signature) and :class:`SerializationError`
-    on a geometry mismatch.
-    """
-    try:
-        payload = unseal_page(page, PAGE_KIND_BITMAP, metafile.nblocks)
-    except SerializationError as exc:
-        raise TornWriteError(f"bitmap page failed verification: {exc}") from exc
-    metafile.load_bytes(payload)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .. import obs
-from ..common.config import ObsConfig
 from ..common.errors import CrashError
 from ..obs.tracer import Span, Tracer
 
@@ -65,10 +64,8 @@ class CrashTracer(Tracer):
     exit edge (the work completed, the CP died immediately after).
     """
 
-    def __init__(
-        self, *, crash_at: int | None = None, config: ObsConfig | None = None
-    ) -> None:
-        super().__init__(config if config is not None else ObsConfig())
+    def __init__(self, *, crash_at: int | None = None) -> None:
+        super().__init__()
         self.crash_at = crash_at
         self.edges: list[CrashPoint] = []
         #: The crash point that fired, when ``crash_at`` was reached.

@@ -150,20 +150,6 @@ class SSD(Device):
         self.stats.busy_us += us
         return us
 
-    def _touch_open(self, eb: int) -> float:
-        """Ensure ``eb`` has an open session (LRU-evicting as needed);
-        returns the cost of any closes this forced."""
-        us = 0.0
-        if eb in self._open:
-            sess = self._open.pop(eb)  # move to MRU position
-            self._open[eb] = sess
-            return us
-        while len(self._open) >= self.config.max_open_units:
-            lru = next(iter(self._open))
-            us += self._close_unit(lru)
-        self._open[eb] = _OpenUnit(int(self._valid_per_eb[eb]))
-        return us
-
     # ------------------------------------------------------------------
     def _write_cost(self, dbns: np.ndarray) -> float:
         eb_size = self.config.erase_block_blocks

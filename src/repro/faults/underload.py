@@ -17,11 +17,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..common.config import SimConfig
 from ..common.errors import AllocationError, OutOfSpaceError
 from ..fs.aggregate import RAIDStore
 from ..traffic.engine import TrafficEngine
-from ..traffic.scenarios import build_scenario, build_traffic_sim, calibrate_capacity
+from ..traffic.scenarios import (
+    DEFAULT_TENANTS,
+    build_scenario,
+    build_traffic_sim,
+    calibrate_capacity,
+)
 
 __all__ = ["PHASES", "UnderLoadMetrics", "run_chaos_under_load"]
 
@@ -53,14 +57,14 @@ class UnderLoadMetrics:
 def run_chaos_under_load(
     *,
     scenario: str = "uniform",
-    n_tenants: int | None = None,
+    n_tenants: int = DEFAULT_TENANTS,
     seed: int = 7,
-    n_cps: int | None = None,
+    n_cps: int = 30,
     fail_at_cp: int | None = None,
     replace_at_cp: int | None = None,
     group: int = 0,
     disk: int = 1,
-    blocks_per_disk: int | None = None,
+    blocks_per_disk: int = 65_536,
 ) -> tuple[UnderLoadMetrics, TrafficEngine]:
     """Run a traffic scenario with a mid-run disk failure and repair.
 
@@ -72,17 +76,10 @@ def run_chaos_under_load(
     phases.  Returns ``(metrics, engine)``; the engine's summary holds
     whole-run per-tenant results.
     """
-    cfg = SimConfig.default()
-    if n_tenants is None:
-        n_tenants = cfg.traffic.default_tenants
-    if n_cps is None:
-        n_cps = cfg.faults.underload_n_cps
-    if blocks_per_disk is None:
-        blocks_per_disk = cfg.faults.underload_blocks_per_disk
     if fail_at_cp is None:
-        fail_at_cp = int(n_cps * cfg.faults.fail_at_fraction)
+        fail_at_cp = int(n_cps * (1 / 3))
     if replace_at_cp is None:
-        replace_at_cp = int(n_cps * cfg.faults.replace_at_fraction)
+        replace_at_cp = int(n_cps * (2 / 3))
     if not 0 < fail_at_cp < replace_at_cp < n_cps:
         raise ValueError(
             f"need 0 < fail_at_cp ({fail_at_cp}) < replace_at_cp "

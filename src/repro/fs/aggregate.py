@@ -23,7 +23,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .. import obs
-from ..common.config import SimConfig
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
 from ..common.errors import DegradedError, GeometryError, MediaError
 from ..common.rng import make_rng
@@ -231,7 +230,6 @@ class RAIDGroupRuntime(AllocSpace):
         policy: PolicyKind = PolicyKind.CACHE,
         seed: int | np.random.Generator | None = None,
         name: str = "rg",
-        sim_config: SimConfig | None = None,
     ) -> None:
         self.config = config
         self.name = name
@@ -244,8 +242,7 @@ class RAIDGroupRuntime(AllocSpace):
         # injector targets match Iron's ``where`` strings.
         super().__init__(
             StripeAATopology(self.geometry, stripes_per_aa),
-            where=f"group:{name}", policy=policy, config=sim_config,
-            seed=seed, offset=offset,
+            where=f"group:{name}", policy=policy, seed=seed, offset=offset,
         )
         self.azcs = config.azcs
         self.data_devices = [self._make_device(f"{name}.d{d}") for d in range(config.ndata)]
@@ -530,7 +527,12 @@ class RAIDGroupRuntime(AllocSpace):
 
 
 class RAIDStore:
-    """Aggregate physical store backed by one or more RAID groups."""
+    """Aggregate physical store backed by one or more RAID groups.
+
+    ``threshold_fraction`` is the section 3.3.1 fragmentation cutoff
+    (:attr:`~repro.common.config.AggregateSpec.threshold_fraction`),
+    handed to the :class:`AggregateAllocator` that consumes it.
+    """
 
     #: Optional :class:`TierPolicy` the CP engine consults for data
     #: placement; None means plain aggregate-wide allocation.  Builders
@@ -542,14 +544,11 @@ class RAIDStore:
         group_configs: list[RAIDGroupConfig],
         *,
         policy: PolicyKind = PolicyKind.CACHE,
-        config: SimConfig | None = None,
+        threshold_fraction: float = 0.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if not group_configs:
             raise GeometryError("an aggregate needs at least one RAID group")
-        alloc_cfg = (
-            config if config is not None else SimConfig.default()
-        ).allocator
         rng = make_rng(seed)
         self.groups: list[RAIDGroupRuntime] = []
         self.offsets: list[int] = []
@@ -557,17 +556,14 @@ class RAIDStore:
         for i, cfg in enumerate(group_configs):
             self.offsets.append(offset)
             g = RAIDGroupRuntime(
-                cfg, offset=offset, policy=policy, seed=rng, name=f"rg{i}",
-                sim_config=config,
+                cfg, offset=offset, policy=policy, seed=rng, name=f"rg{i}"
             )
             g.where = f"group:{i}"
             self.groups.append(g)
             offset += cfg.ndata * cfg.blocks_per_disk
         self.nblocks = offset
         self.allocator = AggregateAllocator(
-            self.groups,
-            threshold_fraction=alloc_cfg.threshold_fraction,
-            stripes_per_round=alloc_cfg.stripes_per_round,
+            self.groups, threshold_fraction=threshold_fraction
         )
         self._bounds = np.asarray(self.offsets + [self.nblocks], dtype=np.int64)
         self._pending_read_us: list[float] = [0.0] * len(self.groups)
@@ -704,12 +700,11 @@ class LinearStore(AllocSpace):
         blocks_per_aa: int = RAID_AGNOSTIC_AA_BLOCKS,
         policy: PolicyKind = PolicyKind.CACHE,
         object_config: ObjectStoreConfig | None = None,
-        config: SimConfig | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         super().__init__(
             LinearAATopology(nblocks, blocks_per_aa),
-            where="store", policy=policy, config=config, seed=seed,
+            where="store", policy=policy, seed=seed,
         )
         self.nblocks = nblocks
         self.device = ObjectStore(nblocks, object_config)

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..common.config import AggregateSpec, SimConfig, TierSpec
+from ..common.config import AggregateSpec, TierSpec
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
 from ..common.errors import GeometryError
 from ..common.rng import make_rng
@@ -113,7 +113,6 @@ class WaflSim:
         spec: AggregateSpec,
         *,
         object_config: ObjectStoreConfig | None = None,
-        config: SimConfig | None = None,
         cpu_model: CpuModel | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> "WaflSim":
@@ -129,8 +128,8 @@ class WaflSim:
           VBN space, with the per-volume tier chooser attached.
 
         ``spec.policy`` / ``spec.vol_policy`` select AA caches or
-        baselines independently — the four quadrants of Figure 6.
-        Tunables come from ``config`` (default :meth:`SimConfig.default`).
+        baselines independently — the four quadrants of Figure 6;
+        ``spec.threshold_fraction`` reaches every :class:`RAIDStore`.
         """
         agg_policy = PolicyKind(spec.policy)
         vol_policy = PolicyKind(spec.vol_policy)
@@ -145,8 +144,7 @@ class WaflSim:
             # repro.tiering sits far above fs in the layer DAG, so the
             # multi-tier path binds to it at call time only.
             store = importlib.import_module("repro.tiering").make_tiered_store(
-                spec, policy=agg_policy, config=config,
-                object_config=object_config, seed=rng,
+                spec, policy=agg_policy, object_config=object_config, seed=rng
             )
             by_tier = {t.label: t.physical_blocks for t in spec.tiers}
         elif tier.media == "object":
@@ -155,17 +153,16 @@ class WaflSim:
                 blocks_per_aa=tier.blocks_per_aa,
                 policy=agg_policy,
                 object_config=object_config,
-                config=config,
                 seed=rng,
             )
         else:
             store = RAIDStore(
-                _tier_group_configs(tier), policy=agg_policy, config=config, seed=rng
+                _tier_group_configs(tier),
+                policy=agg_policy,
+                threshold_fraction=spec.threshold_fraction,
+                seed=rng,
             )
-        vols = {
-            s.name: FlexVol(s, policy=vol_policy, config=config, seed=rng)
-            for s in vol_specs
-        }
+        vols = {s.name: FlexVol(s, policy=vol_policy, seed=rng) for s in vol_specs}
         cls._check_capacity(store.nblocks, vol_specs, by_tier=by_tier)
         return cls(store, vols, cpu_model=cpu_model)
 
@@ -201,15 +198,6 @@ class WaflSim:
                 break
             out.append(self.engine.run_cp(batch))
         return out
-
-    def run_until(self, workload: Iterable[CPBatch], predicate, max_cps: int = 100000) -> int:
-        """Run CPs until ``predicate(self)`` is true; returns CPs run."""
-        it = iter(workload)
-        for i in range(max_cps):
-            if predicate(self):
-                return i
-            self.engine.run_cp(next(it))
-        return max_cps
 
     # ------------------------------------------------------------------
     # Introspection

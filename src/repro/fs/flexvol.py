@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.arrayops import sorted_unique
-from ..common.config import SimConfig
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
 from ..common.errors import AllocationError
 from ..core.aa import LinearAATopology
@@ -71,7 +70,6 @@ class FlexVol(AllocSpace):
         spec: VolSpec,
         *,
         policy: PolicyKind = PolicyKind.CACHE,
-        config: SimConfig | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         self.spec = spec
@@ -79,7 +77,7 @@ class FlexVol(AllocSpace):
         nblocks = spec.resolve_virtual_blocks()
         super().__init__(
             LinearAATopology(nblocks, spec.blocks_per_aa),
-            where=f"vol:{spec.name}", policy=policy, config=config, seed=seed,
+            where=f"vol:{spec.name}", policy=policy, seed=seed,
         )
         #: logical block -> virtual VBN (-1 = never written).
         self.l2v = np.full(spec.logical_blocks, -1, dtype=np.int64)

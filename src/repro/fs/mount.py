@@ -146,11 +146,6 @@ class MountReport:
         """All transient retries charged to the shared budget."""
         return self.transient_retries + self.rebuild_retries
 
-    @property
-    def modeled_total_us(self) -> float:
-        """Modeled time-to-first-CP contribution of cache building."""
-        return self.modeled_read_us
-
 
 def export_topaa(sim: WaflSim) -> TopAAImage:
     """Capture the TopAA metafile image of a running system.

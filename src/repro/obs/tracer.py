@@ -25,10 +25,9 @@ oldest records are evicted FIFO and ``dropped`` counts them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from ..common.config import ObsConfig
 
 __all__ = [
     "SpanRecord",
@@ -124,19 +123,26 @@ class Span:
         self._tracer._close_span(self)
 
 
+#: Ring-buffer capacity in records (spans + counter samples); the
+#: oldest records are evicted once full.
+RING_CAPACITY = 65_536
+
+
 @dataclass
 class Tracer:
     """Bounded ring buffer of span/counter records on a sim clock."""
 
-    config: ObsConfig = field(default_factory=ObsConfig)
+    ring_capacity: int = RING_CAPACITY
 
     def __post_init__(self) -> None:
+        if self.ring_capacity < 1:
+            raise ValueError(f"ring_capacity must be >= 1, got {self.ring_capacity}")
         self.clock_us: float = 0.0
         self.dropped: int = 0
         self._seq: int = 0
         self._cp: int = -1
         self._depth: int = 0
-        self._ring: deque[SpanRecord] = deque(maxlen=self.config.ring_capacity)
+        self._ring: deque[SpanRecord] = deque(maxlen=self.ring_capacity)
         # Running per-CP counter totals, reset at each set_cp(); lets
         # the auditor reconcile the *current* CP in O(counters) without
         # walking the ring.
@@ -241,10 +247,10 @@ class Tracer:
 _active: Tracer | None = None
 
 
-def install(config: ObsConfig | None = None) -> Tracer:
+def install(ring_capacity: int = RING_CAPACITY) -> Tracer:
     """Install (and return) a fresh global tracer."""
     global _active
-    _active = Tracer(config if config is not None else ObsConfig())
+    _active = Tracer(ring_capacity)
     return _active
 
 

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..common.constants import CORES
+
 __all__ = [
     "LoadPoint",
-    "latency_throughput_curve",
     "bottleneck_capacity_ops",
     "system_curve",
     "peak_throughput",
-    "degraded_read_amplification",
-    "degraded_curve",
 ]
 
 
@@ -45,71 +44,6 @@ class LoadPoint:
     achieved_per_client: float
     #: Mean client-observed latency (ms).
     latency_ms: float
-
-    def as_row(self) -> tuple[float, float, float]:
-        return (self.offered_per_client, self.achieved_per_client, self.latency_ms)
-
-
-def latency_throughput_curve(
-    service_us_per_op: float,
-    offered_per_client: np.ndarray | list[float],
-    *,
-    nclients: int = 16,
-    rho_cap: float = 0.98,
-) -> list[LoadPoint]:
-    """Generate a latency-vs-achieved-throughput sweep.
-
-    All throughput values are **per client**: each of the ``nclients``
-    concurrent clients offers ``offered_per_client`` ops/s, so the
-    server sees ``offered_per_client * nclients`` ops/s total.  The
-    *knee* of the resulting curve — the saturation point where achieved
-    throughput stops tracking offered load and latency turns upward —
-    sits where total offered load reaches the whole-server capacity
-    ``1e6 / service_us_per_op`` ops/s, i.e. at
-    ``capacity / nclients`` ops/s per client.  Past the knee, achieved
-    throughput pins there while latency grows linearly with the
-    overload factor.  :func:`peak_throughput` extracts the knee point
-    from a sweep; the event-driven engine in :mod:`repro.traffic` must
-    reproduce the same knee from the same measured service time (the
-    cross-validation test pins agreement to 10%).
-
-    Parameters
-    ----------
-    service_us_per_op:
-        Measured per-operation service time, microseconds (CPU +
-        bottleneck device; :attr:`repro.sim.stats.MetricsLog.service_us_per_op`).
-        For a multi-core server use :func:`system_curve`, which
-        separates CPU capacity from device capacity.
-    offered_per_client:
-        Offered load levels to sweep, ops/s per client.
-    nclients:
-        Number of concurrent clients (the paper plots per-client rates).
-    rho_cap:
-        Utilization ceiling for the queueing term; keeps the
-        below-saturation latency finite at the knee.
-
-    Returns
-    -------
-    One :class:`LoadPoint` per offered level — offered and achieved
-    throughput in ops/s per client, mean latency in milliseconds.
-    """
-    if service_us_per_op <= 0:
-        raise ValueError("service time must be positive")
-    capacity = 1e6 / service_us_per_op  # ops/s, whole server
-    points: list[LoadPoint] = []
-    for load in np.asarray(offered_per_client, dtype=np.float64):
-        offered_total = load * nclients
-        rho = offered_total / capacity
-        if rho < rho_cap:
-            latency_us = service_us_per_op / (1.0 - rho)
-            achieved = load
-        else:
-            # Saturated: throughput pins at capacity; queueing delay
-            # grows with the overload factor.
-            achieved = capacity / nclients
-            latency_us = service_us_per_op / (1.0 - rho_cap) * max(rho, 1.0)
-        points.append(LoadPoint(float(load), float(achieved), float(latency_us) / 1000.0))
-    return points
 
 
 def bottleneck_capacity_ops(
@@ -129,7 +63,7 @@ def system_curve(
     offered_per_client: np.ndarray | list[float],
     *,
     nclients: int = 16,
-    cores: int = 20,
+    cores: int = CORES,
     rho_cap: float = 0.98,
 ) -> list[LoadPoint]:
     """Latency-throughput sweep for a multi-core server.
@@ -140,6 +74,14 @@ def system_curve(
     bottleneck-device capacity is ``1 / device_us_per_op``.  Whichever
     resource saturates first pins throughput; a single operation's
     service latency is still the sum of its CPU and device components.
+
+    All throughput values are **per client**: each of the ``nclients``
+    concurrent clients offers ``offered_per_client`` ops/s.  The knee
+    sits where total offered load reaches capacity; past it, achieved
+    throughput pins at ``capacity / nclients`` while latency grows
+    linearly with the overload factor (``rho_cap`` keeps the
+    below-saturation queueing term finite at the knee).  ``cores=1``
+    with a zero device cost is the plain single-server M/M/1 shape.
     """
     if cpu_us_per_op < 0 or device_us_per_op < 0:
         raise ValueError("per-op costs must be non-negative")
@@ -157,59 +99,6 @@ def system_curve(
             latency_us = service_us / (1.0 - rho_cap) * max(rho, 1.0)
         points.append(LoadPoint(float(load), float(achieved), float(latency_us) / 1000.0))
     return points
-
-
-def degraded_read_amplification(ndata: int, nparity: int, failed_disks: int) -> float:
-    """Expected device-read amplification while a RAID group is
-    missing ``failed_disks`` members.
-
-    A client read landing on a surviving member costs one device read;
-    a read landing on a failed member must be reconstructed from all
-    surviving members (``ndisks - failed`` reads).  With reads spread
-    uniformly over members, the expectation is::
-
-        1 + (failed / ndisks) * (survivors - 1)
-
-    Amplification is 1.0 for a healthy group and grows toward the
-    survivor count as more members fail (within the parity budget).
-    """
-    ndisks = ndata + nparity
-    if not 0 <= failed_disks <= nparity:
-        raise ValueError(
-            f"failed_disks must be within the parity budget [0, {nparity}], "
-            f"got {failed_disks}"
-        )
-    survivors = ndisks - failed_disks
-    return 1.0 + (failed_disks / ndisks) * (survivors - 1)
-
-
-def degraded_curve(
-    service_us_per_op: float,
-    offered_per_client: np.ndarray | list[float],
-    *,
-    ndata: int,
-    nparity: int,
-    failed_disks: int,
-    device_fraction: float = 1.0,
-    nclients: int = 16,
-    rho_cap: float = 0.98,
-) -> list[LoadPoint]:
-    """Latency-throughput sweep for a degraded RAID group.
-
-    Scales the device component of the measured service time (the
-    ``device_fraction`` share of ``service_us_per_op``) by the
-    degraded read amplification, leaving the CPU share unchanged —
-    the modeled latency cost of running with failed members that
-    :func:`repro.raid.parity.analyze_raid_writes` charges per CP.
-    """
-    amp = degraded_read_amplification(ndata, nparity, failed_disks)
-    if not 0.0 <= device_fraction <= 1.0:
-        raise ValueError(f"device_fraction must be in [0, 1], got {device_fraction}")
-    device_us = service_us_per_op * device_fraction
-    degraded_service = service_us_per_op - device_us + device_us * amp
-    return latency_throughput_curve(
-        degraded_service, offered_per_client, nclients=nclients, rho_cap=rho_cap
-    )
 
 
 def peak_throughput(points: list[LoadPoint]) -> LoadPoint:

@@ -121,8 +121,6 @@ class MetricsLog:
             "total_physical_blocks",
             "total_cpu_us",
             "total_device_busy_us",
-            "total_reconstruction_reads",
-            "total_degraded_stripes",
             "cpu_us_per_op",
             "device_us_per_op",
             "service_us_per_op",
@@ -226,16 +224,6 @@ class MetricsLog:
     @property
     def total_device_busy_us(self) -> float:
         return self._sum("device_busy_us")
-
-    @property
-    def total_reconstruction_reads(self) -> int:
-        """Degraded-mode reconstruction reads across the run."""
-        return int(self._sum("reconstruction_reads"))
-
-    @property
-    def total_degraded_stripes(self) -> int:
-        """Stripes written in degraded RAID mode across the run."""
-        return int(self._sum("degraded_stripes"))
 
     @property
     def cpu_us_per_op(self) -> float:

@@ -28,13 +28,11 @@ from .migration import (
 )
 from .policies import FlashPoolPolicy, StaticTierPolicy
 from .store import TieredStore, make_tiered_store
-from .tiers import Tier, choose_tier, media_role, role_of, serviceable_tiers
+from .tiers import Tier, choose_tier, media_role
 
 __all__ = [
     "Tier",
     "media_role",
-    "role_of",
-    "serviceable_tiers",
     "choose_tier",
     "FlashPoolPolicy",
     "StaticTierPolicy",

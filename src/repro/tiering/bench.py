@@ -15,7 +15,7 @@ import hashlib
 import json
 
 from ..analysis.auditor import audit_sim
-from ..common.config import AggregateSpec, SimConfig, TierSpec, VolumeDecl
+from ..common.config import AggregateSpec, TierSpec, VolumeDecl
 from ..common.errors import TieringError
 from ..common.rng import derive_seed
 from ..fs import iron
@@ -60,15 +60,10 @@ def tier_demo_spec(quick: bool = False) -> AggregateSpec:
     )
 
 
-def build_tiered_sim(
-    *,
-    quick: bool = False,
-    seed: int = 55,
-    config: SimConfig | None = None,
-) -> WaflSim:
+def build_tiered_sim(*, quick: bool = False, seed: int = 55) -> WaflSim:
     """Build the demo's tiered :class:`WaflSim` (same spec + seed =>
     byte-identical aggregate)."""
-    return WaflSim.build(tier_demo_spec(quick), config=config, seed=seed)
+    return WaflSim.build(tier_demo_spec(quick), seed=seed)
 
 
 def _digest(payload: dict) -> str:
@@ -78,14 +73,10 @@ def _digest(payload: dict) -> str:
 
 
 def run_tier_bench(
-    *,
-    quick: bool = False,
-    seed: int = 55,
-    audit: bool = True,
-    config: SimConfig | None = None,
+    *, quick: bool = False, seed: int = 55, audit: bool = True
 ) -> dict:
     """Run the heterogeneous-tier demo and return its bench payload."""
-    sim = build_tiered_sim(quick=quick, seed=seed, config=config)
+    sim = build_tiered_sim(quick=quick, seed=seed)
     store = sim.store
     policy = store.tier_policy
     placements = {name: policy.tier_of(name) for name in sim.vols}

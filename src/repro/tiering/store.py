@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.config import AggregateSpec, SimConfig, TierSpec
+from ..common.config import AggregateSpec, TierSpec
 from ..common.errors import TieringError
 from ..common.rng import make_rng
 from ..devices.base import Device
@@ -96,15 +96,6 @@ class TieredStore:
     # ------------------------------------------------------------------
     # Tier addressing
     # ------------------------------------------------------------------
-    def member(self, label: str) -> Store:
-        """The member store backing tier ``label``."""
-        try:
-            return self.members[self.labels.index(label)]
-        except ValueError:
-            raise TieringError(
-                f"unknown tier {label!r}; aggregate tiers: {self.labels}"
-            ) from None
-
     def tier_index_of(self, vbns: np.ndarray) -> np.ndarray:
         """Tier index owning each global VBN."""
         vbns = np.asarray(vbns, dtype=np.int64)
@@ -242,7 +233,6 @@ def make_tiered_store(
     spec: AggregateSpec,
     *,
     policy: PolicyKind = PolicyKind.CACHE,
-    config: SimConfig | None = None,
     object_config: ObjectStoreConfig | None = None,
     seed: int | np.random.Generator | None = None,
 ) -> TieredStore:
@@ -266,7 +256,6 @@ def make_tiered_store(
                     blocks_per_aa=tier.blocks_per_aa,
                     policy=policy,
                     object_config=object_config,
-                    config=config,
                     seed=rng,
                 )
             )
@@ -275,7 +264,7 @@ def make_tiered_store(
                 RAIDStore(
                     _tier_group_configs(tier),
                     policy=policy,
-                    config=config,
+                    threshold_fraction=spec.threshold_fraction,
                     seed=rng,
                 )
             )

@@ -12,13 +12,13 @@ prior run (via :meth:`~repro.sim.stats.MetricsLog.query`).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..common.config import TierSpec
 from ..common.errors import TieringError
 from ..sim.stats import MetricsLog
 
-__all__ = ["Tier", "media_role", "role_of", "serviceable_tiers", "choose_tier"]
+__all__ = ["Tier", "media_role", "choose_tier"]
 
 
 class Tier(enum.Enum):
@@ -50,21 +50,6 @@ def media_role(media: str) -> Tier:
     if media == "object":
         return Tier.ARCHIVE
     return Tier.CAPACITY
-
-
-def role_of(tier: TierSpec) -> Tier:
-    """The service role a declared tier plays, from its media family."""
-    return media_role(tier.media)
-
-
-def serviceable_tiers(tiers: Iterable[TierSpec]) -> dict[Tier, list[str]]:
-    """Tier labels grouped by the service role they can fill — what a
-    fleet scheduler advertises for an aggregate (see
-    :mod:`repro.cluster.scheduler`)."""
-    out: dict[Tier, list[str]] = {}
-    for t in tiers:
-        out.setdefault(role_of(t), []).append(t.label)
-    return out
 
 
 def choose_tier(

@@ -11,8 +11,8 @@ Layers (each importable on its own):
   CP batching, SFQ backend service, per-tenant charge-back and
   percentile measurement;
 * :mod:`repro.traffic.scenarios` — canned uniform / noisy-neighbor /
-  throttled scenarios plus the single-tenant knee cross-validation
-  against :mod:`repro.sim.latency`.
+  throttled scenarios (the single-tenant knee cross-validation against
+  :mod:`repro.sim.latency` lives with the tests, ``tests/traffic/knee.py``).
 
 Run one from the CLI with ``repro traffic noisy-neighbor --seed 7`` (4
 tenants; 2 with ``--quick``) or the whole row in the sweep via ``repro
@@ -29,7 +29,6 @@ from .scenarios import (
     build_scenario,
     build_traffic_sim,
     calibrate_capacity,
-    knee_validation,
     run_traffic,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "build_scenario",
     "build_traffic_sim",
     "calibrate_capacity",
-    "knee_validation",
     "run_traffic",
 ]

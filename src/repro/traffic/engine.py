@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import obs
-from ..common.config import TrafficConfig
+from ..common.constants import CORES
 from ..fs.cp import CPBatch
 from ..sim.stats import CPStats
 from ..workloads.mixes import OpMix
@@ -60,9 +60,10 @@ from .qos import QosLimits, TokenBucket
 
 __all__ = ["TenantSpec", "TenantSummary", "TrafficResult", "TrafficEngine"]
 
-#: The paper's midrange server: CP pipeline parallelism (section 4.1).
-#: Canonical value lives in :class:`repro.common.config.TrafficConfig`.
-DEFAULT_CORES = TrafficConfig().cores
+#: Ops per CP the engine targets when deriving ``cp_interval_us`` —
+#: matches the batch sizes the figure benches measure, so calibrated
+#: per-op costs transfer.
+TARGET_OPS_PER_CP = 2048
 
 
 @dataclass
@@ -289,7 +290,8 @@ class TrafficEngine:
     target_ops_per_cp:
         Used only to derive the default ``cp_interval_us``.
     cores:
-        CP pipeline parallelism for the occupancy model.
+        CP pipeline parallelism for the occupancy model (default: the
+        paper's 20-core testbed).
     """
 
     def __init__(
@@ -298,14 +300,9 @@ class TrafficEngine:
         tenants: list[TenantSpec],
         *,
         cp_interval_us: float | None = None,
-        target_ops_per_cp: int | None = None,
-        cores: int | None = None,
+        target_ops_per_cp: int = TARGET_OPS_PER_CP,
+        cores: int = CORES,
     ) -> None:
-        traffic_cfg = TrafficConfig()
-        if target_ops_per_cp is None:
-            target_ops_per_cp = traffic_cfg.target_ops_per_cp
-        if cores is None:
-            cores = traffic_cfg.cores
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in tenants]

@@ -1,4 +1,4 @@
-"""Canned multi-tenant traffic scenarios and cross-validation sweeps.
+"""Canned multi-tenant traffic scenarios.
 
 Three scenarios cover the QoS stories a multi-tenant array has to tell
 (EXPERIMENTS.md, "Multi-tenant traffic and QoS"):
@@ -7,7 +7,7 @@ Three scenarios cover the QoS stories a multi-tenant array has to tell
     N identical Poisson tenants at ~60% of calibrated backend capacity
     — the steady multi-client load the paper's latency-throughput
     sweeps assume, and the configuration the single-tenant knee
-    cross-validation uses.
+    cross-validation (``tests/traffic/knee.py``) uses.
 ``noisy-neighbor``
     Tenant 0 offers ~1.5x the whole backend's capacity, unthrottled.
     Tenant 1 is the QoS-protected victim: IOPS-capped with a bounded
@@ -30,35 +30,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.config import AggregateSpec, SimConfig, TierSpec, VolumeDecl
+from ..common.config import AggregateSpec, TierSpec, VolumeDecl
+from ..common.constants import CORES
 from ..common.rng import make_rng, spawn
 from ..fs.filesystem import WaflSim
-from ..sim.latency import bottleneck_capacity_ops, peak_throughput, system_curve
-from ..workloads.aging import age_filesystem, reset_measurement_state
+from ..sim.latency import bottleneck_capacity_ops
+from ..workloads.aging import (
+    age_filesystem,
+    reset_measurement_state,
+    set_bitmap_checks,
+)
 from ..workloads.mixes import UniformOverwriteMix, ZipfOverwriteMix
 from ..workloads.random_overwrite import RandomOverwriteWorkload
 from .arrivals import OnOffArrivals, PoissonArrivals
-from .engine import DEFAULT_CORES, TenantSpec, TrafficEngine, TrafficResult
+from .engine import TARGET_OPS_PER_CP, TenantSpec, TrafficEngine, TrafficResult
 from .qos import QosLimits
 
 __all__ = [
     "SCENARIOS",
+    "DEFAULT_TENANTS",
     "CalibratedService",
     "build_traffic_sim",
     "calibrate_capacity",
     "build_scenario",
     "TrafficRun",
     "run_traffic",
-    "knee_validation",
 ]
 
 SCENARIOS = ("uniform", "noisy-neighbor", "throttled")
 
-#: Clients per tenant in the closed-form comparison (harness NCLIENTS).
-_NCLIENTS = SimConfig.default().traffic.knee_nclients
-#: Ops per CP the engine targets — matches the batch sizes the figure
-#: benches measure, so calibrated per-op costs transfer.
-_TARGET_OPS_PER_CP = SimConfig.default().traffic.target_ops_per_cp
+#: Tenants a scenario (and ``repro trace``) runs when not told otherwise.
+DEFAULT_TENANTS = 4
 
 
 @dataclass(frozen=True)
@@ -117,19 +119,16 @@ def build_traffic_sim(
     sim = WaflSim.build(AggregateSpec(tiers=(tier,), volumes=vols), seed=seed)
     age_filesystem(sim, churn_factor=churn_factor, ops_per_cp=16384, seed=seed)
     reset_measurement_state(sim)
-    for vol in sim.vols.values():
-        vol.metafile.bitmap.check = False
-    for group in sim.store.groups:
-        group.metafile.bitmap.check = False
+    set_bitmap_checks(sim, False)
     return sim
 
 
 def calibrate_capacity(
     sim: WaflSim,
     *,
-    cores: int = DEFAULT_CORES,
+    cores: int = CORES,
     n_cps: int = 6,
-    ops_per_cp: int = _TARGET_OPS_PER_CP,
+    ops_per_cp: int = TARGET_OPS_PER_CP,
     seed: int = 4242,
 ) -> CalibratedService:
     """Measure per-op service costs on the aged sim, then reset it.
@@ -161,7 +160,7 @@ def build_scenario(
     sim: WaflSim,
     capacity_ops: float,
     *,
-    n_tenants: int = 4,
+    n_tenants: int = DEFAULT_TENANTS,
     seed: int = 7,
 ) -> list[TenantSpec]:
     """Tenant specs for one named scenario (see module docstring).
@@ -266,12 +265,12 @@ class TrafficRun:
 def run_traffic(
     scenario: str = "noisy-neighbor",
     *,
-    n_tenants: int | None = None,
+    n_tenants: int = DEFAULT_TENANTS,
     seed: int = 7,
     quick: bool = True,
     n_cps: int | None = None,
     blocks_per_disk: int | None = None,
-    cores: int = DEFAULT_CORES,
+    cores: int = CORES,
 ) -> TrafficRun:
     """Build, calibrate, and run one named scenario end to end.
 
@@ -279,8 +278,6 @@ def run_traffic(
     run ``seed`` drives arrivals and op mixes, so two runs with the
     same seed replay byte-identically and different seeds decorrelate.
     """
-    if n_tenants is None:
-        n_tenants = SimConfig.default().traffic.default_tenants
     if blocks_per_disk is None:
         blocks_per_disk = 65_536 if quick else 131_072
     if n_cps is None:
@@ -301,94 +298,10 @@ def run_traffic(
         scenario, sim, cal.capacity_ops, n_tenants=n_tenants, seed=seed
     )
     engine = TrafficEngine(
-        sim, tenants, target_ops_per_cp=_TARGET_OPS_PER_CP, cores=cores
+        sim, tenants, target_ops_per_cp=TARGET_OPS_PER_CP, cores=cores
     )
     engine.run(n_cps)
     result = engine.summary()
     return TrafficRun(
         scenario=scenario, result=result, calibration=cal, engine=engine, sim=sim
     )
-
-
-def knee_validation(
-    *,
-    seed: int = 7,
-    blocks_per_disk: int = 65_536,
-    n_cps: int = 30,
-    fractions: tuple[float, ...] = (0.5, 0.8, 1.2, 2.0),
-    cores: int = DEFAULT_CORES,
-) -> dict:
-    """Cross-validate the event engine against the closed-form model.
-
-    Single tenant, uniform overwrites, fig6 quick configuration: the
-    M/M/1-shaped transform's knee (peak achieved throughput of
-    :func:`repro.sim.latency.system_curve` over the same measured
-    service costs) must agree with the event-driven engine's knee (max
-    achieved throughput over a sweep of offered loads) — the two
-    derive saturation from the same per-op costs, so they must land
-    within tolerance (the test pins 10%).
-
-    Returns mm1/event knees (whole-server ops/s) plus the sweep points.
-    """
-    # simlint: disable=F804 — knee validation compares measured vs predicted
-    # saturation on the canonical testbed (seed 42); re-seeding per run would
-    # decouple it from the calibration it validates
-    sim = build_traffic_sim(1, blocks_per_disk=blocks_per_disk)
-    # simlint: disable=F804 — the validated calibration must be the same
-    # canonical-seed (4242) calibration run_traffic uses, or the comparison is
-    # meaningless
-    cal = calibrate_capacity(sim, cores=cores)
-    offered_per_client = [
-        f * cal.capacity_ops / _NCLIENTS for f in (0.25, 0.5, 0.8, 0.95, 1.0, 1.5, 2.5)
-    ]
-    curve = system_curve(
-        cal.cpu_us_per_op,
-        cal.device_us_per_op,
-        offered_per_client,
-        nclients=_NCLIENTS,
-        cores=cores,
-    )
-    mm1_knee_ops = peak_throughput(curve).achieved_per_client * _NCLIENTS
-    rng = make_rng(seed)
-    seeds = spawn(rng, 2 * len(fractions))
-    points = []
-    event_knee_ops = 0.0
-    for k, f in enumerate(fractions):
-        reset_measurement_state(sim)
-        offered = f * cal.capacity_ops
-        engine = TrafficEngine(
-            sim,
-            [
-                TenantSpec(
-                    name="t0",
-                    volume="tenant0",
-                    arrivals=PoissonArrivals(offered, seed=seeds[2 * k]),
-                    mix=UniformOverwriteMix(
-                        _vol_blocks(sim, "tenant0"), seed=seeds[2 * k + 1]
-                    ),
-                )
-            ],
-            target_ops_per_cp=_TARGET_OPS_PER_CP,
-            cores=cores,
-        )
-        engine.run(n_cps)
-        summary = engine.summary().tenants["t0"]
-        points.append(
-            {
-                "offered_fraction": f,
-                "offered_ops_s": offered,
-                "achieved_ops_s": summary.achieved_ops_s,
-                "p99_ms": summary.p99_ms,
-            }
-        )
-        if summary.achieved_ops_s > event_knee_ops:
-            event_knee_ops = summary.achieved_ops_s
-    return {
-        "mm1_knee_ops": mm1_knee_ops,
-        "event_knee_ops": event_knee_ops,
-        "knee_ratio": event_knee_ops / mm1_knee_ops if mm1_knee_ops else 0.0,
-        "capacity_ops": cal.capacity_ops,
-        "cpu_us_per_op": cal.cpu_us_per_op,
-        "device_us_per_op": cal.device_us_per_op,
-        "points": points,
-    }

@@ -3,7 +3,7 @@
 from .aging import age_filesystem, churn, fill_volumes, reset_measurement_state
 from .base import Workload
 from .filechurn import FileChurnWorkload
-from .mixes import OpMix, UniformOverwriteMix, WorkloadOpMix, ZipfOverwriteMix
+from .mixes import OpMix, UniformOverwriteMix, ZipfOverwriteMix
 from .oltp import OLTPWorkload
 from .random_overwrite import RandomOverwriteWorkload
 from .sequential import SequentialWriteWorkload
@@ -17,7 +17,6 @@ __all__ = [
     "OpMix",
     "UniformOverwriteMix",
     "ZipfOverwriteMix",
-    "WorkloadOpMix",
     "age_filesystem",
     "churn",
     "fill_volumes",

@@ -16,11 +16,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..common.errors import BitmapError
 from ..fs.filesystem import WaflSim
 from .random_overwrite import RandomOverwriteWorkload
 from .sequential import SequentialWriteWorkload
 
-__all__ = ["fill_volumes", "churn", "age_filesystem"]
+__all__ = [
+    "fill_volumes",
+    "churn",
+    "age_filesystem",
+    "reset_measurement_state",
+    "set_bitmap_checks",
+    "popcount_audit",
+]
 
 
 def fill_volumes(sim: WaflSim, *, ops_per_cp: int = 16384, seed: int | None = 1) -> int:
@@ -112,6 +120,32 @@ def reset_measurement_state(sim: WaflSim) -> None:
         fs.reset_selection_trace()
     for dev in sim.store.devices:
         _reset_device(dev)
+
+
+def set_bitmap_checks(sim: WaflSim, check: bool) -> None:
+    """Toggle per-batch bitmap validation on every space's metafile.
+
+    Benchmarks disable checking once aging completes (correctness is
+    audited once at teardown via :func:`popcount_audit` instead of per
+    batch) so the measurement phase times the allocation pipeline, not
+    the validation.
+    """
+    for fs in sim.spaces():
+        fs.metafile.bitmap.check = check
+
+
+def popcount_audit(sim: WaflSim) -> None:
+    """One final corruption check: every space's recomputed bitmap
+    popcount must equal its running allocated counter.  Raises
+    :class:`~repro.common.errors.BitmapError` on divergence."""
+    for fs in sim.spaces():
+        bm = fs.metafile.bitmap
+        pc = bm.popcount()
+        if pc != bm.allocated_count:
+            raise BitmapError(
+                f"teardown audit: {fs.where} popcount {pc} != allocated "
+                f"counter {bm.allocated_count} (nblocks={bm.nblocks})"
+            )
 
 
 def _reset_device(dev) -> None:

@@ -10,17 +10,14 @@ the wrong shape for a multi-tenant traffic engine that admits a
 "tenant X just got ``n`` operations admitted — which logical blocks of
 X's volume do they dirty (or delete)?"
 
-Three concrete mixes cover the tenant populations the paper's
+Two concrete mixes cover the tenant populations the paper's
 multi-client testbed mixes (section 4.1) plus the skewed access the
 BIT-inference line of work shows matters on log-structured stores:
 
 * :class:`UniformOverwriteMix` — the paper's 8 KiB aligned random
   overwrites (same idiom as :class:`RandomOverwriteWorkload`);
 * :class:`ZipfOverwriteMix` — Zipf-skewed overwrites with a scattered
-  hot set (database-like reuse);
-* :class:`WorkloadOpMix` — wraps any existing :class:`Workload`
-  subclass over a single-volume view, so file-churn or OLTP tenants
-  reuse the shipped generators verbatim.
+  hot set (database-like reuse).
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ __all__ = [
     "OpMix",
     "UniformOverwriteMix",
     "ZipfOverwriteMix",
-    "WorkloadOpMix",
 ]
 
 #: Knuth's multiplicative-hash constant; scatters Zipf ranks across the
@@ -155,53 +151,3 @@ class ZipfOverwriteMix(OpMix):
         ranks = (self.rng.zipf(self.alpha, size=n_ops).astype(np.int64) - 1) % span
         starts = (ranks * _SCATTER) % span
         return self._adjacent_runs(starts), np.empty(0, dtype=np.int64)
-
-
-class _SingleVolumeView:
-    """The minimal sim surface a :class:`Workload` constructor reads: a
-    ``vols`` mapping restricted to one tenant's volume."""
-
-    def __init__(self, sim, volume: str) -> None:
-        self.vols = {volume: sim.vols[volume]}
-
-
-class WorkloadOpMix(OpMix):
-    """Adapts an existing whole-sim :class:`Workload` generator to the
-    per-tenant interface.
-
-    ``factory(view, ops_per_cp=..., seed=...)`` is any Workload
-    subclass (or partial) — it sees a single-volume view of the sim, so
-    its entire op budget lands on the tenant's volume.  Each
-    :meth:`next_ops` call retargets the wrapped generator's
-    ``ops_per_cp`` to the admitted count and takes one batch.
-    """
-
-    def __init__(
-        self,
-        factory,
-        sim,
-        volume: str,
-        *,
-        blocks_per_op: int = 2,
-        seed: int | np.random.Generator | None = None,
-        **kwargs,
-    ) -> None:
-        view = _SingleVolumeView(sim, volume)
-        logical = view.vols[volume].spec.logical_blocks
-        super().__init__(logical, blocks_per_op=blocks_per_op, seed=seed)
-        self.volume = volume
-        # ops_per_cp is retargeted per call; 1 is just a valid seed value.
-        self.workload = factory(view, ops_per_cp=1, seed=self.rng, **kwargs)
-
-    def next_ops(self, n_ops: int) -> tuple[np.ndarray, np.ndarray]:
-        empty = np.empty(0, dtype=np.int64)
-        if n_ops <= 0:
-            return empty, empty
-        self.workload.ops_per_cp = int(n_ops)
-        batch = self.workload.next_batch()
-        writes = batch.writes.get(self.volume, empty)
-        deletes = batch.deletes.get(self.volume, empty)
-        return (
-            np.asarray(writes, dtype=np.int64),
-            np.asarray(deletes, dtype=np.int64),
-        )

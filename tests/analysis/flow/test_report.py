@@ -32,7 +32,7 @@ EXPECTED_WAIVERS = Counter({
     # Canonical-seed pins.
     ("F804", "bench/experiments.py"): 1,
     ("F804", "faults/underload.py"): 2,
-    ("F804", "traffic/scenarios.py"): 4,
+    ("F804", "traffic/scenarios.py"): 2,
     # Reporting-only wall clocks (start + stop of one timer each).
     ("F801", "fs/mount.py"): 2,
     ("F801", "cluster/cluster.py"): 2,

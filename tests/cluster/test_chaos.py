@@ -3,20 +3,15 @@ audits and Iron stay clean, and victim tails stay under their bound."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster import run_cluster_chaos
-from repro.common.config import SimConfig
 
 
 @pytest.fixture(scope="module")
 def report():
-    base = SimConfig.default()
-    cfg = replace(base, cluster=replace(base.cluster, epoch_cps=4))
     return run_cluster_chaos(
-        n_shards=6, tenants_per_shard=2, seed=77, config=cfg
+        n_shards=6, tenants_per_shard=2, seed=77, epoch_cps=4
     )
 
 

@@ -4,8 +4,6 @@ and across independently rebuilt clusters."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster import (
@@ -15,20 +13,16 @@ from repro.cluster import (
     noisy_fleet_requests,
 )
 from repro.cluster.shard import ShardRuntime, _run_shard_task
-from repro.common.config import SimConfig
+
+#: Short epochs keep the module fast; digests only need to be equal.
+EPOCH_CPS = 3
 
 
 @pytest.fixture(scope="module")
-def cfg() -> SimConfig:
-    base = SimConfig.default()
-    return replace(base, cluster=replace(base.cluster, epoch_cps=3))
-
-
-@pytest.fixture(scope="module")
-def fleet(cfg):
-    specs = make_shard_specs(4, seed=123, config=cfg)
+def fleet():
+    specs = make_shard_specs(4, seed=123)
     requests = noisy_fleet_requests(8, seed=9)
-    cluster = Cluster(specs, scheduler=FilterScheduler(config=cfg), config=cfg)
+    cluster = Cluster(specs, scheduler=FilterScheduler(), epoch_cps=EPOCH_CPS)
     result = cluster.schedule(requests, rounds=1)
     return cluster, requests, result
 
@@ -44,7 +38,7 @@ def test_digests_identical_across_worker_counts(fleet):
     cluster.workers = None
 
 
-def test_fewer_shards_than_workers_starts_no_pool(cfg, monkeypatch):
+def test_fewer_shards_than_workers_starts_no_pool(monkeypatch):
     """The pool is capped at the shard count, and a one-worker pool is
     the in-process path."""
     from repro.cluster import cluster as cluster_mod
@@ -53,9 +47,9 @@ def test_fewer_shards_than_workers_starts_no_pool(cfg, monkeypatch):
 
     def digest(workers):
         one = Cluster(
-            make_shard_specs(1, seed=123, config=cfg),
-            scheduler=FilterScheduler(config=cfg),
-            config=cfg,
+            make_shard_specs(1, seed=123),
+            scheduler=FilterScheduler(),
+            epoch_cps=EPOCH_CPS,
             workers=workers,
         )
         return one.schedule(requests, rounds=1).digest
@@ -68,24 +62,24 @@ def test_fewer_shards_than_workers_starts_no_pool(cfg, monkeypatch):
     assert digest(8) == serial
 
 
-def test_rebuilt_cluster_reproduces_the_digest(cfg, fleet):
+def test_rebuilt_cluster_reproduces_the_digest(fleet):
     _, requests, result = fleet
-    specs = make_shard_specs(4, seed=123, config=cfg)
-    rebuilt = Cluster(specs, scheduler=FilterScheduler(config=cfg), config=cfg)
+    specs = make_shard_specs(4, seed=123)
+    rebuilt = Cluster(specs, scheduler=FilterScheduler(), epoch_cps=EPOCH_CPS)
     again = rebuilt.schedule(requests, rounds=1)
     assert again.digest == result.digest
     assert again.placements == result.placements
 
 
-def test_seed_changes_the_digest(cfg, fleet):
+def test_seed_changes_the_digest(fleet):
     _, requests, result = fleet
-    specs = make_shard_specs(4, seed=124, config=cfg)
-    other = Cluster(specs, scheduler=FilterScheduler(config=cfg), config=cfg)
+    specs = make_shard_specs(4, seed=124)
+    other = Cluster(specs, scheduler=FilterScheduler(), epoch_cps=EPOCH_CPS)
     assert other.schedule(requests, rounds=1).digest != result.digest
 
 
-def test_shard_task_replay_is_byte_identical(cfg):
-    spec = make_shard_specs(1, seed=55, config=cfg)[0]
+def test_shard_task_replay_is_byte_identical():
+    spec = make_shard_specs(1, seed=55)[0]
     reqs = tuple((r, 0) for r in noisy_fleet_requests(3, seed=4))
     args = (spec, reqs, 2, 3, True)
     sid_a, payload_a = _run_shard_task(args)
@@ -95,16 +89,16 @@ def test_shard_task_replay_is_byte_identical(cfg):
     assert payload_a["digest"] == payload_b["digest"]
 
 
-def test_tenant_streams_independent_of_co_tenants(cfg):
+def test_tenant_streams_independent_of_co_tenants():
     """Placing an extra tenant must not perturb an existing tenant's
     arrival/mix streams (seeds derive from the volume name, not the
     shard population) — the property that makes placement comparisons
     meaningful."""
-    spec = make_shard_specs(1, seed=77, config=cfg)[0]
+    spec = make_shard_specs(1, seed=77)[0]
     [probe] = noisy_fleet_requests(1, seed=3)
 
     def arrivals_of(extra):
-        rt = ShardRuntime(spec, config=cfg)
+        rt = ShardRuntime(spec)
         rt.add_volume(probe)
         for r in extra:
             rt.add_volume(r)

@@ -3,8 +3,6 @@ and a round-trip that leaves the invariant audit and Iron scan clean."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster import (
@@ -14,20 +12,13 @@ from repro.cluster import (
     migrate_volume,
     run_rebalance,
 )
-from repro.common.config import SimConfig
 from repro.fs import iron
 
 
-@pytest.fixture(scope="module")
-def cfg() -> SimConfig:
-    base = SimConfig.default()
-    return replace(base, cluster=replace(base.cluster, epoch_cps=3))
-
-
 @pytest.fixture()
-def pair(cfg):
-    source = ShardRuntime(ShardSpec(shard_id=0, seed=101), config=cfg)
-    target = ShardRuntime(ShardSpec(shard_id=1, seed=202), config=cfg)
+def pair():
+    source = ShardRuntime(ShardSpec(shard_id=0, seed=101))
+    target = ShardRuntime(ShardSpec(shard_id=1, seed=202))
     return source, target
 
 
@@ -98,10 +89,8 @@ def test_migrating_unknown_volume_raises(pair):
         migrate_volume(source, target, "ghost")
 
 
-def test_run_rebalance_reports_conservation(cfg):
-    out = run_rebalance(
-        n_shards=3, tenants_per_shard=2, seed=31, epoch_cps=3, config=cfg
-    )
+def test_run_rebalance_reports_conservation():
+    out = run_rebalance(n_shards=3, tenants_per_shard=2, seed=31, epoch_cps=3)
     mig = out["migration"]
     assert mig["blocks_copied"] == mig["blocks_freed"] > 0
     assert mig["iron_findings"] == 0

@@ -4,7 +4,7 @@ Every test in ``TestConformance`` runs against both implementations —
 the RAID-aware max-heap and the RAID-agnostic HBPS — through nothing
 but the protocol surface (``select`` / ``invalidate`` / ``consume`` /
 ``refill`` / ``stats`` and the probe properties).  The factory tests
-pin :func:`make_aa_cache`'s topology dispatch and config plumbing.
+pin :func:`make_aa_cache`'s topology dispatch.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.common import CacheError
-from repro.common.config import CacheConfig, SimConfig
 from repro.core import (
     AACache,
     CacheSource,
@@ -154,19 +153,6 @@ class TestFactory:
         topo = LinearAATopology(4096, 256)
         cache = make_aa_cache(topo, np.zeros(topo.num_aas, dtype=np.int64))
         assert isinstance(cache, RAIDAgnosticAACache)
-
-    def test_cache_config_tunes_hbps(self):
-        topo = LinearAATopology(4096, 256)
-        cfg = CacheConfig(hbps_bin_width=64, hbps_list_capacity=10)
-        cache = make_aa_cache(topo, config=cfg)
-        assert cache.hbps.bin_width == 64
-        assert cache.hbps.list_capacity == 10
-
-    def test_sim_config_is_accepted(self):
-        # aa_blocks >= the default bin width, so no clamping applies.
-        topo = LinearAATopology(16384, 2048)
-        cache = make_aa_cache(topo, config=SimConfig.default())
-        assert cache.hbps.bin_width == SimConfig.default().cache.hbps_bin_width
 
 
 class TestShimsRemoved:

@@ -97,7 +97,6 @@ class TestLinearAllocator:
         alloc, *_ = make_linear()
         alloc.allocate(10)
         assert alloc.selected_aa_scores == [512]
-        assert alloc.mean_selected_score() == 512
 
     def test_current_aa_held_across_cps(self):
         """The allocator keeps filling its AA across CP boundaries
@@ -134,27 +133,35 @@ class TestLinearAllocator:
         assert alloc.spanned_blocks >= 90
 
 
+def take_stripes(alloc, max_stripes, max_blocks):
+    """``take_stripe_chunks`` concatenated (what the aggregate loop does
+    once per ``allocate``)."""
+    out: list[np.ndarray] = []
+    alloc.take_stripe_chunks(out, max_stripes, max_blocks)
+    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+
+
 class TestRAIDGroupAllocator:
     def test_full_stripes_on_empty_aa(self):
         alloc, topo, mf, keeper, _ = make_raid()
-        v = alloc.take_stripes(10, 10**9)
+        v = take_stripes(alloc, 10, 10**9)
         stats = analyze_raid_writes(topo.geometry, v)
         assert stats.full_stripes == 10
         assert stats.partial_stripes == 0
 
     def test_block_budget_respected(self):
         alloc, topo, *_ = make_raid()
-        v = alloc.take_stripes(100, 7)
+        v = take_stripes(alloc, 100, 7)
         assert v.size == 7
 
     def test_stripe_budget_respected(self):
         alloc, topo, *_ = make_raid(ndata=3)
-        v = alloc.take_stripes(5, 10**9)
+        v = take_stripes(alloc, 5, 10**9)
         assert v.size == 15  # 5 stripes x 3 disks
 
     def test_continues_across_aas(self):
         alloc, topo, mf, keeper, _ = make_raid(blocks_per_disk=256, stripes_per_aa=64)
-        v = alloc.take_stripes(100, 10**9)
+        v = take_stripes(alloc, 100, 10**9)
         assert np.unique(topo.aa_of_vbn(v)).size == 2
 
     def test_fragmented_aa_yields_fewer_blocks_per_stripe(self):
@@ -170,15 +177,15 @@ class TestRAIDGroupAllocator:
         cache.apply_changes(
             [(aa, topo.aa_blocks, keeper.score(aa)) for aa in range(topo.num_aas)]
         )
-        v = alloc.take_stripes(4, 10**9)
+        v = take_stripes(alloc, 4, 10**9)
         stats = analyze_raid_writes(topo.geometry, v)
         assert stats.data_blocks == 4  # one free block per stripe
         assert stats.partial_stripes == 4
 
     def test_dry_group_returns_empty(self):
         alloc, topo, mf, keeper, cache = make_raid(blocks_per_disk=256, stripes_per_aa=64)
-        alloc.take_stripes(10**6, 10**9)
-        assert alloc.take_stripes(10, 10) .size == 0
+        take_stripes(alloc, 10**6, 10**9)
+        assert take_stripes(alloc, 10, 10).size == 0
 
 
 class TestAggregateAllocator:

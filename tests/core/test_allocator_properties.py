@@ -30,6 +30,8 @@ from repro.core import (
 )
 from repro.raid import RAIDGeometry
 
+from .test_allocator import take_stripes
+
 
 @st.composite
 def op_sequences(draw):
@@ -52,7 +54,7 @@ def run_ops(alloc, metafile, keeper, ops, rng):
         if kind == "alloc":
             got = alloc.allocate(n) if hasattr(alloc, "allocate") else None
             if got is None:  # RAID group allocator
-                got = alloc.take_stripes(10**9, n)
+                got = take_stripes(alloc, 10**9, n)
             assert np.unique(got).size == got.size
             live.extend(got.tolist())
         elif kind == "free" and live:

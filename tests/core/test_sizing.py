@@ -9,10 +9,9 @@ from repro.core import (
     aa_size_for_hdd,
     aa_size_for_smr,
     aa_size_for_ssd,
-    aa_size_raid_agnostic,
     fit_aa_size,
 )
-from repro.core.aa import LinearAATopology, StripeAATopology
+from repro.core.aa import StripeAATopology
 from repro.raid import RAIDGeometry
 
 
@@ -103,19 +102,3 @@ class TestSMR:
         stripes = 63 * 8 * 128
         g = RAIDGeometry(4, 1, stripes)
         StripeAATopology(g, aa_size_for_smr(g, zone_blocks=4096).size)
-
-
-class TestRAIDAgnostic:
-    def test_default_is_32k(self):
-        size = aa_size_raid_agnostic(32768 * 100)
-        assert size.size == 32768
-        assert size.policy == "raid-agnostic"
-
-    def test_small_space(self):
-        assert aa_size_raid_agnostic(1024).size == 1024
-
-    def test_topology_accepts_result(self):
-        LinearAATopology(32768 * 4, aa_size_raid_agnostic(32768 * 4).size)
-
-    def test_int_conversion(self):
-        assert int(aa_size_raid_agnostic(32768)) == 32768

@@ -1,7 +1,7 @@
 """Persistence-model unit tests and the seeded fuzz round-trips of
-satellite (c): serialized FS images, sealed bitmap-metafile pages, and
-TopAA pages either survive their round trip byte-exactly or fail with
-a typed error — never deserialize into garbage."""
+satellite (c): serialized FS images and TopAA pages either survive
+their round trip byte-exactly or fail with a typed error — never
+deserialize into garbage."""
 
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ from repro.crash import (
     PersistenceModel,
     capture_image,
     deserialize_fs,
-    load_bitmap_page,
-    seal_bitmap_page,
     serialize_fs,
     tear_page,
 )
@@ -127,37 +125,6 @@ class TestFuzzRoundTrips:
             unseal_page(flipped, PAGE_KIND_HBPS, vol.topology.num_aas)
         with pytest.raises(SerializationError, match="truncated"):
             unseal_page(page[:100], PAGE_KIND_HBPS, vol.topology.num_aas)
-
-
-class TestBitmapPages:
-    def test_round_trip_restores_bitmap(self, aged_sim):
-        vol = aged_sim.vol("volB")
-        before = vol.metafile.to_bytes()
-        free_before = vol.metafile.free_count
-        page = seal_bitmap_page(vol.metafile)
-        churn(aged_sim)
-        assert vol.metafile.to_bytes() != before
-        load_bitmap_page(vol.metafile, page)
-        assert vol.metafile.to_bytes() == before
-        assert vol.metafile.free_count == free_before
-
-    def test_truncated_page_raises_torn_write(self, aged_sim):
-        vol = aged_sim.vol("volB")
-        page = seal_bitmap_page(vol.metafile)
-        with pytest.raises(TornWriteError):
-            load_bitmap_page(vol.metafile, page[: len(page) // 2])
-
-    def test_torn_page_raises_torn_write(self, aged_sim):
-        """A mid-write page (new prefix, old tail) fails its checksum
-        envelope and surfaces as the typed torn-write error."""
-        vol = aged_sim.vol("volB")
-        old = seal_bitmap_page(vol.metafile)
-        churn(aged_sim)
-        new = seal_bitmap_page(vol.metafile)
-        torn = new[:SECTOR_BYTES] + old[SECTOR_BYTES : len(new)]
-        assert torn != new
-        with pytest.raises(TornWriteError):
-            load_bitmap_page(vol.metafile, torn)
 
 
 class TestTearPage:

@@ -9,7 +9,6 @@ from repro.common import DegradedError, MediaError, TransientIOError
 from repro.faults import FaultInjector, FaultKind, attach_everywhere
 from repro.raid.geometry import RAIDGeometry
 from repro.raid.parity import analyze_raid_writes
-from repro.sim.latency import degraded_curve, degraded_read_amplification
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
 from ..conftest import small_ssd_sim
@@ -52,7 +51,6 @@ class TestDegradedWrites:
         assert g.failed_disks == 1 and g.within_parity_budget
         stats = sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=5), 3)
         assert sum(s.degraded_stripes for s in stats) > 0
-        assert sim.metrics.total_degraded_stripes > 0
         sim.verify_consistency()
 
     def test_degraded_client_reads_reconstruct(self, sim):
@@ -118,21 +116,3 @@ class TestFaultyMetafileReads:
         inj.arm(vol.where, FaultKind.UNRECONSTRUCTABLE)
         with pytest.raises(MediaError):
             vol.read_metafile()
-
-
-class TestLatencyModel:
-    def test_amplification_bounds(self):
-        assert degraded_read_amplification(3, 1, 0) == 1.0
-        amp = degraded_read_amplification(3, 1, 1)
-        assert 1.0 < amp <= 3.0
-        with pytest.raises(ValueError):
-            degraded_read_amplification(3, 1, 2)
-
-    def test_degraded_curve_slower_than_healthy(self):
-        from repro.sim.latency import latency_throughput_curve
-
-        loads = [100.0, 500.0, 1000.0]
-        healthy = latency_throughput_curve(50.0, loads)
-        degraded = degraded_curve(50.0, loads, ndata=3, nparity=1, failed_disks=1)
-        for h, d in zip(healthy, degraded):
-            assert d.latency_ms > h.latency_ms

@@ -38,7 +38,10 @@ class TestAcceptance:
         assert metrics.degraded_stripes > 0
         assert metrics.reconstruction_reads > 0
         assert metrics.blocks_reconstructed > 0
-        assert sim.metrics.total_reconstruction_reads == metrics.reconstruction_reads
+        assert (
+            sum(s.reconstruction_reads for s in sim.metrics.cps)
+            == metrics.reconstruction_reads
+        )
 
     def test_degraded_allocation_served_from_bitmap_walk(self, quick_run):
         metrics, _sim = quick_run

@@ -58,12 +58,6 @@ class TestRun:
         assert len(out) == 5
         assert len(ssd_sim.metrics.cps) == 5
 
-    def test_run_until(self, ssd_sim):
-        wl = SequentialWriteWorkload(ssd_sim, ops_per_cp=1024, wrap=False)
-        cps = ssd_sim.run_until(wl, lambda s: s.utilization > 0.1)
-        assert ssd_sim.utilization > 0.1
-        assert cps > 0
-
     def test_verify_consistency_clean(self, ssd_sim):
         wl = RandomOverwriteWorkload(ssd_sim, ops_per_cp=256, seed=0)
         ssd_sim.run(wl, 3)

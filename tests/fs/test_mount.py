@@ -198,15 +198,9 @@ class TestTieredMount:
 class TestObjectTierMount:
     """One object tier: the physical store is an HBPS space too."""
 
-    CACHE = dict(hbps_bin_width=256, hbps_list_capacity=100)
-
     @pytest.fixture
     def object_sim(self):
-        from dataclasses import replace
-
-        from repro.common.config import (
-            AggregateSpec, CacheConfig, SimConfig, TierSpec, VolumeDecl,
-        )
+        from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
         from repro.fs import WaflSim
 
         spec = AggregateSpec(
@@ -214,16 +208,10 @@ class TestObjectTierMount:
                             nblocks=32768 * 4, blocks_per_aa=4096),),
             volumes=(VolumeDecl("v", logical_blocks=32768, blocks_per_aa=4096),),
         )
-        cfg = replace(SimConfig.default(), cache=CacheConfig(**self.CACHE))
-        sim = WaflSim.build(spec, config=cfg, seed=2)
+        sim = WaflSim.build(spec, seed=2)
         fill_volumes(sim, ops_per_cp=4096)
         sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=3), 4)
         return sim
-
-    def _assert_tunables(self, sim):
-        for fs in sim.spaces():
-            hbps = fs.cache.hbps
-            assert (hbps.bin_width, hbps.list_capacity) == (256, 100), fs.where
 
     def test_background_rebuild_replenishes_the_store_cache(self, object_sim):
         simulate_mount(object_sim, export_topaa(object_sim))
@@ -234,22 +222,34 @@ class TestObjectTierMount:
             assert fs.cache.seeded is False
             fs.keeper.verify_against(fs.metafile.bitmap)
 
+    def _assert_paper_geometry(self, sim):
+        from repro.common.constants import HBPS_BIN_WIDTH, HBPS_LIST_CAPACITY
+
+        for fs in sim.spaces():
+            hbps = fs.cache.hbps
+            assert hbps.bin_width == min(HBPS_BIN_WIDTH, fs.topology.aa_blocks), fs.where
+            assert hbps.list_capacity == HBPS_LIST_CAPACITY, fs.where
+
     def test_cache_tunables_survive_every_rebuild_path(self, object_sim):
+        """Every path that builds a space's HBPS — build, both mounts,
+        the background rebuild, Iron repair, leaving degraded mode —
+        builds it at the paper's constants (the TopAA pages persist the
+        bin width only; the list capacity is the loader's default)."""
         from repro.faults import escalate, exit_degraded
         from repro.fs import iron
 
         sim = object_sim
-        self._assert_tunables(sim)  # build: volumes honour config.cache too
+        self._assert_paper_geometry(sim)
         simulate_mount(sim, None)
-        self._assert_tunables(sim)
+        self._assert_paper_geometry(sim)
         simulate_mount(sim, export_topaa(sim))
-        self._assert_tunables(sim)
+        self._assert_paper_geometry(sim)
         background_rebuild(sim)
         iron.repair(sim, scope={"store", "vol:v"})
-        self._assert_tunables(sim)
+        self._assert_paper_geometry(sim)
         escalate(sim, {"store", "vol:v"})
         assert all(fs.degraded_alloc for fs in sim.spaces())
         exit_degraded(sim)
-        self._assert_tunables(sim)
+        self._assert_paper_geometry(sim)
         sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=6), 2)
         sim.verify_consistency()

@@ -4,7 +4,6 @@ ring buffer, the deterministic sim clock, and CP association."""
 from __future__ import annotations
 
 from repro import obs
-from repro.common.config import ObsConfig
 from repro.obs.tracer import _NULL_SPAN, KIND_COUNTER, KIND_SPAN
 
 
@@ -131,7 +130,7 @@ class TestCPAssociation:
 
 class TestRingBuffer:
     def test_eviction_is_fifo_and_counted(self):
-        t = obs.install(ObsConfig(ring_capacity=4))
+        t = obs.install(ring_capacity=4)
         for i in range(6):
             obs.count(f"c{i}")
         assert len(t) == 4
@@ -139,7 +138,7 @@ class TestRingBuffer:
         assert [r.name for r in t.records()] == ["c2", "c3", "c4", "c5"]
 
     def test_no_drops_below_capacity(self):
-        t = obs.install(ObsConfig(ring_capacity=8))
+        t = obs.install(ring_capacity=8)
         for _ in range(8):
             obs.count("c")
         assert t.dropped == 0

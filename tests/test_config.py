@@ -1,28 +1,19 @@
-"""SimConfig consolidation tests: the typed frozen dataclasses, the
-single ``SimConfig.default()`` entry point, and the builders reading
-their tunables from the config object."""
+"""The settable values that survived ``SimConfig``: the paper's one
+dial (``AggregateSpec.threshold_fraction``, section 3.3.1) reaches the
+allocator that consumes it on every store shape, and each of the four
+remaining parameters rejects a value outside its domain by name."""
 
 from __future__ import annotations
 
 import dataclasses
-import re
-import warnings
-from pathlib import Path
 
 import pytest
 
-from repro.common.config import (
-    AggregateSpec,
-    AllocatorConfig,
-    CacheConfig,
-    FaultConfig,
-    ObsConfig,
-    SimConfig,
-    TrafficConfig,
-)
-from repro.common.config import TierSpec, VolumeDecl
-from repro.fs import MediaType, RAIDGroupConfig, VolSpec, WaflSim
+from repro.cluster import Cluster, FilterScheduler, make_shard_specs
+from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+from repro.fs import MediaType, RAIDGroupConfig, WaflSim
 from repro.fs.aggregate import RAIDStore
+from repro.obs import Tracer
 
 GROUPS = [
     RAIDGroupConfig(
@@ -33,91 +24,63 @@ GROUPS = [
         stripes_per_aa=2048,
     )
 ]
-VOLS = [VolSpec("volA", 16384)]
-SPEC = AggregateSpec(
-    tiers=(TierSpec(label="ssd", media="ssd", ndata=3,
-                    blocks_per_disk=32768, stripes_per_aa=2048),),
-    volumes=(VolumeDecl("volA", 16384),),
-)
-
-
-class TestSimConfig:
-    def test_default_is_a_singleton(self):
-        assert SimConfig.default() is SimConfig.default()
-
-    def test_sections_are_typed(self):
-        cfg = SimConfig.default()
-        assert isinstance(cfg.allocator, AllocatorConfig)
-        assert isinstance(cfg.cache, CacheConfig)
-        assert isinstance(cfg.traffic, TrafficConfig)
-        assert isinstance(cfg.faults, FaultConfig)
-        assert isinstance(cfg.obs, ObsConfig)
-
-    def test_frozen(self):
-        cfg = SimConfig.default()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.allocator = AllocatorConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.allocator.threshold_fraction = 0.5
-
-    def test_replace_derives_variants(self):
-        cfg = dataclasses.replace(
-            SimConfig.default(),
-            allocator=AllocatorConfig(threshold_fraction=0.25),
-        )
-        assert cfg.allocator.threshold_fraction == 0.25
-        # The shared default is untouched.
-        assert SimConfig.default().allocator.threshold_fraction == 0.0
-
-    def test_every_leaf_field_is_read_somewhere(self):
-        """A knob nothing reads lies to whoever sets it: every leaf of
-        ``SimConfig`` must be read as an attribute under ``src/repro``
-        outside the module that declares it."""
-        import repro
-
-        package = Path(repro.__file__).parent
-        source = "\n".join(
-            path.read_text(encoding="utf-8")
-            for path in sorted(package.rglob("*.py"))
-            if path != package / "common" / "config.py"
-        )
-        unread = [
-            f"{section.name}.{leaf.name}"
-            for section in dataclasses.fields(SimConfig)
-            for leaf in dataclasses.fields(getattr(SimConfig.default(), section.name))
-            if not re.search(rf"\.{leaf.name}\b", source)
-        ]
-        assert unread == []
+SSD_TIER = TierSpec(label="ssd", media="ssd", ndata=3,
+                    blocks_per_disk=32768, stripes_per_aa=2048)
+SPEC = AggregateSpec(tiers=(SSD_TIER,), volumes=(VolumeDecl("volA", 16384),))
 
 
 class TestThresholdFromConfig:
     def test_raidstore_reads_config(self):
-        cfg = dataclasses.replace(
-            SimConfig.default(),
-            allocator=AllocatorConfig(threshold_fraction=0.1),
-        )
-        store = RAIDStore(GROUPS, config=cfg, seed=7)
+        store = RAIDStore(GROUPS, threshold_fraction=0.1, seed=7)
         assert store.allocator.threshold_fraction == 0.1
 
     def test_build_reads_config(self):
-        cfg = dataclasses.replace(
-            SimConfig.default(),
-            allocator=AllocatorConfig(threshold_fraction=0.1),
-        )
-        sim = WaflSim.build(SPEC, config=cfg, seed=7)
+        spec = dataclasses.replace(SPEC, threshold_fraction=0.1)
+        sim = WaflSim.build(spec, seed=7)
         assert sim.store.allocator.threshold_fraction == 0.1
 
+    def test_tiered_build_hands_the_cutoff_to_every_raid_member(self):
+        spec = AggregateSpec(
+            tiers=(
+                SSD_TIER,
+                TierSpec(label="disk", media="hdd", n_groups=2, ndata=3,
+                         blocks_per_disk=32768),
+                TierSpec(label="cloud", media="object", raid="none", nblocks=65536),
+            ),
+            volumes=(VolumeDecl("volA", 16384),),
+            threshold_fraction=0.25,
+        )
+        store = WaflSim.build(spec, seed=7).store
+        raid_members = [m for m in store.members if isinstance(m, RAIDStore)]
+        assert len(raid_members) == 2
+        assert [m.allocator.threshold_fraction for m in raid_members] == [0.25, 0.25]
+
     def test_loose_kwarg_is_gone(self):
+        # The spec is the one channel: neither a tunables object nor a
+        # loose keyword reaches the builder.
         with pytest.raises(TypeError):
-            RAIDStore(GROUPS, threshold_fraction=0.1, seed=7)
+            WaflSim.build(SPEC, config=object(), seed=7)
         with pytest.raises(TypeError):
             WaflSim.build(SPEC, threshold_fraction=0.1, seed=7)
 
     def test_default_comes_from_sim_config(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            store = RAIDStore(GROUPS, seed=7)
-        assert (
-            store.allocator.threshold_fraction
-            == SimConfig.default().allocator.threshold_fraction
-        )
+        assert AggregateSpec(tiers=(SSD_TIER,)).threshold_fraction == 0.0
+        assert RAIDStore(GROUPS, seed=7).allocator.threshold_fraction == 0.0
+        assert WaflSim.build(SPEC, seed=7).store.allocator.threshold_fraction == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("threshold_fraction",
+         lambda: AggregateSpec(tiers=(SSD_TIER,), threshold_fraction=1.0)),
+        ("threshold_fraction",
+         lambda: AggregateSpec(tiers=(SSD_TIER,), threshold_fraction=-0.1)),
+        ("epoch_cps", lambda: Cluster(make_shard_specs(1, seed=1), epoch_cps=0)),
+        ("headroom_fraction", lambda: FilterScheduler(headroom_fraction=0.0)),
+        ("ring_capacity", lambda: Tracer(ring_capacity=0)),
+    ],
+)
+def test_out_of_domain_value_is_rejected_by_name(field, build):
+    with pytest.raises(ValueError, match=field):
+        build()

@@ -16,7 +16,6 @@ from repro.tiering import (
     choose_tier,
     make_tiered_store,
     media_role,
-    serviceable_tiers,
 )
 
 
@@ -43,7 +42,7 @@ class TestComposition:
         assert store.labels == ["flash", "disk"]
         # Mirror: 4 data + 4 copies -> 4*4096 usable; RAID4: 6*4096.
         assert store.nblocks == 4 * 4096 + 6 * 4096
-        assert store.member("flash").nblocks == 4 * 4096
+        assert store.members[0].nblocks == 4 * 4096
         assert store.bases == [0, 4 * 4096]
 
     def test_tier_index_of_maps_global_vbns(self):
@@ -67,7 +66,7 @@ class TestComposition:
     def test_unknown_tier_label_raises(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
         with pytest.raises(TieringError, match="unknown tier"):
-            store.member("tape")
+            store.allocate_in("tape", 1)
 
     def test_physical_instances_are_base_shifted(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
@@ -126,9 +125,7 @@ class TestChooser:
         assert media_role("ssd") is Tier.FAST
         assert media_role("hdd") is Tier.CAPACITY
         assert media_role("object") is Tier.ARCHIVE
-        roles = serviceable_tiers(self.TIERS)
-        assert roles[Tier.FAST] == ["flash"]
-        assert roles[Tier.CAPACITY] == ["disk", "smr"]
+        assert media_role("smr") is Tier.CAPACITY
 
 
 class TestStaticPolicy:

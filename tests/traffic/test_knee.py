@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.traffic import knee_validation
+from .knee import knee_validation
 
 
 class TestKneeCrossValidation:

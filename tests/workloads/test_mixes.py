@@ -1,19 +1,11 @@
-"""Unit tests for per-tenant op mixes: block ranges, adjacency, skew,
-and the Workload adapter."""
+"""Unit tests for per-tenant op mixes: block ranges, adjacency, skew."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.workloads import (
-    RandomOverwriteWorkload,
-    UniformOverwriteMix,
-    WorkloadOpMix,
-    ZipfOverwriteMix,
-)
-
-from ..conftest import small_ssd_sim
+from repro.workloads import UniformOverwriteMix, ZipfOverwriteMix
 
 
 class TestUniformMix:
@@ -91,26 +83,3 @@ class TestZipfMix:
             ZipfOverwriteMix(100, alpha=1.0)
         with pytest.raises(ValueError):
             ZipfOverwriteMix(100, alpha=0.5)
-
-
-class TestWorkloadAdapter:
-    def test_writes_confined_to_tenant_volume(self):
-        sim = small_ssd_sim()
-        mix = WorkloadOpMix(RandomOverwriteWorkload, sim, "volB", seed=6)
-        writes, _ = mix.next_ops(300)
-        assert writes.size == 300 * mix.blocks_per_op
-        assert writes.min() >= 0
-        assert writes.max() < sim.vols["volB"].spec.logical_blocks
-
-    def test_retargets_ops_per_call(self):
-        sim = small_ssd_sim()
-        mix = WorkloadOpMix(RandomOverwriteWorkload, sim, "volA", seed=6)
-        for n in (1, 17, 256):
-            writes, _ = mix.next_ops(n)
-            assert writes.size == n * mix.blocks_per_op
-
-    def test_zero_ops_yields_empty(self):
-        sim = small_ssd_sim()
-        mix = WorkloadOpMix(RandomOverwriteWorkload, sim, "volA", seed=6)
-        writes, deletes = mix.next_ops(0)
-        assert writes.size == 0 and deletes.size == 0

@@ -166,3 +166,44 @@ class TestAging:
         wl = RandomOverwriteWorkload(sim, ops_per_cp=512, seed=2)
         sim.run(wl, 2)
         sim.verify_consistency()
+
+
+class TestTeardownAudit:
+    """The benchmark's end-of-run checks reach every allocation space —
+    an object tier inside a tiered aggregate included (its member is in
+    ``sim.spaces()`` but not in ``TieredStore.groups``)."""
+
+    @pytest.fixture
+    def tiered_sim(self):
+        from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+        from repro.fs import WaflSim
+
+        spec = AggregateSpec(
+            tiers=(
+                TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=8192,
+                         stripes_per_aa=512),
+                TierSpec(label="cloud", media="object", raid="none", nblocks=32768),
+            ),
+            volumes=(VolumeDecl("v", logical_blocks=4096),),
+        )
+        sim = WaflSim.build(spec, seed=5)
+        assert [fs.where for fs in sim.spaces()] == ["group:0", "store:cloud", "vol:v"]
+        return sim
+
+    def test_popcount_audit_catches_a_corrupt_object_tier_counter(self, tiered_sim):
+        # Through the name perfbench imports.
+        from repro.bench.harness import popcount_audit
+        from repro.common import BitmapError
+
+        popcount_audit(tiered_sim)
+        cloud = tiered_sim.spaces()[1]
+        cloud.metafile.bitmap._allocated += 7
+        with pytest.raises(BitmapError, match="store:cloud"):
+            popcount_audit(tiered_sim)
+
+    def test_set_bitmap_checks_reaches_every_space(self, tiered_sim):
+        from repro.bench.harness import set_bitmap_checks
+
+        assert all(fs.metafile.bitmap.check for fs in tiered_sim.spaces())
+        set_bitmap_checks(tiered_sim, False)
+        assert not any(fs.metafile.bitmap.check for fs in tiered_sim.spaces())
