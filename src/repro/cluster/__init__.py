@@ -12,10 +12,10 @@ everything below it:
 * :mod:`~repro.cluster.scheduler` — the Cinder-style filter/weigher
   volume scheduler and the seeded random control arm.
 * :mod:`~repro.cluster.shard` — one live shard: simulator, calibration,
-  epoch traffic, carryover, and the picklable pool replay task.
+  epoch traffic, carryover, and the picklable advance-to-epoch task.
 * :mod:`~repro.cluster.cluster` — the fleet: scheduling rounds with
-  stats refreshes, full-replay evaluation (byte-identical across
-  worker counts), and the ``cluster`` bench experiment.
+  stats refreshes on resident shards, from-scratch replay as the oracle
+  (byte-identical across worker counts), the ``cluster`` bench experiment.
 * :mod:`~repro.cluster.migration` — online volume migration with drain
   and replay, block-conservation checks, audits, and Iron scans.
 * :mod:`~repro.cluster.chaos` — the aggregate-kill drill: evacuate a

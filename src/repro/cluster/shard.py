@@ -22,9 +22,11 @@ a pure function of ``(ShardSpec, placements, epochs)``:
   the next epoch's first CP — on whatever shard the tenant lives by
   then, which is what lets migration drain and replay them exactly.
 
-:func:`_run_shard_task` is the module-level, picklable pool entry
-point: it rebuilds the shard from scratch and replays its placements,
-so results are byte-identical across process-pool sizes.
+:func:`advance_shard` is the module-level, picklable unit of fleet
+evaluation: advance the shard that *lives in this process* to epoch
+``k``, building it on first touch.  No epoch reads what a ``stats()``/
+``payload()`` snapshot writes, so a shard advanced round by round and
+one rebuilt and replayed from 0 yield byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = [
     "EPOCH_CPS",
     "ShardRuntime",
     "digest_of",
-    "_run_shard_task",
+    "advance_shard",
 ]
 
 #: RAID-agnostic AA size for cluster FlexVols.  The library default is
@@ -321,25 +323,31 @@ class ShardRuntime:
             "stats": self.stats().as_dict(),
         }
 
-    def digest(self) -> str:
-        return digest_of(self.payload())
+
+#: The shards resident in this process when it is a fleet's pool worker (it
+#: serves one fleet and exits with it).  The caller's process keeps in-process
+#: residents in the fleet itself, so a forked worker finds this empty.
+_RESIDENT: dict[int, ShardRuntime] = {}
 
 
-def _run_shard_task(args: tuple) -> tuple[int, dict]:
-    """Picklable pool entry point: rebuild one shard from its spec and
-    replay its placement history for ``epochs`` epochs.
+def advance_shard(args: tuple, residents: dict = _RESIDENT) -> tuple[int, dict]:
+    """Picklable pool entry point: advance one resident shard (built
+    from its spec on first touch) to ``epochs`` epochs and return its
+    payload.
 
     ``args`` is ``(spec, placements, epochs, epoch_cps, audit)`` where
-    ``placements`` is a tuple of ``(VolumeRequest, placed_at_epoch)``.
-    Shards are fully independent, so byte-identical results across any
-    pool size follow from rebuilding rather than sharing state.
+    ``placements`` is a tuple of ``(VolumeRequest, placed_at_epoch)``; a
+    volume joins at the start of its ``placed_at`` epoch, so between
+    calls a history may only grow at or past ``epochs_run``.
     """
     spec, placements, epochs, epoch_cps, audit = args
     if audit:
         arm_global()
     try:
-        rt = ShardRuntime(spec)
-        for epoch in range(epochs):
+        rt = residents.get(spec.shard_id)
+        if rt is None:
+            rt = residents[spec.shard_id] = ShardRuntime(spec)
+        for epoch in range(rt.epochs_run, epochs):
             for request, placed_at in placements:
                 if placed_at == epoch:
                     rt.add_volume(request)

@@ -132,6 +132,9 @@ class OnOffArrivals(ArrivalProcess):
     absorb, which is why on/off tenants make good noisy neighbors.
     """
 
+    #: Standard exponentials drawn per buffer refill.
+    _BLOCK = 4096
+
     def __init__(
         self,
         on_rate_ops_s: float,
@@ -152,32 +155,79 @@ class OnOffArrivals(ArrivalProcess):
         self.off_rate_ops_s = float(off_rate_ops_s)
         self.mean_on_us = float(mean_on_us)
         self.mean_off_us = float(mean_off_us)
+        # Every draw, phase length or gap, is the next value of one block-drawn
+        # buffer of standard exponentials, scaled where it is consumed: NumPy's
+        # ``exponential(s)`` is ``s * standard_exponential()`` and a block fill runs
+        # the same sampler per element, so the stream is bit-identical to scalar draws.
+        self._exp = np.empty(0, dtype=np.float64)
+        self._pos = 0
         # Phase bookkeeping: the process starts ON at t=0.
         self._on = True
-        self._phase_end_us = self.rng.exponential(self.mean_on_us)
+        self._phase_end_us = self._draw(self.mean_on_us)
 
-    def _advance_phase(self, t_us: float) -> None:
-        while t_us >= self._phase_end_us:
-            self._on = not self._on
-            mean = self.mean_on_us if self._on else self.mean_off_us
-            self._phase_end_us += self.rng.exponential(mean)
+    def _ahead(self, n: int) -> np.ndarray:
+        """A view of the next 1..n buffered draws; the caller advances ``_pos``."""
+        if self._pos == self._exp.size:
+            self._exp = self.rng.standard_exponential(self._BLOCK)
+            self._pos = 0
+        return self._exp[self._pos : self._pos + n]
+
+    def _draw(self, scale_us: float) -> float:
+        e = float(self._ahead(1)[0])
+        self._pos += 1
+        return scale_us * e
+
+    def _advance_phase(self, t_us: float) -> tuple[float, float]:
+        """Flip phases until ``t_us`` is inside one that has arrivals:
+        ``(t_us moved past any silent phases, that phase's rate)``."""
+        while True:
+            while t_us >= self._phase_end_us:
+                self._on = not self._on
+                mean = self.mean_on_us if self._on else self.mean_off_us
+                self._phase_end_us += self._draw(mean)
+            rate = self.on_rate_ops_s if self._on else self.off_rate_ops_s
+            if rate > 0.0:
+                return t_us, rate
+            t_us = self._phase_end_us
 
     def next_after(self, t_us: float) -> float:
         t = t_us
         while True:
-            self._advance_phase(t)
-            rate = self.on_rate_ops_s if self._on else self.off_rate_ops_s
-            if rate <= 0.0:
-                # Silent phase: jump to its end and try again.
-                t = self._phase_end_us
-                continue
-            candidate = t + self.rng.exponential(1e6 / rate)
+            t, rate = self._advance_phase(t)
+            candidate = t + self._draw(1e6 / rate)
             if candidate < self._phase_end_us:
                 return candidate
             # The gap straddles a phase boundary: restart the draw from
             # the boundary (memorylessness makes this exact for the
             # exponential gap distribution).
             t = self._phase_end_us
+
+    def window(self, first_us: float, until_us: float) -> tuple[np.ndarray, float]:
+        # ``next_after`` a phase at a time (``np.add.accumulate`` is its scalar
+        # addition chain, as in ``PoissonArrivals.window``): cut at the phase end
+        # first — the straddling gap is consumed and discarded — then the window's.
+        if first_us >= until_us:
+            return np.empty(0, dtype=np.float64), first_us
+        chunks = [np.array([first_us])]
+        t = first_us
+        while True:
+            t, rate = self._advance_phase(t)
+            gap_us = 1e6 / rate
+            span_us = max(min(self._phase_end_us, until_us) - t, 0.0)
+            gaps = self._ahead(int(span_us / gap_us * 1.1) + 16) * gap_us
+            times = np.add.accumulate(np.concatenate(([t], gaps)))[1:]
+            end = int(np.searchsorted(times, self._phase_end_us, side="left"))
+            cut = int(np.searchsorted(times[:end], until_us, side="left"))
+            chunks.append(times[:cut])
+            if cut < end:
+                self._pos += cut + 1
+                return np.concatenate(chunks), float(times[cut])
+            if end < times.size:
+                self._pos += end + 1
+                t = self._phase_end_us
+            else:  # out of drawn gaps inside the phase: go on from the last
+                self._pos += end
+                t = float(times[-1])
 
     @property
     def mean_rate_ops_s(self) -> float:

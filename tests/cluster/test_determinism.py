@@ -1,8 +1,11 @@
 """Fleet determinism: the cluster digest is a pure function of
-(specs, placements, epochs) — byte-identical across pool worker counts
-and across independently rebuilt clusters."""
+(specs, placements, epochs) — byte-identical across pool worker counts,
+across independently rebuilt clusters, and between shards kept resident
+over a ``schedule()`` and shards rebuilt and replayed from epoch 0."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -12,7 +15,8 @@ from repro.cluster import (
     make_shard_specs,
     noisy_fleet_requests,
 )
-from repro.cluster.shard import ShardRuntime, _run_shard_task
+from repro.cluster.shard import ShardRuntime, advance_shard, digest_of
+from repro.common.errors import GeometryError
 
 #: Short epochs keep the module fast; digests only need to be equal.
 EPOCH_CPS = 3
@@ -82,11 +86,97 @@ def test_shard_task_replay_is_byte_identical():
     spec = make_shard_specs(1, seed=55)[0]
     reqs = tuple((r, 0) for r in noisy_fleet_requests(3, seed=4))
     args = (spec, reqs, 2, 3, True)
-    sid_a, payload_a = _run_shard_task(args)
-    sid_b, payload_b = _run_shard_task(args)
+    sid_a, payload_a = advance_shard(args, {})
+    sid_b, payload_b = advance_shard(args, {})
     assert sid_a == sid_b == spec.shard_id
     assert payload_a == payload_b
     assert payload_a["digest"] == payload_b["digest"]
+    # The same shard advanced an epoch at a time, where it lives.
+    residents: dict = {}
+    advance_shard((spec, reqs, 1, 3, True), residents)
+    assert advance_shard(args, residents) == (sid_a, payload_a)
+    assert list(residents) == [spec.shard_id]
+
+
+@pytest.mark.parametrize("workers", [None, 2, 8])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+def test_resident_schedule_equals_full_replay(rounds, workers):
+    """schedule() runs every epoch once on resident shards; evaluate()
+    on its own, and a freshly built cluster, replay from scratch."""
+    specs = make_shard_specs(3, seed=321)
+    requests = noisy_fleet_requests(8, seed=9)
+
+    def fleet(w):
+        return Cluster(specs, scheduler=FilterScheduler(), epoch_cps=2, workers=w)
+
+    cluster = fleet(workers)
+    resident = cluster.schedule(requests, rounds=rounds)
+    assert multiprocessing.active_children() == []
+    fresh = fleet(None)
+    for other in (cluster.evaluate(rounds), fresh.schedule(requests, rounds=rounds)):
+        assert other.digest == resident.digest
+        assert other.shard_digests == resident.shard_digests
+        assert other.tenant_p99_ms == resident.tenant_p99_ms
+    assert fresh.placements == cluster.placements
+    assert resident.epochs == rounds and len(resident.tenant_p99_ms) == len(requests)
+
+
+def test_snapshots_between_epochs_do_not_change_the_history():
+    """The property residency rests on: a stats refresh reads the shard
+    and writes nothing an epoch reads."""
+    spec = make_shard_specs(1, seed=55)[0]
+    requests = noisy_fleet_requests(3, seed=4)
+
+    def final_digest(snapshots):
+        rt = ShardRuntime(spec)
+        for request in requests:
+            rt.add_volume(request)
+        for _ in range(3):
+            rt.run_epoch(2)
+            for _ in range(snapshots):
+                rt.stats()
+                rt.payload()
+        return digest_of(rt.payload())
+
+    assert final_digest(0) == final_digest(2)
+
+
+def test_fleets_over_the_same_shard_ids_do_not_share_residents():
+    """Two clusters, same shard ids, scheduled back to back in one
+    process — in-process first, so the second one's workers fork after
+    residents existed here — each reproduce their solo digest."""
+    requests = noisy_fleet_requests(6, seed=9)
+
+    def digest(seed, workers):
+        cluster = Cluster(
+            make_shard_specs(2, seed=seed),
+            scheduler=FilterScheduler(),
+            epoch_cps=2,
+            workers=workers,
+        )
+        return cluster.schedule(requests).digest
+
+    solo_a, solo_b = digest(11, None), digest(12, None)
+    assert solo_a != solo_b
+    assert (digest(11, None), digest(12, 2)) == (solo_a, solo_b)
+    assert (digest(12, None), digest(11, 2)) == (solo_b, solo_a)
+
+
+def test_worker_error_reaches_the_caller_and_leaves_no_process():
+    """A shard that cannot take a volume fails in its worker; the caller
+    sees the typed error and every worker has been joined."""
+    specs = make_shard_specs(2, seed=123)
+    [request] = noisy_fleet_requests(1, seed=9)
+    cluster = Cluster(specs, epoch_cps=2, workers=2)
+    # The same name placed twice on one shard: add_volume refuses it.
+    cluster.placements[specs[1].shard_id] = [(request, 0), (request, 0)]
+    with pytest.raises(GeometryError, match="exists"):
+        cluster.evaluate(1)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(GeometryError, match="exists"):
+        cluster.schedule(noisy_fleet_requests(2, seed=3)[1:])
+    assert multiprocessing.active_children() == []
+    assert cluster._fleet is None
 
 
 def test_tenant_streams_independent_of_co_tenants():

@@ -77,6 +77,8 @@ class TestThresholdFromConfig:
         ("threshold_fraction",
          lambda: AggregateSpec(tiers=(SSD_TIER,), threshold_fraction=-0.1)),
         ("epoch_cps", lambda: Cluster(make_shard_specs(1, seed=1), epoch_cps=0)),
+        ("workers", lambda: Cluster(make_shard_specs(1, seed=1), workers=0)),
+        ("workers", lambda: Cluster(make_shard_specs(1, seed=1), workers=-2)),
         ("headroom_fraction", lambda: FilterScheduler(headroom_fraction=0.0)),
         ("ring_capacity", lambda: Tracer(ring_capacity=0)),
     ],

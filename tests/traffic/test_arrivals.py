@@ -3,6 +3,8 @@ determinism, and parameter validation."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,98 @@ class TestOnOff:
             OnOffArrivals(100, mean_on_us=0.0)
         with pytest.raises(ValueError):
             OnOffArrivals(100, mean_off_us=-1.0)
+
+
+class ScalarOnOff:
+    """The on/off process as it was before draws were block-buffered: one
+    ``rng.exponential`` per draw, ``window`` by iterating ``next_after``
+    (``ArrivalProcess.window``).  The pinned stream: written to be
+    obviously right, not fast."""
+
+    def __init__(self, on_rate_ops_s, *, mean_on_us, mean_off_us, off_rate_ops_s, seed):
+        self.rng = np.random.default_rng(seed)
+        self.rates = {True: float(on_rate_ops_s), False: float(off_rate_ops_s)}
+        self.means = {True: float(mean_on_us), False: float(mean_off_us)}
+        self.on = True
+        self.phase_end = self.rng.exponential(self.means[True])
+
+    def next_after(self, t):
+        while True:
+            while t >= self.phase_end:
+                self.on = not self.on
+                self.phase_end += self.rng.exponential(self.means[self.on])
+            rate = self.rates[self.on]
+            if rate > 0.0:
+                candidate = t + self.rng.exponential(1e6 / rate)
+                if candidate < self.phase_end:
+                    return candidate
+            t = self.phase_end
+
+    def window(self, first, until):
+        out = []
+        while first < until:
+            out.append(first)
+            first = self.next_after(first)
+        return np.asarray(out, dtype=np.float64), first
+
+
+def _shape(on_rate_ops_s, mean_on_us, mean_off_us, off_rate_ops_s, window_us):
+    return dict(locals())
+
+
+#: The fleet's victim shape; many flips per window with a live OFF
+#: phase; one ON phase holding several buffer blocks per window.
+ONOFF_SHAPES = [
+    _shape(20_000, 100_000.0, 1_100_000.0, 0.0, 50_000.0),
+    _shape(50_000, 500.0, 700.0, 9_000.0, 40_000.0),
+    _shape(2_000_000, 2_000_000.0, 2_000_000.0, 10.0, 10_000.0),
+]
+
+
+class TestOnOffPinnedToScalarDraws:
+    """``window`` and ``next_after`` share one block-drawn buffer; both
+    must hand out, bit for bit, the scalar twin's stream."""
+
+    @staticmethod
+    def pair(shape, seed):
+        kwargs = {k: v for k, v in shape.items() if k != "window_us"}
+        return ScalarOnOff(**kwargs, seed=seed), OnOffArrivals(**kwargs, seed=seed)
+
+    @pytest.mark.parametrize("shape", ONOFF_SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_windows_are_bit_identical(self, shape, seed):
+        twin, proc = self.pair(shape, seed)
+        a, b = twin.next_after(0.0), proc.next_after(0.0)
+        biggest = 0
+        for k in range(1, 9):
+            until = k * shape["window_us"]
+            (xa, a), (xb, b) = twin.window(a, until), proc.window(b, until)
+            assert a == b and xa.tolist() == xb.tolist()
+            biggest = max(biggest, xa.size)
+        if shape["on_rate_ops_s"] == 2_000_000:
+            assert biggest > 2 * OnOffArrivals._BLOCK  # one window, several refills
+
+    @pytest.mark.parametrize("shape", ONOFF_SHAPES)
+    def test_interleaved_calls_and_window_edges(self, shape):
+        twin, proc = self.pair(shape, seed=5)
+        rng = np.random.default_rng(5)
+        a, b = twin.next_after(0.0), proc.next_after(0.0)
+        until = 0.0
+        for k in range(40):
+            if k % 3 == 0:  # scalar calls draw from the same buffer mid-stream
+                a, b = twin.next_after(a), proc.next_after(b)
+                assert a == b
+            # Steps of 0 leave first_us >= until_us: nothing drawn, nothing returned.
+            until += float(rng.choice([0.0, shape["window_us"] / 7, shape["window_us"]]))
+            if k % 5 == 4:
+                # An arrival landing exactly on until_us is the *next* one:
+                # peek the twin's stream on a copy and end the window on it.
+                peek = copy.deepcopy(twin)
+                t = a
+                for _ in range(6):
+                    t = peek.next_after(t)
+                until = t
+            (xa, a), (xb, b) = twin.window(a, until), proc.window(b, until)
+            assert a == b and xa.tolist() == xb.tolist()
+            if k % 5 == 4:
+                assert b == until and xb.size == 6
