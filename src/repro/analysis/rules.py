@@ -303,6 +303,7 @@ REPRO_ERROR_NAMES: frozenset[str] = frozenset(
         "TornWriteError",
         "RecoveryExhaustedError",
         "PlacementError",
+        "MigrationError",
     }
 )
 

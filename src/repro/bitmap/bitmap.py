@@ -9,9 +9,10 @@ The implementation keeps the bitmap as a contiguous ``uint8`` array and
 vectorizes every operation with NumPy so that the simulator can sustain
 hundreds of thousands of allocations per second in pure Python:
 
-* population counts use :func:`numpy.bitwise_count` (a single pass over
-  contiguous memory, per the HPC guide's "vectorize and stay
-  contiguous" advice);
+* population counts use :func:`numpy.bitwise_count` over a ``uint64``
+  view of the bytes wherever the counted runs are whole words (a
+  single word-wide pass over contiguous memory, per the HPC guide's
+  "vectorize and stay contiguous" advice);
 * batch bit updates build a packed span mask with :func:`numpy.packbits`
   and OR/AND it over the covered byte range in one vector pass (dense
   path), falling back to ``np.bitwise_or.at`` / ``np.bitwise_and.at``
@@ -78,7 +79,7 @@ class Bitmap:
         """Authoritative allocated-bit count, recomputed from the
         backing bytes (one vectorized pass).  The invariant auditor
         cross-checks this against the cached :attr:`allocated_count`."""
-        return int(np.bitwise_count(self._bytes).sum(dtype=np.int64))
+        return self._count_bytes(0, self._bytes.size)
 
     @property
     def raw_bytes(self) -> np.ndarray:
@@ -219,9 +220,9 @@ class Bitmap:
         """
         self._validate_range(start, stop)
         b0, b1 = self._byte_span(start, stop)
-        before = int(np.bitwise_count(self._bytes[b0:b1]).sum(dtype=np.int64))
+        before = self._count_bytes(b0, b1)
         self._apply_range_mask(start, stop, set_bits=True)
-        after = int(np.bitwise_count(self._bytes[b0:b1]).sum(dtype=np.int64))
+        after = self._count_bytes(b0, b1)
         self._allocated += after - before
         return after - before
 
@@ -232,9 +233,9 @@ class Bitmap:
         """
         self._validate_range(start, stop)
         b0, b1 = self._byte_span(start, stop)
-        before = int(np.bitwise_count(self._bytes[b0:b1]).sum(dtype=np.int64))
+        before = self._count_bytes(b0, b1)
         self._apply_range_mask(start, stop, set_bits=False)
-        after = int(np.bitwise_count(self._bytes[b0:b1]).sum(dtype=np.int64))
+        after = self._count_bytes(b0, b1)
         self._allocated -= before - after
         return before - after
 
@@ -252,9 +253,7 @@ class Bitmap:
             bits = self._unpack(start, stop)
             return int(bits.sum(dtype=np.int64))
         # full1 > full0 here: at least one whole byte lies in the range.
-        total = int(
-            np.bitwise_count(self._bytes[full0 // 8 : full1 // 8]).sum(dtype=np.int64)
-        )
+        total = self._count_bytes(full0 // 8, full1 // 8)
         if start < full0:
             total += int(self._unpack(start, full0).sum(dtype=np.int64))
         if stop > full1:
@@ -313,12 +312,26 @@ class Bitmap:
         """
         if chunk <= 0 or chunk % 8 or self.nblocks % chunk:
             raise ValueError(f"chunk must be a multiple of 8 dividing {self.nblocks}")
-        per_byte = np.bitwise_count(self._bytes).astype(np.int64)
-        return per_byte.reshape(-1, chunk // 8).sum(axis=1)
+        return self._popcounts(0, self._bytes.size, chunk // 8)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _popcounts(self, b0: int, b1: int, width: int) -> np.ndarray:
+        """Set bits in each consecutive ``width``-byte run of bytes
+        ``[b0, b1)`` — the one popcount behind every count here.  Runs
+        that are whole aligned 64-bit words are counted a word at a time
+        through a ``uint64`` view, anything else a byte at a time; the
+        sum widens as it reduces, so there is no ``int64`` temporary."""
+        buf = self._bytes[b0:b1]
+        if not (b0 % 8 or width % 8):
+            buf, width = buf.view(np.uint64), width // 8
+        return np.bitwise_count(buf).reshape(-1, width).sum(axis=1, dtype=np.int64)
+
+    def _count_bytes(self, b0: int, b1: int) -> int:
+        """Set bits in bytes ``[b0, b1)``."""
+        return int(self._popcounts(b0, b1, b1 - b0)[0]) if b1 > b0 else 0
+
     def _validate(self, vbns: np.ndarray) -> None:
         if self.check and vbns.size:
             lo = int(vbns.min())

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..analysis import audit_sim
+from ..common.errors import AuditError, MigrationError
 from ..fs import iron
 from ..fs.cp import CPBatch
 from .scheduler import FilterScheduler
@@ -75,11 +76,20 @@ def migrate_volume(
 ) -> MigrationReport:
     """Move tenant ``name`` from ``source`` to ``target`` at an epoch
     boundary, verifying block conservation (and optionally auditing
-    both aggregates)."""
+    both aggregates).
+
+    A volume holding snapshots is refused with :class:`MigrationError`
+    before anything moves: the copy CP carries only the active map, and
+    the release CP cannot free blocks a snapshot still pins."""
     if name not in source.tenants:
         raise KeyError(f"shard {source.spec.shard_id} hosts no volume {name!r}")
     request = source.tenants[name]
     vol = source.sim.vols[name]
+    if vol.snapshot_names:
+        raise MigrationError(
+            f"volume {name!r} holds snapshots {list(vol.snapshot_names)}; "
+            "snapshot-pinned blocks cannot be migrated between shards"
+        )
     drain = source.carryover.get(name, 0)
     mapped = np.nonzero(vol.l2v >= 0)[0]
 
@@ -93,7 +103,7 @@ def migrate_volume(
     freed = int(source.sim.store.free_count) - free_before
     source.remove_volume(name)
     if freed != int(mapped.size):
-        raise AssertionError(
+        raise AuditError(
             f"block conservation violated migrating {name!r}: copied "
             f"{int(mapped.size)} blocks but source freed {freed}"
         )

@@ -90,6 +90,12 @@ class PlacementError(ReproError):
     placement filter (:mod:`repro.cluster.scheduler`)."""
 
 
+class MigrationError(ReproError):
+    """A cluster volume migration was refused before any state moved:
+    the volume cannot be copied exactly by the drain/copy/release
+    protocol (:mod:`repro.cluster.migration`)."""
+
+
 class TieringError(ReproError):
     """A heterogeneous-tier operation failed: unknown tier label,
     unmigratable volume, or a tier-migration block-conservation

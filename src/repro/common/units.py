@@ -1,18 +1,15 @@
-"""Unit helpers for sizes and times.
+"""Unit helpers for sizes.
 
-The simulator internally measures storage in 4 KiB blocks and time in
-microseconds.  These helpers keep conversions explicit at API
-boundaries and in benchmark output.
+The simulator internally measures storage in 4 KiB blocks.  These
+helpers keep conversions explicit at API boundaries (simlint's U301
+points here).
 """
 
 from __future__ import annotations
 
 from .constants import BLOCK_SIZE
 
-KIB = 1024
-MIB = 1024 * KIB
-GIB = 1024 * MIB
-TIB = 1024 * GIB
+GIB = 1024**3
 
 
 def bytes_to_blocks(nbytes: int) -> int:
@@ -35,29 +32,3 @@ def gib_to_blocks(gib: float) -> int:
 def blocks_to_gib(nblocks: int) -> float:
     """Convert 4 KiB blocks to GiB."""
     return nblocks * BLOCK_SIZE / GIB
-
-
-def us_to_ms(us: float) -> float:
-    """Microseconds to milliseconds."""
-    return us / 1000.0
-
-
-def us_to_s(us: float) -> float:
-    """Microseconds to seconds."""
-    return us / 1_000_000.0
-
-
-def fmt_bytes(nbytes: float) -> str:
-    """Human-readable byte count (e.g. ``1.5 GiB``)."""
-    for unit, div in (("TiB", TIB), ("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if nbytes >= div:
-            return f"{nbytes / div:.2f} {unit}"
-    return f"{nbytes:.0f} B"
-
-
-def fmt_count(n: float) -> str:
-    """Human-readable count with k/M/G suffix (e.g. ``256k``)."""
-    for suffix, div in (("G", 1e9), ("M", 1e6), ("k", 1e3)):
-        if abs(n) >= div:
-            return f"{n / div:.3g}{suffix}"
-    return f"{n:.3g}"

@@ -33,6 +33,7 @@ TopAA metafile (paper section 3.4).
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -49,7 +50,9 @@ _MAGIC = 0x48425053  # "HBPS"
 _VERSION = 1
 _UNLISTED = 0xFFFFFFFF
 _HEADER = struct.Struct("<IIIIII")  # magic, version, max_score, bin_width, nbins, list_len
-_BIN_ENTRY = struct.Struct("<II")  # count, index (into list page)
+#: Page words after the header: per bin ``count, index`` (into the
+#: list page) on page 0, one listed item id each on page 1.
+_U32 = np.dtype("<u4")
 
 
 class HBPS:
@@ -81,6 +84,7 @@ class HBPS:
         "_lists",
         "_pos",
         "_total",
+        "_worst",
         "pops",
         "updates",
         "evictions",
@@ -110,6 +114,9 @@ class HBPS:
         self._lists: list[list[int]] = [[] for _ in range(self.nbins)]
         self._pos: dict[int, int] = {}  # listed item -> its bin
         self._total = 0
+        #: Upper bound on the worst listed bin: raised when an item is
+        #: listed, walked down past emptied bins when it is next read.
+        self._worst = -1
         # Operation counters for the CPU-overhead evaluation (§4.1.2).
         self.pops = 0
         self.updates = 0
@@ -250,33 +257,46 @@ class HBPS:
         return item, b
 
     def rebuild(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Reset and rebuild from ``(item, score)`` pairs.
+        """Reset and rebuild from ``(item, score)`` pairs (adapter over
+        :meth:`build`, which callers holding arrays use directly)."""
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
+        self.build(flat[:, 0], flat[:, 1])
+
+    def build(self, items: np.ndarray, scores: np.ndarray) -> None:
+        """Reset and rebuild from parallel ``items`` / ``scores`` arrays.
 
         This is the *replenish* operation: in WAFL, a background scan
         walks the bitmap metafiles, recomputes every AA score, and
         refills the histogram and list (paper section 3.3.2).  Bins are
-        filled best-first until the list page reaches capacity.
+        filled best-first, in ``items`` order within a bin, until the
+        list page reaches capacity.  An out-of-range score raises
+        :class:`CacheError` before anything is reset.
         """
-        self._counts[:] = 0
+        scores = np.asarray(scores, dtype=np.int64)
+        if len(items) != scores.size:
+            raise CacheError("items and scores differ in length")
+        if scores.size and not 0 <= scores.min() <= scores.max() <= self.max_score:
+            raise CacheError(f"score outside [0, {self.max_score}]")
+        bins = (self.max_score - scores) // self.bin_width
+        bins[scores == 0] = self.nbins - 1
+        counts = np.bincount(bins, minlength=self.nbins)
+        # Only bins that reach the list page are sorted: up to the first
+        # bin at which the running count fills it.
+        last = int(counts.cumsum().searchsorted(self.list_capacity))
+        reach = (bins <= last).nonzero()[0]
+        order = reach[bins[reach].argsort(kind="stable")[: self.list_capacity]]
+        listed = np.asarray(items)[order].tolist()
+        listed_bins = bins[order]
+        self._counts = counts
+        self._total = int(scores.size)
+        self._pos = dict(zip(listed, listed_bins.tolist()))
         self._lists = [[] for _ in range(self.nbins)]
-        self._pos.clear()
-        self._total = 0
+        lo = 0
+        for b, n in enumerate(np.bincount(listed_bins).tolist()):
+            self._lists[b] = listed[lo : lo + n]
+            lo += n
+        self._worst = int(listed_bins[-1]) if listed else -1
         self.replenishes += 1
-        staged: list[list[int]] = [[] for _ in range(self.nbins)]
-        for item, score in pairs:
-            b = self.bin_of(score)
-            self._counts[b] += 1
-            self._total += 1
-            staged[b].append(item)
-        room = self.list_capacity
-        for b in range(self.nbins):
-            if room <= 0:
-                break
-            take = staged[b][:room]
-            self._lists[b] = take
-            for it in take:
-                self._pos[it] = b
-            room -= len(take)
 
     def iter_listed(self) -> Iterator[tuple[int, int]]:
         """Yield ``(item, bin_index)`` for every listed item, best bin
@@ -289,10 +309,11 @@ class HBPS:
     # Listing policy
     # ------------------------------------------------------------------
     def _worst_listed_bin(self) -> int | None:
-        for b in range(self.nbins - 1, -1, -1):
-            if self._lists[b]:
-                return b
-        return None
+        b = self._worst
+        while b >= 0 and not self._lists[b]:
+            b -= 1
+        self._worst = b
+        return b if b >= 0 else None
 
     def _maybe_list(self, item: int, b: int) -> None:
         """List ``item`` (bin ``b``) if doing so preserves the invariant
@@ -314,6 +335,8 @@ class HBPS:
             return
         self._lists[b].append(item)
         self._pos[item] = b
+        if b > self._worst:
+            self._worst = b
         if self.listed_count > self.list_capacity:
             self._evict_one()
 
@@ -349,6 +372,8 @@ class HBPS:
         if sum(listed_per_bin) != self.listed_count:
             raise CacheError("position map does not match bin lists")
         worst = self._worst_listed_bin()
+        if worst != max((b for b, n in enumerate(listed_per_bin) if n), default=None):
+            raise CacheError(f"cached worst listed bin {worst} is not the worst listed bin")
         if worst is not None:
             for b in range(worst):
                 if listed_per_bin[b] != self._counts[b]:
@@ -376,27 +401,22 @@ class HBPS:
         structure reports bin-resolution scores, as the real metafile
         does.
         """
-        if self.nbins * _BIN_ENTRY.size + _HEADER.size > PAGE_SIZE:
+        if self.nbins * 2 * _U32.itemsize + _HEADER.size > PAGE_SIZE:
             raise SerializationError("histogram does not fit in one page")
-        if self.list_capacity * 4 > PAGE_SIZE:
+        if self.list_capacity * _U32.itemsize > PAGE_SIZE:
             raise SerializationError("list page does not fit in one page")
         page0 = bytearray(PAGE_SIZE)
         _HEADER.pack_into(
             page0, 0, _MAGIC, _VERSION, self.max_score, self.bin_width, self.nbins,
             self.listed_count,
         )
-        items: list[int] = []
-        off = _HEADER.size
-        for b in range(self.nbins):
-            if self._lists[b]:
-                index = len(items)
-                items.extend(self._lists[b])
-            else:
-                index = _UNLISTED
-            _BIN_ENTRY.pack_into(page0, off, int(self._counts[b]), index)
-            off += _BIN_ENTRY.size
+        table = np.empty((self.nbins, 2), dtype=_U32)
+        table[:, 0] = self._counts
+        sizes = np.array([len(lst) for lst in self._lists])
+        table[:, 1] = np.where(sizes > 0, np.cumsum(sizes) - sizes, _UNLISTED)
+        page0[_HEADER.size : _HEADER.size + table.nbytes] = table.tobytes()
         page1 = bytearray(PAGE_SIZE)
-        arr = np.asarray(items, dtype=np.uint32)
+        arr = np.fromiter(chain.from_iterable(self._lists), dtype=_U32)
         page1[: arr.nbytes] = arr.tobytes()
         return bytes(page0) + bytes(page1)
 
@@ -422,30 +442,24 @@ class HBPS:
         out = cls(max_score, bin_width=bin_width, list_capacity=list_capacity)
         if nbins != out.nbins:
             raise SerializationError("inconsistent bin count in header")
-        items = np.frombuffer(pages, dtype=np.uint32, count=list_len, offset=PAGE_SIZE)
-        off = _HEADER.size
-        total = 0
-        for b in range(nbins):
-            count, index = _BIN_ENTRY.unpack_from(pages, off)
-            off += _BIN_ENTRY.size
-            out._counts[b] = count
-            total += count
-            if index != _UNLISTED:
-                # Find this bin's extent: entries run until the next
-                # listed bin's index (bins are laid out in order).
-                noff = off
-                end = list_len
-                for nb in range(b + 1, nbins):
-                    _, nindex = _BIN_ENTRY.unpack_from(pages, noff)
-                    noff += _BIN_ENTRY.size
-                    if nindex != _UNLISTED:
-                        end = nindex
-                        break
-                bin_items = [int(i) for i in items[index:end]]
-                out._lists[b] = bin_items
-                for it in bin_items:
-                    out._pos[it] = b
-        out._total = total
+        if 2 * nbins * _U32.itemsize + _HEADER.size > PAGE_SIZE:
+            raise SerializationError("bin table in header does not fit the histogram page")
+        if list_len * _U32.itemsize > PAGE_SIZE:
+            raise SerializationError("list length in header does not fit the list page")
+        items = np.frombuffer(pages, dtype=_U32, count=list_len, offset=PAGE_SIZE)
+        table = np.frombuffer(
+            pages, dtype=_U32, count=2 * nbins, offset=_HEADER.size
+        ).reshape(nbins, 2)
+        out._counts[:] = table[:, 0]
+        out._total = int(out._counts.sum())
+        # A listed bin's entries run until the next listed bin's index
+        # (bins are laid out in order), the last one's to the list's end.
+        listed = np.flatnonzero(table[:, 1] != _UNLISTED).tolist()
+        starts = table[listed, 1].tolist()
+        for b, lo, hi in zip(listed, starts, starts[1:] + [list_len]):
+            out._lists[b] = bin_items = items[lo:hi].tolist()
+            out._pos.update(dict.fromkeys(bin_items, b))
+            out._worst = b
         out.check_invariants()
         return out
 

@@ -77,7 +77,7 @@ class RAIDAgnosticAACache:
         if scores is not None:
             if len(scores) != self.num_aas:
                 raise CacheError("scores length does not match num_aas")
-            self._hbps.rebuild((aa, int(s)) for aa, s in enumerate(scores))
+            self._hbps.build(np.arange(self.num_aas), scores)
 
     # ------------------------------------------------------------------
     @property
@@ -229,9 +229,11 @@ class RAIDAgnosticAACache:
         bitmap-metafile walk).  Checked-out AAs stay out."""
         if len(scores) != self.num_aas:
             raise CacheError("scores length does not match num_aas")
-        self._hbps.rebuild(
-            (aa, int(scores[aa])) for aa in range(self.num_aas) if aa not in self._out
-        )
+        aas = np.arange(self.num_aas)
+        if self._out:
+            aas = np.delete(aas, sorted(self._out))
+            scores = np.asarray(scores)[aas]
+        self._hbps.build(aas, scores)
         self._seeded = False
         self._assumed.clear()
 

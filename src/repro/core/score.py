@@ -37,16 +37,29 @@ class ScoreKeeper:
     bitmap:
         When given, initial scores are computed from it (one vectorized
         pass); otherwise every AA starts empty (score == capacity).
+    scores:
+        The scores a bitmap walk has just computed, in place of a second
+        walk of ``bitmap``; the keeper takes its own ``int64`` copy.
     """
 
     __slots__ = ("topology", "_scores", "_pending", "flushes", "deltas_applied")
 
-    def __init__(self, topology: AATopology, bitmap: Bitmap | None = None) -> None:
+    def __init__(
+        self,
+        topology: AATopology,
+        bitmap: Bitmap | None = None,
+        *,
+        scores: np.ndarray | None = None,
+    ) -> None:
         self.topology = topology
-        if bitmap is None:
+        if scores is not None:
+            if len(scores) != topology.num_aas:
+                raise CacheError("scores length does not match the topology")
+            self._scores = np.array(scores, dtype=np.int64)
+        elif bitmap is None:
             self._scores = np.full(topology.num_aas, topology.aa_blocks, dtype=np.int64)
         else:
-            self._scores = topology.scores_from_bitmap(bitmap).astype(np.int64)
+            self._scores = topology.scores_from_bitmap(bitmap)
         # Pending (unflushed) per-AA deltas.  A flat int64 array so both
         # accumulation (bincount add) and flush (flatnonzero) vectorize;
         # the number of AAs is small relative to the VBN space.
@@ -143,7 +156,7 @@ class ScoreKeeper:
     def recompute(self, bitmap: Bitmap) -> None:
         """Recompute every score from the bitmap (consistency check /
         rebuild path).  Pending deltas are discarded."""
-        self._scores = self.topology.scores_from_bitmap(bitmap).astype(np.int64)
+        self._scores = self.topology.scores_from_bitmap(bitmap)
         self._pending[:] = 0
 
     def verify_against(self, bitmap: Bitmap) -> None:

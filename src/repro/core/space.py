@@ -86,7 +86,7 @@ class AllocSpace:
         self._striped = isinstance(topology, StripeAATopology)
         self.metafile = BitmapMetafile(topology.nblocks)
         self.delayed_frees = DelayedFreeLog()
-        self.keeper = ScoreKeeper(topology, self.metafile.bitmap)
+        self.keeper = ScoreKeeper(topology)  # a new metafile is all free
         #: Attached :class:`repro.faults.FaultInjector` (None = no faults).
         self.injector = None
         #: When set, each CP applies delayed frees for at most this many
@@ -146,24 +146,26 @@ class AllocSpace:
         self.allocator.release()
         self._bind(BitmapWalkSource(self.topology, self.metafile), None, degraded=True)
 
-    def adopt_cache(self, cache: AACache) -> None:
+    def adopt_cache(self, cache: AACache, scores: np.ndarray | None = None) -> None:
         """Install a freshly built (possibly TopAA-seeded) cache after a
         remount or repair, with a new allocator bound to it.
 
-        The score keeper is rebuilt from the bitmap as a side effect;
-        in WAFL that bookkeeping is restored lazily per-AA and does not
-        gate the first CP, so mount-time measurements charge only the
-        cache-build I/O (see :mod:`repro.fs.mount`).
+        The score keeper is rebuilt as a side effect — from ``scores``
+        when the caller has just walked the bitmap for them (one walk
+        per space), else from the bitmap; in WAFL that bookkeeping is
+        restored lazily per-AA and does not gate the first CP, so
+        mount-time measurements charge only the cache-build I/O (see
+        :mod:`repro.fs.mount`).
         """
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
+        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap, scores=scores)
         self._bind(self._cache_source(cache), cache, degraded=False)
 
     def rebuild_cache(self, scores: np.ndarray | None = None) -> None:
         """Build this space's kind of cache from ``scores`` (default: a
-        bitmap recompute) and adopt it."""
+        bitmap recompute) and adopt it with a keeper on the same scores."""
         if scores is None:
             scores = self.bitmap_scores()
-        self.adopt_cache(make_aa_cache(self.topology, scores))
+        self.adopt_cache(make_aa_cache(self.topology, scores), scores)
 
     # ------------------------------------------------------------------
     # TopAA persistence (paper section 3.4)
@@ -210,7 +212,8 @@ class AllocSpace:
         unknown AAs, or replenish HBPS with exact scores.  Returns
         ``(heap AAs populated, HBPS caches refreshed)``."""
         cache = self.cache
-        scores = self.bitmap_scores()
+        self.keeper.recompute(self.metafile.bitmap)
+        scores = self.keeper.scores
         populated = 0
         if self._striped:
             out = cache.checked_out
@@ -220,7 +223,6 @@ class AllocSpace:
                     populated += 1
         else:
             cache.replenish(scores)
-        self.keeper.recompute(self.metafile.bitmap)
         return populated, 0 if self._striped else 1
 
     # ------------------------------------------------------------------

@@ -85,3 +85,56 @@ def test_counts_per_chunk_partition(allocated, chunk):
     assert counts.sum() == len(allocated)
     for i, c in enumerate(counts):
         assert c == len([v for v in allocated if i * chunk <= v < (i + 1) * chunk])
+
+
+def _reference_bits(bm: Bitmap) -> np.ndarray:
+    return np.unpackbits(np.asarray(bm.raw_bytes), bitorder="little").astype(np.int64)
+
+
+# Chunks whose byte width is (64, 192, 2048) and is not (8, 24, 2016) a
+# whole number of 64-bit words, times a chunk count that leaves
+# ``nblocks % 64`` both zero and non-zero.
+geometries = st.tuples(
+    st.sampled_from([8, 24, 64, 192, 2016, 2048]), st.integers(1, 5)
+)
+mutations = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "free", "load_bytes"]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+    ),
+    max_size=6,
+)
+
+
+@given(
+    geometry=geometries,
+    steps=mutations,
+    bounds=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=4),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_word_wide_counts_match_unpackbits_reference(geometry, steps, bounds):
+    chunk, nchunks = geometry
+    nblocks = chunk * nchunks
+    bm = Bitmap(nblocks)
+    for kind, seed, density in steps:
+        rng = np.random.default_rng(seed)
+        bits = _reference_bits(bm)
+        if kind == "load_bytes":
+            image = (rng.random(nblocks) < density).astype(np.uint8)
+            bm.load_bytes(np.packbits(image, bitorder="little"))
+        else:
+            pool = np.flatnonzero(bits == (kind == "free"))
+            picked = pool[rng.random(pool.size) < density]
+            (bm.allocate if kind == "allocate" else bm.free)(picked)
+        bits = _reference_bits(bm)
+        assert bm.counts_per_chunk(chunk).tolist() == bits.reshape(-1, chunk).sum(axis=1).tolist()
+        assert bm.counts_per_chunk(chunk).dtype == np.int64
+        assert bm.popcount() == bm.allocated_count == int(bits.sum())
+    for a, b in bounds:
+        start, stop = sorted((int(a * nblocks), int(b * nblocks)))
+        bits = _reference_bits(bm)
+        assert bm.count_range(start, stop) == int(bits[start:stop].sum())
+        assert bm.set_range(start, stop) == int((1 - bits[start:stop]).sum())
+        assert bm.clear_range(start, stop) == stop - start
+        assert bm.popcount() == bm.allocated_count

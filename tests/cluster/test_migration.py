@@ -12,6 +12,8 @@ from repro.cluster import (
     migrate_volume,
     run_rebalance,
 )
+from repro.analysis import audit_sim
+from repro.common.errors import MigrationError
 from repro.fs import iron
 
 
@@ -87,6 +89,26 @@ def test_migrating_unknown_volume_raises(pair):
     source, target = pair
     with pytest.raises(KeyError):
         migrate_volume(source, target, "ghost")
+
+
+def test_snapshotted_volume_is_refused_before_anything_moves(pair):
+    # ROADMAP item 1's probe: this used to raise a bare AssertionError
+    # after the volume had left the source, orphaning its pinned blocks.
+    source, target = pair
+    request = VolumeRequest("mover", 640, offered_fraction=0.08)
+    source.add_volume(request)
+    source.run_epoch(3)
+    source.sim.create_snapshot("mover", "s1")
+    before = [(int(rt.sim.store.free_count), dict(rt.tenants), set(rt.sim.vols))
+              for rt in pair]
+    with pytest.raises(MigrationError, match="snapshots"):
+        migrate_volume(source, target, "mover")
+    assert before == [(int(rt.sim.store.free_count), dict(rt.tenants), set(rt.sim.vols))
+                      for rt in pair]
+    assert source.sim.vols["mover"].snapshot_names == ("s1",)
+    for rt in pair:
+        assert audit_sim(rt.sim).ok
+        assert iron.scan(rt.sim).clean
 
 
 def test_run_rebalance_reports_conservation():

@@ -12,9 +12,12 @@ sequence of inserts, updates, removes and pops:
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import CacheError
 from repro.core import HBPS
 
 MAX_SCORE = 1024
@@ -75,6 +78,8 @@ def test_hbps_against_reference(ops, capacity):
 
         # Structural invariants after every operation.
         h.check_invariants()
+        listed_bins = [b for _, b in h.iter_listed()]
+        assert h._worst_listed_bin() == max(listed_bins, default=None)
         assert h.total_count == len(ref)
         assert h.listed_count <= capacity
 
@@ -135,3 +140,36 @@ def test_rebuild_then_drain_is_near_sorted(scores, capacity):
         assert remaining[item] >= max(remaining.values()) - BIN_W
         del remaining[item]
     assert h.total_count == 0
+
+
+@given(
+    scores=st.lists(st.integers(0, MAX_SCORE), max_size=200),
+    capacity=st.integers(1, 50),
+    bin_width=st.sampled_from([BIN_W, 100]),  # 100 does not divide MAX_SCORE
+    gaps=st.booleans(),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_array_build_equals_per_item_inserts(scores, capacity, bin_width, gaps):
+    """``build`` (and its ``rebuild(pairs)`` adapter) leaves exactly the
+    structure that inserting the items one at a time does — the same
+    two pages byte for byte, the same list order within each bin."""
+    items = [3 * i + 1 if gaps else i for i in range(len(scores))]
+    reference = HBPS(MAX_SCORE, bin_width=bin_width, list_capacity=capacity)
+    for item, score in zip(items, scores):
+        reference.insert(item, score)
+    built = HBPS(MAX_SCORE, bin_width=bin_width, list_capacity=capacity)
+    built.build(np.array(items, dtype=np.int64), np.array(scores, dtype=np.int64))
+    adapted = HBPS(MAX_SCORE, bin_width=bin_width, list_capacity=capacity)
+    adapted.rebuild(zip(items, scores))
+    for h in (built, adapted):
+        h.check_invariants()
+        assert h.to_pages() == reference.to_pages()
+        assert list(h.iter_listed()) == list(reference.iter_listed())
+        assert h.total_count == len(scores)
+
+    # A build that is refused leaves the structure as it was.
+    before = built.to_pages(), list(built.iter_listed()), built.replenishes
+    for bad in (-1, MAX_SCORE + 1):
+        with pytest.raises(CacheError):
+            built.build(np.arange(3), np.array([5, bad, 7]))
+    assert (built.to_pages(), list(built.iter_listed()), built.replenishes) == before

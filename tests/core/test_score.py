@@ -26,6 +26,16 @@ class TestInit:
         k, _ = make_keeper(bitmap=bm)
         assert k.scores.tolist() == [156, 256, 256, 256]
 
+    def test_init_from_walked_scores_takes_its_own_copy(self):
+        topo = LinearAATopology(1024, 256)
+        walked = np.array([156, 256, 0, 7], dtype=np.int32)
+        k = ScoreKeeper(topo, scores=walked)
+        walked[:] = -1  # the caller's array is not the keeper's
+        assert k.scores.tolist() == [156, 256, 0, 7]
+        assert k.scores.dtype == np.int64
+        with pytest.raises(CacheError, match="length"):
+            ScoreKeeper(topo, scores=walked[:3])
+
     def test_scores_readonly(self):
         k, _ = make_keeper()
         with pytest.raises(ValueError):

@@ -253,3 +253,56 @@ class TestObjectTierMount:
         self._assert_paper_geometry(sim)
         sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=6), 2)
         sim.verify_consistency()
+
+
+class TestOneBitmapWalkPerSpace:
+    """The one-pass-per-space rule (DESIGN, "How a mount works"): the
+    scores a walk computes feed both the new cache and the new keeper."""
+
+    @pytest.fixture
+    def walks(self, aged_sim, monkeypatch):
+        """Run ``action``; return how often each space's bitmap was
+        walked, after checking every keeper against its bitmap."""
+        from repro.bitmap.bitmap import Bitmap
+
+        calls: list[int] = []
+        inner = Bitmap.counts_per_chunk
+
+        def counting(bitmap, chunk):
+            calls.append(id(bitmap))
+            return inner(bitmap, chunk)
+
+        def run(action):
+            spaces = list(aged_sim.spaces())
+            assert all(fs.cache is not None for fs in spaces)
+            calls.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(Bitmap, "counts_per_chunk", counting)
+                action()
+            for fs in spaces:
+                fs.keeper.verify_against(fs.metafile.bitmap)
+            return [calls.count(id(fs.metafile.bitmap)) for fs in spaces]
+
+        return run
+
+    def test_bitmap_walk_mount(self, aged_sim, walks):
+        assert walks(lambda: simulate_mount(aged_sim, None)) == [1, 1, 1]
+
+    def test_topaa_mount_then_background_rebuild(self, aged_sim, walks):
+        img = export_topaa(aged_sim)
+        assert max(walks(lambda: simulate_mount(aged_sim, img))) <= 1
+        # The small group's seed already names every AA; the FlexVols'
+        # HBPS seeds wait for the background walk.
+        seeded = [int(fs.cache_seeded) for fs in aged_sim.spaces()]
+        assert sum(seeded) == 2
+        assert walks(lambda: background_rebuild(aged_sim)) == seeded
+
+    def test_iron_repair(self, aged_sim, walks):
+        from repro.fs import iron
+
+        aged_sim.engine.run_cp(CPBatch())  # Iron runs with the logs drained
+        scan = walks(lambda: iron.scan(aged_sim))
+        repair = walks(lambda: iron.repair(aged_sim))
+        # Its own scan of the bitmap as found, then one walk of the
+        # bitmap as rewritten.
+        assert [r - s for r, s in zip(repair, scan)] == [1, 1, 1]

@@ -12,11 +12,7 @@ from repro.common.units import (
     blocks_to_bytes,
     blocks_to_gib,
     bytes_to_blocks,
-    fmt_bytes,
-    fmt_count,
     gib_to_blocks,
-    us_to_ms,
-    us_to_s,
 )
 
 
@@ -76,20 +72,6 @@ class TestUnits:
     def test_non_block_aligned_sizes_rejected(self, nbytes):
         with pytest.raises(ValueError):
             bytes_to_blocks(nbytes)
-
-    def test_time_conversions(self):
-        assert us_to_ms(1500) == 1.5
-        assert us_to_s(2_000_000) == 2.0
-
-    def test_fmt_bytes(self):
-        assert fmt_bytes(512) == "512 B"
-        assert fmt_bytes(1536) == "1.50 KiB"
-        assert "GiB" in fmt_bytes(3 * GIB)
-
-    def test_fmt_count(self):
-        assert fmt_count(100) == "100"
-        assert fmt_count(256_000) == "256k"
-        assert fmt_count(2_000_000) == "2M"
 
 
 class TestRNG:
