@@ -65,6 +65,11 @@ __all__ = ["TenantSpec", "TenantSummary", "TrafficResult", "TrafficEngine"]
 #: per-op costs transfer.
 TARGET_OPS_PER_CP = 2048
 
+#: Ops per tenant ``_drain`` converts to Python floats at a time: large
+#: enough that the refill is noise, small enough that a standing
+#: backlog costs a call at most this much beyond what it serves.
+DRAIN_BLOCK_OPS = 1024
+
 
 @dataclass
 class TenantSpec:
@@ -246,6 +251,10 @@ class _TenantState:
         self.q_arrival, self.q_admit, self.q_occ, self.q_lat = buf[:, :end]
         self.q_head = head
 
+    def window(self, lo: int, hi: int) -> tuple[list[float], list[float]]:
+        """Queued ops ``lo..hi`` as Python floats: (admits, occupancies)."""
+        return self.q_admit[lo:hi].tolist(), self.q_occ[lo:hi].tolist()
+
     # ---- measurement accessors ----------------------------------------
     def arrivals_array(self) -> np.ndarray:
         return _gather(self.arrival_chunks)
@@ -280,7 +289,8 @@ class TrafficEngine:
         The (typically aged) simulator; each tenant's ``volume`` must
         name one of its FlexVols.
     tenants:
-        Tenant specs.  Tenant order is the round-robin service order.
+        Tenant specs.  Tenant order is the SFQ tie-break: equal start tags
+        serve the lowest index first.
     cp_interval_us:
         Simulated time between consistency points.  Default: sized so
         the *offered* load sums to ``target_ops_per_cp`` ops per CP,
@@ -311,6 +321,8 @@ class TrafficEngine:
         for t in tenants:
             if t.volume not in sim.vols:
                 raise ValueError(f"tenant {t.name!r}: unknown volume {t.volume!r}")
+        if cores < 1:
+            raise ValueError("cores must be at least 1")
         self.sim = sim
         self.tenants = list(tenants)
         self.cores = int(cores)
@@ -399,161 +411,121 @@ class TrafficEngine:
         One shared server advances by each op's occupancy.  Among the
         tenants with an eligible head op (admitted by now), the op with
         the smallest SFQ virtual start tag ``max(vtime, vfinish)`` is
-        served next, and the server never starts an op at or past
-        ``until_us``: backlog carries into the next CP interval instead
-        of letting the server run ahead of the simulated clock (the
-        isolation argument is in the module docstring).
+        served next (lowest tenant index on ties), and the server never
+        starts an op at or past ``until_us``: backlog carries into the
+        next CP interval instead of letting the server run ahead of the
+        simulated clock (the isolation argument is in the module
+        docstring).
 
-        The SFQ pick is data-dependent — each newly admitted op can
-        preempt a backlogged neighbor the moment the serve clock passes
-        its admission — so a fully batched multi-tenant serve would be
-        cut at every admission boundary and degenerate to tiny NumPy
-        calls.  So the multi-tenant interleave runs a tight buffered
-        per-op loop over the arrays, and only while exactly ONE tenant
-        has pending ops (FIFO order, no preemption possible) does the
-        serve collapse to one pass per window.
+        The pick is data-dependent — a newly admitted op can preempt a
+        backlogged neighbor the moment the serve clock passes its
+        admission — but only *then*.  So the loop serves **runs**: one
+        scan of the head admits yields the pick and ``bound``, the
+        earliest admit among the ineligible heads (capped at
+        ``until_us``).  A lone eligible tenant keeps the server, ``t =
+        max(free, admit); free = t + occ; vt = tag; tag += occ`` as a
+        plain-float chain (mid-run the virtual time is the tenant's own
+        last tag, so ``max(vtime, vfinish)`` is ``vfinish``), until ``t
+        >= bound`` — the first moment another head could be eligible —
+        or its window ends; a contested pick is a run of one op.  An
+        idle server lifts the clock to ``bound`` and scans again.
 
-        That pass does work proportional to the ops it serves at any
-        load.  Serve starts follow the Lindley recurrence ``t =
-        max(free, admit); free = t + occ`` as a plain-float chain over
-        a ``tolist()`` window — an idle gap just lifts the clock and
-        the pass goes on into the next busy period — and completions,
-        latencies and SFQ tags come from one vector op each over the
-        served prefix.  The tags chain through ``max(vfinish, vtime)``
-        only at window entry (mid-window the virtual time equals the
-        tenant's own last tag, so the lift never fires).  The window is
-        bounded by admit time (ops admitted at or past ``until_us``
-        cannot start) and by server time (at the head op's occupancy no
-        more than ``(until_us - t0) / occ0 + 2`` ops start before
-        ``until_us``), so a long backlog is never converted beyond what
-        this call can serve; a window that ends early is always exact —
-        the outer loop re-enters and continues the identical
-        recurrence.  Each tenant's completions leave as one chunk per
-        call.  Every float is produced by the same operation on the
-        same operands as serving op by op (the oracle in
-        ``tests/traffic/oracle.py``), so results are bit-identical.
+        The heads are read from per-tenant ``tolist()`` windows of
+        ``q_admit``/``q_occ``, bounded by admit time (ops admitted at
+        or past ``until_us`` cannot start) and converted
+        ``DRAIN_BLOCK_OPS`` at a time, so a standing backlog costs a
+        call at most one block beyond the ops it serves.  Only serve
+        *start* times are recorded; completions and latencies are one
+        vector op per tenant per call and leave as one chunk.  Every
+        float is produced by the same operation on the same operands as
+        serving op by op (the oracle in ``tests/traffic/oracle.py``),
+        so results are bit-identical.
         """
         states = self.states
+        inf = float("inf")
+        stops: list[int] = []
         for st in states:
             st.consolidate_backend()
-        nstates = len(states)
-        comp_buf: list[list[float]] = [[] for _ in states]
-        lat_buf: list[list[float]] = [[] for _ in states]
-        comp_parts: list[list[np.ndarray]] = [[] for _ in states]
-        lat_parts: list[list[np.ndarray]] = [[] for _ in states]
+            h = st.q_head
+            stops.append(
+                h + int(np.searchsorted(st.q_admit[h:], until_us, side="left"))
+            )
+        starts: list[list[float]] = [[] for _ in states]
+        admits: list[list[float]] = [[] for _ in states]
+        occs: list[list[float]] = [[] for _ in states]
+        pos = [0] * len(states)
+        #: Head admit per tenant (INF = nothing more can start this call).
+        ha = [inf] * len(states)
+        vf = [st.vfinish for st in states]
 
-        def flush(k: int) -> None:
-            if comp_buf[k]:
-                comp_parts[k].append(np.asarray(comp_buf[k], dtype=np.float64))
-                lat_parts[k].append(np.asarray(lat_buf[k], dtype=np.float64))
-                comp_buf[k] = []
-                lat_buf[k] = []
+        def refill(k: int) -> None:
+            lo = states[k].q_head + len(starts[k])
+            hi = min(lo + DRAIN_BLOCK_OPS, stops[k])
+            admits[k], occs[k] = states[k].window(lo, hi)
+            pos[k] = 0
+            ha[k] = admits[k][0] if lo < hi else inf
 
-        while True:
-            pending = [
-                k for k, st in enumerate(states) if st.q_head < st.q_admit.size
-            ]
-            if not pending:
-                break
-            if len(pending) == 1:
-                k = pending[0]
-                st = states[k]
-                h = st.q_head
-                free = self._server_free_us
-                first = float(st.q_admit[h])
-                t0 = free if free > first else first
-                if t0 >= until_us:
-                    break
-                limit = int(np.searchsorted(st.q_admit[h:], until_us, side="left"))
-                occ0 = float(st.q_occ[h])
-                if occ0 > 0.0:
-                    limit = min(limit, int((until_us - t0) / occ0) + 2)
-                starts: list[float] = []
-                for admit, occ in zip(
-                    st.q_admit[h:h + limit].tolist(),
-                    st.q_occ[h:h + limit].tolist(),
-                ):
-                    t = free if free > admit else admit
-                    if t >= until_us:
-                        break
-                    starts.append(t)
-                    free = t + occ
-                m = len(starts)
-                flush(k)
-                completes = np.asarray(starts, dtype=np.float64) + st.q_lat[h:h + m]
-                comp_parts[k].append(completes)
-                lat_parts[k].append(completes - st.q_arrival[h:h + m])
-                start = st.vfinish if st.vfinish > self._vtime else self._vtime
-                acc = np.add.accumulate(
-                    np.concatenate(([start], st.q_occ[h:h + m]))
-                )
-                st.q_head = h + m
-                st.vfinish = float(acc[m])
-                self._vtime = float(acc[m - 1])
-                self._server_free_us = free
+        for k in range(len(states)):
+            refill(k)
+        vt = self._vtime
+        t = free = self._server_free_us
+        while t < until_us:
+            pick = -1
+            tag = 0.0
+            bound = until_us
+            for k, admit in enumerate(ha):
+                if admit > t:
+                    if admit < bound:
+                        bound = admit
+                    continue
+                k_tag = vf[k] if vf[k] > vt else vt
+                if pick < 0:
+                    pick = k
+                    tag = k_tag
+                    continue
+                bound = t  # contested: the run is this one op
+                if k_tag < tag:
+                    pick = k
+                    tag = k_tag
+            if pick < 0:
+                t = bound  # idle server: lift the clock to the next admit
                 continue
-            # Multi-tenant interleave: op-by-op, plain floats, local
-            # cursors, buffered output.
-            # Head admits are cached as Python floats (INF = drained)
-            # so the per-op scan never touches the arrays.
-            inf = float("inf")
-            vt = self._vtime
-            free = self._server_free_us
-            qa = [st.q_admit for st in states]
-            qo = [st.q_occ for st in states]
-            ql = [st.q_lat for st in states]
-            qr = [st.q_arrival for st in states]
-            hs = [st.q_head for st in states]
-            ns = [a.size for a in qa]
-            vf = [st.vfinish for st in states]
-            ha = [
-                float(qa[k][hs[k]]) if hs[k] < ns[k] else inf
-                for k in range(nstates)
-            ]
-            hit_until = False
+            wa = admits[pick]
+            wo = occs[pick]
+            out = starts[pick]
+            i = pos[pick]
+            end = len(wa)
             while True:
-                min_admit = min(ha)
-                if min_admit == inf:
+                out.append(t)
+                occ = wo[i]
+                free = t + occ
+                vt = tag
+                tag += occ
+                i += 1
+                if i == end:
                     break
-                t = free if free > min_admit else min_admit
-                if t >= until_us:
-                    hit_until = True
+                admit = wa[i]
+                t = free if free > admit else admit
+                if t >= bound:
                     break
-                pick = -1
-                pick_tag = 0.0
-                for k in range(nstates):
-                    if ha[k] > t:
-                        continue
-                    tag = vf[k] if vf[k] > vt else vt
-                    if pick < 0 or tag < pick_tag:
-                        pick = k
-                        pick_tag = tag
-                hk = hs[pick]
-                s_occ = float(qo[pick][hk])
-                complete = t + float(ql[pick][hk])
-                vt = pick_tag
-                vf[pick] = pick_tag + s_occ
-                free = t + s_occ
-                comp_buf[pick].append(complete)
-                lat_buf[pick].append(complete - float(qr[pick][hk]))
-                hk += 1
-                hs[pick] = hk
-                if hk == ns[pick]:
-                    ha[pick] = inf
-                    break  # a queue drained: the bulk path may apply now
-                ha[pick] = float(qa[pick][hk])
-            self._vtime = vt
-            self._server_free_us = free
-            for k, st in enumerate(states):
-                st.q_head = hs[k]
-                st.vfinish = vf[k]
-            if hit_until or min_admit == inf:
-                break
-        for k, st in enumerate(states):
-            flush(k)
-            if comp_parts[k]:
-                st.complete_chunks.append(np.concatenate(comp_parts[k]))
-                st.latency_chunks.append(np.concatenate(lat_parts[k]))
+            vf[pick] = tag
+            if i == end:
+                refill(pick)
+            else:
+                pos[pick] = i
+                ha[pick] = admit
+            t = free
+        self._vtime = vt
+        self._server_free_us = free
+        for st, served, vfinish in zip(states, starts, vf):
+            if not served:
+                continue
+            h = st.q_head
+            st.q_head = h + len(served)
+            st.vfinish = vfinish
+            completes = np.asarray(served, dtype=np.float64) + st.q_lat[h:st.q_head]
+            st.complete_chunks.append(completes)
+            st.latency_chunks.append(completes - st.q_arrival[h:st.q_head])
 
     # ------------------------------------------------------------------
     # CP loop

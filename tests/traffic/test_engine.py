@@ -16,6 +16,7 @@ from repro.traffic import (
     TenantSpec,
     TrafficEngine,
 )
+from repro.traffic.engine import DRAIN_BLOCK_OPS, _TenantState
 from repro.traffic.scenarios import calibrate_capacity
 from repro.workloads import UniformOverwriteMix
 
@@ -93,6 +94,20 @@ class TestConstruction:
         )
         with pytest.raises(ValueError, match="positive"):
             TrafficEngine(sim, [spec], cp_interval_us=0.0)
+
+    @pytest.mark.parametrize("cores", [0, -4])
+    def test_rejects_nonpositive_cores(self, cores):
+        # Before anything moves: no arrival drawn, no CP charged.
+        sim = small_ssd_sim()
+        spec = TenantSpec(
+            name="a",
+            volume="volA",
+            arrivals=PoissonArrivals(100, seed=0),
+            mix=UniformOverwriteMix(1_000, seed=0),
+        )
+        with pytest.raises(ValueError, match="cores must be at least 1"):
+            TrafficEngine(sim, [spec], cores=cores)
+        assert not sim.metrics.cps
 
     def test_default_interval_targets_ops_per_cp(self):
         sim = small_ssd_sim()
@@ -247,10 +262,51 @@ class TestDrainWorkIsLinear:
         for _ in range(4):
             before = len(st.complete_chunks)
             engine.step()
-            assert len(st.complete_chunks) - before <= len(engine.states) + 2
+            assert len(st.complete_chunks) - before <= 1
             assert len(st.latency_chunks) == len(st.complete_chunks)
         assert st.complete_array().size > 3 * 4096
         assert st.backend_pending() == 0
+
+    def test_contended_drain_converts_what_it_serves(self, monkeypatch):
+        """Two tenants, one of them past saturation: a call converts no
+        more ops to Python floats than it serves plus one block per
+        tenant, however long the backlog stands."""
+        sim = small_ssd_sim()
+        capacity = calibrate_capacity(sim, n_cps=3, ops_per_cp=4096).capacity_ops
+        tenants = [
+            TenantSpec(
+                name=name,
+                volume=vol,
+                arrivals=PoissonArrivals(load * capacity, seed=seed),
+                mix=UniformOverwriteMix(
+                    sim.vols[vol].spec.logical_blocks, seed=seed + 1
+                ),
+            )
+            for name, vol, load, seed in (("a", "volA", 1.5, 5), ("b", "volB", 0.3, 7))
+        ]
+        engine = TrafficEngine(sim, tenants, target_ops_per_cp=4096)
+        converted = 0
+        window = _TenantState.window
+
+        def counting_window(st, lo, hi):
+            nonlocal converted
+            converted += hi - lo
+            return window(st, lo, hi)
+
+        monkeypatch.setattr(_TenantState, "window", counting_window)
+        allowance = len(tenants) * DRAIN_BLOCK_OPS
+        for _ in range(8):
+            converted = 0
+            chunks = [len(st.complete_chunks) for st in engine.states]
+            done = sum(st.complete_array().size for st in engine.states)
+            engine.step()
+            served = sum(st.complete_array().size for st in engine.states) - done
+            assert served > DRAIN_BLOCK_OPS
+            assert converted <= served + allowance
+            for st, before in zip(engine.states, chunks):
+                assert len(st.complete_chunks) - before <= 1
+        # The bound is not vacuous: the backlog dwarfs the allowance.
+        assert engine.states[0].backend_pending() > 4 * allowance
 
     def test_backend_queue_appends_in_place(self):
         engine = self._light_engine()
@@ -273,8 +329,6 @@ class TestDrainWorkIsLinear:
         """Against a plain-list model: whatever mix of in-place moves
         (overlapping or not) and regrowth the sizes trigger, the live
         suffix is the FIFO of everything appended and not yet served."""
-        from repro.traffic.engine import _TenantState
-
         rng = np.random.default_rng(3)
         st = _TenantState(
             TenantSpec(
