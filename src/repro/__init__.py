@@ -23,14 +23,7 @@ from .common import (
     MediaError,
     TransientIOError,
 )
-from .faults import (
-    ChaosScenario,
-    FaultInjector,
-    FaultKind,
-    RecoveryMetrics,
-    default_scenario,
-    run_chaos,
-)
+from .faults import FaultInjector, FaultKind
 from .core import (
     HBPS,
     AggregateAllocator,
@@ -77,12 +70,8 @@ __all__ = [
     "FaultError",
     "MediaError",
     "TransientIOError",
-    "ChaosScenario",
     "FaultInjector",
     "FaultKind",
-    "RecoveryMetrics",
-    "default_scenario",
-    "run_chaos",
     "HBPS",
     "AggregateAllocator",
     "LinearAATopology",

@@ -53,7 +53,8 @@ class FlowConfig:
         "repro.core.allocator",
         "repro.traffic.engine",
         "repro.crash.explorer",
-        "repro.crash.under_load",
+        "repro.drill.driver",
+        "repro.drill.events",
         "repro.cluster.cluster",
         "repro.cluster.shard",
         "repro.cluster.migration",

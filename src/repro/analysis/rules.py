@@ -98,15 +98,19 @@ LAYER_RANK: dict[str, int] = {
     #: The crash-consistency subsystem drives the whole stack (mount,
     #: traffic, the invariant auditor).
     "crash": 14,
+    #: The drill driver and its single-aggregate event vocabulary: it
+    #: schedules the mechanisms of every layer below (faults, tiering,
+    #: crash) over live traffic; the fleet's events sit above it.
+    "drill": 15,
     #: The fleet layer, top of the *simulation* stack: many
     #: aggregate-scale sims as shards, scheduled and migrated from
     #: above.  It may import everything below it; nothing below
-    #: (traffic, fs, crash, ...) may import it.
-    "cluster": 15,
+    #: (traffic, fs, crash, drill, ...) may import it.
+    "cluster": 16,
     #: The experiment table and its runner: the one consumer of every
     #: simulation layer (it imports them statically), itself consumed
     #: only by cli.
-    "bench": 16,
+    "bench": 17,
 }
 
 RULES: dict[str, Rule] = {

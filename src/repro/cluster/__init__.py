@@ -17,14 +17,22 @@ everything below it:
   stats refreshes on resident shards, from-scratch replay as the oracle
   (byte-identical across worker counts), the ``cluster`` bench experiment.
 * :mod:`~repro.cluster.migration` — online volume migration with drain
-  and replay, block-conservation checks, audits, and Iron scans.
-* :mod:`~repro.cluster.chaos` — the aggregate-kill drill: evacuate a
-  dead shard through the scheduler under live traffic.
+  and replay, block-conservation checks, audits, and Iron scans; the
+  fleet as a drill subject and the events that move volumes across it
+  (hot-spot rebalance, aggregate kill, evacuation).
 """
 
-from .chaos import ChaosReport, run_cluster_chaos
 from .cluster import Cluster, ClusterResult, make_shard_specs, run_cluster_bench
-from .migration import MigrationReport, migrate_volume, run_rebalance
+from .migration import (
+    Evacuate,
+    Evacuation,
+    Fleet,
+    KillShard,
+    MigrateShard,
+    MigrationReport,
+    migrate_volume,
+    run_rebalance,
+)
 from .scheduler import (
     AAPressureWeigher,
     CapacityFilter,
@@ -46,14 +54,18 @@ from .volumes import VolumeRequest, noisy_fleet_requests
 __all__ = [
     "AAPressureWeigher",
     "CapacityFilter",
-    "ChaosReport",
     "Cluster",
     "ClusterResult",
+    "Evacuate",
+    "Evacuation",
     "FilterScheduler",
+    "Fleet",
     "FreeSpaceWeigher",
     "HeadroomWeigher",
     "MediaTypeFilter",
     "TierFilter",
+    "KillShard",
+    "MigrateShard",
     "MigrationReport",
     "Placement",
     "QosHeadroomFilter",
@@ -69,6 +81,5 @@ __all__ = [
     "migrate_volume",
     "noisy_fleet_requests",
     "run_cluster_bench",
-    "run_cluster_chaos",
     "run_rebalance",
 ]

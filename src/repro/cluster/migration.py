@@ -20,10 +20,16 @@ Step 3's equality is *block conservation* and is always checked; with
 ``audit=True`` the cross-layer invariant auditor and a WAFL Iron scan
 additionally vouch for both aggregates afterwards.
 
-:func:`run_rebalance` is the CLI-facing demo: run a small fleet hot,
-pick the worst-loaded shard's heaviest tenant, let the filter/weigher
-scheduler choose a better home, migrate under live traffic, and report
-before/after tails.
+The fleet drills ride on it.  :class:`Fleet` is the drill subject — a
+dict of live shards stepping one epoch each — and three events move
+volumes between them under :func:`repro.drill.run_drill`:
+:class:`MigrateShard` (the hottest shard's heaviest tenant goes where
+the filter/weigher scheduler puts it), :class:`KillShard` (an aggregate
+hosting an aggressor dies: a disk fails in every RAID group, within the
+parity budget, and the shard leaves the scheduling pool) and
+:class:`Evacuate` (every dead shard's tenants rehome through the
+scheduler, reads off the degraded groups reconstructing through
+parity).  :func:`run_rebalance` is the two-epoch rebalance drill.
 """
 
 from __future__ import annotations
@@ -33,13 +39,26 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..analysis import audit_sim
-from ..common.errors import AuditError, MigrationError
+from ..common.errors import AuditError, FaultError, MigrationError, PlacementError
+from ..drill import run_drill
 from ..fs import iron
 from ..fs.cp import CPBatch
+from .cluster import make_shard_specs
 from .scheduler import FilterScheduler
-from .shard import EPOCH_CPS, ShardRuntime
+from .shard import ShardRuntime
+from .stats import derive_seed
+from .volumes import noisy_fleet_requests
 
-__all__ = ["MigrationReport", "migrate_volume", "run_rebalance"]
+__all__ = [
+    "MigrationReport",
+    "migrate_volume",
+    "Fleet",
+    "MigrateShard",
+    "KillShard",
+    "Evacuate",
+    "Evacuation",
+    "run_rebalance",
+]
 
 
 @dataclass(frozen=True)
@@ -132,63 +151,131 @@ def migrate_volume(
     )
 
 
-def run_rebalance(
-    *,
-    n_shards: int = 4,
-    tenants_per_shard: int = 3,
-    seed: int = 77,
-    epoch_cps: int = EPOCH_CPS,
-) -> dict:
-    """Hot-spot rebalancing demo on in-process shards.
+class Fleet:
+    """The fleet as a drill subject: ``n_shards`` fresh shards and the
+    noisy-neighbor tenant population to place on them (placing it is
+    the caller's move); one step is one epoch on every live shard."""
 
-    Builds a small fleet, front-loads every tenant onto the low shards
-    (a deliberately bad initial placement), runs an epoch, then moves
-    the busiest shard's heaviest tenant to the shard the filter/weigher
-    scheduler picks, and runs another epoch.  Returns a deterministic
-    report: the migration evidence plus worst-p99 per shard before and
-    after."""
-    from .cluster import make_shard_specs
-    from .volumes import noisy_fleet_requests
-    from .stats import derive_seed
+    def __init__(self, n_shards: int, tenants_per_shard: int, seed: int) -> None:
+        self.shards = {
+            s.shard_id: ShardRuntime(s) for s in make_shard_specs(n_shards, seed=seed)
+        }
+        self.requests = noisy_fleet_requests(
+            n_shards * tenants_per_shard, seed=derive_seed(seed, "fleet")
+        )
 
-    specs = make_shard_specs(n_shards, seed=seed)
-    shards = {s.shard_id: ShardRuntime(s) for s in specs}
-    requests = noisy_fleet_requests(
-        n_shards * tenants_per_shard, seed=derive_seed(seed, "fleet")
-    )
-    # Bad placement on purpose: pack sequentially, so aggressors and
-    # victims pile onto the first shards.
-    packed = n_shards // 2 or 1
-    for i, request in enumerate(requests):
-        shards[i % packed].add_volume(request)
-    for rt in shards.values():
-        rt.run_epoch(epoch_cps)
+    def sims(self) -> list:
+        return [rt.sim for rt in self.shards.values()]
 
-    before = {sid: rt.stats() for sid, rt in shards.items()}
-    busiest = max(before.values(), key=lambda s: (s.worst_p99_ms, -s.shard_id))
-    source = shards[busiest.shard_id]
-    mover_name = max(
-        source.tenants, key=lambda n: (source.tenants[n].offered_fraction, n)
-    )
-    candidates = [
-        before[sid] for sid in sorted(shards) if sid != source.spec.shard_id
-    ]
-    scheduler = FilterScheduler()
-    decision = scheduler.place(source.tenants[mover_name], candidates)
-    report = migrate_volume(source, shards[decision.shard_id], mover_name)
+    def step(self) -> list:
+        ran = []
+        for sid in sorted(self.shards):
+            rt = self.shards[sid]
+            if rt.alive and rt.run_epoch() is not None:
+                ran += rt.sim.metrics.cps
+        return ran
 
-    for rt in shards.values():
-        rt.run_epoch(epoch_cps)
-    after = {sid: rt.stats() for sid, rt in shards.items()}
+
+class _FleetEvent:
+    def check(self, drill, step, earlier) -> None:
+        if not getattr(drill.subject, "shards", None):
+            raise FaultError(f"{self} needs a subject with shards (a Fleet)")
+
+
+@dataclass(frozen=True)
+class MigrateShard(_FleetEvent):
+    """Hot-spot rebalancing: the shard with the worst tail gives its
+    heaviest tenant to the shard the filter/weigher scheduler picks
+    (evidence: the :class:`MigrationReport`)."""
+
+    def fire(self, drill) -> MigrationReport:
+        shards = drill.subject.shards
+        stats = {sid: rt.stats() for sid, rt in shards.items()}
+        busiest = max(stats.values(), key=lambda s: (s.worst_p99_ms, -s.shard_id))
+        source = shards[busiest.shard_id]
+        mover = max(source.tenants, key=lambda n: (source.tenants[n].offered_fraction, n))
+        candidates = [stats[sid] for sid in sorted(shards) if sid != busiest.shard_id]
+        decision = FilterScheduler().place(source.tenants[mover], candidates)
+        return migrate_volume(source, shards[decision.shard_id], mover)
+
+
+@dataclass(frozen=True)
+class KillShard(_FleetEvent):
+    """One aggregate dies (evidence: its shard id).  The shard chosen
+    hosts an aggressor, so the drill moves real load, and preferably no
+    victim, so a bound on victim tails isolates the rescheduling."""
+
+    def fire(self, drill) -> int:
+        shards = drill.subject.shards
+
+        def hosted(sid: int, profile: str) -> int:
+            return sum(1 for r in shards[sid].tenants.values() if r.profile == profile)
+
+        ranked = sorted(
+            (sid for sid in shards if hosted(sid, "aggressor")),
+            key=lambda sid: (hosted(sid, "victim"), sid),
+        )
+        dead = shards[ranked[0] if ranked else min(shards)]
+        for g in range(len(dead.sim.store.groups)):
+            dead.sim.store.fail_disk(g, 0)
+        dead.alive = False
+        return dead.spec.shard_id
+
+
+@dataclass(frozen=True)
+class Evacuation:
+    """Where a dead shard's tenants went, and the evidence per move."""
+
+    #: volume -> new hosting shard.
+    evacuated: dict[str, int]
+    migrations: tuple[MigrationReport, ...]
+    #: Volumes no surviving shard's filters admitted.
+    stranded: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Evacuate(_FleetEvent):
+    """Every dead shard's tenants rehome through the scheduler, heaviest
+    first so the hardest placements see the emptiest fleet."""
+
+    def fire(self, drill) -> Evacuation:
+        shards = drill.subject.shards
+        scheduler = FilterScheduler()
+        survivors = [shards[sid].stats() for sid in sorted(shards) if shards[sid].alive]
+        evacuated: dict[str, int] = {}
+        migrations: list[MigrationReport] = []
+        stranded: list[str] = []
+        for dead in (rt for rt in shards.values() if not rt.alive):
+            for name in sorted(
+                dead.tenants, key=lambda n: (-dead.tenants[n].offered_fraction, n)
+            ):
+                try:
+                    decision = scheduler.place(dead.tenants[name], survivors)
+                except PlacementError:
+                    stranded.append(name)
+                    continue
+                migrations.append(migrate_volume(dead, shards[decision.shard_id], name))
+                evacuated[name] = decision.shard_id
+        return Evacuation(evacuated, tuple(migrations), tuple(stranded))
+
+
+def run_rebalance(*, n_shards: int = 4, seed: int = 77) -> dict:
+    """The rebalance drill: front-load three tenants per shard onto the
+    low shards (a deliberately bad placement), run an epoch,
+    :class:`MigrateShard`, run another.  Returns the migration evidence
+    plus worst p99 per shard before and after."""
+    fleet = Fleet(n_shards, 3, seed)
+    for i, request in enumerate(fleet.requests):
+        fleet.shards[i % (n_shards // 2 or 1)].add_volume(request)
+    log = run_drill(fleet, ((1, MigrateShard()),), 2)
+    first = {sid: rt.results[0] for sid, rt in fleet.shards.items()}
+    after = {sid: rt.stats() for sid, rt in fleet.shards.items()}
     return {
-        "migration": report.as_dict(),
+        "migration": log.evidence(MigrateShard)[0].as_dict(),
         "worst_p99_before": {
-            sid: before[sid].worst_p99_ms for sid in sorted(before)
+            sid: max(t.p99_ms for t in r.tenants.values()) if r else 0.0
+            for sid, r in sorted(first.items())
         },
-        "worst_p99_after": {
-            sid: after[sid].worst_p99_ms for sid in sorted(after)
-        },
-        "free_blocks_after": {
-            sid: shards[sid].stats().free_blocks for sid in sorted(shards)
-        },
+        "worst_p99_after": {sid: after[sid].worst_p99_ms for sid in sorted(after)},
+        "free_blocks_after": {sid: after[sid].free_blocks for sid in sorted(after)},
     }

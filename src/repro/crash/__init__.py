@@ -15,20 +15,20 @@ This package verifies that guarantee for the simulator:
   the ``repro.obs`` span boundaries the CP engine already emits, so
   every span edge in the CP pipeline is an injectable crash site.
 * :mod:`repro.crash.explorer` — a systematic crash-state explorer
-  (CrashMonkey-style): for each crash point in each CP of a seeded
-  workload, crash the sim, recover, audit every invariant, and assert
-  byte-equality with the committed metadata image.
-* :mod:`repro.crash.under_load` — crashes mid-CP under live
-  multi-tenant traffic and verifies admitted-but-uncommitted ops are
-  deterministically replayed after recovery.
+  (CrashMonkey-style): for each crash point of a step, crash a copy of
+  its driver, recover, audit every invariant, and assert byte-equality
+  with the committed metadata image.  The ``CrashAt`` event of
+  :mod:`repro.drill` schedules it — every edge of a step, or one
+  seeded edge under live traffic with the lost step replayed.
 """
 
 from .explorer import (
-    CrashMatrix,
     CrashOutcome,
-    explore_cps,
-    explore_aging,
-    explore_noisy_neighbor,
+    Replay,
+    crash_at_edge,
+    crash_digest,
+    crash_recover_verify,
+    sweep_crash_points,
 )
 from .persistence import (
     SECTOR_BYTES,
@@ -42,26 +42,24 @@ from .persistence import (
     tear_page,
 )
 from .registry import CrashPoint, CrashTracer, record_crash_points
-from .under_load import CrashUnderLoadReport, run_crash_under_load
 
 __all__ = [
     "SECTOR_BYTES",
     "CommittedImage",
-    "CrashMatrix",
     "CrashOutcome",
     "CrashPoint",
     "CrashTracer",
-    "CrashUnderLoadReport",
     "FSState",
     "PersistenceModel",
     "RecoveryReport",
+    "Replay",
     "capture_image",
+    "crash_at_edge",
+    "crash_digest",
+    "crash_recover_verify",
     "deserialize_fs",
-    "explore_aging",
-    "explore_cps",
-    "explore_noisy_neighbor",
     "record_crash_points",
-    "run_crash_under_load",
     "serialize_fs",
+    "sweep_crash_points",
     "tear_page",
 ]

@@ -1,13 +1,13 @@
 """Systematic crash-state exploration (CrashMonkey-style).
 
-For every CP of a seeded workload, the explorer first *dry-runs* the CP
-on a deep copy of the simulator with a recording
-:class:`~repro.crash.registry.CrashTracer` to enumerate its span edges
-— the crash points.  Then, for each edge, it deep-copies the pristine
-pre-CP state again, re-runs the CP with the tracer armed to crash at
-exactly that edge, captures the (possibly torn) shadow image when the
-crash landed inside the persistence write window, recovers through the
-real mount path, and verifies the recovered state three ways:
+:func:`sweep_crash_points` first *dry-runs* one step on a deep copy of
+its driver with a recording :class:`~repro.crash.registry.CrashTracer`
+to enumerate the step's span edges — the crash points.  Then, for each
+edge, it deep-copies the pristine pre-step state again, re-runs the
+step with the tracer armed to crash at exactly that edge
+(:func:`crash_at_edge`), captures the (possibly torn) shadow image when
+the crash landed inside the persistence write window, recovers through
+the real mount path, and verifies the recovered state three ways:
 
 1. the full :func:`repro.analysis.auditor.audit_sim` invariant audit
    (bitmap popcounts, keeper totals, cache bins, delayed-free
@@ -18,25 +18,25 @@ real mount path, and verifies the recovered state three ways:
 3. byte-equality: re-serializing the recovered file systems must
    reproduce the committed image's sealed pages bit for bit.
 
-Only after the whole sweep does the *real* CP run and the persistence
-model commit, so every crash point of CP *n* is explored against the
-committed image of CP *n-1* — exactly the state WAFL guarantees a
-crash recovers to.  Everything is seeded: the same seed replays the
-same matrix byte-identically (:meth:`CrashMatrix.digest`).
+The pristine state is never touched: the caller (the ``CrashAt`` event
+of :mod:`repro.drill`) runs the *real* step afterwards and commits, so
+every crash point of step *n* is explored against the committed image
+of step *n-1* — exactly the state WAFL guarantees a crash recovers to.
+Everything is seeded: the same seed replays the same outcomes, and
+:func:`crash_digest` hashes them.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 from .. import obs
 from ..analysis.auditor import audit_sim
 from ..common.errors import CrashError
 from ..fs import iron
-from ..fs.cp import CPBatch
 from ..fs.filesystem import WaflSim
 from .persistence import PersistenceModel, capture_image
 from .registry import (
@@ -49,12 +49,27 @@ from .registry import (
 
 __all__ = [
     "CrashOutcome",
-    "CrashMatrix",
+    "Replay",
+    "crash_at_edge",
+    "crash_digest",
+    "crash_recover_verify",
     "sweep_crash_points",
-    "explore_cps",
-    "explore_aging",
-    "explore_noisy_neighbor",
 ]
+
+
+@dataclass(frozen=True)
+class Replay:
+    """How the step a seeded crash lost was replayed (the op log is
+    durable, the CP is not: every admitted-but-uncommitted op must come
+    back, every shed op must be shed again)."""
+
+    #: Drill step the crash interrupted.
+    step: int
+    #: Two replays from independent copies of the pre-crash state agreed
+    #: on admitted / rejected / dirtied-block outcomes.
+    consistent: bool
+    #: Per-tenant ops the replayed CP carried.
+    ops: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -84,67 +99,42 @@ class CrashOutcome:
     recovery_us: float
     #: Everything that went wrong (empty == verified recovery).
     violations: tuple[str, ...]
+    #: Set when the lost step was replayed (a seeded crash under load).
+    replay: Replay | None = None
 
     @property
     def ok(self) -> bool:
-        return self.crashed and not self.violations
+        replayed = self.replay is None or self.replay.consistent
+        return self.crashed and replayed and not self.violations
 
     def row(self) -> str:
-        """Canonical one-line form (feeds the matrix digest)."""
+        """Canonical one-line form (feeds :func:`crash_digest`, so both
+        renderings — swept and replayed — are part of the baseline)."""
         status = "ok" if self.ok else "FAIL"
-        torn = ",".join(self.torn_pages) if self.torn_pages else "-"
-        return (
-            f"cp={self.cp_index} {self.point.label} "
-            f"window={int(self.in_write_window)} post={int(self.post_commit)} "
-            f"torn={torn} restored={self.restored} retries={self.retries} {status}"
+        where = (
+            f"{self.point.label} window={int(self.in_write_window)} "
+            f"post={int(self.post_commit)} torn={','.join(self.torn_pages) or '-'}"
         )
+        if self.replay is None:
+            return (
+                f"cp={self.cp_index} {where} "
+                f"restored={self.restored} retries={self.retries} {status}"
+            )
+        ops = ",".join(f"{k}={v}" for k, v in sorted(self.replay.ops.items()))
+        return f"step={self.replay.step} {where} ops={ops or '-'} {status}"
 
 
-@dataclass
-class CrashMatrix:
-    """Every explored crash point of one workload, plus per-CP digests."""
-
-    workload: str
-    seed: int
-    outcomes: list[CrashOutcome] = field(default_factory=list)
-    #: Committed-image digest after each real CP (tracks the timeline
-    #: the crashes were explored against).
-    committed_digests: list[str] = field(default_factory=list)
-
-    @property
-    def cps_swept(self) -> int:
-        return len(self.committed_digests)
-
-    @property
-    def crash_points(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def violations(self) -> list[CrashOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def torn_write_cases(self) -> int:
-        return sum(1 for o in self.outcomes if o.torn_pages)
-
-    @property
-    def ok(self) -> bool:
-        return self.cps_swept > 0 and not self.violations
-
-    def digest(self) -> str:
-        """Content hash of the whole matrix; same seed => same digest."""
-        h = hashlib.sha256()
-        h.update(f"{self.workload}:{self.seed}".encode())
-        for o in self.outcomes:
-            h.update(o.row().encode())
-            h.update(b"|".join(v.encode() for v in o.violations))
-        for d in self.committed_digests:
-            h.update(d.encode())
-        return h.hexdigest()
-
-    def extend(self, other: "CrashMatrix") -> None:
-        self.outcomes.extend(other.outcomes)
-        self.committed_digests.extend(other.committed_digests)
+def crash_digest(header: str, outcomes, committed_digests) -> str:
+    """Content hash of a crash drill: every outcome's row and violations,
+    then the committed timeline; same seed => same digest."""
+    h = hashlib.sha256()
+    h.update(header.encode())
+    for o in outcomes:
+        h.update(o.row().encode())
+        h.update(b"|".join(v.encode() for v in o.violations))
+    for d in committed_digests:
+        h.update(d.encode())
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +165,52 @@ def _verify_recovered(model: PersistenceModel, sim: WaflSim) -> list[str]:
     return problems
 
 
+def crash_at_edge(
+    state,
+    run_step: Callable[[object], object],
+    model: PersistenceModel,
+    edges: list[CrashPoint],
+    point: CrashPoint,
+    sim_of: Callable[[object], WaflSim],
+) -> CrashOutcome:
+    """Crash a deep copy of ``state`` at ``point`` (one of the step's
+    recorded ``edges``), recover it, verify it; ``state`` is untouched."""
+    window_start = boundary_enter_index(edges)
+    commit_idx = commit_edge_index(edges)
+    trial = copy.deepcopy(state)
+    prev = obs.install_tracer(CrashTracer(crash_at=point.index))
+    crashed = False
+    try:
+        run_step(trial)
+    except CrashError:
+        crashed = True
+    finally:
+        obs.install_tracer(prev)
+    post_commit = commit_idx is not None and point.index > commit_idx
+    in_window = (
+        not post_commit
+        and window_start is not None
+        and point.index >= window_start
+    )
+    report, violations = crash_recover_verify(
+        model, sim_of(trial), in_window=in_window, post_commit=post_commit
+    )
+    if not crashed:
+        violations.append(f"[{point.label}] crash: injected CrashError never fired")
+    return CrashOutcome(
+        cp_index=model.committed.cp_index + 1,
+        point=point,
+        in_write_window=in_window,
+        post_commit=post_commit,
+        crashed=crashed,
+        torn_pages=tuple(report.torn_pages),
+        restored=len(report.restored),
+        retries=report.mount.total_retries,
+        recovery_us=report.modeled_recovery_us,
+        violations=tuple(violations),
+    )
+
+
 def sweep_crash_points(
     state,
     run_step: Callable[[object], object],
@@ -184,58 +220,17 @@ def sweep_crash_points(
 ) -> list[CrashOutcome]:
     """Explore every span edge of one step against ``model.committed``.
 
-    ``state`` is the pristine pre-step driver (a :class:`WaflSim` or a
-    :class:`~repro.traffic.engine.TrafficEngine`); it is deep-copied
-    per trial and **never mutated** — the caller runs the real step
-    afterwards.  ``run_step`` executes the step on a copy; ``sim_of``
-    extracts the :class:`WaflSim` to recover and audit.
+    ``state`` is the pristine pre-step driver (a :class:`WaflSim`, or
+    any drill subject); it is deep-copied per trial and **never
+    mutated** — the caller runs the real step afterwards.  ``run_step``
+    executes the step on a copy; ``sim_of`` extracts the
+    :class:`WaflSim` to recover and audit.
     """
     probe = copy.deepcopy(state)
     edges = record_crash_points(lambda: run_step(probe))
-    window_start = boundary_enter_index(edges)
-    commit_idx = commit_edge_index(edges)
-    cp_index = model.committed.cp_index + 1
-    outcomes: list[CrashOutcome] = []
-    for point in edges:
-        trial = copy.deepcopy(state)
-        tracer = CrashTracer(crash_at=point.index)
-        prev = obs.install_tracer(tracer)
-        crashed = False
-        try:
-            run_step(trial)
-        except CrashError:
-            crashed = True
-        finally:
-            obs.install_tracer(prev)
-        sim = sim_of(trial)
-        post_commit = commit_idx is not None and point.index > commit_idx
-        in_window = (
-            not post_commit
-            and window_start is not None
-            and point.index >= window_start
-        )
-        report, violations = crash_recover_verify(
-            model, sim, in_window=in_window, post_commit=post_commit
-        )
-        if not crashed:
-            violations.append(
-                f"[{point.label}] crash: injected CrashError never fired"
-            )
-        outcomes.append(
-            CrashOutcome(
-                cp_index=cp_index,
-                point=point,
-                in_write_window=in_window,
-                post_commit=post_commit,
-                crashed=crashed,
-                torn_pages=tuple(report.torn_pages),
-                restored=len(report.restored),
-                retries=report.mount.total_retries,
-                recovery_us=report.modeled_recovery_us,
-                violations=tuple(violations),
-            )
-        )
-    return outcomes
+    return [
+        crash_at_edge(state, run_step, model, edges, point, sim_of) for point in edges
+    ]
 
 
 def crash_recover_verify(
@@ -264,131 +259,3 @@ def crash_recover_verify(
         model.capture_shadow(sim)
     report = model.recover(sim)
     return report, _verify_recovered(model, sim)
-
-
-# ----------------------------------------------------------------------
-# Workload-level sweeps
-# ----------------------------------------------------------------------
-def explore_cps(
-    sim: WaflSim,
-    batches: Iterable[CPBatch],
-    *,
-    seed: int = 0,
-    max_cps: int | None = None,
-    workload: str = "custom",
-    model: PersistenceModel | None = None,
-) -> CrashMatrix:
-    """Sweep every crash point of every CP ``batches`` yields.
-
-    Each batch is swept against the previous CP's committed image, then
-    run for real and committed — so the timeline the crashes interrupt
-    is the same one an uncrashed run would produce.
-    """
-    if model is None:
-        model = PersistenceModel(sim, seed=seed)
-    matrix = CrashMatrix(workload=workload, seed=seed)
-    it: Iterator[CPBatch] = iter(batches)
-    n = 0
-    while max_cps is None or n < max_cps:
-        try:
-            batch = next(it)
-        except StopIteration:
-            break
-        matrix.outcomes.extend(
-            sweep_crash_points(sim, lambda s: s.engine.run_cp(batch), model)
-        )
-        sim.engine.run_cp(batch)
-        matrix.committed_digests.append(model.commit().digest())
-        n += 1
-    return matrix
-
-
-def _small_aged_sim(*, blocks_per_disk: int, seed: int) -> WaflSim:
-    """A small aged all-SSD sim sized for exhaustive crash sweeps."""
-    from ..common.config import AggregateSpec, TierSpec, VolumeDecl
-    from ..workloads.aging import age_filesystem, reset_measurement_state
-
-    tier = TierSpec(
-        label="ssd",
-        media="ssd",
-        ndata=3,
-        blocks_per_disk=blocks_per_disk,
-        stripes_per_aa=256,
-    )
-    phys = 3 * blocks_per_disk
-    spec = AggregateSpec(
-        tiers=(tier,),
-        volumes=(
-            VolumeDecl("volA", logical_blocks=phys // 4),
-            VolumeDecl("volB", logical_blocks=phys // 8),
-        ),
-    )
-    sim = WaflSim.build(spec, seed=seed)
-    age_filesystem(sim, churn_factor=1.0, ops_per_cp=2048, seed=seed)
-    reset_measurement_state(sim)
-    return sim
-
-
-def explore_aging(
-    *,
-    cps: int = 3,
-    seed: int = 0,
-    blocks_per_disk: int = 8192,
-    ops_per_cp: int = 512,
-) -> CrashMatrix:
-    """Acceptance sweep #1: random-overwrite churn on an aged system.
-
-    Ages a small sim (fill + churn, so the delayed-free logs and AA
-    caches carry real history), then sweeps every crash point of
-    ``cps`` consecutive overwrite CPs.
-    """
-    from ..workloads.random_overwrite import RandomOverwriteWorkload
-
-    sim = _small_aged_sim(blocks_per_disk=blocks_per_disk, seed=seed)
-    wl = RandomOverwriteWorkload(sim, ops_per_cp=ops_per_cp, seed=seed + 1)
-    return explore_cps(
-        sim, iter(wl), seed=seed, max_cps=cps, workload="aging"
-    )
-
-
-def explore_noisy_neighbor(
-    *,
-    cps: int = 3,
-    seed: int = 0,
-    n_tenants: int = 3,
-    blocks_per_disk: int = 16384,
-) -> CrashMatrix:
-    """Acceptance sweep #2: crash points under multi-tenant contention.
-
-    Builds the ``noisy-neighbor`` traffic scenario (aggressor saturating
-    the backend, QoS-capped victim) and sweeps every span edge of
-    ``cps`` consecutive engine steps — each step admits tenant ops and
-    runs their CP, so the swept edges include the whole admission +
-    allocation + boundary pipeline under contention.
-    """
-    from ..traffic.engine import TrafficEngine
-    from ..traffic.scenarios import (
-        build_scenario,
-        build_traffic_sim,
-        calibrate_capacity,
-    )
-
-    sim = build_traffic_sim(
-        n_tenants, blocks_per_disk=blocks_per_disk, seed=seed + 40
-    )
-    cal = calibrate_capacity(sim, seed=seed + 41)
-    tenants = build_scenario(
-        "noisy-neighbor", sim, cal.capacity_ops, n_tenants=n_tenants, seed=seed + 42
-    )
-    engine = TrafficEngine(sim, tenants)
-    model = PersistenceModel(sim, seed=seed)
-    matrix = CrashMatrix(workload="noisy-neighbor", seed=seed)
-    for _ in range(cps):
-        matrix.outcomes.extend(
-            sweep_crash_points(
-                engine, lambda e: e.step(), model, sim_of=lambda e: e.sim
-            )
-        )
-        engine.step()
-        matrix.committed_digests.append(model.commit().digest())
-    return matrix

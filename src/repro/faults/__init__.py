@@ -8,15 +8,10 @@ This package makes that story executable: a seeded, deterministic
 and whole-disk failures through the stack, and the recovery machinery
 (degraded RAID reads, checksummed TopAA pages, scoped Iron escalation,
 bitmap-walk allocation) absorbs them with zero failed allocations.
+What to inject when is a schedule of :mod:`repro.drill` events.
 """
 
-from .injector import (
-    FaultInjector,
-    FaultKind,
-    ScheduledFault,
-    corrupt_bytes,
-    flip_bitmap_bits,
-)
+from .injector import FaultInjector, FaultKind, corrupt_bytes, flip_bitmap_bits
 from .recovery import (
     attach_everywhere,
     degraded_instances,
@@ -24,13 +19,10 @@ from .recovery import (
     exit_degraded,
     instances,
 )
-from .scenario import ChaosScenario, RecoveryMetrics, default_scenario, run_chaos
-from .underload import PHASES, UnderLoadMetrics, run_chaos_under_load
 
 __all__ = [
     "FaultInjector",
     "FaultKind",
-    "ScheduledFault",
     "corrupt_bytes",
     "flip_bitmap_bits",
     "attach_everywhere",
@@ -38,11 +30,4 @@ __all__ = [
     "escalate",
     "exit_degraded",
     "instances",
-    "ChaosScenario",
-    "RecoveryMetrics",
-    "default_scenario",
-    "run_chaos",
-    "PHASES",
-    "UnderLoadMetrics",
-    "run_chaos_under_load",
 ]

@@ -2,8 +2,8 @@
 
 The injector is a passive oracle the storage stack consults at its
 read/write boundaries: file systems and RAID groups ask "does a fault
-fire here?" and the injector answers from per-target rates, armed
-one-shots, or a scripted schedule.  All randomness flows through one
+fire here?" and the injector answers from per-target rates or armed
+one-shots (*when* to arm is a :mod:`repro.drill` schedule).  All randomness flows through one
 seeded :class:`numpy.random.Generator`, so a run with the same seed
 and the same call order injects — and therefore recovers — identically.
 
@@ -14,18 +14,16 @@ escalate into scoped repair (:mod:`repro.faults.recovery`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..common.errors import FaultError
 from ..common.rng import make_rng
 
-__all__ = ["FaultKind", "ScheduledFault", "FaultInjector", "corrupt_bytes", "flip_bitmap_bits"]
+__all__ = ["FaultKind", "FaultInjector", "corrupt_bytes", "flip_bitmap_bits"]
 
 
 class FaultKind:
-    """String fault kinds (strings, so the fs layer never has to import
+    """The read-fault kinds (strings, so the fs layer never has to import
     this package — injector consumers duck-type on ``consume``/``roll``)."""
 
     #: Read fails once but succeeds on retry (loose cable, firmware hiccup).
@@ -34,45 +32,18 @@ class FaultKind:
     LATENT_SECTOR_ERROR = "latent-sector-error"
     #: Damage RAID cannot fix (too many members affected) — Iron's case.
     UNRECONSTRUCTABLE = "unreconstructable"
-    #: A write that hit the platter partially: bits flip toward zero
-    #: (allocated state lost -> Iron "corrupt" findings).
-    TORN_WRITE = "torn-write"
-    #: A write acknowledged but never persisted: stale set bits remain
-    #: (frees lost -> Iron "leaked" findings).
-    LOST_WRITE = "lost-write"
-    #: Whole-device failure in a RAID group.
-    DISK_FAIL = "disk-fail"
-    #: Replace + rebuild a previously failed device.
-    DISK_REPLACE = "disk-replace"
-    #: Corrupt a persisted TopAA page (checksum mismatch at next mount).
-    TOPAA_CORRUPT = "topaa-corrupt"
-
-
-@dataclass(frozen=True)
-class ScheduledFault:
-    """One scripted fault: fire ``kind`` at ``target`` before CP ``at_cp``."""
-
-    at_cp: int
-    target: str
-    kind: str
-    #: Blocks/bits/devices affected (kind-dependent).
-    count: int = 1
-    #: Extra argument (e.g. disk index for DISK_FAIL/DISK_REPLACE).
-    arg: int | None = None
+    ALL = (TRANSIENT_READ, LATENT_SECTOR_ERROR, UNRECONSTRUCTABLE)
 
 
 class FaultInjector:
     """Deterministic fault oracle for devices, RAID groups, and metafiles.
 
-    Three injection mechanisms compose:
+    Two injection mechanisms compose:
 
     * **rates** — :meth:`set_rate` gives a per-consultation (or
       per-block, for :meth:`roll`) firing probability;
     * **one-shots** — :meth:`arm` queues N guaranteed firings that
-      :meth:`consume`/:meth:`roll` drain first;
-    * **schedules** — :meth:`schedule` scripts faults against a CP
-      clock; the chaos runner pops them with :meth:`due` and applies
-      them to the simulator.
+      :meth:`consume`/:meth:`roll` drain first.
 
     Every firing is tallied in :attr:`injected` so recovery metrics can
     be compared across runs (same seed => identical tallies).
@@ -82,7 +53,6 @@ class FaultInjector:
         self.rng = make_rng(seed)
         self._rates: dict[tuple[str, str], float] = {}
         self._armed: dict[tuple[str, str], int] = {}
-        self._schedule: list[ScheduledFault] = []
         #: (target, kind) -> number of faults fired.
         self.injected: dict[tuple[str, str], int] = {}
 
@@ -106,12 +76,6 @@ class FaultInjector:
         key = (target, kind)
         self._armed[key] = self._armed.get(key, 0) + count
 
-    def schedule(
-        self, at_cp: int, target: str, kind: str, count: int = 1, arg: int | None = None
-    ) -> None:
-        """Script a fault to fire just before CP ``at_cp`` (see :meth:`due`)."""
-        self._schedule.append(ScheduledFault(at_cp, target, kind, count, arg))
-
     # ------------------------------------------------------------------
     # Consultation (called by the storage stack)
     # ------------------------------------------------------------------
@@ -121,7 +85,7 @@ class FaultInjector:
     def consume(self, target: str, kind: str) -> bool:
         """One yes/no consultation: drains one armed one-shot if any,
         else rolls the configured rate (no rng draw when no rate is
-        set, preserving determinism for schedule-only runs)."""
+        set, preserving determinism for armed-only runs)."""
         key = (target, kind)
         armed = self._armed.get(key, 0)
         if armed:
@@ -154,27 +118,13 @@ class FaultInjector:
             self._record(key, hits)
         return hits
 
-    def due(self, cp: int) -> list[ScheduledFault]:
-        """Pop every scheduled fault with ``at_cp <= cp``, in schedule
-        order (the chaos runner applies them before running the CP)."""
-        fire = [f for f in self._schedule if f.at_cp <= cp]
-        self._schedule = [f for f in self._schedule if f.at_cp > cp]
-        for f in fire:
-            self._record((f.target, f.kind), f.count)
-        return fire
-
-    @property
-    def pending(self) -> int:
-        """Scheduled faults not yet fired."""
-        return len(self._schedule)
-
     @property
     def injected_total(self) -> int:
         return sum(self.injected.values())
 
 
 # ----------------------------------------------------------------------
-# Damage helpers (applied by the chaos runner / tests)
+# Damage helpers (applied by drill events / tests)
 # ----------------------------------------------------------------------
 
 def corrupt_bytes(

@@ -315,6 +315,11 @@ class RAIDGroupRuntime(AllocSpace):
         devs = self.parity_devices if parity else self.data_devices
         if not 0 <= index < len(devs):
             raise GeometryError(f"no {'parity' if parity else 'data'} disk {index}")
+        if not devs[index].failed:
+            raise DegradedError(
+                f"{self.where}: {'parity' if parity else 'data'} disk {index} "
+                "has not failed; there is nothing to rebuild"
+            )
         if not self.within_parity_budget:
             raise DegradedError(
                 f"{self.where}: {self.failed_disks} failed disks exceed "

@@ -15,10 +15,11 @@ composes those single-media stores into one aggregate VBN space:
   engine consults for placement;
 * :func:`migrate_volume_tier` / :func:`rebalance_tiers` — COW-based
   intra-aggregate tier migration with block-conservation checks;
-* :func:`run_tier_bench` — the ``tier`` bench experiment / CLI demo.
+* :func:`tier_demo_spec` / :func:`build_tiered_sim` — the demo
+  aggregate the ``tier`` drill runs on.
 """
 
-from .bench import build_tiered_sim, run_tier_bench, tier_demo_spec
+from .bench import build_tiered_sim, tier_demo_spec
 from .migration import (
     TierMigrationReport,
     migrate_volume_tier,
@@ -45,5 +46,4 @@ __all__ = [
     "rebalance_tiers",
     "tier_demo_spec",
     "build_tiered_sim",
-    "run_tier_bench",
 ]

@@ -604,6 +604,10 @@ class TrafficEngine:
             self._cp_count += 1
             return stats
 
+    def sims(self) -> tuple:
+        """The simulators this engine drives (the drill-subject protocol)."""
+        return (self.sim,)
+
     def run(self, n_cps: int) -> "TrafficEngine":
         for _ in range(n_cps):
             self.step()

@@ -31,7 +31,6 @@ EXPECTED_WAIVERS = Counter({
     ("B502", "traffic/engine.py"): 1,
     # Canonical-seed pins.
     ("F804", "bench/experiments.py"): 1,
-    ("F804", "faults/underload.py"): 2,
     ("F804", "traffic/scenarios.py"): 2,
     # Reporting-only wall clocks (start + stop of one timer each).
     ("F801", "fs/mount.py"): 2,

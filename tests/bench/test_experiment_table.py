@@ -201,8 +201,8 @@ class TestClaims:
 
 
 class TestDrillRowsAreTheDriversThemselves:
-    """A drill row adds nothing to its subsystem's own driver: same
-    size, same seed, same report."""
+    """A drill row adds nothing to its schedule run by the one driver:
+    same subject, same seed, same report."""
 
     @staticmethod
     def _metrics(row: str, unit: str, seed: int) -> dict:
@@ -213,39 +213,62 @@ class TestDrillRowsAreTheDriversThemselves:
         return json.loads(json.dumps(payload))
 
     def test_crash_digests(self):
-        from repro.crash import explore_aging, explore_noisy_neighbor, run_crash_under_load
+        from repro.bench.drills import crash_metrics, crash_schedule, crash_subject
+        from repro.drill import CrashAt, run_drill
 
-        direct = {
-            "aging": explore_aging(cps=1, seed=3),
-            "noisy-neighbor": explore_noisy_neighbor(cps=1, seed=3),
-            "under-load": run_crash_under_load(steps=2, crash_every=2, seed=3),
-        }
-        for unit, report in direct.items():
+        direct = {}
+        sizes = {"aging": 1, "noisy-neighbor": 1, "under-load": 2, "snapshot": 1}
+        for unit, steps in sizes.items():
+            log = run_drill(
+                crash_subject(unit, 3), crash_schedule(unit, steps), steps, seed=3
+            )
+            direct[unit] = log
             m = self._metrics("crash", unit, 3)
-            assert m["digest"] == report.digest()
-            assert m["violations"] == [] and report.ok
+            assert m == self._json(crash_metrics(unit, 3, log))
+            assert m["violations"] == []
+            assert all(o.ok for found in log.evidence(CrashAt) for o in found)
+        outcomes = [o for found in direct["aging"].evidence(CrashAt) for o in found]
         aging = self._metrics("crash", "aging", 3)
-        assert aging["rows"] == [o.row() for o in direct["aging"].outcomes]
-        assert aging["crash_points"] == direct["aging"].crash_points
+        assert aging["rows"] == [o.row() for o in outcomes]
+        assert aging["crash_points"] == len(outcomes)
+        # The snapshot sweep is the aging sweep over a pinned volume:
+        # same edges, a different committed image.
+        snapshot = self._metrics("crash", "snapshot", 3)
+        assert snapshot["crash_points"] == aging["crash_points"]
+        assert snapshot["digest"] != aging["digest"]
 
     def test_faults_and_disk_failure_metrics(self):
-        from repro.faults import default_scenario, run_chaos, run_chaos_under_load
-
-        chaos, _sim = run_chaos(default_scenario(7, quick=True))
-        assert self._metrics("faults", "scripted", 7) == {
-            **self._json(chaos.as_dict()), "n_cps": 8,
-        }
-        under_load, _engine = run_chaos_under_load(
-            scenario="noisy-neighbor", n_tenants=2, seed=7
+        from repro.bench.drills import (
+            disk_failure_metrics,
+            disk_failure_schedule,
+            recovery_metrics,
+            scripted_schedule,
+            scripted_subject,
+            traffic_engine,
+            transient_schedule,
         )
+        from repro.drill import run_drill
+
+        for unit, schedule in (("scripted", scripted_schedule), ("transient", transient_schedule)):
+            subject = scripted_subject(7, ops_per_cp=1024, warmup_cps=3)
+            log = run_drill(subject, schedule(8), 8, seed=7)
+            row = self._metrics("faults", unit, 7)
+            expected = {**self._json(recovery_metrics(log, subject.sim)), "n_cps": 8}
+            assert {k: row[k] for k in expected} == expected
+            assert (set(row) == set(expected)) == (unit == "scripted")
+        engine = traffic_engine("noisy-neighbor", 2, 65_536, seed=7)
+        log = run_drill(engine, disk_failure_schedule(30), 30)
         assert self._metrics("traffic", "disk-failure", 7) == self._json(
-            under_load.as_dict()
+            disk_failure_metrics(log, engine)
         )
 
     def test_cluster_rebalance_and_chaos_payloads(self):
-        from repro.cluster import run_cluster_chaos, run_rebalance
+        from repro.bench.drills import CHAOS_SCHEDULE, chaos_fleet, chaos_metrics
+        from repro.cluster import run_rebalance
+        from repro.drill import run_drill
 
         assert self._metrics("cluster", "rebalance", 5) == self._json(run_rebalance(seed=5))
+        fleet = chaos_fleet(5)
         assert self._metrics("cluster", "chaos", 5) == self._json(
-            run_cluster_chaos(seed=5).as_dict()
+            chaos_metrics(fleet, run_drill(fleet, CHAOS_SCHEDULE, 2))
         )

@@ -23,7 +23,7 @@ def test_bench_is_the_top_rank():
 
 
 def test_lower_layers_cannot_import_cluster():
-    for pkg in ("traffic", "fs", "workloads", "faults", "tiering", "crash"):
+    for pkg in ("traffic", "fs", "workloads", "faults", "tiering", "crash", "drill"):
         assert "L201" in rules_of("from .. import cluster\n", pkg)
         assert "L201" in rules_of(
             "from repro.cluster import FilterScheduler\n", pkg
@@ -31,7 +31,7 @@ def test_lower_layers_cannot_import_cluster():
 
 
 def test_nothing_the_table_runs_may_import_bench():
-    for pkg in ("cluster", "crash", "tiering", "analysis", "faults", "traffic"):
+    for pkg in ("cluster", "drill", "crash", "tiering", "analysis", "faults", "traffic"):
         assert "L201" in rules_of("from .. import bench\n", pkg)
         assert "L201" in rules_of(
             "from repro.bench.harness import build_aged_ssd_sim\n", pkg
@@ -43,20 +43,51 @@ def test_cluster_may_import_everything_below():
         "from ..traffic.engine import TrafficEngine\n"
         "from ..fs.filesystem import WaflSim\n"
         "from ..analysis import audit_sim\n"
-        "from ..faults import default_scenario\n"
+        "from ..faults import FaultInjector\n"
+        "from ..drill import run_drill\n"
     )
     assert "L201" not in rules_of(src, "cluster")
 
 
 def test_bench_imports_every_subsystem_statically():
     src = (
-        "from ..cluster import run_cluster_bench\n"
-        "from ..crash import explore_aging\n"
-        "from ..tiering import run_tier_bench\n"
+        "from ..cluster import Fleet, KillShard, run_cluster_bench\n"
+        "from ..drill import CrashAt, run_drill\n"
+        "from ..crash import crash_digest\n"
+        "from ..tiering import build_tiered_sim\n"
         "from ..analysis import arm_global\n"
-        "from ..faults import run_chaos\n"
+        "from ..faults import FaultInjector\n"
     )
     assert "L201" not in rules_of(src, "bench")
+
+
+def test_the_drill_driver_sits_between_crash_and_cluster():
+    """The driver schedules every mechanism below it and knows nothing
+    of the fleet or the table: its package imports neither (checked on
+    the real sources, which carry no L201 waiver), and the fleet's
+    events reach it from above."""
+    import ast
+    from pathlib import Path
+
+    import repro.drill
+
+    assert LAYER_RANK["crash"] < LAYER_RANK["drill"] < LAYER_RANK["cluster"]
+    for path in sorted(Path(repro.drill.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert "simlint: disable" not in source
+        imported = {
+            node.module or "" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert not any(m.split(".")[0] in ("cluster", "bench") for m in imported)
+        findings = lint_source(source, str(path), f"repro.drill.{path.stem}").findings
+        assert [f for f in findings if f.rule == "L201"] == []
+    src = (
+        "from ..crash.persistence import PersistenceModel\n"
+        "from ..tiering.migration import migrate_volume_tier\n"
+        "from ..faults.recovery import escalate\n"
+    )
+    assert "L201" not in rules_of(src, "drill")
 
 
 def test_cluster_cannot_import_itself_sideways():

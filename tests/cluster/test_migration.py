@@ -112,8 +112,9 @@ def test_snapshotted_volume_is_refused_before_anything_moves(pair):
 
 
 def test_run_rebalance_reports_conservation():
-    out = run_rebalance(n_shards=3, tenants_per_shard=2, seed=31, epoch_cps=3)
+    out = run_rebalance(n_shards=3, seed=31)
     mig = out["migration"]
     assert mig["blocks_copied"] == mig["blocks_freed"] > 0
     assert mig["iron_findings"] == 0
     assert set(out["worst_p99_before"]) == set(out["worst_p99_after"]) == {0, 1, 2}
+    assert set(out["free_blocks_after"]) == {0, 1, 2}

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crash.explorer import _small_aged_sim
+from repro.bench.drills import crash_subject
 from repro.workloads import RandomOverwriteWorkload
 
 
 @pytest.fixture
 def aged_sim():
-    sim = _small_aged_sim(blocks_per_disk=8192, seed=11)
+    sim = crash_subject("aging", 11).sim
     sim.create_snapshot("volA", "hourly.0")
     sim.run(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=12), 2)
     return sim

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,21 @@ class TestDegradedWrites:
         assert g.blocks_reconstructed == g.config.blocks_per_disk
         sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=6), 2)
         sim.verify_consistency()
+
+    def test_replacing_a_healthy_disk_is_refused_before_any_read(self, sim):
+        """It used to revive() a device that had never failed, charge a
+        full-disk read on every member plus the rebuild write, and count
+        a reconstruction that never happened."""
+        sim.store.fail_disk(0, 1)
+        g = sim.store.groups[0]
+        clocks = [dataclasses.replace(d.stats) for d in g.devices]
+        for healthy in (dict(index=0), dict(index=2), dict(index=0, parity=True)):
+            with pytest.raises(DegradedError, match="has not failed"):
+                g.replace_disk(**healthy)
+        assert g.blocks_reconstructed == 0
+        assert g.reconstruction_reads == 0
+        assert clocks == [d.stats for d in g.devices]
+        assert g.failed_disks == 1
 
     def test_beyond_parity_budget_raises(self, sim):
         sim.store.fail_disk(0, 0)

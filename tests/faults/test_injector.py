@@ -80,23 +80,52 @@ class TestRates:
 
 
 class TestSchedule:
+    """*When* a fault fires is a drill schedule (the injector's own
+    ``schedule``/``due`` retired for it)."""
+
+    @staticmethod
+    def subject():
+        from repro.drill import SimFeed
+        from repro.workloads import RandomOverwriteWorkload, fill_volumes
+
+        from ..conftest import small_ssd_sim
+
+        sim = small_ssd_sim()
+        fill_volumes(sim)
+        return SimFeed(sim, RandomOverwriteWorkload(sim, ops_per_cp=256, seed=2))
+
     def test_due_pops_in_order_and_once(self):
-        inj = FaultInjector(seed=1)
-        inj.schedule(3, "group:0", FaultKind.DISK_FAIL, arg=1)
-        inj.schedule(1, "vol:a", FaultKind.TORN_WRITE, count=8)
-        assert inj.due(0) == []
-        first = inj.due(2)
-        assert [f.kind for f in first] == [FaultKind.TORN_WRITE]
-        assert [f.kind for f in inj.due(3)] == [FaultKind.DISK_FAIL]
-        assert inj.due(99) == []
-        assert inj.pending == 0
+        from repro.drill import END, FailDisk, FlipBits, ReplaceDisk, Scrub, run_drill
+
+        schedule = (
+            (2, FailDisk(0, 1)),
+            (0, FlipBits("vol:volA", 8, "clear")),
+            (END, ReplaceDisk(0, 1)),
+            (0, Scrub(window=0)),
+        )
+        log = run_drill(self.subject(), schedule, 3, seed=1)
+        # Step order, schedule order within a step, the scrub's own
+        # follow-up ahead of the step it lands on, END last; each once.
+        assert [(step, type(event).__name__) for step, event, _ in log.fired] == [
+            (0, "FlipBits"), (0, "Scrub"), (1, "RebuildCaches"),
+            (2, "FailDisk"), (END, "ReplaceDisk"),
+        ]
 
     def test_due_records_tallies(self):
-        inj = FaultInjector(seed=1)
-        inj.schedule(1, "vol:a", FaultKind.LOST_WRITE, count=5)
-        inj.due(1)
-        assert inj.injected[("vol:a", FaultKind.LOST_WRITE)] == 5
-        assert inj.injected_total == 5
+        from repro.drill import ArmFault, CorruptTopAA, Mount, run_drill
+
+        subject = self.subject()
+        schedule = (
+            (0, ArmFault("vol:volB", FaultKind.TRANSIENT_READ, 2)),
+            (0, CorruptTopAA("vol:volB", 4)),
+            (0, Mount()),
+        )
+        log = run_drill(subject, schedule, 1, seed=1)
+        (mount,) = log.evidence(Mount)
+        assert mount.transient_retries == 2
+        injector = subject.sim.vols["volB"].injector
+        assert injector.injected[("vol:volB", FaultKind.TRANSIENT_READ)] == 2
+        assert injector.injected_total == 2
 
 
 class TestDamageHelpers:

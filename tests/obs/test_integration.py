@@ -8,7 +8,8 @@ import pytest
 
 from repro import obs
 from repro.analysis import InvariantAuditor
-from repro.faults.underload import run_chaos_under_load
+from repro.bench.drills import disk_failure_schedule, traffic_engine
+from repro.drill import run_drill
 from repro.obs.report import (
     RECONCILED_COUNTERS,
     complete_cps,
@@ -116,13 +117,8 @@ class TestDeterminism:
     def chaos_trace() -> str:
         tracer = obs.install()
         try:
-            run_chaos_under_load(
-                scenario="uniform",
-                n_tenants=2,
-                seed=11,
-                n_cps=9,
-                blocks_per_disk=16384,
-            )
+            engine = traffic_engine("uniform", 2, 16384, seed=11)
+            run_drill(engine, disk_failure_schedule(9), 9)
         finally:
             obs.uninstall()
         return obs.export.to_jsonl(tracer.records())

@@ -1,4 +1,4 @@
-"""Tier bench determinism: the mixed SSD+HDD+SMR demo is a pure
+"""Tier drill determinism: the mixed SSD+HDD+SMR demo is a pure
 function of (quick, seed) — same-seed runs are byte-identical — and
 its payload carries the acceptance assertions (chooser placements,
 migration conservation, clean audit and Iron scan)."""
@@ -7,7 +7,12 @@ from __future__ import annotations
 
 import json
 
-from repro.tiering import build_tiered_sim, run_tier_bench, tier_demo_spec
+from repro.bench import runner
+from repro.tiering import build_tiered_sim, tier_demo_spec
+
+
+def tier_metrics(seed: int) -> dict:
+    return runner.run_unit(runner.UnitSpec("tier", "tiered", True, seed))["metrics"]
 
 
 class TestDemoSpec:
@@ -29,8 +34,8 @@ class TestDemoSpec:
 
 class TestReplayIdentity:
     def test_same_seed_same_digest(self):
-        a = run_tier_bench(quick=True, seed=55, audit=False)["metrics"]
-        b = run_tier_bench(quick=True, seed=55, audit=False)["metrics"]
+        a = tier_metrics(55)
+        b = tier_metrics(55)
         assert a["digest"] == b["digest"]
         # Byte-identical payloads, not merely equal digests.
         ka = json.dumps({k: v for k, v in a.items()}, sort_keys=True)
@@ -38,12 +43,12 @@ class TestReplayIdentity:
         assert ka == kb
 
     def test_different_seed_different_digest(self):
-        a = run_tier_bench(quick=True, seed=55, audit=False)["metrics"]
-        b = run_tier_bench(quick=True, seed=56, audit=False)["metrics"]
+        a = tier_metrics(55)
+        b = tier_metrics(56)
         assert a["digest"] != b["digest"]
 
     def test_payload_carries_the_acceptance_claims(self):
-        m = run_tier_bench(quick=True, seed=55)["metrics"]
+        m = tier_metrics(55)
         assert m["placements"]["oltp0"] == "flash"
         assert m["placements"]["stream0"] == "smr"
         # The misplacement was corrected by the rebalance pass.
