@@ -1,8 +1,8 @@
 """Static and runtime verification for the reproduction codebase.
 
 * :mod:`repro.analysis.simlint` — the static analyzer (determinism,
-  layering, unit safety, crash consistency, error hygiene; per file and
-  across the call graph); ``repro lint``.
+  layering, hot-loop and output hygiene; per file and across the call
+  graph); ``repro lint``.
 * :mod:`repro.analysis.auditor` — CP-time whole-system invariant
   auditor; ``repro audit`` and ``pytest --audit``.
 * :mod:`repro.analysis.rules` — the rule catalogue and the enforced

@@ -3,10 +3,9 @@
 :func:`load_project` extracts every module under the given roots (the
 one AST walk, :mod:`repro.analysis.symbols`); :func:`build_graph` links
 the raw call sites into a resolved :class:`CallGraph`;
-:func:`reach_down` / :func:`reach_up` are the two reachability
-primitives, with witness edges for source -> sink traces.  All
-iteration orders are sorted, so every pass output is deterministic for
-a given project.
+:func:`reach_down` is the reachability primitive, with witness edges
+for root -> source traces.  All iteration orders are sorted, so every
+pass output is deterministic for a given project.
 
 Resolution strategy, in decreasing precision:
 
@@ -25,15 +24,15 @@ Resolution strategy, in decreasing precision:
 
 ``functools.partial``, pool submissions (``submit``/``map``/...) and
 ``Process(target=...)`` contribute ``kind != "direct"`` edges: the
-wrapped callable is eventually invoked, so taint and effects must flow
-through it, but its argument mapping is not checked.
+wrapped callable is eventually invoked, so taint must flow through it,
+but its argument mapping is not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .symbols import (
     CallSite,
@@ -45,7 +44,7 @@ from .symbols import (
 )
 
 __all__ = ["CallEdge", "CallGraph", "Project", "build_graph", "load_project",
-           "reach_down", "reach_up"]
+           "reach_down"]
 
 #: Method names too generic to resolve by class-hierarchy analysis on
 #: an unknown receiver: they are overwhelmingly builtin container /
@@ -92,20 +91,16 @@ class Project:
 
 @dataclass
 class CallGraph:
-    """Resolved edges in both directions, plus the owning project."""
+    """Resolved caller -> callee edges, plus the owning project."""
 
     project: Project
     edges: dict[str, list[CallEdge]] = field(default_factory=dict)
-    callers: dict[str, list[CallEdge]] = field(default_factory=dict)
     #: Call sites that resolved to no project function (external or
     #: builtin callees) — kept for diagnostics.
     unresolved: int = 0
 
     def out_edges(self, fqn: str) -> list[CallEdge]:
         return self.edges.get(fqn, [])
-
-    def in_edges(self, fqn: str) -> list[CallEdge]:
-        return self.callers.get(fqn, [])
 
 
 def load_project(paths: Iterable[str | Path]) -> Project:
@@ -269,7 +264,6 @@ def build_graph(project: Project) -> CallGraph:
                 edge = CallEdge(caller=fqn, callee=target,
                                 lineno=site.lineno, kind=site.kind, site=site)
                 graph.edges.setdefault(fqn, []).append(edge)
-                graph.callers.setdefault(target, []).append(edge)
     return graph
 
 
@@ -292,25 +286,3 @@ def reach_down(graph: CallGraph, roots: list[str]) -> dict[str, list[CallEdge]]:
         frontier = sorted(set(next_frontier))
     return chains
 
-
-def reach_up(
-    graph: CallGraph, seed: str, stop: Callable[[str], bool]
-) -> dict[str, list[CallEdge]]:
-    """Backward reachability: every function that can *reach* ``seed``,
-    mapped to the edge chain from it down to the seed (``[]`` for the
-    seed itself).  ``stop`` prunes the climb: a function for which it
-    returns True is included, but its callers are not explored through
-    it (used to cut paths at sanctioned entry points)."""
-    chains: dict[str, list[CallEdge]] = {seed: []}
-    frontier = [seed]
-    while frontier:
-        next_frontier: list[str] = []
-        for fqn in frontier:
-            if fqn != seed and stop(fqn):
-                continue
-            for edge in graph.in_edges(fqn):
-                if edge.caller not in chains:
-                    chains[edge.caller] = [edge] + chains[fqn]
-                    next_frontier.append(edge.caller)
-        frontier = sorted(set(next_frontier))
-    return chains

@@ -14,30 +14,20 @@ Rule families
 * **L — layering.**  Packages form a strict DAG; an import reaching a
   *later* package is a leak that eventually turns into a cycle (the
   pre-existing ``bitmap -> core`` edge this linter was dogfooded on).
-* **U — unit safety.**  Identifiers carry unit suffixes (``_bytes``,
-  ``_blocks``, ``_us``...); additive arithmetic across different
-  suffixes is a unit mix-up unless it flows through
-  :mod:`repro.common.units` converters.
-* **B — bitmap discipline.**  The bitmap layer's perf contract is that
-  bit expansion happens behind :class:`repro.bitmap.Bitmap`, where the
-  candidate-byte scan keeps searches proportional to the result, not
-  the device; unbounded ``np.unpackbits`` elsewhere reintroduces the
-  O(nblocks) walks the paper exists to avoid.
-* **E — error hygiene.**  Bare/over-broad excepts and silently dropped
-  library errors hide exactly the corruption the auditor exists to
-  surface.
-* **C — crash consistency.**  The committed metadata image is the
-  state a crash recovers to; only the sanctioned commit path in
-  :mod:`repro.crash.persistence` may replace it.
+* **B — hot-loop discipline.**  The CP pipeline is vectorized; a Python
+  ``for`` loop that indexes a NumPy array one element at a time in a
+  hot-path package puts the interpreter back on the per-block path.
+* **E — output hygiene.**  Library code emits spans and counters
+  through :mod:`repro.obs`; a stray ``print()`` corrupts the CLI's
+  machine-readable output.
 * **P — pragma hygiene.**  A ``# simlint: disable=`` pragma must
   suppress a finding: one that names an unknown rule, or whose violation
   has been fixed, waives nothing and is itself reported.
-* **F — flow (interprocedural).**  The same properties as the D/U/C
-  families, checked across function boundaries over the project call
-  graph (:mod:`repro.analysis.passes`): determinism taint, unit
-  typestate, commit-path effects, and seed threading.  Their findings
-  carry the call chain as a trace, and their waivers must state a
-  reason.
+* **F — flow (interprocedural).**  Determinism checked across
+  function boundaries over the project call graph
+  (:mod:`repro.analysis.passes`): determinism taint and seed threading.
+  Their findings carry the call chain as a trace, and their waivers
+  must state a reason.
 """
 
 from __future__ import annotations
@@ -48,15 +38,10 @@ __all__ = [
     "Rule",
     "RULES",
     "LAYER_RANK",
-    "TIER_ROLE_LITERALS",
-    "UNIT_SUFFIXES",
     "ORDER_SAFE_CONSUMERS",
-    "REPRO_ERROR_NAMES",
     "WALL_CLOCK_CALLS",
     "REPORTING_CLOCK_CALLS",
     "ENTROPY_CALLS",
-    "COMMITTED_IMAGE_ATTRS",
-    "COMMIT_PATH_MODULE",
     "HOT_PATH_PACKAGES",
 ]
 
@@ -150,22 +135,6 @@ RULES: dict[str, Rule] = {
             + " is acyclic by construction; upward imports create cycles.",
         ),
         Rule(
-            "U301",
-            "additive arithmetic or comparison mixes unit suffixes",
-            "adding `_bytes` to `_blocks` (etc.) without a "
-            "repro.common.units conversion silently corrupts accounting.",
-        ),
-        Rule(
-            "B501",
-            "np.unpackbits on an unbounded or whole-bitmap buffer "
-            "outside bitmap.py",
-            "unpacking expands the buffer 8x; whole-bitmap expansions "
-            "outside the Bitmap class bypass its candidate-byte scan "
-            "(bytes != 0xFF) and turn O(free) searches back into "
-            "O(nblocks) — route bit expansion through repro.bitmap "
-            "helpers or slice an explicit [lo:hi] window first.",
-        ),
-        Rule(
             "B502",
             "Python for loop indexes a NumPy array element-by-element "
             "in a hot-path package",
@@ -175,25 +144,6 @@ RULES: dict[str, Rule] = {
             "whole-array expression (np.maximum, np.add.accumulate, "
             "boolean masks) or waive a deliberately scalar reference "
             "path with a pragma naming this rule.",
-        ),
-        Rule(
-            "E401",
-            "bare `except:`",
-            "catches SystemExit/KeyboardInterrupt and hides programming "
-            "errors; name the exception.",
-        ),
-        Rule(
-            "E402",
-            "over-broad `except Exception`/`except BaseException`",
-            "swallows unrelated failures; catch the narrowest repro error "
-            "class that the handler can actually recover from.",
-        ),
-        Rule(
-            "E403",
-            "caught-and-dropped repro error (handler body is only "
-            "pass/...)",
-            "a swallowed SimError/MediaError/CacheError turns detectable "
-            "corruption into silent corruption.",
         ),
         Rule(
             "E404",
@@ -212,25 +162,6 @@ RULES: dict[str, Rule] = {
             "or state the reason.",
         ),
         Rule(
-            "T701",
-            "raw tier-name string literal outside repro.tiering",
-            "tier routing is typed: code talks about tiers through "
-            "repro.tiering.Tier members (or TierSpec labels), never "
-            "through bare 'fast'/'capacity'/'archive' literals — the "
-            "string-keyed duck hooks they fed silently no-opped on "
-            "stores that did not recognize the name.",
-        ),
-        Rule(
-            "C601",
-            "committed-image attribute mutated outside the crash-"
-            "consistency commit path",
-            "the committed metadata image is what a crash recovers to; "
-            "it may change only through PersistenceModel.commit() "
-            "(repro.crash.persistence) — any other assignment silently "
-            "moves the recovery target and voids the crash-consistency "
-            "guarantee.",
-        ),
-        Rule(
             "F801",
             "nondeterministic source reachable from a simulation hot path",
             "wall clocks, stdlib random, unseeded generators, ambient "
@@ -238,20 +169,6 @@ RULES: dict[str, Rule] = {
             "cone of the CP/allocator/traffic/crash/cluster/tiering hot "
             "paths break bit-for-bit reproducibility, no matter how many "
             "calls deep.",
-        ),
-        Rule(
-            "F802",
-            "unit value crosses a function boundary into a different unit",
-            "a *_blocks value passed into a size_bytes parameter (or "
-            "returned from a *_us function) corrupts accounting invisibly "
-            "to the per-line U301 check.",
-        ),
-        Rule(
-            "F803",
-            "committed-image write on a path not rooted at the commit path",
-            "helpers that mutate the committed image on behalf of "
-            "unsanctioned callers move the crash-recovery target; the "
-            "call-graph check closes the 'mutate via helper' hole in C601.",
         ),
         Rule(
             "F804",
@@ -263,67 +180,16 @@ RULES: dict[str, Rule] = {
     )
 }
 
-#: Tier-role names T701 refuses as raw routing literals outside
-#: ``repro.tiering`` (the :class:`repro.tiering.Tier` member values).
-TIER_ROLE_LITERALS: tuple[str, ...] = ("fast", "capacity", "archive")
-
-#: Identifier suffixes treated as units by U301.  Multiplicative
-#: operators are exempt (they *are* the conversions).
-UNIT_SUFFIXES: tuple[str, ...] = (
-    "_bytes",
-    "_blocks",
-    "_gib",
-    "_mib",
-    "_kib",
-    "_us",
-    "_ms",
-    "_ns",
-)
-
 #: Callables whose result does not depend on iteration order; passing a
 #: set straight into these is not a D104 violation.
 ORDER_SAFE_CONSUMERS: frozenset[str] = frozenset(
     {"sorted", "len", "min", "max", "sum", "any", "all", "set", "frozenset"}
 )
 
-#: Library exception names whose silent swallowing E403 flags.
-REPRO_ERROR_NAMES: frozenset[str] = frozenset(
-    {
-        "ReproError",
-        "SimError",  # historical alias used in issue trackers/docs
-        "BitmapError",
-        "AllocationError",
-        "OutOfSpaceError",
-        "GeometryError",
-        "CacheError",
-        "SerializationError",
-        "MountError",
-        "FaultError",
-        "TransientIOError",
-        "MediaError",
-        "DegradedError",
-        "AuditError",
-        "CrashError",
-        "TornWriteError",
-        "RecoveryExhaustedError",
-        "PlacementError",
-        "MigrationError",
-    }
-)
-
 #: Packages whose per-CP work is wall-clock critical; B502 flags
 #: element-at-a-time NumPy indexing loops only here.  Driver/reporting
 #: layers (bench, analysis, cli) may loop scalar-style freely.
 HOT_PATH_PACKAGES: frozenset[str] = frozenset({"fs", "bitmap", "traffic", "sim"})
-
-#: Attribute names C601/F803 treat as the committed image.  Only the
-#: sanctioned commit path (:data:`COMMIT_PATH_MODULE`) may assign them.
-COMMITTED_IMAGE_ATTRS: frozenset[str] = frozenset(
-    {"committed", "committed_image", "committed_images"}
-)
-
-#: The module whose writes to the committed image are the commit path.
-COMMIT_PATH_MODULE = "repro.crash.persistence"
 
 #: Dotted calls D103 flags (``perf_counter`` is allowed: it only times
 #: wall-clock reporting of benchmark runs, never simulated state).

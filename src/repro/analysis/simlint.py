@@ -3,9 +3,8 @@
 The rules (catalogue in :mod:`repro.analysis.rules`) encode properties
 the paper's evaluation depends on but Python cannot enforce by itself:
 determinism of every hot path (D, F801, F804), an acyclic package DAG
-(L), unit discipline between ``*_bytes``/``*_blocks``/``*_us``
-quantities (U, F802), crash-consistency of the committed image (C,
-F803) and error hygiene (E).  One run does everything: each file is
+(L), vectorized hot loops (B502) and output hygiene (E404).  One run
+does everything: each file is
 parsed and walked once (:mod:`repro.analysis.symbols`), the call graph
 is linked (:mod:`repro.analysis.callgraph`), the whole-program passes
 run over it (:mod:`repro.analysis.passes`), then waivers apply.
@@ -42,8 +41,8 @@ from .passes import FlowConfig, run_passes
 from .rules import RULES
 from .symbols import Finding, Pragma, extract_module
 
-__all__ = ["LintReport", "format_findings", "lint_paths", "lint_source",
-           "report_to_json"]
+__all__ = ["LintReport", "format_findings", "lint_paths", "lint_project",
+           "lint_source", "report_to_json"]
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,9 @@ def _order(f: Finding) -> tuple[str, int, int, str, str]:
     return (f.path, f.line, f.col, f.rule, f.message)
 
 
-def _report(project: Project, config: FlowConfig | None) -> LintReport:
+def lint_project(project: Project, config: FlowConfig | None = None) -> LintReport:
+    """Lint an extracted project: per-file findings, whole-program
+    passes, waivers."""
     graph = build_graph(project)
     findings = [f for mod in project.modules for f in mod.findings]
     findings += run_passes(graph, config if config is not None else FlowConfig())
@@ -131,7 +132,7 @@ def lint_paths(
 ) -> LintReport:
     """Lint every ``*.py`` file under the given files/directories as one
     project: per-file rules, whole-program passes, waivers."""
-    return _report(load_project(paths), config)
+    return lint_project(load_project(paths), config)
 
 
 def lint_source(
@@ -141,7 +142,7 @@ def lint_source(
     """Lint one in-memory module as a one-file project; ``module`` is
     its dotted name (``repro.fs.cp``), which positions it in the
     package DAG — by default it is a top-level module."""
-    return _report(Project([extract_module(source, path, module)]), config)
+    return lint_project(Project([extract_module(source, path, module)]), config)
 
 
 def format_findings(report: LintReport) -> str:

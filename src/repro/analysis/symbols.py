@@ -3,14 +3,13 @@
 :func:`extract_module` parses a module once and visits it once.  Every
 detector runs in that single pass and feeds both consumers:
 
-* the **per-file rules** (D/L/U/B/E/T/C in :mod:`repro.analysis.rules`)
+* the **per-file rules** (D/L/B/E in :mod:`repro.analysis.rules`)
   emit a :class:`Finding` on the spot;
 * the **whole-program passes** (:mod:`repro.analysis.passes`) get the
-  same detections as facts on the enclosing :class:`FunctionInfo` —
-  nondeterminism sources, committed-image writes, unit-carrying
-  returns/bindings — plus every call site with the argument facts the
-  passes consume (unit suffixes, seed-ish expressions,
-  partial/pool-worker indirections).
+  nondeterminism sources as facts on the enclosing
+  :class:`FunctionInfo`, plus every call site with the argument facts
+  the passes consume (seed-ish expressions, partial/pool-worker
+  indirections).
 
 The walk is deliberately syntactic: no imports are executed and no
 types are inferred beyond (a) names bound to a set / ndarray / class
@@ -29,16 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .rules import (
-    COMMIT_PATH_MODULE,
-    COMMITTED_IMAGE_ATTRS,
     ENTROPY_CALLS,
     HOT_PATH_PACKAGES,
     LAYER_RANK,
     REPORTING_CLOCK_CALLS,
-    REPRO_ERROR_NAMES,
     RULES,
-    TIER_ROLE_LITERALS,
-    UNIT_SUFFIXES,
     WALL_CLOCK_CALLS,
 )
 
@@ -53,7 +47,6 @@ __all__ = [
     "SourceFact",
     "extract_module",
     "module_name_for",
-    "unit_suffix_of",
 ]
 
 #: Rank assigned to modules outside the package DAG (``repro.cli``,
@@ -142,11 +135,6 @@ class ArgFact:
 
     #: Keyword name, or None for a positional argument.
     keyword: str | None
-    #: Unit suffix carried by the argument expression, if any.
-    unit: str | None
-    #: Canonical dotted callee when the argument is itself a direct
-    #: call (``f(g(...))``) — lets F802 use g's inferred return unit.
-    call_dotted: str | None
     #: True when the expression mentions a seed/rng-ish name or an RNG
     #: factory — it satisfies a seed parameter.
     seedish: bool
@@ -196,8 +184,6 @@ class FunctionInfo:
     params: tuple[str, ...] = ()
     #: Number of trailing positional parameters that carry defaults.
     n_defaults: int = 0
-    #: Keyword-only parameter names.
-    kwonly: tuple[str, ...] = ()
     #: Keyword-only parameters that carry defaults.
     kwonly_defaults: tuple[str, ...] = ()
     #: Parameters (positional or kw-only) that carry a seed/generator.
@@ -206,17 +192,8 @@ class FunctionInfo:
     has_local_rng: bool = False
     #: Direct nondeterminism sources in the body.
     sources: list[SourceFact] = field(default_factory=list)
-    #: Committed-image attribute writes: (attribute, lineno).
-    committed_writes: list[tuple[str, int]] = field(default_factory=list)
-    #: Unit suffixes of expressions this function returns.
-    return_units: list[str] = field(default_factory=list)
-    #: Canonical dotted callees whose result is returned directly.
-    return_calls: list[str] = field(default_factory=list)
     #: Every call site in the body.
     calls: list[CallSite] = field(default_factory=list)
-    #: Unit-suffixed locals assigned from a call:
-    #: (target suffix, canonical dotted callee, lineno).
-    unit_assigns: list[tuple[str, str, int]] = field(default_factory=list)
     #: Local variable -> dotted class name for ``var = ClassName(...)``.
     local_types: dict[str, str] = field(default_factory=dict)
 
@@ -252,17 +229,6 @@ class ModuleInfo:
     #: Per-file rule findings, before waivers.
     findings: list[Finding] = field(default_factory=list)
     pragmas: list[Pragma] = field(default_factory=list)
-
-
-def unit_suffix_of(name: str | None) -> str | None:
-    """The unit suffix (``_bytes``, ``_blocks``, ...) carried by a
-    name, or None."""
-    if not name:
-        return None
-    for suffix in UNIT_SUFFIXES:
-        if name.endswith(suffix) and len(name) > len(suffix):
-            return suffix
-    return None
 
 
 def _seedish_name(name: str) -> bool:
@@ -316,28 +282,6 @@ def _is_set_ctor(node: ast.AST | None) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     return isinstance(node, ast.Call) and _dotted(node.func) in ("set", "frozenset")
-
-
-def _unit_of(node: ast.AST) -> str | None:
-    """The unit an expression carries, read off its identifier suffix."""
-    if isinstance(node, ast.Name):
-        return unit_suffix_of(node.id)
-    if isinstance(node, ast.Attribute):
-        return unit_suffix_of(node.attr)
-    if isinstance(node, ast.Call):
-        # ``blocks_to_bytes(x)`` and friends convert *into* the unit
-        # named last; treat the converter's result as that unit.
-        tail = (_dotted(node.func) or "").split(".")[-1]
-        if "_to_" in tail:
-            suffix = "_" + tail.rsplit("_to_", 1)[1]
-            return suffix if suffix in UNIT_SUFFIXES else None
-        return None
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        left = _unit_of(node.left)
-        return left if left is not None and left == _unit_of(node.right) else None
-    if isinstance(node, ast.UnaryOp):
-        return _unit_of(node.operand)
-    return None
 
 
 def _classify_source(
@@ -509,7 +453,7 @@ class _Extractor(ast.NodeVisitor):
             fqn=f"{self.info.module}.{qualname}", module=self.info.module,
             name=node.name, cls=self.cls.name if self.cls else None,
             path=self.info.path, lineno=node.lineno, params=params,
-            n_defaults=len(args.defaults), kwonly=kwonly,
+            n_defaults=len(args.defaults),
             kwonly_defaults=tuple(
                 a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                 if d is not None),
@@ -531,17 +475,7 @@ class _Extractor(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Return(self, node: ast.Return) -> None:
-        if self.fn is not None and node.value is not None:
-            unit = _unit_of(node.value)
-            if unit is not None:
-                self.fn.return_units.append(unit)
-            callee = self._canonical_callee(node.value)
-            if callee is not None:
-                self.fn.return_calls.append(callee)
-        self.generic_visit(node)
-
-    # -- calls: D101-D103/F801 sources, B501, E404, T701, call sites ---
+    # -- calls: D101-D103/F801 sources, E404, call sites ---------------
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
         if dotted is not None:
@@ -553,7 +487,6 @@ class _Extractor(ast.NodeVisitor):
                     self._emit(rule, node, f": {detail}")
                 if self.fn is not None:
                     self.fn.sources.append(SourceFact(kind, detail, node.lineno))
-            self._check_unpackbits(node, canonical)
             if self.fn is not None:
                 self._record_call(self.fn, node, canonical)
             if dotted == "print" and self.package is not None:
@@ -566,25 +499,7 @@ class _Extractor(ast.NodeVisitor):
                     self._check_iteration(
                         arg, f" (materialized via {consumer}(); wrap the set "
                              f"in sorted())")
-        if self.package != "tiering":
-            for kw in node.keywords:
-                if (kw.arg == "tier" and isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)):
-                    self._emit("T701", kw.value,
-                               f": tier={kw.value.value!r}; pass a "
-                               f"repro.tiering.Tier member")
         self.generic_visit(node)
-
-    def _check_unpackbits(self, node: ast.Call, canonical: str) -> None:
-        """B501: unbounded bit expansion outside the bitmap layer."""
-        if canonical != "numpy.unpackbits" or self.info.module == "repro.bitmap.bitmap":
-            return  # the Bitmap class is the sanctioned expansion site
-        arg = node.args[0] if node.args else None
-        if (isinstance(arg, ast.Subscript) and isinstance(arg.slice, ast.Slice)
-                and arg.slice.lower is not None and arg.slice.upper is not None):
-            return  # explicitly windowed [lo:hi] slice: bounded expansion
-        self._emit("B501", node, "; use Bitmap.free_in_range/test or slice an "
-                                 "explicit [lo:hi] window")
 
     def _arg_fact(self, node: ast.AST, keyword: str | None) -> ArgFact:
         seedish = False
@@ -596,7 +511,7 @@ class _Extractor(ast.NodeVisitor):
                     and (_dotted(sub.func) or "").split(".")[-1] in _RNG_FACTORY_TAILS):
                 seedish = True
                 break
-        return ArgFact(keyword, _unit_of(node), self._canonical_callee(node), seedish)
+        return ArgFact(keyword, seedish)
 
     def _record_call(self, fn: FunctionInfo, node: ast.Call, canonical: str) -> None:
         has_star = any(isinstance(a, ast.Starred) for a in node.args) or any(
@@ -684,12 +599,11 @@ class _Extractor(ast.NodeVisitor):
                                f"path explicitly")
                     return
 
-    # -- bindings: set/array/class/rng tracking, C601/F803, U301/F802 --
+    # -- bindings: set/array/class/rng tracking -----------------------
     def _bind(self, target: ast.AST, value: ast.AST | None,
               is_set: bool, is_array: bool) -> None:
         self.sets.record(target, is_set)
         self.arrays.record(target, is_array)
-        self._check_committed_write(target)
         callee = self._canonical_callee(value) if value is not None else None
         if self.fn is None or callee is None or not isinstance(target, ast.Name):
             return
@@ -698,9 +612,6 @@ class _Extractor(ast.NodeVisitor):
             self.fn.has_local_rng = True
         if tail[:1].isupper():
             self.fn.local_types[target.id] = callee
-        suffix = unit_suffix_of(target.id)
-        if suffix is not None:
-            self.fn.unit_assigns.append((suffix, callee, target.lineno))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -715,106 +626,18 @@ class _Extractor(ast.NodeVisitor):
             _is_set_ctor(node.value) if node.value is not None
             else tail.lower() in ("set", "frozenset"),
             self._is_array_ctor(node.value) or tail in ("ndarray", "NDArray"))
-        if node.value is not None:
-            target_unit, value_unit = _unit_of(node.target), _unit_of(node.value)
-            if None not in (target_unit, value_unit) and target_unit != value_unit:
-                self._emit("U301", node,
-                           f": assignment binds {value_unit} value to "
-                           f"{target_unit} name; convert through "
-                           f"repro.common.units first")
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_unit_pair(node, node.target, node.value,
-                                  "+=" if isinstance(node.op, ast.Add) else "-=")
         if not isinstance(node.op, (ast.BitOr, ast.BitAnd)):
             self.sets.record(node.target, False)
-        self._check_committed_write(node.target)
-        self.generic_visit(node)
-
-    def _check_committed_write(self, target: ast.AST) -> None:
-        """C601 on the spot, and the write as a fact for F803."""
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_committed_write(elt)
-            return
-        # Both direct replacement (obj.committed = x) and structural
-        # mutation (obj.committed.pages[k] = x, obj.committed[i] = x)
-        # move the recovery target.
-        while isinstance(target, ast.Subscript):
-            target = target.value
-        attr = target
-        while isinstance(attr, ast.Attribute):
-            if attr.attr in COMMITTED_IMAGE_ATTRS:
-                if self.fn is not None:
-                    self.fn.committed_writes.append((attr.attr, target.lineno))
-                if self.info.module != COMMIT_PATH_MODULE:
-                    self._emit("C601", target,
-                               f": assignment to '.{attr.attr}' — route the "
-                               f"change through PersistenceModel.commit()")
-                return
-            attr = attr.value
-
-    def _check_unit_pair(self, node: ast.AST, a: ast.AST, b: ast.AST, op: str) -> None:
-        ua, ub = _unit_of(a), _unit_of(b)
-        if ua is not None and ub is not None and ua != ub:
-            self._emit("U301", node,
-                       f": '{op}' mixes units {ua} and {ub}; convert through "
-                       f"repro.common.units first")
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_unit_pair(node, node.left, node.right,
-                                  "+" if isinstance(node.op, ast.Add) else "-")
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, ordering):
-                self._check_unit_pair(node, left, right, type(op).__name__)
-            if isinstance(op, (ast.Eq, ast.NotEq)) and self.package != "tiering":
-                self._check_tier_literal(left, right)
-        self.generic_visit(node)
-
-    def _check_tier_literal(self, left: ast.AST, right: ast.AST) -> None:
-        """T701: ``something.tier == "fast"``-style comparisons route on
-        raw role names; only :mod:`repro.tiering` may spell them out."""
-        for lit, other in ((left, right), (right, left)):
-            dotted = _dotted(other)
-            if (isinstance(lit, ast.Constant) and lit.value in TIER_ROLE_LITERALS
-                    and dotted is not None and "tier" in dotted.lower()):
-                self._emit("T701", lit,
-                           f": compared {dotted} against {lit.value!r}; compare "
-                           f"against repro.tiering.Tier members instead")
-
-    # -- E-rules: exception hygiene ------------------------------------
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._emit("E401", node)
-        else:
-            exprs = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            names = {(_dotted(expr) or "").split(".")[-1] for expr in exprs}
-            # A body of only pass / docstring / bare ``...`` drops the error.
-            dropped = all(
-                isinstance(stmt, ast.Pass)
-                or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
-                for stmt in node.body)
-            if names & {"Exception", "BaseException"}:
-                self._emit("E402", node)
-            elif names & REPRO_ERROR_NAMES and dropped:
-                self._emit("E403", node,
-                           f": caught {', '.join(sorted(names & REPRO_ERROR_NAMES))} "
-                           f"and dropped it; handle, log, or re-raise")
         self.generic_visit(node)
 
 
 def _pragmas(source: str) -> list[Pragma]:
     """Every waiver in the module's comments.
 
-    ``# simlint: disable=D104[,U301] [— reason]`` after code waives
+    ``# simlint: disable=D104[,B502] [— reason]`` after code waives
     those rules on its own line; alone on a comment line it waives them
     on the next code line, and its reason may run on over the comment
     lines in between.  ``disable-file=`` waives a rule for the whole

@@ -248,9 +248,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """simlint: the repo's determinism, layering, unit, crash-consistency
-    and error-hygiene rules (see repro.analysis.rules), per file and
-    across the call graph, in one pass."""
+    """simlint: the repo's determinism, layering, hot-loop and output
+    rules (see repro.analysis.rules), per file and across the call
+    graph, in one pass."""
     from pathlib import Path
 
     from repro.analysis import format_findings, lint_paths, report_to_json
@@ -372,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="pstats sort key")
     p.set_defaults(fn=_cmd_profile)
     p = sub.add_parser("lint", help="simlint: static analysis (determinism, layering, "
-                                    "units, commit path) per file and across calls")
+                                    "hot loops, output) per file and across calls")
     p.add_argument("paths", nargs="*",
                    help="files or directories (default: the installed repro package)")
     p.add_argument("--json", metavar="PATH",

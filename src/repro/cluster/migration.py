@@ -97,11 +97,18 @@ def migrate_volume(
     boundary, verifying block conservation (and optionally auditing
     both aggregates).
 
-    A volume holding snapshots is refused with :class:`MigrationError`
-    before anything moves: the copy CP carries only the active map, and
-    the release CP cannot free blocks a snapshot still pins."""
+    Refused with :class:`MigrationError` before anything moves: a
+    target that is dead (no epoch would ever run the tenant again; a
+    dead *source* is legal — that is evacuation) or is the source
+    itself, a volume the source does not host, and a volume holding
+    snapshots (the copy CP carries only the active map, and the release
+    CP cannot free blocks a snapshot still pins)."""
+    if target is source:
+        raise MigrationError(f"shard {source.spec.shard_id} is both source and target")
+    if not target.alive:
+        raise MigrationError(f"target shard {target.spec.shard_id} is dead")
     if name not in source.tenants:
-        raise KeyError(f"shard {source.spec.shard_id} hosts no volume {name!r}")
+        raise MigrationError(f"shard {source.spec.shard_id} hosts no volume {name!r}")
     request = source.tenants[name]
     vol = source.sim.vols[name]
     if vol.snapshot_names:

@@ -64,8 +64,3 @@ DEFAULT_ERASE_BLOCK_BLOCKS: int = 512
 #: :class:`repro.devices.smr.SMRConfig`.
 DEFAULT_SMR_ZONE_BLOCKS: int = 65536
 
-#: Default fraction of an SSD's raw capacity hidden for FTL
-#: over-provisioning (paper section 3.2.2 cites "up to 30%" for
-#: enterprise drives; we default lower because AA sizing is what lets
-#: NetApp "ship SSDs ... with significantly lower OP").
-DEFAULT_SSD_OVERPROVISIONING: float = 0.07

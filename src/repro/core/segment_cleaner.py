@@ -61,6 +61,11 @@ def clean_best_aas(sim, group_index: int, n_aas: int) -> CleanReport:
     store = sim.store
     if not hasattr(store, "groups"):
         raise CacheError("segment cleaning targets RAID stores")
+    if group_index not in range(len(store.groups)) or n_aas < 0:
+        raise CacheError(
+            f"cannot clean {n_aas} AAs of RAID group {group_index}: the store "
+            f"has groups 0..{len(store.groups) - 1} and the count must be >= 0"
+        )
     g = store.groups[group_index]
     if g.cache is None:
         raise CacheError("segment cleaning requires the AA cache (it provides "

@@ -355,29 +355,34 @@ class RecoveryReport:
 class PersistenceModel:
     """Shadow vs committed metadata images, committed once per CP.
 
-    The committed image is only ever replaced through :meth:`commit` —
-    a simlint rule (C601) forbids assigning committed-image attributes
-    anywhere else, so nothing in the tree can silently mutate the state
-    a crash recovers to.
+    The committed image is only ever replaced through :meth:`commit`:
+    :attr:`committed` is a read-only property, so ``model.committed = x``
+    raises ``AttributeError`` from anywhere — nothing can silently move
+    the state a crash recovers to.
     """
 
     def __init__(self, sim: WaflSim, *, seed: int | None = 0) -> None:
         self.sim = sim
         self._rng = make_rng(seed)
-        self.committed = capture_image(sim)
+        self._committed = capture_image(sim)
         #: In-flight image of a crashed CP (set by :meth:`capture_shadow`).
         self.shadow: CommittedImage | None = None
         #: Torn TopAA image paired with the shadow (in-place writes).
         self.shadow_topaa: TopAAImage | None = None
 
     # -- image lifecycle ----------------------------------------------
+    @property
+    def committed(self) -> CommittedImage:
+        """The image a crash recovers to (the last committed CP)."""
+        return self._committed
+
     def commit(self) -> CommittedImage:
         """Atomic superblock switch after a successful CP: the shadow
         becomes the committed image.  Call right after ``run_cp``."""
-        self.committed = capture_image(self.sim)
+        self._committed = capture_image(self.sim)
         self.shadow = None
         self.shadow_topaa = None
-        return self.committed
+        return self._committed
 
     def capture_shadow(self, crashed_sim: WaflSim) -> CommittedImage:
         """Capture the in-flight image of a CP that crashed inside its

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.arrayops import group_counts
-from ..common.constants import DEFAULT_ERASE_BLOCK_BLOCKS, DEFAULT_SSD_OVERPROVISIONING
+from ..common.constants import DEFAULT_ERASE_BLOCK_BLOCKS
 from .base import Device
 
 __all__ = ["SSDConfig", "SSD"]
@@ -67,11 +67,6 @@ class SSDConfig:
     erase_us: float = 2000.0
     #: Open erase units the FTL streams into concurrently.
     max_open_units: int = 4
-    #: Fraction of raw capacity hidden for FTL overprovisioning.  Kept
-    #: for reporting; the relocation cost model does not depend on it,
-    #: which mirrors the paper's point that good AA sizing is what
-    #: allowed shipping drives with lower OP.
-    overprovisioning: float = DEFAULT_SSD_OVERPROVISIONING
     #: Whether the host sends TRIM for freed blocks (ONTAP does).
     trim_enabled: bool = True
 

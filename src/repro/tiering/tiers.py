@@ -26,8 +26,7 @@ class Tier(enum.Enum):
 
     This replaces the historical ``tier="fast"`` string plumbing: code
     that needs to talk about tiers passes these members (or their
-    ``.value`` where a wire format needs a string) — simlint rule T701
-    flags raw tier-name literals outside :mod:`repro.tiering`.
+    ``.value`` where a wire format needs a string).
     """
 
     #: Low-latency overwrite tier (SSD groups).

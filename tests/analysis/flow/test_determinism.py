@@ -9,8 +9,8 @@ from repro.analysis import FlowConfig, lint_paths
 from .conftest import hops
 
 
-def hot(config_modules=("app.hot",), **kw):
-    return FlowConfig(hot_root_modules=config_modules, **kw)
+def hot(config_modules=("app.hot",)):
+    return FlowConfig(hot_root_modules=config_modules)
 
 
 def f801(report):
@@ -144,13 +144,11 @@ class TestNegatives:
         (finding,) = lint_paths([root], hot()).findings
         assert finding.rule == "F801" and "(set-iteration: " in finding.message
 
-    def test_hot_root_fqns_extend_the_roots(self, make_tree):
+    def test_only_the_configured_modules_are_roots(self, make_tree):
         root = make_tree({
             "app/misc.py": "import time\n"
                            "def special():\n    return time.process_time()\n",
         })
         assert f801(lint_paths([root], hot(()))) == []
-        config = FlowConfig(hot_root_modules=(),
-                            hot_root_fqns=("app.misc.special",))
-        (finding,) = f801(lint_paths([root], config))
+        (finding,) = f801(lint_paths([root], hot(("app.misc",))))
         assert hops(finding) == ["app.misc.special"]

@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.analysis import audit_sim
 from repro.common.errors import MigrationError
+from repro.crash import capture_image
 from repro.fs import iron
 
 
@@ -85,10 +86,41 @@ def test_round_trip_leaves_both_aggregates_clean(pair):
             vol.verify_consistency()
 
 
-def test_migrating_unknown_volume_raises(pair):
-    source, target = pair
-    with pytest.raises(KeyError):
-        migrate_volume(source, target, "ghost")
+def _state(pair):
+    return [(capture_image(rt.sim).digest(), int(rt.sim.store.free_count),
+             dict(rt.tenants)) for rt in pair]
+
+
+@pytest.fixture()
+def refused(pair):
+    """Assert a migration is refused with MigrationError and that both
+    shards' images, free counts and tenant maps are untouched."""
+    source, _ = pair
+    source.add_volume(VolumeRequest("mover", 640, offered_fraction=0.08))
+    source.run_epoch(3)
+
+    def _refused(src, dst, name, match):
+        before = _state(pair)
+        with pytest.raises(MigrationError, match=match):
+            migrate_volume(src, dst, name)
+        assert _state(pair) == before
+
+    return _refused
+
+
+def test_migrating_unknown_volume_raises(pair, refused):
+    refused(*pair, "ghost", "hosts no volume 'ghost'")  # a bare KeyError before
+
+
+def test_dead_target_is_refused(pair, refused):
+    # Used to *succeed*, stranding the tenant on a shard no epoch runs.
+    pair[1].alive = False
+    refused(*pair, "mover", "shard 1 is dead")
+
+
+def test_migrating_onto_the_source_is_refused(pair, refused):
+    # Used to surface as GeometryError("volume exists") from add_volume.
+    refused(pair[0], pair[0], "mover", "both source and target")
 
 
 def test_snapshotted_volume_is_refused_before_anything_moves(pair):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common import CacheError
 from repro.core.segment_cleaner import clean_best_aas
+from repro.crash import capture_image
 from repro.fs import PolicyKind
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
@@ -79,6 +80,16 @@ class TestCleaning:
         fill_volumes(sim, ops_per_cp=8192)
         with pytest.raises(CacheError):
             clean_best_aas(sim, 0, n_aas=1)
+
+    @pytest.mark.parametrize("group, n_aas", [(99, 1), (-1, 1), (0, -1)])
+    def test_bad_group_or_count_is_refused_before_anything_moves(
+            self, aged, group, n_aas):
+        # An IndexError / a silent no-op before.
+        cache = aged.store.groups[0].cache
+        before = (capture_image(aged).digest(), cache.checked_out)
+        with pytest.raises(CacheError, match="RAID group"):
+            clean_best_aas(aged, group, n_aas)
+        assert (capture_image(aged).digest(), cache.checked_out) == before
 
     def test_improves_subsequent_stripe_quality(self, aged):
         """Cleaned AAs give the next CPs fuller stripes."""

@@ -213,6 +213,17 @@ class TestCommitRecover:
         assert image.digest() != old_digest
         assert model.shadow is None and model.shadow_topaa is None
 
+    def test_committed_is_replaced_only_by_commit(self, aged_sim):
+        # The read-only property is the whole guard: Python refuses the
+        # assignment from anywhere, and commit() still moves the image.
+        model = PersistenceModel(aged_sim, seed=3)
+        old = model.committed
+        with pytest.raises(AttributeError):
+            model.committed = capture_image(aged_sim)
+        assert model.committed is old
+        churn(aged_sim, seed=19)
+        assert model.commit() is model.committed is not old
+
     def test_capture_shadow_tears_against_committed(self, aged_sim):
         model = PersistenceModel(aged_sim, seed=3)
         churn(aged_sim, seed=18)

@@ -10,10 +10,6 @@ import copy
 
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
 from repro.common.errors import FaultError
 from repro.crash import capture_image
 from repro.drill import (
@@ -24,6 +20,10 @@ from repro.tiering import build_tiered_sim
 from repro.workloads import RandomOverwriteWorkload, age_filesystem
 
 from ..conftest import small_ssd_sim
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
 
 STEPS = 4
 

@@ -1,19 +1,11 @@
-"""Unit tests for the common helpers (units, RNG, constants)."""
+"""Unit tests for the common helpers (RNG, constants)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.common import constants as c
 from repro.common.rng import make_rng, spawn
-from repro.common.units import (
-    GIB,
-    blocks_to_bytes,
-    blocks_to_gib,
-    bytes_to_blocks,
-    gib_to_blocks,
-)
 
 
 class TestConstants:
@@ -50,28 +42,6 @@ class TestConstants:
         aas = vbns // c.DEFAULT_RAID_AA_STRIPES
         assert aas == 2**20  # 1M AAs
         assert aas * 8 == 2**23  # ~8 MiB at 8 B/AA; paper rounds to ~1 MiB
-
-
-class TestUnits:
-    def test_roundtrips(self):
-        assert bytes_to_blocks(blocks_to_bytes(77)) == 77
-        assert gib_to_blocks(1) == GIB // 4096
-        assert blocks_to_gib(gib_to_blocks(2.0)) == pytest.approx(2.0)
-
-    def test_zero_is_a_fixed_point(self):
-        assert bytes_to_blocks(0) == 0
-        assert blocks_to_bytes(0) == 0
-        assert gib_to_blocks(0) == 0
-        assert blocks_to_gib(0) == 0.0
-
-    def test_bytes_to_blocks_rejects_partial(self):
-        with pytest.raises(ValueError):
-            bytes_to_blocks(4097)
-
-    @pytest.mark.parametrize("nbytes", [1, 4095, 2 * 4096 + 512])
-    def test_non_block_aligned_sizes_rejected(self, nbytes):
-        with pytest.raises(ValueError):
-            bytes_to_blocks(nbytes)
 
 
 class TestRNG:
