@@ -1,17 +1,27 @@
 """Shared NumPy primitives for hot paths.
 
 Profiling the CP pipeline (see ``repro profile``) showed that
-``np.unique`` on medium-sized integer batches is dominated by its
-hash-table path, and that grouping by a small key space (erase blocks,
-RAID groups) is cheaper as a bincount.  These helpers centralize the
-faster equivalents so call sites stay one-liners.
+``np.unique`` on integer batches is dominated by its hash-table path.
+On keys sorted by contract the run primitive :func:`run_starts` gives
+the distinct keys and run bounds without it (:func:`sorted_unique` is
+"sort, then mask"); a small key space (erase blocks, RAID groups) is a
+bincount (:func:`group_counts`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_unique", "group_counts"]
+__all__ = ["run_starts", "sorted_unique", "group_counts"]
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in 1-D
+    ``keys`` (for sorted keys: of each distinct value)."""
+    mask = np.empty(keys.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
+    return mask
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -21,13 +31,8 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     comparison, which is several times faster than NumPy's hash-based
     path for the 10K-100K-element batches a CP produces.
     """
-    if a.size <= 1:
-        return np.sort(a)
     x = np.sort(a)
-    keep = np.empty(x.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
+    return x[run_starts(x)]
 
 
 def group_counts(keys: np.ndarray, nkeys: int) -> tuple[np.ndarray, np.ndarray]:

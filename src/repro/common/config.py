@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constants import RAID_AGNOSTIC_AA_BLOCKS
+from .constants import AZCS_DATA_BLOCKS, RAID_AGNOSTIC_AA_BLOCKS
 
 __all__ = [
     "TierSpec",
@@ -54,7 +54,7 @@ class TierSpec:
     blocks_per_disk: int = 262144
     #: Stripes per AA; 0 selects the media-appropriate default.
     stripes_per_aa: int = 0
-    #: Store AZCS checksum blocks (SMR tiers; paper section 3.2.4).
+    #: Store AZCS checksum blocks (SMR tiers only; paper section 3.2.4).
     azcs: bool = False
     #: Object tiers only: linear VBN-space size and AA size in blocks
     #: (0 selects the RAID-agnostic default).
@@ -89,6 +89,11 @@ class TierSpec:
                 raise ValueError("an object tier needs nblocks > 0")
         elif self.n_groups < 1 or self.ndata < 1:
             raise ValueError("a RAID tier needs n_groups >= 1 and ndata >= 1")
+        if self.azcs and (self.media != "smr" or self.blocks_per_disk % AZCS_DATA_BLOCKS):
+            raise ValueError(
+                f"azcs needs media='smr' and blocks_per_disk % {AZCS_DATA_BLOCKS} == 0, "
+                f"got media={self.media!r}, blocks_per_disk={self.blocks_per_disk}"
+            )
 
     @property
     def nparity(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitmap.metafile import BitmapMetafile
-from ..common.arrayops import sorted_unique
+from ..common.arrayops import run_starts, sorted_unique
 from ..common.constants import BITS_PER_BITMAP_BLOCK
 from ..common.errors import CacheError
 from .hbps import HBPS
@@ -151,9 +151,9 @@ class DelayedFreeLog:
         order = np.argsort(blocks, kind="stable")
         sorted_blocks = blocks[order]
         sorted_vbns = vbns[order]
-        uniq, starts = np.unique(sorted_blocks, return_index=True)
-        bounds = np.append(starts, sorted_blocks.size)
-        for i, blk in enumerate(uniq.tolist()):
+        first = run_starts(sorted_blocks)
+        bounds = np.append(np.flatnonzero(first), sorted_blocks.size)
+        for i, blk in enumerate(sorted_blocks[first].tolist()):
             chunk = sorted_vbns[bounds[i] : bounds[i + 1]]
             self._per_block.setdefault(blk, []).append(chunk)
 

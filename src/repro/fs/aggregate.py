@@ -23,6 +23,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .. import obs
+from ..common.arrayops import run_starts
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
 from ..common.errors import DegradedError, GeometryError, MediaError
 from ..common.rng import make_rng
@@ -512,10 +513,9 @@ class RAIDGroupRuntime(AllocSpace):
         if not self.azcs:
             return dev.write_blocks(dbns)
         us = 0.0
-        aa_ids = dbns // self.topology.stripes_per_aa
-        boundaries = np.flatnonzero(np.diff(aa_ids) != 0) + 1
-        for seg in np.split(dbns, boundaries):
-            us += dev.write_blocks(azcs_expand(seg))
+        bounds = np.flatnonzero(run_starts(dbns // self.topology.stripes_per_aa)).tolist()
+        for lo, hi in zip(bounds, bounds[1:] + [dbns.size]):
+            us += dev.write_blocks(azcs_expand(dbns[lo:hi]))
         return us
 
     def apply_frees(self) -> np.ndarray:

@@ -21,24 +21,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..common.arrayops import run_starts
 from ..common.constants import AZCS_DATA_BLOCKS, AZCS_REGION_BLOCKS
 
 __all__ = ["azcs_expand", "azcs_device_blocks"]
 
 
 def azcs_expand(dbns: np.ndarray) -> np.ndarray:
-    """Map sorted data DBNs to the device LBAs written, including the
-    checksum block of every touched AZCS region.
+    """Map strictly increasing data DBNs to the device LBAs written,
+    including the checksum block of every touched AZCS region.
 
-    Returns a sorted, unique LBA array.
+    Returns a sorted, unique LBA array (data and checksum LBAs never
+    coincide, so a stable sort merges the two sorted runs).
     """
     dbns = np.asarray(dbns, dtype=np.int64)
-    if dbns.size == 0:
-        return dbns
-    lbas = dbns + dbns // AZCS_DATA_BLOCKS
-    regions = np.unique(dbns // AZCS_DATA_BLOCKS)
-    checksum_lbas = regions * AZCS_REGION_BLOCKS + (AZCS_REGION_BLOCKS - 1)
-    return np.unique(np.concatenate((lbas, checksum_lbas)))
+    regions = dbns // AZCS_DATA_BLOCKS
+    lbas = dbns + regions
+    checksum_lbas = regions[run_starts(regions)] * AZCS_REGION_BLOCKS + (AZCS_REGION_BLOCKS - 1)
+    return np.sort(np.concatenate((lbas, checksum_lbas)), kind="stable")
 
 
 def azcs_device_blocks(data_blocks: int) -> int:

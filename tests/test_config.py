@@ -1,7 +1,8 @@
 """The settable values that survived ``SimConfig``: the paper's one
 dial (``AggregateSpec.threshold_fraction``, section 3.3.1) reaches the
 allocator that consumes it on every store shape, and each of the four
-remaining parameters rejects a value outside its domain by name."""
+remaining parameters — and ``TierSpec.azcs`` off SMR or on a disk of
+partial checksum regions — rejects a value outside its domain by name."""
 
 from __future__ import annotations
 
@@ -81,6 +82,15 @@ class TestThresholdFromConfig:
         ("workers", lambda: Cluster(make_shard_specs(1, seed=1), workers=-2)),
         ("headroom_fraction", lambda: FilterScheduler(headroom_fraction=0.0)),
         ("ring_capacity", lambda: Tracer(ring_capacity=0)),
+        # AZCS checksum regions exist only on SMR, and only whole ones
+        # fit the device (a partial last region's checksum LBA would
+        # land past the end of the disk).
+        ("azcs", lambda: TierSpec(label="t", media="ssd", ndata=3,
+                                  blocks_per_disk=63 * 64, azcs=True)),
+        ("azcs", lambda: TierSpec(label="t", media="hdd", ndata=3,
+                                  blocks_per_disk=63 * 64, azcs=True)),
+        ("azcs", lambda: TierSpec(label="t", media="smr", ndata=3, blocks_per_disk=65536,
+                                  stripes_per_aa=512, azcs=True)),
     ],
 )
 def test_out_of_domain_value_is_rejected_by_name(field, build):
