@@ -14,7 +14,7 @@ from .policies import (
     LinearScanSource,
     RandomSource,
 )
-from .score import ScoreChange, ScoreKeeper
+from .score import ScoreKeeper
 from .sizing import (
     AASize,
     aa_size_for_hdd,
@@ -53,7 +53,6 @@ __all__ = [
     "BitmapWalkSource",
     "LinearScanSource",
     "RandomSource",
-    "ScoreChange",
     "ScoreKeeper",
     "AASize",
     "aa_size_for_hdd",

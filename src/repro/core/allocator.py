@@ -34,7 +34,7 @@ from ..bitmap.metafile import BitmapMetafile
 from ..common.constants import TETRIS_STRIPES
 from .aa import LinearAATopology, StripeAATopology
 from .policies import AASource
-from .score import ScoreChange, ScoreKeeper
+from .score import ScoreKeeper
 
 __all__ = ["LinearAllocator", "RAIDGroupAllocator", "AggregateAllocator"]
 
@@ -170,7 +170,7 @@ class _BaseAllocator:
         self.source.return_aa(aa, self.keeper.effective_score(aa))
         self._drop_queue()
 
-    def cp_flush(self) -> list[ScoreChange]:
+    def cp_flush(self) -> np.ndarray:
         """Run the CP-boundary protocol: apply batched score deltas and
         rebalance the AA cache, keeping the current AA checked out
         (paper section 3.3)."""
@@ -439,6 +439,6 @@ class AggregateAllocator:
         self._cp_writes = [[] for _ in self.spaces]
         return drained
 
-    def cp_flush(self) -> list[list[ScoreChange]]:
+    def cp_flush(self) -> list[np.ndarray]:
         """Run the CP-boundary protocol on every group allocator."""
         return [g.cp_flush() for g in self.groups]

@@ -31,7 +31,7 @@ from .. import obs
 from .aa import AATopology, StripeAATopology
 from .hbps_cache import RAIDAgnosticAACache
 from .heap_cache import RAIDAwareAACache
-from .score import ScoreChange
+from .score import ScoreChanges
 
 __all__ = ["AACache", "CacheSource", "make_aa_cache"]
 
@@ -50,11 +50,10 @@ class AACache(Protocol):
         """Return a checked-out AA at the given score."""
         ...
 
-    def consume(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
-        """Absorb CP-boundary ``(aa, old, new)`` score transitions;
-        AAs in ``held`` stay checked out."""
+    def consume(self, changes: ScoreChanges, held: frozenset[int] = frozenset()) -> None:
+        """Absorb one CP's ``(aa, old, new)`` transitions — distinct,
+        in-range AAs, validated whole before anything moves; AAs in
+        ``held`` stay checked out."""
         ...
 
     def refill(self, scores: np.ndarray) -> None:
@@ -118,9 +117,7 @@ class CacheSource:
     def return_aa(self, aa: int, score: int) -> None:
         self.cache.invalidate(aa, score)
 
-    def cp_flush(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
+    def cp_flush(self, changes: ScoreChanges, held: frozenset[int] = frozenset()) -> None:
         with obs.span("cache.consume", changes=len(changes)):
             self.cache.consume(changes, held)
 

@@ -32,8 +32,9 @@ TopAA metafile (paper section 3.4).
 
 from __future__ import annotations
 
+import operator
 import struct
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -220,6 +221,54 @@ class HBPS:
             self._unlist(item)
         self._maybe_list(item, nb)
 
+    def update_many(
+        self, items: list[int], olds: list[int], news: list[int], entering: list[bool]
+    ) -> None:
+        """:meth:`insert` (where ``entering``; ``olds`` ignored) or
+        :meth:`update` each row, as those calls would in row order — or,
+        where one would raise, not at all.  The histogram moves in two
+        ``bincount``s; only rows that can change the list page take the
+        listing policy (why that is exact: DESIGN.md section 6)."""
+        entered = list(compress(range(len(items)), entering))
+        checked = news + (list(compress(olds, map(operator.not_, entering))) if entered else olds)
+        if not 0 <= min(checked, default=0) <= max(checked, default=0) <= self.max_score:
+            raise CacheError(f"score outside [0, {self.max_score}]")
+        if not self._pos.keys().isdisjoint(compress(items, entering)):
+            raise CacheError("an entering item is already listed; update() it instead")
+        ob, nb = self._bins(np.array((olds, news), dtype=np.int64))
+        if entered:
+            ob[entered] = self.nbins  # an entering item leaves no bin
+        counts = self._counts - np.bincount(ob, minlength=self.nbins + 1)[:-1]
+        if min(counts.tolist()) < 0 and self._underflows(ob, nb):
+            raise CacheError("histogram underflow in a batch of updates")
+        np.add(counts, np.bincount(nb, minlength=self.nbins), out=self._counts)
+        self.updates += len(items) - len(entered)
+        page = ob != nb
+        if self._total > self.list_capacity + 1:
+            worst = self._worst_listed_bin()
+            listed = np.fromiter(map(self._pos.__contains__, items), bool, len(items))
+            page &= listed | (nb <= (-1 if worst is None else worst))
+            page[entered] = True
+        nb_list = nb.tolist()
+        for i in page.nonzero()[0].tolist():
+            item = items[i]
+            if entering[i]:
+                self._total += 1
+            elif item in self._pos:
+                self._unlist(item)
+            self._maybe_list(item, nb_list[i])
+
+    def _underflows(self, ob: np.ndarray, nb: np.ndarray) -> bool:
+        """Whether a row of :meth:`update_many` (``ob == nbins`` where it
+        enters) finds its old bin empty when the batch is replayed."""
+        rows = np.arange(ob.size)
+        delta = np.zeros((ob.size, self.nbins + 1), dtype=np.int64)
+        delta[rows, ob] -= 1
+        delta[rows, nb] += 1
+        # Counts before each row; the entering rows' extra bin never runs dry.
+        before = np.append(self._counts, ob.size) + delta.cumsum(axis=0) - delta
+        return bool(np.count_nonzero(before[rows, ob] < 1))
+
     def remove(self, item: int, score: int) -> None:
         """Stop tracking ``item`` (e.g. its AA left this VBN range)."""
         b = self.bin_of(score)
@@ -277,8 +326,7 @@ class HBPS:
             raise CacheError("items and scores differ in length")
         if scores.size and not 0 <= scores.min() <= scores.max() <= self.max_score:
             raise CacheError(f"score outside [0, {self.max_score}]")
-        bins = (self.max_score - scores) // self.bin_width
-        bins[scores == 0] = self.nbins - 1
+        bins = self._bins(scores)
         counts = np.bincount(bins, minlength=self.nbins)
         # Only bins that reach the list page are sorted: up to the first
         # bin at which the running count fills it.
@@ -304,6 +352,13 @@ class HBPS:
         for b, lst in enumerate(self._lists):
             for item in lst:
                 yield item, b
+
+    def _bins(self, scores: np.ndarray) -> np.ndarray:
+        """:meth:`bin_of` over an array of in-range scores."""
+        bins = (self.max_score - scores) // self.bin_width
+        if self.max_score % self.bin_width:  # else a score of 0 is alone in the last bin
+            bins[scores == 0] = self.nbins - 1
+        return bins
 
     # ------------------------------------------------------------------
     # Listing policy

@@ -20,12 +20,15 @@ write allocator:
 
 from __future__ import annotations
 
+import operator
+from itertools import compress
+
 import numpy as np
 
 from ..common.constants import HBPS_BIN_WIDTH, HBPS_LIST_CAPACITY
 from ..common.errors import CacheError
 from .hbps import HBPS
-from .score import ScoreChange
+from .score import ScoreChanges, as_changes
 
 __all__ = ["RAIDAgnosticAACache"]
 
@@ -143,35 +146,36 @@ class RAIDAgnosticAACache:
     # ------------------------------------------------------------------
     # CP boundary, replenish, persistence
     # ------------------------------------------------------------------
-    def apply_changes(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
-        """Absorb CP-boundary ``(aa, old, new)`` score transitions.
+    def apply_changes(self, changes: ScoreChanges, held: frozenset[int] = frozenset()) -> None:
+        """Absorb CP-boundary ``(aa, old, new)`` score transitions, as
+        one batch (:meth:`HBPS.update_many`) refused whole if invalid.
 
         Checked-out AAs re-enter with their new scores — except those
         in ``held``, which the allocator keeps filling across CPs;
         tracked AAs move bins in constant time (paper section 3.3.2).
         While seeded, transitions for unlisted AAs are dropped — their
         histogram counts are stale until the background rebuild,
-        matching WAFL.
+        matching WAFL — and listed AAs move from their assumed scores.
         """
-        for aa, old, new in changes:
-            if aa in held and aa in self._out:
-                continue  # still being filled; re-enters via return_aa
-            if aa in self._out:
-                self._out.discard(aa)
-                self._hbps.insert(aa, new)
-                if self._seeded:
-                    self._assumed[aa] = new
-            elif self._seeded:
-                if self._hbps.is_listed(aa):
-                    assumed = self._assumed.pop(aa)
-                    self._hbps.update(aa, assumed, new)
-                    if self._hbps.is_listed(aa):
-                        self._assumed[aa] = new
-                # else: stale until rebuild
-            else:
-                self._hbps.update(aa, old, new)
+        if not len(changes):
+            return  # nothing moved this CP
+        _rows, (aas, olds, news) = as_changes(changes, self.num_aas)
+        for aa in sorted((held & self._out).intersection(aas)):  # re-enter via return_aa
+            i = aas.index(aa)
+            del aas[i], olds[i], news[i]
+        if self._seeded:
+            # Nothing is evicted while seeded: the AAs listed now are those that move.
+            out = map(self._out.__contains__, aas)
+            keep = list(map(operator.or_, out, map(self._hbps.is_listed, aas)))
+            aas, news = list(compress(aas, keep)), list(compress(news, keep))
+            olds = [self._assumed.get(aa, 0) for aa in aas]
+        if not aas:
+            return
+        entering = list(map(self._out.__contains__, aas))
+        self._hbps.update_many(aas, olds, news, entering)
+        self._out.difference_update(compress(aas, entering))
+        if self._seeded:  # an entry outlives its AA's listing unread
+            self._assumed.update(zip(aas, news))
 
     # ------------------------------------------------------------------
     # AACache protocol (see :mod:`repro.core.cache`)
@@ -180,9 +184,7 @@ class RAIDAgnosticAACache:
         """Protocol alias of :meth:`pop_best`."""
         return self.pop_best()
 
-    def consume(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
+    def consume(self, changes: ScoreChanges, held: frozenset[int] = frozenset()) -> None:
         """Protocol alias of :meth:`apply_changes`."""
         self.apply_changes(changes, held)
 

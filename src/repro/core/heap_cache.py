@@ -22,11 +22,13 @@ memory footprint matches the paper's arithmetic — 8 bytes per AA, i.e.
 from __future__ import annotations
 
 import heapq
+import operator
+from itertools import compress
 
 import numpy as np
 
 from ..common.errors import CacheError
-from .score import ScoreChange
+from .score import ScoreChanges, as_changes
 
 __all__ = ["RAIDAwareAACache"]
 
@@ -82,9 +84,7 @@ class RAIDAwareAACache:
                 raise CacheError("scores length does not match num_aas")
             self._score[:] = scores
             self._known = self.num_aas
-            self._heap = [(-int(s), aa, 0) for aa, s in enumerate(scores)]
-            heapq.heapify(self._heap)
-            self.pushes += self.num_aas
+            self.pushes += self._rebuild()
 
     # ------------------------------------------------------------------
     @property
@@ -153,27 +153,36 @@ class RAIDAwareAACache:
     # ------------------------------------------------------------------
     # CP boundary and population
     # ------------------------------------------------------------------
-    def apply_changes(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
-        """Rebalance after a CP: absorb ``(aa, old, new)`` transitions.
+    def apply_changes(self, changes: ScoreChanges, held: frozenset[int] = frozenset()) -> None:
+        """Rebalance after a CP: absorb ``(aa, old, new)`` transitions,
+        as one batch refused whole if invalid.
 
         Checked-out AAs among the changes re-enter the heap with their
         new scores — except those in ``held``, which the write
         allocator is still filling across CP boundaries ("assigns all
         free VBNs from the AA", section 3.1); their snapshot scores are
-        updated but they stay checked out.
+        updated but they stay checked out.  AAs a seeded cache does not
+        yet track wait for the background rebuild.
         """
-        for aa, _old, new in changes:
-            if self._score[aa] == _UNKNOWN:
-                # Score changed for an AA the seeded cache does not yet
-                # track; it will be picked up by the background rebuild.
-                continue
-            self._score[aa] = new
-            if aa in held:
-                continue
-            self._out.discard(aa)
-            self._push(aa)
+        rows, (aas, _olds, news) = as_changes(changes, self.num_aas)
+        if not self.fully_populated:
+            rows = rows[self._score[rows[:, 0]] != _UNKNOWN]
+            aas, _olds, news = rows.T.tolist()
+        if min(news, default=0) < 0:
+            raise CacheError("negative AA score in a score batch")
+        index = rows[:, 0]
+        self._score[index] = rows[:, 2]
+        if not held.isdisjoint(aas):
+            pushed = list(map(operator.not_, map(held.__contains__, aas)))
+            aas, news = list(compress(aas, pushed)), list(compress(news, pushed))
+            index = np.array(aas, dtype=np.int64)
+        if aas:
+            versions = self._version[index] + 1
+            self._version[index] = versions
+            for entry in zip(map(operator.neg, news), aas, versions.tolist()):
+                heapq.heappush(self._heap, entry)
+            self._out.difference_update(aas)
+            self.pushes += len(aas)
         self._maybe_compact()
 
     # ------------------------------------------------------------------
@@ -183,9 +192,7 @@ class RAIDAwareAACache:
         """Protocol alias of :meth:`pop_best`."""
         return self.pop_best()
 
-    def consume(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
+    def consume(self, changes: ScoreChanges, held: frozenset[int] = frozenset()) -> None:
         """Protocol alias of :meth:`apply_changes`."""
         self.apply_changes(changes, held)
 
@@ -201,19 +208,14 @@ class RAIDAwareAACache:
         AAs keep their snapshots and stay out."""
         if len(scores) != self.num_aas:
             raise CacheError("scores length does not match num_aas")
-        for aa in range(self.num_aas):
-            if aa not in self._out:
-                self._score[aa] = int(scores[aa])
+        out = sorted(self._out)
+        snapshots = self._score[out]
+        self._score[:] = scores
+        self._score[out] = snapshots
         self._known = self.num_aas
         self.seeded = False
         self.compactions += 1
-        self._heap = [
-            (-int(self._score[aa]), aa, int(self._version[aa]))
-            for aa in range(self.num_aas)
-            if aa not in self._out
-        ]
-        heapq.heapify(self._heap)
-        self.pushes += len(self._heap)
+        self.pushes += self._rebuild()
 
     def best_available_score(self) -> int | None:
         """Protocol alias of :meth:`best_score`."""
@@ -275,12 +277,17 @@ class RAIDAwareAACache:
         if len(self._heap) <= 4 * self.num_aas + 16:
             return
         self.compactions += 1
-        self._heap = [
-            (-int(self._score[aa]), aa, int(self._version[aa]))
-            for aa in range(self.num_aas)
-            if self._score[aa] != _UNKNOWN and aa not in self._out
-        ]
+        self._rebuild()
+
+    def _rebuild(self) -> int:
+        """One entry per known, available AA, built from the arrays in AA
+        order; returns how many."""
+        live = self._score != _UNKNOWN
+        live[sorted(self._out)] = False
+        aas = np.flatnonzero(live)
+        self._heap = [*zip((-self._score[aas]).tolist(), aas.tolist(), self._version[aas].tolist())]
         heapq.heapify(self._heap)
+        return len(self._heap)
 
     def check_invariants(self) -> None:
         """Test hook: the structural max-heap property must hold over

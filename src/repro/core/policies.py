@@ -25,7 +25,6 @@ import numpy as np
 
 from ..common.errors import CacheError
 from ..common.rng import make_rng
-from .score import ScoreChange
 
 __all__ = [
     "PolicyKind",
@@ -59,11 +58,10 @@ class AASource(Protocol):
         """Return a checked-out AA whose score is unchanged."""
         ...
 
-    def cp_flush(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
-        """Absorb CP-boundary score transitions; AAs in ``held`` remain
-        checked out by the allocator."""
+    def cp_flush(self, changes: np.ndarray, held: frozenset[int] = frozenset()) -> None:
+        """Absorb CP-boundary ``(aa, old, new)`` score transitions (an
+        ``(n, 3)`` array); AAs in ``held`` remain checked out by the
+        allocator."""
         ...
 
     def best_score(self) -> int | None:
@@ -71,7 +69,23 @@ class AASource(Protocol):
         ...
 
 
-class RandomSource:
+class _ScoreBlindSource:
+    """What the baselines share: they know no scores, so an AA is theirs
+    to hand out again once returned or once a CP changes its score."""
+
+    _out: set[int]
+
+    def return_aa(self, aa: int, score: int) -> None:
+        self._out.discard(aa)
+
+    def cp_flush(self, changes: np.ndarray, held: frozenset[int] = frozenset()) -> None:
+        self._out -= set(changes[:, 0].tolist()) - held
+
+    def best_score(self) -> int | None:
+        return None
+
+
+class RandomSource(_ScoreBlindSource):
     """Baseline: uniformly random AA selection ("cache disabled").
 
     The source never proposes an AA it has already checked out, but it
@@ -102,21 +116,8 @@ class RandomSource:
                 return aa
         return None
 
-    def return_aa(self, aa: int, score: int) -> None:
-        self._out.discard(aa)
 
-    def cp_flush(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
-        for aa, _old, _new in changes:
-            if aa not in held:
-                self._out.discard(aa)
-
-    def best_score(self) -> int | None:
-        return None
-
-
-class BitmapWalkSource:
+class BitmapWalkSource(_ScoreBlindSource):
     """Degraded-mode fallback: consult the bitmap directly per AA.
 
     Used while a file system's AA cache is being rebuilt after damage
@@ -153,21 +154,8 @@ class BitmapWalkSource:
                 return aa
         return None
 
-    def return_aa(self, aa: int, score: int) -> None:
-        self._out.discard(aa)
 
-    def cp_flush(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
-        for aa, _old, _new in changes:
-            if aa not in held:
-                self._out.discard(aa)
-
-    def best_score(self) -> int | None:
-        return None
-
-
-class LinearScanSource:
+class LinearScanSource(_ScoreBlindSource):
     """Baseline: first-fit cursor over the AA number space (extension).
 
     Walks AAs in order, wrapping around; models allocators that scan
@@ -192,17 +180,4 @@ class LinearScanSource:
             if aa not in self._out:
                 self._out.add(aa)
                 return aa
-        return None
-
-    def return_aa(self, aa: int, score: int) -> None:
-        self._out.discard(aa)
-
-    def cp_flush(
-        self, changes: list[ScoreChange], held: frozenset[int] = frozenset()
-    ) -> None:
-        for aa, _old, _new in changes:
-            if aa not in held:
-                self._out.discard(aa)
-
-    def best_score(self) -> int | None:
         return None

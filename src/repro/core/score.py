@@ -10,10 +10,13 @@ efficiently in batched fashion at the CP boundary." (paper section 3.3)
 :class:`ScoreKeeper` owns the authoritative score array for one AA
 topology, accumulates deltas during a CP, and on :meth:`flush` returns
 the ``(aa, old_score, new_score)`` transitions that the AA caches (the
-max-heap or the HBPS) consume to rebalance themselves.
+max-heap or the HBPS) consume, as one batch, to rebalance themselves.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -21,10 +24,29 @@ from ..common.errors import CacheError
 from ..bitmap.bitmap import Bitmap
 from .aa import AATopology
 
-__all__ = ["ScoreKeeper", "ScoreChange"]
+__all__ = ["ScoreChanges", "ScoreKeeper", "as_changes"]
 
-#: A flushed score transition: (aa, old_score, new_score).
-ScoreChange = tuple[int, int, int]
+#: One CP's ``(aa, old, new)`` transitions: the ``(n, 3)`` int64 array
+#: :meth:`ScoreKeeper.flush` returns, or a sequence of such triples.
+ScoreChanges = Union[np.ndarray, Sequence[tuple[int, int, int]]]
+
+
+def as_changes(changes: ScoreChanges, num_aas: int) -> tuple[np.ndarray, list[list[int]]]:
+    """``changes`` as an ``(n, 3)`` int64 array (triples are converted in
+    one pass) plus its three columns as lists.  Raises
+    :class:`CacheError` — before a cache moves anything — unless the
+    AAs are distinct and in ``[0, num_aas)``."""
+    if not isinstance(changes, np.ndarray):
+        changes = np.fromiter(chain.from_iterable(changes), dtype=np.int64).reshape(-1, 3)
+    rows = changes.astype(np.int64, copy=False)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise CacheError(f"score changes must be (n, 3) rows, got shape {rows.shape}")
+    columns = rows.T.tolist()
+    if not 0 <= min(columns[0], default=0) <= max(columns[0], default=0) < num_aas:
+        raise CacheError(f"an AA outside [0, {num_aas}) in a score batch")
+    if len(set(columns[0])) < len(rows):
+        raise CacheError("an AA changes twice in one score batch")
+    return rows, columns
 
 
 class ScoreKeeper:
@@ -126,8 +148,10 @@ class ScoreKeeper:
     # ------------------------------------------------------------------
     # CP boundary
     # ------------------------------------------------------------------
-    def flush(self) -> list[ScoreChange]:
-        """Apply pending deltas; return ``(aa, old, new)`` transitions.
+    def flush(self) -> np.ndarray:
+        """Apply pending deltas; return the ``(aa, old, new)`` transitions
+        as an ``(n, 3)`` int64 array, one row per changed AA, AAs
+        ascending.
 
         Raises :class:`CacheError` if a delta would push a score outside
         ``[0, aa_blocks]`` — that means allocation and bitmap state have
@@ -135,23 +159,23 @@ class ScoreKeeper:
         corruption (section 3.4 discusses its repair).
         """
         self.flushes += 1
-        changed = np.flatnonzero(self._pending)
+        changed = self._pending.nonzero()[0]
         if changed.size == 0:
-            return []
+            return np.empty((0, 3), dtype=np.int64)
+        rows = np.array((changed, self._scores[changed], self._pending[changed]))
+        rows[2] += rows[1]
+        news = rows[2].tolist()
         cap = self.topology.aa_blocks
-        old = self._scores[changed]
-        new = old + self._pending[changed]
-        bad = np.flatnonzero((new < 0) | (new > cap))
-        if bad.size:
-            aa = int(changed[bad[0]])
+        if min(news) < 0 or max(news) > cap:
+            aa = int(changed[((rows[2] < 0) | (rows[2] > cap)).argmax()])
             raise CacheError(
                 f"AA {aa} score {int(self._scores[aa])} + delta "
                 f"{int(self._pending[aa])} leaves [0, {cap}]"
             )
-        self._scores[changed] = new
+        self._scores[changed] = rows[2]
         self._pending[changed] = 0
-        self.deltas_applied += int(changed.size)
-        return list(zip(changed.tolist(), old.tolist(), new.tolist()))
+        self.deltas_applied += len(news)
+        return rows.T
 
     def recompute(self, bitmap: Bitmap) -> None:
         """Recompute every score from the bitmap (consistency check /

@@ -115,6 +115,77 @@ class TestConformance:
         assert seen == sorted(seen)
 
 
+class TestBatchRefusal:
+    """A ``consume`` batch is validated whole before anything moves."""
+
+    def snapshot(self, cache):
+        return (cache.stats(), cache.checked_out, cache.best_available_score(),
+                cache.to_pages() if isinstance(cache, RAIDAgnosticAACache)
+                else cache.scores_view.tolist())
+
+    @pytest.mark.parametrize("aa", [-1, N_AAS, N_AAS + 1])
+    def test_out_of_range_aa_is_refused(self, cache, aa):
+        before = self.snapshot(cache)
+        with pytest.raises(CacheError, match="outside"):
+            cache.consume([(aa, SCORES[-1], 99)])
+        assert self.snapshot(cache) == before
+        assert 0 <= cache.select() < N_AAS
+
+    def test_heap_negative_aa_never_reaches_the_allocator(self):
+        cache = RAIDAwareAACache(4, np.array([10, 20, 30, 40]))
+        with pytest.raises(CacheError):
+            cache.consume([(-1, 40, 99)])
+        assert cache.select() == 3
+        cache.check_invariants()
+
+    def test_hbps_out_of_range_aas_are_not_selected(self):
+        cache = RAIDAgnosticAACache(4, 100, np.array([10, 20, 30, 40]), bin_width=10)
+        for aa in (-1, 9):
+            with pytest.raises(CacheError):
+                cache.consume([(aa, 40, 100)])
+        assert cache.select() == 3
+
+    def test_batch_naming_an_aa_twice_is_refused(self, cache):
+        before = self.snapshot(cache)
+        with pytest.raises(CacheError, match="twice"):
+            cache.consume([(2, SCORES[2], 5), (2, 5, 7)])
+        assert self.snapshot(cache) == before
+
+    def test_rejected_batch_is_not_half_applied(self, cache):
+        aa = cache.select()
+        before = self.snapshot(cache)
+        bad = -3 if isinstance(cache, RAIDAwareAACache) else AA_BLOCKS + 1
+        with pytest.raises(CacheError):
+            cache.consume([(aa, SCORES[aa], AA_BLOCKS), (7, SCORES[7], bad)])
+        assert self.snapshot(cache) == before
+        assert aa in cache.checked_out
+
+    def test_hbps_half_applied_batch_at_full_scale(self):
+        scores = np.arange(0, 32768, 4096)
+        cache = RAIDAgnosticAACache(len(scores), 32768, scores)
+        aa = cache.select()
+        pages, stats = cache.to_pages(), cache.stats()
+        with pytest.raises(CacheError):
+            cache.consume([(aa, int(scores[aa]), 32768), (7, int(scores[7]), 40000)])
+        assert (cache.to_pages(), cache.stats()) == (pages, stats)
+        assert cache.checked_out == frozenset({aa})
+
+    def test_heap_refuses_negative_scores(self):
+        cache = make_heap()
+        before = self.snapshot(cache)
+        with pytest.raises(CacheError, match="negative"):
+            cache.consume([(1, SCORES[1], -5)])
+        assert self.snapshot(cache) == before
+
+    def test_flushed_array_and_tuple_list_are_one_batch(self, cache):
+        twin = {"heap": make_heap, "hbps": make_hbps}[
+            "heap" if isinstance(cache, RAIDAwareAACache) else "hbps"]()
+        rows = [(0, SCORES[0], 200), (5, SCORES[5], 100), (3, SCORES[3], 1)]
+        cache.consume(rows)
+        twin.consume(np.array(rows, dtype=np.int64))
+        assert self.snapshot(cache) == self.snapshot(twin)
+
+
 class TestCacheSource:
     def test_adapts_any_cache(self, cache):
         src = CacheSource(cache)

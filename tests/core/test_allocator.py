@@ -259,6 +259,6 @@ class TestAggregateAllocator:
         agg, parts = self.make_agg()
         agg.allocate(10)
         changes = agg.cp_flush()
-        assert any(changes)
+        assert any(len(c) for c in changes)
         for a, topo, mf, keeper, cache in parts:
             keeper.verify_against(mf.bitmap)

@@ -68,7 +68,7 @@ class TestRandomSource:
     def test_cp_flush_releases_changed(self):
         src = RandomSource(2, seed=1)
         a = src.next_aa()
-        src.cp_flush([(a, 10, 5)])
+        src.cp_flush(np.array([(a, 10, 5)]))
         got = {src.next_aa(), src.next_aa()}
         assert got == {0, 1}
 

@@ -56,26 +56,27 @@ class TestDeltas:
         k.note_alloc(np.arange(10))
         k.note_free(np.array([5]))  # net -9 on AA 0
         changes = k.flush()
-        assert changes == [(0, 256, 247)]
+        assert changes.dtype == np.int64
+        assert changes.tolist() == [[0, 256, 247]]
         assert k.score(0) == 247
         assert not k.has_pending(0)
 
     def test_flush_empty(self):
         k, _ = make_keeper()
-        assert k.flush() == []
+        assert k.flush().shape == (0, 3)
         assert k.flushes == 1
 
     def test_cancelling_deltas_not_reported(self):
         k, _ = make_keeper()
         k.note_alloc_aa(1, 7)
         k.note_free_aa(1, 7)
-        assert k.flush() == []
+        assert len(k.flush()) == 0
 
     def test_cross_aa_batches(self):
         k, _ = make_keeper()
         k.note_alloc(np.array([0, 1, 256, 257, 258, 768]))
-        changes = dict((aa, (o, n)) for aa, o, n in k.flush())
-        assert changes == {0: (256, 254), 1: (256, 253), 3: (256, 255)}
+        changes = k.flush()
+        assert changes.tolist() == [[0, 256, 254], [1, 256, 253], [3, 256, 255]]
 
     def test_out_of_range_delta_raises(self):
         k, _ = make_keeper()
