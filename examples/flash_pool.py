@@ -14,13 +14,10 @@ Run:  python examples/flash_pool.py
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import MediaType, RAIDGroupConfig, VolSpec, WaflSim
+from repro import WaflSim
+from repro.common.config import TierSpec, VolumeDecl
 from repro.common.rng import make_rng
-from repro.fs import CPBatch
 from repro.fs.aggregate import RAIDStore
-from repro.fs.flexvol import FlexVol
 from repro.tiering import FlashPoolPolicy
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
@@ -28,21 +25,20 @@ from repro.workloads import RandomOverwriteWorkload, fill_volumes
 def main() -> None:
     # A Flash Pool is ONE RAID store whose groups mix media — unlike
     # the multi-tier aggregates of repro.tiering, which compose one
-    # store per tier.  Build it compositionally and attach the
-    # hot/cold placement policy explicitly.
-    groups = [
-        RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=65_536,
-                        media=MediaType.SSD),
-        RAIDGroupConfig(ndata=4, nparity=1, blocks_per_disk=131_072,
-                        media=MediaType.HDD),
-        RAIDGroupConfig(ndata=4, nparity=1, blocks_per_disk=131_072,
-                        media=MediaType.HDD),
-    ]
+    # store per tier.  Build it from one SSD tier and a two-group HDD
+    # tier and attach the hot/cold placement policy explicitly.
     rng = make_rng(17)
-    store = RAIDStore(groups, seed=rng)
+    store = RAIDStore(
+        (
+            TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=65_536),
+            TierSpec(label="hdd", media="hdd", n_groups=2, ndata=4,
+                     blocks_per_disk=131_072),
+        ),
+        seed=rng,
+    )
     store.tier_policy = FlashPoolPolicy()
-    vols = {"db": FlexVol(VolSpec("db", logical_blocks=400_000), seed=rng)}
-    sim = WaflSim(store, vols)
+    sim = WaflSim(store, {})
+    sim.add_volume(VolumeDecl("db", logical_blocks=400_000), seed=rng)
     print(f"Flash Pool aggregate: {[m.value for m in sim.store.media_kinds]}")
 
     # Cold fill: first writes go to the capacity (HDD) tier.

@@ -43,8 +43,6 @@ from .fs import (
     FlexVol,
     MediaType,
     PolicyKind,
-    RAIDGroupConfig,
-    VolSpec,
     WaflSim,
     background_rebuild,
     export_topaa,
@@ -88,8 +86,6 @@ __all__ = [
     "FlexVol",
     "MediaType",
     "PolicyKind",
-    "RAIDGroupConfig",
-    "VolSpec",
     "WaflSim",
     "background_rebuild",
     "export_topaa",

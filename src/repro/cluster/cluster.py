@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
+from ..common.config import TierSpec
 from .scheduler import HEADROOM_FRACTION, FilterScheduler, Placement, RandomPlacer
 from .shard import EPOCH_CPS, ShardRuntime, advance_shard, digest_of
 from .stats import ShardSpec, ShardStats, derive_seed
@@ -42,18 +43,13 @@ __all__ = ["make_shard_specs", "Cluster", "ClusterResult", "run_cluster_bench"]
 
 def make_shard_specs(n_shards: int, *, seed: int) -> list[ShardSpec]:
     """Shard identities for a fleet: the small shard testbed (a cluster
-    builds many of these — 2 RAID groups of 4 data disks, 4,096 blocks
-    per disk), per-shard seeds derived from the fleet seed."""
-    return [
-        ShardSpec(
-            shard_id=i,
-            seed=derive_seed(seed, f"shard{i}"),
-            blocks_per_disk=4096,
-            n_groups=2,
-            ndata=4,
-        )
-        for i in range(n_shards)
-    ]
+    builds many of these — 2 SSD RAID groups of 4 data disks, 4,096
+    blocks per disk), per-shard seeds derived from the fleet seed."""
+    tier = TierSpec(
+        label="ssd", media="ssd", n_groups=2, ndata=4, blocks_per_disk=4096,
+        stripes_per_aa=256, erase_block_blocks=512, program_us_per_block=16.0,
+    )
+    return [ShardSpec(i, derive_seed(seed, f"shard{i}"), tier) for i in range(n_shards)]
 
 
 @dataclass

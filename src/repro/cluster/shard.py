@@ -37,11 +37,9 @@ import json
 import numpy as np
 
 from ..analysis import arm_global, disarm_global
-from ..common.config import AggregateSpec, TierSpec, VolumeDecl
-from ..common.errors import GeometryError
-from ..fs.aggregate import PolicyKind
+from ..common.config import AggregateSpec, VolumeDecl
 from ..fs.filesystem import WaflSim
-from ..fs.flexvol import FlexVol, VolSpec
+from ..fs.flexvol import FlexVol
 from ..tiering import media_role
 from ..traffic.arrivals import OnOffArrivals, PoissonArrivals
 from ..traffic.engine import TenantSpec, TrafficEngine, TrafficResult
@@ -88,27 +86,15 @@ class ShardRuntime:
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        ssd = spec.media == "ssd"
-        tier = TierSpec(
-            label=spec.media,
-            media=spec.media,
-            n_groups=spec.n_groups,
-            ndata=spec.ndata,
-            blocks_per_disk=spec.blocks_per_disk,
-            stripes_per_aa=256,
-            erase_block_blocks=512 if ssd else 0,
-            program_us_per_block=16.0 if ssd else 0.0,
-        )
-        phys = spec.physical_blocks
         agg = AggregateSpec(
-            tiers=(tier,),
+            tiers=(spec.tier,),
             # The calibration volume: filled at build so the shard has
             # a working set to measure against; never a scheduling
             # target.
             volumes=(
                 VolumeDecl(
                     "_sys0",
-                    logical_blocks=phys // 4,
+                    logical_blocks=spec.tier.physical_blocks // 4,
                     blocks_per_aa=TENANT_AA_BLOCKS,
                 ),
             ),
@@ -122,7 +108,6 @@ class ShardRuntime:
             seed=derive_seed(spec.seed, "calibrate"),
         )
         set_bitmap_checks(self.sim, False)
-        self._logical_committed = agg.volumes[0].logical_blocks
         #: volume name -> the request that placed it here.
         self.tenants: dict[str, VolumeRequest] = {}
         #: volume name -> admitted ops awaiting replay in the next epoch
@@ -138,40 +123,22 @@ class ShardRuntime:
     def add_volume(self, request: VolumeRequest) -> FlexVol:
         """Create the tenant's FlexVol live in the running simulator.
 
-        The CP engine shares the ``vols`` dict, so the volume is
-        eligible for the next epoch's consistency points immediately.
+        The simulator refuses a taken name or a volume the aggregate
+        cannot hold (:meth:`WaflSim.add_volume`); it is eligible for the
+        next epoch's consistency points immediately.
         """
-        if request.name in self.sim.vols:
-            raise GeometryError(
-                f"shard {self.spec.shard_id}: volume {request.name!r} exists"
-            )
-        committed = self._logical_committed + request.logical_blocks
-        if committed > self.sim.store.nblocks:
-            raise GeometryError(
-                f"shard {self.spec.shard_id}: volumes would address "
-                f"{committed} blocks but the aggregate has only "
-                f"{self.sim.store.nblocks}"
-            )
-        vol = FlexVol(
-            VolSpec(
-                request.name,
-                logical_blocks=request.logical_blocks,
-                blocks_per_aa=TENANT_AA_BLOCKS,
-            ),
-            policy=PolicyKind.CACHE,
+        vol = self.sim.add_volume(
+            VolumeDecl(request.name, request.logical_blocks, blocks_per_aa=TENANT_AA_BLOCKS),
             seed=derive_seed(self.spec.seed, f"vol/{request.name}"),
         )
         vol.metafile.bitmap.check = False
-        self.sim.vols[request.name] = vol
-        self._logical_committed = committed
         self.tenants[request.name] = request
         return vol
 
     def remove_volume(self, name: str) -> VolumeRequest:
         """Drop a tenant (after migration freed its blocks)."""
         request = self.tenants.pop(name)
-        del self.sim.vols[name]
-        self._logical_committed -= request.logical_blocks
+        self.sim.remove_volume(name)
         self.carryover.pop(name, None)
         return request
 
@@ -292,7 +259,7 @@ class ShardRuntime:
             tiers=tuple(
                 sorted({media_role(m.value).value for m in store.media_kinds})
             ),
-            ndata=self.spec.ndata,
+            ndata=self.spec.tier.ndata,
             capacity_ops=self.calibration.capacity_ops,
             aa_free_fraction=sum(fracs) / len(fracs) if fracs else 0.0,
             worst_p99_ms=worst,

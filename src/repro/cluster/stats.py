@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from ..common.config import TierSpec
 from ..common.rng import derive_seed
 
 __all__ = ["derive_seed", "ShardSpec", "ShardStats"]
@@ -38,16 +39,8 @@ class ShardSpec:
     #: Root seed of everything stochastic on this shard (build, fill,
     #: calibration, tenant streams) via :func:`derive_seed`.
     seed: int
-    blocks_per_disk: int = 4096
-    n_groups: int = 2
-    ndata: int = 4
-    #: Media family of every RAID group (a :class:`~repro.fs.aggregate
-    #: .MediaType` value string, kept primitive for pickling).
-    media: str = "ssd"
-
-    @property
-    def physical_blocks(self) -> int:
-        return self.n_groups * self.ndata * self.blocks_per_disk
+    #: The shard aggregate's one tier (its RAID groups and devices).
+    tier: TierSpec
 
 
 @dataclass

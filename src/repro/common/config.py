@@ -3,10 +3,13 @@
 An aggregate is described by primitives only — :class:`TierSpec`,
 :class:`VolumeDecl`, :class:`AggregateSpec` — so a spec pickles,
 hashes and compares trivially and never imports above ``common``.
-There is no tunables object: the paper fixes its structures by
-constants (:mod:`repro.common.constants`, or a named constant beside
-the one function that reads it), and its single dial — the section
-3.3.1 fragmentation cutoff — is :attr:`AggregateSpec.threshold_fraction`.
+They are the only descriptions anything is built from: every RAID
+group and member store from a :class:`TierSpec`, every FlexVol from a
+:class:`VolumeDecl`.  There is no tunables object: the paper fixes its
+structures by constants (:mod:`repro.common.constants`, or a named
+constant beside the one function that reads it), and its single dial —
+the section 3.3.1 fragmentation cutoff — is
+:attr:`AggregateSpec.threshold_fraction`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,15 @@ MEDIA_FAMILIES = ("hdd", "ssd", "smr", "object")
 #: sequential churn, archival cold data, or no hint.
 WORKLOAD_HINTS = ("mixed", "oltp", "sequential", "archive")
 
+#: Device-model override fields of a :class:`TierSpec` and the one media
+#: family whose device model reads each.
+DEVICE_OVERRIDES = {
+    "erase_block_blocks": "ssd",
+    "program_us_per_block": "ssd",
+    "zone_blocks": "smr",
+    "rewrite_penalty_us": "smr",
+}
+
 
 @dataclass(frozen=True)
 class TierSpec:
@@ -60,12 +72,11 @@ class TierSpec:
     #: (0 selects the RAID-agnostic default).
     nblocks: int = 0
     blocks_per_aa: int = RAID_AGNOSTIC_AA_BLOCKS
-    #: SSD tuning overrides (0/0.0 = the device model's defaults).
+    #: Device-model overrides, each read only by its media family's model
+    #: (see :data:`DEVICE_OVERRIDES`); 0 keeps the model's default.
     erase_block_blocks: int = 0
     program_us_per_block: float = 0.0
-    #: SMR zone-size override (0 = the device model's default).
     zone_blocks: int = 0
-    #: SMR zone-rewrite penalty override (0.0 = the model's default).
     rewrite_penalty_us: float = 0.0
 
     def __post_init__(self) -> None:
@@ -94,6 +105,13 @@ class TierSpec:
                 f"azcs needs media='smr' and blocks_per_disk % {AZCS_DATA_BLOCKS} == 0, "
                 f"got media={self.media!r}, blocks_per_disk={self.blocks_per_disk}"
             )
+        for name, media in DEVICE_OVERRIDES.items():
+            value = getattr(self, name)
+            if value < 0 or (value and self.media != media):
+                raise ValueError(
+                    f"{name} overrides the {media} device model and must be >= 0, "
+                    f"got {value!r} on media={self.media!r}"
+                )
 
     @property
     def nparity(self) -> int:
@@ -117,8 +135,10 @@ class VolumeDecl:
     """One FlexVol declaration inside an :class:`AggregateSpec`."""
 
     name: str
+    #: Client-addressable logical blocks.
     logical_blocks: int
-    #: Virtual VBN-space size; 0 derives the FlexVol default (1.5x).
+    #: Virtual VBN-space size; 0 derives the default
+    #: (:attr:`resolved_virtual_blocks`).
     virtual_blocks: int = 0
     #: Volume AA size; 0 selects the RAID-agnostic default.
     blocks_per_aa: int = 0
@@ -134,6 +154,21 @@ class VolumeDecl:
                 f"unknown workload {self.workload!r}; "
                 f"pick one of {WORKLOAD_HINTS}"
             )
+
+    @property
+    def resolved_blocks_per_aa(self) -> int:
+        return self.blocks_per_aa or RAID_AGNOSTIC_AA_BLOCKS
+
+    @property
+    def resolved_virtual_blocks(self) -> int:
+        """The declared virtual size, else 1.5x logical rounded up to
+        whole AAs (thin-provisioned headroom so delayed frees never
+        starve the virtual space)."""
+        if self.virtual_blocks:
+            return self.virtual_blocks
+        aa = self.resolved_blocks_per_aa
+        want = int(self.logical_blocks * 1.5) + aa
+        return -(-want // aa) * aa
 
 
 @dataclass(frozen=True)

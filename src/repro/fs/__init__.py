@@ -6,14 +6,13 @@ from .aggregate import (
     LinearStore,
     MediaType,
     PolicyKind,
-    RAIDGroupConfig,
     RAIDGroupRuntime,
     RAIDStore,
     StoreCPReport,
 )
 from .azcs import azcs_device_blocks, azcs_expand
 from .cp import CPBatch, CPEngine
-from .flexvol import FlexVol, VolSpec
+from .flexvol import FlexVol
 from .filesystem import WaflSim
 from .mount import (
     MountReport,
@@ -28,7 +27,6 @@ __all__ = [
     "LinearStore",
     "MediaType",
     "PolicyKind",
-    "RAIDGroupConfig",
     "RAIDGroupRuntime",
     "RAIDStore",
     "StoreCPReport",
@@ -37,7 +35,6 @@ __all__ = [
     "CPBatch",
     "CPEngine",
     "FlexVol",
-    "VolSpec",
     "WaflSim",
     "MountReport",
     "TopAAImage",

@@ -18,13 +18,18 @@ deltas into the caches, and drain metafile dirty-block counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .. import obs
 from ..common.arrayops import run_starts
-from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
+from ..common.config import DEVICE_OVERRIDES, TierSpec
+from ..common.constants import (
+    DEFAULT_ERASE_BLOCK_BLOCKS,
+    DEFAULT_SMR_ZONE_BLOCKS,
+    RAID_AGNOSTIC_AA_BLOCKS,
+)
 from ..common.errors import DegradedError, GeometryError, MediaError
 from ..common.rng import make_rng
 from ..core.aa import LinearAATopology, StripeAATopology
@@ -33,8 +38,8 @@ from ..core.policies import PolicyKind
 from ..core.sizing import aa_size_for_hdd, aa_size_for_smr, aa_size_for_ssd
 from ..core.space import AllocSpace
 from ..devices.base import Device, MediaType
-from ..devices.hdd import HDD, HDDConfig
-from ..devices.objectstore import ObjectStore, ObjectStoreConfig
+from ..devices.hdd import HDD
+from ..devices.objectstore import ObjectStore
 from ..devices.smr import SMRConfig, SMRDrive
 from ..devices.ssd import SSD, SSDConfig
 from ..raid.geometry import RAIDGeometry
@@ -46,12 +51,13 @@ __all__ = [
     "PolicyKind",
     "TierPolicy",
     "Store",
-    "RAIDGroupConfig",
+    "resolve_stripes_per_aa",
     "RAIDGroupRuntime",
     "GroupCPReport",
     "StoreCPReport",
     "RAIDStore",
     "LinearStore",
+    "build_tier_store",
 ]
 
 
@@ -128,39 +134,33 @@ class Store(Protocol):
         ...
 
 
-@dataclass
-class RAIDGroupConfig:
-    """Static configuration of one RAID group."""
+def resolve_stripes_per_aa(tier: TierSpec, geometry: RAIDGeometry) -> int:
+    """Stripes per AA of a RAID tier's groups: the declared size, else
+    the media default (4k stripes for HDD, erase-block multiples for
+    SSD, zone multiples for SMR)."""
+    if tier.stripes_per_aa:
+        return tier.stripes_per_aa
+    if tier.media == "hdd":
+        return aa_size_for_hdd(geometry).size
+    if tier.media == "ssd":
+        eb = tier.erase_block_blocks or DEFAULT_ERASE_BLOCK_BLOCKS
+        return aa_size_for_ssd(geometry, eb).size
+    zone = tier.zone_blocks or DEFAULT_SMR_ZONE_BLOCKS
+    return aa_size_for_smr(geometry, zone, azcs=tier.azcs).size
 
-    ndata: int = 6
-    nparity: int = 1
-    blocks_per_disk: int = 262144  # 1 GiB of 4 KiB blocks per device
-    media: MediaType = MediaType.SSD
-    #: Mirrored group (each data device paired with a copy) — requires
-    #: ``nparity == ndata``; see :class:`~repro.raid.geometry.RAIDGeometry`.
-    mirrored: bool = False
-    #: Stripes per AA; None selects the media-appropriate default
-    #: (4k stripes for HDD, erase-block multiples for SSD, ...).
-    stripes_per_aa: int | None = None
-    #: Store AZCS checksum blocks (SMR deployments; section 3.2.4).
-    azcs: bool = False
-    #: Device timing overrides.
-    hdd_config: HDDConfig | None = None
-    ssd_config: SSDConfig | None = None
-    smr_config: SMRConfig | None = None
 
-    def resolve_stripes_per_aa(self, geometry: RAIDGeometry) -> int:
-        if self.stripes_per_aa is not None:
-            return self.stripes_per_aa
-        if self.media is MediaType.HDD:
-            return aa_size_for_hdd(geometry).size
-        if self.media is MediaType.SSD:
-            eb = (self.ssd_config or SSDConfig()).erase_block_blocks
-            return aa_size_for_ssd(geometry, eb).size
-        if self.media is MediaType.SMR:
-            zone = (self.smr_config or SMRConfig()).zone_blocks
-            return aa_size_for_smr(geometry, zone, azcs=self.azcs).size
-        raise GeometryError(f"media {self.media} cannot form RAID groups")
+def _make_device(tier: TierSpec, name: str) -> Device:
+    """One member device of a RAID tier's group; each override field the
+    tier sets (non-zero, and only ever on its own media) replaces the
+    device model's default."""
+    blocks = tier.blocks_per_disk
+    overrides = {f: getattr(tier, f) for f in DEVICE_OVERRIDES if getattr(tier, f)}
+    if tier.media == "ssd":
+        return SSD(blocks, SSDConfig(**overrides), name)
+    if tier.media == "smr":
+        cap = azcs_device_blocks(blocks) if tier.azcs else blocks
+        return SMRDrive(cap, SMRConfig(**overrides), name)
+    return HDD(blocks, name=name)
 
 
 @dataclass
@@ -220,35 +220,37 @@ class StoreCPReport:
 
 
 class RAIDGroupRuntime(AllocSpace):
-    """One live RAID group: a stripe-topology :class:`AllocSpace` plus
-    its devices, stripe pricing and degraded-RAID accounting."""
+    """One live RAID group of a :class:`TierSpec` tier: a stripe-topology
+    :class:`AllocSpace` plus its devices, stripe pricing and
+    degraded-RAID accounting."""
 
     def __init__(
         self,
-        config: RAIDGroupConfig,
+        tier: TierSpec,
         *,
         offset: int,
         policy: PolicyKind = PolicyKind.CACHE,
         seed: int | np.random.Generator | None = None,
         name: str = "rg",
     ) -> None:
-        self.config = config
+        if tier.raid == "none":
+            raise GeometryError(f"media {tier.media!r} cannot form RAID groups")
+        self.media = MediaType(tier.media)
         self.name = name
         self.geometry = RAIDGeometry(
-            config.ndata, config.nparity, config.blocks_per_disk,
-            mirrored=config.mirrored,
+            tier.ndata, tier.nparity, tier.blocks_per_disk,
+            mirrored=tier.raid == "mirror",
         )
-        stripes_per_aa = config.resolve_stripes_per_aa(self.geometry)
         # :class:`RAIDStore` rewrites ``where`` to ``group:<index>`` so
         # injector targets match Iron's ``where`` strings.
         super().__init__(
-            StripeAATopology(self.geometry, stripes_per_aa),
+            StripeAATopology(self.geometry, resolve_stripes_per_aa(tier, self.geometry)),
             where=f"group:{name}", policy=policy, seed=seed, offset=offset,
         )
-        self.azcs = config.azcs
-        self.data_devices = [self._make_device(f"{name}.d{d}") for d in range(config.ndata)]
+        self.azcs = tier.azcs
+        self.data_devices = [_make_device(tier, f"{name}.d{d}") for d in range(tier.ndata)]
         self.parity_devices = [
-            self._make_device(f"{name}.p{p}") for p in range(config.nparity)
+            _make_device(tier, f"{name}.p{p}") for p in range(tier.nparity)
         ]
         #: Aging-phase fast path: issue every device write (FTL state
         #: must advance exactly as priced CPs would) but skip the
@@ -264,19 +266,6 @@ class RAIDGroupRuntime(AllocSpace):
         self.blocks_reconstructed = 0
         self._pending_recon_us = 0.0
         self._pending_recon_reads = 0
-
-    # ------------------------------------------------------------------
-    def _make_device(self, name: str) -> Device:
-        cfg = self.config
-        blocks = cfg.blocks_per_disk
-        if cfg.media is MediaType.HDD:
-            return HDD(blocks, cfg.hdd_config, name)
-        if cfg.media is MediaType.SSD:
-            return SSD(blocks, cfg.ssd_config, name)
-        if cfg.media is MediaType.SMR:
-            cap = azcs_device_blocks(blocks) if cfg.azcs else blocks
-            return SMRDrive(cap, cfg.smr_config, name)
-        raise GeometryError(f"media {cfg.media} cannot form RAID groups")
 
     @property
     def devices(self) -> list[Device]:
@@ -326,7 +315,7 @@ class RAIDGroupRuntime(AllocSpace):
                 f"{self.where}: {self.failed_disks} failed disks exceed "
                 f"parity budget {self.geometry.nparity}; cannot rebuild"
             )
-        blocks = self.config.blocks_per_disk
+        blocks = self.geometry.blocks_per_disk
         busy: list[float] = []
         for dev in self.devices:
             if not dev.failed:
@@ -394,7 +383,7 @@ class RAIDGroupRuntime(AllocSpace):
         the per-group report (stripe/tetris/chain accounting)."""
         if (
             self.unpriced
-            and self.config.media is MediaType.SSD
+            and self.media is MediaType.SSD
             and not self.failed_disks
             and not self.azcs
             and not self.geometry.mirrored
@@ -522,7 +511,7 @@ class RAIDGroupRuntime(AllocSpace):
         """Apply this group's delayed frees and trim the freed blocks
         on SSD members."""
         freed = super().apply_frees()
-        if freed.size and self.config.media is MediaType.SSD:
+        if freed.size and self.media is MediaType.SSD:
             disks = self.geometry.disk_of(freed)
             dbns = self.geometry.dbn_of(freed)
             for d, dev in enumerate(self.data_devices):
@@ -532,7 +521,10 @@ class RAIDGroupRuntime(AllocSpace):
 
 
 class RAIDStore:
-    """Aggregate physical store backed by one or more RAID groups.
+    """Aggregate physical store backed by the RAID groups of one or more
+    tiers: ``tier.n_groups`` groups per :class:`TierSpec`, in declaration
+    order.  Tiers of different media make a Flash Pool (paper section
+    2.1), routed by a :class:`TierPolicy`.
 
     ``threshold_fraction`` is the section 3.3.1 fragmentation cutoff
     (:attr:`~repro.common.config.AggregateSpec.threshold_fraction`),
@@ -546,26 +538,28 @@ class RAIDStore:
 
     def __init__(
         self,
-        group_configs: list[RAIDGroupConfig],
+        tiers: Sequence[TierSpec],
         *,
         policy: PolicyKind = PolicyKind.CACHE,
         threshold_fraction: float = 0.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if not group_configs:
+        if not tiers:
             raise GeometryError("an aggregate needs at least one RAID group")
         rng = make_rng(seed)
         self.groups: list[RAIDGroupRuntime] = []
         self.offsets: list[int] = []
         offset = 0
-        for i, cfg in enumerate(group_configs):
-            self.offsets.append(offset)
-            g = RAIDGroupRuntime(
-                cfg, offset=offset, policy=policy, seed=rng, name=f"rg{i}"
-            )
-            g.where = f"group:{i}"
-            self.groups.append(g)
-            offset += cfg.ndata * cfg.blocks_per_disk
+        for tier in tiers:
+            for _ in range(tier.n_groups):
+                i = len(self.groups)
+                self.offsets.append(offset)
+                g = RAIDGroupRuntime(
+                    tier, offset=offset, policy=policy, seed=rng, name=f"rg{i}"
+                )
+                g.where = f"group:{i}"
+                self.groups.append(g)
+                offset += g.geometry.data_blocks
         self.nblocks = offset
         self.allocator = AggregateAllocator(
             self.groups, threshold_fraction=threshold_fraction
@@ -598,7 +592,7 @@ class RAIDStore:
     @property
     def media_kinds(self) -> list[MediaType]:
         """Media type of each RAID group."""
-        return [g.config.media for g in self.groups]
+        return [g.media for g in self.groups]
 
     def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
         """The store's fault-addressable file-system instances as
@@ -704,7 +698,6 @@ class LinearStore(AllocSpace):
         *,
         blocks_per_aa: int = RAID_AGNOSTIC_AA_BLOCKS,
         policy: PolicyKind = PolicyKind.CACHE,
-        object_config: ObjectStoreConfig | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         super().__init__(
@@ -712,7 +705,7 @@ class LinearStore(AllocSpace):
             where="store", policy=policy, seed=seed,
         )
         self.nblocks = nblocks
-        self.device = ObjectStore(nblocks, object_config)
+        self.device = ObjectStore(nblocks)
         self._cp_writes: list[np.ndarray] = []
         self._pending_read_us = 0.0
 
@@ -776,3 +769,21 @@ class LinearStore(AllocSpace):
         report.add_space_deltas(self.drain_cp())
         report.device_total_us = report.device_busy_us
         return report
+
+
+def build_tier_store(
+    tier: TierSpec,
+    *,
+    policy: PolicyKind = PolicyKind.CACHE,
+    threshold_fraction: float = 0.0,
+    seed: int | np.random.Generator | None = None,
+) -> RAIDStore | LinearStore:
+    """The store one declared tier builds: a :class:`LinearStore` for an
+    object tier, else a :class:`RAIDStore` of its groups."""
+    if tier.media == "object":
+        return LinearStore(
+            tier.nblocks, blocks_per_aa=tier.blocks_per_aa, policy=policy, seed=seed
+        )
+    return RAIDStore(
+        (tier,), policy=policy, threshold_fraction=threshold_fraction, seed=seed
+    )

@@ -68,13 +68,12 @@ class CPEngine:
         store: Store,
         vols: dict[str, FlexVol],
         *,
-        cpu_model: CpuModel | None = None,
         metrics: MetricsLog | None = None,
         auditor=None,
     ) -> None:
         self.store = store
         self.vols = vols
-        self.cpu_model = cpu_model or CpuModel()
+        self.cpu_model = CpuModel()
         self.metrics = metrics if metrics is not None else MetricsLog()
         self._cp_index = 0
         #: CPU spent on AA-cache maintenance alone (0.002%-claim metric).

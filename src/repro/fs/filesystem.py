@@ -12,76 +12,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..common.config import AggregateSpec, TierSpec
-from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
+from ..common.config import AggregateSpec, VolumeDecl
 from ..common.errors import GeometryError
 from ..common.rng import make_rng
 from ..core.space import AllocSpace
-from ..devices.objectstore import ObjectStoreConfig
-from ..devices.smr import SMRConfig
-from ..devices.ssd import SSDConfig
-from ..sim.cpu import CpuModel
 from ..sim.stats import CPStats, MetricsLog
-from .aggregate import (
-    LinearStore,
-    MediaType,
-    PolicyKind,
-    RAIDGroupConfig,
-    RAIDStore,
-    Store,
-)
+from .aggregate import PolicyKind, Store, build_tier_store
 from .cp import CPBatch, CPEngine
-from .flexvol import FlexVol, VolSpec
+from .flexvol import FlexVol
 
 __all__ = ["WaflSim"]
-
-
-def _tier_group_configs(tier: TierSpec) -> list[RAIDGroupConfig]:
-    """RAID group configs for one declared (non-object) tier."""
-    ssd_cfg = None
-    if tier.media == "ssd" and (tier.erase_block_blocks or tier.program_us_per_block):
-        kwargs: dict = {}
-        if tier.erase_block_blocks:
-            kwargs["erase_block_blocks"] = tier.erase_block_blocks
-        if tier.program_us_per_block:
-            kwargs["program_us_per_block"] = tier.program_us_per_block
-        ssd_cfg = SSDConfig(**kwargs)
-    smr_cfg = None
-    if tier.media == "smr" and (tier.zone_blocks or tier.rewrite_penalty_us):
-        kwargs = {}
-        if tier.zone_blocks:
-            kwargs["zone_blocks"] = tier.zone_blocks
-        if tier.rewrite_penalty_us:
-            kwargs["rewrite_penalty_us"] = tier.rewrite_penalty_us
-        smr_cfg = SMRConfig(**kwargs)
-    return [
-        RAIDGroupConfig(
-            ndata=tier.ndata,
-            nparity=tier.nparity,
-            blocks_per_disk=tier.blocks_per_disk,
-            media=MediaType(tier.media),
-            mirrored=tier.raid == "mirror",
-            stripes_per_aa=tier.stripes_per_aa or None,
-            azcs=tier.azcs,
-            ssd_config=ssd_cfg,
-            smr_config=smr_cfg,
-        )
-        for _ in range(tier.n_groups)
-    ]
-
-
-def _vol_specs(spec: AggregateSpec) -> list[VolSpec]:
-    """Translate the spec's volume declarations into builder VolSpecs."""
-    return [
-        VolSpec(
-            v.name,
-            logical_blocks=v.logical_blocks,
-            virtual_blocks=v.virtual_blocks or None,
-            blocks_per_aa=v.blocks_per_aa or RAID_AGNOSTIC_AA_BLOCKS,
-            workload=v.workload,
-        )
-        for v in spec.volumes
-    ]
 
 
 class WaflSim:
@@ -92,17 +32,11 @@ class WaflSim:
     workload iterator from :mod:`repro.workloads`.
     """
 
-    def __init__(
-        self,
-        store: Store,
-        vols: dict[str, FlexVol],
-        *,
-        cpu_model: CpuModel | None = None,
-    ) -> None:
+    def __init__(self, store: Store, vols: dict[str, FlexVol]) -> None:
         self.store = store
         self.vols = vols
         self.metrics = MetricsLog()
-        self.engine = CPEngine(store, vols, cpu_model=cpu_model, metrics=self.metrics)
+        self.engine = CPEngine(store, vols, metrics=self.metrics)
 
     # ------------------------------------------------------------------
     # Builders
@@ -112,8 +46,6 @@ class WaflSim:
         cls,
         spec: AggregateSpec,
         *,
-        object_config: ObjectStoreConfig | None = None,
-        cpu_model: CpuModel | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> "WaflSim":
         """Construct a simulator from a declarative aggregate spec.
@@ -130,59 +62,73 @@ class WaflSim:
         ``spec.policy`` / ``spec.vol_policy`` select AA caches or
         baselines independently — the four quadrants of Figure 6;
         ``spec.threshold_fraction`` reaches every :class:`RAIDStore`.
+        The volumes join through :meth:`add_volume`, in declaration
+        order.
         """
         agg_policy = PolicyKind(spec.policy)
         vol_policy = PolicyKind(spec.vol_policy)
-        vol_specs = _vol_specs(spec)
         # Physical spaces draw from the shared generator first, in
         # declaration order, then the volumes.
         rng = make_rng(seed)
-        by_tier = None
-        tier = spec.tiers[0]
         store: Store
         if len(spec.tiers) > 1:
             # repro.tiering sits far above fs in the layer DAG, so the
             # multi-tier path binds to it at call time only.
             store = importlib.import_module("repro.tiering").make_tiered_store(
-                spec, policy=agg_policy, object_config=object_config, seed=rng
-            )
-            by_tier = {t.label: t.physical_blocks for t in spec.tiers}
-        elif tier.media == "object":
-            store = LinearStore(
-                tier.nblocks,
-                blocks_per_aa=tier.blocks_per_aa,
-                policy=agg_policy,
-                object_config=object_config,
-                seed=rng,
+                spec, policy=agg_policy, seed=rng
             )
         else:
-            store = RAIDStore(
-                _tier_group_configs(tier),
+            store = build_tier_store(
+                spec.tiers[0],
                 policy=agg_policy,
                 threshold_fraction=spec.threshold_fraction,
                 seed=rng,
             )
-        vols = {s.name: FlexVol(s, policy=vol_policy, seed=rng) for s in vol_specs}
-        cls._check_capacity(store.nblocks, vol_specs, by_tier=by_tier)
-        return cls(store, vols, cpu_model=cpu_model)
+        sim = cls(store, {})
+        for decl in spec.volumes:
+            sim.add_volume(decl, policy=vol_policy, seed=rng)
+        return sim
 
-    @staticmethod
-    def _check_capacity(
-        phys_blocks: int,
-        vol_specs: list[VolSpec],
-        by_tier: dict[str, int] | None = None,
-    ) -> None:
-        logical = sum(s.logical_blocks for s in vol_specs)
-        if logical > phys_blocks:
+    # ------------------------------------------------------------------
+    # Volume lifecycle
+    # ------------------------------------------------------------------
+    def add_volume(
+        self,
+        decl: VolumeDecl,
+        *,
+        policy: PolicyKind = PolicyKind.CACHE,
+        seed: int | np.random.Generator | None = None,
+    ) -> FlexVol:
+        """Create a FlexVol live; the CP engine shares ``vols``, so it
+        takes part in the next consistency point.
+
+        Refused with :class:`GeometryError` before anything is built if
+        the name is taken or the volumes would address more logical
+        blocks than the aggregate has (thin provisioning cannot exceed
+        the physically written working set)."""
+        if decl.name in self.vols:
+            raise GeometryError(f"volume {decl.name!r} exists")
+        logical = self.total_logical_blocks + decl.logical_blocks
+        if logical > self.store.nblocks:
             detail = ""
-            if by_tier:
-                parts = ", ".join(f"{t}={n}" for t, n in by_tier.items())
+            tiers = getattr(self.store, "tiers", ())  # a TieredStore's
+            if tiers:
+                parts = ", ".join(f"{t.label}={t.physical_blocks}" for t in tiers)
                 detail = f"; per-tier capacity: {parts}"
             raise GeometryError(
                 f"volumes address {logical} blocks but the aggregate has "
-                f"only {phys_blocks} (thin provisioning cannot exceed the "
-                f"physically written working set){detail}"
+                f"only {self.store.nblocks} (thin provisioning cannot exceed "
+                f"the physically written working set){detail}"
             )
+        vol = FlexVol(decl, policy=policy, seed=seed)
+        self.vols[decl.name] = vol
+        return vol
+
+    def remove_volume(self, name: str) -> FlexVol:
+        """Drop a volume from the system (its blocks already freed)."""
+        if name not in self.vols:
+            raise GeometryError(f"no volume {name!r}")
+        return self.vols.pop(name)
 
     # ------------------------------------------------------------------
     # Driving

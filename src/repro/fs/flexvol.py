@@ -21,66 +21,40 @@ overwrites create worst-case fragmentation" (section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..common.arrayops import sorted_unique
-from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
+from ..common.config import VolumeDecl
 from ..common.errors import AllocationError
 from ..core.aa import LinearAATopology
 from ..core.policies import PolicyKind
 from ..core.space import AllocSpace
 from .aggregate import StoreCPReport
 
-__all__ = ["FlexVol", "VolSpec"]
-
-
-@dataclass
-class VolSpec:
-    """Static description of a FlexVol for the simulator builders."""
-
-    name: str
-    #: Client-addressable logical blocks.
-    logical_blocks: int
-    #: Virtual VBN space size; defaults to 1.5x logical rounded up to a
-    #: whole number of AAs (thin-provisioned headroom so delayed frees
-    #: never starve the virtual space).
-    virtual_blocks: int | None = None
-    blocks_per_aa: int = RAID_AGNOSTIC_AA_BLOCKS
-    #: Declared workload hint ("mixed", "oltp", "sequential",
-    #: "archive") — the tier chooser's prior when placing the volume
-    #: on a heterogeneous aggregate (see :mod:`repro.tiering`).
-    workload: str = "mixed"
-
-    def resolve_virtual_blocks(self) -> int:
-        if self.virtual_blocks is not None:
-            return self.virtual_blocks
-        want = int(self.logical_blocks * 1.5) + self.blocks_per_aa
-        return -(-want // self.blocks_per_aa) * self.blocks_per_aa
+__all__ = ["FlexVol"]
 
 
 class FlexVol(AllocSpace):
-    """One live FlexVol: a linear :class:`AllocSpace` over its virtual
-    VBNs (HBPS cache) plus the logical/virtual/physical maps and
-    snapshots."""
+    """One live FlexVol, built from its :class:`VolumeDecl` (kept as
+    ``spec``): a linear :class:`AllocSpace` over its virtual VBNs (HBPS
+    cache) plus the logical/virtual/physical maps and snapshots."""
 
     def __init__(
         self,
-        spec: VolSpec,
+        decl: VolumeDecl,
         *,
         policy: PolicyKind = PolicyKind.CACHE,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        self.spec = spec
-        self.name = spec.name
-        nblocks = spec.resolve_virtual_blocks()
+        self.spec = decl
+        self.name = decl.name
+        nblocks = decl.resolved_virtual_blocks
         super().__init__(
-            LinearAATopology(nblocks, spec.blocks_per_aa),
-            where=f"vol:{spec.name}", policy=policy, seed=seed,
+            LinearAATopology(nblocks, decl.resolved_blocks_per_aa),
+            where=f"vol:{decl.name}", policy=policy, seed=seed,
         )
         #: logical block -> virtual VBN (-1 = never written).
-        self.l2v = np.full(spec.logical_blocks, -1, dtype=np.int64)
+        self.l2v = np.full(decl.logical_blocks, -1, dtype=np.int64)
         #: virtual VBN -> physical VBN (-1 = unmapped).
         self.v2p = np.full(nblocks, -1, dtype=np.int64)
         #: Snapshots: name -> virtual VBNs captured (COW pinning).

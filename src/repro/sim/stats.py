@@ -158,7 +158,7 @@ class MetricsLog:
           (resolves to the recorded ``traffic.gold.p99_ms`` series).
         * ``query("traffic.gold.p99_ms")`` — any raw recorded series by
           its full name.
-        * ``query("cpu_phase_us", model=cpu_model)`` — the CPU phase
+        * ``query("cpu_phase_us", model=engine.cpu_model)`` — the CPU phase
           breakdown dict; add ``phase="blocks"`` for one phase's total.
 
         Series are returned as copies.  Unknown metrics raise
@@ -261,16 +261,16 @@ class MetricsLog:
         chains = self._sum("write_chains")
         return self.total_physical_blocks / chains if chains else 0.0
 
-    def _cpu_phase_us(self, cpu_model) -> dict[str, float]:
+    def _cpu_phase_us(self, model) -> dict[str, float]:
         """Total modeled CPU per pipeline phase across the run.
 
         Re-derives each CP's charge decomposition from its counted
-        events via ``cpu_model.cp_cpu_breakdown`` (the same inputs
+        events via ``model.cp_cpu_breakdown`` (the same inputs
         ``run_cp`` used), so the phase totals sum to ``total_cpu_us``.
         """
         totals: dict[str, float] = {}
         for c in self.cps:
-            parts = cpu_model.cp_cpu_breakdown(
+            parts = model.cp_cpu_breakdown(
                 ops=c.ops,
                 blocks=c.physical_blocks + c.virtual_blocks,
                 metafile_blocks=c.metafile_blocks_dirtied,

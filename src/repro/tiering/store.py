@@ -24,16 +24,14 @@ from ..common.config import AggregateSpec, TierSpec
 from ..common.errors import TieringError
 from ..common.rng import make_rng
 from ..devices.base import Device
-from ..devices.objectstore import ObjectStoreConfig
 from ..fs.aggregate import (
-    LinearStore,
     PolicyKind,
     RAIDStore,
     Store,
     StoreCPReport,
     TierPolicy,
+    build_tier_store,
 )
-from ..fs.filesystem import _tier_group_configs
 from .tiers import choose_tier
 
 __all__ = ["TieredStore", "make_tiered_store"]
@@ -233,7 +231,6 @@ def make_tiered_store(
     spec: AggregateSpec,
     *,
     policy: PolicyKind = PolicyKind.CACHE,
-    object_config: ObjectStoreConfig | None = None,
     seed: int | np.random.Generator | None = None,
 ) -> TieredStore:
     """Build a :class:`TieredStore` from a multi-tier spec, with the
@@ -247,27 +244,12 @@ def make_tiered_store(
     from .policies import StaticTierPolicy
 
     rng = make_rng(seed)
-    members: list[Store] = []
-    for tier in spec.tiers:
-        if tier.media == "object":
-            members.append(
-                LinearStore(
-                    tier.nblocks,
-                    blocks_per_aa=tier.blocks_per_aa,
-                    policy=policy,
-                    object_config=object_config,
-                    seed=rng,
-                )
-            )
-        else:
-            members.append(
-                RAIDStore(
-                    _tier_group_configs(tier),
-                    policy=policy,
-                    threshold_fraction=spec.threshold_fraction,
-                    seed=rng,
-                )
-            )
+    members: list[Store] = [
+        build_tier_store(
+            tier, policy=policy, threshold_fraction=spec.threshold_fraction, seed=rng
+        )
+        for tier in spec.tiers
+    ]
     store = TieredStore(list(spec.tiers), members)
     assignments = {
         v.name: choose_tier(spec.tiers, v.workload) for v in spec.volumes

@@ -90,6 +90,36 @@ def test_the_drill_driver_sits_between_crash_and_cluster():
     assert "L201" not in rules_of(src, "drill")
 
 
+def test_no_package_imports_another_packages_private_names():
+    """An underscore name is its package's own business: another
+    package that needs it gets a public name instead."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    reaches = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        package = parts[0] if len(parts) > 1 else ""
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                base = list(parts[: len(parts) - node.level])
+                target = [*base, *(node.module or "").split(".")]
+            elif (node.module or "").startswith("repro."):
+                target = node.module.split(".")[1:]
+            else:
+                continue
+            target = [t for t in target if t]
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            if private and target and target[0] != package:
+                reaches.append(f"{path.relative_to(root)}:{node.lineno} {private}")
+    assert reaches == []
+
+
 def test_cluster_cannot_import_itself_sideways():
     # Same-rank imports are still forbidden from other hypothetical
     # same-rank code; cluster's own relative imports stay legal.

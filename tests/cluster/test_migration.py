@@ -9,6 +9,7 @@ from repro.cluster import (
     ShardRuntime,
     ShardSpec,
     VolumeRequest,
+    make_shard_specs,
     migrate_volume,
     run_rebalance,
 )
@@ -20,8 +21,9 @@ from repro.fs import iron
 
 @pytest.fixture()
 def pair():
-    source = ShardRuntime(ShardSpec(shard_id=0, seed=101))
-    target = ShardRuntime(ShardSpec(shard_id=1, seed=202))
+    tier = make_shard_specs(1, seed=0)[0].tier
+    source = ShardRuntime(ShardSpec(shard_id=0, seed=101, tier=tier))
+    target = ShardRuntime(ShardSpec(shard_id=1, seed=202, tier=tier))
     return source, target
 
 

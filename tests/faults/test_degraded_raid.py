@@ -68,7 +68,7 @@ class TestDegradedWrites:
         busy = g.replace_disk(1)
         assert busy > 0
         assert g.failed_disks == 0
-        assert g.blocks_reconstructed == g.config.blocks_per_disk
+        assert g.blocks_reconstructed == g.geometry.blocks_per_disk
         sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=6), 2)
         sim.verify_consistency()
 

@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from repro.common import GeometryError
+from repro.common.config import TierSpec
 from repro.fs import (
     LinearStore,
     MediaType,
     PolicyKind,
-    RAIDGroupConfig,
     RAIDStore,
 )
 
 
 def make_store(n_groups=2, media=MediaType.SSD, **kw):
-    cfgs = [
-        RAIDGroupConfig(
-            ndata=3, nparity=1, blocks_per_disk=8192, media=media, stripes_per_aa=1024
-        )
-        for _ in range(n_groups)
-    ]
-    return RAIDStore(cfgs, **kw)
+    tier = TierSpec(label="t", media=media.value, n_groups=n_groups, ndata=3,
+                    blocks_per_disk=8192, stripes_per_aa=1024)
+    return RAIDStore((tier,), **kw)
 
 
 class TestRAIDStore:
@@ -110,7 +106,7 @@ class TestRAIDStore:
 
     def test_object_media_rejected_in_raid(self):
         with pytest.raises(GeometryError):
-            RAIDStore([RAIDGroupConfig(media=MediaType.OBJECT)])
+            RAIDStore((TierSpec(label="t", media="object", raid="none", nblocks=65536),))
 
 
 class TestLinearStore:

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.common import MediaError, TransientIOError
+from repro.common.config import TierSpec, VolumeDecl
 from repro.core import BitmapWalkSource
 from repro.core.space import AllocSpace
 from repro.faults import FaultInjector, FaultKind
-from repro.fs import MediaType, RAIDGroupConfig, VolSpec
 from repro.fs.aggregate import LinearStore, RAIDStore, StoreCPReport
 from repro.fs.flexvol import FlexVol
 
@@ -35,7 +35,7 @@ class Rig:
 
 
 def _flexvol() -> Rig:
-    vol = FlexVol(VolSpec("v", logical_blocks=8192, blocks_per_aa=1024), seed=0)
+    vol = FlexVol(VolumeDecl("v", logical_blocks=8192, blocks_per_aa=1024), seed=0)
     # The CP engine's path: always through the volume's *current* allocator.
     return Rig(vol, lambda n: vol.allocator.allocate(n), vol.cp_boundary)
 
@@ -47,8 +47,8 @@ def _linear() -> Rig:
 
 def _raid() -> Rig:
     store = RAIDStore(
-        [RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=4096,
-                         media=MediaType.SSD, stripes_per_aa=512)],
+        (TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=4096,
+                  stripes_per_aa=512),),
         seed=0,
     )
     # Allocation goes through the aggregate, which must follow the

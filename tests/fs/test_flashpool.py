@@ -13,26 +13,24 @@ import numpy as np
 
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.rng import make_rng
-from repro.fs import CPBatch, MediaType, RAIDGroupConfig, VolSpec, WaflSim
+from repro.fs import CPBatch, MediaType, WaflSim
 from repro.fs.aggregate import RAIDStore
-from repro.fs.flexvol import FlexVol
 from repro.tiering import FlashPoolPolicy
 
 
 def build_flash_pool(seed=0):
-    groups = [
-        RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=16384,
-                        media=MediaType.SSD, stripes_per_aa=2048),
-        RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=32768,
-                        media=MediaType.HDD, stripes_per_aa=4096),
-        RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=32768,
-                        media=MediaType.HDD, stripes_per_aa=4096),
-    ]
+    tiers = (
+        TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=16384,
+                 stripes_per_aa=2048),
+        TierSpec(label="hdd", media="hdd", n_groups=2, ndata=3,
+                 blocks_per_disk=32768, stripes_per_aa=4096),
+    )
     rng = make_rng(seed)
-    store = RAIDStore(groups, seed=rng)
+    store = RAIDStore(tiers, seed=rng)
     store.tier_policy = FlashPoolPolicy()
-    vols = {"db": FlexVol(VolSpec("db", logical_blocks=60_000), seed=rng)}
-    return WaflSim(store, vols)
+    sim = WaflSim(store, {})
+    sim.add_volume(VolumeDecl("db", logical_blocks=60_000), seed=rng)
+    return sim
 
 
 class TestTiering:

@@ -5,26 +5,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common import AllocationError
-from repro.fs import FlexVol, PolicyKind, VolSpec
+from repro.common import RAID_AGNOSTIC_AA_BLOCKS, AllocationError
+from repro.common.config import VolumeDecl
+from repro.fs import FlexVol, PolicyKind
 
 
-def make_vol(logical=1000, virtual=None, per_aa=512, policy=PolicyKind.CACHE):
-    spec = VolSpec("v", logical_blocks=logical, virtual_blocks=virtual,
-                   blocks_per_aa=per_aa)
-    return FlexVol(spec, policy=policy, seed=0)
+def make_vol(logical=1000, virtual=0, per_aa=512, policy=PolicyKind.CACHE):
+    decl = VolumeDecl("v", logical_blocks=logical, virtual_blocks=virtual,
+                      blocks_per_aa=per_aa)
+    return FlexVol(decl, policy=policy, seed=0)
 
 
 class TestSpec:
     def test_default_virtual_sizing(self):
-        spec = VolSpec("v", logical_blocks=100_000)
-        v = spec.resolve_virtual_blocks()
+        decl = VolumeDecl("v", logical_blocks=100_000)
+        assert decl.resolved_blocks_per_aa == RAID_AGNOSTIC_AA_BLOCKS
+        v = decl.resolved_virtual_blocks
         assert v >= 150_000
-        assert v % spec.blocks_per_aa == 0
+        assert v % decl.resolved_blocks_per_aa == 0
+        vol = FlexVol(decl, seed=0)
+        assert vol.spec is decl and vol.nblocks == v
 
     def test_explicit_virtual(self):
-        spec = VolSpec("v", logical_blocks=100, virtual_blocks=32768)
-        assert spec.resolve_virtual_blocks() == 32768
+        decl = VolumeDecl("v", logical_blocks=100, virtual_blocks=32768)
+        assert decl.resolved_virtual_blocks == 32768
 
 
 class TestWritePath:

@@ -21,7 +21,7 @@ from repro.common.constants import AZCS_DATA_BLOCKS, AZCS_REGION_BLOCKS
 from repro.core import DelayedFreeLog
 from repro.devices import SMRConfig, SMRDrive
 from repro.devices.base import Device
-from repro.fs import MediaType, RAIDGroupConfig, WaflSim, azcs_expand
+from repro.fs import WaflSim, azcs_expand
 from repro.fs.aggregate import RAIDGroupRuntime
 from repro.workloads import (
     FileChurnWorkload,
@@ -134,11 +134,9 @@ def test_azcs_expand_matches_oracle(dbns):
 @given(dbns=increasing_dbns(4032), stripes_per_aa=st.sampled_from([64, 504]))
 @settings(max_examples=100)
 def test_aa_segmentation_matches_oracle(dbns, stripes_per_aa):
-    cfg = RAIDGroupConfig(
-        ndata=3, nparity=1, blocks_per_disk=4032, media=MediaType.SMR,
-        stripes_per_aa=stripes_per_aa, azcs=True,
-    )
-    group = RAIDGroupRuntime(cfg, offset=0, seed=0)
+    tier = TierSpec(label="smr", media="smr", ndata=3, blocks_per_disk=4032,
+                    stripes_per_aa=stripes_per_aa, azcs=True)
+    group = RAIDGroupRuntime(tier, offset=0, seed=0)
     writes: list[np.ndarray] = []
 
     class Recorder:

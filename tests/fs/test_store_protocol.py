@@ -9,15 +9,14 @@ import pytest
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.core.space import AllocSpace
 from repro.devices.base import Device
-from repro.fs import MediaType, RAIDGroupConfig
 from repro.fs.aggregate import LinearStore, RAIDStore, Store, StoreCPReport
 from repro.tiering import make_tiered_store
 
 
 def _raid() -> RAIDStore:
     return RAIDStore(
-        [RAIDGroupConfig(ndata=3, nparity=1, blocks_per_disk=4096,
-                         media=MediaType.SSD, stripes_per_aa=512)] * 2,
+        (TierSpec(label="ssd", media="ssd", n_groups=2, ndata=3,
+                  blocks_per_disk=4096, stripes_per_aa=512),),
         seed=0,
     )
 

@@ -2,7 +2,8 @@
 dial (``AggregateSpec.threshold_fraction``, section 3.3.1) reaches the
 allocator that consumes it on every store shape, and each of the four
 remaining parameters — and ``TierSpec.azcs`` off SMR or on a disk of
-partial checksum regions — rejects a value outside its domain by name."""
+partial checksum regions, and a negative or wrong-media device override
+— rejects a value outside its domain by name."""
 
 from __future__ import annotations
 
@@ -12,19 +13,10 @@ import pytest
 
 from repro.cluster import Cluster, FilterScheduler, make_shard_specs
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
-from repro.fs import MediaType, RAIDGroupConfig, WaflSim
+from repro.fs import WaflSim
 from repro.fs.aggregate import RAIDStore
 from repro.obs import Tracer
 
-GROUPS = [
-    RAIDGroupConfig(
-        ndata=3,
-        nparity=1,
-        blocks_per_disk=32768,
-        media=MediaType.SSD,
-        stripes_per_aa=2048,
-    )
-]
 SSD_TIER = TierSpec(label="ssd", media="ssd", ndata=3,
                     blocks_per_disk=32768, stripes_per_aa=2048)
 SPEC = AggregateSpec(tiers=(SSD_TIER,), volumes=(VolumeDecl("volA", 16384),))
@@ -32,7 +24,7 @@ SPEC = AggregateSpec(tiers=(SSD_TIER,), volumes=(VolumeDecl("volA", 16384),))
 
 class TestThresholdFromConfig:
     def test_raidstore_reads_config(self):
-        store = RAIDStore(GROUPS, threshold_fraction=0.1, seed=7)
+        store = RAIDStore((SSD_TIER,), threshold_fraction=0.1, seed=7)
         assert store.allocator.threshold_fraction == 0.1
 
     def test_build_reads_config(self):
@@ -66,7 +58,7 @@ class TestThresholdFromConfig:
 
     def test_default_comes_from_sim_config(self):
         assert AggregateSpec(tiers=(SSD_TIER,)).threshold_fraction == 0.0
-        assert RAIDStore(GROUPS, seed=7).allocator.threshold_fraction == 0.0
+        assert RAIDStore((SSD_TIER,), seed=7).allocator.threshold_fraction == 0.0
         assert WaflSim.build(SPEC, seed=7).store.allocator.threshold_fraction == 0.0
 
 
@@ -91,6 +83,16 @@ class TestThresholdFromConfig:
                                   blocks_per_disk=63 * 64, azcs=True)),
         ("azcs", lambda: TierSpec(label="t", media="smr", ndata=3, blocks_per_disk=65536,
                                   stripes_per_aa=512, azcs=True)),
+        # A device override is never negative, and only the media whose
+        # device model reads it may set it (elsewhere it was ignored).
+        ("program_us_per_block", lambda: TierSpec(label="t", media="ssd",
+                                                  program_us_per_block=-50.0)),
+        ("rewrite_penalty_us", lambda: TierSpec(label="t", media="smr", ndata=3,
+                                                blocks_per_disk=63 * 64, azcs=True,
+                                                rewrite_penalty_us=-5000.0)),
+        ("erase_block_blocks", lambda: TierSpec(label="t", media="hdd",
+                                                erase_block_blocks=512)),
+        ("zone_blocks", lambda: TierSpec(label="t", media="ssd", zone_blocks=2048)),
     ],
 )
 def test_out_of_domain_value_is_rejected_by_name(field, build):
