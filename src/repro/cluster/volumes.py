@@ -60,6 +60,10 @@ class VolumeRequest:
             raise ValueError("logical_blocks must be positive")
         if self.offered_fraction <= 0:
             raise ValueError("offered_fraction must be positive")
+        if self.qos_fraction is not None and self.qos_fraction <= 0:
+            raise ValueError("qos_fraction must be positive")
+        if self.queue_depth is not None and self.queue_depth < 1:
+            raise ValueError("queue_depth must be at least 1")
         if self.tier is not None and self.tier not in {t.value for t in Tier}:
             raise ValueError(
                 f"unknown tier role {self.tier!r}; pick a "

@@ -83,6 +83,10 @@ class TenantSpec:
     #: Bounded admission queue (None = unbounded open-loop queue).
     queue_depth: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.queue_depth is not None and self.queue_depth < 1:
+            raise ValueError("queue_depth must be at least 1")
+
 
 @dataclass
 class TenantSummary:
@@ -348,19 +352,22 @@ class TrafficEngine:
     def _generate_arrivals(self, st: _TenantState, until_us: float) -> None:
         """Generate and admit one window of arrivals as one array.
 
-        Unthrottled open-queue tenants admit at ``max(t, tail)`` with a
-        monotone tail, so the whole window collapses to one exact
-        ``np.maximum`` against the window-entry tail.  QoS/bounded-queue
-        tenants run the per-op recurrence (token-bucket state is a
-        sequential dependence) over the pre-generated array, which still
-        skips the per-arrival generator calls.
+        A tenant without a token bucket admits at ``max(t, tail)`` with
+        a monotone tail, so the whole window collapses to one exact
+        ``np.maximum`` against the window-entry tail.  Its queue bound
+        never binds: every earlier op was admitted by its own arrival,
+        so the admission queue is empty when the next one arrives
+        (``queue_depth >= 1``).  Token-bucket tenants run the per-op
+        recurrence (bucket state is a sequential dependence) over the
+        pre-generated array, which still skips the per-arrival
+        generator calls.
         """
         spec = st.spec
         ts, st.next_arrival_us = spec.arrivals.window(st.next_arrival_us, until_us)
         if ts.size == 0:
             return
         st.arrival_chunks.append(ts)
-        if not st.buckets and spec.queue_depth is None:
+        if not st.buckets:
             admits = np.maximum(ts, st.admit_tail_us)
             st.admit_tail_us = float(admits[-1])
             st.admitted += int(ts.size)
@@ -371,9 +378,9 @@ class TrafficEngine:
         keep = np.ones(ts.size, dtype=bool)
         rejected: list[float] = []
         k = 0
-        # Deliberately per-op: token-bucket state and the queue-depth
-        # gate are sequential (each admit feeds the next).
-        for j, t in enumerate(ts.tolist()):  # simlint: disable=B502
+        # simlint: disable=B502 — token-bucket tenants only: bucket state
+        # and the queue-depth gate are sequential (each admit feeds the next).
+        for j, t in enumerate(ts.tolist()):
             while st.pending_admits and st.pending_admits[0] <= t:
                 st.pending_admits.popleft()
             if (
@@ -428,9 +435,13 @@ class TrafficEngine:
         last tag, so ``max(vtime, vfinish)`` is ``vfinish``), until ``t
         >= bound`` — the first moment another head could be eligible —
         or its window ends; a contested pick is a run of one op.  An
-        idle server lifts the clock to ``bound`` and scans again.
+        idle server with one strictly earliest head starts that head at
+        its admit, with the runner-up's admit as ``bound`` — exactly
+        what a scan at that instant would pick.  On a tie it lifts the
+        clock to the shared admit and scans again.
 
-        The heads are read from per-tenant ``tolist()`` windows of
+        Each tenant's window is a head ``(admit, occupancy)`` plus an
+        iterator over the rest of a ``tolist()`` slice of
         ``q_admit``/``q_occ``, bounded by admit time (ops admitted at
         or past ``until_us`` cannot start) and converted
         ``DRAIN_BLOCK_OPS`` at a time, so a standing backlog costs a
@@ -451,19 +462,18 @@ class TrafficEngine:
                 h + int(np.searchsorted(st.q_admit[h:], until_us, side="left"))
             )
         starts: list[list[float]] = [[] for _ in states]
-        admits: list[list[float]] = [[] for _ in states]
-        occs: list[list[float]] = [[] for _ in states]
-        pos = [0] * len(states)
-        #: Head admit per tenant (INF = nothing more can start this call).
+        #: Head admit (INF = nothing more can start this call) and
+        #: occupancy per tenant, and an iterator over the rest.
         ha = [inf] * len(states)
+        ho = [0.0] * len(states)
+        rest = [iter(())] * len(states)
         vf = [st.vfinish for st in states]
 
         def refill(k: int) -> None:
             lo = states[k].q_head + len(starts[k])
             hi = min(lo + DRAIN_BLOCK_OPS, stops[k])
-            admits[k], occs[k] = states[k].window(lo, hi)
-            pos[k] = 0
-            ha[k] = admits[k][0] if lo < hi else inf
+            rest[k] = window = zip(*states[k].window(lo, hi))
+            ha[k], ho[k] = next(window, (inf, 0.0))
 
         for k in range(len(states)):
             refill(k)
@@ -472,11 +482,13 @@ class TrafficEngine:
         while t < until_us:
             pick = -1
             tag = 0.0
-            bound = until_us
+            bound = second = until_us
             for k, admit in enumerate(ha):
                 if admit > t:
                     if admit < bound:
-                        bound = admit
+                        bound, second, first = admit, bound, k
+                    elif admit < second:
+                        second = admit
                     continue
                 k_tag = vf[k] if vf[k] > vt else vt
                 if pick < 0:
@@ -488,32 +500,29 @@ class TrafficEngine:
                     pick = k
                     tag = k_tag
             if pick < 0:
-                t = bound  # idle server: lift the clock to the next admit
-                continue
-            wa = admits[pick]
-            wo = occs[pick]
+                t = bound  # idle server: the clock moves to the next admit
+                if bound == second:
+                    continue  # a tie (or nothing left): scan there
+                pick, bound = first, second
+                tag = vf[pick] if vf[pick] > vt else vt
             out = starts[pick]
-            i = pos[pick]
-            end = len(wa)
-            while True:
+            out.append(t)
+            occ = ho[pick]
+            free = t + occ
+            vt = tag
+            tag += occ
+            for admit, occ in rest[pick]:
+                t = free if free > admit else admit
+                if t >= bound:
+                    ha[pick], ho[pick] = admit, occ
+                    break
                 out.append(t)
-                occ = wo[i]
                 free = t + occ
                 vt = tag
                 tag += occ
-                i += 1
-                if i == end:
-                    break
-                admit = wa[i]
-                t = free if free > admit else admit
-                if t >= bound:
-                    break
-            vf[pick] = tag
-            if i == end:
-                refill(pick)
             else:
-                pos[pick] = i
-                ha[pick] = admit
+                refill(pick)
+            vf[pick] = tag
             t = free
         self._vtime = vt
         self._server_free_us = free

@@ -84,6 +84,12 @@ class QosLimits:
     dirty_blocks_per_s: float | None = None
     dirty_burst_blocks: float = 256.0
 
+    def __post_init__(self) -> None:
+        for field in ("iops", "iops_burst", "dirty_blocks_per_s", "dirty_burst_blocks"):
+            value = getattr(self, field)
+            if value is not None and value <= 0:
+                raise ValueError(f"{field} must be positive")
+
     def make_buckets(self) -> list[tuple[TokenBucket, str]]:
         """Instantiate the configured buckets, tagged by dimension
         (``"ops"`` charges 1 token per op, ``"blocks"`` charges

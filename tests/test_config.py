@@ -2,8 +2,9 @@
 dial (``AggregateSpec.threshold_fraction``, section 3.3.1) reaches the
 allocator that consumes it on every store shape, and each of the four
 remaining parameters — and ``TierSpec.azcs`` off SMR or on a disk of
-partial checksum regions, and a negative or wrong-media device override
-— rejects a value outside its domain by name."""
+partial checksum regions, a negative or wrong-media device override,
+and a QoS contract that could never admit an op — rejects a value
+outside its domain by name."""
 
 from __future__ import annotations
 
@@ -11,11 +12,13 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import Cluster, FilterScheduler, make_shard_specs
+from repro.cluster import Cluster, FilterScheduler, VolumeRequest, make_shard_specs
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.fs import WaflSim
 from repro.fs.aggregate import RAIDStore
 from repro.obs import Tracer
+from repro.traffic import PoissonArrivals, QosLimits, TenantSpec
+from repro.workloads import UniformOverwriteMix
 
 SSD_TIER = TierSpec(label="ssd", media="ssd", ndata=3,
                     blocks_per_disk=32768, stripes_per_aa=2048)
@@ -93,6 +96,23 @@ class TestThresholdFromConfig:
         ("erase_block_blocks", lambda: TierSpec(label="t", media="hdd",
                                                 erase_block_blocks=512)),
         ("zone_blocks", lambda: TierSpec(label="t", media="ssd", zone_blocks=2048)),
+        # A QoS contract that could never admit anything is refused when
+        # it is written, not placed and then failed by the first epoch
+        # (or, for a zero-depth queue, run as a tenant that rejects every
+        # arrival and reports a perfect p99).
+        ("qos_fraction", lambda: VolumeRequest(name="vq", logical_blocks=640,
+                                               qos_fraction=0.0)),
+        ("queue_depth", lambda: VolumeRequest(name="vq", logical_blocks=640,
+                                              queue_depth=0)),
+        ("queue_depth", lambda: TenantSpec(name="t", volume="v",
+                                           arrivals=PoissonArrivals(100.0, seed=1),
+                                           mix=UniformOverwriteMix(64, seed=1),
+                                           queue_depth=0)),
+        ("iops", lambda: QosLimits(iops=-5.0)),
+        ("iops_burst", lambda: QosLimits(iops=100.0, iops_burst=0.0)),
+        ("dirty_blocks_per_s", lambda: QosLimits(dirty_blocks_per_s=0.0)),
+        ("dirty_burst_blocks", lambda: QosLimits(dirty_blocks_per_s=400.0,
+                                                 dirty_burst_blocks=-1.0)),
     ],
 )
 def test_out_of_domain_value_is_rejected_by_name(field, build):

@@ -136,3 +136,44 @@ def test_window_refill_boundaries_match_the_oracle():
     # The second call starts mid-backlog and drains it.
     _drain_both(oracle, engine, [([[], [], []], 1.0, 2.0, 1e6)])
     assert engine.states[0].backend_pending() == 0
+
+
+def _starts(engine) -> list[list[float]]:
+    """Every tenant's serve start times so far: completion minus the
+    ``s_lat`` of 2.0 every hand-built round below uses."""
+    return [(st.complete_array() - 2.0).tolist() for st in engine.states]
+
+
+def test_idle_server_tie_rescans_the_heads():
+    """Heads admitted at the same instant onto an idle server: the pick
+    is the SFQ tag, not the lowest index — t0, served before, carries
+    the larger tag, so t1 goes first; t1 and t2 tie on tags as well,
+    and the lower index wins."""
+    oracle, engine = _engines(3)
+    rounds = [([[1.0, 3.0], [4.0], [4.0]], 1.0, 2.0, 16.0)]
+    _drain_both(oracle, engine, rounds)
+    assert _starts(engine) == [[1.0, 6.0], [4.0], [5.0]]
+
+
+def test_idle_start_run_stops_exactly_at_the_runner_up_admit():
+    """A strictly earliest head starts at its admit and keeps the server
+    until ``t == bound``, the second head's admit: there t1's smaller
+    tag takes the server from t0's backlog."""
+    oracle, engine = _engines(2)
+    rounds = [([[2.0, 0.0, 0.0], [4.0]], 1.0, 2.0, 16.0)]
+    _drain_both(oracle, engine, rounds)
+    assert _starts(engine) == [[2.0, 3.0, 5.0], [4.0]]
+
+
+def test_idle_server_with_every_window_exhausted_mid_call():
+    """Every queued op served well before ``until_us``: the server clock
+    stays at the last finish, not at ``until_us``, and the next call
+    starts a lone head (bounded by ``until_us`` alone) at its admit."""
+    oracle, engine = _engines(3)
+    _drain_both(oracle, engine, [([[1.0], [5.0], []], 1.0, 2.0, 10.0)])
+    assert engine._server_free_us == 6.0
+    assert all(st.backend_pending() == 0 for st in engine.states)
+    # A fresh call: t2's admits are absolute and ``until_us`` is 20.
+    _drain_both(oracle, engine, [([[], [], [12.0, 0.0]], 1.0, 2.0, 20.0)])
+    assert _starts(engine) == [[1.0], [5.0], [12.0, 13.0]]
+    assert engine._server_free_us == 14.0

@@ -4,8 +4,8 @@
 them multi-tenant and contended.  The drain's single-pending pass is
 mostly exercised elsewhere: one tenant, or several lightly loaded ones
 whose queues empty between bursts.  This sweep runs 1 and 3 tenants
-from nearly idle to overloaded, with smooth, bursty and QoS-throttled
-arrivals, and compares the engine with the op-at-a-time oracle
+from nearly idle to overloaded, with smooth, bursty (bounded queue, no
+bucket) and QoS-throttled arrivals, and compares the engine with the op-at-a-time oracle
 (:mod:`tests.traffic.oracle`) after *every* CP interval — server clock,
 SFQ tags, admission state and the raw per-op arrays, exactly, in order.
 """
@@ -82,11 +82,13 @@ def _engine(n_tenants: int, util: float, profile: str, engine_cls):
             )
             queue_depth = 24
         if profile == "victim":
-            # The cluster's victim profile (ShardRuntime._tenant_specs):
-            # short hard bursts at the ON rate, ~8% duty cycle.
+            # The cluster's victim (ShardRuntime._tenant_specs on a
+            # noisy_fleet_requests victim): short hard bursts at the ON
+            # rate, ~8% duty cycle, and a bounded queue without a bucket.
             arrivals = OnOffArrivals(
                 rate, mean_on_us=100_000.0, mean_off_us=1_100_000.0, seed=100 + i
             )
+            queue_depth = 64
         else:
             arrivals = PoissonArrivals(rate, seed=100 + i)
         tenants.append(
@@ -146,6 +148,10 @@ def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> int:
             assert _deferred_admits(ref) == held, (cp, st.spec.name)
             delayed += len(held)
             assert ref.backend_pending() == st.backend_pending(), (cp, st.spec.name)
+            if not st.buckets:
+                # Admitted at arrival, whatever the queue bound: the
+                # per-op admission loop never ran for this tenant.
+                assert not st.pending_admits, (cp, st.spec.name)
             for raw in ("arrivals", "rejected", "complete", "latency"):
                 assert np.array_equal(
                     getattr(ref, f"{raw}_array")(), getattr(st, f"{raw}_array")()
