@@ -14,7 +14,10 @@ interactive use (EXPERIMENTS.md's numbers come from full-size runs).
 from __future__ import annotations
 
 import argparse
+import collections
+import os
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -108,7 +111,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Parallel sweep of the table: one JSON results document, every
     row's claims evaluated on it, and an optional baseline diff."""
     import json
-    import os
 
     workers = args.workers
     if workers <= 0:
@@ -153,28 +155,63 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return status
 
 
+def _sample_stacks(run, top: int):
+    """Run ``run()`` while a daemon thread reads this thread's frame every
+    ~1 ms, then print the hottest ``repro`` lines (innermost ``repro``
+    frame) and functions (inclusive): no per-call hook, unlike cProfile."""
+    root, target = os.path.dirname(os.path.abspath(__file__)) + os.sep, threading.get_ident()
+    lines, funcs, done = collections.Counter(), collections.Counter(), threading.Event()
+
+    def sample() -> None:
+        while not done.wait(0.001):
+            frame, stack = sys._current_frames().get(target), []
+            while frame is not None:
+                if frame.f_code.co_filename.startswith(root):
+                    where = frame.f_code.co_filename[len(root):]
+                    stack.append((f"{where}:{frame.f_lineno}", f"{where}:{frame.f_code.co_name}"))
+                frame = frame.f_back
+            if stack:
+                lines[stack[0][0]] += 1
+                funcs.update(list(dict.fromkeys(f for _, f in stack)))
+
+    thread = threading.Thread(target=sample, daemon=True)
+    thread.start()
+    try:
+        res = run()
+    finally:
+        done.set()
+        thread.join()
+    for title, counts in (("lines (innermost)", lines), ("functions (inclusive)", funcs)):
+        print(f"\nhottest repro {title}, share of {lines.total()} samples:")
+        for key, c in counts.most_common(top):
+            print(f"  {c / lines.total():7.2%}  {key}")
+    return res
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """cProfile the macro benchmark unit (named by the experiment table)
-    and report wall-clock hotspots next to the modeled per-phase CPU
-    decomposition."""
+    """cProfile the macro benchmark unit (named by the experiment table),
+    or sample its stack with ``--lines``, and report wall-clock hotspots
+    next to the modeled per-phase CPU decomposition."""
     import cProfile
-    import os
     import pstats
 
     from repro.bench.harness import RESULTS_DIR
 
     name, unit = PROFILE_UNIT
-    with cProfile.Profile() as prof:
-        res = runner.run_unit(
-            runner.UnitSpec(name, unit, args.quick, EXPERIMENTS[name].seed))
+    spec = runner.UnitSpec(name, unit, args.quick, EXPERIMENTS[name].seed)
+    if args.lines:
+        res = _sample_stacks(lambda: runner.run_unit(spec), args.top)
+    else:
+        with cProfile.Profile() as prof:
+            res = runner.run_unit(spec)
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        dump = os.path.join(RESULTS_DIR, "profile.prof")
+        prof.dump_stats(dump)
+        pstats.Stats(prof).sort_stats(args.sort).print_stats(args.top)
+        print(f"profile dump: {dump} (open with pstats or snakeviz)")
     metrics = res["metrics"]
 
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    dump = os.path.join(RESULTS_DIR, "profile.prof")
-    prof.dump_stats(dump)
-    pstats.Stats(prof).sort_stats(args.sort).print_stats(args.top)
-
-    print(f"{name}/{unit}: aging + measurement "
+    print(f"\n{name}/{unit}: aging + measurement "
           f"{res['timing']['wall_s']:.2f}s under profiler")
     print(f"cpu_us_per_op {metrics['cpu_us_per_op']:.3f}, "
           f"capacity {metrics['capacity_ops']:,.0f} ops/s")
@@ -184,15 +221,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("\nmodeled CPU by pipeline phase (measurement sweep):")
     for phase, us in sorted(phases.items(), key=lambda kv: -kv[1]):
         print(f"  {phase:20s} {us / 1e6:9.3f} s-CPU  {us / total:7.2%}")
-    print(f"\nprofile dump: {dump} (open with pstats or snakeviz)")
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace a traffic scenario: Chrome trace_event JSON plus a per-CP
     span tree reconciled exactly against the run's CPStats records."""
-    import os
-
     from repro import obs
     from repro.bench.harness import RESULTS_DIR
     from repro.traffic import run_traffic
@@ -363,10 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tree", type=int, default=2, metavar="N",
                    help="print the span tree of the last N CPs (0 = none)")
     p.set_defaults(fn=_cmd_trace)
-    p = sub.add_parser("profile", help="cProfile the macro benchmark + modeled "
-                                       "per-phase CPU breakdown")
+    p = sub.add_parser("profile", help="cProfile (or line-sample) the macro benchmark "
+                                       "+ modeled per-phase CPU breakdown")
     p.add_argument("--quick", **quick)
-    p.add_argument("--top", type=int, default=25, help="rows of pstats output")
+    p.add_argument("--lines", action="store_true", help="sample the stack every ~1 ms "
+                   "instead: hottest lines and functions, no per-call overhead")
+    p.add_argument("--top", type=int, default=25, help="rows of pstats / sample output")
     p.add_argument("--sort", default="cumulative",
                    choices=["cumulative", "tottime", "calls"],
                    help="pstats sort key")

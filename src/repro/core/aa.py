@@ -140,9 +140,9 @@ class StripeAATopology(AATopology):
                 for d in range(geom.ndata)
             ]
             idx = np.flatnonzero(np.stack(cols, axis=1).ravel() == 0)
-            disks = idx % geom.ndata
-            dbns = first + idx // geom.ndata
-            out = disks * bpd + dbns
+            rows = idx // geom.ndata
+            disks = idx - rows * geom.ndata
+            out = disks * bpd + (first + rows)
         else:
             vbn_parts: list[np.ndarray] = []
             dbn_parts: list[np.ndarray] = []

@@ -121,13 +121,14 @@ class CPEngine:
             if ids.size == 0:
                 continue
             with obs.span("cp.allocate", vol=name, blocks=int(ids.size)):
-                was_mapped = vol.l2v[ids] >= 0
                 new_v, old_v, old_p = vol.stage_writes(ids)
                 if tier_policy is not None:
                     # The store's tier policy decides where each block
                     # lands (e.g. Flash Pool: overwritten blocks to the
                     # SSD tier, first writes to the capacity tier).  It
                     # raises OutOfSpaceError itself on shortfall.
+                    # ``stage_writes`` leaves ``l2v`` to ``commit_writes``.
+                    was_mapped = vol.l2v[ids] >= 0
                     new_p = tier_policy.place(self.store, name, ids, was_mapped)
                 else:
                     new_p = self.store.allocate(int(ids.size))

@@ -106,8 +106,9 @@ class FlexVol(AllocSpace):
         old_v = self.l2v[logical_ids]
         old_v = old_v[old_v >= 0]
         # Snapshot-held blocks are not freed on overwrite: the snapshot
-        # still references them (COW pinning).
-        free_v = old_v[~self._snap_mask[old_v]]
+        # still references them (COW pinning).  The mask is the union of
+        # the held sets, so with no snapshot it is all False: skip it.
+        free_v = old_v[~self._snap_mask[old_v]] if self._snapshots else old_v
         old_p = self.v2p[free_v]
         return new_v, free_v, old_p
 
@@ -190,7 +191,7 @@ class FlexVol(AllocSpace):
         if old_v.size == 0:
             return np.empty(0, dtype=np.int64)
         self.l2v[mapped_ids] = -1
-        free_v = old_v[~self._snap_mask[old_v]]
+        free_v = old_v[~self._snap_mask[old_v]] if self._snapshots else old_v
         if free_v.size == 0:
             return np.empty(0, dtype=np.int64)
         old_p = self.v2p[free_v].copy()

@@ -148,7 +148,7 @@ def _analyze(
     bpd = geometry.blocks_per_disk
     sv = np.sort(vbns)
     sd = sv // bpd
-    sb = sv % bpd
+    sb = sv - sd * bpd  # sv % bpd, reusing the division
 
     # Stripe occupancy: how many of each touched stripe's data blocks
     # were written in this CP.  The touched stripes live in a narrow

@@ -63,14 +63,9 @@ def volume_tier_blocks(sim, vol_name: str) -> dict[str, int]:
     """Mapped physical blocks of ``vol_name`` per tier label."""
     store = _tiered_store(sim)
     vol = sim.vols[vol_name]
-    mapped = np.flatnonzero(vol.l2v >= 0)
-    counts = dict.fromkeys(store.labels, 0)
-    if mapped.size:
-        phys = vol.v2p[vol.l2v[mapped]]
-        idx = store.tier_index_of(phys)
-        for i, label in enumerate(store.labels):
-            counts[label] = int((idx == i).sum())
-    return counts
+    phys = np.sort(vol.v2p[vol.l2v[vol.l2v >= 0]])
+    cuts = np.searchsorted(phys, store._bounds)
+    return dict(zip(store.labels, np.diff(cuts).tolist()))
 
 
 def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:

@@ -31,6 +31,7 @@ from ..fs.aggregate import (
     StoreCPReport,
     TierPolicy,
     build_tier_store,
+    route_frees,
 )
 from .tiers import choose_tier
 
@@ -94,11 +95,6 @@ class TieredStore:
     # ------------------------------------------------------------------
     # Tier addressing
     # ------------------------------------------------------------------
-    def tier_index_of(self, vbns: np.ndarray) -> np.ndarray:
-        """Tier index owning each global VBN."""
-        vbns = np.asarray(vbns, dtype=np.int64)
-        return self._bounds.searchsorted(vbns, side="right") - 1
-
     def tier_usage(self) -> dict[str, dict[str, int]]:
         """Per-tier capacity snapshot: total, used, and free blocks."""
         out: dict[str, dict[str, int]] = {}
@@ -162,18 +158,15 @@ class TieredStore:
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def log_free(self, vbns: np.ndarray) -> None:
-        """Log global VBNs for freeing at the next CP boundary."""
+        """Log global VBNs for freeing at the next CP boundary, with their tiers' members."""
         vbns = np.asarray(vbns, dtype=np.int64)
         if vbns.size == 0:
             return
         if len(self.members) == 1:
             self.members[0].log_free(vbns)
             return
-        idx = self.tier_index_of(vbns)
-        for i, member in enumerate(self.members):
-            mask = idx == i
-            if mask.any():
-                member.log_free(vbns[mask] - self.bases[i])
+        for i, local in route_frees(vbns, self._bounds):
+            self.members[i].log_free(local)
 
     def charge_reads(self, n_random: int) -> None:
         """Queue client random reads, spread across tiers proportional

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
-from repro.common.errors import GeometryError, TieringError
+from repro.common.errors import BitmapError, GeometryError, TieringError
 from repro.fs import WaflSim
 from repro.tiering import (
     StaticTierPolicy,
@@ -45,11 +45,27 @@ class TestComposition:
         assert store.members[0].nblocks == 4 * 4096
         assert store.bases == [0, 4 * 4096]
 
-    def test_tier_index_of_maps_global_vbns(self):
+    def test_log_free_routes_global_vbns_to_their_tier(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
         split = store.bases[1]
-        vbns = np.array([0, split - 1, split, store.nblocks - 1])
-        assert store.tier_index_of(vbns).tolist() == [0, 0, 1, 1]
+        store.log_free(np.array([store.nblocks - 1, split, split - 1, 0]))
+        pending = [
+            g.delayed_frees.pending_vbns().tolist()
+            for m in store.members for g in m.groups
+        ]
+        # Member-local: the disk tier's group sees its own VBNs from 0.
+        assert pending == [[0, split - 1], [0, store.nblocks - split - 1]]
+
+    @pytest.mark.parametrize("past_end", [False, True], ids=["negative", "past-end"])
+    def test_log_free_refuses_vbns_outside_the_aggregate(self, past_end):
+        store = make_tiered_store(two_tier_spec(), seed=1)
+        fast = store.allocate_in("flash", 64)
+        store.cp_boundary()
+        bad = store.nblocks + 5 if past_end else -1
+        with pytest.raises(BitmapError, match=rf"\[{bad}\] outside .* \[0, {store.nblocks}\)"):
+            store.log_free(np.append(fast, bad))
+        assert all(g.delayed_frees.pending_count == 0 for g in store.groups)
+        assert store.cp_boundary().blocks_freed == 0
 
     def test_allocate_in_stays_inside_the_tier(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
