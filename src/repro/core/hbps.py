@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -417,31 +417,35 @@ class HBPS:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise :class:`CacheError` if any structural invariant fails."""
-        if int(self._counts.sum()) != self._total:
+        counts = self._counts.tolist()
+        if sum(counts) != self._total:
             raise CacheError("histogram counts do not sum to total")
-        if np.any(self._counts < 0):
+        if min(counts) < 0:
             raise CacheError("negative histogram count")
-        if self.listed_count > self.list_capacity:
+        listed = len(self._pos)
+        if listed > self.list_capacity:
             raise CacheError("list page over capacity")
-        listed_per_bin = [len(lst) for lst in self._lists]
-        if sum(listed_per_bin) != self.listed_count:
+        sizes = list(map(len, self._lists))
+        if sum(sizes) != listed:
             raise CacheError("position map does not match bin lists")
         worst = self._worst_listed_bin()
-        if worst != max((b for b, n in enumerate(listed_per_bin) if n), default=None):
+        w = -1 if worst is None else worst
+        if any(sizes[w + 1 :]):
             raise CacheError(f"cached worst listed bin {worst} is not the worst listed bin")
-        if worst is not None:
-            for b in range(worst):
-                if listed_per_bin[b] != self._counts[b]:
-                    raise CacheError(
-                        f"bin {b} (better than worst listed bin {worst}) is not fully "
-                        f"listed: {listed_per_bin[b]} of {self._counts[b]}"
-                    )
-        for b, lst in enumerate(self._lists):
-            if len(lst) > self._counts[b]:
+        if worst is not None and sizes[:w] != counts[:w]:
+            b = next(b for b in range(w) if sizes[b] != counts[b])
+            raise CacheError(
+                f"bin {b} (better than worst listed bin {worst}) is not fully "
+                f"listed: {sizes[b]} of {counts[b]}"
+            )
+        get = self._pos.get
+        for b in compress(range(self.nbins), sizes):  # empty bins pass both checks
+            lst = self._lists[b]
+            if sizes[b] > counts[b]:
                 raise CacheError(f"bin {b} lists more items than it counts")
-            for item in lst:
-                if self._pos.get(item) != b:
-                    raise CacheError(f"item {item} listed in bin {b} but mapped elsewhere")
+            if list(map(get, lst)).count(b) != sizes[b]:
+                item = next(item for item in lst if get(item) != b)
+                raise CacheError(f"item {item} listed in bin {b} but mapped elsewhere")
 
     # ------------------------------------------------------------------
     # Two-page serialization (embedded into the TopAA metafile)
@@ -460,20 +464,19 @@ class HBPS:
             raise SerializationError("histogram does not fit in one page")
         if self.list_capacity * _U32.itemsize > PAGE_SIZE:
             raise SerializationError("list page does not fit in one page")
-        page0 = bytearray(PAGE_SIZE)
+        pages = bytearray(2 * PAGE_SIZE)
         _HEADER.pack_into(
-            page0, 0, _MAGIC, _VERSION, self.max_score, self.bin_width, self.nbins,
+            pages, 0, _MAGIC, _VERSION, self.max_score, self.bin_width, self.nbins,
             self.listed_count,
         )
-        table = np.empty((self.nbins, 2), dtype=_U32)
-        table[:, 0] = self._counts
-        sizes = np.array([len(lst) for lst in self._lists])
-        table[:, 1] = np.where(sizes > 0, np.cumsum(sizes) - sizes, _UNLISTED)
-        page0[_HEADER.size : _HEADER.size + table.nbytes] = table.tobytes()
-        page1 = bytearray(PAGE_SIZE)
-        arr = np.fromiter(chain.from_iterable(self._lists), dtype=_U32)
-        page1[: arr.nbytes] = arr.tobytes()
-        return bytes(page0) + bytes(page1)
+        sizes = list(map(len, self._lists))
+        table = [0] * (2 * self.nbins)
+        # A seeded cache's stale counts can run negative: wrap them as a cast does.
+        table[::2] = self._counts.astype(_U32).tolist()
+        table[1::2] = [s if n else _UNLISTED for s, n in zip(accumulate(sizes, initial=0), sizes)]
+        struct.pack_into(f"<{2 * self.nbins}I", pages, _HEADER.size, *table)
+        struct.pack_into(f"<{sum(sizes)}I", pages, PAGE_SIZE, *chain.from_iterable(self._lists))
+        return bytes(pages)
 
     @classmethod
     def from_pages(
@@ -485,7 +488,9 @@ class HBPS:
         """Reconstruct an HBPS from :meth:`to_pages` output.
 
         Loaded items are assigned their bin's upper-bound score at the
-        owning cache layer; within this structure only bins matter.
+        owning cache layer; within this structure only bins matter.  A
+        header or structure no HBPS can have raises
+        :class:`SerializationError` naming ``bad-structure``.
         """
         if len(pages) != 2 * PAGE_SIZE:
             raise SerializationError(f"expected {2 * PAGE_SIZE} bytes, got {len(pages)}")
@@ -494,28 +499,33 @@ class HBPS:
             raise SerializationError("bad HBPS magic")
         if version != _VERSION:
             raise SerializationError(f"unsupported HBPS version {version}")
-        out = cls(max_score, bin_width=bin_width, list_capacity=list_capacity)
+        try:
+            out = cls(max_score, bin_width=bin_width, list_capacity=list_capacity)
+        except ValueError as exc:
+            raise SerializationError(f"HBPS page bad-structure: {exc}") from exc
         if nbins != out.nbins:
             raise SerializationError("inconsistent bin count in header")
         if 2 * nbins * _U32.itemsize + _HEADER.size > PAGE_SIZE:
             raise SerializationError("bin table in header does not fit the histogram page")
         if list_len * _U32.itemsize > PAGE_SIZE:
             raise SerializationError("list length in header does not fit the list page")
-        items = np.frombuffer(pages, dtype=_U32, count=list_len, offset=PAGE_SIZE)
-        table = np.frombuffer(
-            pages, dtype=_U32, count=2 * nbins, offset=_HEADER.size
-        ).reshape(nbins, 2)
-        out._counts[:] = table[:, 0]
-        out._total = int(out._counts.sum())
+        table = struct.unpack_from(f"<{2 * nbins}I", pages, _HEADER.size)
+        items = struct.unpack_from(f"<{list_len}I", pages, PAGE_SIZE)
+        counts, starts = table[::2], table[1::2]
+        out._counts = np.array(counts, dtype=np.int64)
+        out._total = sum(counts)
         # A listed bin's entries run until the next listed bin's index
         # (bins are laid out in order), the last one's to the list's end.
-        listed = np.flatnonzero(table[:, 1] != _UNLISTED).tolist()
-        starts = table[listed, 1].tolist()
-        for b, lo, hi in zip(listed, starts, starts[1:] + [list_len]):
-            out._lists[b] = bin_items = items[lo:hi].tolist()
+        listed = [b for b, lo in enumerate(starts) if lo != _UNLISTED]
+        bounds = [starts[b] for b in listed] + [list_len]
+        for b, lo, hi in zip(listed, bounds, bounds[1:]):
+            out._lists[b] = bin_items = list(items[lo:hi])
             out._pos.update(dict.fromkeys(bin_items, b))
             out._worst = b
-        out.check_invariants()
+        try:
+            out.check_invariants()
+        except CacheError as exc:
+            raise SerializationError(f"HBPS page bad-structure: {exc}") from exc
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -48,6 +48,9 @@ class RAIDAgnosticAACache:
         (:meth:`from_pages`) or replenished.
     bin_width, list_capacity:
         HBPS tuning (paper defaults: 1K-wide bins, 1,000 entries).
+    hbps:
+        When given, the cache wraps this already-built HBPS (of
+        ``aa_blocks`` maximum score) instead of a new empty one.
     """
 
     __slots__ = ("num_aas", "aa_blocks", "_hbps", "_out", "_seeded", "_assumed", "selects")
@@ -60,13 +63,16 @@ class RAIDAgnosticAACache:
         *,
         bin_width: int = HBPS_BIN_WIDTH,
         list_capacity: int = HBPS_LIST_CAPACITY,
+        hbps: HBPS | None = None,
     ) -> None:
         if num_aas <= 0:
             raise CacheError("num_aas must be positive")
         self.num_aas = int(num_aas)
         self.aa_blocks = int(aa_blocks)
-        bin_width = min(bin_width, aa_blocks)
-        self._hbps = HBPS(aa_blocks, bin_width=bin_width, list_capacity=list_capacity)
+        if hbps is None:
+            bin_width = min(bin_width, aa_blocks)
+            hbps = HBPS(aa_blocks, bin_width=bin_width, list_capacity=list_capacity)
+        self._hbps = hbps
         self._out: set[int] = set()
         #: True after loading from TopAA pages, until the background
         #: rebuild supplies exact scores; histogram counts for unlisted
@@ -257,16 +263,11 @@ class RAIDAgnosticAACache:
         the background rebuild restores exact scores.
         """
         hbps = HBPS.from_pages(pages, list_capacity=list_capacity)
-        cache = cls(
-            max(num_aas, 1),
-            hbps.max_score,
-            bin_width=hbps.bin_width,
-            list_capacity=list_capacity,
-        )
-        cache._hbps = hbps
+        cache = cls(max(num_aas, 1), hbps.max_score, hbps=hbps)
         cache._seeded = True
-        for aa, b in hbps.iter_listed():
-            cache._assumed[aa] = hbps.bin_bounds(b)[1]
+        listed = dict(hbps.iter_listed())  # AA -> its bin, in list-page order
+        upper = {b: hbps.bin_bounds(b)[1] for b in dict.fromkeys(listed.values())}
+        cache._assumed = dict(zip(listed, map(upper.__getitem__, listed.values())))
         return cache
 
     # ------------------------------------------------------------------

@@ -151,24 +151,24 @@ def deserialize_heap_seed(block: bytes) -> list[tuple[int, int]]:
     pairs, best first."""
     if len(block) != BLOCK_SIZE:
         raise SerializationError(f"TopAA block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    arr = np.frombuffer(block, dtype=np.uint32)
-    pairs: list[tuple[int, int]] = []
-    for i in range(0, arr.size, 2):
-        if arr[i] == _SENTINEL:
-            break
-        pairs.append((int(arr[i]), int(arr[i + 1])))
-    return pairs
+    aas, scores = np.frombuffer(block, dtype=np.uint32).reshape(-1, 2).T
+    n = int((aas == _SENTINEL).argmax()) if _SENTINEL in aas else aas.size
+    return list(zip(aas[:n].tolist(), scores[:n].tolist()))
 
 
 def seed_heap_cache(num_aas: int, block: bytes) -> RAIDAwareAACache:
     """Build a seeded (partially populated) RAID-aware cache from a
     TopAA block.  The caller is responsible for populating the
-    remaining AAs in the background (see :mod:`repro.fs.mount`)."""
+    remaining AAs in the background (see :mod:`repro.fs.mount`).  AAs
+    past ``num_aas`` are skipped; one named twice raises
+    :class:`SerializationError` naming ``bad-structure``."""
+    pairs = [(aa, score) for aa, score in deserialize_heap_seed(block) if aa < num_aas]
+    if len({aa for aa, _ in pairs}) != len(pairs):
+        raise SerializationError("TopAA heap seed bad-structure: an AA is named twice")
     cache = RAIDAwareAACache(num_aas)
     cache.seeded = True
-    for aa, score in deserialize_heap_seed(block):
-        if aa < num_aas:
-            cache.populate(aa, score)
+    for aa, score in pairs:
+        cache.populate(aa, score)
     return cache
 
 

@@ -4,10 +4,13 @@ fault-injection PR)."""
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
+from repro.analysis import audit_sim
 from repro.common import RecoveryExhaustedError, TransientIOError
-from repro.core import PAGE_KIND_HBPS, seal_page, unseal_page
+from repro.core import PAGE_KIND_HBPS, PAGE_KIND_HEAP_SEED, seal_page, unseal_page
 from repro.core.topaa import serialize_hbps_cache
 from repro.faults import FaultInjector, FaultKind, attach_everywhere, corrupt_bytes
 from repro.fs import export_topaa, simulate_mount
@@ -87,6 +90,36 @@ class TestPageVerification:
         rep = simulate_mount(aged_sim, img)
         assert rep.fallbacks == {"group:0": "bad-crc"}
         assert aged_sim.store.groups[0].cache.fully_populated
+
+    def test_inconsistent_hbps_page_falls_back(self, aged_sim):
+        """A CRC-valid page whose structure no HBPS can have — bin 0
+        unlisted while a worse bin stays listed — is refused like a
+        damaged one, not raised out of the mount."""
+        img = export_topaa(aged_sim)
+        vol = aged_sim.vol("volA")
+        listed_bins = {b for _, b in vol.cache.hbps.iter_listed()}
+        assert 0 in listed_bins and max(listed_bins) > 0
+        n = vol.topology.num_aas
+        payload = bytearray(unseal_page(img.vol_pages["volA"], PAGE_KIND_HBPS, n))
+        # Bin 0's list index: the word after its count, past the 24-byte header.
+        struct.pack_into("<I", payload, 28, 0xFFFFFFFF)
+        img.vol_pages["volA"] = seal_page(bytes(payload), PAGE_KIND_HBPS, n)
+        rep = simulate_mount(aged_sim, img)
+        assert rep.fallbacks == {"vol:volA": "bad-structure"}
+        assert aged_sim.vol("volA").cache.seeded is False
+        assert aged_sim.vol("volB").cache.seeded is True
+        assert audit_sim(aged_sim).ok
+
+    def test_heap_seed_naming_an_aa_twice_falls_back(self, aged_sim):
+        img = export_topaa(aged_sim)
+        n = aged_sim.store.groups[0].topology.num_aas
+        payload = bytearray(unseal_page(img.group_blocks[0], PAGE_KIND_HEAP_SEED, n))
+        payload[8:12] = payload[0:4]  # entry 1 names entry 0's AA
+        img.group_blocks[0] = seal_page(bytes(payload), PAGE_KIND_HEAP_SEED, n)
+        rep = simulate_mount(aged_sim, img)
+        assert rep.fallbacks == {"group:0": "bad-structure"}
+        assert aged_sim.store.groups[0].cache.fully_populated
+        assert audit_sim(aged_sim).ok
 
     def test_pristine_image_has_no_fallbacks(self, aged_sim):
         img = export_topaa(aged_sim)
