@@ -83,7 +83,7 @@ def main() -> None:
     )
     ratio = rep2.modeled_read_us / max(rep.modeled_read_us, 1)
     print(f"\nTopAA reduced mount read I/O by {ratio:.0f}x on this small system;")
-    print("the gap grows linearly with capacity (see benchmarks/bench_fig10_topaa.py).")
+    print("the gap grows linearly with capacity (see `python -m repro fig10`).")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
+import time
 
+import numpy as np
 import pytest
 
 from repro.bench import ConfigResult, fmt_table
@@ -123,3 +126,40 @@ class TestHarness:
         pts = _curves({"x": {"metrics": r.as_dict()}}, np.linspace(100, 20000, 10))["x"]
         lats = [p.latency_ms for p in pts]
         assert lats == sorted(lats)
+
+
+def _python_part(seconds: float) -> int:
+    """Pure-Python arithmetic for ``seconds`` of wall time."""
+    end, total = time.perf_counter() + seconds, 0
+    while time.perf_counter() < end:
+        for i in range(1000):
+            total += i * i
+    return total
+
+
+def _numpy_part(a):
+    return np.sort(a)
+
+
+def test_profile_lines_shares_follow_wall_time(capsys):
+    """``profile --lines`` weights each sample by the wall time it
+    stands for, so a NumPy call that drops the GIL and a pure-Python
+    loop of equal ``perf_counter`` time get equal shares."""
+    from repro.cli import _sample_stacks
+
+    a = np.random.default_rng(0).random(2_000_000)
+
+    def run() -> None:
+        for _ in range(10):
+            t0 = time.perf_counter()
+            _numpy_part(a)
+            _python_part(time.perf_counter() - t0)
+
+    _sample_stacks(run, 20, root=os.path.dirname(os.path.abspath(__file__)) + os.sep)
+    functions = capsys.readouterr().out.split("functions (inclusive)")[1]
+    shares = {
+        name: float(pct) / 100
+        for pct, name in re.findall(r"([\d.]+)%\s+test_cli\.py:(\w+)", functions)
+    }
+    assert abs(shares["_python_part"] - 0.5) <= 0.10, shares
+    assert abs(shares["_numpy_part"] - 0.5) <= 0.10, shares
