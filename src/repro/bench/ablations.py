@@ -232,7 +232,9 @@ def _topaa_seed_size(quick: bool, seed: int) -> dict:
     scores = _random_scores(seed, 100_000)
     rows = []
     for entries in (64, 256, 512):
-        cache = seed_heap_cache(scores.size, serialize_heap_seed(scores, max_entries=entries))
+        cache = seed_heap_cache(
+            scores.size, serialize_heap_seed(scores, max_entries=entries), aa_blocks=MAX_SCORE
+        )
         pops = 0
         while cache.pop_best() is not None:
             pops += 1

@@ -9,8 +9,8 @@ The cache hands the write allocator the emptiest AA of its RAID group
 (:meth:`pop_best`), absorbs the CP-boundary score transitions produced
 by :class:`~repro.core.score.ScoreKeeper` (:meth:`apply_changes`), and
 supports the TopAA mount path: seeding from a small set of high-quality
-AAs and re-populating the remainder in the background
-(:meth:`populate`, paper section 3.4).
+AAs (:meth:`populate`) and refilling every AA with exact scores in the
+background (:meth:`refill`, paper section 3.4).
 
 Implementation: a lazy binary heap with per-AA version numbers.  Stale
 entries (superseded score or already checked out) are discarded on pop;
@@ -245,16 +245,24 @@ class RAIDAwareAACache:
             "memory_bytes": self.memory_bytes,
         }
 
-    def populate(self, aa: int, score: int) -> None:
-        """Supply the score of a previously unknown AA (TopAA seed or
-        background rebuild)."""
-        if not 0 <= aa < self.num_aas:
-            raise CacheError(f"AA {aa} out of range")
-        if self._score[aa] != _UNKNOWN:
-            raise CacheError(f"AA {aa} already populated; use apply_changes")
-        self._score[aa] = int(score)
-        self._known += 1
-        self._push(aa)
+    def populate(self, pairs: np.ndarray | list[tuple[int, int]]) -> None:
+        """Supply the scores of previously unknown AAs (a TopAA seed) as
+        ``(aa, score)`` pairs or ``(n, 2)`` rows, one batch refused
+        whole if invalid."""
+        aas, scores = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        if min(aas.min(initial=0), scores.min(initial=0)) < 0 or aas.max(initial=0) >= self.num_aas:
+            raise CacheError(f"an AA outside [0, {self.num_aas}) or a negative score")
+        known = self._score[aas] != _UNKNOWN
+        if known.any():
+            raise CacheError(f"AA {aas[known.argmax()]} already populated; use apply_changes")
+        if len(set(aas.tolist())) < aas.size:
+            raise CacheError("an AA is populated twice in one batch")
+        self._score[aas] = scores
+        self._known += aas.size
+        self._version[aas] += 1
+        self._heap.extend(zip((-scores).tolist(), aas.tolist(), self._version[aas].tolist()))
+        heapq.heapify(self._heap)
+        self.pushes += aas.size
 
     # ------------------------------------------------------------------
     # Internals

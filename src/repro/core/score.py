@@ -64,7 +64,7 @@ class ScoreKeeper:
         walk of ``bitmap``; the keeper takes its own ``int64`` copy.
     """
 
-    __slots__ = ("topology", "_scores", "_pending", "flushes", "deltas_applied")
+    __slots__ = ("topology", "_scores", "_pending", "_unread", "flushes", "deltas_applied")
 
     def __init__(
         self,
@@ -86,25 +86,64 @@ class ScoreKeeper:
         # accumulation (bincount add) and flush (flatnonzero) vectorize;
         # the number of AAs is small relative to the VBN space.
         self._pending = np.zeros(topology.num_aas, dtype=np.int64)
+        # (mask of the AAs not read yet, the bitmap to read them from);
+        # None once every score is known.
+        self._unread: tuple[np.ndarray, Bitmap] | None = None
         #: Number of CP flushes performed (metric).
         self.flushes = 0
         #: Total per-AA delta records applied across all flushes (metric).
         self.deltas_applied = 0
 
+    @classmethod
+    def unread(cls, topology: AATopology, bitmap: Bitmap) -> ScoreKeeper:
+        """A keeper that has not read ``bitmap`` yet (the TopAA mount).
+        An unknown AA's applied score is its bitmap free count less its
+        pending delta, since allocations and frees move both together:
+        each score learned later is the one an eager keeper holds."""
+        keeper = cls(topology)
+        keeper._unread = (np.ones(topology.num_aas, dtype=bool), bitmap)
+        return keeper
+
+    def _learn(self, aas: np.ndarray | list[int]) -> None:
+        """Read the unknown AAs among ``aas`` from the bitmap: one
+        ``aa_score`` each for a few, one walk for a quarter or more."""
+        if self._unread is None:
+            return
+        unknown, bitmap = self._unread
+        aas = np.asarray(aas, dtype=np.int64)
+        aas = aas[unknown[aas]]
+        if 4 * aas.size >= unknown.size:
+            self._complete()
+        elif aas.size:
+            for aa in aas.tolist():
+                self._scores[aa] = self.topology.aa_score(bitmap, aa) - self._pending[aa]
+            unknown[aas] = False
+
+    def _complete(self) -> None:
+        """Learn every unknown AA with one walk of the bitmap."""
+        if self._unread is not None:
+            unknown, bitmap = self._unread
+            learned = self.topology.scores_from_bitmap(bitmap) - self._pending
+            self._scores[unknown] = learned[unknown]
+            self._unread = None
+
     # ------------------------------------------------------------------
     @property
     def scores(self) -> np.ndarray:
         """Read-only view of the applied (post-flush) scores."""
+        self._complete()
         v = self._scores.view()
         v.flags.writeable = False
         return v
 
     def score(self, aa: int) -> int:
         """Applied score of one AA (pending deltas not included)."""
+        self._learn([aa])
         return int(self._scores[aa])
 
     def effective_score(self, aa: int) -> int:
         """Score including pending (unflushed) deltas."""
+        self._learn([aa])
         return int(self._scores[aa] + self._pending[aa])
 
     @property
@@ -162,6 +201,7 @@ class ScoreKeeper:
         changed = self._pending.nonzero()[0]
         if changed.size == 0:
             return np.empty((0, 3), dtype=np.int64)
+        self._learn(changed)
         rows = np.array((changed, self._scores[changed], self._pending[changed]))
         rows[2] += rows[1]
         news = rows[2].tolist()
@@ -182,11 +222,12 @@ class ScoreKeeper:
         rebuild path).  Pending deltas are discarded."""
         self._scores = self.topology.scores_from_bitmap(bitmap)
         self._pending[:] = 0
+        self._unread = None
 
     def verify_against(self, bitmap: Bitmap) -> None:
         """Assert applied scores match the bitmap exactly (test hook)."""
         truth = self.topology.scores_from_bitmap(bitmap)
-        if not np.array_equal(truth, self._scores):
+        if not np.array_equal(truth, self.scores):
             bad = np.flatnonzero(truth != self._scores)
             raise CacheError(
                 f"score divergence in AAs {bad[:8].tolist()}: "

@@ -152,12 +152,16 @@ class AllocSpace:
 
         The score keeper is rebuilt as a side effect — from ``scores``
         when the caller has just walked the bitmap for them (one walk
-        per space), else from the bitmap; in WAFL that bookkeeping is
-        restored lazily per-AA and does not gate the first CP, so
-        mount-time measurements charge only the cache-build I/O (see
+        per space), else unread (:meth:`ScoreKeeper.unread`): as in
+        WAFL, each AA's score is restored from the bitmap when first
+        needed, so a TopAA mount walks no bitmap and mount-time
+        measurements charge only the cache-build I/O (see
         :mod:`repro.fs.mount`).
         """
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap, scores=scores)
+        if scores is None:
+            self.keeper = ScoreKeeper.unread(self.topology, self.metafile.bitmap)
+        else:
+            self.keeper = ScoreKeeper(self.topology, scores=scores)
         self._bind(self._cache_source(cache), cache, degraded=False)
 
     def rebuild_cache(self, scores: np.ndarray | None = None) -> None:
@@ -191,7 +195,7 @@ class AllocSpace:
         num_aas = self.topology.num_aas
         if self._striped:
             payload = unseal_page(blob, PAGE_KIND_HEAP_SEED, num_aas)
-            self.adopt_cache(seed_heap_cache(num_aas, payload))
+            self.adopt_cache(seed_heap_cache(num_aas, payload, aa_blocks=self.topology.aa_blocks))
             return 1
         payload = unseal_page(blob, PAGE_KIND_HBPS, num_aas)
         self.adopt_cache(load_hbps_cache(payload, num_aas))
@@ -200,30 +204,19 @@ class AllocSpace:
     @property
     def cache_seeded(self) -> bool:
         """True while the cache runs on a TopAA seed that the background
-        bitmap walk (:meth:`complete_cache`) has yet to complete."""
-        if self.cache is None:
-            return False
-        if self._striped:
-            return not self.cache.fully_populated
-        return self.cache.seeded
+        bitmap walk (:meth:`complete_cache`) has yet to complete — even
+        a heap seed that names every AA, whose scores may be stale."""
+        return self.cache is not None and self.cache.seeded
 
     def complete_cache(self) -> tuple[int, int]:
-        """Finish a seeded cache from the bitmap: populate the heap's
-        unknown AAs, or replenish HBPS with exact scores.  Returns
-        ``(heap AAs populated, HBPS caches refreshed)``."""
+        """Finish a seeded cache from the bitmap: refill the heap, or
+        replenish HBPS, with exact scores.  Returns ``(heap AAs
+        populated, HBPS caches refreshed)``."""
         cache = self.cache
+        unnamed = cache.num_aas - cache.known_count if self._striped else 0
         self.keeper.recompute(self.metafile.bitmap)
-        scores = self.keeper.scores
-        populated = 0
-        if self._striped:
-            out = cache.checked_out
-            for aa in range(self.topology.num_aas):
-                if cache.score_of(aa) < 0 and aa not in out:
-                    cache.populate(aa, int(scores[aa]))
-                    populated += 1
-        else:
-            cache.replenish(scores)
-        return populated, 0 if self._striped else 1
+        cache.refill(self.keeper.scores)
+        return (unnamed, 0) if self._striped else (0, 1)
 
     # ------------------------------------------------------------------
     # Fault injection (:mod:`repro.faults`)

@@ -26,7 +26,7 @@ import zlib
 import numpy as np
 
 from ..common.constants import BLOCK_SIZE, TOPAA_RAID_AWARE_ENTRIES
-from ..common.errors import SerializationError
+from ..common.errors import CacheError, SerializationError
 from .heap_cache import RAIDAwareAACache
 from .hbps_cache import RAIDAgnosticAACache
 
@@ -146,29 +146,39 @@ def serialize_heap_seed(
     return block.tobytes()
 
 
+def _heap_seed_rows(block: bytes) -> np.ndarray:
+    """:func:`serialize_heap_seed` output as ``(n, 2)`` int64
+    ``(aa, score)`` rows, best first."""
+    if len(block) != BLOCK_SIZE:
+        raise SerializationError(f"TopAA block must be {BLOCK_SIZE} bytes, got {len(block)}")
+    rows = np.frombuffer(block, dtype=np.uint32).reshape(-1, 2)
+    end = rows[:, 0] == _SENTINEL
+    return rows[: int(end.argmax()) if end.any() else len(rows)].astype(np.int64)
+
+
 def deserialize_heap_seed(block: bytes) -> list[tuple[int, int]]:
     """Decode :func:`serialize_heap_seed` output into ``(aa, score)``
     pairs, best first."""
-    if len(block) != BLOCK_SIZE:
-        raise SerializationError(f"TopAA block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    aas, scores = np.frombuffer(block, dtype=np.uint32).reshape(-1, 2).T
-    n = int((aas == _SENTINEL).argmax()) if _SENTINEL in aas else aas.size
-    return list(zip(aas[:n].tolist(), scores[:n].tolist()))
+    return list(map(tuple, _heap_seed_rows(block).tolist()))
 
 
-def seed_heap_cache(num_aas: int, block: bytes) -> RAIDAwareAACache:
+def seed_heap_cache(num_aas: int, block: bytes, *, aa_blocks: int) -> RAIDAwareAACache:
     """Build a seeded (partially populated) RAID-aware cache from a
-    TopAA block.  The caller is responsible for populating the
-    remaining AAs in the background (see :mod:`repro.fs.mount`).  AAs
-    past ``num_aas`` are skipped; one named twice raises
-    :class:`SerializationError` naming ``bad-structure``."""
-    pairs = [(aa, score) for aa, score in deserialize_heap_seed(block) if aa < num_aas]
-    if len({aa for aa, _ in pairs}) != len(pairs):
-        raise SerializationError("TopAA heap seed bad-structure: an AA is named twice")
+    TopAA block, in one batch.  The caller is responsible for refilling
+    it in the background (see :mod:`repro.fs.mount`).  AAs past
+    ``num_aas`` are skipped; an AA named twice, or a score above the
+    ``aa_blocks`` an AA holds, raises :class:`SerializationError`
+    naming ``bad-structure``."""
+    rows = _heap_seed_rows(block)
+    rows = rows[rows[:, 0] < num_aas]
+    if len(rows) and rows[:, 1].max() > aa_blocks:
+        raise SerializationError(f"TopAA heap seed bad-structure: a score above {aa_blocks}")
     cache = RAIDAwareAACache(num_aas)
     cache.seeded = True
-    for aa, score in pairs:
-        cache.populate(aa, score)
+    try:
+        cache.populate(rows)
+    except CacheError as exc:
+        raise SerializationError(f"TopAA heap seed bad-structure: {exc}") from exc
     return cache
 
 

@@ -28,11 +28,10 @@ bitmaps represent the persisted state:
   damage RAID cannot reconstruct escalates to a scoped
   :func:`repro.fs.iron.repair` of exactly that file system.  A page
   that fails verification can never install a cache.
-* :func:`background_rebuild` completes a seeded mount: it populates
-  the remaining heap-cache AAs and replenishes the HBPS caches with
-  exact scores, as WAFL's background scan does while "client
-  operations and CPs are sustained for dozens of seconds using the
-  seeded AAs".
+* :func:`background_rebuild` completes a seeded mount: it refills the
+  heap caches and replenishes the HBPS caches with exact scores, as
+  WAFL's background scan does while "client operations and CPs are
+  sustained for dozens of seconds using the seeded AAs".
 """
 
 from __future__ import annotations
@@ -87,14 +86,18 @@ class TopAAImage:
 
     def put(self, where: str, page: bytes) -> None:
         """File ``page`` under its space's label, replacing any page
-        already there (new groups must arrive in index order, as
-        ``physical_instances`` yields them)."""
+        already there.  New groups must arrive in index order, as
+        ``physical_instances`` yields them: any other index raises
+        :class:`SerializationError`."""
         kind, _, key = where.partition(":")
         if kind == "group":
-            if int(key) < len(self.group_blocks):
-                self.group_blocks[int(key)] = page
-            else:
-                self.group_blocks.append(page)
+            gi = int(key)
+            if not 0 <= gi <= len(self.group_blocks):
+                raise SerializationError(
+                    f"TopAA image: cannot file {where}; "
+                    f"the next group is group:{len(self.group_blocks)}"
+                )
+            self.group_blocks[gi:gi + 1] = [page]  # replace, or append the next group
         elif kind == "vol":
             self.vol_pages[key] = page
         else:
@@ -284,9 +287,10 @@ def background_rebuild(
     budget: RetryBudget | None = None,
     report: MountReport | None = None,
 ) -> dict[str, int]:
-    """Complete a TopAA-seeded mount: populate the heap caches' unknown
-    AAs and replenish HBPS caches with exact scores (the background
-    bitmap walk).  Returns counts of AAs populated / caches refreshed.
+    """Complete a TopAA-seeded mount: refill the heap caches and
+    replenish the HBPS caches with exact scores (the background bitmap
+    walk, one per seeded space).  Returns counts of heap AAs the seeds
+    did not name / HBPS caches refreshed.
 
     The walks go through each file system's fault-guarded
     ``read_metafile`` with bounded retries, so an injector's transient

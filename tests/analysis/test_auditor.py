@@ -85,7 +85,9 @@ class TestStructuralAudit:
         scores = g.topology.scores_from_bitmap(g.metafile.bitmap)
         stale = scores.copy()
         stale[:8] += 1  # deliberately stale seed
-        cache = seed_heap_cache(g.topology.num_aas, serialize_heap_seed(stale))
+        cache = seed_heap_cache(
+            g.topology.num_aas, serialize_heap_seed(stale), aa_blocks=g.topology.aa_blocks + 1
+        )
         assert cache.seeded
         g.adopt_cache(cache)
         report = audit_sim(sim)

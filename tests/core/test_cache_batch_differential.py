@@ -110,8 +110,7 @@ def caches(draw):
         if draw(st.booleans()):
             return RAIDAwareAACache(num_aas, scores), scores
         cache = RAIDAwareAACache(num_aas)  # TopAA-seeded: only some AAs known
-        for aa in draw(st.sets(st.integers(0, num_aas - 1))):
-            cache.populate(aa, int(scores[aa]))
+        cache.populate([(aa, int(scores[aa])) for aa in draw(st.sets(st.integers(0, num_aas - 1)))])
         return cache, scores
     max_score = draw(st.sampled_from(MAX_SCORES))
     scores = np.array(

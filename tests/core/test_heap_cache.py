@@ -126,32 +126,32 @@ class TestSeededMode:
 
     def test_populate_makes_available(self):
         c = RAIDAwareAACache(10)
-        c.populate(3, 50)
-        c.populate(7, 80)
+        c.populate([(3, 50), (7, 80)])
         assert c.pop_best() == 7
         assert c.pop_best() == 3
 
     def test_populate_twice_rejected(self):
         c = RAIDAwareAACache(10)
-        c.populate(3, 50)
-        with pytest.raises(CacheError):
-            c.populate(3, 60)
+        c.populate([(3, 50)])
+        with pytest.raises(CacheError, match="already populated"):
+            c.populate([(3, 60)])
+        with pytest.raises(CacheError, match="twice"):
+            c.populate([(4, 60), (4, 70)])
+        assert c.known_count == 1  # a refused batch installs nothing
 
     def test_changes_for_unknown_aas_skipped(self):
         """Score transitions for not-yet-populated AAs are deferred to
         the background rebuild (TopAA mount path)."""
         c = RAIDAwareAACache(10)
-        c.populate(0, 5)
+        c.populate([(0, 5)])
         c.apply_changes([(9, 100, 50)])  # unknown AA: ignored
         assert c.known_count == 1
         assert c.score_of(9) == -1
 
     def test_background_population_completes(self):
         c = RAIDAwareAACache(6)
-        for aa, s in [(0, 10), (1, 60)]:
-            c.populate(aa, s)
-        for aa in range(2, 6):
-            c.populate(aa, aa * 10)
+        c.populate([(0, 10), (1, 60)])
+        c.populate([(aa, aa * 10) for aa in range(2, 6)])
         assert c.fully_populated
         assert c.pop_best() == 1  # 60
         assert c.pop_best() == 5  # 50

@@ -47,7 +47,7 @@ class TestHeapSeed:
 
     def test_seed_heap_cache(self):
         scores = np.arange(1000)
-        cache = seed_heap_cache(1000, serialize_heap_seed(scores))
+        cache = seed_heap_cache(1000, serialize_heap_seed(scores), aa_blocks=1000)
         assert cache.known_count == 512
         assert not cache.fully_populated
         assert cache.pop_best() == 999
@@ -56,7 +56,7 @@ class TestHeapSeed:
         """A TopAA block from a larger group (e.g. before shrink) must
         not corrupt a smaller cache."""
         blk = serialize_heap_seed(np.arange(1000))
-        cache = seed_heap_cache(600, blk)
+        cache = seed_heap_cache(600, blk, aa_blocks=1000)
         assert cache.known_count <= 512
         best = cache.pop_best()
         assert best is not None and best < 600

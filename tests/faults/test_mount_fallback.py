@@ -121,6 +121,20 @@ class TestPageVerification:
         assert aged_sim.store.groups[0].cache.fully_populated
         assert audit_sim(aged_sim).ok
 
+    def test_heap_seed_score_above_capacity_falls_back(self, aged_sim):
+        """A CRC-valid seed scoring an AA above the blocks it holds must
+        not become the heap's best AA."""
+        img = export_topaa(aged_sim)
+        g = aged_sim.store.groups[0]
+        n = g.topology.num_aas
+        payload = bytearray(unseal_page(img.group_blocks[0], PAGE_KIND_HEAP_SEED, n))
+        struct.pack_into("<I", payload, 4, 10 * g.topology.aa_blocks)  # entry 0's score
+        img.group_blocks[0] = seal_page(bytes(payload), PAGE_KIND_HEAP_SEED, n)
+        rep = simulate_mount(aged_sim, img)
+        assert rep.fallbacks == {"group:0": "bad-structure"}
+        assert g.cache.best_score() <= g.topology.aa_blocks
+        assert audit_sim(aged_sim).ok
+
     def test_pristine_image_has_no_fallbacks(self, aged_sim):
         img = export_topaa(aged_sim)
         rep = simulate_mount(aged_sim, img)

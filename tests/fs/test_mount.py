@@ -39,6 +39,22 @@ class TestExport:
         assert all(len(b) == 4096 + TOPAA_HEADER_BYTES for b in img.group_blocks)
         assert all(len(p) == 8192 + TOPAA_HEADER_BYTES for p in img.vol_pages.values())
 
+    def test_group_page_past_the_next_index_is_refused(self):
+        """Filing group 1 on an empty image must not make it group 0's
+        page (same-size groups would pass the stale check)."""
+        from repro.common import SerializationError
+        from repro.fs import TopAAImage
+
+        img = TopAAImage()
+        for where in ("group:1", "group:-1"):
+            with pytest.raises(SerializationError, match="next group is group:0"):
+                img.put(where, b"one")
+        assert img.page_for("group:0") is None
+        img.put("group:0", b"old")
+        img.put("group:0", b"new")
+        img.put("group:1", b"one")
+        assert img.group_blocks == [b"new", b"one"]
+
 
 class TestMountPaths:
     def test_topaa_mount_reads_constant_blocks(self, aged_sim):
@@ -104,6 +120,24 @@ class TestBackgroundRebuild:
         wl = RandomOverwriteWorkload(aged_sim, ops_per_cp=1024, seed=6)
         aged_sim.run(wl, 5)
         aged_sim.verify_consistency()
+
+    def test_rebuild_refills_a_stale_seed_naming_every_aa(self, aged_sim):
+        """A mount from an older image (crash recovery mounts the next
+        CP's shadow TopAA) seeds stale scores for every AA of the small
+        group; the rebuild must replace them, not skip a full heap."""
+        from repro.analysis import audit_sim
+
+        img = export_topaa(aged_sim)
+        aged_sim.run(RandomOverwriteWorkload(aged_sim, ops_per_cp=2048, seed=4), 5)
+        simulate_mount(aged_sim, img)
+        g = aged_sim.store.groups[0]
+        assert g.cache.fully_populated and g.cache_seeded
+        assert not np.array_equal(g.cache.scores_view, g.keeper.scores)
+        background_rebuild(aged_sim)
+        assert not g.cache_seeded
+        assert np.array_equal(g.cache.scores_view, g.keeper.scores)
+        g.cache.check_invariants()
+        audit_sim(aged_sim).raise_if_failed()
 
     def test_rebuild_noop_after_full_mount(self, aged_sim):
         simulate_mount(aged_sim, None)
@@ -257,7 +291,8 @@ class TestObjectTierMount:
 
 class TestOneBitmapWalkPerSpace:
     """The one-pass-per-space rule (DESIGN, "How a mount works"): the
-    scores a walk computes feed both the new cache and the new keeper."""
+    scores a walk computes feed both the new cache and the new keeper,
+    and a TopAA mount walks no bitmap at all."""
 
     @pytest.fixture
     def walks(self, aged_sim, monkeypatch):
@@ -290,11 +325,11 @@ class TestOneBitmapWalkPerSpace:
 
     def test_topaa_mount_then_background_rebuild(self, aged_sim, walks):
         img = export_topaa(aged_sim)
-        assert max(walks(lambda: simulate_mount(aged_sim, img))) <= 1
-        # The small group's seed already names every AA; the FlexVols'
-        # HBPS seeds wait for the background walk.
+        assert walks(lambda: simulate_mount(aged_sim, img)) == [0, 0, 0]
+        # Every seed waits for the background walk, the small group's
+        # too although it names every AA.
         seeded = [int(fs.cache_seeded) for fs in aged_sim.spaces()]
-        assert sum(seeded) == 2
+        assert sum(seeded) == 3
         assert walks(lambda: background_rebuild(aged_sim)) == seeded
 
     def test_iron_repair(self, aged_sim, walks):
