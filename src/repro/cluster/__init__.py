@@ -39,11 +39,8 @@ from .scheduler import (
     FilterScheduler,
     FreeSpaceWeigher,
     HeadroomWeigher,
-    MediaTypeFilter,
-    TierFilter,
     Placement,
     QosHeadroomFilter,
-    RaidGeometryFilter,
     RandomPlacer,
     TailLatencyWeigher,
 )
@@ -62,14 +59,11 @@ __all__ = [
     "Fleet",
     "FreeSpaceWeigher",
     "HeadroomWeigher",
-    "MediaTypeFilter",
-    "TierFilter",
     "KillShard",
     "MigrateShard",
     "MigrationReport",
     "Placement",
     "QosHeadroomFilter",
-    "RaidGeometryFilter",
     "RandomPlacer",
     "ShardRuntime",
     "ShardSpec",

@@ -269,7 +269,6 @@ def run_cluster_bench(
     *,
     quick: bool = False,
     seed: int = 77,
-    workers: int | None = None,
     audit: bool = True,
 ) -> dict:
     """The ``cluster`` bench experiment payload.
@@ -299,14 +298,12 @@ def run_cluster_bench(
     scheduled_cluster = Cluster(
         specs,
         scheduler=FilterScheduler(headroom_fraction=headroom),
-        workers=workers,
         audit=audit,
     )
     scheduled = scheduled_cluster.schedule(requests)
     random_cluster = Cluster(
         specs,
         scheduler=RandomPlacer(seed=derive_seed(seed, "random")),
-        workers=workers,
         audit=audit,
     )
     # Same rounds, so the same ``placed_at`` epochs: both fleets' victims are

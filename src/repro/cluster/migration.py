@@ -16,9 +16,8 @@ a volume is therefore exact:
    the CP boundary applies the delayed frees, so the source's free
    count rises by exactly the mapped block count.
 
-Step 3's equality is *block conservation* and is always checked; with
-``audit=True`` the cross-layer invariant auditor and a WAFL Iron scan
-additionally vouch for both aggregates afterwards.
+Step 3's equality is *block conservation*; the cross-layer invariant
+auditor and a WAFL Iron scan then vouch for both aggregates.
 
 The fleet drills ride on it.  :class:`Fleet` is the drill subject — a
 dict of live shards stepping one epoch each — and three events move
@@ -90,12 +89,10 @@ def migrate_volume(
     source: ShardRuntime,
     target: ShardRuntime,
     name: str,
-    *,
-    audit: bool = True,
 ) -> MigrationReport:
     """Move tenant ``name`` from ``source`` to ``target`` at an epoch
-    boundary, verifying block conservation (and optionally auditing
-    both aggregates).
+    boundary, verifying block conservation and auditing both
+    aggregates.
 
     Refused with :class:`MigrationError` before anything moves: a
     target that is dead (no epoch would ever run the tenant again; a
@@ -138,13 +135,12 @@ def migrate_volume(
 
     checks = 0
     findings = 0
-    if audit:
-        for rt in (source, target):
-            report = audit_sim(rt.sim)
-            report.raise_if_failed()
-            checks += report.checks_run
-            findings += len(iron.scan(rt.sim).findings)
-        target.sim.vols[name].verify_consistency()
+    for rt in (source, target):
+        report = audit_sim(rt.sim)
+        report.raise_if_failed()
+        checks += report.checks_run
+        findings += len(iron.scan(rt.sim).findings)
+    target.sim.vols[name].verify_consistency()
     return MigrationReport(
         volume=name,
         source_shard=source.spec.shard_id,

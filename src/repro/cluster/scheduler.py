@@ -1,15 +1,13 @@
 """Cinder-style filter/weigher volume scheduler.
 
-Placement runs in two pluggable stages, the same architecture
-OpenStack Cinder uses for its volume scheduler:
+Placement runs in two fixed stages, the same architecture OpenStack
+Cinder uses for its volume scheduler:
 
-1. **Filters** prune: every candidate shard must pass every filter
-   (capacity with slack, media family, service-tier role, RAID
-   geometry, QoS headroom).
+1. **Filters** prune: every candidate shard must pass both filters
+   (capacity with slack, QoS headroom).
 2. **Weighers** rank: each weigher scores the survivors, the scores
    are min–max normalized to [0, 1] per weigher, and a weighted sum
-   (the multipliers of :func:`_default_weighers`) orders the
-   candidates.
+   (the multipliers of :func:`_weighers`) orders the candidates.
 
 The winner is the highest-weight survivor; ties break on the lower
 ``shard_id``, so a placement is a pure function of the request and the
@@ -21,8 +19,9 @@ shards that merely *fit* the volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from ..common.errors import PlacementError
 from ..common.rng import make_rng
@@ -30,12 +29,7 @@ from .stats import ShardStats
 from .volumes import VolumeRequest
 
 __all__ = [
-    "Filter",
-    "Weigher",
     "CapacityFilter",
-    "MediaTypeFilter",
-    "TierFilter",
-    "RaidGeometryFilter",
     "QosHeadroomFilter",
     "FreeSpaceWeigher",
     "AAPressureWeigher",
@@ -47,68 +41,24 @@ __all__ = [
 ]
 
 
-class Filter(Protocol):
-    """Prunes candidate shards; all filters must pass."""
-
-    name: str
-
-    def passes(self, request: VolumeRequest, stats: ShardStats) -> bool: ...
-
-
-class Weigher(Protocol):
-    """Scores surviving shards; higher raw score = better candidate."""
-
-    name: str
-
-    def weigh(self, request: VolumeRequest, stats: ShardStats) -> float: ...
-
-
 # ----------------------------------------------------------------------
 # Filters
 # ----------------------------------------------------------------------
 
 
+#: Fraction of a shard's projected free blocks one placement may fill;
+#: the rest is slack held back for COW churn and metadata.
+CAPACITY_SLACK = 0.9
+
+
 class CapacityFilter:
     """The volume's logical size must fit in the shard's projected free
-    space, with slack held back for COW churn and metadata (``slack``
-    is the fraction of the free blocks a placement may fill)."""
+    space, with :data:`CAPACITY_SLACK` held back."""
 
     name = "capacity"
 
-    def __init__(self, slack: float = 0.9) -> None:
-        self.slack = float(slack)
-
     def passes(self, request: VolumeRequest, stats: ShardStats) -> bool:
-        return request.logical_blocks <= stats.projected_free_blocks * self.slack
-
-
-class MediaTypeFilter:
-    """A requested media family must be present on the shard."""
-
-    name = "media"
-
-    def passes(self, request: VolumeRequest, stats: ShardStats) -> bool:
-        return request.media is None or request.media in stats.media
-
-
-class TierFilter:
-    """A requested service-tier role (:class:`repro.tiering.Tier`) must
-    be among the roles the shard's media can fill (what the shard
-    advertises via :func:`repro.tiering.media_role`)."""
-
-    name = "tier"
-
-    def passes(self, request: VolumeRequest, stats: ShardStats) -> bool:
-        return request.tier is None or request.tier in stats.tiers
-
-
-class RaidGeometryFilter:
-    """The shard's RAID groups must be at least ``min_ndata`` wide."""
-
-    name = "raid"
-
-    def passes(self, request: VolumeRequest, stats: ShardStats) -> bool:
-        return stats.ndata >= request.min_ndata
+        return request.logical_blocks <= stats.projected_free_blocks * CAPACITY_SLACK
 
 
 #: QoS headroom: total committed offered load admitted per shard, as a
@@ -196,17 +146,7 @@ class Placement:
     rejected: dict[str, tuple[int, ...]]
 
 
-def _default_filters(headroom_fraction: float) -> list:
-    return [
-        CapacityFilter(),
-        MediaTypeFilter(),
-        TierFilter(),
-        RaidGeometryFilter(),
-        QosHeadroomFilter(headroom_fraction),
-    ]
-
-
-def _default_weighers() -> list[tuple[object, float]]:
+def _weighers() -> list[tuple[object, float]]:
     """The weighers with their multipliers (Cinder-style weighted sum).
 
     Free space and AA pressure are kept below the headroom multiplier
@@ -227,31 +167,19 @@ def _default_weighers() -> list[tuple[object, float]]:
 class FilterScheduler:
     """Filter then weigh; deterministic tie-break on ``shard_id``.
 
-    ``headroom_fraction`` is the QoS admission bound of the default
-    filter set (:data:`HEADROOM_FRACTION` unless widened).
+    ``headroom_fraction`` is the QoS admission bound
+    (:data:`HEADROOM_FRACTION` unless widened).
     """
 
     name = "filter-weigher"
 
-    def __init__(
-        self,
-        filters: Sequence[Filter] | None = None,
-        weighers: Sequence[tuple[Weigher, float]] | None = None,
-        *,
-        headroom_fraction: float = HEADROOM_FRACTION,
-    ) -> None:
-        if headroom_fraction <= 0:
+    def __init__(self, *, headroom_fraction: float = HEADROOM_FRACTION) -> None:
+        if not (math.isfinite(headroom_fraction) and headroom_fraction > 0):
             raise ValueError(
-                f"headroom_fraction must be positive, got {headroom_fraction}"
+                f"headroom_fraction must be positive and finite, got {headroom_fraction}"
             )
-        self.filters = (
-            list(filters)
-            if filters is not None
-            else _default_filters(headroom_fraction)
-        )
-        self.weighers = (
-            list(weighers) if weighers is not None else _default_weighers()
-        )
+        self.filters = [CapacityFilter(), QosHeadroomFilter(headroom_fraction)]
+        self.weighers = _weighers()
 
     def place(
         self, request: VolumeRequest, stats: Sequence[ShardStats]

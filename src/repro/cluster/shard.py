@@ -43,7 +43,6 @@ from ..fs.flexvol import FlexVol
 from ..tiering import media_role
 from ..traffic.arrivals import OnOffArrivals, PoissonArrivals
 from ..traffic.engine import TenantSpec, TrafficEngine, TrafficResult
-from ..traffic.qos import QosLimits
 from ..traffic.scenarios import CalibratedService, calibrate_capacity
 from ..workloads.aging import (
     fill_volumes,
@@ -176,18 +175,12 @@ class ShardRuntime:
                 mix = ZipfOverwriteMix(req.logical_blocks, seed=mix_seed)
             else:
                 mix = UniformOverwriteMix(req.logical_blocks, seed=mix_seed)
-            qos = (
-                QosLimits(iops=req.qos_fraction * cap, iops_burst=32.0)
-                if req.qos_fraction is not None
-                else None
-            )
             specs.append(
                 TenantSpec(
                     name=name,
                     volume=name,
                     arrivals=arrivals,
                     mix=mix,
-                    qos=qos,
                     queue_depth=req.queue_depth,
                 )
             )

@@ -3,9 +3,9 @@
 A :class:`VolumeRequest` is what arrives at the cluster scheduler: a
 named FlexVol of a given size with a traffic *profile* (which arrival
 process and op mix the tenant will run), an offered-load fraction, and
-optional placement constraints (media family, minimum RAID width, QoS
-contract).  Requests are frozen dataclasses of primitives so they
-pickle across the shard process pool and serialize into result JSON.
+an optional bounded admission queue.  Requests are frozen dataclasses
+of primitives so they pickle across the shard process pool and
+serialize into result JSON.
 
 :func:`noisy_fleet_requests` builds, from one seed, the deterministic
 noisy-neighbor fleet the placement-quality experiment uses —
@@ -16,10 +16,10 @@ and bursty/moderate bystanders filling out the population.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from ..common.rng import make_rng
-from ..tiering import Tier
 
 __all__ = ["PROFILES", "VolumeRequest", "noisy_fleet_requests"]
 
@@ -38,16 +38,6 @@ class VolumeRequest:
     #: capacity (an aggressor offers >1: it saturates any shard).
     offered_fraction: float = 0.05
     profile: str = "uniform"
-    #: Required media family (``None`` = any).
-    media: str | None = None
-    #: Required service-tier role (a :class:`repro.tiering.Tier`
-    #: value string, e.g. ``Tier.FAST.value``; ``None`` = any role).
-    tier: str | None = None
-    #: Minimum data disks per RAID group on the hosting shard.
-    min_ndata: int = 0
-    #: IOPS cap as a fraction of the hosting shard's capacity
-    #: (``None`` = unthrottled).
-    qos_fraction: float | None = None
     #: Bounded admission queue depth (``None`` = unbounded).
     queue_depth: int | None = None
 
@@ -58,25 +48,21 @@ class VolumeRequest:
             )
         if self.logical_blocks <= 0:
             raise ValueError("logical_blocks must be positive")
-        if self.offered_fraction <= 0:
-            raise ValueError("offered_fraction must be positive")
-        if self.qos_fraction is not None and self.qos_fraction <= 0:
-            raise ValueError("qos_fraction must be positive")
+        if not (math.isfinite(self.offered_fraction) and self.offered_fraction > 0):
+            raise ValueError("offered_fraction must be positive and finite")
         if self.queue_depth is not None and self.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
-        if self.tier is not None and self.tier not in {t.value for t in Tier}:
-            raise ValueError(
-                f"unknown tier role {self.tier!r}; pick a "
-                f"repro.tiering.Tier value"
-            )
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def noisy_fleet_requests(
-    n: int, *, logical_blocks: int = 640, seed: int = 0
-) -> list[VolumeRequest]:
+#: Mean tenant volume size of the noisy fleet (blocks; each size is
+#: drawn within +/-25 % of it).
+FLEET_VOLUME_BLOCKS = 640
+
+
+def noisy_fleet_requests(n: int, *, seed: int = 0) -> list[VolumeRequest]:
     """The placement-quality fleet: one aggressor and one victim per
     eight tenants, one on/off burster per eight, moderates in between.
 
@@ -87,7 +73,7 @@ def noisy_fleet_requests(
     """
     rng = make_rng(seed)
     sizes = rng.integers(
-        int(logical_blocks * 0.75), int(logical_blocks * 1.25) + 1, size=n
+        int(FLEET_VOLUME_BLOCKS * 0.75), int(FLEET_VOLUME_BLOCKS * 1.25) + 1, size=n
     )
     loads = rng.uniform(0.02, 0.06, size=n)
     out: list[VolumeRequest] = []

@@ -14,6 +14,7 @@ the section 3.3.1 fragmentation cutoff — is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import AZCS_DATA_BLOCKS, RAID_AGNOSTIC_AA_BLOCKS
@@ -107,10 +108,10 @@ class TierSpec:
             )
         for name, media in DEVICE_OVERRIDES.items():
             value = getattr(self, name)
-            if value < 0 or (value and self.media != media):
+            if not math.isfinite(value) or value < 0 or (value and self.media != media):
                 raise ValueError(
-                    f"{name} overrides the {media} device model and must be >= 0, "
-                    f"got {value!r} on media={self.media!r}"
+                    f"{name} overrides the {media} device model and must be finite "
+                    f"and >= 0, got {value!r} on media={self.media!r}"
                 )
 
     @property

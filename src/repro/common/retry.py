@@ -9,17 +9,14 @@ retry, anywhere, draws from the same bounded pool.  Exhaustion raises
 the typed :class:`~repro.common.errors.RecoveryExhaustedError`.
 
 Backoff is *modeled* time (microseconds charged to the caller's
-report), never a real sleep, and any jitter comes from a caller-seeded
-:func:`numpy.random.Generator` — a recovery replays byte-identically
-for the same seed.
+report), never a real sleep, and linear — a recovery replays
+byte-identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import RecoveryExhaustedError, TransientIOError
 
@@ -53,16 +50,13 @@ def retry_with_backoff(
     *,
     budget: RetryBudget,
     base_backoff_us: float = 1000.0,
-    jitter: float = 0.0,
-    rng: np.random.Generator | None = None,
     where: str = "",
 ) -> tuple[Any, int, float]:
     """Call ``fn`` until it stops raising :class:`TransientIOError`.
 
     Each retry consumes one unit from ``budget`` (shared with every
     other phase holding the same object) and accrues linear backoff:
-    attempt ``k`` charges ``base_backoff_us * k``, scaled by up to
-    ``jitter`` drawn from ``rng`` when both are given.  Non-transient
+    attempt ``k`` charges ``base_backoff_us * k``.  Non-transient
     errors (:class:`~repro.common.errors.MediaError` included)
     propagate immediately.
 
@@ -83,7 +77,4 @@ def retry_with_backoff(
             except RecoveryExhaustedError as dry:
                 raise dry from exc
             retries += 1
-            step = base_backoff_us * retries
-            if jitter > 0.0 and rng is not None:
-                step *= 1.0 + jitter * float(rng.random())
-            backoff_us += step
+            backoff_us += base_backoff_us * retries

@@ -335,9 +335,9 @@ class AggregateAllocator:
         ``threshold_fraction * aa_blocks`` is skipped while any other
         group remains above it (paper section 3.3.1).  0 disables the
         cutoff.
-    stripes_per_round:
-        Stripes taken from each group per round-robin turn; defaults to
-        one tetris (64 stripes), the RAID write unit.
+
+    Each round-robin turn takes one tetris (:data:`TETRIS_STRIPES`
+    stripes, the RAID write unit) from each group.
     """
 
     def __init__(
@@ -345,13 +345,11 @@ class AggregateAllocator:
         spaces: list,
         *,
         threshold_fraction: float = 0.0,
-        stripes_per_round: int = TETRIS_STRIPES,
     ) -> None:
         if not spaces:
             raise ValueError("need at least one RAID group space")
         self.spaces = spaces
         self.threshold_fraction = float(threshold_fraction)
-        self.stripes_per_round = int(stripes_per_round)
         #: Per-CP local VBNs written per group (drained by the CP engine).
         self._cp_writes: list[list[np.ndarray]] = [[] for _ in spaces]
         #: Count of group-skips due to the fragmentation cutoff (metric).
@@ -406,9 +404,7 @@ class AggregateAllocator:
                 if dry[gi] or got >= n:
                     continue
                 base = len(out)
-                taken = galloc.take_stripe_chunks(
-                    out, self.stripes_per_round, n - got
-                )
+                taken = galloc.take_stripe_chunks(out, TETRIS_STRIPES, n - got)
                 if taken == 0:
                     dry[gi] = True
                     continue

@@ -35,8 +35,6 @@ class DelayedFreeLog:
     bits_per_block:
         VBNs per metafile block (defines the grouping granularity and
         the HBPS maximum score).
-    hbps_list_capacity:
-        List-page capacity for the prioritizing HBPS.
     """
 
     __slots__ = (
@@ -50,12 +48,7 @@ class DelayedFreeLog:
         "total_logged",
     )
 
-    def __init__(
-        self,
-        *,
-        bits_per_block: int = BITS_PER_BITMAP_BLOCK,
-        hbps_list_capacity: int = 1000,
-    ) -> None:
+    def __init__(self, *, bits_per_block: int = BITS_PER_BITMAP_BLOCK) -> None:
         self.bits_per_block = bits_per_block
         # Logged chunks, grouped by metafile block.  Grouping (a sort)
         # is deferred: `add` stages chunks ungrouped and only the
@@ -74,9 +67,7 @@ class DelayedFreeLog:
         # Keep the paper's ~32-bins-per-score-space shape regardless of
         # the metafile block size used (tests shrink it).
         bin_width = max(bits_per_block // 32, 1)
-        self._hbps = HBPS(
-            bits_per_block, bin_width=bin_width, list_capacity=hbps_list_capacity
-        )
+        self._hbps = HBPS(bits_per_block, bin_width=bin_width)
         #: Cumulative VBNs ever logged (metric).
         self.total_logged = 0
 

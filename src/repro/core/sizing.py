@@ -45,6 +45,13 @@ __all__ = [
     "aa_size_for_smr",
 ]
 
+#: Erase blocks per device in one SSD AA ("several", section 3.2.2).
+SSD_AA_ERASE_BLOCKS = 4
+
+#: Shingle zones per device in one SMR AA ("much larger than the
+#: zone", section 3.2.3).
+SMR_AA_ZONES = 2
+
 
 @dataclass(frozen=True)
 class AASize:
@@ -84,26 +91,23 @@ def fit_aa_size(total: int, target: int, align: int = 8) -> int:
     return best
 
 
-def aa_size_for_hdd(
-    geometry: RAIDGeometry, target_stripes: int = DEFAULT_RAID_AA_STRIPES
-) -> AASize:
+def aa_size_for_hdd(geometry: RAIDGeometry) -> AASize:
     """Default HDD sizing: 4k stripes per AA (paper section 3.2.1)."""
-    size = fit_aa_size(geometry.stripes, target_stripes)
+    size = fit_aa_size(geometry.stripes, DEFAULT_RAID_AA_STRIPES)
     return AASize(size, "hdd", f"{size} stripes per AA (default HDD sizing)")
 
 
 def aa_size_for_ssd(
     geometry: RAIDGeometry,
     erase_block_blocks: int = DEFAULT_ERASE_BLOCK_BLOCKS,
-    min_erase_blocks: int = 4,
 ) -> AASize:
-    """SSD sizing: at least ``min_erase_blocks`` erase blocks per device
-    per AA, aligned to the erase-block size (paper section 3.2.2:
+    """SSD sizing: at least :data:`SSD_AA_ERASE_BLOCKS` erase blocks per
+    device per AA, aligned to the erase-block size (paper section 3.2.2:
     "we therefore choose an AA size for SSD RAID groups that is several
     erase blocks")."""
     if erase_block_blocks <= 0 or erase_block_blocks % 8:
         raise GeometryError("erase_block_blocks must be a positive multiple of 8")
-    want = erase_block_blocks * max(min_erase_blocks, 1)
+    want = erase_block_blocks * SSD_AA_ERASE_BLOCKS
     size = fit_aa_size(geometry.stripes, want, align=erase_block_blocks)
     return AASize(
         size,
@@ -118,8 +122,6 @@ def aa_size_for_smr(
     zone_blocks: int = DEFAULT_SMR_ZONE_BLOCKS,
     *,
     azcs: bool = True,
-    min_zones: int = 2,
-    azcs_data_blocks: int = AZCS_DATA_BLOCKS,
 ) -> AASize:
     """SMR sizing: much larger than the shingle zone, optionally aligned
     to the AZCS region size (paper sections 3.2.3-3.2.4, Figure 4C).
@@ -136,8 +138,8 @@ def aa_size_for_smr(
         raise GeometryError("zone_blocks must be a positive multiple of 8")
     # Topologies require AA sizes that are multiples of 8; combine with
     # the AZCS data-payload alignment.
-    align = _lcm(azcs_data_blocks, 8) if azcs else 8
-    want = zone_blocks * max(min_zones, 1)
+    align = _lcm(AZCS_DATA_BLOCKS, 8) if azcs else 8
+    want = zone_blocks * SMR_AA_ZONES
     # Round the target up to the alignment so AZCS regions never
     # straddle an AA boundary (the Figure 4C requirement).
     want = -(-want // align) * align
@@ -145,7 +147,7 @@ def aa_size_for_smr(
     zones = size / zone_blocks
     note = f"{size} stripes per AA (~{zones:.1f} shingle zones)"
     if azcs:
-        note += f", aligned to {azcs_data_blocks}-data-block AZCS regions"
+        note += f", aligned to {AZCS_DATA_BLOCKS}-data-block AZCS regions"
     return AASize(size, "smr", note)
 
 

@@ -226,15 +226,16 @@ class AllocSpace:
         metafile read path."""
         self.injector = injector
 
-    def read_metafile(self, nblocks: int | None = None) -> int:
-        """Fault-aware bitmap-metafile read (cache rebuild walks, scrub).
+    def read_metafile(self) -> int:
+        """Fault-aware whole bitmap-metafile read (cache rebuild walks,
+        scrub).
 
         Armed transient faults raise :class:`TransientIOError` (callers
         retry with backoff); media damage the space cannot absorb
         raises :class:`MediaError` — the signal that escalates to Iron
         (see :meth:`_check_media`).  Returns the metafile blocks read.
         """
-        n = nblocks if nblocks is not None else self.metafile.metafile_block_count
+        n = self.metafile.metafile_block_count
         inj = self.injector
         if inj is not None and inj.consume(self.where, "transient-read"):
             raise TransientIOError(f"{self.where}: transient metafile read failure")

@@ -409,7 +409,6 @@ class PersistenceModel:
         self,
         sim: WaflSim | None = None,
         *,
-        max_retries: int = DEFAULT_MOUNT_RETRIES,
         budget: RetryBudget | None = None,
     ) -> RecoveryReport:
         """Recover ``sim`` (default: the model's sim) to the last
@@ -471,7 +470,7 @@ class PersistenceModel:
             report.restored.append(where)
         # Remount through the real path with one shared retry budget.
         if budget is None:
-            budget = RetryBudget(max_retries)
+            budget = RetryBudget(DEFAULT_MOUNT_RETRIES)
         topaa = (
             self.shadow_topaa if self.shadow_topaa is not None else self.committed.topaa
         )

@@ -49,6 +49,10 @@ __all__ = ["TopAAImage", "MountReport", "export_topaa", "simulate_mount", "backg
 #: from an HDD/SSD pool amortized over readahead).
 DEFAULT_METAFILE_READ_US = 250.0
 
+#: Base backoff of a mount-walk retry: attempt ``k`` waits ``k`` times
+#: this (four metafile-block reads).
+MOUNT_RETRY_BACKOFF_US = 4 * DEFAULT_METAFILE_READ_US
+
 #: Total transient-read retries budgeted for one recovery (shared by
 #: the mount walk and the background rebuild) before the typed
 #: :class:`~repro.common.errors.RecoveryExhaustedError` is raised.
@@ -182,7 +186,6 @@ def _walk_bitmap(
     report: MountReport,
     *,
     budget: RetryBudget,
-    backoff_us: float,
 ) -> bool:
     """Charge one fault-guarded bitmap-metafile walk of ``fs``.
 
@@ -197,7 +200,7 @@ def _walk_bitmap(
         blocks, retries, spent_us = retry_with_backoff(
             fs.read_metafile,
             budget=budget,
-            base_backoff_us=backoff_us,
+            base_backoff_us=MOUNT_RETRY_BACKOFF_US,
             where=fs.where,
         )
     except MediaError:
@@ -219,9 +222,6 @@ def simulate_mount(
     sim: WaflSim,
     image: TopAAImage | None,
     *,
-    metafile_read_us: float = DEFAULT_METAFILE_READ_US,
-    max_retries: int = DEFAULT_MOUNT_RETRIES,
-    retry_backoff_us: float | None = None,
     budget: RetryBudget | None = None,
 ) -> MountReport:
     """Rebuild all AA caches as a mount would and install them.
@@ -242,12 +242,11 @@ def simulate_mount(
     ``budget`` bounds transient-read retries for the *whole* recovery:
     pass the same :class:`~repro.common.retry.RetryBudget` here and to
     :func:`background_rebuild` and both phases draw from one pool (a
-    fresh ``RetryBudget(max_retries)`` is created when omitted).
+    fresh ``RetryBudget(DEFAULT_MOUNT_RETRIES)`` is created when
+    omitted).
     """
-    if retry_backoff_us is None:
-        retry_backoff_us = 4 * metafile_read_us
     if budget is None:
-        budget = RetryBudget(max_retries)
+        budget = RetryBudget(DEFAULT_MOUNT_RETRIES)
     report = MountReport(used_topaa=image is not None)
     report.retry_budget_limit = budget.limit
     # simlint: disable=F801 — perf_counter only fills
@@ -269,13 +268,13 @@ def simulate_mount(
                     report.fallbacks[fs.where] = _unseal_reason(exc)
                 else:
                     continue
-        if not _walk_bitmap(sim, fs, report, budget=budget, backoff_us=retry_backoff_us):
+        if not _walk_bitmap(sim, fs, report, budget=budget):
             fs.rebuild_cache()
     # simlint: disable=F801 — stops the build_wall_s reporting clock started
     # above
     report.build_wall_s = time.perf_counter() - t0
     report.modeled_read_us = (
-        report.blocks_read * metafile_read_us + report.retry_backoff_us
+        report.blocks_read * DEFAULT_METAFILE_READ_US + report.retry_backoff_us
     )
     return report
 
@@ -283,7 +282,6 @@ def simulate_mount(
 def background_rebuild(
     sim: WaflSim,
     *,
-    max_retries: int = DEFAULT_MOUNT_RETRIES,
     budget: RetryBudget | None = None,
     report: MountReport | None = None,
 ) -> dict[str, int]:
@@ -300,7 +298,7 @@ def background_rebuild(
     the rebuild's retries counted (``rebuild_retries``).
     """
     if budget is None:
-        budget = RetryBudget(max_retries)
+        budget = RetryBudget(DEFAULT_MOUNT_RETRIES)
 
     def _read(fs) -> None:
         _, retries, _ = retry_with_backoff(

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..common.constants import TETRIS_STRIPES
 from .geometry import RAIDGeometry
 from .tetris import count_tetrises
 
@@ -105,7 +104,6 @@ def analyze_raid_writes(
     geometry: RAIDGeometry,
     vbns: np.ndarray,
     *,
-    stripes_per_tetris: int = TETRIS_STRIPES,
     failed_disks: int = 0,
 ) -> StripeWriteStats:
     """Classify one CP's writes (group-relative ``vbns``) against
@@ -132,14 +130,13 @@ def analyze_raid_writes(
     if vbns.size == 0:
         return stats
     with obs.span("raid.analyze", blocks=int(vbns.size), degraded=failed_disks):
-        return _analyze(geometry, vbns, stats, stripes_per_tetris, failed_disks)
+        return _analyze(geometry, vbns, stats, failed_disks)
 
 
 def _analyze(
     geometry: RAIDGeometry,
     vbns: np.ndarray,
     stats: StripeWriteStats,
-    stripes_per_tetris: int,
     failed_disks: int,
 ) -> StripeWriteStats:
     # VBNs are disk-major (vbn = disk * blocks_per_disk + dbn), so one
@@ -190,7 +187,7 @@ def _analyze(
             reconstructive = geometry.ndata - k
             stats.parity_blocks_read = int(np.minimum(subtractive, reconstructive).sum())
 
-    stats.tetrises = count_tetrises(touched, stripes_per_tetris)
+    stats.tetrises = count_tetrises(touched)
 
     # Per-disk blocks and chains.
     disk_bounds = np.searchsorted(sv, np.arange(geometry.ndata + 1) * bpd)

@@ -18,17 +18,17 @@ from ..common.constants import TETRIS_STRIPES
 __all__ = ["tetris_ids", "count_tetrises", "TETRIS_STRIPES"]
 
 
-def tetris_ids(stripes: np.ndarray, stripes_per_tetris: int = TETRIS_STRIPES) -> np.ndarray:
+def tetris_ids(stripes: np.ndarray) -> np.ndarray:
     """Distinct tetris indices touched by the given stripe indices."""
     stripes = np.asarray(stripes, dtype=np.int64)
     if stripes.size == 0:
         return np.empty(0, dtype=np.int64)
-    return sorted_unique(stripes // stripes_per_tetris)
+    return sorted_unique(stripes // TETRIS_STRIPES)
 
 
-def count_tetrises(stripes: np.ndarray, stripes_per_tetris: int = TETRIS_STRIPES) -> int:
+def count_tetrises(stripes: np.ndarray) -> int:
     """Number of distinct tetrises touched by the given stripe indices."""
-    n = int(tetris_ids(stripes, stripes_per_tetris).size)
+    n = int(tetris_ids(stripes).size)
     if n:
         obs.count("raid.tetrises", n)
     return n

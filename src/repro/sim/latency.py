@@ -26,6 +26,10 @@ import numpy as np
 
 from ..common.constants import CORES
 
+#: Utilization at which the below-saturation queueing term stops
+#: growing (keeps it finite at the knee).
+RHO_CAP = 0.98
+
 __all__ = [
     "LoadPoint",
     "bottleneck_capacity_ops",
@@ -64,7 +68,6 @@ def system_curve(
     *,
     nclients: int = 16,
     cores: int = CORES,
-    rho_cap: float = 0.98,
 ) -> list[LoadPoint]:
     """Latency-throughput sweep for a multi-core server.
 
@@ -79,7 +82,7 @@ def system_curve(
     concurrent clients offers ``offered_per_client`` ops/s.  The knee
     sits where total offered load reaches capacity; past it, achieved
     throughput pins at ``capacity / nclients`` while latency grows
-    linearly with the overload factor (``rho_cap`` keeps the
+    linearly with the overload factor (:data:`RHO_CAP` keeps the
     below-saturation queueing term finite at the knee).  ``cores=1``
     with a zero device cost is the plain single-server M/M/1 shape.
     """
@@ -91,12 +94,12 @@ def system_curve(
     for load in np.asarray(offered_per_client, dtype=np.float64):
         offered_total = load * nclients
         rho = offered_total / capacity
-        if rho < rho_cap:
+        if rho < RHO_CAP:
             latency_us = service_us / (1.0 - rho)
             achieved = load
         else:
             achieved = capacity / nclients
-            latency_us = service_us / (1.0 - rho_cap) * max(rho, 1.0)
+            latency_us = service_us / (1.0 - RHO_CAP) * max(rho, 1.0)
         points.append(LoadPoint(float(load), float(achieved), float(latency_us) / 1000.0))
     return points
 

@@ -5,8 +5,8 @@ Layers (each importable on its own):
 
 * :mod:`repro.traffic.arrivals` — Poisson and bursty on/off arrival
   processes on the simulated clock;
-* :mod:`repro.traffic.qos` — token buckets and per-tenant admission
-  limits (IOPS and dirty-block budgets);
+* :mod:`repro.traffic.qos` — the per-tenant IOPS token bucket and its
+  admission limits;
 * :mod:`repro.traffic.engine` — the discrete-event engine: admission,
   CP batching, SFQ backend service, per-tenant charge-back and
   percentile measurement;

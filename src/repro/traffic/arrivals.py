@@ -14,6 +14,7 @@ traffic run is bit-for-bit reproducible from its scenario seed.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -67,8 +68,8 @@ class PoissonArrivals(ArrivalProcess):
         self, rate_ops_s: float, *, seed: int | np.random.Generator | None = None
     ) -> None:
         super().__init__(seed)
-        if rate_ops_s <= 0:
-            raise ValueError("rate_ops_s must be positive")
+        if not (math.isfinite(rate_ops_s) and rate_ops_s > 0):
+            raise ValueError("rate_ops_s must be positive and finite")
         self.rate_ops_s = float(rate_ops_s)
         self._mean_gap_us = 1e6 / self.rate_ops_s
         # Pre-drawn arrival times not yet handed out.  Batch draws pull
@@ -126,10 +127,10 @@ class OnOffArrivals(ArrivalProcess):
     """Bursty on/off modulated Poisson arrivals.
 
     The tenant alternates exponentially distributed ON periods (Poisson
-    arrivals at ``on_rate_ops_s``) with OFF periods (``off_rate_ops_s``,
-    0 by default: silent).  The long-run mean rate is the duty-cycle
-    weighted average; the *burst* rate is what a shared backend has to
-    absorb, which is why on/off tenants make good noisy neighbors.
+    arrivals at ``on_rate_ops_s``) with silent OFF periods.  The
+    long-run mean rate is the duty-cycle weighted average; the *burst*
+    rate is what a shared backend has to absorb, which is why on/off
+    tenants make good noisy neighbors.
     """
 
     #: Standard exponentials drawn per buffer refill.
@@ -141,18 +142,17 @@ class OnOffArrivals(ArrivalProcess):
         *,
         mean_on_us: float = 2_000_000.0,
         mean_off_us: float = 2_000_000.0,
-        off_rate_ops_s: float = 0.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         super().__init__(seed)
-        if on_rate_ops_s <= 0:
-            raise ValueError("on_rate_ops_s must be positive")
-        if off_rate_ops_s < 0:
-            raise ValueError("off_rate_ops_s must be non-negative")
-        if mean_on_us <= 0 or mean_off_us <= 0:
-            raise ValueError("phase durations must be positive")
+        for name, value in (
+            ("on_rate_ops_s", on_rate_ops_s),
+            ("mean_on_us", mean_on_us),
+            ("mean_off_us", mean_off_us),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         self.on_rate_ops_s = float(on_rate_ops_s)
-        self.off_rate_ops_s = float(off_rate_ops_s)
         self.mean_on_us = float(mean_on_us)
         self.mean_off_us = float(mean_off_us)
         # Every draw, phase length or gap, is the next value of one block-drawn
@@ -177,24 +177,23 @@ class OnOffArrivals(ArrivalProcess):
         self._pos += 1
         return scale_us * e
 
-    def _advance_phase(self, t_us: float) -> tuple[float, float]:
-        """Flip phases until ``t_us`` is inside one that has arrivals:
-        ``(t_us moved past any silent phases, that phase's rate)``."""
+    def _advance_phase(self, t_us: float) -> float:
+        """Flip phases until ``t_us`` is inside an ON phase: ``t_us``
+        moved past any silent OFF phases."""
         while True:
             while t_us >= self._phase_end_us:
                 self._on = not self._on
                 mean = self.mean_on_us if self._on else self.mean_off_us
                 self._phase_end_us += self._draw(mean)
-            rate = self.on_rate_ops_s if self._on else self.off_rate_ops_s
-            if rate > 0.0:
-                return t_us, rate
+            if self._on:
+                return t_us
             t_us = self._phase_end_us
 
     def next_after(self, t_us: float) -> float:
         t = t_us
         while True:
-            t, rate = self._advance_phase(t)
-            candidate = t + self._draw(1e6 / rate)
+            t = self._advance_phase(t)
+            candidate = t + self._draw(1e6 / self.on_rate_ops_s)
             if candidate < self._phase_end_us:
                 return candidate
             # The gap straddles a phase boundary: restart the draw from
@@ -211,8 +210,8 @@ class OnOffArrivals(ArrivalProcess):
         chunks = [np.array([first_us])]
         t = first_us
         while True:
-            t, rate = self._advance_phase(t)
-            gap_us = 1e6 / rate
+            t = self._advance_phase(t)
+            gap_us = 1e6 / self.on_rate_ops_s
             span_us = max(min(self._phase_end_us, until_us) - t, 0.0)
             gaps = self._ahead(int(span_us / gap_us * 1.1) + 16) * gap_us
             times = np.add.accumulate(np.concatenate(([t], gaps)))[1:]
@@ -232,4 +231,4 @@ class OnOffArrivals(ArrivalProcess):
     @property
     def mean_rate_ops_s(self) -> float:
         on_share = self.mean_on_us / (self.mean_on_us + self.mean_off_us)
-        return self.on_rate_ops_s * on_share + self.off_rate_ops_s * (1.0 - on_share)
+        return self.on_rate_ops_s * on_share

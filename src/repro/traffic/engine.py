@@ -11,10 +11,10 @@ against the CP/allocator substrate:
    arrivals from its own :class:`~repro.traffic.arrivals.ArrivalProcess`
    on a shared simulated clock (microseconds).
 2. **Admission.** Arrivals pass the tenant's admission queue and
-   token-bucket QoS limits (:mod:`repro.traffic.qos`): an op's
-   *admission time* is when both its IOPS token and its dirty-block
-   budget are available; a bounded queue rejects arrivals that would
-   wait behind more than ``queue_depth`` earlier ops.
+   token-bucket QoS limit (:mod:`repro.traffic.qos`): an op's
+   *admission time* is when its IOPS token is available; a bounded
+   queue rejects arrivals that would wait behind more than
+   ``queue_depth`` earlier ops.
 3. **CP batching.** The scheduler accumulates admitted ops into one
    :class:`~repro.fs.cp.CPBatch` per fixed CP interval (WAFL's timer
    trigger), tags the batch with per-tenant op counts
@@ -156,8 +156,8 @@ class _TenantState:
 
     def __init__(self, spec: TenantSpec) -> None:
         self.spec = spec
-        self.buckets: list[tuple[TokenBucket, str]] = (
-            spec.qos.make_buckets() if spec.qos is not None else []
+        self.bucket: TokenBucket | None = (
+            spec.qos.make_bucket() if spec.qos is not None else None
         )
         self.next_arrival_us = spec.arrivals.next_after(0.0)
         self.admit_tail_us = 0.0
@@ -367,13 +367,13 @@ class TrafficEngine:
         if ts.size == 0:
             return
         st.arrival_chunks.append(ts)
-        if not st.buckets:
+        bucket = st.bucket
+        if bucket is None:
             admits = np.maximum(ts, st.admit_tail_us)
             st.admit_tail_us = float(admits[-1])
             st.admitted += int(ts.size)
             st.deferred_arrays.append((ts, admits))
             return
-        blocks_per_op = float(spec.mix.blocks_per_op)
         admits = np.empty(ts.size, dtype=np.float64)
         keep = np.ones(ts.size, dtype=bool)
         rejected: list[float] = []
@@ -391,14 +391,10 @@ class TrafficEngine:
                 keep[j] = False
                 continue
             admit = t if st.admit_tail_us <= t else st.admit_tail_us
-            for bucket, dim in st.buckets:
-                n = 1.0 if dim == "ops" else blocks_per_op
-                ready = bucket.ready_time_us(admit, n)
-                if ready > admit:
-                    admit = ready
-            for bucket, dim in st.buckets:
-                n = 1.0 if dim == "ops" else blocks_per_op
-                bucket.take(admit, n)
+            ready = bucket.ready_time_us(admit)
+            if ready > admit:
+                admit = ready
+            bucket.take(admit)
             st.admit_tail_us = admit
             st.pending_admits.append(admit)
             admits[k] = admit

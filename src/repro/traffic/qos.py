@@ -1,11 +1,10 @@
-"""Per-tenant QoS: token buckets and admission limits.
+"""Per-tenant QoS: an IOPS token bucket and admission limits.
 
-A tenant's operations pass through up to two token buckets before they
-can ride a consistency point: an IOPS bucket (one token per op) and a
-dirty-block bucket (``blocks_per_op`` tokens per op).  Buckets refill
-continuously at their configured rate up to a burst ceiling, so
-admission times are a pure function of arrival times — no sampling, no
-timers, fully deterministic.
+A QoS-limited tenant's operations pass through one IOPS token bucket
+(one token per op) before they can ride a consistency point.  The
+bucket refills continuously at its configured rate up to a burst
+ceiling, so admission times are a pure function of arrival times — no
+sampling, no timers, fully deterministic.
 
 A bounded admission queue turns throttling into *bounded* latency: an
 arrival that would leave more than ``queue_depth`` operations waiting
@@ -16,6 +15,7 @@ QoS trade — shed load to protect the latency of what you accept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["TokenBucket", "QosLimits"]
@@ -29,10 +29,9 @@ class TokenBucket:
     """
 
     def __init__(self, rate_per_s: float, burst: float) -> None:
-        if rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
-        if burst <= 0:
-            raise ValueError("burst must be positive")
+        for name, value in (("rate_per_s", rate_per_s), ("burst", burst)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst)
         self._tokens = float(burst)
@@ -42,29 +41,23 @@ class TokenBucket:
         elapsed_s = max(t_us - self._last_us, 0.0) / 1e6
         return min(self.burst, self._tokens + elapsed_s * self.rate_per_s)
 
-    def ready_time_us(self, t_us: float, n: float = 1.0) -> float:
-        """Earliest time >= ``t_us`` at which ``n`` tokens are available.
-
-        ``n`` may exceed the burst ceiling; the shortfall is served at
-        the refill rate (the op waits for tokens to accumulate past the
-        cap conceptually — modeled as a linear delay).
-        """
+    def ready_time_us(self, t_us: float) -> float:
+        """Earliest time >= ``t_us`` at which one token is available."""
         level = self._level_at(t_us)
-        if level >= n:
+        if level >= 1.0:
             return t_us
-        return t_us + (n - level) / self.rate_per_s * 1e6
+        return t_us + (1.0 - level) / self.rate_per_s * 1e6
 
-    def take(self, t_us: float, n: float = 1.0) -> None:
-        """Consume ``n`` tokens at ``t_us`` (caller must have waited
-        until :meth:`ready_time_us`; the level may go slightly negative
-        for bursts above the ceiling, which models the linear drain)."""
-        self._tokens = self._level_at(t_us) - n
+    def take(self, t_us: float) -> None:
+        """Consume one token at ``t_us`` (the caller must have waited
+        until :meth:`ready_time_us`)."""
+        self._tokens = self._level_at(t_us) - 1.0
         self._last_us = t_us
 
 
 @dataclass(frozen=True)
 class QosLimits:
-    """Per-tenant admission limits (``None`` disables a dimension).
+    """Per-tenant admission limits.
 
     Parameters
     ----------
@@ -72,33 +65,17 @@ class QosLimits:
         Sustained operations per second admitted.
     iops_burst:
         Bucket depth for the IOPS limit (ops admitted back-to-back).
-    dirty_blocks_per_s:
-        Sustained dirty-block budget (4 KiB blocks per second) — the
-        write-bandwidth analogue of the IOPS cap.
-    dirty_burst_blocks:
-        Bucket depth for the dirty-block budget.
     """
 
-    iops: float | None = None
+    iops: float
     iops_burst: float = 64.0
-    dirty_blocks_per_s: float | None = None
-    dirty_burst_blocks: float = 256.0
 
     def __post_init__(self) -> None:
-        for field in ("iops", "iops_burst", "dirty_blocks_per_s", "dirty_burst_blocks"):
+        for field in ("iops", "iops_burst"):
             value = getattr(self, field)
-            if value is not None and value <= 0:
-                raise ValueError(f"{field} must be positive")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field} must be positive and finite")
 
-    def make_buckets(self) -> list[tuple[TokenBucket, str]]:
-        """Instantiate the configured buckets, tagged by dimension
-        (``"ops"`` charges 1 token per op, ``"blocks"`` charges
-        ``blocks_per_op`` tokens per op)."""
-        buckets: list[tuple[TokenBucket, str]] = []
-        if self.iops is not None:
-            buckets.append((TokenBucket(self.iops, self.iops_burst), "ops"))
-        if self.dirty_blocks_per_s is not None:
-            buckets.append(
-                (TokenBucket(self.dirty_blocks_per_s, self.dirty_burst_blocks), "blocks")
-            )
-        return buckets
+    def make_bucket(self) -> TokenBucket:
+        """Instantiate this tenant's IOPS bucket."""
+        return TokenBucket(self.iops, self.iops_burst)

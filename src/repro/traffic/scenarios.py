@@ -62,6 +62,9 @@ SCENARIOS = ("uniform", "noisy-neighbor", "throttled")
 #: Tenants a scenario (and ``repro trace``) runs when not told otherwise.
 DEFAULT_TENANTS = 4
 
+#: Share of physical capacity the tenant volumes fill (section 4.1).
+FILL_FRACTION = 0.55
+
 
 @dataclass(frozen=True)
 class CalibratedService:
@@ -84,7 +87,6 @@ def build_traffic_sim(
     *,
     blocks_per_disk: int = 65_536,
     churn_factor: float = 1.0,
-    fill_fraction: float = 0.55,
     seed: int = 42,
 ) -> WaflSim:
     """An aged all-SSD aggregate with one FlexVol per tenant.
@@ -107,7 +109,7 @@ def build_traffic_sim(
         program_us_per_block=16.0,
     )
     phys = 2 * 4 * blocks_per_disk
-    logical = int(phys * fill_fraction)
+    logical = int(phys * FILL_FRACTION)
     share = logical // n_tenants
     vols = tuple(
         VolumeDecl(

@@ -30,6 +30,9 @@ __all__ = [
     "popcount_audit",
 ]
 
+#: Blocks each churn overwrite rewrites.
+CHURN_BLOCKS_PER_OP = 2
+
 
 def fill_volumes(sim: WaflSim, *, ops_per_cp: int = 16384, seed: int | None = 1) -> int:
     """Write every logical block of every volume once (sequentially).
@@ -58,21 +61,15 @@ def churn(
     overwrite_blocks: int,
     *,
     ops_per_cp: int = 8192,
-    blocks_per_op: int = 2,
-    working_set_fraction: float = 1.0,
     seed: int | None = 2,
 ) -> int:
     """Apply ``overwrite_blocks`` worth of random overwrites (the
     "heavy random write traffic" fragmentation phase).  Returns CPs run.
     """
     wl = RandomOverwriteWorkload(
-        sim,
-        ops_per_cp=ops_per_cp,
-        blocks_per_op=blocks_per_op,
-        working_set_fraction=working_set_fraction,
-        seed=seed,
+        sim, ops_per_cp=ops_per_cp, blocks_per_op=CHURN_BLOCKS_PER_OP, seed=seed
     )
-    blocks_per_cp = ops_per_cp * blocks_per_op
+    blocks_per_cp = ops_per_cp * CHURN_BLOCKS_PER_OP
     n_cps = max(1, int(np.ceil(overwrite_blocks / blocks_per_cp)))
     it = iter(wl)
     for _ in range(n_cps):

@@ -55,7 +55,7 @@ class TestHDD:
 class TestSSD:
     def test_multiple_of_erase_block(self):
         g = RAIDGeometry(6, 1, 65536)
-        size = aa_size_for_ssd(g, erase_block_blocks=512, min_erase_blocks=4)
+        size = aa_size_for_ssd(g, erase_block_blocks=512)
         assert size.size % 512 == 0
         assert size.size >= 4 * 512
 
@@ -81,7 +81,7 @@ class TestSMR:
         for the topology), per Figure 4C."""
         stripes = 63 * 8 * 128  # admits 504-aligned divisors
         g = RAIDGeometry(4, 1, stripes)
-        size = aa_size_for_smr(g, zone_blocks=4096, azcs=True, min_zones=2)
+        size = aa_size_for_smr(g, zone_blocks=4096, azcs=True)
         assert size.size % 63 == 0
         assert size.size % 8 == 0
         # Alignment rounding may shave a fraction of a zone.
@@ -89,7 +89,7 @@ class TestSMR:
 
     def test_without_azcs_no_63_alignment(self):
         g = RAIDGeometry(4, 1, 65536)
-        size = aa_size_for_smr(g, zone_blocks=4096, azcs=False, min_zones=2)
+        size = aa_size_for_smr(g, zone_blocks=4096, azcs=False)
         assert size.size >= 2 * 4096
         assert size.size % 8 == 0
 

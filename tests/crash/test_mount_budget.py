@@ -66,7 +66,7 @@ class TestSharedBudget:
         img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
         inj.arm("vol:volB", FaultKind.TRANSIENT_READ, count=10)
         with pytest.raises(RecoveryExhaustedError):
-            simulate_mount(sim, img, max_retries=2)
+            simulate_mount(sim, img, budget=RetryBudget(2))
 
 
 class TestRecoveryPath:
@@ -86,7 +86,7 @@ class TestRecoveryPath:
         model = PersistenceModel(sim, seed=1)
         inj.arm("vol:volA", FaultKind.TRANSIENT_READ, count=5)
         with pytest.raises(RecoveryExhaustedError):
-            model.recover(max_retries=1)
+            model.recover(budget=RetryBudget(1))
 
     def test_caller_supplied_budget_threads_through(self, faulty):
         sim, inj = faulty

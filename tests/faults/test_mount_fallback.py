@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from repro.analysis import audit_sim
-from repro.common import RecoveryExhaustedError, TransientIOError
+from repro.common import RecoveryExhaustedError, RetryBudget, TransientIOError
 from repro.core import PAGE_KIND_HBPS, PAGE_KIND_HEAP_SEED, seal_page, unseal_page
 from repro.core.topaa import serialize_hbps_cache
 from repro.faults import FaultInjector, FaultKind, attach_everywhere, corrupt_bytes
@@ -165,7 +165,7 @@ class TestFaultyMountReads:
         # The typed exhaustion error subclasses TransientIOError, so
         # callers keyed on the old class keep working.
         with pytest.raises(RecoveryExhaustedError) as exc_info:
-            simulate_mount(aged_sim, img, max_retries=2)
+            simulate_mount(aged_sim, img, budget=RetryBudget(2))
         assert isinstance(exc_info.value, TransientIOError)
         assert "budget exhausted" in str(exc_info.value)
 

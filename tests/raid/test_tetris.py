@@ -22,8 +22,5 @@ class TestTetris:
         assert count_tetrises(np.array([])) == 0
         assert tetris_ids(np.array([])).size == 0
 
-    def test_custom_size(self):
-        assert count_tetrises(np.array([0, 9, 10]), stripes_per_tetris=10) == 2
-
     def test_duplicates_collapse(self):
         assert count_tetrises(np.array([1, 2, 3, 1, 2])) == 1

@@ -3,8 +3,9 @@ dial (``AggregateSpec.threshold_fraction``, section 3.3.1) reaches the
 allocator that consumes it on every store shape, and each of the four
 remaining parameters — and ``TierSpec.azcs`` off SMR or on a disk of
 partial checksum regions, a negative or wrong-media device override,
-and a QoS contract that could never admit an op — rejects a value
-outside its domain by name."""
+a QoS contract that could never admit an op, and a NaN or infinite
+rate, duration, fraction or device cost — rejects a value outside its
+domain by name."""
 
 from __future__ import annotations
 
@@ -17,12 +18,17 @@ from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.fs import WaflSim
 from repro.fs.aggregate import RAIDStore
 from repro.obs import Tracer
-from repro.traffic import PoissonArrivals, QosLimits, TenantSpec
+from repro.traffic import OnOffArrivals, PoissonArrivals, QosLimits, TenantSpec, TokenBucket
 from repro.workloads import UniformOverwriteMix
 
 SSD_TIER = TierSpec(label="ssd", media="ssd", ndata=3,
                     blocks_per_disk=32768, stripes_per_aa=2048)
 SPEC = AggregateSpec(tiers=(SSD_TIER,), volumes=(VolumeDecl("volA", 16384),))
+NAN, INF = float("nan"), float("inf")
+
+
+def _nonfinite(field, build, name):
+    return pytest.param(field, build, id=f"{field}-{name}")
 
 
 class TestThresholdFromConfig:
@@ -100,8 +106,6 @@ class TestThresholdFromConfig:
         # it is written, not placed and then failed by the first epoch
         # (or, for a zero-depth queue, run as a tenant that rejects every
         # arrival and reports a perfect p99).
-        ("qos_fraction", lambda: VolumeRequest(name="vq", logical_blocks=640,
-                                               qos_fraction=0.0)),
         ("queue_depth", lambda: VolumeRequest(name="vq", logical_blocks=640,
                                               queue_depth=0)),
         ("queue_depth", lambda: TenantSpec(name="t", volume="v",
@@ -110,9 +114,25 @@ class TestThresholdFromConfig:
                                            queue_depth=0)),
         ("iops", lambda: QosLimits(iops=-5.0)),
         ("iops_burst", lambda: QosLimits(iops=100.0, iops_burst=0.0)),
-        ("dirty_blocks_per_s", lambda: QosLimits(dirty_blocks_per_s=0.0)),
-        ("dirty_burst_blocks", lambda: QosLimits(dirty_blocks_per_s=400.0,
-                                                 dirty_burst_blocks=-1.0)),
+        # NaN fails every ordered comparison, so ``value <= 0`` lets it
+        # through, and infinity passes it: each float is checked with
+        # math.isfinite where it is built, not at its first use.
+        _nonfinite("on_rate_ops_s", lambda: OnOffArrivals(NAN), "nan"),
+        _nonfinite("mean_off_us", lambda: OnOffArrivals(100, mean_off_us=INF), "inf"),
+        _nonfinite("mean_on_us", lambda: OnOffArrivals(100, mean_on_us=NAN), "nan"),
+        _nonfinite("rate_ops_s", lambda: PoissonArrivals(INF), "inf"),
+        _nonfinite("rate_ops_s", lambda: PoissonArrivals(NAN), "nan"),
+        _nonfinite("iops", lambda: QosLimits(iops=NAN), "nan"),
+        _nonfinite("iops_burst", lambda: QosLimits(iops=1000, iops_burst=NAN), "nan"),
+        _nonfinite("rate_per_s", lambda: TokenBucket(NAN, 64.0), "nan"),
+        _nonfinite("burst", lambda: TokenBucket(1000.0, INF), "inf"),
+        _nonfinite("program_us_per_block",
+                   lambda: TierSpec(label="t", media="ssd", program_us_per_block=NAN), "nan"),
+        _nonfinite("offered_fraction",
+                   lambda: VolumeRequest(name="vq", logical_blocks=640, offered_fraction=NAN),
+                   "nan"),
+        _nonfinite("headroom_fraction",
+                   lambda: FilterScheduler(headroom_fraction=NAN), "nan"),
     ],
 )
 def test_out_of_domain_value_is_rejected_by_name(field, build):

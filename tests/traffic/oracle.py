@@ -34,7 +34,7 @@ class OracleTenant:
 
     def __init__(self, spec: TenantSpec, first_arrival_us: float) -> None:
         self.spec = spec
-        self.buckets = spec.qos.make_buckets() if spec.qos is not None else []
+        self.bucket = spec.qos.make_bucket() if spec.qos is not None else None
         self.next_arrival_us = first_arrival_us
         self.admit_tail_us = 0.0
         #: Admission times not yet reached (the admission queue).
@@ -87,7 +87,6 @@ class OracleEngine(TrafficEngine):
 
     def _admit_until(self, st: OracleTenant, until_us: float) -> None:
         spec = st.spec
-        blocks_per_op = float(spec.mix.blocks_per_op)
         while st.next_arrival_us < until_us:
             t = st.next_arrival_us
             st.arrivals_us.append(t)
@@ -100,14 +99,9 @@ class OracleEngine(TrafficEngine):
                 st.rejected_us.append(t)
             else:
                 admit = t if st.admit_tail_us <= t else st.admit_tail_us
-                for bucket, dim in st.buckets:
-                    n = 1.0 if dim == "ops" else blocks_per_op
-                    ready = bucket.ready_time_us(admit, n)
-                    if ready > admit:
-                        admit = ready
-                for bucket, dim in st.buckets:
-                    n = 1.0 if dim == "ops" else blocks_per_op
-                    bucket.take(admit, n)
+                if st.bucket is not None:
+                    admit = max(admit, st.bucket.ready_time_us(admit))
+                    st.bucket.take(admit)
                 st.admit_tail_us = admit
                 st.pending_admits.append(admit)
                 st.deferred.append((t, admit))

@@ -62,15 +62,15 @@ class TestOnOff:
         )
         assert p.mean_rate_ops_s == pytest.approx(2_500.0)
 
-    def test_off_rate_contributes(self):
+    def test_off_phases_are_silent(self):
         p = OnOffArrivals(
-            10_000,
-            mean_on_us=100_000.0,
-            mean_off_us=100_000.0,
-            off_rate_ops_s=2_000,
-            seed=0,
+            10_000, mean_on_us=100_000.0, mean_off_us=100_000.0, seed=0
         )
-        assert p.mean_rate_ops_s == pytest.approx(6_000.0)
+        assert p.mean_rate_ops_s == pytest.approx(5_000.0)
+        t = 0.0
+        for _ in range(2_000):
+            t = p.next_after(t)
+            assert p._on and t < p._phase_end_us
 
     def test_empirical_rate_near_mean(self):
         p = OnOffArrivals(
@@ -106,8 +106,13 @@ class TestOnOff:
     def test_validation(self):
         with pytest.raises(ValueError):
             OnOffArrivals(0.0)
-        with pytest.raises(ValueError):
-            OnOffArrivals(100, off_rate_ops_s=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                OnOffArrivals(bad)
+            with pytest.raises(ValueError):
+                OnOffArrivals(100, mean_on_us=bad)
+            with pytest.raises(ValueError):
+                OnOffArrivals(100, mean_off_us=bad)
         with pytest.raises(ValueError):
             OnOffArrivals(100, mean_on_us=0.0)
         with pytest.raises(ValueError):
@@ -120,9 +125,9 @@ class ScalarOnOff:
     (``ArrivalProcess.window``).  The pinned stream: written to be
     obviously right, not fast."""
 
-    def __init__(self, on_rate_ops_s, *, mean_on_us, mean_off_us, off_rate_ops_s, seed):
+    def __init__(self, on_rate_ops_s, *, mean_on_us, mean_off_us, seed):
         self.rng = np.random.default_rng(seed)
-        self.rates = {True: float(on_rate_ops_s), False: float(off_rate_ops_s)}
+        self.rates = {True: float(on_rate_ops_s), False: 0.0}
         self.means = {True: float(mean_on_us), False: float(mean_off_us)}
         self.on = True
         self.phase_end = self.rng.exponential(self.means[True])
@@ -147,16 +152,16 @@ class ScalarOnOff:
         return np.asarray(out, dtype=np.float64), first
 
 
-def _shape(on_rate_ops_s, mean_on_us, mean_off_us, off_rate_ops_s, window_us):
+def _shape(on_rate_ops_s, mean_on_us, mean_off_us, window_us):
     return dict(locals())
 
 
-#: The fleet's victim shape; many flips per window with a live OFF
-#: phase; one ON phase holding several buffer blocks per window.
+#: The fleet's victim shape; many flips per window; one ON phase
+#: holding several buffer blocks per window.
 ONOFF_SHAPES = [
-    _shape(20_000, 100_000.0, 1_100_000.0, 0.0, 50_000.0),
-    _shape(50_000, 500.0, 700.0, 9_000.0, 40_000.0),
-    _shape(2_000_000, 2_000_000.0, 2_000_000.0, 10.0, 10_000.0),
+    _shape(20_000, 100_000.0, 1_100_000.0, 50_000.0),
+    _shape(50_000, 500.0, 700.0, 40_000.0),
+    _shape(2_000_000, 2_000_000.0, 2_000_000.0, 10_000.0),
 ]
 
 

@@ -69,17 +69,12 @@ def _engine(n_tenants: int, util: float, profile: str, engine_cls):
         qos = None
         queue_depth = None
         if profile == "throttled":
-            # Both buckets and the bounded queue, sized against the
-            # tenant's fair share: the blocks bucket binds when load is
-            # sustained, the shallower ops bucket in bursts, and the
-            # queue overflows once offered load passes both budgets.
+            # An IOPS bucket and the bounded queue, sized against the
+            # tenant's fair share: the bucket binds once load is
+            # sustained, and the queue overflows once offered load
+            # passes the budget.
             fair = capacity * share
-            qos = QosLimits(
-                iops=0.9 * fair,
-                iops_burst=16.0,
-                dirty_blocks_per_s=0.8 * fair * BLOCKS_PER_OP,
-                dirty_burst_blocks=24.0 * BLOCKS_PER_OP,
-            )
+            qos = QosLimits(iops=0.8 * fair, iops_burst=16.0)
             queue_depth = 24
         if profile == "victim":
             # The cluster's victim (ShardRuntime._tenant_specs on a
@@ -148,7 +143,7 @@ def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> int:
             assert _deferred_admits(ref) == held, (cp, st.spec.name)
             delayed += len(held)
             assert ref.backend_pending() == st.backend_pending(), (cp, st.spec.name)
-            if not st.buckets:
+            if st.bucket is None:
                 # Admitted at arrival, whatever the queue bound: the
                 # per-op admission loop never ran for this tenant.
                 assert not st.pending_admits, (cp, st.spec.name)
