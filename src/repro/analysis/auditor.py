@@ -229,14 +229,18 @@ def _audit_cache(where: str, fs: Any, report: AuditReport) -> None:
             )
 
 
-def _audit_flexvol_maps(where: str, fs: Any, report: AuditReport) -> None:
-    """FlexVol map/bitmap agreement: every allocated virtual VBN is
-    either actively mapped, snapshot-pinned, or pending a delayed free;
-    the three populations are disjoint and exhaustive."""
+def _audit_flexvol_maps(where: str, fs: Any, report: AuditReport, store_nblocks: int) -> None:
+    """FlexVol map/bitmap agreement: ``v2p`` maps into the store, and
+    every allocated virtual VBN is either actively mapped, snapshot-
+    pinned, or pending a delayed free; the three populations are
+    disjoint and exhaustive."""
     l2v = getattr(fs, "l2v", None)
     if l2v is None:
         return
     report.checks_run += 1
+    lo, hi = int(fs.v2p.min()), int(fs.v2p.max())
+    if lo < -1 or hi >= store_nblocks:
+        report.add(where, "flexvol-maps", f"v2p spans [{lo}, {hi}], outside [-1, {store_nblocks})")
     try:
         fs.verify_consistency()
     except ReproError as exc:
@@ -246,7 +250,8 @@ def _audit_flexvol_maps(where: str, fs: Any, report: AuditReport) -> None:
     referenced = np.zeros(fs.nblocks, dtype=bool)
     live = l2v[l2v >= 0]
     referenced[live] = True
-    referenced |= fs._snap_mask
+    if fs.pin_mask is not None:
+        referenced |= fs.pin_mask
     expected = int(referenced.sum()) + fs.delayed_frees.pending_count
     allocated = fs.metafile.bitmap.allocated_count
     if expected != allocated:
@@ -267,7 +272,7 @@ def audit_sim(sim: Any) -> AuditReport:
         _audit_keeper(where, fs, report)
         _audit_delayed_frees(where, fs, report)
         _audit_cache(where, fs, report)
-        _audit_flexvol_maps(where, fs, report)
+        _audit_flexvol_maps(where, fs, report, sim.store.nblocks)
     return report
 
 

@@ -108,9 +108,9 @@ def migrate_volume(
         raise MigrationError(f"shard {source.spec.shard_id} hosts no volume {name!r}")
     request = source.tenants[name]
     vol = source.sim.vols[name]
-    if vol.snapshot_names:
+    if vol.snapshots:
         raise MigrationError(
-            f"volume {name!r} holds snapshots {list(vol.snapshot_names)}; "
+            f"volume {name!r} holds snapshots {list(vol.snapshots)}; "
             "snapshot-pinned blocks cannot be migrated between shards"
         )
     drain = source.carryover.get(name, 0)

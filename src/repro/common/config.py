@@ -41,6 +41,9 @@ MEDIA_FAMILIES = ("hdd", "ssd", "smr", "object")
 #: sequential churn, archival cold data, or no hint.
 WORKLOAD_HINTS = ("mixed", "oltp", "sequential", "archive")
 
+#: Every VBN space stays below this, so a FlexVol's int32 maps hold any VBN.
+MAX_VBN_SPACE = 2**31
+
 #: Device-model override fields of a :class:`TierSpec` and the one media
 #: family whose device model reads each.
 DEVICE_OVERRIDES = {
@@ -155,6 +158,9 @@ class VolumeDecl:
                 f"unknown workload {self.workload!r}; "
                 f"pick one of {WORKLOAD_HINTS}"
             )
+        if self.resolved_virtual_blocks >= MAX_VBN_SPACE:
+            raise ValueError(f"virtual_blocks must resolve below 2^31, "
+                             f"got {self.resolved_virtual_blocks}")
 
     @property
     def resolved_blocks_per_aa(self) -> int:
@@ -206,6 +212,9 @@ class AggregateSpec:
         names = [v.name for v in self.volumes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate volume names in {names}")
+        if self.physical_blocks >= MAX_VBN_SPACE:
+            raise ValueError(f"physical_blocks summed over all tiers must be "
+                             f"below 2^31, got {self.physical_blocks}")
 
     @property
     def physical_blocks(self) -> int:

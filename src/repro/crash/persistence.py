@@ -119,7 +119,7 @@ def serialize_fs(fs) -> bytes:
     pending = fs.delayed_frees.pending_vbns()
     is_vol = getattr(fs, "l2v", None) is not None
     flags = _FLAG_HAS_MAPS if is_vol else 0
-    n_snaps = len(fs._snapshots) if is_vol else 0
+    n_snaps = len(fs.snapshots) if is_vol else 0
     parts = [
         _IMG_HEADER.pack(mf.nblocks, mf.free_count, pending.size, n_snaps, flags),
         mf.to_bytes(),
@@ -130,9 +130,9 @@ def serialize_fs(fs) -> bytes:
         parts.append(np.ascontiguousarray(fs.l2v, dtype="<i8").tobytes())
         parts.append(_U64.pack(fs.v2p.size))
         parts.append(np.ascontiguousarray(fs.v2p, dtype="<i8").tobytes())
-        for name in sorted(fs._snapshots):
+        for name in sorted(fs.snapshots):
             blob = name.encode("utf-8")
-            held = np.ascontiguousarray(fs._snapshots[name], dtype="<i8")
+            held = np.ascontiguousarray(fs.snapshots[name], dtype="<i8")
             parts.append(_U32.pack(len(blob)))
             parts.append(blob)
             parts.append(_U64.pack(held.size))
@@ -464,7 +464,12 @@ class PersistenceModel:
                     f"recovery: committed page for {where} failed "
                     f"verification: {exc}"
                 ) from exc
-            states[where] = deserialize_fs(payload)
+            st = states[where] = deserialize_fs(payload)
+            # A page knows only its own space; v2p must map into the store's.
+            if st.v2p is not None and st.v2p.max() >= target.store.nblocks:
+                raise SerializationError(
+                    f"recovery: committed v2p for {where} maps to physical VBN "
+                    f"{int(st.v2p.max())}, outside the store's [0, {target.store.nblocks})")
         for where, fs in by_where.items():
             _restore_fs(fs, states[where], where)
             report.restored.append(where)
@@ -499,9 +504,4 @@ def _restore_fs(fs, st: FSState, where: str) -> None:
                 f"recovery: committed l2v for {where} has {st.l2v.size} entries, "
                 f"instance has {fs.l2v.size}"
             )
-        fs.l2v[:] = st.l2v
-        fs.v2p[:] = st.v2p
-        fs._snapshots = {name: held.copy() for name, held in st.snapshots}
-        fs._snap_mask[:] = False
-        for held in fs._snapshots.values():
-            fs._snap_mask[held] = True
+        fs.restore_maps(st.l2v, st.v2p, st.snapshots)

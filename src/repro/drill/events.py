@@ -75,7 +75,7 @@ def _pinned(drill, earlier, volume: str) -> set[str]:
     """Snapshot names ``volume`` holds once ``earlier`` has fired."""
     if volume not in drill.sim.vols:
         raise FaultError(f"unknown volume {volume!r}; have {sorted(drill.sim.vols)}")
-    held = set(drill.sim.vols[volume].snapshot_names)
+    held = set(drill.sim.vols[volume].snapshots)
     for _, event in earlier:
         if isinstance(event, Snapshot) and event.volume == volume:
             held.add(event.name)

@@ -21,6 +21,9 @@ overwrites create worst-case fragmentation" (section 4.1).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from types import MappingProxyType
+
 import numpy as np
 
 from ..common.arrayops import sorted_unique
@@ -53,17 +56,17 @@ class FlexVol(AllocSpace):
             LinearAATopology(nblocks, decl.resolved_blocks_per_aa),
             where=f"vol:{decl.name}", policy=policy, seed=seed,
         )
-        #: logical block -> virtual VBN (-1 = never written).
-        self.l2v = np.full(decl.logical_blocks, -1, dtype=np.int64)
+        #: logical block -> virtual VBN (-1 = never written; int32, see MAX_VBN_SPACE).
+        self.l2v = np.full(decl.logical_blocks, -1, dtype=np.int32)
         #: virtual VBN -> physical VBN (-1 = unmapped).
-        self.v2p = np.full(nblocks, -1, dtype=np.int64)
+        self.v2p = np.full(nblocks, -1, dtype=np.int32)
         #: Snapshots: name -> virtual VBNs captured (COW pinning).
         self._snapshots: dict[str, np.ndarray] = {}
-        #: Union mask over the virtual space of snapshot-held VBNs;
-        #: overwrites and deletes of held blocks defer their frees to
-        #: snapshot deletion (the mass-free source the paper notes adds
-        #: to free-space nonuniformity, section 4.1.1).
-        self._snap_mask = np.zeros(nblocks, dtype=bool)
+        #: Union mask of snapshot-held virtual VBNs, None while no
+        #: snapshot is held; overwrites and deletes of held blocks defer
+        #: their frees to snapshot deletion (the mass-free source the
+        #: paper notes adds to free-space nonuniformity, section 4.1.1).
+        self._snap_mask: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -106,9 +109,8 @@ class FlexVol(AllocSpace):
         old_v = self.l2v[logical_ids]
         old_v = old_v[old_v >= 0]
         # Snapshot-held blocks are not freed on overwrite: the snapshot
-        # still references them (COW pinning).  The mask is the union of
-        # the held sets, so with no snapshot it is all False: skip it.
-        free_v = old_v[~self._snap_mask[old_v]] if self._snapshots else old_v
+        # still references them (COW pinning).
+        free_v = self._unpinned(old_v)
         old_p = self.v2p[free_v]
         return new_v, free_v, old_p
 
@@ -132,9 +134,37 @@ class FlexVol(AllocSpace):
     # Snapshots (extension; paper sections 1 and 4.1.1)
     # ------------------------------------------------------------------
     @property
-    def snapshot_names(self) -> tuple[str, ...]:
-        """Names of existing snapshots."""
-        return tuple(self._snapshots)
+    def snapshots(self) -> MappingProxyType[str, np.ndarray]:
+        """Read-only view: snapshot name -> virtual VBNs it holds."""
+        return MappingProxyType(self._snapshots)
+
+    @property
+    def pin_mask(self) -> np.ndarray | None:
+        """The snapshot union mask, or None while no snapshot is held."""
+        return self._snap_mask
+
+    def _unpinned(self, vbns: np.ndarray) -> np.ndarray:
+        """The given virtual VBNs that no snapshot holds."""
+        return vbns if self._snap_mask is None else vbns[~self._snap_mask[vbns]]
+
+    def _pin(self) -> None:
+        """Rebuild the union mask from the held snapshots (None if none)."""
+        self._snap_mask = None
+        if self._snapshots:
+            mask = np.zeros(self.nblocks, dtype=bool)
+            # Each `held` is an index *array*: this is one fancy-index
+            # scatter per snapshot, not an element-at-a-time loop.
+            for held in self._snapshots.values():  # simlint: disable=B502
+                mask[held] = True
+            self._snap_mask = mask
+
+    def restore_maps(self, l2v: np.ndarray, v2p: np.ndarray,
+                     snapshots: Iterable[tuple[str, np.ndarray]]) -> None:
+        """Install committed maps and pins (crash recovery; entries pre-checked)."""
+        self.l2v[:] = l2v
+        self.v2p[:] = v2p
+        self._snapshots = {name: held.astype(np.int32) for name, held in snapshots}
+        self._pin()
 
     def create_snapshot(self, name: str) -> int:
         """Capture the volume's current contents.
@@ -145,8 +175,9 @@ class FlexVol(AllocSpace):
         """
         if name in self._snapshots:
             raise AllocationError(f"snapshot {name!r} already exists on {self.name}")
-        held = self.l2v[self.l2v >= 0].copy()
-        self._snapshots[name] = held
+        self._snapshots[name] = held = self.l2v[self.l2v >= 0]
+        if self._snap_mask is None:
+            self._snap_mask = np.zeros(self.nblocks, dtype=bool)
         self._snap_mask[held] = True
         return int(held.size)
 
@@ -161,18 +192,13 @@ class FlexVol(AllocSpace):
         if name not in self._snapshots:
             raise AllocationError(f"no snapshot {name!r} on {self.name}")
         held = self._snapshots.pop(name)
-        # Rebuild the union mask from the remaining snapshots.
-        self._snap_mask[:] = False
-        # Each `other` is an index *array*: this is one fancy-index
-        # scatter per snapshot, not an element-at-a-time loop.
-        for other in self._snapshots.values():  # simlint: disable=B502
-            self._snap_mask[other] = True
+        self._pin()
         # A held block is freed iff the active file system no longer
         # maps it and no remaining snapshot pins it.
         active = np.zeros(self.nblocks, dtype=bool)
         live = self.l2v[self.l2v >= 0]
         active[live] = True
-        to_free = held[~active[held] & ~self._snap_mask[held]]
+        to_free = self._unpinned(held[~active[held]])
         if to_free.size == 0:
             return np.empty(0, dtype=np.int64)
         old_p = self.v2p[to_free].copy()
@@ -191,7 +217,7 @@ class FlexVol(AllocSpace):
         if old_v.size == 0:
             return np.empty(0, dtype=np.int64)
         self.l2v[mapped_ids] = -1
-        free_v = old_v[~self._snap_mask[old_v]] if self._snapshots else old_v
+        free_v = self._unpinned(old_v)
         if free_v.size == 0:
             return np.empty(0, dtype=np.int64)
         old_p = self.v2p[free_v].copy()

@@ -82,7 +82,7 @@ class IronReport:
 def _vol_reference_virtual(vol) -> np.ndarray:
     """Ground-truth allocated virtual VBNs of one volume."""
     refs = [vol.l2v[vol.l2v >= 0]]
-    for held in vol._snapshots.values():
+    for held in vol.snapshots.values():
         refs.append(held)
     pending = vol.delayed_frees.pending_vbns()
     if pending.size:

@@ -92,7 +92,7 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
     vol = sim.vols.get(vol_name)
     if vol is None:
         raise TieringError(f"unknown volume {vol_name!r}")
-    if vol._snapshots:
+    if vol.snapshots:
         raise TieringError(
             f"volume {vol_name} holds snapshots; snapshot-pinned blocks "
             "cannot be migrated without breaking COW sharing"

@@ -65,11 +65,23 @@ class TestStructuralAudit:
         assert not report.ok
 
     def test_snapshot_pin_corruption_is_caught(self, sim):
+        # The pin mask exists only while a snapshot is held: pin a free
+        # VBN in it then.
         vol = sim.vols["volA"]
+        vol.create_snapshot("s")
+        assert audit_sim(sim).ok
         free = vol.metafile.bitmap.free_in_range(0, vol.nblocks, limit=1)
-        vol._snap_mask[free[0]] = True
+        vol.pin_mask[free[0]] = True
         report = audit_sim(sim)
-        assert not report.ok
+        assert "flexvol-accounting" in violations_by_check(report)
+
+    def test_v2p_entry_past_the_store_is_caught(self, sim):
+        vol = sim.vols["volA"]
+        live_v = vol.l2v[vol.l2v >= 0][0]
+        vol.v2p[live_v] = sim.store.nblocks + 5
+        report = audit_sim(sim)
+        assert "flexvol-maps" in violations_by_check(report)
+        assert any(v.where == "vol:volA" for v in report.violations)
 
     def test_raise_if_failed(self, sim):
         g = sim.store.groups[0]

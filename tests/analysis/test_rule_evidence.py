@@ -41,8 +41,8 @@ MUTATIONS: dict[str, tuple[str, ...]] = {
              "n_cps=15 if quick else 40, seed=seed)",
              "# simlint: disable=F804 — fig6 measures"),
     # A clock D103 tolerates, in a function the CP engine reaches.
-    "F801": ("fs/flexvol.py", "self._snap_mask[:] = False\n",
-             "self._snap_mask[:] = time.perf_counter() < 0\n"),
+    "F801": ("fs/flexvol.py", "self._snap_mask = None\n",
+             "self._snap_mask = None if time.perf_counter() >= 0 else None\n"),
     "F804": ("workloads/aging.py", "ops_per_cp=ops_per_cp, seed=seed)",
              "ops_per_cp=ops_per_cp)"),
 }

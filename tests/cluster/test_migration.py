@@ -139,7 +139,7 @@ def test_snapshotted_volume_is_refused_before_anything_moves(pair):
         migrate_volume(source, target, "mover")
     assert before == [(int(rt.sim.store.free_count), dict(rt.tenants), set(rt.sim.vols))
                       for rt in pair]
-    assert source.sim.vols["mover"].snapshot_names == ("s1",)
+    assert tuple(source.sim.vols["mover"].snapshots) == ("s1",)
     for rt in pair:
         assert audit_sim(rt.sim).ok
         assert iron.scan(rt.sim).clean

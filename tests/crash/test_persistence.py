@@ -241,6 +241,24 @@ class TestCommitRecover:
         with pytest.raises(MountError, match="no committed page"):
             model.recover()
 
+    def test_committed_v2p_past_the_store_is_refused_before_any_restore(self, aged_sim):
+        # A CRC-valid page whose v2p maps a live virtual VBN past the
+        # store's end used to recover and audit clean; the next
+        # overwrite of that block then failed inside run_cp.
+        model = PersistenceModel(aged_sim, seed=3)
+        vol = aged_sim.vol("volA")
+        live_v = int(vol.l2v[vol.l2v >= 0][0])
+        good = int(vol.v2p[live_v])
+        vol.v2p[live_v] = aged_sim.store.nblocks + 5
+        model.committed.pages["vol:volA"] = seal_page(
+            serialize_fs(vol), PAGE_KIND_FS_IMAGE, vol.topology.num_aas)
+        vol.v2p[live_v] = good
+        churn(aged_sim, seed=20)
+        before = capture_image(aged_sim).pages
+        with pytest.raises(SerializationError, match="vol:volA"):
+            model.recover()
+        assert capture_image(aged_sim).pages == before
+
     def test_damaged_committed_page_raises_torn_write(self, aged_sim):
         model = PersistenceModel(aged_sim, seed=3)
         page = model.committed.pages["vol:volA"]

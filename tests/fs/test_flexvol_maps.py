@@ -1,0 +1,93 @@
+"""A FlexVol's maps are int32 and its pin mask exists only while a
+snapshot is held.  A Hypothesis schedule of writes, overwrites,
+deletes, snapshot creates/deletes and CPs drives such a volume beside a
+twin with int64 maps and a mask that lives as long as the volume: every
+step must return the same physical frees, leave the same delayed-free
+log and serialize to the same bytes."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.common.config import VolumeDecl
+from repro.crash import serialize_fs
+from repro.fs import FlexVol
+
+DECL = VolumeDecl("v", logical_blocks=96, virtual_blocks=4096, blocks_per_aa=512)
+#: Physical VBNs are handed out from just below 2^31, so a map narrower
+#: than 32 bits cannot hold them.
+PHYS_BASE = 2**31 - 2**16
+OPS = ("write", "overwrite", "delete", "snap", "unsnap", "cp")
+
+
+class EagerTwin(FlexVol):
+    """int64 maps and a pin mask that is never dropped."""
+
+    def __init__(self, decl: VolumeDecl) -> None:
+        super().__init__(decl, seed=0)
+        self.l2v, self.v2p = self.l2v.astype(np.int64), self.v2p.astype(np.int64)
+        self._pin()
+
+    def _pin(self) -> None:
+        self._snap_mask = np.zeros(self.nblocks, dtype=bool)
+        for held in self._snapshots.values():
+            self._snap_mask[held] = True
+
+
+def test_both_maps_are_int32():
+    vol = FlexVol(DECL, seed=0)
+    assert vol.l2v.dtype.itemsize == vol.v2p.dtype.itemsize == 4
+
+
+def test_pin_mask_lives_only_while_a_snapshot_does():
+    vol = FlexVol(DECL, seed=0)
+    ids = np.arange(8, dtype=np.int64)
+    new_v, old_v, _ = vol.stage_writes(ids)
+    vol.commit_writes(ids, new_v, PHYS_BASE + ids, old_v)
+    assert vol.pin_mask is None
+    vol.create_snapshot("a")
+    vol.create_snapshot("b")
+    vol.delete_snapshot("a")
+    assert vol.pin_mask is not None and int(vol.pin_mask.sum()) == 8
+    vol.delete_snapshot("b")
+    assert vol.pin_mask is None
+
+
+def _step(vol: FlexVol, op: str, ids: np.ndarray, pick: int, next_p: int) -> np.ndarray:
+    """Apply one operation; return the physical VBNs it frees."""
+    mapped = np.flatnonzero(vol.l2v >= 0)
+    if op in ("overwrite", "delete"):
+        ids = np.intersect1d(ids, mapped)
+    if op in ("write", "overwrite") and ids.size:
+        new_v, old_v, old_p = vol.stage_writes(ids)
+        vol.commit_writes(ids, new_v, np.arange(next_p, next_p + ids.size), old_v)
+        return old_p
+    if op == "delete":
+        return vol.stage_deletes(ids)
+    if op == "snap" and f"s{pick}" not in vol.snapshots:
+        vol.create_snapshot(f"s{pick}")
+    if op == "unsnap" and vol.snapshots:
+        names = tuple(vol.snapshots)
+        return vol.delete_snapshot(names[pick % len(names)])
+    if op == "cp":
+        vol.cp_boundary()
+    return np.empty(0, dtype=np.int64)
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**16)),
+                      min_size=1, max_size=30))
+def test_int32_maps_and_lazy_mask_match_the_eager_int64_twin(steps):
+    vol, twin = FlexVol(DECL, seed=0), EagerTwin(DECL)
+    next_p = PHYS_BASE
+    for op, seed in steps:
+        rng = np.random.default_rng(seed)
+        ids = np.unique(rng.integers(0, DECL.logical_blocks, size=rng.integers(1, 48)))
+        freed = _step(vol, op, ids, seed % 4, next_p)
+        assert np.array_equal(freed, _step(twin, op, ids, seed % 4, next_p)), op
+        next_p += DECL.logical_blocks
+        assert np.array_equal(vol.delayed_frees.pending_vbns(),
+                              twin.delayed_frees.pending_vbns()), op
+        assert serialize_fs(vol) == serialize_fs(twin), op
+    assert twin.v2p.dtype == np.int64 and twin.pin_mask is not None

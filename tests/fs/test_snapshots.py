@@ -21,7 +21,7 @@ class TestSnapshotLifecycle:
         write(sim, "volA", np.arange(100))
         pinned = sim.create_snapshot("volA", "hourly.0")
         assert pinned == 100
-        assert sim.vols["volA"].snapshot_names == ("hourly.0",)
+        assert tuple(sim.vols["volA"].snapshots) == ("hourly.0",)
 
     def test_duplicate_name_rejected(self):
         sim = small_ssd_sim()

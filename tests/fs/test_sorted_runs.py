@@ -459,7 +459,7 @@ def test_all_snapshots_deleted_stages_like_never_snapshotted():
         snapped.create_snapshot(name)
     snapped.delete_snapshot("a")
     snapped.delete_snapshot("b")
-    assert not snapped._snap_mask.any()
+    assert snapped.pin_mask is None
     ids = np.arange(0, 8192, 3, dtype=np.int64)
     gone = np.arange(1, 8192, 5, dtype=np.int64)
     staged = [(vol.stage_writes(ids), vol.stage_deletes(gone))

@@ -133,6 +133,20 @@ class TestThresholdFromConfig:
                    "nan"),
         _nonfinite("headroom_fraction",
                    lambda: FilterScheduler(headroom_fraction=NAN), "nan"),
+        # A FlexVol's maps are int32: no VBN space may reach 2^31 blocks,
+        # whether declared, resolved from logical_blocks, or summed over
+        # tiers that each fit on their own.
+        pytest.param("virtual_blocks",
+                     lambda: VolumeDecl("v", 16, virtual_blocks=2**31),
+                     id="virtual_blocks-declared"),
+        pytest.param("virtual_blocks", lambda: VolumeDecl("v", 2**31 // 3 * 2),
+                     id="virtual_blocks-resolved"),
+        pytest.param("physical_blocks",
+                     lambda: AggregateSpec(tiers=(
+                         TierSpec(label="a", media="object", raid="none", nblocks=2**30),
+                         TierSpec(label="b", media="hdd", ndata=2**14,
+                                  blocks_per_disk=2**16))),
+                     id="physical_blocks-summed"),
     ],
 )
 def test_out_of_domain_value_is_rejected_by_name(field, build):
