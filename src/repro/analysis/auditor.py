@@ -230,17 +230,19 @@ def _audit_cache(where: str, fs: Any, report: AuditReport) -> None:
 
 
 def _audit_flexvol_maps(where: str, fs: Any, report: AuditReport, store_nblocks: int) -> None:
-    """FlexVol map/bitmap agreement: ``v2p`` maps into the store, and
-    every allocated virtual VBN is either actively mapped, snapshot-
-    pinned, or pending a delayed free; the three populations are
-    disjoint and exhaustive."""
+    """FlexVol map/bitmap agreement: ``v2p`` maps into the store and
+    populates exactly the mapped or pinned virtual VBNs, and every
+    allocated one is mapped, pinned, or pending a delayed free; the
+    three populations are disjoint and exhaustive."""
     l2v = getattr(fs, "l2v", None)
     if l2v is None:
         return
     report.checks_run += 1
-    lo, hi = int(fs.v2p.min()), int(fs.v2p.max())
-    if lo < -1 or hi >= store_nblocks:
-        report.add(where, "flexvol-maps", f"v2p spans [{lo}, {hi}], outside [-1, {store_nblocks})")
+    populated = fs.mapped()
+    phys = fs.physical_of(populated)
+    if phys.size and (phys.min() < 0 or phys.max() >= store_nblocks):
+        report.add(where, "flexvol-maps", f"v2p spans [{phys.min()}, {phys.max()}], "
+                                          f"outside [0, {store_nblocks})")
     try:
         fs.verify_consistency()
     except ReproError as exc:
@@ -252,6 +254,9 @@ def _audit_flexvol_maps(where: str, fs: Any, report: AuditReport, store_nblocks:
     referenced[live] = True
     if fs.pin_mask is not None:
         referenced |= fs.pin_mask
+    if not np.array_equal(populated, referenced):
+        report.add(where, "flexvol-maps", f"v2p has {np.count_nonzero(populated > referenced)} "
+                   f"stale entries and {np.count_nonzero(referenced > populated)} referenced holes")
     expected = int(referenced.sum()) + fs.delayed_frees.pending_count
     allocated = fs.metafile.bitmap.allocated_count
     if expected != allocated:

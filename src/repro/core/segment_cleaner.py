@@ -82,10 +82,10 @@ def clean_best_aas(sim, group_index: int, n_aas: int) -> CleanReport:
     vol_virtuals: list[np.ndarray] = []
     vol_physicals: list[np.ndarray] = []
     for name, vol in sim.vols.items():
-        mapped_v = np.flatnonzero(vol.v2p >= 0)
+        mapped_v = np.flatnonzero(vol.mapped())
         vol_names.append(name)
         vol_virtuals.append(mapped_v)
-        vol_physicals.append(vol.v2p[mapped_v])
+        vol_physicals.append(vol.physical_of(mapped_v))
 
     cleaned: list[int] = []
     for _ in range(n_aas):
@@ -126,7 +126,7 @@ def clean_best_aas(sim, group_index: int, n_aas: int) -> CleanReport:
             if not np.any(hits):
                 continue
             vol = sim.vols[name]
-            vol.v2p[mapped_v[hits]] = sorted_dst[idx[hits]]
+            vol.remap(mapped_v[hits], sorted_dst[idx[hits]])
             phys[hits] = sorted_dst[idx[hits]]  # keep the pass's map fresh
             report.map_updates += int(hits.sum())
 

@@ -128,8 +128,10 @@ def serialize_fs(fs) -> bytes:
     if is_vol:
         parts.append(_U64.pack(fs.l2v.size))
         parts.append(np.ascontiguousarray(fs.l2v, dtype="<i8").tobytes())
-        parts.append(_U64.pack(fs.v2p.size))
-        parts.append(np.ascontiguousarray(fs.v2p, dtype="<i8").tobytes())
+        v2p, populated = np.full(fs.nblocks, -1, dtype="<i8"), fs.mapped()
+        v2p[populated] = fs.physical_of(populated)
+        parts.append(_U64.pack(v2p.size))
+        parts.append(v2p.tobytes())
         for name in sorted(fs.snapshots):
             blob = name.encode("utf-8")
             held = np.ascontiguousarray(fs.snapshots[name], dtype="<i8")
@@ -465,11 +467,8 @@ class PersistenceModel:
                     f"verification: {exc}"
                 ) from exc
             st = states[where] = deserialize_fs(payload)
-            # A page knows only its own space; v2p must map into the store's.
-            if st.v2p is not None and st.v2p.max() >= target.store.nblocks:
-                raise SerializationError(
-                    f"recovery: committed v2p for {where} maps to physical VBN "
-                    f"{int(st.v2p.max())}, outside the store's [0, {target.store.nblocks})")
+            if st.v2p is not None:
+                _check_committed_v2p(st, where, target.store.nblocks)
         for where, fs in by_where.items():
             _restore_fs(fs, states[where], where)
             report.restored.append(where)
@@ -484,6 +483,21 @@ class PersistenceModel:
             target, budget=budget, report=report.mount
         )
         return report
+
+
+def _check_committed_v2p(st: FSState, where: str, store_nblocks: int) -> None:
+    """A page knows only its own space: its ``v2p`` must map into the
+    store's and populate exactly what its ``l2v`` maps or a snapshot pins."""
+    if st.v2p.max() >= store_nblocks:
+        raise SerializationError(
+            f"recovery: committed v2p for {where} maps to physical VBN "
+            f"{int(st.v2p.max())}, outside the store's [0, {store_nblocks})")
+    referenced = np.zeros(st.v2p.size, dtype=bool)
+    referenced[np.concatenate([st.l2v[st.l2v >= 0], *(held for _, held in st.snapshots)])] = True
+    if not np.array_equal(populated := st.v2p >= 0, referenced):
+        raise SerializationError(
+            f"recovery: committed v2p for {where} has {np.count_nonzero(populated > referenced)} "
+            f"stale entries and {np.count_nonzero(referenced > populated)} referenced holes")
 
 
 def _restore_fs(fs, st: FSState, where: str) -> None:

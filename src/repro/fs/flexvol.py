@@ -12,7 +12,8 @@ The client-visible surface is a flat *logical block* space (modeling
 the LUNs/files the benchmarks write to).  The volume keeps two maps:
 
 * ``l2v`` — logical block -> virtual VBN (the file tree, collapsed);
-* ``v2p`` — virtual VBN -> physical VBN (the container file).
+* ``v2p`` — virtual VBN -> physical VBN (the container file), private
+  behind ``physical_of``/``mapped``/``remap`` and thin like WAFL's.
 
 A client overwrite allocates a fresh (virtual, physical) pair and
 frees the previous pair — the COW behaviour that makes "random
@@ -21,6 +22,7 @@ overwrites create worst-case fragmentation" (section 4.1).
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Iterable
 from types import MappingProxyType
 
@@ -35,6 +37,13 @@ from ..core.space import AllocSpace
 from .aggregate import StoreCPReport
 
 __all__ = ["FlexVol"]
+
+
+def _hole_map(n: int) -> np.ndarray:
+    """``n`` int32 zeros on private anonymous pages: a page costs memory
+    only once written (``np.zeros`` may memset reused heap memory)."""
+    pages = mmap.mmap(-1, 4 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype=np.int32)
 
 
 class FlexVol(AllocSpace):
@@ -58,8 +67,8 @@ class FlexVol(AllocSpace):
         )
         #: logical block -> virtual VBN (-1 = never written; int32, see MAX_VBN_SPACE).
         self.l2v = np.full(decl.logical_blocks, -1, dtype=np.int32)
-        #: virtual VBN -> physical VBN (-1 = unmapped).
-        self.v2p = np.full(nblocks, -1, dtype=np.int32)
+        #: virtual VBN -> physical VBN + 1 (0 = hole).
+        self._v2p = _hole_map(nblocks)
         #: Snapshots: name -> virtual VBNs captured (COW pinning).
         self._snapshots: dict[str, np.ndarray] = {}
         #: Union mask of snapshot-held virtual VBNs, None while no
@@ -85,7 +94,27 @@ class FlexVol(AllocSpace):
         unmapped logical blocks are skipped."""
         v = self.l2v[np.asarray(logical_ids, dtype=np.int64)]
         v = v[v >= 0]
-        return self.v2p[v]
+        return self.physical_of(v)
+
+    def physical_of(self, virtual) -> np.ndarray:
+        """Physical VBNs (-1 = hole) the container map gives ``virtual``:
+        VBNs or a mask, never a slice, as the decode runs in place."""
+        p = self._v2p[np.asarray(virtual)]
+        p -= 1
+        return p
+
+    def mapped(self) -> np.ndarray:
+        """Mask of the virtual VBNs the container map populates."""
+        return self._v2p != 0
+
+    def remap(self, virtual, physical: np.ndarray) -> None:
+        """Point ``virtual`` at ``physical``; holes are written only by freeing."""
+        if physical.size and physical.min() < 0:
+            raise AllocationError(f"FlexVol {self.name}: remap cannot write a hole")
+        self._v2p[virtual] = physical + 1
+
+    def _unmap(self, virtual: np.ndarray) -> None:
+        self._v2p[virtual] = 0
 
     # ------------------------------------------------------------------
     # CP write path (driven by the CP engine)
@@ -111,7 +140,7 @@ class FlexVol(AllocSpace):
         # Snapshot-held blocks are not freed on overwrite: the snapshot
         # still references them (COW pinning).
         free_v = self._unpinned(old_v)
-        old_p = self.v2p[free_v]
+        old_p = self.physical_of(free_v)
         return new_v, free_v, old_p
 
     def commit_writes(
@@ -125,9 +154,9 @@ class FlexVol(AllocSpace):
         frees (the engine logs the old physical VBNs with the store)."""
         logical_ids = np.asarray(logical_ids, dtype=np.int64)
         self.l2v[logical_ids] = new_virtual
-        self.v2p[new_virtual] = new_physical
+        self.remap(new_virtual, new_physical)
         if old_virtual.size:
-            self.v2p[old_virtual] = -1
+            self._unmap(old_virtual)
             self.delayed_frees.add(old_virtual)
 
     # ------------------------------------------------------------------
@@ -162,7 +191,9 @@ class FlexVol(AllocSpace):
                      snapshots: Iterable[tuple[str, np.ndarray]]) -> None:
         """Install committed maps and pins (crash recovery; entries pre-checked)."""
         self.l2v[:] = l2v
-        self.v2p[:] = v2p
+        self._v2p = _hole_map(self.nblocks)
+        populated = np.flatnonzero(v2p >= 0)
+        self.remap(populated, v2p[populated])
         self._snapshots = {name: held.astype(np.int32) for name, held in snapshots}
         self._pin()
 
@@ -201,8 +232,8 @@ class FlexVol(AllocSpace):
         to_free = self._unpinned(held[~active[held]])
         if to_free.size == 0:
             return np.empty(0, dtype=np.int64)
-        old_p = self.v2p[to_free].copy()
-        self.v2p[to_free] = -1
+        old_p = self.physical_of(to_free)
+        self._unmap(to_free)
         self.delayed_frees.add(to_free)
         return old_p
 
@@ -220,8 +251,8 @@ class FlexVol(AllocSpace):
         free_v = self._unpinned(old_v)
         if free_v.size == 0:
             return np.empty(0, dtype=np.int64)
-        old_p = self.v2p[free_v].copy()
-        self.v2p[free_v] = -1
+        old_p = self.physical_of(free_v)
+        self._unmap(free_v)
         self.delayed_frees.add(free_v)
         return old_p
 
@@ -255,7 +286,7 @@ class FlexVol(AllocSpace):
         # the rest.
         if mapped_v.size and not bool(np.all(self.metafile.bitmap.test(mapped_v))):
             raise AllocationError(f"FlexVol {self.name}: mapped virtual VBN not allocated")
-        if mapped_v.size and bool(np.any(self.v2p[mapped_v] < 0)):
+        if mapped_v.size and bool(np.any(self.physical_of(mapped_v) < 0)):
             raise AllocationError(f"FlexVol {self.name}: mapped virtual VBN lacks physical")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -97,7 +97,7 @@ def _store_reference_physical(sim: WaflSim) -> np.ndarray:
     pending physical delayed frees)."""
     refs = []
     for vol in sim.vols.values():
-        p = vol.v2p[vol.v2p >= 0]
+        p = vol.physical_of(vol.mapped())
         if p.size:
             refs.append(p)
     for _, fs, base in sim.store.physical_instances():

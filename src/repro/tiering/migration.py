@@ -63,7 +63,7 @@ def volume_tier_blocks(sim, vol_name: str) -> dict[str, int]:
     """Mapped physical blocks of ``vol_name`` per tier label."""
     store = _tiered_store(sim)
     vol = sim.vols[vol_name]
-    phys = np.sort(vol.v2p[vol.l2v[vol.l2v >= 0]])
+    phys = np.sort(vol.physical_of(vol.l2v[vol.l2v >= 0]))
     cuts = np.searchsorted(phys, store._bounds)
     return dict(zip(store.labels, np.diff(cuts).tolist()))
 

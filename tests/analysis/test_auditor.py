@@ -77,11 +77,38 @@ class TestStructuralAudit:
 
     def test_v2p_entry_past_the_store_is_caught(self, sim):
         vol = sim.vols["volA"]
-        live_v = vol.l2v[vol.l2v >= 0][0]
-        vol.v2p[live_v] = sim.store.nblocks + 5
+        live_v = vol.l2v[vol.l2v >= 0][:1]
+        vol.remap(live_v, np.array([sim.store.nblocks + 5]))
         report = audit_sim(sim)
         assert "flexvol-maps" in violations_by_check(report)
         assert any(v.where == "vol:volA" for v in report.violations)
+
+    def test_stale_v2p_entry_is_caught(self, sim):
+        # A populated entry for a virtual VBN nothing maps or pins names
+        # a live physical block: the bitmaps and iron agree with it, so
+        # only the map check can see it.
+        vol = sim.vols["volA"]
+        hole = np.flatnonzero(~vol.mapped())[:1]
+        vol.remap(hole, vol.lookup_physical(np.flatnonzero(vol.l2v >= 0)[:1]))
+        report = audit_sim(sim)
+        assert [v.message for v in report.violations if v.where == "vol:volA"] == [
+            "v2p has 1 stale entries and 0 referenced holes"]
+
+    def test_pinned_hole_in_v2p_is_caught(self, sim):
+        # verify_consistency checks only the active map's entries.
+        vol = sim.vols["volA"]
+        vol.create_snapshot("s")
+        sim.run(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=4), 1)
+        active = np.zeros(vol.nblocks, dtype=bool)
+        active[vol.l2v[vol.l2v >= 0]] = True
+        pinned_only = np.flatnonzero(vol.pin_mask & ~active)
+        assert pinned_only.size and audit_sim(sim).ok
+        v2p = vol.physical_of(np.arange(vol.nblocks))
+        v2p[pinned_only[0]] = -1
+        vol.restore_maps(vol.l2v.copy(), v2p, vol.snapshots.items())
+        report = audit_sim(sim)
+        assert [v.message for v in report.violations if v.where == "vol:volA"] == [
+            "v2p has 0 stale entries and 1 referenced holes"]
 
     def test_raise_if_failed(self, sim):
         g = sim.store.groups[0]

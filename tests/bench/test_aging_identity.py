@@ -67,4 +67,5 @@ class TestAgingLiteIdentity:
                 vp.metafile.bitmap.raw_bytes, vl.metafile.bitmap.raw_bytes
             )
             assert np.array_equal(vp.l2v, vl.l2v)
-            assert np.array_equal(vp.v2p, vl.v2p)
+            every = np.arange(vp.nblocks)
+            assert np.array_equal(vp.physical_of(every), vl.physical_of(every))

@@ -44,7 +44,7 @@ class TestSerializeRoundTrip:
             assert np.array_equal(st.pending, fs.delayed_frees.pending_vbns())
             if getattr(fs, "l2v", None) is not None:
                 assert np.array_equal(st.l2v, fs.l2v)
-                assert np.array_equal(st.v2p, fs.v2p)
+                assert np.array_equal(st.v2p, fs.physical_of(np.arange(fs.nblocks)))
                 assert [n for n, _ in st.snapshots] == sorted(fs._snapshots)
             else:
                 assert st.l2v is None and st.v2p is None
@@ -247,15 +247,33 @@ class TestCommitRecover:
         # overwrite of that block then failed inside run_cp.
         model = PersistenceModel(aged_sim, seed=3)
         vol = aged_sim.vol("volA")
-        live_v = int(vol.l2v[vol.l2v >= 0][0])
-        good = int(vol.v2p[live_v])
-        vol.v2p[live_v] = aged_sim.store.nblocks + 5
+        live_v = vol.l2v[vol.l2v >= 0][:1]
+        good = vol.physical_of(live_v)
+        vol.remap(live_v, np.array([aged_sim.store.nblocks + 5]))
         model.committed.pages["vol:volA"] = seal_page(
             serialize_fs(vol), PAGE_KIND_FS_IMAGE, vol.topology.num_aas)
-        vol.v2p[live_v] = good
+        vol.remap(live_v, good)
         churn(aged_sim, seed=20)
         before = capture_image(aged_sim).pages
         with pytest.raises(SerializationError, match="vol:volA"):
+            model.recover()
+        assert capture_image(aged_sim).pages == before
+
+    def test_committed_stale_v2p_entry_is_refused_before_any_restore(self, aged_sim):
+        # A CRC-valid page whose v2p populates a virtual VBN nothing
+        # maps or pins, naming a live physical block, used to recover,
+        # audit and scan clean.
+        model = PersistenceModel(aged_sim, seed=3)
+        vol = aged_sim.vol("volA")
+        good = vol.physical_of(np.arange(vol.nblocks))
+        hole = np.flatnonzero(good < 0)[:1]
+        vol.remap(hole, vol.lookup_physical(np.flatnonzero(vol.l2v >= 0)[:1]))
+        model.committed.pages["vol:volA"] = seal_page(
+            serialize_fs(vol), PAGE_KIND_FS_IMAGE, vol.topology.num_aas)
+        vol.restore_maps(vol.l2v.copy(), good, vol.snapshots.items())
+        churn(aged_sim, seed=21)
+        before = capture_image(aged_sim).pages
+        with pytest.raises(SerializationError, match="vol:volA has 1 stale entries"):
             model.recover()
         assert capture_image(aged_sim).pages == before
 

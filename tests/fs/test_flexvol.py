@@ -39,7 +39,7 @@ class TestWritePath:
         assert new_v.size == 3 and old_v.size == 0
         vol.commit_writes(ids, new_v, np.array([100, 101, 102]), old_v)
         assert vol.l2v[1] == new_v[0]
-        assert vol.v2p[new_v[0]] == 100
+        assert vol.physical_of(new_v[0]) == 100
         assert vol.used_blocks == 3
 
     def test_overwrite_frees_old_pair(self):
@@ -52,7 +52,13 @@ class TestWritePath:
         assert op2.tolist() == [7]
         vol.commit_writes(ids, nv2, np.array([9]), ov2)
         assert vol.delayed_frees.pending_count == 1
-        assert vol.v2p[nv[0]] == -1
+        assert vol.physical_of(nv[0]) == -1
+
+    def test_remap_refuses_a_hole(self):
+        vol = make_vol(virtual=2048)
+        with pytest.raises(AllocationError, match="hole"):
+            vol.remap(np.array([0, 1]), np.array([5, -1]))
+        assert not vol.mapped().any()
 
     def test_virtual_exhaustion_raises(self):
         vol = make_vol(logical=600, virtual=512)
@@ -109,8 +115,12 @@ class TestCPBoundary:
         ids = np.arange(5)
         nv, ov, _ = vol.stage_writes(ids)
         vol.commit_writes(ids, nv, np.arange(5), ov)
-        vol.v2p[nv[0]] = -1  # corrupt the container map
-        with pytest.raises(AllocationError):
+        vol.cp_boundary()
+        vol.verify_consistency()
+        v2p = vol.physical_of(np.arange(vol.nblocks))
+        v2p[nv[0]] = -1  # corrupt the container map
+        vol.restore_maps(vol.l2v.copy(), v2p, ())
+        with pytest.raises(AllocationError, match="lacks physical"):
             vol.verify_consistency()
 
     def test_random_policy_vol(self):

@@ -1,13 +1,18 @@
-"""A FlexVol's maps are int32 and its pin mask exists only while a
-snapshot is held.  A Hypothesis schedule of writes, overwrites,
-deletes, snapshot creates/deletes and CPs drives such a volume beside a
-twin with int64 maps and a mask that lives as long as the volume: every
-step must return the same physical frees, leave the same delayed-free
-log and serialize to the same bytes."""
+"""A FlexVol's maps are int32, its container map costs memory only
+where it maps, and its pin mask exists only while a snapshot is held.
+A Hypothesis schedule of writes, overwrites, deletes, snapshot
+creates/deletes and CPs drives such a volume beside a twin with int64
+maps (a dense container map with -1 holes) and a mask that lives as
+long as the volume: every step must return the same physical frees,
+leave the same delayed-free log, decode to the same container map and
+serialize to the same bytes."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,12 +28,26 @@ OPS = ("write", "overwrite", "delete", "snap", "unsnap", "cp")
 
 
 class EagerTwin(FlexVol):
-    """int64 maps and a pin mask that is never dropped."""
+    """int64 maps, the container map dense with -1 holes, and a pin
+    mask that is never dropped."""
 
     def __init__(self, decl: VolumeDecl) -> None:
         super().__init__(decl, seed=0)
-        self.l2v, self.v2p = self.l2v.astype(np.int64), self.v2p.astype(np.int64)
+        self.l2v = self.l2v.astype(np.int64)
+        self.dense = np.full(self.nblocks, -1, dtype=np.int64)
         self._pin()
+
+    def physical_of(self, virtual) -> np.ndarray:
+        return self.dense[virtual]
+
+    def mapped(self) -> np.ndarray:
+        return self.dense >= 0
+
+    def remap(self, virtual, physical: np.ndarray) -> None:
+        self.dense[virtual] = physical
+
+    def _unmap(self, virtual: np.ndarray) -> None:
+        self.dense[virtual] = -1
 
     def _pin(self) -> None:
         self._snap_mask = np.zeros(self.nblocks, dtype=bool)
@@ -38,7 +57,25 @@ class EagerTwin(FlexVol):
 
 def test_both_maps_are_int32():
     vol = FlexVol(DECL, seed=0)
-    assert vol.l2v.dtype.itemsize == vol.v2p.dtype.itemsize == 4
+    assert vol.l2v.dtype.itemsize == vol.physical_of([0]).dtype.itemsize == 4
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_the_container_map_costs_memory_only_where_it_maps():
+    # A dense map of 2^25 virtual VBNs would be 128 MiB resident.
+    before = _resident_bytes()
+    vol = FlexVol(VolumeDecl("big", logical_blocks=4096, virtual_blocks=2**25), seed=0)
+    for ids in np.split(np.arange(4096), 4):
+        new_v, old_v, _ = vol.stage_writes(ids)
+        vol.commit_writes(ids, new_v, PHYS_BASE + ids, old_v)
+        vol.cp_boundary()
+    assert np.array_equal(vol.lookup_physical(np.arange(4096)), PHYS_BASE + np.arange(4096))
+    assert _resident_bytes() - before < 16 * 2**20
 
 
 def test_pin_mask_lives_only_while_a_snapshot_does():
@@ -89,5 +126,7 @@ def test_int32_maps_and_lazy_mask_match_the_eager_int64_twin(steps):
         next_p += DECL.logical_blocks
         assert np.array_equal(vol.delayed_frees.pending_vbns(),
                               twin.delayed_frees.pending_vbns()), op
+        every = np.arange(vol.nblocks)
+        assert np.array_equal(vol.physical_of(every), twin.physical_of(every)), op
         assert serialize_fs(vol) == serialize_fs(twin), op
-    assert twin.v2p.dtype == np.int64 and twin.pin_mask is not None
+    assert twin.dense.dtype == np.int64 and twin.pin_mask is not None

@@ -85,4 +85,5 @@ class TestFlushModeIdentity:
                 vb.metafile.bitmap.raw_bytes, vs.metafile.bitmap.raw_bytes
             )
             assert np.array_equal(vb.l2v, vs.l2v)
-            assert np.array_equal(vb.v2p, vs.v2p)
+            every = np.arange(vb.nblocks)
+            assert np.array_equal(vb.physical_of(every), vs.physical_of(every))

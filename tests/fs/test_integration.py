@@ -44,7 +44,7 @@ class TestConservation:
         all_p = []
         for v in sim.vols.values():
             mapped_v = v.l2v[v.l2v >= 0]
-            p = v.v2p[mapped_v]
+            p = v.physical_of(mapped_v)
             assert (p >= 0).all()
             all_p.append(p)
         all_p = np.concatenate(all_p)

@@ -43,7 +43,7 @@ class TestScan:
     def test_detects_physical_corruption(self, sim):
         g = sim.store.groups[0]
         vol = sim.vols["volA"]
-        p = vol.v2p[vol.v2p >= 0][:3] - g.offset
+        p = vol.physical_of(vol.mapped())[:3] - g.offset
         g.metafile.bitmap.free(p)
         rep = scan(sim)
         assert rep.count("corrupt") == 3
@@ -119,7 +119,7 @@ class TestRepair:
         fill_volumes(s, ops_per_cp=8192)
         vol = s.vols["v"]
         mapped = vol.l2v[vol.l2v >= 0][:5]
-        s.store.metafile.bitmap.free(vol.v2p[mapped])
+        s.store.metafile.bitmap.free(vol.physical_of(mapped))
         assert scan(s).count("corrupt") == 5
         repair(s)
         assert scan(s).clean
