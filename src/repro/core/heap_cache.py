@@ -12,18 +12,18 @@ supports the TopAA mount path: seeding from a small set of high-quality
 AAs (:meth:`populate`) and refilling every AA with exact scores in the
 background (:meth:`refill`, paper section 3.4).
 
-Implementation: a lazy binary heap with per-AA version numbers.  Stale
-entries (superseded score or already checked out) are discarded on pop;
-the heap is compacted when stale entries dominate.  The *modeled*
-memory footprint matches the paper's arithmetic — 8 bytes per AA, i.e.
-~1 MiB for the million AAs of a 16 TiB-device RAID group.
+Implementation: flat arrays, not a pointer heap.  An available AA's key
+is ``(score << shift) - aa`` (``shift`` bits hold any AA number), any
+other AA's is ``_GONE``: the largest key is the highest score, then the
+lowest AA — the heap's pop order — and names its AA.  Keys are stored
+one row per block of ~``sqrt(num_aas)`` AAs beside each row's maximum;
+:meth:`pop_best` takes the largest maximum and refreshes that row, a CP
+batch refreshes the rows it touched, a build is one vector pass.  Scores
+and keys are 16 bytes per AA (:attr:`memory_bytes`); the paper's
+arithmetic is 8, ~1 MiB per million AAs.
 """
 
 from __future__ import annotations
-
-import heapq
-import operator
-from itertools import compress
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from .score import ScoreChanges, as_changes
 __all__ = ["RAIDAwareAACache"]
 
 _UNKNOWN = -1
+#: The key of an AA that cannot be handed out (checked out or unknown).
+_GONE = int(np.iinfo(np.int64).min)
+_MAX_KEY = int(np.iinfo(np.int64).max)
+#: ``ndarray.max`` without its Python-level wrapper (small arrays, hot paths).
+_max = np.maximum.reduce
 
 
 class RAIDAwareAACache:
@@ -49,42 +54,32 @@ class RAIDAwareAACache:
         seeding path.
     """
 
-    __slots__ = (
-        "num_aas",
-        "_score",
-        "_version",
-        "_out",
-        "_heap",
-        "_known",
-        "seeded",
-        "pushes",
-        "pops",
-        "compactions",
-    )
+    __slots__ = ("num_aas", "_shift", "_block_bits", "_score", "_key", "_block_max",
+                 "_out", "_known", "seeded", "pushes", "pops")
 
     def __init__(self, num_aas: int, scores: np.ndarray | None = None) -> None:
         if num_aas <= 0:
             raise CacheError("num_aas must be positive")
         self.num_aas = int(num_aas)
+        # AA numbers fill the key's low bits; a block holds ~sqrt(num_aas) keys.
+        self._shift = (self.num_aas - 1).bit_length()
+        self._block_bits = (self._shift + 1) // 2
+        nblocks = -(-self.num_aas >> self._block_bits)
         self._score = np.full(self.num_aas, _UNKNOWN, dtype=np.int64)
-        self._version = np.zeros(self.num_aas, dtype=np.int64)
+        self._key = np.full((nblocks, 1 << self._block_bits), _GONE, dtype=np.int64)
+        self._block_max = np.full(nblocks, _GONE, dtype=np.int64)
         self._out: set[int] = set()
-        self._heap: list[tuple[int, int, int]] = []  # (-score, aa, version)
         self._known = 0
         #: True when populated from a TopAA seed: seeded scores are a
         #: point-in-time export and may legitimately lag the keeper
         #: until the background rebuild refreshes them.
         self.seeded = False
-        # Maintenance-op counters for the CPU-overhead evaluation (§4.1.2).
+        # Maintenance-op counters for the CPU-overhead evaluation (§4.1.2):
+        # one push per AA (re-)entering, one pop per AA handed out.
         self.pushes = 0
         self.pops = 0
-        self.compactions = 0
         if scores is not None:
-            if len(scores) != self.num_aas:
-                raise CacheError("scores length does not match num_aas")
-            self._score[:] = scores
-            self._known = self.num_aas
-            self.pushes += self._rebuild()
+            self._build(scores)
 
     # ------------------------------------------------------------------
     @property
@@ -104,9 +99,14 @@ class RAIDAwareAACache:
 
     @property
     def memory_bytes(self) -> int:
-        """Modeled memory: 8 bytes (score + index) per tracked AA, the
-        paper's ~1 MiB-per-million-AAs figure (section 3.3.1)."""
-        return 8 * self.num_aas
+        """Measured memory: the bytes of the score, key and block-maximum
+        arrays (the paper's arithmetic is 8 bytes per AA, section 3.3.1)."""
+        return self._score.nbytes + self._key.nbytes + self._block_max.nbytes
+
+    @property
+    def max_score(self) -> int:
+        """Largest score a key can encode next to ``num_aas`` AA numbers."""
+        return _MAX_KEY >> self._shift
 
     def score_of(self, aa: int) -> int:
         """Cache's view of an AA's score (-1 when unknown)."""
@@ -130,15 +130,19 @@ class RAIDAwareAACache:
         group's] fragmentation and so judge[s] when to stop and when to
         resume writing to that RAID group" (paper section 3.3.1).
         """
-        self._clean_top()
-        return -self._heap[0][0] if self._heap else None
+        best = int(_max(self._block_max))
+        return None if best == _GONE else int(self._score[-best & ((1 << self._shift) - 1)])
 
     def pop_best(self) -> int | None:
         """Check out the emptiest AA, or ``None`` if none are available."""
-        self._clean_top()
-        if not self._heap:
+        block = int(self._block_max.argmax())
+        best = int(self._block_max[block])
+        if best == _GONE:
             return None
-        neg, aa, _ver = heapq.heappop(self._heap)
+        aa = -best & ((1 << self._shift) - 1)
+        row = self._key[block]
+        row[aa - (block << self._block_bits)] = _GONE
+        self._block_max[block] = _max(row)
         self._out.add(aa)
         self.pops += 1
         return aa
@@ -148,7 +152,11 @@ class RAIDAwareAACache:
         if aa not in self._out:
             raise CacheError(f"AA {aa} is not checked out")
         self._out.discard(aa)
-        self._push(aa)
+        key = (int(self._score[aa]) << self._shift) - aa
+        block, slot = divmod(aa, 1 << self._block_bits)
+        self._key[block, slot] = key
+        self._block_max[block] = max(key, int(self._block_max[block]))
+        self.pushes += 1
 
     # ------------------------------------------------------------------
     # CP boundary and population
@@ -158,32 +166,26 @@ class RAIDAwareAACache:
         as one batch refused whole if invalid.
 
         Checked-out AAs among the changes re-enter the heap with their
-        new scores — except those in ``held``, which the write
-        allocator is still filling across CP boundaries ("assigns all
-        free VBNs from the AA", section 3.1); their snapshot scores are
-        updated but they stay checked out.  AAs a seeded cache does not
-        yet track wait for the background rebuild.
+        new scores — except those both checked out and in ``held``,
+        which the write allocator is still filling across CP boundaries
+        ("assigns all free VBNs from the AA", section 3.1); their
+        snapshot scores are updated but they stay checked out.  AAs a
+        seeded cache does not yet track wait for the background rebuild.
         """
+        if not len(changes):
+            return  # nothing moved this CP
         rows, (aas, _olds, news) = as_changes(changes, self.num_aas)
-        if not self.fully_populated:
+        if self._known < self.num_aas:
             rows = rows[self._score[rows[:, 0]] != _UNKNOWN]
             aas, _olds, news = rows.T.tolist()
-        if min(news, default=0) < 0:
-            raise CacheError("negative AA score in a score batch")
-        index = rows[:, 0]
-        self._score[index] = rows[:, 2]
-        if not held.isdisjoint(aas):
-            pushed = list(map(operator.not_, map(held.__contains__, aas)))
-            aas, news = list(compress(aas, pushed)), list(compress(news, pushed))
-            index = np.array(aas, dtype=np.int64)
-        if aas:
-            versions = self._version[index] + 1
-            self._version[index] = versions
-            for entry in zip(map(operator.neg, news), aas, versions.tolist()):
-                heapq.heappush(self._heap, entry)
-            self._out.difference_update(aas)
-            self.pushes += len(aas)
-        self._maybe_compact()
+        if news:
+            self._check_scores(min(news), max(news))
+        index, scores = rows[:, 0], rows[:, 2]
+        self._score[index] = scores
+        stay = (held & self._out).intersection(aas) if held else frozenset()
+        self._out.difference_update(aas)
+        self._out.update(stay)
+        self._enter(index, scores, stay)
 
     # ------------------------------------------------------------------
     # AACache protocol (see :mod:`repro.core.cache`)
@@ -206,16 +208,7 @@ class RAIDAwareAACache:
         """Authoritative rebuild from a full score array (the background
         bitmap walk that completes a TopAA-seeded mount).  Checked-out
         AAs keep their snapshots and stay out."""
-        if len(scores) != self.num_aas:
-            raise CacheError("scores length does not match num_aas")
-        out = sorted(self._out)
-        snapshots = self._score[out]
-        self._score[:] = scores
-        self._score[out] = snapshots
-        self._known = self.num_aas
-        self.seeded = False
-        self.compactions += 1
-        self.pushes += self._rebuild()
+        self._build(scores)
 
     def best_available_score(self) -> int | None:
         """Protocol alias of :meth:`best_score`."""
@@ -239,7 +232,6 @@ class RAIDAwareAACache:
             "maintenance_ops": self.maintenance_ops,
             "pushes": self.pushes,
             "pops": self.pops,
-            "compactions": self.compactions,
             "checked_out": len(self._out),
             "known": self._known,
             "memory_bytes": self.memory_bytes,
@@ -250,8 +242,9 @@ class RAIDAwareAACache:
         ``(aa, score)`` pairs or ``(n, 2)`` rows, one batch refused
         whole if invalid."""
         aas, scores = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        if min(aas.min(initial=0), scores.min(initial=0)) < 0 or aas.max(initial=0) >= self.num_aas:
-            raise CacheError(f"an AA outside [0, {self.num_aas}) or a negative score")
+        if aas.min(initial=0) < 0 or aas.max(initial=0) >= self.num_aas:
+            raise CacheError(f"an AA outside [0, {self.num_aas}) in a seed")
+        self._check_scores(scores.min(initial=0), scores.max(initial=0))
         known = self._score[aas] != _UNKNOWN
         if known.any():
             raise CacheError(f"AA {aas[known.argmax()]} already populated; use apply_changes")
@@ -259,75 +252,75 @@ class RAIDAwareAACache:
             raise CacheError("an AA is populated twice in one batch")
         self._score[aas] = scores
         self._known += aas.size
-        self._version[aas] += 1
-        self._heap.extend(zip((-scores).tolist(), aas.tolist(), self._version[aas].tolist()))
-        heapq.heapify(self._heap)
-        self.pushes += aas.size
+        self._enter(aas, scores)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _push(self, aa: int) -> None:
-        self._version[aa] += 1
-        heapq.heappush(self._heap, (-int(self._score[aa]), int(aa), int(self._version[aa])))
-        self.pushes += 1
+    def _check_scores(self, lowest: int, highest: int) -> None:
+        """Refuse a batch whose scores a key cannot encode."""
+        if not 0 <= lowest <= highest <= self.max_score:
+            raise CacheError(f"negative AA score, or one above {self.max_score}")
 
-    def _clean_top(self) -> None:
-        h = self._heap
-        while h:
-            neg, aa, ver = h[0]
-            if aa in self._out or ver != self._version[aa] or self._score[aa] != -neg:
-                heapq.heappop(h)
-            else:
-                return
-
-    def _maybe_compact(self) -> None:
-        if len(self._heap) <= 4 * self.num_aas + 16:
+    def _enter(
+        self, aas: np.ndarray, scores: np.ndarray, stay: frozenset[int] = frozenset()
+    ) -> None:
+        """Make ``aas`` available at ``scores`` — bar those in ``stay``,
+        which stay checked out — with one scatter of their keys and one
+        refresh of every block they touch."""
+        if not aas.size:
             return
-        self.compactions += 1
-        self._rebuild()
+        keys = scores << self._shift
+        keys -= aas
+        self._key.put(aas, keys)
+        if stay:
+            self._key.put(list(stay), _GONE)
+        blocks = np.bincount(aas >> self._block_bits, minlength=self._block_max.size).nonzero()[0]
+        self._block_max[blocks] = _max(self._key.take(blocks, axis=0), axis=1)
+        self.pushes += aas.size - len(stay)
 
-    def _rebuild(self) -> int:
-        """One entry per known, available AA, built from the arrays in AA
-        order; returns how many."""
-        live = self._score != _UNKNOWN
-        live[sorted(self._out)] = False
-        aas = np.flatnonzero(live)
-        self._heap = [*zip((-self._score[aas]).tolist(), aas.tolist(), self._version[aas].tolist())]
-        heapq.heapify(self._heap)
-        return len(self._heap)
+    def _build(self, scores: np.ndarray) -> None:
+        """Every AA known at ``scores`` — bar checked-out ones, which
+        keep their snapshots — and every available AA keyed, in one
+        vector pass."""
+        if len(scores) != self.num_aas:
+            raise CacheError("scores length does not match num_aas")
+        scores = np.asarray(scores, dtype=np.int64)
+        self._check_scores(scores.min(), scores.max())
+        out = sorted(self._out)
+        snapshots = self._score[out]
+        self._score[:] = scores
+        self._score[out] = snapshots
+        self._known = self.num_aas
+        self.seeded = False
+        aas = np.arange(self.num_aas)
+        keys = (self._score << self._shift) - aas
+        keys[out] = _GONE
+        self._key.put(aas, keys)
+        self._key.max(axis=1, out=self._block_max)
+        self.pushes += self.num_aas - len(out)
 
     def check_invariants(self) -> None:
-        """Test hook: the structural max-heap property must hold over
-        the backing array, and the live entries must cover every known,
-        not-checked-out AA exactly once."""
-        h = self._heap
-        for i, entry in enumerate(h):
-            for j in (2 * i + 1, 2 * i + 2):
-                if j < len(h) and h[j] < entry:
-                    raise CacheError(
-                        f"max-heap property violated: parent {i} "
-                        f"(score {-entry[0]}) vs child {j} (score {-h[j][0]})"
-                    )
-        valid = {}
-        for neg, aa, ver in h:
-            if aa in self._out or ver != self._version[aa] or self._score[aa] != -neg:
-                continue
-            if aa in valid:
-                raise CacheError(f"duplicate live heap entry for AA {aa}")
-            valid[aa] = -neg
-        expected = {
-            aa
-            for aa in range(self.num_aas)
-            if self._score[aa] != _UNKNOWN and aa not in self._out
-        }
-        if set(valid) != expected:
-            raise CacheError(
-                f"live heap entries {len(valid)} != known available AAs {len(expected)}"
-            )
+        """Test hook: every key must match its AA's score and state —
+        ``_GONE`` when checked out or unknown — and every block maximum
+        its block."""
+        live = self._score != _UNKNOWN
+        if int(live.sum()) != self._known or (self._score[sorted(self._out)] < 0).any():
+            raise CacheError(f"known count {self._known} != scored AAs, or an unknown AA out")
+        live[sorted(self._out)] = False
+        aas = np.flatnonzero(live)
+        expected = np.full(self._key.size, _GONE, dtype=np.int64)
+        expected[aas] = (self._score[aas] << self._shift) - aas
+        bad = np.flatnonzero(expected != self._key.ravel())
+        if bad.size:
+            aa = int(bad[0])
+            raise CacheError(f"AA {aa} has key {self._key.take(aa)}, expected {expected[aa]}")
+        stale = np.flatnonzero(self._block_max != self._key.max(axis=1))
+        if stale.size:
+            raise CacheError(f"stale maximum of key block {int(stale[0])}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RAIDAwareAACache(num_aas={self.num_aas}, known={self._known}, "
-            f"out={len(self._out)}, heap={len(self._heap)})"
+            f"out={len(self._out)}, blocks={self._block_max.size})"
         )

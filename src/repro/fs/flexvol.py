@@ -23,6 +23,7 @@ overwrites create worst-case fragmentation" (section 4.1).
 from __future__ import annotations
 
 import mmap
+import sys
 from collections.abc import Iterable
 from types import MappingProxyType
 
@@ -39,10 +40,15 @@ from .aggregate import StoreCPReport
 __all__ = ["FlexVol"]
 
 
+#: Commit no swap up front, so a map near 2^31 entries (8 GiB) builds
+#: under a smaller commit limit; Linux's value where ``mmap`` lacks it.
+_NORESERVE = getattr(mmap, "MAP_NORESERVE", 0x4000 if sys.platform == "linux" else 0)
+
+
 def _hole_map(n: int) -> np.ndarray:
     """``n`` int32 zeros on private anonymous pages: a page costs memory
     only once written (``np.zeros`` may memset reused heap memory)."""
-    pages = mmap.mmap(-1, 4 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    pages = mmap.mmap(-1, 4 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _NORESERVE)
     return np.frombuffer(pages, dtype=np.int32)
 
 

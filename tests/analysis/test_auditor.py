@@ -52,9 +52,16 @@ class TestStructuralAudit:
 
     def test_broken_heap_order_is_caught(self, sim):
         g = sim.store.groups[0]
-        heap = g.cache._heap
-        neg, aa, ver = heap[0]
-        heap[0] = (neg + 10**6, aa, ver)  # worst score at the root
+        block = int(g.cache._block_max.argmax())
+        g.cache._block_max[block] -= 1 << g.cache._shift  # the best block's maximum understated
+        report = audit_sim(sim)
+        assert "cache-structure" in violations_by_check(report)
+
+    def test_key_that_disagrees_with_its_score_is_caught(self, sim):
+        g = sim.store.groups[0]
+        aa = g.cache.select()
+        g.cache.invalidate(aa, g.cache.score_of(aa))
+        g.cache._key.put(aa, g.cache._key.take(aa) + (1 << g.cache._shift))  # score + 1
         report = audit_sim(sim)
         assert "cache-structure" in violations_by_check(report)
 

@@ -9,6 +9,9 @@ pin :func:`make_aa_cache`'s topology dispatch.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,47 @@ class TestConformance:
         held = frozenset([aa])
         cache.consume([(aa, SCORES[aa], SCORES[aa] + 4)], held)
         assert aa in cache.checked_out
+
+    def test_held_aa_that_is_not_checked_out_stays_selectable(self, cache):
+        # Only AAs both held and checked out stay out of a consume.
+        cache.consume([(5, SCORES[5], AA_BLOCKS)], frozenset({5}))
+        got = []
+        while (aa := cache.select()) is not None:
+            got.append(aa)
+        assert sorted(got) == list(range(N_AAS))
+        if isinstance(cache, RAIDAwareAACache):
+            assert got[0] == 5
+        cache.check_invariants()
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_taken_mid_run_runs_like_the_original(self, cache, clone):
+        scores = list(SCORES)
+
+        def consume(caches, rows, held=frozenset()):
+            rows = [(aa, scores[aa], new) for aa, new in rows]
+            for c in caches:
+                c.consume(rows, held)
+            for aa, _old, new in rows:
+                scores[aa] = new
+
+        first = cache.select()
+        consume([cache], [(first, 7), (4, 230)])
+        held = cache.select()
+        twin = clone(cache)
+        both = (cache, twin)
+        consume(both, [(1, 3), (held, 100), (6, 250)], frozenset({held}))
+        picks = [[c.select() for _ in range(3)] for c in both]
+        assert picks[0] == picks[1]
+        for c in both:
+            c.invalidate(picks[0][1], scores[picks[0][1]])
+        consume(both, [(held, 0), (picks[0][0], 200)])
+        drained = [[c.select() for _ in range(N_AAS + 1)] for c in both]
+        assert drained[0] == drained[1]
+        assert cache.stats() == twin.stats()
+        assert cache.checked_out == twin.checked_out
+        for c in both:
+            c.check_invariants()
 
     def test_consume_releases_unheld_aas(self, cache):
         aa = cache.select()

@@ -2,9 +2,10 @@
 
 Both AA caches absorb a CP's score transitions as one array batch
 (``RAIDAwareAACache.apply_changes``, ``RAIDAgnosticAACache.apply_changes``
-over ``HBPS.update_many``).  The oracles below are the per-change
-``apply_changes`` bodies they replaced, kept verbatim as functions of the
-cache: one ``insert``/``update``/``_push`` per transition, in row order.
+over ``HBPS.update_many``).  The oracles below are per-change
+``apply_changes`` bodies as functions of the cache: one HBPS
+``insert``/``update``, or one heap key and its block's maximum, per
+transition, in row order.
 
 Twin caches — fresh, HBPS seeded from TopAA pages, heaps with unknown
 AAs — run the same rounds of selects, returns and batches (held and
@@ -12,14 +13,13 @@ checked-out AAs, empty batches, tracked populations on both sides of
 ``list_capacity + 1``, corrupted old/new scores).  After each batch the
 twins must agree on raising or not, and when neither raised on every
 observable: the HBPS pages and listing, ``stats()``, ``checked_out``,
-the heap's scores and backing array, and the next 16 ``select()``s.
+the heap's scores, and the next 16 ``select()``s.
 Where the oracle raises, the batched cache must refuse the batch whole.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 
 import numpy as np
 import pytest
@@ -56,29 +56,18 @@ def oracle_hbps_apply(cache, changes, held=frozenset()):
             cache._hbps.update(aa, old, new)
 
 
-def _oracle_push(cache, aa):
-    cache._version[aa] += 1
-    heapq.heappush(cache._heap, (-int(cache._score[aa]), int(aa), int(cache._version[aa])))
-    cache.pushes += 1
-
-
 def oracle_heap_apply(cache, changes, held=frozenset()):
     for aa, _old, new in changes:
         if cache._score[aa] == -1:
             continue
         cache._score[aa] = new
-        if aa in held:
-            continue
+        if aa in held and aa in cache._out:
+            continue  # still being filled; re-enters via push_back
         cache._out.discard(aa)
-        _oracle_push(cache, aa)
-    if len(cache._heap) > 4 * cache.num_aas + 16:
-        cache.compactions += 1
-        cache._heap = [
-            (-int(cache._score[aa]), aa, int(cache._version[aa]))
-            for aa in range(cache.num_aas)
-            if cache._score[aa] != -1 and aa not in cache._out
-        ]
-        heapq.heapify(cache._heap)
+        cache._key.put(aa, (new << cache._shift) - aa)
+        block = aa >> cache._block_bits
+        cache._block_max[block] = cache._key[block].max()
+        cache.pushes += 1
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +86,6 @@ def observe(cache) -> dict:
         seen["counts"] = cache.hbps.counts.tolist()
     else:
         seen["scores"] = cache.scores_view.tolist()
-        seen["heap"] = list(cache._heap)
     return seen
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,9 +34,10 @@ class TestFullBuild:
         assert c.known_count == 3
 
     def test_memory_model(self):
-        c = RAIDAwareAACache(1_000_000, np.zeros(1_000_000, dtype=np.int64))
-        # Paper: ~1 MiB for 1M AAs (section 3.3.1).
-        assert c.memory_bytes == 8_000_000
+        # Paper: ~1 MiB for 1M AAs (section 3.3.1); a score and a key are 16 B.
+        for n in (1000, 100_000, 1_000_000):
+            c = RAIDAwareAACache(n, np.zeros(n, dtype=np.int64))
+            assert 16 * n <= c.memory_bytes <= 17 * n
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(CacheError):
@@ -109,12 +112,38 @@ class TestApplyChanges:
         assert out == sorted(out, reverse=True)
         assert len(out) == 50
 
-    def test_compaction_bounds_heap(self):
-        c = full_cache(list(range(8)))
-        for i in range(1000):
-            c.apply_changes([(i % 8, 0, i % 100)])
-        assert len(c._heap) <= 4 * 8 + 16
-        assert c.compactions > 0
+    def test_churn_does_not_grow_memory(self):
+        rng = np.random.default_rng(0)
+        c = full_cache(rng.integers(0, 1000, size=1024))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                aas = rng.choice(1024, size=64, replace=False)
+                c.apply_changes(np.column_stack(
+                    (aas, c.scores_view[aas], rng.integers(0, 1000, size=64))))
+                c.push_back(c.pop_best())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Transient batch arrays only: a heap of score entries would hold
+        # thousands of tuples (hundreds of KiB) by now.
+        assert peak - base < 64 * 1024
+        c.check_invariants()
+
+    def test_unencodable_score_is_refused_whole(self):
+        c = full_cache([10, 20, 30])
+        assert c.max_score == np.iinfo(np.int64).max >> 2
+        with pytest.raises(CacheError, match="above"):
+            c.apply_changes([(0, 10, 11), (1, 20, c.max_score + 1)])
+        with pytest.raises(CacheError, match="above"):
+            c.refill(np.array([1, 2, c.max_score + 1]))
+        with pytest.raises(CacheError, match="above"):
+            RAIDAwareAACache(3).populate([(0, 5), (2, c.max_score + 1)])
+        assert c.scores_view.tolist() == [10, 20, 30]
+        assert [c.pop_best() for _ in range(3)] == [2, 1, 0]
+        c.apply_changes([(0, 10, c.max_score)])
+        c.check_invariants()
 
 
 class TestSeededMode:

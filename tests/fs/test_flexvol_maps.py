@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.config import VolumeDecl
+from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.crash import serialize_fs
-from repro.fs import FlexVol
+from repro.fs import CPBatch, FlexVol, WaflSim, export_topaa, simulate_mount
 
 DECL = VolumeDecl("v", logical_blocks=96, virtual_blocks=4096, blocks_per_aa=512)
 #: Physical VBNs are handed out from just below 2^31, so a map narrower
@@ -76,6 +76,21 @@ def test_the_container_map_costs_memory_only_where_it_maps():
         vol.cp_boundary()
     assert np.array_equal(vol.lookup_physical(np.arange(4096)), PHYS_BASE + np.arange(4096))
     assert _resident_bytes() - before < 16 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_a_volume_at_the_vbn_limit_builds_and_mounts():
+    # Its container map spans 8 GiB of address space, more than some
+    # hosts will commit; only the pages written may cost memory.
+    before = _resident_bytes()
+    spec = AggregateSpec(
+        tiers=(TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=8192),),
+        volumes=(VolumeDecl("big", logical_blocks=1024, virtual_blocks=2**31 - 2**16),),
+    )
+    sim = WaflSim.build(spec, seed=0)
+    sim.engine.run_cp(CPBatch(writes={"big": np.arange(256)}, ops=256))
+    assert simulate_mount(sim, export_topaa(sim)).used_topaa
+    assert _resident_bytes() - before < 64 * 2**20
 
 
 def test_pin_mask_lives_only_while_a_snapshot_does():
