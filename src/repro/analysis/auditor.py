@@ -8,6 +8,10 @@ describe the same free space, and the CP's :class:`~repro.sim.stats.
 CPStats` record must conserve blocks (allocations, frees, and metafile
 dirtying each balance against the per-instance counter deltas).
 
+Which blocks are referenced comes from Iron's one reference pass, whose
+scan :func:`audit_sim`'s report carries; physical *leaked* blocks are
+Iron's finding only (static aging fills leave them).
+
 Two entry points:
 
 * :func:`audit_sim` — structural audit of a simulator (or CP engine)
@@ -30,12 +34,13 @@ from typing import Any
 import numpy as np
 
 from .. import obs
-from ..common.errors import AuditError, CacheError, ReproError
+from ..common.errors import AuditError, CacheError
 from ..core.hbps_cache import RAIDAgnosticAACache
 from ..core.heap_cache import RAIDAwareAACache
 from ..core.policies import BitmapWalkSource
 from ..faults.recovery import instances
 from ..fs.cp import CPEngine
+from ..fs.iron import IronReport, SpaceTruth, reference_pass
 from ..sim.stats import CPStats
 
 __all__ = [
@@ -66,6 +71,8 @@ class AuditReport:
 
     violations: list[Violation] = field(default_factory=list)
     checks_run: int = 0
+    #: The Iron scan of the reference pass the audit read.
+    iron: IronReport = field(default_factory=IronReport)
 
     @property
     def ok(self) -> bool:
@@ -105,7 +112,7 @@ def _hbps_bins_of(scores: np.ndarray, hbps: Any) -> np.ndarray:
 
 
 def _audit_bitmap(where: str, fs: Any, report: AuditReport) -> None:
-    """Bitmap popcount vs the cached allocated/free counters."""
+    """Bitmap popcount vs the cached allocated count."""
     bitmap = fs.metafile.bitmap
     report.checks_run += 1
     pop = bitmap.popcount()
@@ -114,16 +121,9 @@ def _audit_bitmap(where: str, fs: Any, report: AuditReport) -> None:
             where, "bitmap-popcount",
             f"popcount {pop} != cached allocated_count {bitmap.allocated_count}",
         )
-    report.checks_run += 1
-    if bitmap.allocated_count + bitmap.free_count != bitmap.nblocks:
-        report.add(
-            where, "bitmap-totals",
-            f"allocated {bitmap.allocated_count} + free {bitmap.free_count} "
-            f"!= nblocks {bitmap.nblocks}",
-        )
 
 
-def _audit_keeper(where: str, fs: Any, report: AuditReport) -> None:
+def _audit_keeper(where: str, fs: Any, t: SpaceTruth, report: AuditReport) -> None:
     """Score-keeper totals vs the bitmap (the AA summary)."""
     keeper = fs.keeper
     bitmap = fs.metafile.bitmap
@@ -131,10 +131,9 @@ def _audit_keeper(where: str, fs: Any, report: AuditReport) -> None:
         # Mid-CP state: applied scores intentionally lag the bitmap.
         return
     report.checks_run += 1
-    try:
-        keeper.verify_against(bitmap)
-    except CacheError as exc:
-        report.add(where, "keeper-vs-bitmap", str(exc))
+    if (bad := t.diverged[:8]).size:
+        report.add(where, "keeper-vs-bitmap", f"score divergence in AAs {bad.tolist()}: "
+                   f"scores={keeper.scores[bad].tolist()} bitmap={t.scores[bad].tolist()}")
         return
     report.checks_run += 1
     total = int(keeper.scores.sum())
@@ -229,55 +228,50 @@ def _audit_cache(where: str, fs: Any, report: AuditReport) -> None:
             )
 
 
-def _audit_flexvol_maps(where: str, fs: Any, report: AuditReport, store_nblocks: int) -> None:
-    """FlexVol map/bitmap agreement: ``v2p`` maps into the store and
-    populates exactly the mapped or pinned virtual VBNs, and every
-    allocated one is mapped, pinned, or pending a delayed free; the
-    three populations are disjoint and exhaustive."""
-    l2v = getattr(fs, "l2v", None)
-    if l2v is None:
-        return
-    report.checks_run += 1
-    populated = fs.mapped()
-    phys = fs.physical_of(populated)
-    if phys.size and (phys.min() < 0 or phys.max() >= store_nblocks):
-        report.add(where, "flexvol-maps", f"v2p spans [{phys.min()}, {phys.max()}], "
-                                          f"outside [0, {store_nblocks})")
-    try:
-        fs.verify_consistency()
-    except ReproError as exc:
-        report.add(where, "flexvol-maps", str(exc))
-        return
-    report.checks_run += 1
-    referenced = np.zeros(fs.nblocks, dtype=bool)
-    live = l2v[l2v >= 0]
-    referenced[live] = True
-    if fs.pin_mask is not None:
-        referenced |= fs.pin_mask
-    if not np.array_equal(populated, referenced):
-        report.add(where, "flexvol-maps", f"v2p has {np.count_nonzero(populated > referenced)} "
-                   f"stale entries and {np.count_nonzero(referenced > populated)} referenced holes")
-    expected = int(referenced.sum()) + fs.delayed_frees.pending_count
-    allocated = fs.metafile.bitmap.allocated_count
-    if expected != allocated:
-        report.add(
-            where, "flexvol-accounting",
-            f"mapped+pinned {int(referenced.sum())} + pending frees "
-            f"{fs.delayed_frees.pending_count} != allocated {allocated}",
-        )
+def _audit_references(where: str, t: SpaceTruth, report: AuditReport, store_nblocks: int) -> None:
+    """What the reference pass found in one space, physical leaks aside."""
+    fs, c, virtual = t.space, t.counts, where.startswith("vol:")
+    if not virtual:
+        found = [
+            (c["corrupt"], "corrupt-physical", f"{c['corrupt']} mapped or pending physical VBNs are free"),
+            (c["shared"], "shared-physical",
+             f"{c['shared']} extra owners: container maps name a physical VBN twice"),
+        ]
+    else:
+        pending, allocated = fs.delayed_frees.pending_count, fs.metafile.bitmap.allocated_count
+        found = [
+            (c["outside"], "flexvol-maps", f"{c['outside']} v2p entries map outside [0, {store_nblocks})"),
+            (c["duplicates"], "flexvol-maps", f"l2v repeats {c['duplicates']} virtual VBNs"),
+            (c["corrupt"], "flexvol-maps", f"{c['corrupt']} mapped, pinned or pending virtual VBNs are free"),
+            (c["stale"] or c["holes"], "flexvol-maps",
+             f"v2p has {c['stale']} stale entries and {c['holes']} referenced holes"),
+            (c["refreed"], "flexvol-maps", f"{c['refreed']} pending frees are still mapped or pinned"),
+            (t.active + pending != allocated, "flexvol-accounting",
+             f"mapped+pinned {t.active} + pending frees {pending} != allocated {allocated}"),
+        ]
+    # Three checks on a volume (maps, references vs bitmap, accounting),
+    # one on a physical space (its references, one owner each).
+    report.checks_run += 3 if virtual else 1
+    for failed, check, message in found:
+        if failed:
+            report.add(where, check, message)
 
 
 def audit_sim(sim: Any) -> AuditReport:
     """Structural audit of every file-system instance in ``sim`` (a
     :class:`~repro.fs.filesystem.WaflSim`, a :class:`~repro.fs.cp.
-    CPEngine`, or anything else with ``store``/``vols`` attributes)."""
-    report = AuditReport()
+    CPEngine`, or anything else with ``store``/``vols`` attributes),
+    reading one :func:`~repro.fs.iron.reference_pass`; the report
+    carries that pass's Iron scan."""
+    truths = reference_pass(sim)
+    report = AuditReport(iron=IronReport.of(truths))
+    by_where = {t.space.where: t for t in truths}
     for where, fs in sorted(instances(sim).items()):
         _audit_bitmap(where, fs, report)
-        _audit_keeper(where, fs, report)
+        _audit_keeper(where, fs, by_where[where], report)
         _audit_delayed_frees(where, fs, report)
         _audit_cache(where, fs, report)
-        _audit_flexvol_maps(where, fs, report, sim.store.nblocks)
+        _audit_references(where, by_where[where], report, sim.store.nblocks)
     return report
 
 

@@ -17,7 +17,8 @@ a volume is therefore exact:
    count rises by exactly the mapped block count.
 
 Step 3's equality is *block conservation*; the cross-layer invariant
-auditor and a WAFL Iron scan then vouch for both aggregates.
+auditor and the WAFL Iron scan its report carries then vouch for both
+aggregates.
 
 The fleet drills ride on it.  :class:`Fleet` is the drill subject — a
 dict of live shards stepping one epoch each — and three events move
@@ -40,7 +41,6 @@ import numpy as np
 from ..analysis import audit_sim
 from ..common.errors import AuditError, FaultError, MigrationError, PlacementError
 from ..drill import run_drill
-from ..fs import iron
 from ..fs.cp import CPBatch
 from .cluster import make_shard_specs
 from .scheduler import FilterScheduler
@@ -139,8 +139,7 @@ def migrate_volume(
         report = audit_sim(rt.sim)
         report.raise_if_failed()
         checks += report.checks_run
-        findings += len(iron.scan(rt.sim).findings)
-    target.sim.vols[name].verify_consistency()
+        findings += len(report.iron.findings)
     return MigrationReport(
         volume=name,
         source_shard=source.spec.shard_id,

@@ -11,10 +11,10 @@ the real mount path, and verifies the recovered state three ways:
 
 1. the full :func:`repro.analysis.auditor.audit_sim` invariant audit
    (bitmap popcounts, keeper totals, cache bins, delayed-free
-   conservation, FlexVol map accounting);
-2. a WAFL-Iron scan (:func:`repro.fs.iron.scan`) — zero leaked and
-   zero double-allocated blocks against the map/snapshot/pending
-   references;
+   conservation, FlexVol map accounting, one owner per physical VBN);
+2. the WAFL-Iron scan that audit carries (one reference pass serves
+   both) — zero leaked, corrupt or shared blocks against the
+   map/snapshot/pending references;
 3. byte-equality: re-serializing the recovered file systems must
    reproduce the committed image's sealed pages bit for bit.
 
@@ -36,7 +36,6 @@ from typing import Callable
 from .. import obs
 from ..analysis.auditor import audit_sim
 from ..common.errors import CrashError
-from ..fs import iron
 from ..fs.filesystem import WaflSim
 from .persistence import PersistenceModel, capture_image
 from .registry import (
@@ -142,9 +141,9 @@ def crash_digest(header: str, outcomes, committed_digests) -> str:
 # ----------------------------------------------------------------------
 def _verify_recovered(model: PersistenceModel, sim: WaflSim) -> list[str]:
     """All three recovery checks; returns violation strings."""
-    problems = [str(v) for v in audit_sim(sim).violations]
-    iron_report = iron.scan(sim)
-    problems.extend(str(f) for f in iron_report.findings)
+    report = audit_sim(sim)
+    problems = [str(v) for v in report.violations]
+    problems.extend(str(f) for f in report.iron.findings)
     committed = model.committed
     if sim.engine.cp_index != committed.cp_index:
         problems.append(

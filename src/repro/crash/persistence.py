@@ -47,6 +47,7 @@ from ..core.delayed_frees import DelayedFreeLog
 from ..core.topaa import PAGE_KIND_FS_IMAGE, seal_page, unseal_page
 from ..faults.recovery import instances
 from ..fs.filesystem import WaflSim
+from ..fs.iron import map_counts
 from ..fs.mount import (
     DEFAULT_MOUNT_RETRIES,
     MountReport,
@@ -466,9 +467,8 @@ class PersistenceModel:
                     f"recovery: committed page for {where} failed "
                     f"verification: {exc}"
                 ) from exc
-            st = states[where] = deserialize_fs(payload)
-            if st.v2p is not None:
-                _check_committed_v2p(st, where, target.store.nblocks)
+            states[where] = deserialize_fs(payload)
+        _check_committed_maps(states, target.store.nblocks)
         for where, fs in by_where.items():
             _restore_fs(fs, states[where], where)
             report.restored.append(where)
@@ -485,19 +485,30 @@ class PersistenceModel:
         return report
 
 
-def _check_committed_v2p(st: FSState, where: str, store_nblocks: int) -> None:
+def _check_committed_maps(states: dict[str, FSState], store_nblocks: int) -> None:
     """A page knows only its own space: its ``v2p`` must map into the
-    store's and populate exactly what its ``l2v`` maps or a snapshot pins."""
-    if st.v2p.max() >= store_nblocks:
+    store's and populate exactly what its ``l2v`` maps or a snapshot
+    pins.  Across the pages, no two entries may name one physical VBN."""
+    owned, mapped = np.zeros(store_nblocks, dtype=bool), 0
+    for where, st in states.items():
+        if st.v2p is None:
+            continue
+        if st.v2p.max() >= store_nblocks:
+            raise SerializationError(
+                f"recovery: committed v2p for {where} maps to physical VBN "
+                f"{int(st.v2p.max())}, outside the store's [0, {store_nblocks})")
+        phys = st.v2p[st.v2p >= 0]
+        owned[phys] = True
+        mapped += phys.size
+        pinned = np.concatenate([held for _, held in st.snapshots]) if st.snapshots else None
+        _, _, stale, holes = map_counts(st.l2v, pinned, st.v2p >= 0)
+        if stale or holes:
+            raise SerializationError(
+                f"recovery: committed v2p for {where} has {stale} stale entries "
+                f"and {holes} referenced holes")
+    if extra := mapped - int(np.count_nonzero(owned)):
         raise SerializationError(
-            f"recovery: committed v2p for {where} maps to physical VBN "
-            f"{int(st.v2p.max())}, outside the store's [0, {store_nblocks})")
-    referenced = np.zeros(st.v2p.size, dtype=bool)
-    referenced[np.concatenate([st.l2v[st.l2v >= 0], *(held for _, held in st.snapshots)])] = True
-    if not np.array_equal(populated := st.v2p >= 0, referenced):
-        raise SerializationError(
-            f"recovery: committed v2p for {where} has {np.count_nonzero(populated > referenced)} "
-            f"stale entries and {np.count_nonzero(referenced > populated)} referenced holes")
+            f"recovery: committed v2p maps give physical VBNs {extra} extra owners")
 
 
 def _restore_fs(fs, st: FSState, where: str) -> None:

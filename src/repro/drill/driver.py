@@ -25,7 +25,6 @@ from ..common.rng import make_rng
 from ..crash.persistence import PersistenceModel
 from ..faults.injector import FaultInjector
 from ..faults.recovery import attach_everywhere, degraded_instances
-from ..fs import iron
 from ..fs.cp import CPBatch
 from ..fs.filesystem import WaflSim
 from ..fs.mount import TopAAImage
@@ -197,15 +196,16 @@ class Drill:
 
 def check_end_state(sims) -> tuple[int, list[str], list[str]]:
     """The invariants every drill ends on, over every sim: the
-    cross-layer audit and a WAFL Iron scan.  Both only read — no rng
-    draw, no armed fault consumed, no metafile read charged — so a
-    drill measures the same with or without them."""
+    cross-layer audit and the WAFL Iron scan it carries (one reference
+    pass serves both).  Both only read — no rng draw, no armed fault
+    consumed, no metafile read charged — so a drill measures the same
+    with or without them."""
     checks, violations, findings = 0, [], []
     for sim in sims:
         report = audit_sim(sim)
         checks += report.checks_run
         violations += [str(v) for v in report.violations]
-        findings += [str(f) for f in iron.scan(sim).findings]
+        findings += [str(f) for f in report.iron.findings]
     return checks, violations, findings
 
 

@@ -13,13 +13,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..common.config import AggregateSpec, VolumeDecl
-from ..common.errors import GeometryError
+from ..common.errors import AllocationError, GeometryError
 from ..common.rng import make_rng
 from ..core.space import AllocSpace
 from ..sim.stats import CPStats, MetricsLog
 from .aggregate import PolicyKind, Store, build_tier_store
 from .cp import CPBatch, CPEngine
 from .flexvol import FlexVol
+from .iron import reference_pass
 
 __all__ = ["WaflSim"]
 
@@ -194,13 +195,13 @@ class WaflSim:
         return int(freed_p.size)
 
     def verify_consistency(self) -> None:
-        """Cross-check every volume's maps and every keeper against the
-        bitmaps (test hook; expensive)."""
-        for v in self.vols.values():
-            v.verify_consistency()
-        for fs in self.spaces():
-            if fs.delayed_frees.pending_count == 0:
-                fs.keeper.verify_against(fs.metafile.bitmap)
+        """Raise :class:`AllocationError` naming the first space where
+        Iron's reference pass finds anything but physical blocks no map
+        owns (static aging fills leave those; test hook, expensive)."""
+        for t in reference_pass(self):
+            virtual = isinstance(t.space, FlexVol)
+            if found := {k: n for k, n in t.counts.items() if n and (virtual or k != "leaked")}:
+                raise AllocationError(f"{t.space.where}: the reference pass found {found}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

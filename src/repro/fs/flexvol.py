@@ -29,7 +29,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..common.arrayops import sorted_unique
 from ..common.config import VolumeDecl
 from ..common.errors import AllocationError
 from ..core.aa import LinearAATopology
@@ -94,13 +93,6 @@ class FlexVol(AllocSpace):
         """Mapped (live) virtual blocks (including the allocator's
         pending-span batch not yet reflected in the bitmap)."""
         return self.metafile.bitmap.allocated_count + self.allocator.pending_count
-
-    def lookup_physical(self, logical_ids: np.ndarray) -> np.ndarray:
-        """Physical VBNs backing mapped logical blocks (reads path);
-        unmapped logical blocks are skipped."""
-        v = self.l2v[np.asarray(logical_ids, dtype=np.int64)]
-        v = v[v >= 0]
-        return self.physical_of(v)
 
     def physical_of(self, virtual) -> np.ndarray:
         """Physical VBNs (-1 = hole) the container map gives ``virtual``:
@@ -276,24 +268,6 @@ class FlexVol(AllocSpace):
         self.allocator.cp_flush()
         report.add_space_deltas(self.drain_cp())
         return report
-
-    def verify_consistency(self) -> None:
-        """Test hook: maps and bitmaps must agree exactly."""
-        mapped_v = self.l2v[self.l2v >= 0]
-        if mapped_v.size != sorted_unique(mapped_v).size:
-            raise AllocationError(f"FlexVol {self.name}: duplicate virtual mappings")
-        for held in self._snapshots.values():
-            if held.size and not bool(np.all(self.metafile.bitmap.test(held))):
-                raise AllocationError(
-                    f"FlexVol {self.name}: snapshot-held virtual VBN not allocated"
-                )
-        # Every mapped virtual VBN must be allocated in the bitmap and
-        # point at a physical block; pending delayed frees account for
-        # the rest.
-        if mapped_v.size and not bool(np.all(self.metafile.bitmap.test(mapped_v))):
-            raise AllocationError(f"FlexVol {self.name}: mapped virtual VBN not allocated")
-        if mapped_v.size and bool(np.any(self.physical_of(mapped_v) < 0)):
-            raise AllocationError(f"FlexVol {self.name}: mapped virtual VBN lacks physical")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

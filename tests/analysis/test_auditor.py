@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from repro.analysis import InvariantAuditor, arm_global, audit_sim, disarm_global
+from repro.bench.harness import fill_group_statically
 from repro.common.errors import AuditError, CacheError
 from repro.core.delayed_frees import DelayedFreeLog
 from repro.core.topaa import seed_heap_cache, serialize_heap_seed
+from repro.faults import flip_bitmap_bits
 from repro.fs.cp import CPEngine
+from repro.fs.iron import scan
 from repro.sim.stats import CPStats
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
-from ..conftest import small_ssd_sim
+from ..conftest import share_physical, small_ssd_sim
 
 
 @pytest.fixture
@@ -92,17 +95,18 @@ class TestStructuralAudit:
 
     def test_stale_v2p_entry_is_caught(self, sim):
         # A populated entry for a virtual VBN nothing maps or pins names
-        # a live physical block: the bitmaps and iron agree with it, so
-        # only the map check can see it.
+        # a live physical block: the volume's bitmap agrees with it, so
+        # on the volume only the map check can see it (the group sees a
+        # second owner).
         vol = sim.vols["volA"]
         hole = np.flatnonzero(~vol.mapped())[:1]
-        vol.remap(hole, vol.lookup_physical(np.flatnonzero(vol.l2v >= 0)[:1]))
+        vol.remap(hole, vol.physical_of(vol.l2v[vol.l2v >= 0][:1]))
         report = audit_sim(sim)
         assert [v.message for v in report.violations if v.where == "vol:volA"] == [
             "v2p has 1 stale entries and 0 referenced holes"]
 
     def test_pinned_hole_in_v2p_is_caught(self, sim):
-        # verify_consistency checks only the active map's entries.
+        # A hole under a snapshot pin, not only under the active map.
         vol = sim.vols["volA"]
         vol.create_snapshot("s")
         sim.run(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=4), 1)
@@ -116,6 +120,12 @@ class TestStructuralAudit:
         report = audit_sim(sim)
         assert [v.message for v in report.violations if v.where == "vol:volA"] == [
             "v2p has 0 stale entries and 1 referenced holes"]
+
+    @pytest.mark.parametrize("owner, sharer", [("volA", "volA"), ("volA", "volB")])
+    def test_physical_block_with_two_owners_is_caught(self, sim, owner, sharer):
+        share_physical(sim, owner, sharer)
+        assert [str(v) for v in audit_sim(sim).violations] == [
+            "[group:0] shared-physical: 5 extra owners: container maps name a physical VBN twice"]
 
     def test_raise_if_failed(self, sim):
         g = sim.store.groups[0]
@@ -138,6 +148,52 @@ class TestStructuralAudit:
         g.adopt_cache(cache)
         report = audit_sim(sim)
         assert "heap-vs-scores" not in violations_by_check(report)
+
+
+def _drop_l2v_entry(sim):
+    vol = sim.vols["volA"]
+    vol.l2v[np.flatnonzero(vol.l2v >= 0)[0]] = -1
+
+
+def _pin_free_vbn(sim):
+    vol = sim.vols["volA"]
+    vol.create_snapshot("s")
+    vol.pin_mask[vol.metafile.bitmap.free_in_range(0, vol.nblocks, limit=1)] = True
+
+
+def _diverge_keeper(sim):
+    sim.store.groups[0].keeper._scores[0] += 1
+
+
+CORRUPTIONS = {
+    "flipped volume bits": lambda sim: flip_bitmap_bits(sim.vols["volA"].metafile.bitmap, 2, 0),
+    "flipped group bits": lambda sim: flip_bitmap_bits(sim.store.groups[0].metafile.bitmap, 2, 0),
+    "dropped l2v entry": _drop_l2v_entry,
+    "pinned free VBN": _pin_free_vbn,
+    "shared physical block": lambda sim: share_physical(sim, "volA", "volB"),
+    "diverged keeper score": _diverge_keeper,
+}
+
+
+class TestAgreesWithIron:
+    """The auditor and Iron read one reference pass, so a corruption is
+    flagged in the same places by both — physical leaks aside, which
+    are Iron's only."""
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+    def test_same_where(self, sim, corrupt):
+        corrupt(sim)
+        audit, iron = audit_sim(sim), scan(sim)
+        assert audit.iron == iron
+        flagged = {f.where for f in iron.findings if f.kind != "leaked" or f.where.startswith("vol:")}
+        assert flagged and {v.where for v in audit.violations} == flagged
+
+    def test_physical_leaks_are_irons_only(self):
+        sim = small_ssd_sim()
+        fill_group_statically(sim.store.groups[0], 0.1, np.random.default_rng(0))
+        audit = audit_sim(sim)
+        assert audit.ok, audit.format()
+        assert [(f.kind, f.where) for f in audit.iron.findings] == [("leaked", "group:0")]
 
 
 class TestDelayedFreeInvariants:

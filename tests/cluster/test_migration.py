@@ -84,8 +84,7 @@ def test_round_trip_leaves_both_aggregates_clean(pair):
     source.run_epoch(3)
     for rt in (source, target):
         assert iron.scan(rt.sim).findings == []
-        for vol in rt.sim.vols.values():
-            vol.verify_consistency()
+        rt.sim.verify_consistency()
 
 
 def _state(pair):

@@ -46,3 +46,12 @@ def small_ssd_sim(
 @pytest.fixture
 def ssd_sim() -> WaflSim:
     return small_ssd_sim()
+
+
+def share_physical(sim: WaflSim, owner: str, sharer: str, n: int = 5) -> None:
+    """Point ``n`` of ``sharer``'s mapped virtual VBNs at ``owner``'s
+    physical blocks: each of those blocks gains a second owner, and the
+    sharer's old blocks stay allocated with none.  ``owner`` may be
+    ``sharer``: its first and last ``n`` mapped VBNs then share."""
+    a, b = sim.vols[owner], sim.vols[sharer]
+    b.remap(b.l2v[b.l2v >= 0][-n:], a.physical_of(a.l2v[a.l2v >= 0][:n]))

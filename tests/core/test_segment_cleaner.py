@@ -58,7 +58,7 @@ class TestCleaning:
         vol = aged.vols["volA"]
         mapped = np.flatnonzero(vol.l2v >= 0)[:500]
         clean_best_aas(aged, 0, n_aas=3)
-        p = vol.lookup_physical(mapped)
+        p = vol.physical_of(vol.l2v[mapped])
         assert p.size == mapped.size
         g = aged.store.groups[0]
         local = p - g.offset

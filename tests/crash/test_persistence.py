@@ -29,6 +29,8 @@ from repro.faults.recovery import instances
 from repro.fs import export_topaa
 from repro.workloads import RandomOverwriteWorkload
 
+from ..conftest import share_physical
+
 
 def churn(sim, *, cps=1, seed=13):
     sim.run(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=seed), cps)
@@ -267,13 +269,30 @@ class TestCommitRecover:
         vol = aged_sim.vol("volA")
         good = vol.physical_of(np.arange(vol.nblocks))
         hole = np.flatnonzero(good < 0)[:1]
-        vol.remap(hole, vol.lookup_physical(np.flatnonzero(vol.l2v >= 0)[:1]))
+        vol.remap(hole, vol.physical_of(vol.l2v[vol.l2v >= 0][:1]))
         model.committed.pages["vol:volA"] = seal_page(
             serialize_fs(vol), PAGE_KIND_FS_IMAGE, vol.topology.num_aas)
         vol.restore_maps(vol.l2v.copy(), good, vol.snapshots.items())
         churn(aged_sim, seed=21)
         before = capture_image(aged_sim).pages
         with pytest.raises(SerializationError, match="vol:volA has 1 stale entries"):
+            model.recover()
+        assert capture_image(aged_sim).pages == before
+
+    @pytest.mark.parametrize("owner, sharer", [("volA", "volA"), ("volA", "volB")])
+    def test_committed_two_owner_block_is_refused_before_any_restore(self, aged_sim, owner, sharer):
+        # A committed image whose v2p entries name one physical VBN
+        # twice, in one volume or across two, used to recover, audit and
+        # scan clean.
+        model = PersistenceModel(aged_sim, seed=3)
+        vol = aged_sim.vol(sharer)
+        good = vol.physical_of(np.arange(vol.nblocks))
+        share_physical(aged_sim, owner, sharer)
+        model.commit()
+        vol.restore_maps(vol.l2v.copy(), good, vol.snapshots.items())
+        churn(aged_sim, seed=22)
+        before = capture_image(aged_sim).pages
+        with pytest.raises(SerializationError, match="5 extra owners"):
             model.recover()
         assert capture_image(aged_sim).pages == before
 

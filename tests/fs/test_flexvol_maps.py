@@ -74,7 +74,7 @@ def test_the_container_map_costs_memory_only_where_it_maps():
         new_v, old_v, _ = vol.stage_writes(ids)
         vol.commit_writes(ids, new_v, PHYS_BASE + ids, old_v)
         vol.cp_boundary()
-    assert np.array_equal(vol.lookup_physical(np.arange(4096)), PHYS_BASE + np.arange(4096))
+    assert np.array_equal(vol.physical_of(vol.l2v), PHYS_BASE + np.arange(4096))
     assert _resident_bytes() - before < 16 * 2**20
 
 

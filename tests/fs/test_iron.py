@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fs import CPBatch
+from repro.analysis import audit_sim
+from repro.faults import flip_bitmap_bits
+from repro.fs import CPBatch, export_topaa, simulate_mount
 from repro.fs.iron import repair, scan
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
-from ..conftest import small_ssd_sim
+from ..conftest import share_physical, small_ssd_sim
+
+TWO_OWNERS = pytest.mark.parametrize("owner, sharer", [("volA", "volA"), ("volA", "volB")])
 
 
 @pytest.fixture
@@ -54,6 +58,14 @@ class TestScan:
         rep = scan(sim)
         assert rep.count("score-divergence") >= 1
 
+    @TWO_OWNERS
+    def test_detects_physical_blocks_with_two_owners(self, sim, owner, sharer):
+        share_physical(sim, owner, sharer)
+        # Reported on the group holding them; the sharer's old blocks
+        # are left allocated with no owner.
+        assert [(f.kind, f.where, f.count) for f in scan(sim).findings] == [
+            ("leaked", "group:0", 5), ("shared", "group:0", 5)]
+
     def test_snapshot_held_blocks_are_not_leaks(self, sim):
         sim.create_snapshot("volA", "s")
         size = sim.vols["volA"].spec.logical_blocks
@@ -97,6 +109,16 @@ class TestRepair:
         sim.verify_consistency()
         assert scan(sim).clean
 
+    @TWO_OWNERS
+    def test_repair_does_not_claim_shared_blocks(self, sim, owner, sharer):
+        # The maps are primary state: Iron reclaims the leak but cannot
+        # pick an owner, so the sharing outlives the repair.
+        share_physical(sim, owner, sharer)
+        rep = repair(sim)
+        assert [(f.kind, f.count) for f in rep.findings] == [("leaked", 5)]
+        assert [(f.kind, f.where, f.count) for f in scan(sim).findings] == [
+            ("shared", "group:0", 5)]
+
     def test_repair_on_clean_system_is_idempotent(self, sim):
         u_before = sim.utilization
         rep = repair(sim)
@@ -125,3 +147,23 @@ class TestRepair:
         assert scan(s).clean
         s.run(RandomOverwriteWorkload(s, ops_per_cp=512, seed=1), 3)
         s.verify_consistency()
+
+
+class TestUnreadKeeper:
+    """A bit flipped in an AA the TopAA mount's unread keeper has not read
+    yet: the pass reads the keeper's scores, which learns the flipped
+    bitmap as the truth, so the flip shows as *corrupt* (maps vs bitmap)
+    but not as score divergence.  An eager keeper shows both."""
+
+    @pytest.mark.parametrize("topaa, diverged", [(True, 0), (False, 1)])
+    def test_flip_in_an_unread_aa(self, sim, topaa, diverged):
+        simulate_mount(sim, export_topaa(sim) if topaa else None)
+        g = sim.store.groups[0]
+        assert (g.keeper._unread is not None) == topaa
+        assert flip_bitmap_bits(g.metafile.bitmap, 1, 0, direction="clear")["cleared"] == 1
+        rep = scan(sim)
+        assert rep.count("corrupt") == 1 and rep.count("score-divergence") == diverged
+        assert g.keeper._unread is None
+        checks = {v.check for v in audit_sim(sim).violations if v.where == "group:0"}
+        assert checks == {"corrupt-physical"} | (
+            {"keeper-vs-bitmap"} if diverged else set())
