@@ -130,11 +130,11 @@ def disk_failure_metrics(log: DrillLog, engine: TrafficEngine) -> dict:
     counts: dict[str, dict[str, int]] = {}
     for phase, lo, hi in zip(PHASES, edges_us[:-1], edges_us[1:]):
         p99s[phase], counts[phase] = {}, {}
-        for st in engine.states:
+        for tenant, st in zip(engine.tenants, engine.states):
             complete = st.complete_array()
             mask = (complete > lo) & (complete <= hi)
-            n = counts[phase][st.spec.name] = int(mask.sum())
-            p99s[phase][st.spec.name] = (
+            n = counts[phase][tenant.name] = int(mask.sum())
+            p99s[phase][tenant.name] = (
                 float(np.percentile(st.latency_array()[mask], 99)) / 1e3 if n else 0.0
             )
     return {

@@ -34,8 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from ..analysis import arm_global, disarm_global
 from ..common.config import AggregateSpec, VolumeDecl
 from ..fs.filesystem import WaflSim
@@ -202,24 +200,17 @@ class ShardRuntime:
         # first CP window (arrival/admit at the epoch origin): replayed
         # work is served before the epoch's own arrivals, and its wait
         # shows up in the tenant's latency tail — migration is not free.
-        for st in engine.states:
-            n = self.carryover.pop(st.spec.name, 0)
-            if n:
-                st.arrival_chunks.append(np.zeros(n, dtype=np.float64))
-                st.deferred_arrays.append(
-                    (np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
-                )
-                st.admitted += n
+        engine.replay({
+            name: self.carryover.pop(name)
+            for name in self.tenants if name in self.carryover
+        })
         engine.run(n_cps)
         result = engine.summary()
         # Admitted ops whose CP window never came carry into the next
         # epoch (possibly on another shard, if the tenant migrates).
-        for st in engine.states:
-            left = int(sum(ts.size for ts, _ in st.deferred_arrays))
+        for name, left in engine.unridden().items():
             if left:
-                self.carryover[st.spec.name] = (
-                    self.carryover.get(st.spec.name, 0) + left
-                )
+                self.carryover[name] = self.carryover.get(name, 0) + left
         self.epochs_run += 1
         self.results.append(result)
         return result

@@ -223,13 +223,3 @@ class ScoreKeeper:
         self._scores = self.topology.scores_from_bitmap(bitmap)
         self._pending[:] = 0
         self._unread = None
-
-    def verify_against(self, bitmap: Bitmap) -> None:
-        """Assert applied scores match the bitmap exactly (test hook)."""
-        truth = self.topology.scores_from_bitmap(bitmap)
-        if not np.array_equal(truth, self.scores):
-            bad = np.flatnonzero(truth != self._scores)
-            raise CacheError(
-                f"score divergence in AAs {bad[:8].tolist()}: "
-                f"scores={self._scores[bad[:8]].tolist()} bitmap={truth[bad[:8]].tolist()}"
-            )

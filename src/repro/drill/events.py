@@ -360,10 +360,8 @@ class RebalanceTiers:
 # ----------------------------------------------------------------------
 def _fingerprint(subject, stats) -> tuple:
     """Everything a replayed step must reproduce exactly."""
-    tenants = tuple(
-        (st.spec.name, st.admitted, st.rejected_count())
-        for st in getattr(subject, "states", ())
-    )
+    admission = getattr(subject, "admission", None)
+    tenants = admission() if admission is not None else ()
     if stats is None:
         return tenants, None
     return tenants, (

@@ -45,8 +45,11 @@ bit-for-bit reproducible and byte-identical across process pools.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -139,19 +142,37 @@ class TrafficResult:
 _EMPTY = np.empty(0, dtype=np.float64)
 
 
-def _gather(chunks: list[np.ndarray]) -> np.ndarray:
-    if not chunks:
-        return _EMPTY
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The chunks as one array, joined in place: the list keeps only it."""
+    if len(chunks) > 1:
+        chunks[:] = [np.concatenate(chunks)]
+    return chunks[0] if chunks else _EMPTY
+
+
+def _tally(bins: list[int], ts: np.ndarray, interval_us: float) -> None:
+    """Add sorted times to ``bins``: ``bins[k]`` counts those in ``((k − 1) · interval_us,
+    k · interval_us]``, edges that ``int * float`` computes as ``np.arange(0.0, …)`` does.
+    One edge of margin below and two above absorb a rounded quotient."""
+    lo = max(int(ts[0] / interval_us) - 1, 0)
+    hi = int(ts[-1] / interval_us) + 3
+    cum = ts.searchsorted([k * interval_us for k in range(lo, hi)], side="right").tolist()
+    bins.extend([0] * (hi - len(bins)))
+    for k, below, upto in zip(range(lo, hi), [0, *cum], cum):
+        bins[k] += upto - below
+
+
+def _through(bins: list[int], edges: np.ndarray) -> np.ndarray:
+    """``_tally``'s bins as counts at or before each edge of the CP grid."""
+    return np.cumsum((bins + [0] * edges.size)[:edges.size])
 
 
 class _TenantState:
     """Mutable per-tenant run state (admission + measurement).
 
-    Every per-op quantity is held as arrays: chunk lists for the
-    measurements, ``(arrival, admit)`` array pairs for the deferred
-    queue, and one capacity buffer with a head cursor for the backend
-    queue.
+    Per-op values are held only while an op waits (arrival and admit)
+    and once it is served (completion and latency).  Arrivals and
+    rejections are per-interval counts, and a CP's per-op costs are held
+    once per run of its riders in the backend queue.
     """
 
     def __init__(self, spec: TenantSpec) -> None:
@@ -168,9 +189,9 @@ class _TenantState:
         self.admitted = 0
         self.charged_cpu_us = 0.0
         self.charged_device_us = 0.0
-        #: Measurement chunks (arrays of times, concatenated on read).
-        self.arrival_chunks: list[np.ndarray] = []
-        self.rejected_chunks: list[np.ndarray] = []
+        #: Arrivals and rejections per CP interval (``_tally``'s bins).
+        self.arrived_bins: list[int] = []
+        self.rejected_bins: list[int] = []
         self.complete_chunks: list[np.ndarray] = []
         self.latency_chunks: list[np.ndarray] = []
         #: Admitted ops waiting for a CP: (arrival, admit) array pairs,
@@ -179,16 +200,17 @@ class _TenantState:
         #: Ops that rode a CP, not yet folded into the queue below:
         #: (arrivals, admits, s_occ_us, s_lat_us) per CP.
         self.backend_chunks: list[tuple[np.ndarray, np.ndarray, float, float]] = []
-        #: Backend queue storage: rows arrival/admit/occupancy/latency,
-        #: one column per op, spare capacity past the last queued op.
-        self._qbuf = np.empty((4, 0), dtype=np.float64)
+        #: Backend queue storage: rows arrival/admit, one column per op,
+        #: spare capacity past the last queued op.
+        self._qbuf = np.empty((2, 0), dtype=np.float64)
         #: The queued ops as views of ``_qbuf`` rows; the first
         #: ``q_head`` of them are already served.
         self.q_arrival = _EMPTY
         self.q_admit = _EMPTY
-        self.q_occ = _EMPTY
-        self.q_lat = _EMPTY
         self.q_head = 0
+        #: One ``(stop, s_occ_us, s_lat_us)`` per CP with riders queued:
+        #: the position past its last op, and the costs its ops share.
+        self.cp_runs: list[tuple[int, float, float]] = []
 
     def take_riders(self, before_us: float) -> tuple[np.ndarray, np.ndarray]:
         """Admitted ops whose admission time falls before ``before_us``
@@ -223,7 +245,8 @@ class _TenantState:
         suffix to the front, in place, once the prefix is at least as
         long (so no more ops move than were served since the last
         move) or when the tail is full; the buffer is regrown, by a
-        quarter, only when live + new ops exceed its capacity.
+        quarter, only when live + new ops exceed its capacity.  CPs
+        served to their end are dropped; the rest move with their ops.
         """
         if not self.backend_chunks:
             return
@@ -234,7 +257,7 @@ class _TenantState:
         new = sum(ts.size for ts, _, _, _ in self.backend_chunks)
         cap = buf.shape[1]
         if live + new > cap:
-            grown = np.empty((4, max(live + new, cap + cap // 4)), dtype=np.float64)
+            grown = np.empty((2, max(live + new, cap + cap // 4)), dtype=np.float64)
             grown[:, :live] = buf[:, head:end]
             buf = self._qbuf = grown
             head, end = 0, live
@@ -244,39 +267,51 @@ class _TenantState:
             for row in buf:
                 row[:live] = row[head:end]
             head, end = 0, live
+        done = bisect_right(self.cp_runs, self.q_head, key=itemgetter(0))
+        shift = self.q_head - head
+        self.cp_runs = [(stop - shift, occ, lat) for stop, occ, lat in self.cp_runs[done:]]
         for ts, adm, s_occ, s_lat in self.backend_chunks:
             stop = end + ts.size
             buf[0, end:stop] = ts
             buf[1, end:stop] = adm
-            buf[2, end:stop] = s_occ
-            buf[3, end:stop] = s_lat
+            self.cp_runs.append((stop, s_occ, s_lat))
             end = stop
         self.backend_chunks = []
-        self.q_arrival, self.q_admit, self.q_occ, self.q_lat = buf[:, :end]
+        self.q_arrival, self.q_admit = buf[:, :end]
         self.q_head = head
+
+    def per_op(self, cost: int, lo: int, hi: int) -> list[float]:
+        """Queued ops ``lo..hi``'s ``s_occ`` (``cost`` 1) or ``s_lat`` (2)."""
+        out: list[float] = []
+        i = bisect_right(self.cp_runs, lo, key=itemgetter(0))
+        while lo < hi:
+            stop = min(self.cp_runs[i][0], hi)
+            out += [self.cp_runs[i][cost]] * (stop - lo)
+            lo, i = stop, i + 1
+        return out
 
     def window(self, lo: int, hi: int) -> tuple[list[float], list[float]]:
         """Queued ops ``lo..hi`` as Python floats: (admits, occupancies)."""
-        return self.q_admit[lo:hi].tolist(), self.q_occ[lo:hi].tolist()
+        return self.q_admit[lo:hi].tolist(), self.per_op(1, lo, hi)
 
-    # ---- measurement accessors ----------------------------------------
-    def arrivals_array(self) -> np.ndarray:
-        return _gather(self.arrival_chunks)
+    # ---- measurement views (the oracle's tenants offer the same) -----
+    def arrivals_through(self, edges: np.ndarray) -> np.ndarray:
+        return _through(self.arrived_bins, edges)
 
-    def rejected_array(self) -> np.ndarray:
-        return _gather(self.rejected_chunks)
+    def rejected_through(self, edges: np.ndarray) -> np.ndarray:
+        return _through(self.rejected_bins, edges)
 
     def complete_array(self) -> np.ndarray:
-        return _gather(self.complete_chunks)
+        return _joined(self.complete_chunks)
 
     def latency_array(self) -> np.ndarray:
-        return _gather(self.latency_chunks)
+        return _joined(self.latency_chunks)
 
     def arrived_count(self) -> int:
-        return sum(c.size for c in self.arrival_chunks)
+        return sum(self.arrived_bins)
 
     def rejected_count(self) -> int:
-        return sum(c.size for c in self.rejected_chunks)
+        return sum(self.rejected_bins)
 
     def backend_pending(self) -> int:
         """Ops ridden into a CP but not yet served."""
@@ -333,8 +368,10 @@ class TrafficEngine:
         if cp_interval_us is None:
             offered = sum(t.arrivals.mean_rate_ops_s for t in tenants)
             cp_interval_us = target_ops_per_cp / offered * 1e6
-        if cp_interval_us <= 0:
-            raise ValueError("cp_interval_us must be positive")
+        for name, value in (("target_ops_per_cp", target_ops_per_cp),
+                            ("cp_interval_us", cp_interval_us)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         self.cp_interval_us = float(cp_interval_us)
         self.states = [_TenantState(t) for t in tenants]
         self.clock_us = 0.0
@@ -366,7 +403,7 @@ class TrafficEngine:
         ts, st.next_arrival_us = spec.arrivals.window(st.next_arrival_us, until_us)
         if ts.size == 0:
             return
-        st.arrival_chunks.append(ts)
+        _tally(st.arrived_bins, ts, self.cp_interval_us)
         bucket = st.bucket
         if bucket is None:
             admits = np.maximum(ts, st.admit_tail_us)
@@ -401,7 +438,7 @@ class TrafficEngine:
             k += 1
             st.admitted += 1
         if rejected:
-            st.rejected_chunks.append(np.asarray(rejected, dtype=np.float64))
+            _tally(st.rejected_bins, np.asarray(rejected), self.cp_interval_us)
         if k:
             st.deferred_arrays.append((ts[keep], admits[:k]))
 
@@ -437,13 +474,13 @@ class TrafficEngine:
         clock to the shared admit and scans again.
 
         Each tenant's window is a head ``(admit, occupancy)`` plus an
-        iterator over the rest of a ``tolist()`` slice of
-        ``q_admit``/``q_occ``, bounded by admit time (ops admitted at
-        or past ``until_us`` cannot start) and converted
-        ``DRAIN_BLOCK_OPS`` at a time, so a standing backlog costs a
-        call at most one block beyond the ops it serves.  Only serve
-        *start* times are recorded; completions and latencies are one
-        vector op per tenant per call and leave as one chunk.  Every
+        iterator over the rest of a ``tolist()`` slice of ``q_admit``
+        zipped with its ops' occupancies (``per_op``), bounded by admit
+        time (ops admitted at or past ``until_us`` cannot start) and
+        converted ``DRAIN_BLOCK_OPS`` at a time, so a standing backlog
+        costs a call at most one block beyond the ops it serves.  Only
+        serve *start* times are recorded; completions (plus ``s_lat``)
+        and latencies are one vector op, and one chunk, per call.  Every
         float is produced by the same operation on the same operands as
         serving op by op (the oracle in ``tests/traffic/oracle.py``),
         so results are bit-identical.
@@ -528,7 +565,7 @@ class TrafficEngine:
             h = st.q_head
             st.q_head = h + len(served)
             st.vfinish = vfinish
-            completes = np.asarray(served, dtype=np.float64) + st.q_lat[h:st.q_head]
+            completes = np.add(served, st.per_op(2, h, st.q_head))
             st.complete_chunks.append(completes)
             st.latency_chunks.append(completes - st.q_arrival[h:st.q_head])
 
@@ -618,6 +655,23 @@ class TrafficEngine:
             self.step()
         return self
 
+    def replay(self, carried: dict[str, int]) -> None:
+        """Before the first step: carried ops (tenant → count) ride the first CP, admitted at 0."""
+        for st in self.states:
+            if n := carried.get(st.spec.name, 0):
+                zeros = np.zeros(n)
+                _tally(st.arrived_bins, zeros, self.cp_interval_us)
+                st.deferred_arrays.append((zeros, zeros))
+                st.admitted += n
+
+    def unridden(self) -> dict[str, int]:
+        """Admitted ops per tenant whose CP window has not come yet."""
+        return {st.spec.name: sum(ts.size for ts, _ in st.deferred_arrays) for st in self.states}
+
+    def admission(self) -> tuple[tuple[str, int, int], ...]:
+        """``(tenant, admitted, rejected)`` so far, in tenant order."""
+        return tuple((st.spec.name, st.admitted, st.rejected_count()) for st in self.states)
+
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
@@ -633,20 +687,17 @@ class TrafficEngine:
         metrics = self.sim.metrics
         edges = np.arange(0.0, horizon_us + self.cp_interval_us / 2,
                           self.cp_interval_us)
-        arrivals = st.arrivals_array()
-        rejected = st.rejected_array()
         complete_raw = st.complete_array()
-        complete = np.sort(complete_raw)
-        latency = st.latency_array()
         order = np.argsort(complete_raw, kind="stable")
-        latency_by_completion = latency[order] if latency.size else latency
+        complete = complete_raw[order]
+        latency_by_completion = st.latency_array()[order]
         name = st.spec.name
         interval_s = self.cp_interval_us / 1e6
-        # One vectorized searchsorted per series over all edges; the
+        # One vectorized searchsorted and two tallies over all edges; the
         # remaining loop touches only Python ints (counts per interval).
         cuts = np.searchsorted(complete, edges, side="right").tolist()
-        arr_cum = np.searchsorted(np.sort(arrivals), edges, side="right").tolist()
-        rej_cum = np.searchsorted(np.sort(rejected), edges, side="right").tolist()
+        arr_cum = st.arrivals_through(edges).tolist()
+        rej_cum = st.rejected_through(edges).tolist()
         for k in range(len(edges) - 1):
             lo_cut, hi_cut = cuts[k], cuts[k + 1]
             done = hi_cut - lo_cut

@@ -14,6 +14,18 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+def assert_scores_match(keeper, bitmap) -> None:
+    """A keeper's applied scores equal a recount of its bitmap: the
+    tests' keeper oracle."""
+    truth = keeper.topology.scores_from_bitmap(bitmap)
+    scores = keeper.scores
+    bad = np.flatnonzero(truth != scores)
+    assert not bad.size, (
+        f"score divergence in AAs {bad[:8].tolist()}: "
+        f"scores={scores[bad[:8]].tolist()} bitmap={truth[bad[:8]].tolist()}"
+    )
+
+
 def small_ssd_sim(
     *,
     aggregate_policy=None,

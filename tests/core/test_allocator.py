@@ -21,6 +21,7 @@ from repro.core import (
     StripeAATopology,
 )
 from repro.raid import RAIDGeometry, analyze_raid_writes
+from ..conftest import assert_scores_match
 
 
 def make_linear(nblocks=4096, per_aa=512):
@@ -69,7 +70,7 @@ class TestLinearAllocator:
         # synchronization point.
         alloc.cp_flush()
         assert mf.bitmap.test(v).all()
-        keeper.verify_against(mf.bitmap)
+        assert_scores_match(keeper, mf.bitmap)
 
     def test_flush_pending_syncs_bitmap(self):
         alloc, topo, mf, keeper, _ = make_linear()
@@ -261,4 +262,4 @@ class TestAggregateAllocator:
         changes = agg.cp_flush()
         assert any(len(c) for c in changes)
         for a, topo, mf, keeper, cache in parts:
-            keeper.verify_against(mf.bitmap)
+            assert_scores_match(keeper, mf.bitmap)

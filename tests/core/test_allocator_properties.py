@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.raid import RAIDGeometry
 
+from ..conftest import assert_scores_match
 from .test_allocator import take_stripes
 
 
@@ -75,9 +76,9 @@ def run_ops(alloc, metafile, keeper, ops, rng):
             keeper.note_free(freed)
         else:  # cp
             alloc.cp_flush()
-            keeper.verify_against(metafile.bitmap)
+            assert_scores_match(keeper, metafile.bitmap)
     alloc.cp_flush()
-    keeper.verify_against(metafile.bitmap)
+    assert_scores_match(keeper, metafile.bitmap)
     assert metafile.bitmap.allocated_count == len(live)
 
 
@@ -138,7 +139,7 @@ def test_aggregate_allocator_never_duplicates(requests, seed):
         seen.update(got_list)
         agg.cp_flush()
         for mf, keeper in parts:
-            keeper.verify_against(mf.bitmap)
+            assert_scores_match(keeper, mf.bitmap)
         if len(seen) >= total_capacity:
             break
     assert len(seen) == min(sum(requests), total_capacity)

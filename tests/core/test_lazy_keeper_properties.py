@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.bitmap import Bitmap
 from repro.core import LinearAATopology, ScoreKeeper, StripeAATopology
 from repro.raid import RAIDGeometry
+from ..conftest import assert_scores_match
 
 TOPOLOGIES = (
     lambda: LinearAATopology(1024, 64),
@@ -77,4 +78,4 @@ def test_lazy_keeper_matches_eager_oracle(data):
             assert np.array_equal(lazy.scores, eager.scores)
     assert np.array_equal(lazy.flush(), eager.flush())
     assert np.array_equal(lazy.scores, eager.scores)
-    lazy.verify_against(bitmaps[1])
+    assert_scores_match(lazy, bitmaps[1])

@@ -8,6 +8,7 @@ import pytest
 from repro.bitmap import Bitmap
 from repro.common import CacheError
 from repro.core import LinearAATopology, ScoreKeeper
+from ..conftest import assert_scores_match
 
 
 def make_keeper(nblocks=1024, per_aa=256, bitmap=None):
@@ -98,14 +99,14 @@ class TestVerification:
         bm.allocate(np.arange(20))
         k.note_alloc(np.arange(20))
         k.flush()
-        k.verify_against(bm)  # no raise
+        assert_scores_match(k, bm)  # no raise
 
     def test_verify_detects_divergence(self):
         bm = Bitmap(1024)
         k, _ = make_keeper(bitmap=bm)
         bm.allocate(np.arange(20))  # bitmap moved, keeper not told
-        with pytest.raises(CacheError, match="divergence"):
-            k.verify_against(bm)
+        with pytest.raises(AssertionError, match="divergence"):
+            assert_scores_match(k, bm)
 
     def test_recompute_resyncs(self):
         bm = Bitmap(1024)
@@ -115,4 +116,4 @@ class TestVerification:
         k.recompute(bm)
         assert k.score(0) == 236
         assert k.pending_aa_count == 0
-        k.verify_against(bm)
+        assert_scores_match(k, bm)

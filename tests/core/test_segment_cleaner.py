@@ -11,7 +11,7 @@ from repro.crash import capture_image
 from repro.fs import PolicyKind
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
-from ..conftest import small_ssd_sim
+from ..conftest import assert_scores_match, small_ssd_sim
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ class TestCleaning:
         clean_best_aas(aged, 0, n_aas=3)
         aged.verify_consistency()
         for g in aged.store.groups:
-            g.keeper.verify_against(g.metafile.bitmap)
+            assert_scores_match(g.keeper, g.metafile.bitmap)
             g.cache.check_invariants()
 
     def test_data_survives_relocation(self, aged):

@@ -22,6 +22,7 @@ from repro.core.space import AllocSpace
 from repro.faults import FaultInjector, FaultKind
 from repro.fs.aggregate import LinearStore, RAIDStore, StoreCPReport
 from repro.fs.flexvol import FlexVol
+from ..conftest import assert_scores_match
 
 
 @dataclass
@@ -109,7 +110,7 @@ class TestLifecycle:
         assert sum(r.cache_ops for r in reports) == (
             first_ops + space.cache.maintenance_ops
         )
-        space.keeper.verify_against(space.metafile.bitmap)
+        assert_scores_match(space.keeper, space.metafile.bitmap)
 
     def test_reset_selection_trace(self, rig):
         rig.allocate(100)

@@ -16,6 +16,7 @@ from repro.common.rng import make_rng
 from repro.fs import CPBatch, MediaType, WaflSim
 from repro.fs.aggregate import RAIDStore
 from repro.tiering import FlashPoolPolicy
+from ..conftest import assert_scores_match
 
 
 def build_flash_pool(seed=0):
@@ -103,4 +104,4 @@ class TestTiering:
             sim.engine.run_cp(CPBatch(writes={"db": ids}, ops=2000))
         sim.verify_consistency()
         for g in sim.store.groups:
-            g.keeper.verify_against(g.metafile.bitmap)
+            assert_scores_match(g.keeper, g.metafile.bitmap)

@@ -10,7 +10,7 @@ from repro.common.config import VolumeDecl
 from repro.fs import CPBatch, FlexVol, PolicyKind
 from repro.fs.iron import reference_pass
 
-from ..conftest import small_ssd_sim
+from ..conftest import assert_scores_match, small_ssd_sim
 
 
 def make_vol(logical=1000, virtual=0, per_aa=512, policy=PolicyKind.CACHE):
@@ -104,7 +104,7 @@ class TestCPBoundary:
         vol.commit_writes(ids, nv2, np.arange(200, 220), ov2)
         rep2 = vol.cp_boundary()
         assert rep2.blocks_freed == 20
-        vol.keeper.verify_against(vol.metafile.bitmap)
+        assert_scores_match(vol.keeper, vol.metafile.bitmap)
 
     def test_consistency_check_passes(self):
         sim = small_ssd_sim()

@@ -17,7 +17,7 @@ from repro.workloads import (
     fill_volumes,
 )
 
-from ..conftest import small_ssd_sim
+from ..conftest import assert_scores_match, small_ssd_sim
 
 
 class TestConservation:
@@ -57,9 +57,9 @@ class TestConservation:
         for _ in range(6):
             sim.engine.run_cp(next(it))
             for g in sim.store.groups:
-                g.keeper.verify_against(g.metafile.bitmap)
+                assert_scores_match(g.keeper, g.metafile.bitmap)
             for v in sim.vols.values():
-                v.keeper.verify_against(v.metafile.bitmap)
+                assert_scores_match(v.keeper, v.metafile.bitmap)
 
     def test_cache_invariants_after_every_cp(self):
         sim = small_ssd_sim()

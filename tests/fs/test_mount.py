@@ -13,7 +13,7 @@ from repro.fs import (
 )
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
-from ..conftest import small_ssd_sim
+from ..conftest import assert_scores_match, small_ssd_sim
 
 
 @pytest.fixture
@@ -210,7 +210,7 @@ class TestTieredMount:
             background_rebuild(tiered_sim)
         for fs in tiered_sim.spaces():
             assert not fs.cache_seeded
-            fs.keeper.verify_against(fs.metafile.bitmap)
+            assert_scores_match(fs.keeper, fs.metafile.bitmap)
         tiered_sim.run(RandomOverwriteWorkload(tiered_sim, ops_per_cp=1024, seed=6), 3)
         tiered_sim.verify_consistency()
         _assert_healthy(tiered_sim)
@@ -254,7 +254,7 @@ class TestObjectTierMount:
         assert rep["hbps_caches_refreshed"] == 2  # the store and the volume
         for fs in object_sim.spaces():
             assert fs.cache.seeded is False
-            fs.keeper.verify_against(fs.metafile.bitmap)
+            assert_scores_match(fs.keeper, fs.metafile.bitmap)
 
     def _assert_paper_geometry(self, sim):
         from repro.common.constants import HBPS_BIN_WIDTH, HBPS_LIST_CAPACITY
@@ -315,7 +315,7 @@ class TestOneBitmapWalkPerSpace:
                 patched.setattr(Bitmap, "counts_per_chunk", counting)
                 action()
             for fs in spaces:
-                fs.keeper.verify_against(fs.metafile.bitmap)
+                assert_scores_match(fs.keeper, fs.metafile.bitmap)
             return [calls.count(id(fs.metafile.bitmap)) for fs in spaces]
 
         return run

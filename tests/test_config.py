@@ -4,12 +4,13 @@ allocator that consumes it on every store shape, and each of the four
 remaining parameters — and ``TierSpec.azcs`` off SMR or on a disk of
 partial checksum regions, a negative or wrong-media device override,
 a QoS contract that could never admit an op, and a NaN or infinite
-rate, duration, fraction or device cost — rejects a value outside its
-domain by name."""
+rate, duration, fraction, device cost or traffic-engine timing —
+rejects a value outside its domain by name."""
 
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,14 @@ from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.fs import WaflSim
 from repro.fs.aggregate import RAIDStore
 from repro.obs import Tracer
-from repro.traffic import OnOffArrivals, PoissonArrivals, QosLimits, TenantSpec, TokenBucket
+from repro.traffic import (
+    OnOffArrivals,
+    PoissonArrivals,
+    QosLimits,
+    TenantSpec,
+    TokenBucket,
+    TrafficEngine,
+)
 from repro.workloads import UniformOverwriteMix
 
 SSD_TIER = TierSpec(label="ssd", media="ssd", ndata=3,
@@ -29,6 +37,14 @@ NAN, INF = float("nan"), float("inf")
 
 def _nonfinite(field, build, name):
     return pytest.param(field, build, id=f"{field}-{name}")
+
+
+def _engine(**timing):
+    """A one-tenant engine over a stand-in sim (construction reads only
+    its volume names)."""
+    tenant = TenantSpec(name="t", volume="v", arrivals=PoissonArrivals(100.0, seed=1),
+                        mix=UniformOverwriteMix(64, seed=1))
+    return TrafficEngine(SimpleNamespace(vols={"v": None}), [tenant], **timing)
 
 
 class TestThresholdFromConfig:
@@ -133,6 +149,8 @@ class TestThresholdFromConfig:
                    "nan"),
         _nonfinite("headroom_fraction",
                    lambda: FilterScheduler(headroom_fraction=NAN), "nan"),
+        _nonfinite("cp_interval_us", lambda: _engine(cp_interval_us=NAN), "nan"),
+        _nonfinite("target_ops_per_cp", lambda: _engine(target_ops_per_cp=INF), "inf"),
         # A FlexVol's maps are int32: no VBN space may reach 2^31 blocks,
         # whether declared, resolved from logical_blocks, or summed over
         # tiers that each fit on their own.

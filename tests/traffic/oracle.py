@@ -10,8 +10,12 @@ line by line.  It is written to be obviously right, not fast, and the
 identity tests require the production engine to match it bit for bit.
 
 Only the measurement code (``summary`` / ``_record_series``) is shared
-with production: :class:`OracleTenant` offers the same ``*_array()`` /
-``*_count()`` views the summary reads.
+with production: :class:`OracleTenant` offers the same views the summary
+reads, computed the obviously right way from its per-op lists —
+``complete_array()`` / ``latency_array()``, ``*_count()``, and
+``arrivals_through(edges)`` / ``rejected_through(edges)``, a
+``searchsorted`` of every arrival (rejection) time against the CP edges,
+where production tallies counts per interval as it admits.
 """
 
 from __future__ import annotations
@@ -53,11 +57,11 @@ class OracleTenant:
         self.charged_cpu_us = 0.0
         self.charged_device_us = 0.0
 
-    def arrivals_array(self) -> np.ndarray:
-        return np.asarray(self.arrivals_us, dtype=np.float64)
+    def arrivals_through(self, edges: np.ndarray) -> np.ndarray:
+        return np.searchsorted(np.sort(self.arrivals_us), edges, side="right")
 
-    def rejected_array(self) -> np.ndarray:
-        return np.asarray(self.rejected_us, dtype=np.float64)
+    def rejected_through(self, edges: np.ndarray) -> np.ndarray:
+        return np.searchsorted(np.sort(self.rejected_us), edges, side="right")
 
     def complete_array(self) -> np.ndarray:
         return np.asarray(self.complete_us, dtype=np.float64)

@@ -7,7 +7,9 @@ whose queues empty between bursts.  This sweep runs 1 and 3 tenants
 from nearly idle to overloaded, with smooth, bursty (bounded queue, no
 bucket) and QoS-throttled arrivals, and compares the engine with the op-at-a-time oracle
 (:mod:`tests.traffic.oracle`) after *every* CP interval — server clock,
-SFQ tags, admission state and the raw per-op arrays, exactly, in order.
+SFQ tags, admission state, the per-op completion and latency arrays
+exactly and in order, and the arrival and rejection counts at every CP
+edge.
 """
 
 from __future__ import annotations
@@ -107,16 +109,13 @@ def _inject_carryover(engine: TrafficEngine, n: int) -> None:
     """Already-admitted riders at the epoch origin, the way
     ``ShardRuntime.run_epoch`` re-injects carried operations (and the
     oracle's equivalent per-op form)."""
-    st = engine.states[0]
     if isinstance(engine, OracleEngine):
+        st = engine.states[0]
         st.arrivals_us.extend([0.0] * n)
         st.deferred.extend([(0.0, 0.0)] * n)
+        st.admitted += n
     else:
-        st.arrival_chunks.append(np.zeros(n, dtype=np.float64))
-        st.deferred_arrays.append(
-            (np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
-        )
-    st.admitted += n
+        engine.replay({engine.tenants[0].name: n})
 
 
 def _deferred_admits(st) -> list[float]:
@@ -147,10 +146,18 @@ def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> int:
                 # Admitted at arrival, whatever the queue bound: the
                 # per-op admission loop never ran for this tenant.
                 assert not st.pending_admits, (cp, st.spec.name)
-            for raw in ("arrivals", "rejected", "complete", "latency"):
+            for raw in ("complete", "latency"):
                 assert np.array_equal(
                     getattr(ref, f"{raw}_array")(), getattr(st, f"{raw}_array")()
                 ), (cp, st.spec.name, raw)
+            edges = np.arange(0.0, batched.clock_us + CP_INTERVAL_US / 2, CP_INTERVAL_US)
+            for counted in ("arrivals", "rejected"):
+                assert np.array_equal(
+                    getattr(ref, f"{counted}_through")(edges),
+                    getattr(st, f"{counted}_through")(edges),
+                ), (cp, st.spec.name, counted)
+            assert ref.arrived_count() == st.arrived_count(), (cp, st.spec.name)
+            assert ref.rejected_count() == st.rejected_count(), (cp, st.spec.name)
     assert json.dumps(scalar.summary().as_dict(), sort_keys=True) == json.dumps(
         batched.summary().as_dict(), sort_keys=True
     )

@@ -5,6 +5,8 @@ replay determinism."""
 from __future__ import annotations
 
 import json
+import sys
+from collections import deque
 from dataclasses import asdict
 
 import numpy as np
@@ -16,8 +18,8 @@ from repro.traffic import (
     TenantSpec,
     TrafficEngine,
 )
-from repro.traffic.engine import DRAIN_BLOCK_OPS, _TenantState
-from repro.traffic.scenarios import calibrate_capacity
+from repro.traffic.engine import DRAIN_BLOCK_OPS, _tally, _TenantState
+from repro.traffic.scenarios import calibrate_capacity, run_traffic
 from repro.workloads import UniformOverwriteMix
 
 from ..conftest import small_ssd_sim
@@ -223,6 +225,24 @@ class TestSeriesAndSummary:
         assert len(sim.metrics.query("p99_ms", tenant="a")) == 6
 
 
+    def test_tally_matches_a_search_of_the_edge_grid(self):
+        """Times on an edge, an ulp either side of one, and at random,
+        tallied window by window, give the counts a search of every time
+        against ``_record_series``' edges gives."""
+        interval = 8192 / 79_510.17 * 1e6  # not a dyadic value
+        edges = np.arange(0.0, 40 * interval + interval / 2, interval)
+        on = edges[:30]
+        ts = np.sort(np.concatenate([
+            on, np.nextafter(on, -1.0)[1:], np.nextafter(on, np.inf),
+            np.random.default_rng(5).uniform(0.0, 31 * interval, 500),
+        ]))
+        bins: list[int] = []
+        for window in np.array_split(ts, 7):
+            _tally(bins, window, interval)
+        counted = np.cumsum((bins + [0] * edges.size)[:edges.size])
+        assert np.array_equal(counted, np.searchsorted(ts, edges, side="right"))
+
+
 class TestDeterminism:
     def test_same_seed_replays_byte_identical(self):
         _, e1 = two_tenant_engine(seed=13)
@@ -297,14 +317,16 @@ class TestDrainWorkIsLinear:
         allowance = len(tenants) * DRAIN_BLOCK_OPS
         for _ in range(8):
             converted = 0
-            chunks = [len(st.complete_chunks) for st in engine.states]
             done = sum(st.complete_array().size for st in engine.states)
+            chunks = [len(st.complete_chunks) for st in engine.states]
             engine.step()
+            # Counted before complete_array() joins the chunks in place.
+            after = [len(st.complete_chunks) for st in engine.states]
+            for a, b in zip(after, chunks):
+                assert a - b <= 1
             served = sum(st.complete_array().size for st in engine.states) - done
             assert served > DRAIN_BLOCK_OPS
             assert converted <= served + allowance
-            for st, before in zip(engine.states, chunks):
-                assert len(st.complete_chunks) - before <= 1
         # The bound is not vacuous: the backlog dwarfs the allowance.
         assert engine.states[0].backend_pending() > 4 * allowance
 
@@ -313,9 +335,7 @@ class TestDrainWorkIsLinear:
         st = engine.states[0]
         # A double-size first CP fixes the capacity; the queue empties
         # every interval, so each later CP's riders fit it.
-        st.arrival_chunks.append(np.zeros(8192))
-        st.deferred_arrays.append((np.zeros(8192), np.zeros(8192)))
-        st.admitted += 8192
+        engine.replay({"a": 8192})
         engine.step()
         buf = st.q_admit.base
         assert buf is not None and buf.shape[1] >= 8192
@@ -328,7 +348,9 @@ class TestDrainWorkIsLinear:
     def test_queue_contents_survive_moves_and_regrowth(self):
         """Against a plain-list model: whatever mix of in-place moves
         (overlapping or not) and regrowth the sizes trigger, the live
-        suffix is the FIFO of everything appended and not yet served."""
+        suffix, with each op's costs expanded from its CP's, is the FIFO
+        of everything appended and not yet served — and the CPs kept
+        after an append are those with an op not yet served."""
         rng = np.random.default_rng(3)
         st = _TenantState(
             TenantSpec(
@@ -341,7 +363,8 @@ class TestDrainWorkIsLinear:
         model: list[tuple[float, float, float, float]] = []
         stamp = 0.0
         for _ in range(200):
-            for _ in range(int(rng.integers(0, 3))):
+            appended = int(rng.integers(0, 3))
+            for _ in range(appended):
                 n = int(rng.integers(1, 40))
                 ts = stamp + np.arange(n, dtype=np.float64)
                 stamp += n
@@ -349,11 +372,60 @@ class TestDrainWorkIsLinear:
                 st.backend_chunks.append((ts, ts + 0.5, occ, lat))
                 model.extend((t, t + 0.5, occ, lat) for t in ts.tolist())
             st.consolidate_backend()
+            end = st.q_admit.size
             live = np.stack(
-                [q[st.q_head:] for q in (st.q_arrival, st.q_admit, st.q_occ, st.q_lat)],
+                [st.q_arrival[st.q_head:], st.q_admit[st.q_head:],
+                 st.per_op(1, st.q_head, end), st.per_op(2, st.q_head, end)],
                 axis=1,
             )
             assert live.tolist() == [list(op) for op in model]
+            if appended:
+                assert st.cp_runs[0][0] > st.q_head and st.cp_runs[-1][0] == end
             served = int(rng.integers(0, len(model) + 1))
             st.q_head += served
             del model[:served]
+
+
+def _held_bytes(state) -> int:
+    """Bytes a tenant state's attributes hold: every distinct NumPy
+    buffer (a view counts its base once), and every list, tuple and
+    deque with the Python numbers in it, each object counted once."""
+    seen: set[int] = set()
+    total = 0
+
+    def walk(value) -> None:
+        nonlocal total
+        while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
+            value = value.base
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif isinstance(value, (float, int)):
+            total += sys.getsizeof(value)
+        elif isinstance(value, (list, tuple, deque)):
+            total += sys.getsizeof(value)
+            for item in value:
+                walk(item)
+
+    for value in vars(state).values():
+        walk(value)
+    return total
+
+
+class TestStateHoldsBacklogNotHistory:
+    def test_bytes_bounded_by_backlog_and_completions(self):
+        """After a noisy-neighbor run each tenant's state holds 16 bytes
+        per served op (completion, latency) and per waiting op (arrival,
+        admit; a quarter more for the queue's growth slack), plus a
+        small constant — nothing per arrival or rejection, and no per-op
+        copy of a CP's costs."""
+        engine = run_traffic("noisy-neighbor", quick=True, seed=3).engine
+        waiting = engine.unridden()
+        assert any(st.rejected_count() for st in engine.states)
+        for st in engine.states:
+            served = st.complete_array().size
+            backlog = st.backend_pending() + waiting[st.spec.name]
+            bound = 16 * served + 20 * backlog + 32 * 1024
+            assert _held_bytes(st) <= bound, st.spec.name

@@ -57,15 +57,24 @@ class TestScalarVectorIdentity:
 
 class TestEngineStateIdentity:
     def test_per_tenant_raw_series_match(self):
-        """Beyond the summary: the raw per-op arrays (arrival, rejection,
-        completion, latency) the series are computed from must agree."""
+        """Beyond the summary: what the series are computed from must
+        agree — every served op's completion and latency, and the
+        arrival and rejection counts at every CP edge (the oracle
+        counts its per-op lists there; the engine tallied as it
+        admitted)."""
         _, oracle, _ = run_oracle("noisy-neighbor", seed=3)
         run = run_traffic("noisy-neighbor", quick=True, seed=3)
+        engine = run.engine
+        edges = np.arange(
+            0.0, engine.clock_us + engine.cp_interval_us / 2, engine.cp_interval_us
+        )
+        # The edges are exactly k · interval, the grid the engine tallies on.
+        assert np.array_equal(edges, np.arange(edges.size) * engine.cp_interval_us)
         scalar_states = {st.spec.name: st for st in oracle.states}
-        for st in run.engine.states:
+        for st in engine.states:
             ref = scalar_states[st.spec.name]
-            assert np.array_equal(ref.arrivals_array(), st.arrivals_array())
-            assert np.array_equal(ref.rejected_array(), st.rejected_array())
+            assert np.array_equal(ref.arrivals_through(edges), st.arrivals_through(edges))
+            assert np.array_equal(ref.rejected_through(edges), st.rejected_through(edges))
             assert np.array_equal(
                 np.sort(ref.complete_array()), np.sort(st.complete_array())
             )
