@@ -15,31 +15,29 @@ Run:  python examples/flash_pool.py
 from __future__ import annotations
 
 from repro import WaflSim
-from repro.common.config import TierSpec, VolumeDecl
-from repro.common.rng import make_rng
-from repro.fs.aggregate import RAIDStore
+from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.tiering import FlashPoolPolicy
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
 
 def main() -> None:
-    # A Flash Pool is ONE RAID store whose groups mix media — unlike
-    # the multi-tier aggregates of repro.tiering, which compose one
-    # store per tier.  Build it from one SSD tier and a two-group HDD
-    # tier and attach the hot/cold placement policy explicitly.
-    rng = make_rng(17)
-    store = RAIDStore(
-        (
-            TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=65_536),
-            TierSpec(label="hdd", media="hdd", n_groups=2, ndata=4,
-                     blocks_per_disk=131_072),
+    # A Flash Pool is a two-tier aggregate like any other: one SSD tier
+    # and a two-group HDD tier, each a RAID store at its base in one
+    # VBN space.  Build it from its spec, then swap the per-volume tier
+    # pinning for the hot/cold placement policy.
+    sim = WaflSim.build(
+        AggregateSpec(
+            tiers=(
+                TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=65_536),
+                TierSpec(label="hdd", media="hdd", n_groups=2, ndata=4,
+                         blocks_per_disk=131_072),
+            ),
+            volumes=(VolumeDecl("db", logical_blocks=400_000),),
         ),
-        seed=rng,
+        seed=17,
     )
-    store.tier_policy = FlashPoolPolicy()
-    sim = WaflSim(store, {})
-    sim.add_volume(VolumeDecl("db", logical_blocks=400_000), seed=rng)
-    print(f"Flash Pool aggregate: {[m.value for m in sim.store.media_kinds]}")
+    sim.store.tier_policy = FlashPoolPolicy()
+    print(f"Flash Pool aggregate: {[g.media.value for g in sim.store.groups]}")
 
     # Cold fill: first writes go to the capacity (HDD) tier.
     fill_volumes(sim, ops_per_cp=16_384)

@@ -239,9 +239,9 @@ class ShardRuntime:
                 r.offered_fraction for r in self.tenants.values()
             ),
             n_volumes=len(self.tenants),
-            media=tuple(m.value for m in store.media_kinds),
+            media=tuple(g.media.value for g in store.groups),
             tiers=tuple(
-                sorted({media_role(m.value).value for m in store.media_kinds})
+                sorted({media_role(g.media.value).value for g in store.groups})
             ),
             ndata=self.spec.tier.ndata,
             capacity_ops=self.calibration.capacity_ops,

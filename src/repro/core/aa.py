@@ -130,37 +130,19 @@ class StripeAATopology(AATopology):
         geom = self.geometry
         bpd = geom.blocks_per_disk
         first = aa * self.stripes_per_aa
-        if self.stripes_per_aa % 8 == 0 and bpd % 8 == 0:
-            # Stripe-major without sorting: unpack each disk's AA extent
-            # (byte-aligned), stack into a (stripes, disks) matrix, and
-            # scan it row-major — each row is one stripe across all
-            # disks, which *is* the stripe-major fill order.
-            cols = [
-                bitmap.allocated_bits(d * bpd + first, d * bpd + first + self.stripes_per_aa)
-                for d in range(geom.ndata)
-            ]
-            idx = np.flatnonzero(np.stack(cols, axis=1).ravel() == 0)
-            rows = idx // geom.ndata
-            disks = idx - rows * geom.ndata
-            out = disks * bpd + (first + rows)
-        else:
-            vbn_parts: list[np.ndarray] = []
-            dbn_parts: list[np.ndarray] = []
-            disk_parts: list[np.ndarray] = []
-            for disk, (start, stop) in enumerate(self.aa_extents(aa)):
-                free = bitmap.free_in_range(start, stop)
-                vbn_parts.append(free)
-                dbn_parts.append(free - disk * bpd)
-                disk_parts.append(np.full(free.size, disk, dtype=np.int64))
-            vbns = np.concatenate(vbn_parts)
-            if vbns.size == 0:
-                return vbns
-            dbns = np.concatenate(dbn_parts)
-            disks = np.concatenate(disk_parts)
-            # Stripe-major: fill each stripe across all disks before
-            # moving to the next, maximizing full stripe writes.
-            order = np.lexsort((disks, dbns))
-            out = vbns[order]
+        # Stripe-major without sorting: unpack each disk's AA extent
+        # (byte-aligned: ``stripes_per_aa`` and ``blocks_per_disk`` are
+        # multiples of 8, refused otherwise), stack into a (stripes,
+        # disks) matrix, and scan it row-major — each row is one stripe
+        # across all disks, which *is* the stripe-major fill order.
+        cols = [
+            bitmap.allocated_bits(d * bpd + first, d * bpd + first + self.stripes_per_aa)
+            for d in range(geom.ndata)
+        ]
+        idx = np.flatnonzero(np.stack(cols, axis=1).ravel() == 0)
+        rows = idx // geom.ndata
+        disks = idx - rows * geom.ndata
+        out = disks * bpd + (first + rows)
         if limit is not None:
             out = out[:limit]
         return out

@@ -377,27 +377,18 @@ class AggregateAllocator:
         # Every group is fragmented: write anyway rather than stall.
         return [True] * len(self.spaces)
 
-    def allocate(self, n: int, groups: list[int] | None = None) -> np.ndarray:
+    def allocate(self, n: int) -> np.ndarray:
         """Allocate up to ``n`` blocks across RAID groups; returns
         global VBNs.  Groups are visited round-robin in tetris-sized
         stripe batches so every group's devices stay busy.
-
-        ``groups`` restricts allocation to the given group indices (how
-        tier policies route data to one tier's groups).
         """
         if n <= 0:
             return np.empty(0, dtype=np.int64)
-        active = self._active_mask()
-        if groups is not None:
-            allowed = set(groups)
-            active = [a and i in allowed for i, a in enumerate(active)]
-            if not any(active):
-                active = [i in allowed for i in range(len(self.spaces))]
         out: list[np.ndarray] = []
         offs: list[int] = []
         lens: list[int] = []
         got = 0
-        dry = [not a for a in active]
+        dry = [not a for a in self._active_mask()]
         groups = self.groups
         while got < n and not all(dry):
             for gi, galloc in enumerate(groups):

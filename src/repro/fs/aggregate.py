@@ -13,12 +13,18 @@ lifecycle); this module adds geometry, device models with time costs
 implements the CP-boundary sequence: price the CP's writes on the
 devices, apply delayed frees (with SSD trims), flush batched AA-score
 deltas into the caches, and drain metafile dirty-block counts.
+
+A :class:`RAIDStore` holds the groups of one tier; a store of several
+tiers (a Flash Pool among them) is a :class:`repro.tiering.TieredStore`
+of one such store per tier.  Every space is built at its global VBN
+base — its ``offset`` — so stores allocate, and accept frees, in
+global VBNs at every level, and each space subtracts its own base once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -53,6 +59,7 @@ __all__ = [
     "Store",
     "resolve_stripes_per_aa",
     "route_frees",
+    "InstanceSurface",
     "RAIDGroupRuntime",
     "GroupCPReport",
     "StoreCPReport",
@@ -165,23 +172,53 @@ def _make_device(tier: TierSpec, name: str) -> Device:
     return HDD(blocks, name=name)
 
 
-def _check_free_range(vbns: np.ndarray, lo: int, hi: int, nblocks: int) -> None:
+def _check_free_range(vbns: np.ndarray, lo: int, hi: int, start: int, stop: int) -> None:
     """Refuse, before anything is logged, a free batch whose extremes
-    ``lo``/``hi`` leave the VBN space ``[0, nblocks)``."""
-    if lo < 0 or hi >= nblocks:
-        bad = vbns[(vbns < 0) | (vbns >= nblocks)][:8].tolist()
-        raise BitmapError(f"free of VBN(s) {bad} outside the store's VBN space [0, {nblocks})")
+    ``lo``/``hi`` leave the VBN space ``[start, stop)``."""
+    if lo < start or hi >= stop:
+        bad = vbns[(vbns < start) | (vbns >= stop)][:8].tolist()
+        raise BitmapError(f"free of VBN(s) {bad} outside the store's VBN space [{start}, {stop})")
 
 
 def route_frees(vbns: np.ndarray, bounds: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``(owner, owner-local VBNs)`` per owner a free batch touches, where
-    owner ``i`` holds ``[bounds[i], bounds[i + 1])`` from 0 to the space's
-    end: one sort, cut at the bounds, each slice rebased to its owner."""
+    """``(owner, global VBNs)`` per owner a free batch touches, where
+    owner ``i`` holds ``[bounds[i], bounds[i + 1])``: one sort, cut at
+    the bounds.  The space that logs a slice subtracts its own base."""
     sv = np.sort(vbns)
-    _check_free_range(sv, int(sv[0]), int(sv[-1]), int(bounds[-1]))
-    cuts, base = np.searchsorted(sv, bounds).tolist(), bounds.tolist()
-    return [(i, sv[cuts[i] : cuts[i + 1]] - base[i])
-            for i in range(len(base) - 1) if cuts[i + 1] > cuts[i]]
+    _check_free_range(sv, int(sv[0]), int(sv[-1]), int(bounds[0]), int(bounds[-1]))
+    cuts = np.searchsorted(sv, bounds).tolist()
+    return [(i, sv[cuts[i] : cuts[i + 1]])
+            for i in range(len(cuts) - 1) if cuts[i + 1] > cuts[i]]
+
+
+class InstanceSurface:
+    """The part of the :class:`Store` surface derived from a store's
+    :meth:`Store.physical_instances`, written once for
+    :class:`RAIDStore` and :class:`repro.tiering.TieredStore`: both
+    visit their spaces in VBN order."""
+
+    def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
+        raise NotImplementedError
+
+    @property
+    def free_count(self) -> int:
+        return sum(fs.free_count for _, fs, _ in self.physical_instances())
+
+    @property
+    def devices(self) -> list[Device]:
+        return [d for _, fs, _ in self.physical_instances() for d in fs.devices]
+
+    def attach_injector(self, injector) -> None:
+        """Attach a fault injector to every space's read paths."""
+        for _, fs, _ in self.physical_instances():
+            fs.attach_injector(injector)
+
+    def selected_aa_free_fractions(self) -> np.ndarray:
+        """Free fraction of every AA at the moment it was selected
+        (the section 4.1 trace), space by space."""
+        return np.concatenate(
+            [fs.selected_aa_free_fractions() for _, fs, _ in self.physical_instances()]
+        )
 
 
 @dataclass
@@ -546,11 +583,11 @@ class RAIDGroupRuntime(AllocSpace):
         return freed
 
 
-class RAIDStore:
-    """Aggregate physical store backed by the RAID groups of one or more
-    tiers: ``tier.n_groups`` groups per :class:`TierSpec`, in declaration
-    order.  Tiers of different media make a Flash Pool (paper section
-    2.1), routed by a :class:`TierPolicy`.
+class RAIDStore(InstanceSurface):
+    """Aggregate physical store backed by the ``tier.n_groups`` RAID
+    groups of one :class:`TierSpec` tier, numbered from ``base`` (the
+    store's first global VBN; 0 unless it is one tier of a
+    :class:`repro.tiering.TieredStore`).
 
     ``threshold_fraction`` is the section 3.3.1 fragmentation cutoff
     (:attr:`~repro.common.config.AggregateSpec.threshold_fraction`),
@@ -564,57 +601,32 @@ class RAIDStore:
 
     def __init__(
         self,
-        tiers: Sequence[TierSpec],
+        tier: TierSpec,
         *,
+        base: int = 0,
         policy: PolicyKind = PolicyKind.CACHE,
         threshold_fraction: float = 0.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if not tiers:
-            raise GeometryError("an aggregate needs at least one RAID group")
         rng = make_rng(seed)
         self.groups: list[RAIDGroupRuntime] = []
-        self.offsets: list[int] = []
-        offset = 0
-        for tier in tiers:
-            for _ in range(tier.n_groups):
-                i = len(self.groups)
-                self.offsets.append(offset)
-                g = RAIDGroupRuntime(
-                    tier, offset=offset, policy=policy, seed=rng, name=f"rg{i}"
-                )
-                g.where = f"group:{i}"
-                self.groups.append(g)
-                offset += g.geometry.data_blocks
-        self.nblocks = offset
+        offset = base
+        for i in range(tier.n_groups):
+            g = RAIDGroupRuntime(tier, offset=offset, policy=policy, seed=rng, name=f"rg{i}")
+            g.where = f"group:{i}"
+            self.groups.append(g)
+            offset += g.geometry.data_blocks
+        self.nblocks = offset - base
         self.allocator = AggregateAllocator(
             self.groups, threshold_fraction=threshold_fraction
         )
-        self._bounds = np.asarray(self.offsets + [self.nblocks], dtype=np.int64)
+        self._bounds = np.asarray([g.offset for g in self.groups] + [offset], dtype=np.int64)
         self._pending_read_us: list[float] = [0.0] * len(self.groups)
 
     # ------------------------------------------------------------------
-    @property
-    def free_count(self) -> int:
-        return sum(g.free_count for g in self.groups)
-
-    @property
-    def devices(self) -> list[Device]:
-        return [d for g in self.groups for d in g.devices]
-
-    def attach_injector(self, injector) -> None:
-        """Attach a fault injector to every RAID group's read paths."""
-        for g in self.groups:
-            g.attach_injector(injector)
-
     def fail_disk(self, group_index: int, disk_index: int, *, parity: bool = False) -> None:
         """Inject a whole-device failure into one RAID group."""
         self.groups[group_index].fail_disk(disk_index, parity=parity)
-
-    @property
-    def media_kinds(self) -> list[MediaType]:
-        """Media type of each RAID group."""
-        return [g.media for g in self.groups]
 
     def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
         """The store's fault-addressable file-system instances as
@@ -623,14 +635,9 @@ class RAIDStore:
         walk instead of dispatching on store type."""
         return [(g.where, g, g.offset) for g in self.groups]
 
-    def allocate(self, n: int, groups: list[int] | None = None) -> np.ndarray:
-        """Allocate ``n`` physical blocks across RAID groups.
-
-        ``groups`` restricts allocation to the given group indices (how
-        a :class:`TierPolicy` routes data to one tier's groups); None
-        allocates aggregate-wide.
-        """
-        return self.allocator.allocate(n, groups=groups)
+    def allocate(self, n: int) -> np.ndarray:
+        """Allocate ``n`` physical blocks across the RAID groups."""
+        return self.allocator.allocate(n)
 
     def log_free(self, vbns: np.ndarray) -> None:
         """Log global VBNs for freeing at the next CP boundary, in their groups' logs."""
@@ -638,11 +645,14 @@ class RAIDStore:
         if vbns.size == 0:
             return
         if len(self.groups) == 1:
-            _check_free_range(vbns, int(vbns.min()), int(vbns.max()), self.nblocks)
-            self.groups[0].delayed_frees.add(vbns)
+            g = self.groups[0]
+            _check_free_range(vbns, int(vbns.min()), int(vbns.max()), g.offset,
+                              g.offset + self.nblocks)
+            g.delayed_frees.add(vbns - g.offset if g.offset else vbns)
             return
-        for gi, local in route_frees(vbns, self._bounds):
-            self.groups[gi].delayed_frees.add(local)
+        for gi, glob in route_frees(vbns, self._bounds):
+            g = self.groups[gi]
+            g.delayed_frees.add(glob - g.offset)
 
     def charge_reads(self, n_random: int) -> None:
         """Queue client random reads to be priced at the CP boundary,
@@ -699,11 +709,6 @@ class RAIDStore:
         report.device_total_us = float(sum(busy))
         return report
 
-    def selected_aa_free_fractions(self) -> np.ndarray:
-        """Free fraction of every AA at the moment it was selected
-        (the section 4.1 trace), group by group."""
-        return np.concatenate([g.selected_aa_free_fractions() for g in self.groups])
-
 
 class LinearStore(AllocSpace):
     """Physical store with native redundancy (object store): a linear
@@ -717,12 +722,13 @@ class LinearStore(AllocSpace):
         nblocks: int,
         *,
         blocks_per_aa: int = RAID_AGNOSTIC_AA_BLOCKS,
+        base: int = 0,
         policy: PolicyKind = PolicyKind.CACHE,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         super().__init__(
             LinearAATopology(nblocks, blocks_per_aa),
-            where="store", policy=policy, seed=seed,
+            where="store", policy=policy, seed=seed, offset=base,
         )
         self.nblocks = nblocks
         self.device = ObjectStore(nblocks)
@@ -737,7 +743,7 @@ class LinearStore(AllocSpace):
     def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
         """See :meth:`RAIDStore.physical_instances`; a linear store is
         its own (single) fault-addressable instance."""
-        return [(self.where, self, 0)]
+        return [(self.where, self, self.offset)]
 
     def _check_media(self, n: int) -> None:
         """A natively redundant object store has no local parity: any
@@ -762,8 +768,9 @@ class LinearStore(AllocSpace):
     def log_free(self, vbns: np.ndarray) -> None:
         vbns = np.asarray(vbns, dtype=np.int64)
         if vbns.size:
-            _check_free_range(vbns, int(vbns.min()), int(vbns.max()), self.nblocks)
-            self.delayed_frees.add(vbns)
+            _check_free_range(vbns, int(vbns.min()), int(vbns.max()), self.offset,
+                              self.offset + self.nblocks)
+            self.delayed_frees.add(vbns - self.offset if self.offset else vbns)
 
     def charge_reads(self, n_random: int) -> None:
         if n_random > 0:
@@ -777,7 +784,7 @@ class LinearStore(AllocSpace):
             report.blocks_written = int(vbns.size)
             report.chains = Device.chains_of(vbns)
             with obs.span("store.write", blocks=int(vbns.size)):
-                report.device_busy_us = self.device.write_blocks(vbns)
+                report.device_busy_us = self.device.write_blocks(vbns - self.offset)
                 obs.advance_us(report.device_busy_us)
         report.device_busy_us += self._pending_read_us
         self._pending_read_us = 0.0
@@ -795,16 +802,19 @@ class LinearStore(AllocSpace):
 def build_tier_store(
     tier: TierSpec,
     *,
+    base: int = 0,
     policy: PolicyKind = PolicyKind.CACHE,
     threshold_fraction: float = 0.0,
     seed: int | np.random.Generator | None = None,
 ) -> RAIDStore | LinearStore:
-    """The store one declared tier builds: a :class:`LinearStore` for an
-    object tier, else a :class:`RAIDStore` of its groups."""
+    """The store one declared tier builds, its spaces numbered from
+    ``base``: a :class:`LinearStore` for an object tier, else a
+    :class:`RAIDStore` of its groups."""
     if tier.media == "object":
         return LinearStore(
-            tier.nblocks, blocks_per_aa=tier.blocks_per_aa, policy=policy, seed=seed
+            tier.nblocks, blocks_per_aa=tier.blocks_per_aa, base=base, policy=policy,
+            seed=seed,
         )
     return RAIDStore(
-        (tier,), policy=policy, threshold_fraction=threshold_fraction, seed=seed
+        tier, base=base, policy=policy, threshold_fraction=threshold_fraction, seed=seed
     )

@@ -2,11 +2,13 @@
 
 The CP engine consults ``store.tier_policy.place(...)`` for every
 volume's staged writes; these policies decide which tier (and therefore
-which devices) each block lands on.  :class:`StaticTierPolicy` is
-attached by :func:`repro.tiering.make_tiered_store` for multi-tier
-aggregates; no builder attaches :class:`FlashPoolPolicy` — a caller
-sets ``store.tier_policy = FlashPoolPolicy()`` on a mixed-media RAID
-store by hand (``examples/flash_pool.py``).
+which devices) each block lands on.  Both route through
+:meth:`repro.tiering.TieredStore.allocate_in`, which spills through
+the tiers they name in order.  :class:`StaticTierPolicy` is attached
+by :func:`repro.tiering.make_tiered_store` for multi-tier aggregates;
+a Flash Pool is the same build of an SSD tier and a capacity tier,
+after which the caller sets ``sim.store.tier_policy =
+FlashPoolPolicy()`` (``examples/flash_pool.py``).
 """
 
 from __future__ import annotations
@@ -14,39 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import OutOfSpaceError, TieringError
-from ..devices.base import MediaType
 
 __all__ = ["FlashPoolPolicy", "StaticTierPolicy"]
 
 
 class FlashPoolPolicy:
-    """The paper's Flash Pool placement (section 2.1) for a mixed-media
-    :class:`~repro.fs.aggregate.RAIDStore`: overwritten (hot) blocks go
-    to the SSD RAID groups, first writes to the capacity groups, each
-    side falling back to the other when its groups run dry.
-
-    Stateless; byte-identical to the placement the CP engine used to
-    hard-code behind the ``supports_tiering`` probe.
+    """The paper's Flash Pool placement (section 2.1) for a
+    :class:`~repro.tiering.TieredStore` of SSD and capacity tiers:
+    overwritten (hot) blocks go to the SSD tiers, first writes to the
+    others, each side spilling to the other when it runs out of space.
+    Stateless.
     """
-
-    @staticmethod
-    def _media_groups(store, fast: bool) -> list[int]:
-        return [
-            i
-            for i, m in enumerate(store.media_kinds)
-            if (m is MediaType.SSD) == fast
-        ]
-
-    def _allocate(self, store, n: int, *, fast: bool) -> np.ndarray:
-        if n <= 0:
-            return np.empty(0, dtype=np.int64)
-        got = store.allocate(n, groups=self._media_groups(store, fast))
-        if got.size < n:
-            rest = store.allocate(
-                n - got.size, groups=self._media_groups(store, not fast)
-            )
-            got = np.concatenate([got, rest]) if got.size else rest
-        return got
 
     def place(
         self,
@@ -55,9 +35,11 @@ class FlashPoolPolicy:
         ids: np.ndarray,
         was_mapped: np.ndarray,
     ) -> np.ndarray:
+        fast = [t.label for t in store.tiers if t.media == "ssd"]
+        slow = [t.label for t in store.tiers if t.media != "ssd"]
         n_hot = int(was_mapped.sum())
-        p_hot = self._allocate(store, n_hot, fast=True)
-        p_cold = self._allocate(store, int(ids.size) - n_hot, fast=False)
+        p_hot = store.allocate_in(fast + slow, n_hot)
+        p_cold = store.allocate_in(slow + fast, int(ids.size) - n_hot)
         got = p_hot.size + p_cold.size
         if got < ids.size:
             raise OutOfSpaceError(
@@ -111,16 +93,7 @@ class StaticTierPolicy:
                 f"aggregate tiers: {store.labels}"
             )
         n = int(ids.size)
-        got = store.allocate_in(label, n)
-        if got.size < n:
-            for other in store.labels:
-                if other == label:
-                    continue
-                more = store.allocate_in(other, n - got.size)
-                if more.size:
-                    got = np.concatenate([got, more]) if got.size else more
-                if got.size >= n:
-                    break
+        got = store.allocate_in([label] + [t for t in store.labels if t != label], n)
         if got.size < n:
             raise OutOfSpaceError(
                 f"aggregate out of space: {got.size} of {n} "

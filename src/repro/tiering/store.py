@@ -1,13 +1,14 @@
-"""TieredStore: several physical stores composed into one aggregate.
+"""TieredStore: one store per tier, composed into one aggregate.
 
 Each declared :class:`~repro.common.config.TierSpec` becomes one
 *member* store — a :class:`~repro.fs.aggregate.RAIDStore` (RAID 4 /
 RAID-DP / mirrored groups of HDD, SSD, or SMR devices) or a
 :class:`~repro.fs.aggregate.LinearStore` (object backend).  The members
-are stock single-tier stores; this class owns the global VBN space and
-converts global ↔ member-local VBNs at its own boundary, so everything
-below it (allocators, bitmaps, caches, parity pricing) is reused
-unchanged.
+are stock single-tier stores, each built at its tier's base in the
+aggregate VBN space, so they allocate and accept frees in global VBNs
+and nothing is rebased at this boundary.  A Flash Pool (paper section
+2.1) is such an aggregate of an SSD tier and a capacity tier with a
+:class:`~repro.tiering.policies.FlashPoolPolicy` attached.
 
 The store implements the same structural surface the CP engine, Iron,
 the auditor, and the recovery orchestrator already consume —
@@ -18,13 +19,15 @@ for the tier policies in :mod:`repro.tiering.policies`.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..common.config import AggregateSpec, TierSpec
 from ..common.errors import TieringError
 from ..common.rng import make_rng
-from ..devices.base import Device
 from ..fs.aggregate import (
+    InstanceSurface,
     PolicyKind,
     RAIDStore,
     Store,
@@ -56,8 +59,9 @@ _SUMMED_FIELDS = (
 )
 
 
-class TieredStore:
-    """One aggregate VBN space over per-tier member stores."""
+class TieredStore(InstanceSurface):
+    """One aggregate VBN space over per-tier member stores, each built
+    at its tier's base (:func:`make_tiered_store`)."""
 
     #: See :attr:`repro.fs.aggregate.RAIDStore.tier_policy`; builders
     #: attach a :class:`~repro.tiering.policies.StaticTierPolicy`.
@@ -77,6 +81,12 @@ class TieredStore:
                 raise TieringError(
                     f"tier {tier.label!r}: member store has {member.nblocks} "
                     f"blocks but the spec declares {tier.physical_blocks}"
+                )
+            base = member.physical_instances()[0][2]
+            if base != offset:
+                raise TieringError(
+                    f"tier {tier.label!r}: member store starts at VBN {base}, "
+                    f"not at its base {offset}"
                 )
             self.bases.append(offset)
             offset += member.nblocks
@@ -107,32 +117,33 @@ class TieredStore:
             }
         return out
 
-    def allocate_in(self, label: str, n: int) -> np.ndarray:
-        """Allocate up to ``n`` blocks from one tier; returns global
-        VBNs.  No cross-tier fallback — that is tier-policy business."""
-        if n <= 0:
+    def allocate_in(self, labels: Sequence[str], n: int) -> np.ndarray:
+        """Allocate up to ``n`` blocks from the tiers ``labels``, in
+        that order of preference: each tier is asked for what the ones
+        before it could not give.  Returns global VBNs."""
+        members = []
+        for label in labels:
+            if label not in self.labels:
+                raise TieringError(
+                    f"unknown tier {label!r}; aggregate tiers: {self.labels}"
+                )
+            members.append(self.members[self.labels.index(label)])
+        out: list[np.ndarray] = []
+        got = 0
+        for member in members:
+            if got >= n:
+                break
+            take = member.allocate(n - got)
+            if take.size:
+                out.append(take)
+                got += take.size
+        if not out:
             return np.empty(0, dtype=np.int64)
-        idx = self.labels.index(label) if label in self.labels else -1
-        if idx < 0:
-            raise TieringError(
-                f"unknown tier {label!r}; aggregate tiers: {self.labels}"
-            )
-        got = self.members[idx].allocate(n)
-        if got.size and self.bases[idx]:
-            got = got + self.bases[idx]
-        return got
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     # ------------------------------------------------------------------
     # Store API (the surface the CP engine and WaflSim consume)
     # ------------------------------------------------------------------
-    @property
-    def free_count(self) -> int:
-        return sum(m.free_count for m in self.members)
-
-    @property
-    def devices(self) -> list[Device]:
-        return [d for m in self.members for d in m.devices]
-
     @property
     def groups(self):
         """All RAID groups across RAID-backed members (aging hooks and
@@ -142,31 +153,15 @@ class TieredStore:
     def allocate(self, n: int) -> np.ndarray:
         """Tier-blind allocation: fill tiers in declaration order.
         Only reached when no tier policy is attached."""
-        if n <= 0:
-            return np.empty(0, dtype=np.int64)
-        out: list[np.ndarray] = []
-        got = 0
-        for label in self.labels:
-            if got >= n:
-                break
-            take = self.allocate_in(label, n - got)
-            if take.size:
-                out.append(take)
-                got += take.size
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return self.allocate_in(self.labels, n)
 
     def log_free(self, vbns: np.ndarray) -> None:
         """Log global VBNs for freeing at the next CP boundary, with their tiers' members."""
         vbns = np.asarray(vbns, dtype=np.int64)
         if vbns.size == 0:
             return
-        if len(self.members) == 1:
-            self.members[0].log_free(vbns)
-            return
-        for i, local in route_frees(vbns, self._bounds):
-            self.members[i].log_free(local)
+        for i, glob in route_frees(vbns, self._bounds):
+            self.members[i].log_free(glob)
 
     def charge_reads(self, n_random: int) -> None:
         """Queue client random reads, spread across tiers proportional
@@ -201,23 +196,9 @@ class TieredStore:
         report.device_busy_us = max(busy) if busy else 0.0
         return report
 
-    def attach_injector(self, injector) -> None:
-        for m in self.members:
-            m.attach_injector(injector)
-
     def physical_instances(self) -> list[tuple[str, object, int]]:
-        """Members' instances, shifted to this aggregate's VBN space."""
-        out: list[tuple[str, object, int]] = []
-        for base, member in zip(self.bases, self.members):
-            out.extend(
-                (where, fs, base + local)
-                for where, fs, local in member.physical_instances()
-            )
-        return out
-
-    def selected_aa_free_fractions(self) -> np.ndarray:
-        fracs = [m.selected_aa_free_fractions() for m in self.members]
-        return np.concatenate(fracs) if fracs else np.empty(0, dtype=np.float64)
+        """Every member's instances, in VBN order."""
+        return [inst for member in self.members for inst in member.physical_instances()]
 
 
 def make_tiered_store(
@@ -237,12 +218,14 @@ def make_tiered_store(
     from .policies import StaticTierPolicy
 
     rng = make_rng(seed)
-    members: list[Store] = [
-        build_tier_store(
-            tier, policy=policy, threshold_fraction=spec.threshold_fraction, seed=rng
-        )
-        for tier in spec.tiers
-    ]
+    members: list[Store] = []
+    base = 0
+    for tier in spec.tiers:
+        members.append(build_tier_store(
+            tier, base=base, policy=policy, threshold_fraction=spec.threshold_fraction,
+            seed=rng,
+        ))
+        base += tier.physical_blocks
     store = TieredStore(list(spec.tiers), members)
     assignments = {
         v.name: choose_tier(spec.tiers, v.workload) for v in spec.volumes

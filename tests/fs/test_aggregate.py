@@ -18,7 +18,7 @@ from repro.fs import (
 def make_store(n_groups=2, media=MediaType.SSD, **kw):
     tier = TierSpec(label="t", media=media.value, n_groups=n_groups, ndata=3,
                     blocks_per_disk=8192, stripes_per_aa=1024)
-    return RAIDStore((tier,), **kw)
+    return RAIDStore(tier, **kw)
 
 
 class TestRAIDStore:
@@ -99,7 +99,7 @@ class TestRAIDStore:
     def test_mirror_twins_take_their_data_device_trims(self):
         tier = TierSpec(label="m", media="ssd", raid="mirror", ndata=3,
                         blocks_per_disk=8192, stripes_per_aa=1024)
-        st = RAIDStore((tier,))
+        st = RAIDStore(tier)
         v = st.allocate(3000)
         st.cp_boundary()
         st.log_free(v[::2])
@@ -123,10 +123,6 @@ class TestRAIDStore:
         rep = st.cp_boundary()
         assert rep.device_busy_us > 0
 
-    def test_empty_config_rejected(self):
-        with pytest.raises(GeometryError):
-            RAIDStore([])
-
     def test_random_policy_store(self):
         st = make_store(policy=PolicyKind.RANDOM, seed=3)
         v = st.allocate(500)
@@ -135,7 +131,7 @@ class TestRAIDStore:
 
     def test_object_media_rejected_in_raid(self):
         with pytest.raises(GeometryError):
-            RAIDStore((TierSpec(label="t", media="object", raid="none", nblocks=65536),))
+            RAIDStore(TierSpec(label="t", media="object", raid="none", nblocks=65536))
 
 
 class TestLinearStore:

@@ -48,8 +48,7 @@ def _linear() -> Rig:
 
 def _raid() -> Rig:
     store = RAIDStore(
-        (TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=4096,
-                  stripes_per_aa=512),),
+        TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=4096, stripes_per_aa=512),
         seed=0,
     )
     # Allocation goes through the aggregate, which must follow the

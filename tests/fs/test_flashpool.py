@@ -1,10 +1,10 @@
 """Tests for Flash Pool-style mixed-media tiering (extension;
 paper section 2.1).
 
-A Flash Pool is one :class:`RAIDStore` whose groups mix SSD and
-capacity media, carrying a :class:`repro.tiering.FlashPoolPolicy` that
-routes hot overwrites to the SSD groups.  Contrast with the multi-tier
-aggregates of :mod:`repro.tiering`, which compose one store per tier.
+A Flash Pool is a two-tier aggregate built by :meth:`WaflSim.build`
+like any other — one SSD tier and one HDD tier, a RAID store each —
+carrying a :class:`repro.tiering.FlashPoolPolicy` that routes hot
+overwrites to the SSD tier and first writes to the HDD tier.
 """
 
 from __future__ import annotations
@@ -12,25 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
-from repro.common.rng import make_rng
 from repro.fs import CPBatch, MediaType, WaflSim
-from repro.fs.aggregate import RAIDStore
 from repro.tiering import FlashPoolPolicy
 from ..conftest import assert_scores_match
 
 
 def build_flash_pool(seed=0):
-    tiers = (
-        TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=16384,
-                 stripes_per_aa=2048),
-        TierSpec(label="hdd", media="hdd", n_groups=2, ndata=3,
-                 blocks_per_disk=32768, stripes_per_aa=4096),
+    sim = WaflSim.build(
+        AggregateSpec(
+            tiers=(
+                TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=16384,
+                         stripes_per_aa=2048),
+                TierSpec(label="hdd", media="hdd", n_groups=2, ndata=3,
+                         blocks_per_disk=32768, stripes_per_aa=4096),
+            ),
+            volumes=(VolumeDecl("db", logical_blocks=60_000),),
+        ),
+        seed=seed,
     )
-    rng = make_rng(seed)
-    store = RAIDStore(tiers, seed=rng)
-    store.tier_policy = FlashPoolPolicy()
-    sim = WaflSim(store, {})
-    sim.add_volume(VolumeDecl("db", logical_blocks=60_000), seed=rng)
+    sim.store.tier_policy = FlashPoolPolicy()
     return sim
 
 
@@ -38,7 +38,8 @@ class TestTiering:
     def test_policy_and_media(self):
         sim = build_flash_pool()
         assert isinstance(sim.store.tier_policy, FlashPoolPolicy)
-        assert sim.store.media_kinds == [MediaType.SSD, MediaType.HDD, MediaType.HDD]
+        assert [g.media for g in sim.store.groups] == [
+            MediaType.SSD, MediaType.HDD, MediaType.HDD]
 
     def test_all_ssd_carries_no_policy(self):
         sim = WaflSim.build(
@@ -90,8 +91,9 @@ class TestTiering:
 
     def test_explicit_group_allocation(self):
         sim = build_flash_pool()
-        fast = sim.store.allocate(100, groups=[0])
-        cap = sim.store.allocate(100, groups=[1, 2])
+        fast = sim.store.allocate_in(["ssd"], 100)
+        cap = sim.store.allocate_in(["hdd"], 100)
+        assert fast.size == cap.size == 100
         ssd_span = sim.store.groups[0].topology.nblocks
         assert (fast < ssd_span).all()
         assert (cap >= ssd_span).all()

@@ -269,13 +269,13 @@ class MaskRoutedRAIDStore(RAIDStore):
         if vbns.size == 0:
             return
         if len(self.groups) == 1:
-            self.groups[0].delayed_frees.add(vbns)
+            self.groups[0].delayed_frees.add(vbns - self.groups[0].offset)
             return
         gids = self.group_of(vbns)
         for gi, g in enumerate(self.groups):
             mask = gids == gi
             if mask.any():
-                g.delayed_frees.add(vbns[mask] - self.offsets[gi])
+                g.delayed_frees.add(vbns[mask] - g.offset)
 
 
 class MaskRoutedTieredStore(TieredStore):
@@ -294,7 +294,7 @@ class MaskRoutedTieredStore(TieredStore):
         for i, member in enumerate(self.members):
             mask = idx == i
             if mask.any():
-                member.log_free(vbns[mask] - self.bases[i])
+                member.log_free(vbns[mask])
 
 
 def mask_trimmed_apply_frees(self):
@@ -334,7 +334,7 @@ def _hdd_tier(label, ndata, n_groups=1):
 @settings(max_examples=40, deadline=None)
 def test_raid_store_routing_matches_mask_oracle(data, n_groups):
     tier = _hdd_tier("h", 2, n_groups)
-    new, old = RAIDStore((tier,), seed=0), MaskRoutedRAIDStore((tier,), seed=0)
+    new, old = RAIDStore(tier, seed=0), MaskRoutedRAIDStore(tier, seed=0)
     vbns = _edge_vbns(data.draw, new._bounds.tolist())
     new.log_free(vbns)
     old.log_free(vbns)
@@ -353,7 +353,8 @@ def test_tiered_store_routing_matches_mask_oracle(data, kinds):
                  blocks_per_aa=64)
         for i, kind in enumerate(kinds)
     ]
-    stores = [cls(tiers, [build_tier_store(t, seed=0) for t in tiers])
+    bases = np.cumsum([0] + [t.physical_blocks for t in tiers]).tolist()
+    stores = [cls(tiers, [build_tier_store(t, base=b, seed=0) for t, b in zip(tiers, bases)])
               for cls in (TieredStore, MaskRoutedTieredStore)]
     calls: list[list[list[np.ndarray]]] = []
     for store in stores:
@@ -393,7 +394,7 @@ def _ssd_state(dev):
 def test_trims_match_mask_oracle(data, raid, ndata, n_groups, fail):
     tier = TierSpec(label="s", media="ssd", raid=raid, ndata=ndata, n_groups=n_groups,
                     blocks_per_disk=2048, stripes_per_aa=256, erase_block_blocks=256)
-    stores = [RAIDStore((tier,), seed=0) for _ in range(2)]
+    stores = [RAIDStore(tier, seed=0) for _ in range(2)]
     trims: list[list[list[np.ndarray]]] = []
     for store in stores:
         trims.append([])

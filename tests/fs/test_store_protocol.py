@@ -15,8 +15,8 @@ from repro.tiering import make_tiered_store
 
 def _raid() -> RAIDStore:
     return RAIDStore(
-        (TierSpec(label="ssd", media="ssd", n_groups=2, ndata=3,
-                  blocks_per_disk=4096, stripes_per_aa=512),),
+        TierSpec(label="ssd", media="ssd", n_groups=2, ndata=3,
+                 blocks_per_disk=4096, stripes_per_aa=512),
         seed=0,
     )
 
@@ -69,6 +69,8 @@ def test_store_conforms(make):
     assert instances and len({where for where, _, _ in instances}) == len(instances)
     spans = sorted((base, base + fs.topology.nblocks) for _, fs, base in instances)
     assert all(isinstance(fs, AllocSpace) for _, fs, _ in instances)
+    # A space's offset is its global VBN base.
+    assert all(fs.offset == base for _, fs, base in instances)
     # The instances tile the store's VBN space exactly.
     assert spans[0][0] == 0 and spans[-1][1] == store.nblocks
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))

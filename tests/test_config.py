@@ -49,7 +49,7 @@ def _engine(**timing):
 
 class TestThresholdFromConfig:
     def test_raidstore_reads_config(self):
-        store = RAIDStore((SSD_TIER,), threshold_fraction=0.1, seed=7)
+        store = RAIDStore(SSD_TIER, threshold_fraction=0.1, seed=7)
         assert store.allocator.threshold_fraction == 0.1
 
     def test_build_reads_config(self):
@@ -83,7 +83,7 @@ class TestThresholdFromConfig:
 
     def test_default_comes_from_sim_config(self):
         assert AggregateSpec(tiers=(SSD_TIER,)).threshold_fraction == 0.0
-        assert RAIDStore((SSD_TIER,), seed=7).allocator.threshold_fraction == 0.0
+        assert RAIDStore(SSD_TIER, seed=7).allocator.threshold_fraction == 0.0
         assert WaflSim.build(SPEC, seed=7).store.allocator.threshold_fraction == 0.0
 
 

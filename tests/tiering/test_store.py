@@ -53,13 +53,13 @@ class TestComposition:
             g.delayed_frees.pending_vbns().tolist()
             for m in store.members for g in m.groups
         ]
-        # Member-local: the disk tier's group sees its own VBNs from 0.
+        # Group-local: the disk tier's group logs its own VBNs from 0.
         assert pending == [[0, split - 1], [0, store.nblocks - split - 1]]
 
     @pytest.mark.parametrize("past_end", [False, True], ids=["negative", "past-end"])
     def test_log_free_refuses_vbns_outside_the_aggregate(self, past_end):
         store = make_tiered_store(two_tier_spec(), seed=1)
-        fast = store.allocate_in("flash", 64)
+        fast = store.allocate_in(["flash"], 64)
         store.cp_boundary()
         bad = store.nblocks + 5 if past_end else -1
         with pytest.raises(BitmapError, match=rf"\[{bad}\] outside .* \[0, {store.nblocks}\)"):
@@ -70,8 +70,8 @@ class TestComposition:
     def test_allocate_in_stays_inside_the_tier(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
         split = store.bases[1]
-        fast = store.allocate_in("flash", 128)
-        slow = store.allocate_in("disk", 128)
+        fast = store.allocate_in(["flash"], 128)
+        slow = store.allocate_in(["disk"], 128)
         assert (fast < split).all()
         assert (slow >= split).all()
         usage = store.tier_usage()
@@ -82,7 +82,7 @@ class TestComposition:
     def test_unknown_tier_label_raises(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
         with pytest.raises(TieringError, match="unknown tier"):
-            store.allocate_in("tape", 1)
+            store.allocate_in(["tape"], 1)
 
     def test_physical_instances_are_base_shifted(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
@@ -93,8 +93,8 @@ class TestComposition:
 
     def test_free_blocks_return_to_their_tier(self):
         store = make_tiered_store(two_tier_spec(), seed=1)
-        fast = store.allocate_in("flash", 64)
-        slow = store.allocate_in("disk", 64)
+        fast = store.allocate_in(["flash"], 64)
+        slow = store.allocate_in(["disk"], 64)
         store.log_free(np.concatenate([fast, slow]))
         store.cp_boundary()
         usage = store.tier_usage()
