@@ -62,6 +62,7 @@ from ..traffic import (
     calibrate_capacity,
     run_traffic,
 )
+from ..traffic.engine import interval_p99s
 from ..workloads import RandomOverwriteWorkload, age_filesystem, fill_volumes
 from ..workloads.aging import reset_measurement_state
 from .claims import Claim, Experiment, invariant
@@ -120,23 +121,19 @@ def disk_failure_metrics(log: DrillLog, engine: TrafficEngine) -> dict:
     """Per-tenant p99 and completions by phase (healthy / degraded /
     repaired): degraded-mode RAID charges reconstruction reads into the
     CP's device time, so the failure's latency cost is per tenant."""
-    edges_us = (
+    edges_us = np.array([
         0.0,
         log.step_of(FailDisk) * engine.cp_interval_us,
         log.step_of(ReplaceDisk) * engine.cp_interval_us,
         engine.clock_us,
-    )
-    p99s: dict[str, dict[str, float]] = {}
-    counts: dict[str, dict[str, int]] = {}
-    for phase, lo, hi in zip(PHASES, edges_us[:-1], edges_us[1:]):
-        p99s[phase], counts[phase] = {}, {}
-        for tenant, st in zip(engine.tenants, engine.states):
-            complete = st.complete_array()
-            mask = (complete > lo) & (complete <= hi)
-            n = counts[phase][tenant.name] = int(mask.sum())
-            p99s[phase][tenant.name] = (
-                float(np.percentile(st.latency_array()[mask], 99)) / 1e3 if n else 0.0
-            )
+    ])
+    p99s: dict[str, dict[str, float]] = {phase: {} for phase in PHASES}
+    counts: dict[str, dict[str, int]] = {phase: {} for phase in PHASES}
+    for tenant, st in zip(engine.tenants, engine.states):
+        cuts, p99_us = interval_p99s(st.served, edges_us)
+        for k, phase in enumerate(PHASES):
+            counts[phase][tenant.name] = cuts[k + 1] - cuts[k]
+            p99s[phase][tenant.name] = p99_us[k] / 1e3
     return {
         "cps_completed": log.steps,
         "failed_allocations": log.failed_allocations,

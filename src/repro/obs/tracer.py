@@ -151,15 +151,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Clock + CP association
     # ------------------------------------------------------------------
-    def advance_us(self, us: float) -> None:
-        """Advance the trace clock by a simulated duration."""
-        self.clock_us += us
-
-    def sync_us(self, us: float) -> None:
-        """Fast-forward the clock to an external sim clock (monotonic)."""
-        if us > self.clock_us:
-            self.clock_us = us
-
     def set_cp(self, cp_index: int) -> None:
         """Associate subsequent records with CP ``cp_index``."""
         self._cp = cp_index

@@ -12,10 +12,13 @@ identity tests require the production engine to match it bit for bit.
 Only the measurement code (``summary`` / ``_record_series``) is shared
 with production: :class:`OracleTenant` offers the same views the summary
 reads, computed the obviously right way from its per-op lists —
-``complete_array()`` / ``latency_array()``, ``*_count()``, and
+``served()`` (one ``(completions, latencies)`` pair, where production
+yields one per drain call), ``*_count()``, and
 ``arrivals_through(edges)`` / ``rejected_through(edges)``, a
 ``searchsorted`` of every arrival (rejection) time against the CP edges,
 where production tallies counts per interval as it admits.
+:func:`complete_array` and :func:`latency_array` join either model's
+``served()`` for the tests.
 """
 
 from __future__ import annotations
@@ -63,11 +66,12 @@ class OracleTenant:
     def rejected_through(self, edges: np.ndarray) -> np.ndarray:
         return np.searchsorted(np.sort(self.rejected_us), edges, side="right")
 
-    def complete_array(self) -> np.ndarray:
-        return np.asarray(self.complete_us, dtype=np.float64)
-
-    def latency_array(self) -> np.ndarray:
-        return np.asarray(self.latency_us, dtype=np.float64)
+    def served(self):
+        """The per-op lists as one ``(completions, latencies)`` pair, once
+        an op is served (production yields no empty pair either)."""
+        if self.complete_us:
+            yield (np.asarray(self.complete_us, dtype=np.float64),
+                   np.asarray(self.latency_us, dtype=np.float64))
 
     def arrived_count(self) -> int:
         return len(self.arrivals_us)
@@ -77,6 +81,21 @@ class OracleTenant:
 
     def backend_pending(self) -> int:
         return len(self.backend)
+
+
+def _joined(parts) -> np.ndarray:
+    parts = list(parts)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+
+
+def complete_array(st) -> np.ndarray:
+    """A tenant's (engine's or oracle's) completions, joined in serve order."""
+    return _joined(c for c, _ in st.served())
+
+
+def latency_array(st) -> np.ndarray:
+    """A tenant's latencies, joined in serve order."""
+    return _joined(lat for _, lat in st.served())
 
 
 class OracleEngine(TrafficEngine):

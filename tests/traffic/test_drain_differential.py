@@ -23,7 +23,7 @@ from repro.traffic import PoissonArrivals, TenantSpec, TrafficEngine
 from repro.traffic.engine import DRAIN_BLOCK_OPS
 from repro.workloads import UniformOverwriteMix
 
-from .oracle import OracleEngine
+from .oracle import OracleEngine, complete_array, latency_array
 
 #: One tenant's riders in one CP: the gaps between successive admits.
 Gaps = list[float]
@@ -74,10 +74,10 @@ def _drain_both(oracle, engine, rounds: list[Round]) -> None:
             assert ref.vfinish == got.vfinish, (cp, got.spec.name)
             assert ref.backend_pending() == got.backend_pending(), (cp, got.spec.name)
             assert got.q_head + got.backend_pending() == got.q_admit.size
-            for raw in ("complete", "latency"):
-                assert np.array_equal(
-                    getattr(ref, f"{raw}_array")(), getattr(got, f"{raw}_array")()
-                ), (cp, got.spec.name, raw)
+            for view in (complete_array, latency_array):
+                assert np.array_equal(view(ref), view(got)), (
+                    cp, got.spec.name, view.__name__,
+                )
 
 
 # Dyadic values: every sum below is exact, so serve times land on
@@ -130,7 +130,7 @@ def test_window_refill_boundaries_match_the_oracle():
     straddle = [2 * block - 4.0] + [0.0] * 7
     rounds = [([aggressor, seam, straddle], 1.0, 2.0, 3 * block + 100.0)]
     _drain_both(oracle, engine, rounds)
-    served = [st.complete_array().size for st in engine.states]
+    served = [complete_array(st).size for st in engine.states]
     assert served[0] > 2 * DRAIN_BLOCK_OPS and served[1:] == [1, 8]
     assert engine.states[0].backend_pending() > 0
     # The second call starts mid-backlog and drains it.
@@ -141,7 +141,7 @@ def test_window_refill_boundaries_match_the_oracle():
 def _starts(engine) -> list[list[float]]:
     """Every tenant's serve start times so far: completion minus the
     ``s_lat`` of 2.0 every hand-built round below uses."""
-    return [(st.complete_array() - 2.0).tolist() for st in engine.states]
+    return [(complete_array(st) - 2.0).tolist() for st in engine.states]
 
 
 def test_idle_server_tie_rescans_the_heads():

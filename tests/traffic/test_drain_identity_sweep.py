@@ -32,7 +32,7 @@ from repro.traffic import (
 from repro.traffic.scenarios import calibrate_capacity
 from repro.workloads import UniformOverwriteMix
 
-from .oracle import OracleEngine
+from .oracle import OracleEngine, complete_array, latency_array
 
 CP_INTERVAL_US = 20_000.0
 UTILISATIONS = (0.05, 0.3, 0.7, 1.0, 1.3)
@@ -146,10 +146,10 @@ def _assert_identical_after_every_step(scalar, batched, n_cps: int) -> int:
                 # Admitted at arrival, whatever the queue bound: the
                 # per-op admission loop never ran for this tenant.
                 assert not st.pending_admits, (cp, st.spec.name)
-            for raw in ("complete", "latency"):
-                assert np.array_equal(
-                    getattr(ref, f"{raw}_array")(), getattr(st, f"{raw}_array")()
-                ), (cp, st.spec.name, raw)
+            for view in (complete_array, latency_array):
+                assert np.array_equal(view(ref), view(st)), (
+                    cp, st.spec.name, view.__name__,
+                )
             edges = np.arange(0.0, batched.clock_us + CP_INTERVAL_US / 2, CP_INTERVAL_US)
             for counted in ("arrivals", "rejected"):
                 assert np.array_equal(
@@ -173,7 +173,7 @@ def test_identity_across_load(n_tenants, util, profile):
     scalar = _engine(n_tenants, util, profile, OracleEngine)
     batched = _engine(n_tenants, util, profile, TrafficEngine)
     delayed = _assert_identical_after_every_step(scalar, batched, n_cps)
-    served = sum(st.complete_array().size for st in batched.states)
+    served = sum(complete_array(st).size for st in batched.states)
     assert served > 0
     if profile == "throttled":
         # The QoS recurrence really ran: admits held past their window

@@ -23,6 +23,7 @@ from repro.traffic.scenarios import calibrate_capacity, run_traffic
 from repro.workloads import UniformOverwriteMix
 
 from ..conftest import small_ssd_sim
+from .oracle import complete_array, latency_array
 
 
 def two_tenant_engine(
@@ -158,7 +159,7 @@ class TestServiceAndCharging:
         result = engine.summary()
         assert result.capacity_ops == pytest.approx(engine.capacity_ops)
         assert result.total_ops == sum(
-            int(st.latency_array().size) + st.backend_pending()
+            int(latency_array(st).size) + st.backend_pending()
             for st in engine.states
         )
 
@@ -284,7 +285,7 @@ class TestDrainWorkIsLinear:
             engine.step()
             assert len(st.complete_chunks) - before <= 1
             assert len(st.latency_chunks) == len(st.complete_chunks)
-        assert st.complete_array().size > 3 * 4096
+        assert complete_array(st).size > 3 * 4096
         assert st.backend_pending() == 0
 
     def test_contended_drain_converts_what_it_serves(self, monkeypatch):
@@ -317,14 +318,13 @@ class TestDrainWorkIsLinear:
         allowance = len(tenants) * DRAIN_BLOCK_OPS
         for _ in range(8):
             converted = 0
-            done = sum(st.complete_array().size for st in engine.states)
+            done = sum(complete_array(st).size for st in engine.states)
             chunks = [len(st.complete_chunks) for st in engine.states]
             engine.step()
-            # Counted before complete_array() joins the chunks in place.
             after = [len(st.complete_chunks) for st in engine.states]
             for a, b in zip(after, chunks):
                 assert a - b <= 1
-            served = sum(st.complete_array().size for st in engine.states) - done
+            served = sum(complete_array(st).size for st in engine.states) - done
             assert served > DRAIN_BLOCK_OPS
             assert converted <= served + allowance
         # The bound is not vacuous: the backlog dwarfs the allowance.
@@ -425,7 +425,7 @@ class TestStateHoldsBacklogNotHistory:
         waiting = engine.unridden()
         assert any(st.rejected_count() for st in engine.states)
         for st in engine.states:
-            served = st.complete_array().size
+            served = complete_array(st).size
             backlog = st.backend_pending() + waiting[st.spec.name]
             bound = 16 * served + 20 * backlog + 32 * 1024
             assert _held_bytes(st) <= bound, st.spec.name

@@ -18,7 +18,7 @@ import pytest
 
 from repro.traffic.scenarios import SCENARIOS, run_traffic
 
-from .oracle import run_oracle
+from .oracle import complete_array, latency_array, run_oracle
 
 SERIES_METRICS = ("achieved_ops_s", "p99_ms", "queue_depth")
 
@@ -76,10 +76,10 @@ class TestEngineStateIdentity:
             assert np.array_equal(ref.arrivals_through(edges), st.arrivals_through(edges))
             assert np.array_equal(ref.rejected_through(edges), st.rejected_through(edges))
             assert np.array_equal(
-                np.sort(ref.complete_array()), np.sort(st.complete_array())
+                np.sort(complete_array(ref)), np.sort(complete_array(st))
             )
             assert np.array_equal(
-                np.sort(ref.latency_array()), np.sort(st.latency_array())
+                np.sort(latency_array(ref)), np.sort(latency_array(st))
             )
             assert ref.arrived_count() == st.arrived_count()
             assert ref.rejected_count() == st.rejected_count()
