@@ -22,8 +22,8 @@ from ..common.config import AggregateSpec, TierSpec, VolumeDecl
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS as MAX_SCORE
 from ..common.rng import make_rng
 from ..core import HBPS, RAIDAgnosticAACache, RAIDAwareAACache, seed_heap_cache, serialize_heap_seed
-from ..core.segment_cleaner import clean_best_aas
 from ..fs import PolicyKind, WaflSim
+from ..fs.segment_cleaner import clean_best_aas
 from ..workloads import RandomOverwriteWorkload, fill_volumes, reset_measurement_state
 from .claims import Claim, Experiment
 from .harness import (

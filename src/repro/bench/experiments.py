@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import obs
 from ..common.config import AggregateSpec, TierSpec, VolumeDecl
 from ..core import aa_size_for_smr
 from ..devices.smr import SMRConfig
@@ -606,16 +607,21 @@ def _fig10_warmup() -> None:
     ``build_wall_ms`` an order-of-magnitude outlier.  One small
     build+mount per process (both the TopAA and bitmap-walk paths)
     absorbs those costs outside the timed region; the simulated metrics
-    are untouched (the warmup sim is discarded).
+    are untouched (the warmup sim is discarded), and so is the unit's
+    trace, as the warmup runs with the tracer suspended.
     """
     global _fig10_warmed
     if _fig10_warmed:
         return
     _fig10_warmed = True
-    # Fresh sim per mount path, exactly like the sweep rows (a second
-    # mount on one sim would re-walk an already-consumed allocator).
-    for use_topaa in (True, False):
-        _fig10_first_cp_cost(_build_fig10_sim(2, 32768 * 4), use_topaa)
+    tracer = obs.install_tracer(None)
+    try:
+        # Fresh sim per mount path, exactly like the sweep rows (a second
+        # mount on one sim would re-walk an already-consumed allocator).
+        for use_topaa in (True, False):
+            _fig10_first_cp_cost(_build_fig10_sim(2, 32768 * 4), use_topaa)
+    finally:
+        obs.install_tracer(tracer)
 
 
 def _run_fig10(unit: str, *, quick: bool, seed: int) -> dict:

@@ -1,8 +1,8 @@
 """Crash-point registry: every CP span edge is an injectable crash.
 
 The CP engine already instruments itself with ``repro.obs`` spans —
-``cp`` around the whole consistency point, ``cp.allocate`` per volume,
-``cp.boundary`` around the flush (see :meth:`repro.fs.cp.CPEngine.
+``cp`` around the whole consistency point, ``cp.relocate`` and
+``cp.allocate`` per volume, ``cp.boundary`` around the flush (see :meth:`repro.fs.cp.CPEngine.
 run_cp`).  Rather than adding crash hooks to the engine, the registry
 *is* a tracer: :class:`CrashTracer` subclasses the obs
 :class:`~repro.obs.tracer.Tracer` and counts span **edges** (an enter

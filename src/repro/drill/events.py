@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from ..common.errors import FaultError
 from ..common.retry import RetryBudget
 from ..core.policies import BitmapWalkSource
-from ..core.segment_cleaner import CleanReport, clean_best_aas
 from ..crash.explorer import CrashOutcome, Replay, crash_at_edge, sweep_crash_points
 from ..crash.registry import record_crash_points
 from ..faults.injector import FaultKind, corrupt_bytes, flip_bitmap_bits
@@ -25,6 +24,7 @@ from ..faults.recovery import escalate, exit_degraded, instances
 from ..fs.aggregate import RAIDStore
 from ..fs.iron import scan
 from ..fs.mount import DEFAULT_MOUNT_RETRIES, MountReport, export_topaa, simulate_mount
+from ..fs.segment_cleaner import CleanReport, clean_best_aas
 from ..tiering.migration import TierMigrationReport, migrate_volume_tier, rebalance_tiers
 from ..tiering.store import TieredStore
 
@@ -82,15 +82,6 @@ def _pinned(drill, earlier, volume: str) -> set[str]:
         elif isinstance(event, DeleteSnapshot) and event.volume == volume:
             held.discard(event.name)
     return held
-
-
-def _free_budget(drill, earlier) -> int | None:
-    """The delayed-free budget in force once ``earlier`` has fired."""
-    budget = drill.sim.spaces()[0].free_budget_blocks
-    for _, event in earlier:
-        if isinstance(event, SetFreeBudget):
-            budget = event.metafile_blocks
-    return budget
 
 
 # ----------------------------------------------------------------------
@@ -307,18 +298,11 @@ class CleanAAs:
         if not 0 <= self.group < len(groups) or self.n_aas <= 0:
             raise FaultError(f"{self}: no such RAID group, or nothing to clean")
         # The cleaner picks from the AA cache, so not inside a scrub's
-        # degraded window (RebuildCaches fires ahead of the step it lands on)...
+        # degraded window (RebuildCaches fires ahead of the step it lands on).
         if groups[self.group].cache is None or any(
             isinstance(e, Scrub) and s <= step <= s + e.window for s, e in earlier
         ):
             raise FaultError(f"{self}: the group's AA cache may be offline at this step")
-        # ... and between CPs, when the delayed-free logs are empty: not
-        # under a budget that leaves frees pending, nor in the step a
-        # snapshot delete logged its frees.
-        if _free_budget(drill, earlier) is not None or any(
-            s == step and isinstance(e, DeleteSnapshot) for s, e in earlier
-        ):
-            raise FaultError(f"{self}: delayed frees are still pending at this step")
 
     def fire(self, drill) -> CleanReport:
         return clean_best_aas(drill.sim, self.group, self.n_aas)
@@ -326,7 +310,8 @@ class CleanAAs:
 
 @dataclass(frozen=True)
 class MigrateTier:
-    """Every mapped block of ``volume`` moves onto tier ``target``."""
+    """Every mapped block of ``volume``, snapshots' included, moves onto
+    tier ``target``."""
 
     volume: str
     target: str
@@ -335,8 +320,8 @@ class MigrateTier:
         store = drill.sim.store
         if not isinstance(store, TieredStore) or self.target not in store.labels:
             raise FaultError(f"{self}: the subject has no tier {self.target!r}")
-        if _pinned(drill, earlier, self.volume):
-            raise FaultError(f"{self}: snapshot-pinned blocks cannot change tier")
+        if self.volume not in drill.sim.vols:
+            raise FaultError(f"{self}: the subject has no such volume")
 
     def fire(self, drill) -> TierMigrationReport:
         return migrate_volume_tier(drill.sim, self.volume, self.target)

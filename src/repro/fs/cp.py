@@ -5,11 +5,14 @@ efficiently flushes the changes to persistent storage ... as one single
 transaction known as a consistency point" (paper section 2.1).  The
 engine drives one CP at a time:
 
-1. For every volume's batch of dirtied logical blocks: allocate virtual
+1. Relocations first (segment cleaning, tier migration): each named
+   virtual VBN gets a fresh physical home and its old one is logged as
+   a delayed free; the virtual VBN stays, so every snapshot follows.
+2. For every volume's batch of dirtied logical blocks: allocate virtual
    VBNs (volume allocator), allocate physical VBNs (store allocator),
    install the new mappings, and log the superseded virtual/physical
    blocks as delayed frees.
-2. At the CP boundary: price the CP's device writes, apply delayed
+3. At the CP boundary: price the CP's device writes, apply delayed
    frees (with SSD trims), flush batched AA-score deltas into the AA
    caches, and drain metafile dirty-block counts — producing one
    :class:`~repro.sim.stats.CPStats` record.
@@ -23,7 +26,7 @@ import numpy as np
 
 from .. import obs
 from ..common.arrayops import sorted_unique
-from ..common.errors import OutOfSpaceError
+from ..common.errors import AllocationError, OutOfSpaceError, TieringError
 from ..core.space import AllocSpace
 from ..sim.cpu import CpuModel
 from ..sim.stats import CPStats, MetricsLog
@@ -52,6 +55,12 @@ class CPBatch:
     #: :class:`~repro.sim.stats.CPStats` so multi-tenant schedulers can
     #: charge CP service time back to the tenants that rode in it.
     ops_by_source: dict[str, int] = field(default_factory=dict)
+    #: Per-volume virtual VBNs moved to fresh physical homes before
+    #: ``writes`` (so a write of one in the same CP supersedes the copy).
+    relocate: dict[str, np.ndarray] = field(default_factory=dict)
+    #: Tier the relocated blocks land on: None on a single-tier store,
+    #: one of a :class:`~repro.tiering.TieredStore`'s labels on it.
+    relocate_to: str | None = None
 
 
 class CPEngine:
@@ -102,8 +111,45 @@ class CPEngine:
             *self.vols.values(),
         ]
 
+    def _relocations(self, batch: CPBatch) -> list[tuple[FlexVol, np.ndarray, np.ndarray]]:
+        """``(volume, virtual VBNs, their physical homes)`` per volume
+        of ``batch.relocate``, refused (typed) before anything moves."""
+        if not batch.relocate:
+            return []
+        # A single-tier store's one destination is None; a tiered one's, its labels.
+        to, destinations = batch.relocate_to, getattr(self.store, "labels", [None])
+        if to not in destinations:
+            raise TieringError(f"relocation to tier {to!r}: this store takes {destinations}")
+        moves = []
+        for name, virtual in batch.relocate.items():
+            vol = self.vols.get(name)
+            if vol is None:
+                raise AllocationError(f"relocation in unknown volume {name!r}")
+            virtual = sorted_unique(np.asarray(virtual, dtype=np.int64))
+            inside = virtual[(virtual >= 0) & (virtual < vol.nblocks)]
+            old_p = vol.physical_of(inside)
+            if inside.size < virtual.size or (old_p < 0).any():
+                raise AllocationError(f"FlexVol {name} cannot relocate a virtual VBN it does not map")
+            moves.append((vol, inside, old_p))
+        n = sum(int(v.size) for _, v, _ in moves)
+        room = self.store.free_count if to is None else self.store.tier_usage()[to]["free"]
+        if n > room:
+            raise OutOfSpaceError(f"relocation of {n} blocks: {room} free on {to or 'the store'}")
+        return moves
+
+    def _allocate(self, n: int, tier: str | None, vol: str) -> np.ndarray:
+        """``n`` physical blocks for ``vol``, from ``tier`` if named."""
+        got = self.store.allocate(n) if tier is None else self.store.allocate_in([tier], n)
+        if got.size < n:
+            raise OutOfSpaceError(
+                f"aggregate out of space: {got.size} of {n} "
+                f"physical blocks allocated for volume {vol}"
+            )
+        return got
+
     def run_cp(self, batch: CPBatch) -> CPStats:
         """Execute one consistency point and record its statistics."""
+        moves = self._relocations(batch)
         obs.set_cp(self._cp_index)
         # The sentinel is the FIRST record appended for this CP: the
         # ring evicts FIFO, so its presence guarantees the CP's records
@@ -113,6 +159,13 @@ class CPEngine:
         cp_span.__enter__()
         if self.auditor is not None:
             self.auditor.before_cp(self)
+        to = batch.relocate_to
+        for vol, virtual, old_p in moves:
+            n = int(virtual.size)
+            with obs.span("cp.relocate", vol=vol.name, blocks=n):
+                vol.remap(virtual, self._allocate(n, to, vol.name))
+                self.store.log_free(old_p)
+
         virtual_blocks = 0
         tier_policy = self.store.tier_policy
         for name, ids in batch.writes.items():
@@ -131,12 +184,7 @@ class CPEngine:
                     was_mapped = vol.l2v[ids] >= 0
                     new_p = tier_policy.place(self.store, name, ids, was_mapped)
                 else:
-                    new_p = self.store.allocate(int(ids.size))
-                    if new_p.size < ids.size:
-                        raise OutOfSpaceError(
-                            f"aggregate out of space: {new_p.size} of {ids.size} "
-                            f"physical blocks allocated for volume {name}"
-                        )
+                    new_p = self._allocate(int(ids.size), None, name)
                 vol.commit_writes(ids, new_v, new_p, old_v)
                 self.store.log_free(old_p)
             obs.count("cp.virtual_blocks", int(ids.size), vol=name)

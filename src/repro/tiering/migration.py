@@ -1,12 +1,12 @@
 """Intra-aggregate tier migration.
 
-A tier migration rewrites a volume's mapped blocks through the normal
-COW/CP path with the volume's tier assignment flipped: every mapped
-logical block is dirtied, the CP allocates its new physical homes on
-the target tier, and the old homes are delayed-freed — the same
-machinery the cluster's cross-aggregate ``migrate_volume`` uses, run
-here at intra-aggregate granularity.  Because the copy *is* a CP, it is
-priced, audited, and crash-consistent like any other CP.
+A tier migration flips the volume's tier assignment and relocates every
+virtual VBN its container map populates — the active file system's and
+every snapshot's — onto the target tier in one CP
+(:attr:`~repro.fs.cp.CPBatch.relocate`): new physical homes there, the
+old homes delayed-freed, the virtual VBNs (and so the snapshots) kept.
+Because the copy *is* a CP, it is priced, audited, and crash-consistent
+like any other CP.
 
 :func:`rebalance_tiers` is the background pass: it compares each
 volume's current assignment with what the chooser would pick from the
@@ -60,23 +60,26 @@ def _tiered_store(sim) -> TieredStore:
 
 
 def volume_tier_blocks(sim, vol_name: str) -> dict[str, int]:
-    """Mapped physical blocks of ``vol_name`` per tier label."""
+    """Physical blocks of ``vol_name`` per tier label: the homes of
+    every mapped virtual VBN, snapshot-held ones included."""
     store = _tiered_store(sim)
     vol = sim.vols[vol_name]
-    phys = np.sort(vol.physical_of(vol.l2v[vol.l2v >= 0]))
+    phys = np.sort(vol.physical_of(vol.mapped()))
     cuts = np.searchsorted(phys, store._bounds)
     return dict(zip(store.labels, np.diff(cuts).tolist()))
 
 
 def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
-    """Move every mapped block of ``vol_name`` onto tier ``target``.
+    """Move every mapped block of ``vol_name``, snapshots' included,
+    onto tier ``target``.
 
     Runs one empty CP first to drain pending delayed frees (so the
     conservation check below sees only the migration's own frees), then
-    one CP that rewrites the volume's full mapped set under the new
-    assignment.  Verifies block conservation — blocks copied == blocks
-    freed == blocks now on the target tier == the volume's mapped set —
-    and raises :class:`TieringError` on any mismatch.
+    one CP that relocates the volume's mapped virtual VBNs to the target
+    under the new assignment.  Verifies block conservation — blocks
+    copied == blocks freed == blocks now on the target tier == the
+    volume's mapped set — and raises :class:`TieringError` on any
+    mismatch.
     """
     store = _tiered_store(sim)
     if target not in store.labels:
@@ -92,22 +95,14 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
     vol = sim.vols.get(vol_name)
     if vol is None:
         raise TieringError(f"unknown volume {vol_name!r}")
-    if vol.snapshots:
-        raise TieringError(
-            f"volume {vol_name} holds snapshots; snapshot-pinned blocks "
-            "cannot be migrated without breaking COW sharing"
-        )
 
     # Drain frees queued by earlier CPs so the accounting below is
     # exactly the migration's.
     sim.engine.run_cp(CPBatch())
 
     policy.assign(vol_name, target)
-    mapped = np.flatnonzero(vol.l2v >= 0)
-    if mapped.size == 0:
-        return TierMigrationReport(vol_name, target, 0, 0, 0)
-
-    stats = sim.engine.run_cp(CPBatch(writes={vol_name: mapped}))
+    mapped = np.flatnonzero(vol.mapped())
+    stats = sim.engine.run_cp(CPBatch(relocate={vol_name: mapped}, relocate_to=target))
     copied = stats.physical_blocks
     freed = sum(stats.freed_by_tier.values())
     used = volume_tier_blocks(sim, vol_name)[target]

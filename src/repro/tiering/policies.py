@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.errors import OutOfSpaceError, TieringError
+from ..common.errors import OutOfSpaceError
 
 __all__ = ["FlashPoolPolicy", "StaticTierPolicy"]
 
@@ -86,12 +86,8 @@ class StaticTierPolicy:
         ids: np.ndarray,
         was_mapped: np.ndarray,
     ) -> np.ndarray:
+        # allocate_in refuses an unknown label before allocating.
         label = self.tier_of(vol_name)
-        if label not in store.labels:
-            raise TieringError(
-                f"volume {vol_name} assigned to unknown tier {label!r}; "
-                f"aggregate tiers: {store.labels}"
-            )
         n = int(ids.size)
         got = store.allocate_in([label] + [t for t in store.labels if t != label], n)
         if got.size < n:

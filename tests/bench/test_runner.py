@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.runner import (
     SCHEMA,
@@ -100,6 +101,12 @@ class TestUnits:
         res = run_unit(UnitSpec("fig9", "HDD-sized AA (4k stripes)", True, 3, True))
         assert res["audited"] is True
         assert res["metrics"]["blocks"] > 0
+
+    def test_a_units_trace_does_not_depend_on_the_process_warmup(self, monkeypatch):
+        # fig10 warms each process up once, in whichever fig10 unit runs first.
+        monkeypatch.setattr(experiments, "_fig10_warmed", False)
+        spec = UnitSpec("fig10", "count", True, EXPERIMENTS["fig10"].seed, trace=True)
+        assert run_unit(spec)["trace_records"] == run_unit(spec)["trace_records"]
 
 
 class TestBaselineGate:

@@ -55,6 +55,25 @@ def small_ssd_sim(
     return WaflSim.build(spec, seed=seed)
 
 
+def two_tier_sim() -> WaflSim:
+    """A small ``fast`` SSD tier beside a larger ``bulk`` one: the
+    chooser pins ``hot`` (3,000 blocks) to ``fast`` and ``big``
+    (20,000, more than ``fast`` holds) to ``bulk``."""
+    spec = AggregateSpec(
+        tiers=(
+            TierSpec(label="fast", media="ssd", ndata=2, blocks_per_disk=4096,
+                     stripes_per_aa=512),
+            TierSpec(label="bulk", media="ssd", ndata=4, blocks_per_disk=8192,
+                     stripes_per_aa=512),
+        ),
+        volumes=(
+            VolumeDecl("hot", logical_blocks=3000, workload="oltp"),
+            VolumeDecl("big", logical_blocks=20_000, workload="mixed"),
+        ),
+    )
+    return WaflSim.build(spec, seed=5)
+
+
 @pytest.fixture
 def ssd_sim() -> WaflSim:
     return small_ssd_sim()

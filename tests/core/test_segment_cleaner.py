@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.auditor import InvariantAuditor
 from repro.common import CacheError
-from repro.core.segment_cleaner import clean_best_aas
-from repro.crash import capture_image
+from repro.crash import PersistenceModel, capture_image, sweep_crash_points
 from repro.fs import PolicyKind
+from repro.fs.segment_cleaner import clean_best_aas
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
 from ..conftest import assert_scores_match, small_ssd_sim
@@ -72,8 +73,30 @@ class TestCleaning:
 
     def test_report_accounting(self, aged):
         rep = clean_best_aas(aged, 0, n_aas=2)
-        assert rep.blocks_moved >= rep.map_updates
+        aa_blocks = aged.store.groups[0].topology.aa_blocks
+        assert rep.blocks_moved == sum(aa_blocks - s for s in rep.selected_scores)
         assert rep.aas_cleaned <= 2
+
+    def test_a_pass_is_one_audited_cp(self, aged):
+        g = aged.store.groups[0]
+        scores = g.topology.scores_from_bitmap(g.metafile.bitmap)
+        empty = int((scores == g.topology.aa_blocks).sum())
+        aged.engine.auditor = InvariantAuditor()
+        index, cps = aged.engine.cp_index, len(aged.metrics.cps)
+        rep = clean_best_aas(aged, 0, n_aas=empty + 2)
+        assert (aged.engine.cp_index, len(aged.metrics.cps)) == (index + 1, cps + 1)
+        stats = aged.metrics.cps[-1]
+        assert rep.blocks_moved > 0
+        assert (stats.ops, stats.physical_blocks) == (0, rep.blocks_moved)
+        assert aged.engine.auditor.cps_audited == 1
+
+    def test_a_crash_at_any_edge_of_a_pass_recovers_clean(self, aged):
+        model = PersistenceModel(aged)
+        outcomes = sweep_crash_points(aged, lambda sim: clean_best_aas(sim, 0, 5), model)
+        moving = [o for o in outcomes if o.point.name == "cp.relocate"
+                  and dict(o.point.tags)["blocks"] > 0]
+        assert moving
+        assert all(o.ok for o in outcomes)
 
     def test_requires_cache(self):
         sim = small_ssd_sim(aggregate_policy=PolicyKind.RANDOM)

@@ -36,7 +36,7 @@ from repro.drill import (
     run_drill,
 )
 from repro.cluster import Fleet, MigrateShard
-from repro.tiering import build_tiered_sim
+from repro.tiering import build_tiered_sim, volume_tier_blocks
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
 from ..conftest import small_ssd_sim
@@ -76,15 +76,18 @@ REFUSED_ON_RAID = {
     "delete of no snapshot": ((0, DeleteSnapshot("volA", "s")),),
     "snapshot of no volume": ((0, Snapshot("volZ", "s")),),
     "non-positive free budget": ((0, SetFreeBudget(0)),),
-    "cleaning under a free budget": ((0, SetFreeBudget(2)), (1, CleanAAs(0, 1))),
-    "cleaning beside a snapshot delete": (
-        (0, Snapshot("volA", "s")), (1, DeleteSnapshot("volA", "s")), (1, CleanAAs(0, 1)),
-    ),
     "cleaning no such group": ((0, CleanAAs(4, 1)),),
     "tier event on one tier": ((0, MigrateTier("volA", "smr")),),
     "tier pass on one tier": ((END, RebalanceTiers()),),
     "unknown crash edge": ((0, CrashAt("some")),),
     "fleet event on one aggregate": ((0, MigrateShard()),),
+}
+
+CLEANING_WITH_FREES_PENDING = {
+    "cleaning under a free budget": ((0, SetFreeBudget(2)), (1, CleanAAs(0, 1))),
+    "cleaning beside a snapshot delete": (
+        (0, Snapshot("volA", "s")), (1, DeleteSnapshot("volA", "s")), (1, CleanAAs(0, 1)),
+    ),
 }
 
 
@@ -114,9 +117,13 @@ class TestRefusedBeforeAnythingMoves:
         self.assert_refused(tiered, ((0, FailDisk(0, 1)),))
         self.assert_refused(tiered, ((0, MigrateTier("oltp0", "tape")),))
         self.assert_refused(tiered, ((0, MigrateTier("nope", "smr")),))
-        self.assert_refused(
-            tiered, ((0, Snapshot("oltp0", "s")), (1, MigrateTier("oltp0", "smr")))
-        )
+        # A snapshotted volume changes tier, snapshot and all.
+        log = run_drill(tiered, ((0, Snapshot("oltp0", "s")), (1, MigrateTier("oltp0", "smr"))),
+                        3, seed=1)
+        assert (log.steps, log.failed_allocations) == (3, 0)
+        assert not log.audit_violations and not log.iron_findings
+        residency = volume_tier_blocks(tiered.sim, "oltp0")
+        assert residency["flash"] == residency["disk"] == 0
 
     def test_single_aggregate_events_on_a_fleet(self):
         fleet = Fleet(2, 1, 3)
@@ -132,6 +139,17 @@ class TestRefusedBeforeAnythingMoves:
         log = run_drill(subject, schedule, 3, seed=1)
         assert (log.steps, log.failed_allocations) == (3, 0)
         assert not log.audit_violations and not log.iron_findings
+
+    @pytest.mark.parametrize("why", sorted(CLEANING_WITH_FREES_PENDING))
+    def test_cleaning_with_frees_pending(self, why):
+        # The cleaner relocates mapped blocks in a CP of its own, so
+        # frees still pending when it fires are the CP engine's to
+        # settle, not a reason to refuse the pass.
+        subject = feed(small_ssd_sim())
+        log = run_drill(subject, CLEANING_WITH_FREES_PENDING[why], 3, seed=1)
+        assert (log.steps, log.failed_allocations) == (3, 0)
+        assert not log.audit_violations and not log.iron_findings
+        assert len(log.evidence(CleanAAs)) == 1
 
 
 class TestChecksDoNotPerturb:

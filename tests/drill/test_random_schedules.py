@@ -36,7 +36,9 @@ COMMON = [
     (FlipBits("{group}", 24, "clear"), Scrub(window=0)),
 ]
 RAID = COMMON + [(FailDisk(0, 1),), (FailDisk(0, 2),), (ReplaceDisk(0, 1),), (CleanAAs(0, 2),)]
-TIERED = COMMON + [(MigrateTier("{vol}", "smr"),), (MigrateTier("{vol}", "flash"),)]
+TIERED = COMMON + [
+    (MigrateTier("{vol}", "smr"),), (MigrateTier("{vol}", "flash"),), (CleanAAs(1, 2),),
+]
 
 
 def _aged(sim, **names):

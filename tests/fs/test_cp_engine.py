@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common import OutOfSpaceError
+from repro.analysis.auditor import audit_sim
+from repro.common.errors import AllocationError, OutOfSpaceError, TieringError
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+from repro.crash import capture_image
 from repro.fs import CPBatch, WaflSim
+from repro.workloads import fill_volumes
 
-from ..conftest import small_ssd_sim
+from ..conftest import small_ssd_sim, two_tier_sim
 
 
 def batch(sim, n, seed=0, reads=0):
@@ -94,3 +97,52 @@ class TestRunCP:
     def test_empty_batch(self, ssd_sim):
         stats = ssd_sim.engine.run_cp(CPBatch(ops=0))
         assert stats.physical_blocks == 0
+
+
+@pytest.fixture(scope="module")
+def filled():
+    sims = {"flat": small_ssd_sim(), "tiered": two_tier_sim()}
+    for sim in sims.values():
+        fill_volumes(sim)
+    return sims
+
+
+#: why -> (subject, the volume's virtual VBNs to relocate, volume, tier, refusal).
+RELOCATION_REFUSALS = {
+    "unknown volume": ("flat", lambda vol: [0], "nope", None, AllocationError),
+    "negative virtual VBN": ("flat", lambda vol: [-1], "volA", None, AllocationError),
+    "virtual VBN past the end": (
+        "flat", lambda vol: [vol.nblocks], "volA", None, AllocationError),
+    "unmapped virtual VBN": (
+        "flat", lambda vol: np.flatnonzero(~vol.mapped())[:1], "volA", None, AllocationError),
+    "a tier on a single-tier store": ("flat", lambda vol: [0], "volA", "ssd", TieringError),
+    "no tier on a tiered store": ("tiered", lambda vol: [0], "big", None, TieringError),
+    "unknown tier": ("tiered", lambda vol: [0], "big", "tape", TieringError),
+    "too little space": (
+        "tiered", lambda vol: np.flatnonzero(vol.mapped()), "big", "fast", OutOfSpaceError),
+}
+
+
+class TestRelocation:
+    @pytest.mark.parametrize("why", sorted(RELOCATION_REFUSALS))
+    def test_refused_before_anything_moves(self, filled, why):
+        subject, virtual, name, tier, error = RELOCATION_REFUSALS[why]
+        sim = filled[subject]
+        relocate = {name: virtual(sim.vols.get(name))}
+        image = capture_image(sim).digest()
+        with pytest.raises(error):
+            sim.engine.run_cp(CPBatch(relocate=relocate, relocate_to=tier))
+        assert capture_image(sim).digest() == image
+
+    def test_a_write_in_the_same_cp_supersedes_the_copy(self):
+        sim = small_ssd_sim()
+        fill_volumes(sim)
+        vol, used = sim.vols["volA"], sim.store.free_count
+        stats = sim.engine.run_cp(
+            CPBatch(relocate={"volA": vol.l2v[:10]}, writes={"volA": np.arange(10)}, ops=10)
+        )
+        # 10 copies and 10 writes; the sources, the copies and the
+        # superseded virtual VBNs all freed at the same boundary.
+        assert (stats.physical_blocks, stats.blocks_freed) == (20, 30)
+        assert sim.store.free_count == used
+        assert audit_sim(sim).ok

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.auditor import audit_sim
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.errors import TieringError
 from repro.fs import CPBatch, WaflSim
@@ -55,6 +56,25 @@ class TestConservation:
         report = migrate_volume_tier(sim, "hot", "flash")
         assert report.copied == report.freed == report.used
 
+    def test_snapshotted_volume_migrates(self):
+        sim = tiered_sim()
+        fill_volumes(sim, ops_per_cp=4096, seed=2)
+        sim.create_snapshot("hot", "pin")
+        # Overwritten after the snapshot: it alone holds the old blocks.
+        sim.engine.run_cp(CPBatch(writes={"hot": np.arange(1000)}, ops=1000))
+        vol = sim.vols["hot"]
+        l2v, held = vol.l2v.copy(), vol.snapshots["pin"].copy()
+
+        report = migrate_volume_tier(sim, "hot", "disk")
+        assert report.copied == report.freed == report.used == 4096 + 1000
+        assert volume_tier_blocks(sim, "hot") == {"flash": 0, "disk": 5096}
+        assert np.all(vol.physical_of(held) >= sim.store.bases[1])
+        np.testing.assert_array_equal(vol.l2v, l2v)
+        np.testing.assert_array_equal(vol.snapshots["pin"], held)
+        assert audit_sim(sim).ok
+        sim.delete_snapshot("hot", "pin")
+        assert sim.engine.run_cp(CPBatch()).freed_by_tier == {"flash": 0, "disk": 1000}
+
     def test_empty_volume_migrates_trivially(self):
         sim = tiered_sim()
         report = migrate_volume_tier(sim, "hot", "disk")
@@ -71,13 +91,6 @@ class TestRefusals:
         sim = tiered_sim()
         with pytest.raises(TieringError, match="nope"):
             migrate_volume_tier(sim, "nope", "disk")
-
-    def test_snapshotted_volume_is_refused(self):
-        sim = tiered_sim()
-        fill_volumes(sim, ops_per_cp=4096, seed=2)
-        sim.create_snapshot("hot", "pin")
-        with pytest.raises(TieringError, match="snapshot"):
-            migrate_volume_tier(sim, "hot", "disk")
 
     def test_untierd_sim_is_refused(self):
         flat = WaflSim.build(
