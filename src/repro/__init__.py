@@ -48,7 +48,7 @@ from .fs import (
     export_topaa,
     simulate_mount,
 )
-from .sim import CpuModel, MetricsLog, peak_throughput, system_curve
+from .sim import CpuModel, MetricsLog
 from .workloads import (
     FileChurnWorkload,
     OLTPWorkload,
@@ -92,8 +92,6 @@ __all__ = [
     "simulate_mount",
     "CpuModel",
     "MetricsLog",
-    "peak_throughput",
-    "system_curve",
     "FileChurnWorkload",
     "OLTPWorkload",
     "RandomOverwriteWorkload",

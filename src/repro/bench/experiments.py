@@ -37,14 +37,19 @@ from ..fs import (
     simulate_mount,
 )
 from ..raid import RAIDGeometry
-from ..sim import LoadPoint, peak_throughput, system_curve
-from ..workloads import OLTPWorkload, SequentialWriteWorkload, fill_volumes
+from ..traffic.scenarios import SUSTAINED, load_curve
+from ..workloads import (
+    OLTPWorkload,
+    SequentialMix,
+    SequentialWriteWorkload,
+    UniformOverwriteMix,
+    fill_volumes,
+)
 from ..workloads.aging import reset_measurement_state
 from . import ablations, drills
 from .claims import Claim, Experiment
 from .harness import (
     CORES,
-    NCLIENTS,
     ConfigResult,
     build_aged_ssd_sim,
     fill_group_statically,
@@ -69,30 +74,34 @@ def _metrics(results: dict[str, dict]) -> dict[str, dict]:
     return {unit: res["metrics"] for unit, res in results.items()}
 
 
-def _curves(
-    results: dict[str, dict],
-    offered: np.ndarray,
-    cpu: str = "cpu_us_per_op",
-    dev: str = "device_us_per_op",
-) -> dict[str, list[LoadPoint]]:
-    """Each unit's latency/throughput curve under the paper's 20-core,
-    8-client model, from its per-op CPU and device time metrics."""
-    return {
-        unit: system_curve(res["metrics"][cpu], res["metrics"][dev], offered,
-                           nclients=NCLIENTS, cores=CORES)
-        for unit, res in results.items()
-    }
+def _sweep(sim: WaflSim, offered: np.ndarray, make_mix, *, quick: bool, seed: int) -> list:
+    """A figure unit's latency/throughput curve: ``offered`` (ops/s per
+    client; every other point with ``quick``) served by the paper's 8
+    clients through the traffic engine, 8 CPs per point (3 with
+    ``quick``) at the figures' 8192-op CP batch.  It copies ``sim`` per
+    load point, so a measurement after it runs on the untouched sim."""
+    return load_curve(sim, offered[::2] if quick else offered, make_mix,
+                      target_ops_per_cp=8192, n_cps=3 if quick else 8, seed=seed)
 
 
-def _load_table(curves: dict[str, list[LoadPoint]], title: str) -> str:
+def _highest_sustained(curve: list) -> int:
+    """Index of the highest offered load the curve sustains (the first
+    point if it sustains none)."""
+    held = [i for i, (offered, achieved, _) in enumerate(curve) if achieved >= SUSTAINED * offered]
+    return held[-1] if held else 0
+
+
+def _peak(curve: list) -> list:
+    """The point of highest achieved throughput, the lowest latency
+    among equals: the "peak load" of Figures 6, 8 and 9."""
+    return max(curve, key=lambda p: (p[1], -p[2]))
+
+
+def _load_table(results: dict[str, dict], title: str) -> str:
     """The latency-vs-achieved-throughput series of Figures 6, 8 and 9."""
     return fmt_table(
         ["config", "offered/client (ops/s)", "achieved/client (ops/s)", "latency (ms)"],
-        [
-            [label, p.offered_per_client, p.achieved_per_client, p.latency_ms]
-            for label, curve in curves.items()
-            for p in curve
-        ],
+        [[unit, *point] for unit, res in results.items() for point in res["metrics"]["curve"]],
         title=title,
     )
 
@@ -107,18 +116,10 @@ def _quantities_table(results: dict[str, dict], columns: dict[str, str], title: 
     )
 
 
-def _last_sustained(curve: list[LoadPoint], default: int) -> int:
-    """Index of the highest offered load the curve still absorbs."""
-    pre_knee = [
-        i for i, p in enumerate(curve) if p.achieved_per_client == p.offered_per_client
-    ]
-    return pre_knee[-1] if pre_knee else default
-
-
-def _overwrite_payload(sim: WaflSim, r: ConfigResult) -> dict:
+def _overwrite_payload(sim: WaflSim, r: ConfigResult, curve: list) -> dict:
     """Persisted form of a random-overwrite measurement (Figs 6 and 8)."""
     cpu_phase_us = sim.engine.metrics.query("cpu_phase_us", model=sim.engine.cpu_model)
-    return {"metrics": dict(r.as_dict(), cpu_phase_us=cpu_phase_us)}
+    return {"metrics": dict(r.as_dict(), cpu_phase_us=cpu_phase_us, curve=curve)}
 
 
 # ----------------------------------------------------------------------
@@ -150,18 +151,20 @@ def _run_fig6(label: str, *, quick: bool, seed: int) -> dict:
         churn_factor=1.0 if quick else 2.0,
         seed=seed,
     )
+    curve = _sweep(sim, FIG6_OFFERED, lambda n, rng: UniformOverwriteMix(n, seed=rng),
+                   quick=quick, seed=seed)
     # simlint: disable=F804 — fig6 measures the allocator under a canonical
-    # workload seed (777) so curves differ only in the config axis; threading
-    # the sweep seed would change the checked-in fig6 baselines
+    # workload seed (777) so its metrics differ only in the config axis; threading
+    # the unit seed would change the checked-in fig6 baselines
     r = measure_random_overwrite(sim, label, n_cps=15 if quick else 40)
-    return _overwrite_payload(sim, r)
+    return _overwrite_payload(sim, r, curve)
 
 
 def _fig6_tables(results: dict[str, dict]) -> list[str]:
     """The Figure 6 series and the section 4.1 quantities."""
     return [
         _load_table(
-            _curves(results, FIG6_OFFERED),
+            results,
             "Figure 6: latency vs achieved throughput "
             "(8KiB random overwrites, aged all-SSD)",
         ),
@@ -186,12 +189,10 @@ def _fig6_claims(results: dict[str, dict]) -> list[Claim]:
     both, vol_only = m["both caches"], m["FlexVol AA cache"]
     agg_only, neither = m["Aggregate AA cache"], m["neither (baseline)"]
     gain = both["capacity_ops"] / neither["capacity_ops"] - 1
-    # Latency at a common load the cached system absorbs but the
-    # baseline cannot.
-    curves = _curves(results, FIG6_OFFERED)
-    idx = _last_sustained(curves["both caches"], len(FIG6_OFFERED) - 1)
-    lat_both = curves["both caches"][idx].latency_ms
-    lat_neither = curves["neither (baseline)"][idx].latency_ms
+    # Latency at the highest load the cached system sustains.
+    idx = _highest_sustained(both["curve"])
+    load, _, lat_both = both["curve"][idx]
+    lat_neither = neither["curve"][idx][2]
     return [
         Claim("cache-selected aggregate AAs are > 0.05 emptier than the aggregate mean",
               "61% vs 45%",
@@ -224,8 +225,8 @@ def _fig6_claims(results: dict[str, dict]) -> list[Claim]:
               vol_only["capacity_ops"] > neither["capacity_ops"] * 0.97),
         Claim("peak-throughput gain, both caches vs neither, > 10%",
               "+24% and +8%", f"{gain:+.1%}", gain > 0.10),
-        Claim(f"latency at {FIG6_OFFERED[idx]:.0f} ops/s/client is lower with both "
-              "caches than with neither",
+        Claim(f"latency at {load:,.0f} ops/s/client is lower "
+              "with both caches than with neither",
               "0.56 ms vs 4.6 ms at 12k ops/s/client",
               f"{lat_both:.2f} ms vs {lat_neither:.2f} ms", lat_both < lat_neither),
     ]
@@ -405,17 +406,22 @@ def _run_fig8(label: str, *, quick: bool, seed: int) -> dict:
     # The paper's Figure 8 workload is 4 KiB random reads *and*
     # writes; read traffic is AA-size independent and keeps the
     # comparison in the mixed regime the paper measured.
+    curve = _sweep(
+        sim, FIG8_OFFERED,
+        lambda n, rng: UniformOverwriteMix(n, read_fraction=0.55, seed=rng),
+        quick=quick, seed=seed,
+    )
     r = measure_random_overwrite(
         sim, label, n_cps=12 if quick else 30, ops_per_cp=8192,
         read_fraction=0.55, blocks_per_op=2, seed=5,
     )
-    return _overwrite_payload(sim, r)
+    return _overwrite_payload(sim, r, curve)
 
 
 def _fig8_tables(results: dict[str, dict]) -> list[str]:
     return [
         _load_table(
-            _curves(results, FIG8_OFFERED),
+            results,
             "Figure 8: latency vs achieved throughput, SSD AA sizing (aged to 85%)",
         ),
         _quantities_table(
@@ -432,9 +438,8 @@ def _fig8_claims(results: dict[str, dict]) -> list[Claim]:
     small, large = m["HDD-sized AA (4k stripes)"], m["Large AA (2 erase units)"]
     gain = large["capacity_ops"] / small["capacity_ops"] - 1
     wa_ratio = small["write_amplification"] / large["write_amplification"]
-    curves = _curves(results, FIG8_OFFERED)
-    pk_small = peak_throughput(curves["HDD-sized AA (4k stripes)"])
-    pk_large = peak_throughput(curves["Large AA (2 erase units)"])
+    _, small_tput, small_ms = _peak(small["curve"])
+    _, large_tput, large_ms = _peak(large["curve"])
     return [
         Claim("peak-throughput gain, erase-unit-sized AA vs HDD-sized AA, > 10%",
               "+26%", f"{gain:+.1%}", gain > 0.10),
@@ -443,11 +448,9 @@ def _fig8_claims(results: dict[str, dict]) -> list[Claim]:
         Claim("WA ratio small/large > 1.25", "~2x", f"{wa_ratio:.2f}x", wa_ratio > 1.25),
         Claim("at peak the large AA has lower latency or higher achieved throughput",
               "-21% latency",
-              f"{pk_large.latency_ms:.2f} ms at {pk_large.achieved_per_client:,.0f} vs "
-              f"{pk_small.latency_ms:.2f} ms at {pk_small.achieved_per_client:,.0f} "
-              "ops/s/client",
-              pk_large.latency_ms < pk_small.latency_ms
-              or pk_large.achieved_per_client > pk_small.achieved_per_client),
+              f"{large_ms:.2f} ms at {large_tput:,.0f} vs "
+              f"{small_ms:.2f} ms at {small_tput:,.0f} ops/s/client",
+              large_ms < small_ms or large_tput > small_tput),
     ]
 
 
@@ -492,6 +495,8 @@ def _run_fig9(label: str, *, quick: bool, seed: int) -> dict:
         seed=seed,
     )
     set_bitmap_checks(sim, False)
+    curve = _sweep(sim, FIG9_OFFERED, lambda n, rng: SequentialMix(n, wrap=False),
+                   quick=quick, seed=seed)
     wl = SequentialWriteWorkload(sim, ops_per_cp=8192, blocks_per_op=1, wrap=False)
     sim.run(wl, 10 if quick else 25)
     popcount_audit(sim)
@@ -506,6 +511,7 @@ def _run_fig9(label: str, *, quick: bool, seed: int) -> dict:
             "drive_mbps": m.total_physical_blocks * 4096 / 1e6
             / (m.total_device_busy_us / 1e6),
             "blocks": m.total_physical_blocks,
+            "curve": curve,
         }
     }
 
@@ -513,7 +519,7 @@ def _run_fig9(label: str, *, quick: bool, seed: int) -> dict:
 def _fig9_tables(results: dict[str, dict]) -> list[str]:
     return [
         _load_table(
-            _curves(results, FIG9_OFFERED, "cpu", "dev"),
+            results,
             "Figure 9: latency vs achieved throughput (sequential writes, unaged SMR)",
         ),
         _quantities_table(
@@ -528,14 +534,12 @@ def _fig9_tables(results: dict[str, dict]) -> list[str]:
 def _fig9_claims(results: dict[str, dict]) -> list[Claim]:
     m = _metrics(results)
     small, aligned = (m[label] for label in FIG9_SIZINGS)
-    curves = _curves(results, FIG9_OFFERED, "cpu", "dev")
-    curve_small, curve_aligned = (curves[label] for label in FIG9_SIZINGS)
+    curve_small, curve_aligned = (small["curve"], aligned["curve"])
     tput_gain = aligned["drive_mbps"] / small["drive_mbps"] - 1
-    # Latency compared at the highest offered load both configs sustain.
-    idx = _last_sustained(curve_small, 0)
-    lat_delta = curve_aligned[idx].latency_ms / curve_small[idx].latency_ms - 1
-    pk_small = peak_throughput(curve_small).achieved_per_client
-    pk_aligned = peak_throughput(curve_aligned).achieved_per_client
+    # Latency compared at the highest offered load the HDD-sized AA sustains.
+    idx = _highest_sustained(curve_small)
+    lat_delta = curve_aligned[idx][2] / curve_small[idx][2] - 1
+    pk_small, pk_aligned = _peak(curve_small)[1], _peak(curve_aligned)[1]
     return [
         # The misaligned AA forces random checksum-block rewrites behind
         # the shingle pointer when switching AAs; the aligned AA
@@ -547,7 +551,7 @@ def _fig9_claims(results: dict[str, dict]) -> list[Claim]:
               small["rewrites"] > aligned["rewrites"]),
         Claim("aligned-AA drive-throughput gain > 2%",
               "+7%", f"{tput_gain:+.1%}", tput_gain > 0.02),
-        Claim(f"latency at {curve_small[idx].offered_per_client:.0f} ops/s/client is "
+        Claim(f"latency at {curve_small[idx][0]:,.0f} ops/s/client is "
               "no higher with the aligned AA",
               "-11%", f"{lat_delta:+.1%}", lat_delta <= 0),
         Claim("peak achieved throughput is no lower with the aligned AA",

@@ -14,7 +14,7 @@ from ..common.config import AggregateSpec, TierSpec, VolumeDecl
 from ..common.constants import CORES, NCLIENTS
 from ..fs.aggregate import PolicyKind
 from ..fs.filesystem import WaflSim
-from ..sim.latency import bottleneck_capacity_ops
+from ..sim.stats import bottleneck_capacity_ops
 from ..workloads.aging import (
     age_filesystem,
     popcount_audit,

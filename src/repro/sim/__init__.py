@@ -1,14 +1,11 @@
-"""Measurement layer: CP metrics, CPU model, latency-throughput curves."""
+"""Measurement layer: CP metrics, CPU model, bottleneck capacity."""
 
 from .cpu import CpuModel
-from .latency import LoadPoint, peak_throughput, system_curve
-from .stats import CPStats, MetricsLog
+from .stats import CPStats, MetricsLog, bottleneck_capacity_ops
 
 __all__ = [
     "CpuModel",
-    "LoadPoint",
-    "peak_throughput",
-    "system_curve",
     "CPStats",
     "MetricsLog",
+    "bottleneck_capacity_ops",
 ]

@@ -4,16 +4,31 @@ Every consistency point produces a :class:`CPStats` record; a
 :class:`MetricsLog` accumulates them and derives the quantities the
 paper reports: mean selected-AA free fraction, full-stripe fraction,
 metafile blocks updated per operation, write amplification, per-op
-CPU and device cost.
+CPU and device cost — and :func:`bottleneck_capacity_ops`, the
+saturation throughput those per-op costs imply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["CPStats", "MetricsLog"]
+__all__ = ["CPStats", "MetricsLog", "bottleneck_capacity_ops"]
 
 _MISSING = object()
+
+
+def bottleneck_capacity_ops(
+    cpu_us_per_op: float, device_us_per_op: float, cores: int
+) -> float:
+    """Saturation throughput (ops/s, whole server): WAFL's CP pipeline
+    parallelizes across ``cores`` while the (already parallel-summed)
+    bottleneck device does not; whichever saturates first pins it.  The
+    traffic engine's occupancy model saturates here too."""
+    if cpu_us_per_op < 0 or device_us_per_op < 0:
+        raise ValueError("per-op costs must be non-negative")
+    cpu_cap = cores * 1e6 / cpu_us_per_op if cpu_us_per_op else float("inf")
+    dev_cap = 1e6 / device_us_per_op if device_us_per_op else float("inf")
+    return min(cpu_cap, dev_cap)
 
 
 @dataclass

@@ -42,7 +42,8 @@ class TierMigrationReport:
     target: str
     #: Physical blocks written by the migration CP.
     copied: int
-    #: Physical blocks freed at the migration CP's boundary.
+    #: Physical blocks the migration CP freed: applied at its boundary,
+    #: or left pending by a free budget.
     freed: int
     #: The volume's mapped physical blocks now resident on the target
     #: tier (post-migration).
@@ -59,6 +60,11 @@ def _tiered_store(sim) -> TieredStore:
     return store
 
 
+def _pending_frees(store: TieredStore) -> int:
+    """Delayed frees queued, not yet applied, across the store."""
+    return sum(fs.delayed_frees.pending_count for _, fs, _ in store.physical_instances())
+
+
 def volume_tier_blocks(sim, vol_name: str) -> dict[str, int]:
     """Physical blocks of ``vol_name`` per tier label: the homes of
     every mapped virtual VBN, snapshot-held ones included."""
@@ -73,13 +79,14 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
     """Move every mapped block of ``vol_name``, snapshots' included,
     onto tier ``target``.
 
-    Runs one empty CP first to drain pending delayed frees (so the
-    conservation check below sees only the migration's own frees), then
-    one CP that relocates the volume's mapped virtual VBNs to the target
-    under the new assignment.  Verifies block conservation — blocks
-    copied == blocks freed == blocks now on the target tier == the
-    volume's mapped set — and raises :class:`TieringError` on any
-    mismatch.
+    Runs one empty CP first to apply the delayed frees earlier CPs
+    queued (as many as a free budget allows), then one CP that relocates
+    the volume's mapped virtual VBNs to the target under the new
+    assignment.  Verifies block conservation — blocks copied == blocks
+    freed == blocks now on the target tier == the volume's mapped set —
+    and raises :class:`TieringError` on any mismatch.  The migration
+    CP's frees are the ones it applied plus the growth of the store's
+    pending delayed frees, so the check holds under any free budget.
     """
     store = _tiered_store(sim)
     if target not in store.labels:
@@ -96,15 +103,14 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
     if vol is None:
         raise TieringError(f"unknown volume {vol_name!r}")
 
-    # Drain frees queued by earlier CPs so the accounting below is
-    # exactly the migration's.
     sim.engine.run_cp(CPBatch())
 
     policy.assign(vol_name, target)
     mapped = np.flatnonzero(vol.mapped())
+    pending = _pending_frees(store)
     stats = sim.engine.run_cp(CPBatch(relocate={vol_name: mapped}, relocate_to=target))
     copied = stats.physical_blocks
-    freed = sum(stats.freed_by_tier.values())
+    freed = sum(stats.freed_by_tier.values()) + _pending_frees(store) - pending
     used = volume_tier_blocks(sim, vol_name)[target]
     if not (copied == freed == used == int(mapped.size)):
         raise TieringError(

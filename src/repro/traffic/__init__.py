@@ -11,8 +11,10 @@ Layers (each importable on its own):
   CP batching, SFQ backend service, per-tenant charge-back and
   percentile measurement;
 * :mod:`repro.traffic.scenarios` — canned uniform / noisy-neighbor /
-  throttled scenarios (the single-tenant knee cross-validation against
-  :mod:`repro.sim.latency` lives with the tests, ``tests/traffic/knee.py``).
+  throttled scenarios, and :func:`~repro.traffic.scenarios.load_curve`,
+  the latency vs throughput sweep behind Figures 6, 8 and 9 (the
+  single-tenant saturation check against the bottleneck capacity lives
+  with the tests, ``tests/traffic/knee.py``).
 
 Run one from the CLI with ``repro traffic noisy-neighbor --seed 7`` (4
 tenants; 2 with ``--quick``) or the whole row in the sweep via ``repro
@@ -29,6 +31,7 @@ from .scenarios import (
     build_scenario,
     build_traffic_sim,
     calibrate_capacity,
+    load_curve,
     run_traffic,
 )
 
@@ -48,5 +51,6 @@ __all__ = [
     "build_scenario",
     "build_traffic_sim",
     "calibrate_capacity",
+    "load_curve",
     "run_traffic",
 ]

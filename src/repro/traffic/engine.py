@@ -1,11 +1,11 @@
 """The discrete-event multi-tenant traffic engine.
 
-The closed-form transform in :mod:`repro.sim.latency` answers "what
-would a single homogeneous client population see" from one measured
-service time.  This engine answers the production question the ROADMAP
-asks — what do *N tenants with different arrival processes and QoS
-limits* see when they share one aggregate — by actually serving traffic
-against the CP/allocator substrate:
+The one latency model of the repository: what *N tenants with different
+arrival processes and QoS limits* see when they share one aggregate —
+and, with one tenant per volume swept over offered load, the latency vs
+throughput curves of Figures 6, 8 and 9 (:func:`~repro.traffic.
+scenarios.load_curve`).  It serves traffic against the CP/allocator
+substrate:
 
 1. **Arrivals.** Each tenant (one per FlexVol) generates operation
    arrivals from its own :class:`~repro.traffic.arrivals.ArrivalProcess`
@@ -18,9 +18,10 @@ against the CP/allocator substrate:
 3. **CP batching.** The scheduler accumulates admitted ops into one
    :class:`~repro.fs.cp.CPBatch` per fixed CP interval (WAFL's timer
    trigger), tags the batch with per-tenant op counts
-   (``ops_by_source``), generates each tenant's dirty blocks through
-   its :class:`~repro.workloads.mixes.OpMix`, and runs a real
-   consistency point on the simulator.
+   (``ops_by_source``), splits each tenant's ops into reads and writes
+   and generates the writes' dirty blocks through its
+   :class:`~repro.workloads.mixes.OpMix`, and runs a real consistency
+   point on the simulator (the reads priced as device reads).
 4. **Service and charging.** The CP's measured cost is charged back to
    the tenants whose ops rode in it: per-op CPU and bottleneck-device
    time come from that CP's own :class:`~repro.sim.stats.CPStats`, and
@@ -32,9 +33,10 @@ against the CP/allocator substrate:
    backlog while a tenant using less than its fair share is served at
    the next free slot — per-volume isolation, the property the
    noisy-neighbor tests pin down.  Saturation throughput equals
-   ``min(cores/cpu_us, 1/device_us)`` — the same capacity the
-   closed-form model derives from the same measurements, which is what
-   the single-tenant cross-validation test pins down.
+   ``min(cores/cpu_us, 1/device_us)`` —
+   :func:`~repro.sim.stats.bottleneck_capacity_ops` of the same
+   measurements, which is what the single-tenant saturation test
+   (``tests/traffic/test_knee.py``) pins down.
 
 As in WAFL, client writes are acknowledged from the front end (NVRAM),
 not at CP flush: an op's modeled latency is queueing (admission wait +
@@ -669,16 +671,19 @@ class TrafficEngine:
             writes: dict[str, np.ndarray] = {}
             deletes: dict[str, np.ndarray] = {}
             ops_by_source: dict[str, int] = {}
+            reads = 0
             for i, (ts, _) in cp_ops.items():
                 spec = self.states[i].spec
-                w, d = spec.mix.next_ops(int(ts.size))
+                r, n_writes = spec.mix.split(int(ts.size))
+                reads += r
+                w, d = spec.mix.next_ops(n_writes)
                 if w.size:
                     writes[spec.volume] = w
                 if d.size:
                     deletes[spec.volume] = d
                 ops_by_source[spec.name] = int(ts.size)
             stats = self.sim.engine.run_cp(
-                CPBatch(writes=writes, ops=total, deletes=deletes,
+                CPBatch(writes=writes, ops=total, deletes=deletes, reads=reads,
                         ops_by_source=ops_by_source)
             )
 

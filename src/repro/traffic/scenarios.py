@@ -5,9 +5,10 @@ Three scenarios cover the QoS stories a multi-tenant array has to tell
 
 ``uniform``
     N identical Poisson tenants at ~60% of calibrated backend capacity
-    — the steady multi-client load the paper's latency-throughput
-    sweeps assume, and the configuration the single-tenant knee
-    cross-validation (``tests/traffic/knee.py``) uses.
+    — the steady multi-client load of the paper's latency-throughput
+    sweeps (:func:`load_curve` runs those, one tenant per volume), on
+    the testbed the single-tenant saturation check
+    (``tests/traffic/knee.py``) uses.
 ``noisy-neighbor``
     Tenant 0 offers ~1.5x the whole backend's capacity, unthrottled.
     Tenant 1 is the QoS-protected victim: IOPS-capped with a bounded
@@ -28,19 +29,23 @@ allocator changes.  All randomness flows from the run seed through
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..common.config import AggregateSpec, TierSpec, VolumeDecl
-from ..common.constants import CORES
+from ..common.constants import CORES, NCLIENTS
 from ..common.rng import make_rng, spawn
 from ..fs.filesystem import WaflSim
-from ..sim.latency import bottleneck_capacity_ops
+from ..sim.stats import bottleneck_capacity_ops
 from ..workloads.aging import (
     age_filesystem,
     reset_measurement_state,
     set_bitmap_checks,
 )
-from ..workloads.mixes import UniformOverwriteMix, ZipfOverwriteMix
+from ..workloads.mixes import OpMix, UniformOverwriteMix, ZipfOverwriteMix
 from ..workloads.random_overwrite import RandomOverwriteWorkload
 from .arrivals import OnOffArrivals, PoissonArrivals
 from .engine import TARGET_OPS_PER_CP, TenantSpec, TrafficEngine, TrafficResult
@@ -55,6 +60,8 @@ __all__ = [
     "build_scenario",
     "TrafficRun",
     "run_traffic",
+    "SUSTAINED",
+    "load_curve",
 ]
 
 SCENARIOS = ("uniform", "noisy-neighbor", "throttled")
@@ -64,6 +71,11 @@ DEFAULT_TENANTS = 4
 
 #: Share of physical capacity the tenant volumes fill (section 4.1).
 FILL_FRACTION = 0.55
+
+#: A load point is *sustained* when the engine served at least this
+#: share of the ops that arrived in the run; past the knee the backlog
+#: grows and the share falls below it.
+SUSTAINED = 0.99
 
 
 @dataclass(frozen=True)
@@ -307,3 +319,53 @@ def run_traffic(
     return TrafficRun(
         scenario=scenario, result=result, calibration=cal, engine=engine, sim=sim
     )
+
+
+def load_curve(
+    sim: WaflSim,
+    offered_per_client: Sequence[float],
+    make_mix: Callable[[int, np.random.Generator], OpMix],
+    *,
+    target_ops_per_cp: int,
+    n_cps: int,
+    seed: int,
+) -> list[list[float]]:
+    """The latency vs achieved throughput curve of Figures 6, 8 and 9.
+
+    At each load point a deep copy of ``sim`` serves :data:`NCLIENTS`
+    clients offering ``offered_per_client`` ops/s each: one Poisson
+    tenant per volume, the total split by logical size, drawing through
+    ``make_mix(logical_blocks, rng)``, for ``n_cps`` CPs of about
+    ``target_ops_per_cp`` ops.  The arrival and mix streams depend on
+    ``seed`` and the point's index only, so two configurations swept
+    with one seed see the same clients.
+
+    Returns ``[offered, achieved, mean latency (ms)]`` per point, the
+    throughputs per client as the engine measured them (arrived and
+    completed ops over the run); a point is sustained when ``achieved >=
+    SUSTAINED * offered``.
+    """
+    points = []
+    streams = spawn(make_rng(seed), len(offered_per_client))
+    for load, rng in zip(offered_per_client, streams):
+        run = copy.deepcopy(sim)
+        sizes = {name: vol.spec.logical_blocks for name, vol in run.vols.items()}
+        total = sum(sizes.values())
+        seeds = spawn(rng, 2 * len(sizes))
+        tenants = [
+            TenantSpec(
+                name=name, volume=name,
+                arrivals=PoissonArrivals(NCLIENTS * load * size / total, seed=seeds[2 * i]),
+                mix=make_mix(size, seeds[2 * i + 1]),
+            )
+            for i, (name, size) in enumerate(sizes.items())
+        ]
+        engine = TrafficEngine(run, tenants, target_ops_per_cp=target_ops_per_cp)
+        served = engine.run(n_cps).summary().tenants.values()
+        completed = sum(t.completed for t in served)
+        points.append([
+            sum(t.offered_ops_s for t in served) / NCLIENTS,
+            sum(t.achieved_ops_s for t in served) / NCLIENTS,
+            sum(t.mean_ms * t.completed for t in served) / completed if completed else 0.0,
+        ])
+    return points

@@ -3,7 +3,7 @@
 from .aging import age_filesystem, churn, fill_volumes, reset_measurement_state
 from .base import Workload
 from .filechurn import FileChurnWorkload
-from .mixes import OpMix, UniformOverwriteMix, ZipfOverwriteMix
+from .mixes import OpMix, SequentialMix, UniformOverwriteMix, ZipfOverwriteMix
 from .oltp import OLTPWorkload
 from .random_overwrite import RandomOverwriteWorkload
 from .sequential import SequentialWriteWorkload
@@ -15,6 +15,7 @@ __all__ = [
     "RandomOverwriteWorkload",
     "SequentialWriteWorkload",
     "OpMix",
+    "SequentialMix",
     "UniformOverwriteMix",
     "ZipfOverwriteMix",
     "age_filesystem",

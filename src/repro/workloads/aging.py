@@ -46,13 +46,9 @@ def fill_volumes(sim: WaflSim, *, ops_per_cp: int = 16384, seed: int | None = 1)
         sim, ops_per_cp=ops_per_cp, blocks_per_op=1, wrap=False, seed=seed
     )
     cps = 0
-    for batch in wl:
-        if wl.exhausted and not batch.writes:
-            break
-        sim.engine.run_cp(batch)
+    while not wl.exhausted:
+        sim.engine.run_cp(wl.next_batch())
         cps += 1
-        if wl.exhausted:
-            break
     return cps
 
 

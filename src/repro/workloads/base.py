@@ -2,12 +2,13 @@
 
 A workload is any iterable of :class:`~repro.fs.cp.CPBatch`; the
 classes here add the shared plumbing — volume discovery, per-volume op
-splitting, deterministic RNG — used by the concrete generators.
+splitting, deterministic RNG — used by the concrete generators, which
+draw each volume's share through an :class:`~repro.workloads.mixes.OpMix`
+holding the workload's one generator.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Iterator
 
 import numpy as np
@@ -15,11 +16,12 @@ import numpy as np
 from ..common.rng import make_rng
 from ..fs.cp import CPBatch
 from ..fs.filesystem import WaflSim
+from .mixes import OpMix
 
 __all__ = ["Workload"]
 
 
-class Workload(abc.ABC):
+class Workload:
     """Base class for per-CP batch generators.
 
     Parameters
@@ -51,19 +53,26 @@ class Workload(abc.ABC):
         }
         if not self.vol_sizes:
             raise ValueError("simulator has no volumes")
+        #: One op mix per volume, in volume order (set by the subclass).
+        self.mixes: dict[str, OpMix] = {}
 
-    def _split_ops(self) -> dict[str, int]:
-        """Split ops across volumes proportionally to logical size."""
+    def _draw(self, n_ops: int) -> dict[str, np.ndarray]:
+        """Each volume's blocks for its share of ``n_ops`` modifying ops,
+        split by logical size (volumes that write nothing are left out)."""
         total = sum(self.vol_sizes.values())
-        shares = {
-            name: max(1, round(self.ops_per_cp * size / total))
-            for name, size in self.vol_sizes.items()
-        }
-        return shares
+        writes = {}
+        for name, size in self.vol_sizes.items():
+            ids, _ = self.mixes[name].next_ops(max(1, round(n_ops * size / total)))
+            if ids.size:
+                writes[name] = ids
+        return writes
 
-    @abc.abstractmethod
     def next_batch(self) -> CPBatch:
-        """Produce the next per-CP batch."""
+        """The next per-CP batch: ``ops_per_cp`` operations, the reads
+        among them as the mixes split them (every volume's mix carries
+        the workload's one read fraction), the writes drawn per volume."""
+        reads, writes = next(iter(self.mixes.values())).split(self.ops_per_cp)
+        return CPBatch(writes=self._draw(writes), ops=self.ops_per_cp, reads=reads)
 
     def __iter__(self) -> Iterator[CPBatch]:
         while True:

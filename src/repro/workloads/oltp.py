@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fs.cp import CPBatch
 from ..fs.filesystem import WaflSim
 from .base import Workload
+from .mixes import UniformOverwriteMix
 
 __all__ = ["OLTPWorkload"]
 
@@ -38,23 +38,10 @@ class OLTPWorkload(Workload):
         seed: int | np.random.Generator | None = None,
     ) -> None:
         super().__init__(sim, ops_per_cp=ops_per_cp, seed=seed)
-        if not 0.0 <= read_fraction < 1.0:
-            raise ValueError("read_fraction must be in [0, 1)")
-        self.read_fraction = float(read_fraction)
-        self.blocks_per_write_op = int(blocks_per_write_op)
-
-    def next_batch(self) -> CPBatch:
-        reads = int(self.ops_per_cp * self.read_fraction)
-        write_ops_total = self.ops_per_cp - reads
-        writes: dict[str, np.ndarray] = {}
-        total = sum(self.vol_sizes.values())
-        for name, size in self.vol_sizes.items():
-            share = max(1, round(write_ops_total * size / total))
-            starts = self.rng.integers(
-                0, max(size - self.blocks_per_write_op + 1, 1), size=share
+        self.mixes = {
+            name: UniformOverwriteMix(
+                size, blocks_per_op=blocks_per_write_op,
+                read_fraction=read_fraction, seed=self.rng,
             )
-            ids = (
-                starts[:, None] + np.arange(self.blocks_per_write_op)[None, :]
-            ).ravel()
-            writes[name] = ids
-        return CPBatch(writes=writes, ops=self.ops_per_cp, reads=reads)
+            for name, size in self.vol_sizes.items()
+        }

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fs.cp import CPBatch
 from ..fs.filesystem import WaflSim
 from .base import Workload
+from .mixes import UniformOverwriteMix
 
 __all__ = ["RandomOverwriteWorkload"]
 
@@ -40,23 +40,10 @@ class RandomOverwriteWorkload(Workload):
         seed: int | np.random.Generator | None = None,
     ) -> None:
         super().__init__(sim, ops_per_cp=ops_per_cp, seed=seed)
-        if blocks_per_op <= 0:
-            raise ValueError("blocks_per_op must be positive")
-        if not 0.0 < working_set_fraction <= 1.0:
-            raise ValueError("working_set_fraction must be in (0, 1]")
-        self.blocks_per_op = int(blocks_per_op)
-        self.working_set_fraction = float(working_set_fraction)
-
-    def next_batch(self) -> CPBatch:
-        writes: dict[str, np.ndarray] = {}
-        for name, share in self._split_ops().items():
-            size = self.vol_sizes[name]
-            span = max(1, int(size * self.working_set_fraction))
-            # An 8 KiB op overwrites two *adjacent* 4 KiB blocks at a
-            # random aligned offset, as a LUN client would.
-            starts = self.rng.integers(
-                0, max(span - self.blocks_per_op + 1, 1), size=share
+        self.mixes = {
+            name: UniformOverwriteMix(
+                size, blocks_per_op=blocks_per_op,
+                working_set_fraction=working_set_fraction, seed=self.rng,
             )
-            ids = (starts[:, None] + np.arange(self.blocks_per_op)[None, :]).ravel()
-            writes[name] = ids
-        return CPBatch(writes=writes, ops=self.ops_per_cp)
+            for name, size in self.vol_sizes.items()
+        }

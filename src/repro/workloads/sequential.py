@@ -13,6 +13,7 @@ import numpy as np
 from ..fs.cp import CPBatch
 from ..fs.filesystem import WaflSim
 from .base import Workload
+from .mixes import SequentialMix
 
 __all__ = ["SequentialWriteWorkload"]
 
@@ -40,35 +41,18 @@ class SequentialWriteWorkload(Workload):
         seed: int | np.random.Generator | None = None,
     ) -> None:
         super().__init__(sim, ops_per_cp=ops_per_cp, seed=seed)
-        self.blocks_per_op = int(blocks_per_op)
-        self.wrap = wrap
-        self._cursors = {name: 0 for name in self.vol_sizes}
-        self._done = {name: False for name in self.vol_sizes}
+        self.mixes = {
+            name: SequentialMix(size, blocks_per_op=blocks_per_op, wrap=wrap)
+            for name, size in self.vol_sizes.items()
+        }
 
     @property
     def exhausted(self) -> bool:
         """True when every volume was fully covered (wrap=False only)."""
-        return not self.wrap and all(self._done.values())
+        return all(mix.exhausted for mix in self.mixes.values())
 
     def next_batch(self) -> CPBatch:
-        writes: dict[str, np.ndarray] = {}
-        total_ops = 0
-        for name, share in self._split_ops().items():
-            if self._done[name]:
-                continue
-            size = self.vol_sizes[name]
-            cursor = self._cursors[name]
-            want = share * self.blocks_per_op
-            if self.wrap:
-                ids = (cursor + np.arange(want, dtype=np.int64)) % size
-                self._cursors[name] = int((cursor + want) % size)
-            else:
-                want = min(want, size - cursor)
-                ids = cursor + np.arange(want, dtype=np.int64)
-                self._cursors[name] = cursor + want
-                if self._cursors[name] >= size:
-                    self._done[name] = True
-            if ids.size:
-                writes[name] = ids
-                total_ops += max(1, ids.size // self.blocks_per_op)
-        return CPBatch(writes=writes, ops=total_ops)
+        writes = self._draw(self.ops_per_cp)
+        ops = sum(max(1, ids.size // self.mixes[name].blocks_per_op)
+                  for name, ids in writes.items())
+        return CPBatch(writes=writes, ops=ops)

@@ -134,11 +134,11 @@ def _fig8_document(*, large_wa: float, quick: bool) -> dict:
     return _document("fig8", {
         "HDD-sized AA (4k stripes)": dict(
             cpu_us_per_op=230.0, device_us_per_op=17.5, capacity_ops=57_000.0,
-            write_amplification=10.8,
+            write_amplification=10.8, curve=[[5_000.0, 5_000.0, 0.3], [9_000.0, 5_500.0, 90.0]],
         ),
         "Large AA (2 erase units)": dict(
             cpu_us_per_op=232.0, device_us_per_op=6.0, capacity_ops=86_000.0,
-            write_amplification=large_wa,
+            write_amplification=large_wa, curve=[[5_000.0, 5_000.0, 0.2], [9_000.0, 9_000.0, 0.3]],
         ),
     }, quick=quick)
 

@@ -1,17 +1,16 @@
-"""Unit tests for the measurement layer (stats, CPU model, latency)."""
+"""Unit tests for the measurement layer (stats, CPU model, bottleneck
+capacity) and the latency-throughput curve the traffic engine serves."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.sim import (
-    CpuModel,
-    CPStats,
-    MetricsLog,
-    peak_throughput,
-    system_curve,
-)
+from repro.bench.experiments import _peak
+from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+from repro.fs import WaflSim
+from repro.sim import CpuModel, CPStats, MetricsLog, bottleneck_capacity_ops
+from repro.traffic.scenarios import SUSTAINED, load_curve
+from repro.workloads import UniformOverwriteMix
 
 
 class TestCpuModel:
@@ -75,65 +74,79 @@ class TestMetricsLog:
         assert CPStats().full_stripe_fraction == 0.0
 
 
-def latency_throughput_curve(service_us_per_op, offered, **kwargs):
-    """The single-server M/M/1 shape: one core, no separate device."""
-    return system_curve(service_us_per_op, 0.0, offered, cores=1, **kwargs)
+#: Offered load per client (ops/s): two loads below the small sim's
+#: knee (~10k per client), two past it.
+LOADS = [1_000, 5_000, 14_000, 20_000]
+
+
+def latency_throughput_curve(program_us_per_block: float) -> list:
+    """The engine's curve on a small SSD aggregate whose flash programs a
+    block in ``program_us_per_block`` (the device side of the service)."""
+    spec = AggregateSpec(
+        tiers=(TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=32768,
+                        stripes_per_aa=2048, program_us_per_block=program_us_per_block),),
+        volumes=(VolumeDecl("volA", logical_blocks=24_576),
+                 VolumeDecl("volB", logical_blocks=12_288)),
+    )
+    return load_curve(WaflSim.build(spec, seed=7), LOADS,
+                      lambda n, rng: UniformOverwriteMix(n, seed=rng),
+                      target_ops_per_cp=512, n_cps=4, seed=5)
 
 
 class TestLatencyCurves:
-    def test_hockey_stick_shape(self):
-        pts = latency_throughput_curve(100.0, [1000, 5000, 20000], nclients=1)
-        lats = [p.latency_ms for p in pts]
+    """Figures 6, 8 and 9's latency vs achieved throughput, served by
+    the traffic engine (:func:`repro.traffic.scenarios.load_curve`)."""
+
+    @pytest.fixture(scope="class")
+    def curves(self):
+        return {us: latency_throughput_curve(us) for us in (13.0, 130.0)}
+
+    def test_hockey_stick_shape(self, curves):
+        pts = curves[13.0]
+        lats = [latency for _, _, latency in pts]
         assert lats == sorted(lats)
-        assert pts[0].achieved_per_client == 1000
-        assert pts[-1].achieved_per_client < 20000
+        offered, achieved, _ = pts[0]
+        assert achieved >= SUSTAINED * offered
+        offered, achieved, _ = pts[-1]
+        assert achieved < SUSTAINED * offered
 
-    def test_saturation_pins_throughput(self):
-        pts = latency_throughput_curve(100.0, [20000, 40000], nclients=1)
-        assert pts[0].achieved_per_client == pts[1].achieved_per_client
-        assert pts[1].latency_ms > pts[0].latency_ms
+    def test_saturation_pins_throughput(self, curves):
+        (_, _, lat_below), *_, (_, high, lat_high), (_, higher, lat_higher) = curves[13.0]
+        assert higher == pytest.approx(high, rel=0.1)
+        assert min(lat_high, lat_higher) > 5 * lat_below
 
-    def test_peak_selection(self):
-        pts = latency_throughput_curve(100.0, [1000, 5000, 9000], nclients=1)
-        pk = peak_throughput(pts)
-        assert pk.achieved_per_client == max(p.achieved_per_client for p in pts)
+    def test_peak_selection(self, curves):
+        pk = _peak(curves[13.0])
+        assert pk[1] == max(achieved for _, achieved, _ in curves[13.0])
 
     def test_peak_empty_raises(self):
         with pytest.raises(ValueError):
-            peak_throughput([])
+            _peak([])
 
-    def test_bad_service_raises(self):
-        with pytest.raises(ValueError):
-            latency_throughput_curve(-1.0, [100])
-
-    def test_lower_service_dominates(self):
-        """A configuration with lower service time achieves at least the
-        throughput of a slower one at every offered load."""
-        fast = latency_throughput_curve(80.0, [1000, 10000, 14000], nclients=1)
-        slow = latency_throughput_curve(100.0, [1000, 10000, 14000], nclients=1)
-        for f, s in zip(fast, slow):
-            assert f.achieved_per_client >= s.achieved_per_client
-            assert f.latency_ms <= s.latency_ms
+    def test_lower_service_dominates(self, curves):
+        """A configuration with a faster device achieves at least the
+        throughput of a slower one at every offered load, at no higher
+        latency."""
+        for f, s in zip(curves[13.0], curves[130.0]):
+            assert f[0] == s[0]  # one seed: the same clients
+            assert f[1] >= s[1]
+            assert f[2] <= s[2]
 
 
 class TestSystemCurve:
+    """The system's bottleneck capacity, behind every ``capacity_ops``."""
+
     def test_cpu_bound(self):
         # cpu 20us/op on 20 cores -> 1M ops/s; device 0.5us -> 2M ops/s.
-        pts = system_curve(20.0, 0.5, [2_000_000], nclients=1, cores=20)
-        assert pts[0].achieved_per_client == pytest.approx(1e6, rel=0.05)
+        assert bottleneck_capacity_ops(20.0, 0.5, 20) == pytest.approx(1e6)
 
     def test_device_bound(self):
-        pts = system_curve(1.0, 100.0, [100000], nclients=1, cores=20)
-        assert pts[0].achieved_per_client == pytest.approx(1e4, rel=0.05)
+        assert bottleneck_capacity_ops(1.0, 100.0, 20) == pytest.approx(1e4)
 
     def test_device_improvement_moves_knee(self):
         """The Figure 6/8 mechanism: lower device cost -> higher peak."""
-        loads = np.linspace(1000, 100000, 30)
-        better = peak_throughput(system_curve(15.0, 10.0, loads, nclients=1))
-        worse = peak_throughput(system_curve(15.0, 20.0, loads, nclients=1))
-        assert better.achieved_per_client > worse.achieved_per_client
-        assert better.latency_ms <= worse.latency_ms
+        assert bottleneck_capacity_ops(15.0, 10.0, 1) > bottleneck_capacity_ops(15.0, 20.0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            system_curve(-1.0, 1.0, [100])
+            bottleneck_capacity_ops(-1.0, 1.0, 20)

@@ -110,23 +110,6 @@ class TestHarness:
         # 20 cores / 200us = 100k; device 1e6/20 = 50k -> device-bound.
         assert r.capacity_ops == pytest.approx(50_000)
 
-    def test_config_result_curve_monotone_latency(self):
-        import numpy as np
-
-        from repro.bench.experiments import _curves
-
-        r = ConfigResult(
-            label="x", cpu_us_per_op=100.0, device_us_per_op=10.0,
-            agg_selected_free=0, vol_selected_free=0, aggregate_free=0,
-            write_amplification=1, metafile_blocks_per_op=0,
-            full_stripe_fraction=0, mean_chain_length=0,
-        )
-        # The curve as the experiment table derives it from the
-        # persisted metrics (20 cores, 8 clients).
-        pts = _curves({"x": {"metrics": r.as_dict()}}, np.linspace(100, 20000, 10))["x"]
-        lats = [p.latency_ms for p in pts]
-        assert lats == sorted(lats)
-
 
 def _python_part(seconds: float) -> int:
     """Pure-Python arithmetic for ``seconds`` of wall time."""

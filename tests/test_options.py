@@ -26,7 +26,7 @@ KEPT = {  # reason -> the options kept for it, as ``Qual(param ...)``
     "tests inject an auditor, scrub other windows and replace parity disks": "CPEngine(auditor)"
     " arm_global(raise_on_violation) Scrub(window) RAIDGroupRuntime.replace_disk(parity)",
     "workload shapes tests pin": "FileChurnWorkload(create_bias) ZipfOverwriteMix(alpha"
-    " blocks_per_op) UniformOverwriteMix(working_set_fraction blocks_per_op)",
+    " blocks_per_op)",
 }
 
 

@@ -19,11 +19,11 @@ from repro.tiering import (
 from repro.workloads import fill_volumes
 
 
-def tiered_sim(seed: int = 9) -> WaflSim:
+def tiered_sim(seed: int = 9, *, flash_blocks_per_disk: int = 4096) -> WaflSim:
     spec = AggregateSpec(
         tiers=(
             TierSpec(label="flash", media="ssd", raid="mirror", ndata=4,
-                     blocks_per_disk=4096),
+                     blocks_per_disk=flash_blocks_per_disk),
             TierSpec(label="disk", media="hdd", raid="raid4", ndata=6,
                      blocks_per_disk=4096),
         ),
@@ -74,6 +74,20 @@ class TestConservation:
         assert audit_sim(sim).ok
         sim.delete_snapshot("hot", "pin")
         assert sim.engine.run_cp(CPBatch()).freed_by_tier == {"flash": 0, "disk": 1000}
+
+    def test_migration_under_a_free_budget_conserves_blocks(self):
+        # A flash tier wide enough that the volume's blocks span two
+        # bitmap metafile blocks: a one-block budget applies half of the
+        # migration CP's frees and leaves the rest pending.
+        sim = tiered_sim(flash_blocks_per_disk=16_384)
+        fill_volumes(sim, ops_per_cp=4096, seed=2)
+        sim.set_free_budget(1)
+        report = migrate_volume_tier(sim, "hot", "disk")
+        assert report.copied == report.freed == report.used == 4096
+        assert volume_tier_blocks(sim, "hot") == {"flash": 0, "disk": 4096}
+        assert audit_sim(sim).ok
+        sim.set_free_budget(None)
+        assert sim.engine.run_cp(CPBatch()).freed_by_tier["flash"] > 0
 
     def test_empty_volume_migrates_trivially(self):
         sim = tiered_sim()

@@ -177,16 +177,19 @@ class OracleEngine(TrafficEngine):
             writes: dict[str, np.ndarray] = {}
             deletes: dict[str, np.ndarray] = {}
             ops_by_source: dict[str, int] = {}
+            reads = 0
             for i, ops in cp_ops.items():
                 spec = self.states[i].spec
-                w, d = spec.mix.next_ops(len(ops))
+                r, n_writes = spec.mix.split(len(ops))
+                reads += r
+                w, d = spec.mix.next_ops(n_writes)
                 if w.size:
                     writes[spec.volume] = w
                 if d.size:
                     deletes[spec.volume] = d
                 ops_by_source[spec.name] = len(ops)
             stats = self.sim.engine.run_cp(
-                CPBatch(writes=writes, ops=total, deletes=deletes,
+                CPBatch(writes=writes, ops=total, deletes=deletes, reads=reads,
                         ops_by_source=ops_by_source)
             )
             cpu_per_op = stats.cpu_us / total

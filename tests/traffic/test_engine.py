@@ -163,6 +163,27 @@ class TestServiceAndCharging:
             for st in engine.states
         )
 
+    def test_mix_reads_reach_the_cp_and_the_devices(self):
+        sim = small_ssd_sim(seed=7)
+        mix = UniformOverwriteMix(
+            sim.vols["volA"].spec.logical_blocks, read_fraction=0.55, seed=8
+        )
+        engine = TrafficEngine(sim, [TenantSpec(
+            name="oltp", volume="volA", arrivals=PoissonArrivals(8_000.0, seed=7), mix=mix,
+        )], cp_interval_us=25_000.0)
+        batches = []
+        run_cp = sim.engine.run_cp
+        sim.engine.run_cp = lambda batch: batches.append(batch) or run_cp(batch)
+        engine.run(6)
+        assert batches and all(b.reads == int(b.ops * 0.55) for b in batches)
+        assert all(b.writes["volA"].size == 2 * (b.ops - b.reads) for b in batches)
+        client_reads = sum(b.reads for b in batches)
+        devices = sim.store.groups[0].data_devices
+        # charge_reads spreads a CP's reads over the data devices,
+        # rounding each device's share.
+        assert sum(d.stats.blocks_read for d in devices) == pytest.approx(
+            client_reads, abs=len(devices) * len(batches))
+
     def test_accounting_identity_per_tenant(self):
         _, engine = two_tenant_engine()
         result = engine.run(10).summary()

@@ -10,6 +10,10 @@ import pytest
 
 from repro.bench.runner import run_bench, strip_timing
 from repro.traffic import SCENARIOS, build_scenario, build_traffic_sim, run_traffic
+from repro.traffic.scenarios import load_curve
+from repro.workloads import UniformOverwriteMix
+
+from ..conftest import small_ssd_sim
 
 #: Small testbed for fast scenario runs (the bench quick config uses
 #: the full 65_536-block disks).
@@ -109,6 +113,18 @@ class TestReplay:
             "uniform", n_tenants=2, seed=2, blocks_per_disk=16_384, n_cps=15
         ).result.as_dict()
         assert json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
+
+    def test_same_seed_same_load_curve(self):
+        def sweep(seed: int) -> list:
+            return load_curve(
+                small_ssd_sim(), [2_000, 30_000],
+                lambda n, rng: UniformOverwriteMix(n, read_fraction=0.5, seed=rng),
+                target_ops_per_cp=256, n_cps=3, seed=seed,
+            )
+
+        first = sweep(4)
+        assert sweep(4) == first
+        assert sweep(5) != first
 
     def test_bench_runner_workers_do_not_change_results(self):
         serial = run_bench(quick=True, workers=1, experiments=["traffic"])

@@ -1,11 +1,12 @@
-"""Unit tests for per-tenant op mixes: block ranges, adjacency, skew."""
+"""Unit tests for per-tenant op mixes: block ranges, adjacency, skew,
+the read split and the sequential cursor."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.workloads import UniformOverwriteMix, ZipfOverwriteMix
+from repro.workloads import SequentialMix, UniformOverwriteMix, ZipfOverwriteMix
 
 
 class TestUniformMix:
@@ -49,6 +50,17 @@ class TestUniformMix:
             UniformOverwriteMix(100, working_set_fraction=0.0)
         with pytest.raises(ValueError):
             UniformOverwriteMix(100, working_set_fraction=1.5)
+        with pytest.raises(ValueError):
+            UniformOverwriteMix(100, read_fraction=1.0)
+        with pytest.raises(ValueError):
+            UniformOverwriteMix(100, read_fraction=-0.1)
+
+    @pytest.mark.parametrize("fraction, n_ops, expect", [
+        (0.0, 1_000, (0, 1_000)), (0.55, 1_000, (550, 450)), (0.65, 999, (649, 350)),
+    ])
+    def test_split_takes_the_reads_first(self, fraction, n_ops, expect):
+        mix = UniformOverwriteMix(10_000, read_fraction=fraction, seed=0)
+        assert mix.split(n_ops) == expect
 
 
 class TestZipfMix:
@@ -83,3 +95,37 @@ class TestZipfMix:
             ZipfOverwriteMix(100, alpha=1.0)
         with pytest.raises(ValueError):
             ZipfOverwriteMix(100, alpha=0.5)
+
+
+def _cursor_reference(size: int, per_op: int, wrap: bool, shares: list[int]):
+    """The cursor ``SequentialWriteWorkload`` kept per volume before it
+    drew through :class:`SequentialMix`, written out as it was."""
+    cursor, done, out = 0, False, []
+    for share in shares:
+        if done:
+            out.append(np.empty(0, dtype=np.int64))
+            continue
+        want = share * per_op
+        if wrap:
+            ids = (cursor + np.arange(want, dtype=np.int64)) % size
+            cursor = int((cursor + want) % size)
+        else:
+            want = min(want, size - cursor)
+            ids = cursor + np.arange(want, dtype=np.int64)
+            cursor += want
+            done = cursor >= size
+        out.append(ids)
+    return out, done
+
+
+class TestSequentialMix:
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("per_op, shares", [(1, [300, 400, 500, 1]), (3, [100, 7, 250, 90])])
+    def test_cursor_matches_the_workload_it_left(self, wrap, per_op, shares):
+        mix = SequentialMix(1_000, blocks_per_op=per_op, wrap=wrap)
+        expect, done = _cursor_reference(1_000, per_op, wrap, shares)
+        for share, ids in zip(shares, expect):
+            writes, deletes = mix.next_ops(share)
+            np.testing.assert_array_equal(writes, ids)
+            assert writes.dtype == np.int64 and deletes.size == 0
+        assert mix.exhausted == done
