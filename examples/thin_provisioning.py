@@ -41,6 +41,7 @@ def main() -> None:
         ),
         seed=5,
     )
+    store = sim.store.members[0]  # the one object tier's linear store
 
     virtual_total = sum(v.nblocks for v in sim.vols.values())
     print(
@@ -54,8 +55,8 @@ def main() -> None:
             f"using {vol.cache.memory_bytes} bytes"
         )
     print(
-        f"  physical store: {sim.store.topology.num_aas} AAs, "
-        f"cache {sim.store.cache.memory_bytes} bytes (also HBPS — object "
+        f"  physical store: {store.topology.num_aas} AAs, "
+        f"cache {store.cache.memory_bytes} bytes (also HBPS — object "
         f"stores are natively redundant, so no RAID topology)"
     )
 
@@ -85,7 +86,7 @@ def main() -> None:
     sim.verify_consistency()
     print("\nconsistency verified ✓")
     print("memory for all four AA caches combined: "
-          f"{sum(v.cache.memory_bytes for v in sim.vols.values()) + sim.store.cache.memory_bytes} bytes")
+          f"{sum(v.cache.memory_bytes for v in sim.vols.values()) + store.cache.memory_bytes} bytes")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ class FlowConfig:
         "repro.cluster.migration",
         "repro.cluster.scheduler",
         "repro.tiering.migration",
-        "repro.tiering.store",
+        "repro.fs.aggregate",
     )
 
 

@@ -76,9 +76,9 @@ LAYER_RANK: dict[str, int] = {
     "traffic": 9,
     "faults": 10,
     "analysis": 12,
-    #: Heterogeneous multi-tier aggregates: composes fs stores and uses
-    #: the auditor/Iron for its bench demo; fs reaches it by name via
-    #: importlib only (tier policies attach from above).
+    #: Tier migration and the Flash Pool policy over fs's one
+    #: aggregate, plus the tier drill's demo aggregate; nothing in fs
+    #: reaches up to it (a tier policy is attached from above).
     "tiering": 13,
     #: The crash-consistency subsystem drives the whole stack (mount,
     #: traffic, the invariant auditor).

@@ -209,7 +209,7 @@ def _fragmentation_cutoff(quick: bool, seed: int) -> dict:
         fill_volumes(sim, ops_per_cp=16384, seed=seed + 2)
         reset_measurement_state(sim)
         r = measure_random_overwrite(sim, label, n_cps=10 if quick else 20, seed=seed + 3)
-        rows.append(dict(r.as_dict(), group_skips=sim.store.allocator.threshold_skips))
+        rows.append(dict(r.as_dict(), group_skips=sim.store.members[0].allocator.threshold_skips))
     return {"rows": rows}
 
 

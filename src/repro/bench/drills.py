@@ -463,8 +463,8 @@ def _run_tier(unit: str, *, quick: bool, seed: int) -> dict:
     pass put it back.  Deterministic per (size, seed): the payload
     carries its own digest."""
     sim = build_tiered_sim(quick=quick, seed=seed)
-    store, policy = sim.store, sim.store.tier_policy
-    placements = {name: policy.tier_of(name) for name in sim.vols}
+    store = sim.store
+    placements = {name: store.tier_of(name) for name in sim.vols}
     if placements["oltp0"] != "flash" or placements["stream0"] != "smr":
         raise TieringError(f"chooser placed the demo volumes unexpectedly: {placements}")
     fill_cps = fill_volumes(sim, ops_per_cp=8192, seed=derive_seed(seed, "fill"))
@@ -488,7 +488,7 @@ def _run_tier(unit: str, *, quick: bool, seed: int) -> dict:
         "seed": seed,
         "tiers": list(store.labels),
         "placements": placements,
-        "placements_final": {name: policy.tier_of(name) for name in sim.vols},
+        "placements_final": {name: store.tier_of(name) for name in sim.vols},
         "fill_cps": fill_cps,
         "churn_cps": log.steps,
         "cps": len(sim.metrics.cps),

@@ -381,7 +381,7 @@ FIG8_SIZINGS: dict[str, int] = {
     "Large AA (2 erase units)": 2 * FIG8_ERASE_UNIT,
 }
 
-FIG8_OFFERED = np.linspace(1000, 10000, 10)
+FIG8_OFFERED = np.linspace(1000, 14000, 14)
 
 
 def _run_fig8(label: str, *, quick: bool, seed: int) -> dict:

@@ -38,7 +38,7 @@ from ..analysis import arm_global, disarm_global
 from ..common.config import AggregateSpec, VolumeDecl
 from ..fs.filesystem import WaflSim
 from ..fs.flexvol import FlexVol
-from ..tiering import media_role
+from ..fs.tiers import media_role
 from ..traffic.arrivals import OnOffArrivals, PoissonArrivals
 from ..traffic.engine import TenantSpec, TrafficEngine, TrafficResult
 from ..traffic.scenarios import CalibratedService, calibrate_capacity

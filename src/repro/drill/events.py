@@ -14,19 +14,22 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 
-from ..common.errors import FaultError
+from ..common.errors import FaultError, TieringError
 from ..common.retry import RetryBudget
 from ..core.policies import BitmapWalkSource
 from ..crash.explorer import CrashOutcome, Replay, crash_at_edge, sweep_crash_points
 from ..crash.registry import record_crash_points
 from ..faults.injector import FaultKind, corrupt_bytes, flip_bitmap_bits
 from ..faults.recovery import escalate, exit_degraded, instances
-from ..fs.aggregate import RAIDStore
 from ..fs.iron import scan
 from ..fs.mount import DEFAULT_MOUNT_RETRIES, MountReport, export_topaa, simulate_mount
 from ..fs.segment_cleaner import CleanReport, clean_best_aas
-from ..tiering.migration import TierMigrationReport, migrate_volume_tier, rebalance_tiers
-from ..tiering.store import TieredStore
+from ..tiering.migration import (
+    TierMigrationReport,
+    check_pinning,
+    migrate_volume_tier,
+    rebalance_tiers,
+)
 
 __all__ = [
     "FailDisk",
@@ -54,12 +57,9 @@ def _known_label(drill, where: str) -> None:
 
 def _failed_disks(drill, earlier) -> set[tuple[int, int]]:
     """Data disks down once ``earlier`` has fired: ``(group, disk)``."""
-    store = drill.sim.store
-    if not isinstance(store, RAIDStore):
-        raise FaultError(f"disk events need a RAID store, not {type(store).__name__}")
     down = {
         (g, d)
-        for g, group in enumerate(store.groups)
+        for g, group in enumerate(drill.sim.store.groups)
         for d, dev in enumerate(group.data_devices)
         if dev.failed
     }
@@ -69,6 +69,14 @@ def _failed_disks(drill, earlier) -> set[tuple[int, int]]:
         elif isinstance(event, ReplaceDisk):
             down.discard((event.group, event.disk))
     return down
+
+
+def _check_pinning(drill, event) -> None:
+    """Tier events re-pin volumes: refused unless the aggregate can."""
+    try:
+        check_pinning(drill.sim.store)
+    except TieringError as e:
+        raise FaultError(f"{event}: {e}") from None
 
 
 def _pinned(drill, earlier, volume: str) -> set[str]:
@@ -89,7 +97,8 @@ def _pinned(drill, earlier, volume: str) -> set[str]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FailDisk:
-    """Data disk ``disk`` of RAID group ``group`` dies."""
+    """Data disk ``disk`` of RAID group ``group`` (the aggregate's
+    global group index) dies."""
 
     group: int
     disk: int
@@ -294,7 +303,7 @@ class CleanAAs:
     n_aas: int
 
     def check(self, drill, step, earlier) -> None:
-        groups = getattr(drill.sim.store, "groups", ())
+        groups = drill.sim.store.groups
         if not 0 <= self.group < len(groups) or self.n_aas <= 0:
             raise FaultError(f"{self}: no such RAID group, or nothing to clean")
         # The cleaner picks from the AA cache, so not inside a scrub's
@@ -317,8 +326,8 @@ class MigrateTier:
     target: str
 
     def check(self, drill, step, earlier) -> None:
-        store = drill.sim.store
-        if not isinstance(store, TieredStore) or self.target not in store.labels:
+        _check_pinning(drill, self)
+        if self.target not in drill.sim.store.labels:
             raise FaultError(f"{self}: the subject has no tier {self.target!r}")
         if self.volume not in drill.sim.vols:
             raise FaultError(f"{self}: the subject has no such volume")
@@ -333,8 +342,7 @@ class RebalanceTiers:
     elsewhere migrates there (evidence: one report per move)."""
 
     def check(self, drill, step, earlier) -> None:
-        if not isinstance(drill.sim.store, TieredStore):
-            raise FaultError(f"{self}: the subject is not a tiered aggregate")
+        _check_pinning(drill, self)
 
     def fire(self, drill) -> list[TierMigrationReport]:
         return rebalance_tiers(drill.sim)

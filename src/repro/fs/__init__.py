@@ -2,6 +2,7 @@
 (paper sections 2-3)."""
 
 from .aggregate import (
+    Aggregate,
     GroupCPReport,
     LinearStore,
     MediaType,
@@ -14,6 +15,7 @@ from .azcs import azcs_device_blocks, azcs_expand
 from .cp import CPBatch, CPEngine
 from .flexvol import FlexVol
 from .filesystem import WaflSim
+from .tiers import Tier, choose_tier, media_role
 from .mount import (
     MountReport,
     TopAAImage,
@@ -23,6 +25,7 @@ from .mount import (
 )
 
 __all__ = [
+    "Aggregate",
     "GroupCPReport",
     "LinearStore",
     "MediaType",
@@ -41,4 +44,7 @@ __all__ = [
     "background_rebuild",
     "export_topaa",
     "simulate_mount",
+    "Tier",
+    "choose_tier",
+    "media_role",
 ]

@@ -1,42 +1,51 @@
-"""Physical stores: RAID-group aggregates and linear (object) stores.
+"""The aggregate: RAID groups and linear (object) ranges in one VBN space.
 
 An ONTAP aggregate is a pool of physical storage hosting FlexVols
 (paper section 2.1).  Its physical VBN space is the concatenation of
-its RAID groups' spaces (each group owns a contiguous global range),
-or a single linear range when the backing store is natively redundant.
+its tiers' spaces, in declaration order: a RAID tier's groups (each
+owns a contiguous global range), or a single linear range when the
+backing store is natively redundant.  A Flash Pool is an aggregate
+whose tiers hold SSD and HDD groups.
 
 Each RAID group and each linear store is an
 :class:`~repro.core.space.AllocSpace` (topology, bitmap metafile,
 delayed-free log, score keeper, AA cache, write allocator and their
 lifecycle); this module adds geometry, device models with time costs
-(:mod:`repro.devices`) and the :class:`Store` surface over them, and
-implements the CP-boundary sequence: price the CP's writes on the
-devices, apply delayed frees (with SSD trims), flush batched AA-score
-deltas into the caches, and drain metafile dirty-block counts.
+(:mod:`repro.devices`) and the CP-boundary sequence: price the CP's
+writes on the devices, apply delayed frees (with SSD trims), flush
+batched AA-score deltas into the caches, and drain metafile
+dirty-block counts.
 
-A :class:`RAIDStore` holds the groups of one tier; a store of several
-tiers (a Flash Pool among them) is a :class:`repro.tiering.TieredStore`
-of one such store per tier.  Every space is built at its global VBN
-base — its ``offset`` — so stores allocate, and accept frees, in
-global VBNs at every level, and each space subtracts its own base once.
+:class:`Aggregate` is the one store every spec builds: one member per
+tier — a :class:`RAIDStore` of the tier's groups or a
+:class:`LinearStore` — each built at its global VBN base (its spaces'
+``offset``), so members allocate, and accept frees, in global VBNs at
+every level, and each space subtracts its own base once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..common.arrayops import run_starts
-from ..common.config import DEVICE_OVERRIDES, TierSpec
+from ..common.config import DEVICE_OVERRIDES, AggregateSpec, TierSpec
 from ..common.constants import (
     DEFAULT_ERASE_BLOCK_BLOCKS,
     DEFAULT_SMR_ZONE_BLOCKS,
     RAID_AGNOSTIC_AA_BLOCKS,
 )
-from ..common.errors import BitmapError, DegradedError, GeometryError, MediaError
+from ..common.errors import (
+    BitmapError,
+    DegradedError,
+    GeometryError,
+    MediaError,
+    OutOfSpaceError,
+    TieringError,
+)
 from ..common.rng import make_rng
 from ..core.aa import LinearAATopology, StripeAATopology
 from ..core.allocator import AggregateAllocator
@@ -51,95 +60,44 @@ from ..devices.ssd import SSD, SSDConfig
 from ..raid.geometry import RAIDGeometry
 from ..raid.parity import StripeWriteStats, analyze_raid_writes
 from .azcs import azcs_device_blocks, azcs_expand
+from .tiers import choose_tier
 
 __all__ = [
     "MediaType",
     "PolicyKind",
     "TierPolicy",
-    "Store",
     "resolve_stripes_per_aa",
     "route_frees",
-    "InstanceSurface",
     "RAIDGroupRuntime",
     "GroupCPReport",
     "StoreCPReport",
     "RAIDStore",
     "LinearStore",
-    "build_tier_store",
+    "Aggregate",
 ]
 
 
-@runtime_checkable
 class TierPolicy(Protocol):
-    """Data-placement policy a store may carry (``store.tier_policy``).
+    """Placement that replaces an :class:`Aggregate`'s per-volume tier
+    pinning (``aggregate.tier_policy``).
 
-    The CP engine consults it instead of calling ``store.allocate``
-    directly: :meth:`place` returns one physical VBN per staged block,
-    aligned with ``ids``, routed to whatever tier the policy chooses
-    (Flash Pool hot/cold splitting, per-volume static pinning, ...).
+    The CP engine consults it instead of :meth:`Aggregate.place`:
+    :meth:`place` returns one physical VBN per staged block, aligned
+    with ``ids``, routed to whatever tier the policy chooses (Flash
+    Pool's hot/cold split, :class:`repro.tiering.FlashPoolPolicy`).
     This protocol is structural on purpose — concrete policies live in
     :mod:`repro.tiering`, which sits far above ``fs`` in the layer DAG.
     """
 
     def place(
         self,
-        store: "Store",
+        store: "Aggregate",
         vol_name: str,
         ids: np.ndarray,
         was_mapped: np.ndarray,
     ) -> np.ndarray:
         """Allocate physical VBNs for ``ids`` (``was_mapped[i]`` is True
         for overwrites); raises ``OutOfSpaceError`` on shortfall."""
-        ...
-
-
-class Store(Protocol):
-    """The physical-store surface the CP engine, mount, Iron, recovery,
-    the auditor and :class:`repro.tiering.TieredStore` call —
-    implemented by :class:`RAIDStore`, :class:`LinearStore` and
-    ``TieredStore``.  Typing only: nothing dispatches on it."""
-
-    nblocks: int
-    tier_policy: TierPolicy | None
-
-    @property
-    def free_count(self) -> int:
-        """Free physical blocks (net of allocator pending spans)."""
-        ...
-
-    @property
-    def devices(self) -> list[Device]:
-        """Every device model backing the store."""
-        ...
-
-    def allocate(self, n: int) -> np.ndarray:
-        """Allocate up to ``n`` blocks; returns global VBNs."""
-        ...
-
-    def log_free(self, vbns: np.ndarray) -> None:
-        """Log global VBNs for freeing at the next CP boundary; a VBN
-        outside ``[0, nblocks)`` refuses the whole batch (BitmapError)."""
-        ...
-
-    def charge_reads(self, n_random: int) -> None:
-        """Queue client random reads to be priced at the CP boundary."""
-        ...
-
-    def cp_boundary(self) -> "StoreCPReport":
-        """Price the CP's writes, apply delayed frees, flush caches."""
-        ...
-
-    def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
-        """``(where, space, global_vbn_base)`` per fault-addressable
-        allocation space."""
-        ...
-
-    def attach_injector(self, injector) -> None:
-        """Attach a fault injector to every space's read path."""
-        ...
-
-    def selected_aa_free_fractions(self) -> np.ndarray:
-        """Free fraction of each AA at selection (section 4.1 trace)."""
         ...
 
 
@@ -191,36 +149,6 @@ def route_frees(vbns: np.ndarray, bounds: np.ndarray) -> list[tuple[int, np.ndar
             for i in range(len(cuts) - 1) if cuts[i + 1] > cuts[i]]
 
 
-class InstanceSurface:
-    """The part of the :class:`Store` surface derived from a store's
-    :meth:`Store.physical_instances`, written once for
-    :class:`RAIDStore` and :class:`repro.tiering.TieredStore`: both
-    visit their spaces in VBN order."""
-
-    def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
-        raise NotImplementedError
-
-    @property
-    def free_count(self) -> int:
-        return sum(fs.free_count for _, fs, _ in self.physical_instances())
-
-    @property
-    def devices(self) -> list[Device]:
-        return [d for _, fs, _ in self.physical_instances() for d in fs.devices]
-
-    def attach_injector(self, injector) -> None:
-        """Attach a fault injector to every space's read paths."""
-        for _, fs, _ in self.physical_instances():
-            fs.attach_injector(injector)
-
-    def selected_aa_free_fractions(self) -> np.ndarray:
-        """Free fraction of every AA at the moment it was selected
-        (the section 4.1 trace), space by space."""
-        return np.concatenate(
-            [fs.selected_aa_free_fractions() for _, fs, _ in self.physical_instances()]
-        )
-
-
 @dataclass
 class GroupCPReport:
     """Per-RAID-group slice of one CP (feeds Figure 7)."""
@@ -265,8 +193,8 @@ class StoreCPReport:
     #: ~blocks / selected-AA density — see CpuModel.us_per_spanned_block).
     spanned_blocks: int = 0
     groups: list[GroupCPReport] = field(default_factory=list)
-    #: Tiered aggregates only: this CP's outcome sliced per tier label
-    #: (each value is a plain single-tier report; empty otherwise).
+    #: Aggregates of several tiers only: this CP's outcome sliced per
+    #: tier label (each value is one member's report; empty on one tier).
     by_tier: dict[str, "StoreCPReport"] = field(default_factory=dict)
 
     def add_space_deltas(self, deltas: tuple[int, int, int, int]) -> None:
@@ -299,8 +227,8 @@ class RAIDGroupRuntime(AllocSpace):
             tier.ndata, tier.nparity, tier.blocks_per_disk,
             mirrored=tier.raid == "mirror",
         )
-        # :class:`RAIDStore` rewrites ``where`` to ``group:<index>`` so
-        # injector targets match Iron's ``where`` strings.
+        # :class:`Aggregate` rewrites ``where`` to ``group:<global index>``
+        # so injector targets match Iron's ``where`` strings.
         super().__init__(
             StripeAATopology(self.geometry, resolve_stripes_per_aa(tier, self.geometry)),
             where=f"group:{name}", policy=policy, seed=seed, offset=offset,
@@ -583,21 +511,15 @@ class RAIDGroupRuntime(AllocSpace):
         return freed
 
 
-class RAIDStore(InstanceSurface):
-    """Aggregate physical store backed by the ``tier.n_groups`` RAID
-    groups of one :class:`TierSpec` tier, numbered from ``base`` (the
-    store's first global VBN; 0 unless it is one tier of a
-    :class:`repro.tiering.TieredStore`).
+class RAIDStore:
+    """The member of an :class:`Aggregate` that holds the
+    ``tier.n_groups`` RAID groups of one :class:`TierSpec` tier,
+    numbered from ``base`` (the tier's first global VBN).
 
     ``threshold_fraction`` is the section 3.3.1 fragmentation cutoff
     (:attr:`~repro.common.config.AggregateSpec.threshold_fraction`),
     handed to the :class:`AggregateAllocator` that consumes it.
     """
-
-    #: Optional :class:`TierPolicy` the CP engine consults for data
-    #: placement; None means plain aggregate-wide allocation.  Builders
-    #: attach policies (:mod:`repro.tiering`); plain stores carry none.
-    tier_policy: TierPolicy | None = None
 
     def __init__(
         self,
@@ -624,15 +546,12 @@ class RAIDStore(InstanceSurface):
         self._pending_read_us: list[float] = [0.0] * len(self.groups)
 
     # ------------------------------------------------------------------
-    def fail_disk(self, group_index: int, disk_index: int, *, parity: bool = False) -> None:
-        """Inject a whole-device failure into one RAID group."""
-        self.groups[group_index].fail_disk(disk_index, parity=parity)
+    @property
+    def free_count(self) -> int:
+        return sum(g.free_count for g in self.groups)
 
     def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
-        """The store's fault-addressable file-system instances as
-        ``(where, instance, global_vbn_base)`` triples — the structural
-        API Iron, the invariant auditor, and the recovery orchestrator
-        walk instead of dispatching on store type."""
+        """``(where, group, global VBN base)`` per group, in VBN order."""
         return [(g.where, g, g.offset) for g in self.groups]
 
     def allocate(self, n: int) -> np.ndarray:
@@ -711,11 +630,9 @@ class RAIDStore(InstanceSurface):
 
 
 class LinearStore(AllocSpace):
-    """Physical store with native redundancy (object store): a linear
-    :class:`AllocSpace` (HBPS cache) over a single device model."""
-
-    #: See :attr:`RAIDStore.tier_policy`.
-    tier_policy: TierPolicy | None = None
+    """The member of an :class:`Aggregate` for a natively redundant
+    (object) tier: a linear :class:`AllocSpace` (HBPS cache) over a
+    single device model."""
 
     def __init__(
         self,
@@ -741,8 +658,7 @@ class LinearStore(AllocSpace):
         return [self.device]
 
     def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
-        """See :meth:`RAIDStore.physical_instances`; a linear store is
-        its own (single) fault-addressable instance."""
+        """A linear store is its own (single) space."""
         return [(self.where, self, self.offset)]
 
     def _check_media(self, n: int) -> None:
@@ -799,22 +715,214 @@ class LinearStore(AllocSpace):
         return report
 
 
-def build_tier_store(
-    tier: TierSpec,
-    *,
-    base: int = 0,
-    policy: PolicyKind = PolicyKind.CACHE,
-    threshold_fraction: float = 0.0,
-    seed: int | np.random.Generator | None = None,
-) -> RAIDStore | LinearStore:
-    """The store one declared tier builds, its spaces numbered from
-    ``base``: a :class:`LinearStore` for an object tier, else a
-    :class:`RAIDStore` of its groups."""
-    if tier.media == "object":
-        return LinearStore(
-            tier.nblocks, blocks_per_aa=tier.blocks_per_aa, base=base, policy=policy,
-            seed=seed,
+#: Counter fields a merged :class:`StoreCPReport` sums over members.
+_SUMMED_FIELDS = (
+    "device_total_us",
+    "metafile_blocks",
+    "blocks_written",
+    "blocks_freed",
+    "full_stripes",
+    "partial_stripes",
+    "tetrises",
+    "chains",
+    "parity_reads",
+    "reconstruction_reads",
+    "degraded_stripes",
+    "cache_ops",
+    "aa_switches",
+    "spanned_blocks",
+)
+
+
+class Aggregate:
+    """The aggregate every :class:`AggregateSpec` builds: one member
+    store per declared tier, in declaration order, each at its global
+    VBN base — ``bases[k]`` — so member ``k`` owns
+    ``[bases[k], bases[k + 1])``.
+
+    Fault and Iron addresses (``where``) are global: RAID groups are
+    ``group:<i>`` numbered across tiers (``groups`` lists them in that
+    order), a lone object tier is ``store`` and an object tier among
+    several ``store:<label>``.  Members consume the shared ``seed``
+    generator in declaration order, so the same spec and seed rebuild
+    the same aggregate bit for bit.
+
+    Placement is per-volume tier pinning: the build-time chooser
+    (:func:`~repro.fs.tiers.choose_tier`) pins each declared volume to a
+    tier, :meth:`assign` re-pins one, and :meth:`place` fills the pinned
+    tier first, then the others in declaration order.  A
+    :attr:`tier_policy`, when set, replaces the pinning for every
+    volume.  With one tier, frees and allocations go straight to the
+    one member.
+    """
+
+    #: Placement that replaces the per-volume pinning
+    #: (:class:`repro.tiering.FlashPoolPolicy`); None: pinning.
+    tier_policy: TierPolicy | None = None
+
+    def __init__(
+        self,
+        spec: AggregateSpec,
+        *,
+        policy: PolicyKind = PolicyKind.CACHE,
+        seed: int | np.random.Generator | None = None,
+    ) -> None:
+        rng = make_rng(seed)
+        self.tiers = list(spec.tiers)
+        self.labels = [t.label for t in self.tiers]
+        self.members: list[RAIDStore | LinearStore] = []
+        self.groups: list[RAIDGroupRuntime] = []
+        self.bases: list[int] = []
+        base = 0
+        for tier in self.tiers:
+            member: RAIDStore | LinearStore
+            if tier.media == "object":
+                member = LinearStore(tier.nblocks, blocks_per_aa=tier.blocks_per_aa,
+                                     base=base, policy=policy, seed=rng)
+                if len(self.tiers) > 1:
+                    member.where = f"store:{tier.label}"
+            else:
+                member = RAIDStore(tier, base=base, policy=policy,
+                                   threshold_fraction=spec.threshold_fraction, seed=rng)
+                for g in member.groups:
+                    g.where = f"group:{len(self.groups)}"
+                    self.groups.append(g)
+            self.members.append(member)
+            self.bases.append(base)
+            base += member.nblocks
+        self.nblocks = base
+        self._members = dict(zip(self.labels, self.members))
+        self._bounds = np.asarray([*self.bases, base], dtype=np.int64)
+        self.assignments = {v.name: choose_tier(self.tiers, v.workload) for v in spec.volumes}
+        #: Where a volume the spec does not declare is pinned.
+        self.default_tier = choose_tier(self.tiers, "mixed")
+
+    # ------------------------------------------------------------------
+    # Placement
+    # ------------------------------------------------------------------
+    def tier_of(self, vol_name: str) -> str:
+        """The tier ``vol_name`` is pinned to."""
+        return self.assignments.get(vol_name, self.default_tier)
+
+    def assign(self, vol_name: str, label: str) -> None:
+        """Pin ``vol_name`` to tier ``label`` from the next CP on."""
+        if label not in self._members:
+            raise TieringError(f"unknown tier {label!r}; aggregate tiers: {self.labels}")
+        self.assignments[vol_name] = label
+
+    def place(self, vol_name: str, n: int) -> np.ndarray:
+        """``n`` blocks for ``vol_name``: its pinned tier first, then
+        the others in declaration order."""
+        label = self.tier_of(vol_name)
+        return self.allocate_in([label, *(t for t in self.labels if t != label)], n)
+
+    def allocate_in(self, labels: Sequence[str], n: int) -> np.ndarray:
+        """``n`` blocks from the tiers ``labels``, in that order of
+        preference: each tier is asked for what the ones before it could
+        not give.  Returns global VBNs; an unknown label is refused
+        before anything is allocated, and a shortfall raises
+        :class:`OutOfSpaceError`."""
+        unknown = [t for t in labels if t not in self._members]
+        if unknown:
+            raise TieringError(f"unknown tier {unknown[0]!r}; aggregate tiers: {self.labels}")
+        out: list[np.ndarray] = []
+        got = 0
+        for label in labels:
+            if got >= n:
+                break
+            take = self._members[label].allocate(n - got)
+            if take.size:
+                out.append(take)
+                got += take.size
+        if got < n:
+            raise OutOfSpaceError(
+                f"aggregate out of space: {got} of {n} physical blocks allocated "
+                f"on tiers {list(labels)}"
+            )
+        if not out:
+            return np.empty(0, dtype=np.int64)
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    def tier_usage(self) -> dict[str, dict[str, int]]:
+        """Per-tier capacity snapshot: total, used, and free blocks."""
+        out: dict[str, dict[str, int]] = {}
+        for label, member in self._members.items():
+            free = member.free_count
+            out[label] = {"nblocks": member.nblocks, "used": member.nblocks - free, "free": free}
+        return out
+
+    # ------------------------------------------------------------------
+    # The surface the CP engine, mount, Iron, recovery and the auditor use
+    # ------------------------------------------------------------------
+    @property
+    def free_count(self) -> int:
+        """Free physical blocks (net of allocator pending spans)."""
+        return sum(m.free_count for m in self.members)
+
+    @property
+    def devices(self) -> list[Device]:
+        return [d for _, fs, _ in self.physical_instances() for d in fs.devices]
+
+    def physical_instances(self) -> list[tuple[str, AllocSpace, int]]:
+        """``(where, space, global VBN base)`` per allocation space, in
+        VBN order — what Iron, the auditor, recovery and mount walk."""
+        return [inst for m in self.members for inst in m.physical_instances()]
+
+    def attach_injector(self, injector) -> None:
+        """Attach a fault injector to every space's read paths."""
+        for _, fs, _ in self.physical_instances():
+            fs.attach_injector(injector)
+
+    def selected_aa_free_fractions(self) -> np.ndarray:
+        """Free fraction of every AA at the moment it was selected
+        (the section 4.1 trace), space by space."""
+        return np.concatenate(
+            [fs.selected_aa_free_fractions() for _, fs, _ in self.physical_instances()]
         )
-    return RAIDStore(
-        tier, base=base, policy=policy, threshold_fraction=threshold_fraction, seed=seed
-    )
+
+    def fail_disk(self, group_index: int, disk_index: int, *, parity: bool = False) -> None:
+        """Inject a whole-device failure into RAID group ``group_index``."""
+        self.groups[group_index].fail_disk(disk_index, parity=parity)
+
+    def log_free(self, vbns: np.ndarray) -> None:
+        """Log global VBNs for freeing at the next CP boundary, with the
+        members that own them; a VBN outside ``[0, nblocks)`` refuses
+        the whole batch (BitmapError)."""
+        vbns = np.asarray(vbns, dtype=np.int64)
+        if vbns.size == 0:
+            return
+        if len(self.members) == 1:
+            self.members[0].log_free(vbns)
+            return
+        for i, glob in route_frees(vbns, self._bounds):
+            self.members[i].log_free(glob)
+
+    def charge_reads(self, n_random: int) -> None:
+        """Queue client random reads, spread across tiers proportional
+        to capacity (reads land where data lives; capacity is the
+        deterministic stand-in for per-tier residency)."""
+        if n_random <= 0:
+            return
+        left = n_random
+        for member in self.members[:-1]:
+            share = min(left, int(round(n_random * member.nblocks / self.nblocks)))
+            left -= share
+            member.charge_reads(share)
+        self.members[-1].charge_reads(left)
+
+    def cp_boundary(self) -> StoreCPReport:
+        """Run every member's CP boundary.  One member's report is the
+        aggregate's; several merge: counters sum, bottleneck busy time
+        is the max over members (tiers flush in parallel), and each
+        member's report lands in ``by_tier``."""
+        if len(self.members) == 1:
+            return self.members[0].cp_boundary()
+        report = StoreCPReport()
+        for label, member in self._members.items():
+            r = member.cp_boundary()
+            report.by_tier[label] = r
+            for f in _SUMMED_FIELDS:
+                setattr(report, f, getattr(report, f) + getattr(r, f))
+            report.groups.extend(r.groups)
+            report.device_busy_us = max(report.device_busy_us, r.device_busy_us)
+        return report

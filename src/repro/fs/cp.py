@@ -6,12 +6,14 @@ transaction known as a consistency point" (paper section 2.1).  The
 engine drives one CP at a time:
 
 1. Relocations first (segment cleaning, tier migration): each named
-   virtual VBN gets a fresh physical home and its old one is logged as
-   a delayed free; the virtual VBN stays, so every snapshot follows.
+   virtual VBN gets a fresh physical home on the named tier and its old
+   one is logged as a delayed free; the virtual VBN stays, so every
+   snapshot follows.
 2. For every volume's batch of dirtied logical blocks: allocate virtual
-   VBNs (volume allocator), allocate physical VBNs (store allocator),
-   install the new mappings, and log the superseded virtual/physical
-   blocks as delayed frees.
+   VBNs (volume allocator), allocate physical VBNs (the aggregate's
+   placement: the volume's pinned tier, or the tier policy), install
+   the new mappings, and log the superseded virtual/physical blocks as
+   delayed frees.
 3. At the CP boundary: price the CP's device writes, apply delayed
    frees (with SSD trims), flush batched AA-score deltas into the AA
    caches, and drain metafile dirty-block counts — producing one
@@ -30,7 +32,7 @@ from ..common.errors import AllocationError, OutOfSpaceError, TieringError
 from ..core.space import AllocSpace
 from ..sim.cpu import CpuModel
 from ..sim.stats import CPStats, MetricsLog
-from .aggregate import Store
+from .aggregate import Aggregate
 from .flexvol import FlexVol
 
 __all__ = ["CPBatch", "CPEngine"]
@@ -58,13 +60,13 @@ class CPBatch:
     #: Per-volume virtual VBNs moved to fresh physical homes before
     #: ``writes`` (so a write of one in the same CP supersedes the copy).
     relocate: dict[str, np.ndarray] = field(default_factory=dict)
-    #: Tier the relocated blocks land on: None on a single-tier store,
-    #: one of a :class:`~repro.tiering.TieredStore`'s labels on it.
+    #: Tier label the relocated blocks land on; a batch that relocates
+    #: names one (None is refused, like an unknown label).
     relocate_to: str | None = None
 
 
 class CPEngine:
-    """Runs consistency points against one store and its volumes."""
+    """Runs consistency points against one aggregate and its volumes."""
 
     #: When set (by :func:`repro.analysis.auditor.arm_global`), every
     #: newly constructed engine calls it to obtain a CP-time auditor.
@@ -74,7 +76,7 @@ class CPEngine:
 
     def __init__(
         self,
-        store: Store,
+        store: Aggregate,
         vols: dict[str, FlexVol],
         *,
         metrics: MetricsLog | None = None,
@@ -116,10 +118,10 @@ class CPEngine:
         of ``batch.relocate``, refused (typed) before anything moves."""
         if not batch.relocate:
             return []
-        # A single-tier store's one destination is None; a tiered one's, its labels.
-        to, destinations = batch.relocate_to, getattr(self.store, "labels", [None])
-        if to not in destinations:
-            raise TieringError(f"relocation to tier {to!r}: this store takes {destinations}")
+        to = batch.relocate_to
+        if to not in self.store.labels:
+            raise TieringError(f"relocation to tier {to!r}: the aggregate's tiers are "
+                               f"{self.store.labels}")
         moves = []
         for name, virtual in batch.relocate.items():
             vol = self.vols.get(name)
@@ -132,20 +134,10 @@ class CPEngine:
                 raise AllocationError(f"FlexVol {name} cannot relocate a virtual VBN it does not map")
             moves.append((vol, inside, old_p))
         n = sum(int(v.size) for _, v, _ in moves)
-        room = self.store.free_count if to is None else self.store.tier_usage()[to]["free"]
+        room = self.store.tier_usage()[to]["free"]
         if n > room:
-            raise OutOfSpaceError(f"relocation of {n} blocks: {room} free on {to or 'the store'}")
+            raise OutOfSpaceError(f"relocation of {n} blocks: {room} free on {to}")
         return moves
-
-    def _allocate(self, n: int, tier: str | None, vol: str) -> np.ndarray:
-        """``n`` physical blocks for ``vol``, from ``tier`` if named."""
-        got = self.store.allocate(n) if tier is None else self.store.allocate_in([tier], n)
-        if got.size < n:
-            raise OutOfSpaceError(
-                f"aggregate out of space: {got.size} of {n} "
-                f"physical blocks allocated for volume {vol}"
-            )
-        return got
 
     def run_cp(self, batch: CPBatch) -> CPStats:
         """Execute one consistency point and record its statistics."""
@@ -159,11 +151,10 @@ class CPEngine:
         cp_span.__enter__()
         if self.auditor is not None:
             self.auditor.before_cp(self)
-        to = batch.relocate_to
         for vol, virtual, old_p in moves:
             n = int(virtual.size)
             with obs.span("cp.relocate", vol=vol.name, blocks=n):
-                vol.remap(virtual, self._allocate(n, to, vol.name))
+                vol.remap(virtual, self.store.allocate_in([batch.relocate_to], n))
                 self.store.log_free(old_p)
 
         virtual_blocks = 0
@@ -175,16 +166,15 @@ class CPEngine:
                 continue
             with obs.span("cp.allocate", vol=name, blocks=int(ids.size)):
                 new_v, old_v, old_p = vol.stage_writes(ids)
-                if tier_policy is not None:
-                    # The store's tier policy decides where each block
-                    # lands (e.g. Flash Pool: overwritten blocks to the
-                    # SSD tier, first writes to the capacity tier).  It
-                    # raises OutOfSpaceError itself on shortfall.
+                if tier_policy is None:
+                    new_p = self.store.place(name, int(ids.size))
+                else:
+                    # The tier policy replaces the per-volume pinning
+                    # (Flash Pool: overwritten blocks to the SSD tier,
+                    # first writes to the capacity tier).
                     # ``stage_writes`` leaves ``l2v`` to ``commit_writes``.
                     was_mapped = vol.l2v[ids] >= 0
                     new_p = tier_policy.place(self.store, name, ids, was_mapped)
-                else:
-                    new_p = self._allocate(int(ids.size), None, name)
                 vol.commit_writes(ids, new_v, new_p, old_v)
                 self.store.log_free(old_p)
             obs.count("cp.virtual_blocks", int(ids.size), vol=name)

@@ -1,13 +1,12 @@
 """WaflSim: the whole-system simulator facade.
 
-Ties together a physical store (RAID groups or object store), a set of
+Ties together an aggregate (RAID groups and object ranges), a set of
 FlexVols, the CP engine, and the metrics log, and provides the
 builder functions the examples and benchmarks share.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -17,7 +16,7 @@ from ..common.errors import AllocationError, GeometryError
 from ..common.rng import make_rng
 from ..core.space import AllocSpace
 from ..sim.stats import CPStats, MetricsLog
-from .aggregate import PolicyKind, Store, build_tier_store
+from .aggregate import Aggregate, PolicyKind
 from .cp import CPBatch, CPEngine
 from .flexvol import FlexVol
 from .iron import reference_pass
@@ -26,14 +25,14 @@ __all__ = ["WaflSim"]
 
 
 class WaflSim:
-    """A running WAFL-like system: store + volumes + CP engine.
+    """A running WAFL-like system: aggregate + volumes + CP engine.
 
     Most users construct one via :meth:`build` from a declarative
     :class:`~repro.common.config.AggregateSpec` and drive it with a
     workload iterator from :mod:`repro.workloads`.
     """
 
-    def __init__(self, store: Store, vols: dict[str, FlexVol]) -> None:
+    def __init__(self, store: Aggregate, vols: dict[str, FlexVol]) -> None:
         self.store = store
         self.vols = vols
         self.metrics = MetricsLog()
@@ -49,16 +48,9 @@ class WaflSim:
         *,
         seed: int | np.random.Generator | None = None,
     ) -> "WaflSim":
-        """Construct a simulator from a declarative aggregate spec.
-
-        One entry point for every backing-store shape:
-
-        * one RAID tier — a plain :class:`RAIDStore` (HDD/SSD/SMR
-          groups, RAID 4 / RAID-DP / mirrored);
-        * one object tier — a :class:`LinearStore`;
-        * several tiers — a :class:`repro.tiering.TieredStore`
-          composing one member store per tier in a single aggregate
-          VBN space, with the per-volume tier chooser attached.
+        """Construct a simulator from a declarative aggregate spec: an
+        :class:`Aggregate` of one member store per tier (a RAID tier's
+        groups or an object range), whatever the number of tiers.
 
         ``spec.policy`` / ``spec.vol_policy`` select AA caches or
         baselines independently — the four quadrants of Figure 6;
@@ -66,25 +58,11 @@ class WaflSim:
         The volumes join through :meth:`add_volume`, in declaration
         order.
         """
-        agg_policy = PolicyKind(spec.policy)
         vol_policy = PolicyKind(spec.vol_policy)
         # Physical spaces draw from the shared generator first, in
         # declaration order, then the volumes.
         rng = make_rng(seed)
-        store: Store
-        if len(spec.tiers) > 1:
-            # repro.tiering sits far above fs in the layer DAG, so the
-            # multi-tier path binds to it at call time only.
-            store = importlib.import_module("repro.tiering").make_tiered_store(
-                spec, policy=agg_policy, seed=rng
-            )
-        else:
-            store = build_tier_store(
-                spec.tiers[0],
-                policy=agg_policy,
-                threshold_fraction=spec.threshold_fraction,
-                seed=rng,
-            )
+        store = Aggregate(spec, policy=PolicyKind(spec.policy), seed=rng)
         sim = cls(store, {})
         for decl in spec.volumes:
             sim.add_volume(decl, policy=vol_policy, seed=rng)
@@ -111,15 +89,11 @@ class WaflSim:
             raise GeometryError(f"volume {decl.name!r} exists")
         logical = self.total_logical_blocks + decl.logical_blocks
         if logical > self.store.nblocks:
-            detail = ""
-            tiers = getattr(self.store, "tiers", ())  # a TieredStore's
-            if tiers:
-                parts = ", ".join(f"{t.label}={t.physical_blocks}" for t in tiers)
-                detail = f"; per-tier capacity: {parts}"
+            parts = ", ".join(f"{t.label}={t.physical_blocks}" for t in self.store.tiers)
             raise GeometryError(
                 f"volumes address {logical} blocks but the aggregate has "
                 f"only {self.store.nblocks} (thin provisioning cannot exceed "
-                f"the physically written working set){detail}"
+                f"the physically written working set); per-tier capacity: {parts}"
             )
         vol = FlexVol(decl, policy=policy, seed=seed)
         self.vols[decl.name] = vol

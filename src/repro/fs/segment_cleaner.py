@@ -59,22 +59,20 @@ def clean_best_aas(sim, group_index: int, n_aas: int) -> CleanReport:
     outside the AAs already checked out.
     """
     store = sim.store
-    groups = getattr(store, "groups", ())
-    if group_index not in range(len(groups)) or n_aas < 0:
+    if group_index not in range(len(store.groups)) or n_aas < 0:
         raise CacheError(
-            f"cannot clean {n_aas} AAs of RAID group {group_index}: the store "
-            f"has {len(groups)} RAID groups and the count must be >= 0"
+            f"cannot clean {n_aas} AAs of RAID group {group_index}: the aggregate "
+            f"has {len(store.groups)} RAID groups and the count must be >= 0"
         )
-    g = groups[group_index]
+    g = store.groups[group_index]
     if g.cache is None:
         raise CacheError("segment cleaning requires the AA cache (it provides "
                          "the best-score AAs just in time)")
     report = CleanReport()
 
-    tier = None
-    if hasattr(store, "labels"):  # a TieredStore: the copies stay on the group's tier
-        tier = store.labels[bisect_right(store.bases, g.offset) - 1]
-    room = store.free_count if tier is None else store.tier_usage()[tier]["free"]
+    # The copies stay on the group's tier.
+    tier = store.labels[bisect_right(store.bases, g.offset) - 1]
+    room = store.tier_usage()[tier]["free"]
     cleaned: list[int] = []
     live = [np.empty(0, dtype=np.int64)]
     for _ in range(n_aas):

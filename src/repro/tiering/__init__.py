@@ -1,18 +1,12 @@
 """Heterogeneous multi-tier aggregates (paper section 2.1).
 
-The paper's free-space machinery spans media families with very
-different write-allocation behavior: HDD and SSD RAID groups, Flash
-Pool hybrids, SMR, and natively redundant object stores.  This package
-composes those single-media stores into one aggregate VBN space:
+Every spec builds one :class:`~repro.fs.aggregate.Aggregate`, whatever
+its tiers; the tier chooser (:func:`~repro.fs.tiers.choose_tier`) and
+the per-volume pinning live there, in ``fs``.  This package adds what
+moves volumes and placement across tiers:
 
-* :class:`TieredStore` — per-tier member stores behind the standard
-  store surface, with per-tier addressing and CP reporting;
-* :class:`Tier` / :func:`choose_tier` — typed tier roles and the
-  per-volume tier/geometry chooser (declared workload hint refined by
-  the measured op mix);
-* :class:`FlashPoolPolicy` / :class:`StaticTierPolicy` — the
-  :class:`~repro.fs.aggregate.TierPolicy` implementations the CP
-  engine consults for placement;
+* :class:`FlashPoolPolicy` — the hot/cold placement that replaces the
+  pinning on a Flash Pool;
 * :func:`migrate_volume_tier` / :func:`rebalance_tiers` — COW-based
   intra-aggregate tier migration with block-conservation checks;
 * :func:`tier_demo_spec` / :func:`build_tiered_sim` — the demo
@@ -22,24 +16,18 @@ composes those single-media stores into one aggregate VBN space:
 from .bench import build_tiered_sim, tier_demo_spec
 from .migration import (
     TierMigrationReport,
+    check_pinning,
     migrate_volume_tier,
     rebalance_tiers,
     recommend_tiers,
     volume_tier_blocks,
 )
-from .policies import FlashPoolPolicy, StaticTierPolicy
-from .store import TieredStore, make_tiered_store
-from .tiers import Tier, choose_tier, media_role
+from .policies import FlashPoolPolicy
 
 __all__ = [
-    "Tier",
-    "media_role",
-    "choose_tier",
     "FlashPoolPolicy",
-    "StaticTierPolicy",
-    "TieredStore",
-    "make_tiered_store",
     "TierMigrationReport",
+    "check_pinning",
     "volume_tier_blocks",
     "migrate_volume_tier",
     "recommend_tiers",

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.errors import TieringError
+from ..fs.aggregate import Aggregate
 from ..fs.cp import CPBatch
-from .store import TieredStore
-from .tiers import choose_tier
+from ..fs.tiers import choose_tier
 
 __all__ = [
     "TierMigrationReport",
+    "check_pinning",
     "volume_tier_blocks",
     "migrate_volume_tier",
     "recommend_tiers",
@@ -50,28 +51,30 @@ class TierMigrationReport:
     used: int
 
 
-def _tiered_store(sim) -> TieredStore:
-    store = sim.store
-    if not isinstance(store, TieredStore):
+def check_pinning(store: Aggregate) -> None:
+    """Refuse (:class:`TieringError`) an aggregate whose volumes cannot
+    change tier: a migration re-pins a volume, so the aggregate needs
+    two tiers or more and must place by per-volume pinning, not by a
+    tier policy (a Flash Pool's hot/cold split)."""
+    if len(store.labels) < 2 or store.tier_policy is not None:
         raise TieringError(
-            "tier migration needs a tiered aggregate "
-            f"(store is {type(store).__name__})"
+            "tier migration re-pins a volume: it needs two or more tiers (have "
+            f"{store.labels}) placed by per-volume pinning, not by a tier policy"
         )
-    return store
 
 
-def _pending_frees(store: TieredStore) -> int:
-    """Delayed frees queued, not yet applied, across the store."""
+def _pending_frees(store: Aggregate) -> int:
+    """Delayed frees queued, not yet applied, across the aggregate."""
     return sum(fs.delayed_frees.pending_count for _, fs, _ in store.physical_instances())
 
 
 def volume_tier_blocks(sim, vol_name: str) -> dict[str, int]:
     """Physical blocks of ``vol_name`` per tier label: the homes of
     every mapped virtual VBN, snapshot-held ones included."""
-    store = _tiered_store(sim)
+    store = sim.store
     vol = sim.vols[vol_name]
     phys = np.sort(vol.physical_of(vol.mapped()))
-    cuts = np.searchsorted(phys, store._bounds)
+    cuts = np.searchsorted(phys, [*store.bases, store.nblocks])
     return dict(zip(store.labels, np.diff(cuts).tolist()))
 
 
@@ -88,16 +91,11 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
     CP's frees are the ones it applied plus the growth of the store's
     pending delayed frees, so the check holds under any free budget.
     """
-    store = _tiered_store(sim)
+    store = sim.store
+    check_pinning(store)
     if target not in store.labels:
         raise TieringError(
             f"unknown tier {target!r}; aggregate tiers: {store.labels}"
-        )
-    policy = store.tier_policy
-    if policy is None or not hasattr(policy, "assign"):
-        raise TieringError(
-            "tier migration needs a StaticTierPolicy-style policy "
-            "with per-volume assignments"
         )
     vol = sim.vols.get(vol_name)
     if vol is None:
@@ -105,7 +103,7 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
 
     sim.engine.run_cp(CPBatch())
 
-    policy.assign(vol_name, target)
+    store.assign(vol_name, target)
     mapped = np.flatnonzero(vol.mapped())
     pending = _pending_frees(store)
     stats = sim.engine.run_cp(CPBatch(relocate={vol_name: mapped}, relocate_to=target))
@@ -124,9 +122,8 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
 def recommend_tiers(sim) -> dict[str, str]:
     """Chooser verdict per volume: declared workload hint refined by the
     aggregate's measured op mix (for "mixed" volumes)."""
-    store = _tiered_store(sim)
     return {
-        name: choose_tier(store.tiers, vol.spec.workload, metrics=sim.metrics)
+        name: choose_tier(sim.store.tiers, vol.spec.workload, metrics=sim.metrics)
         for name, vol in sim.vols.items()
     }
 
@@ -135,12 +132,9 @@ def rebalance_tiers(sim) -> list[TierMigrationReport]:
     """The background tier-migration pass: migrate every volume whose
     current assignment disagrees with the chooser's recommendation.
     Returns one conservation report per migrated volume."""
-    store = _tiered_store(sim)
-    policy = store.tier_policy
-    if policy is None or not hasattr(policy, "tier_of"):
-        raise TieringError("rebalance needs a policy with per-volume state")
+    check_pinning(sim.store)
     reports: list[TierMigrationReport] = []
     for name, want in recommend_tiers(sim).items():
-        if policy.tier_of(name) != want:
+        if sim.store.tier_of(name) != want:
             reports.append(migrate_volume_tier(sim, name, want))
     return reports

@@ -15,6 +15,7 @@ from repro.bench.drills import (
     scripted_subject,
     traffic_engine,
 )
+from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.errors import FaultError, ReproError
 from repro.crash import capture_image
 from repro.drill import (
@@ -36,7 +37,8 @@ from repro.drill import (
     run_drill,
 )
 from repro.cluster import Fleet, MigrateShard
-from repro.tiering import build_tiered_sim, volume_tier_blocks
+from repro.fs import WaflSim
+from repro.tiering import FlashPoolPolicy, build_tiered_sim, volume_tier_blocks
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
 
 from ..conftest import small_ssd_sim
@@ -55,6 +57,21 @@ def raid():
 @pytest.fixture(scope="module")
 def tiered():
     return feed(build_tiered_sim(quick=True))
+
+
+@pytest.fixture(scope="module")
+def flash_pool():
+    sim = WaflSim.build(AggregateSpec(
+        tiers=(
+            TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=4096,
+                     stripes_per_aa=512),
+            TierSpec(label="hdd", media="hdd", ndata=3, blocks_per_disk=8192,
+                     stripes_per_aa=1024),
+        ),
+        volumes=(VolumeDecl("db", logical_blocks=8192),),
+    ), seed=3)
+    sim.store.tier_policy = FlashPoolPolicy()
+    return feed(sim)
 
 
 REFUSED_ON_RAID = {
@@ -81,6 +98,13 @@ REFUSED_ON_RAID = {
     "tier pass on one tier": ((END, RebalanceTiers()),),
     "unknown crash edge": ((0, CrashAt("some")),),
     "fleet event on one aggregate": ((0, MigrateShard()),),
+}
+
+#: A Flash Pool places by its tier policy, not by per-volume pinning,
+#: so there is no pin for a tier event to move.
+REFUSED_ON_FLASH_POOL = {
+    "migration": ((0, MigrateTier("db", "hdd")),),
+    "rebalance": ((END, RebalanceTiers()),),
 }
 
 CLEANING_WITH_FREES_PENDING = {
@@ -114,7 +138,10 @@ class TestRefusedBeforeAnythingMoves:
         self.assert_refused(raid, ((0, FailDisk(0, 1)),), steps=-1)
 
     def test_on_a_tiered_aggregate(self, tiered):
-        self.assert_refused(tiered, ((0, FailDisk(0, 1)),))
+        # Disk events address the aggregate's global RAID group index:
+        # 0 is the mirrored SSD tier's group, 1 RAID-4 HDD, 2 RAID-DP SMR.
+        self.assert_refused(tiered, ((0, FailDisk(1, 0)), (1, FailDisk(1, 1))))
+        self.assert_refused(tiered, ((0, FailDisk(3, 0)),))
         self.assert_refused(tiered, ((0, MigrateTier("oltp0", "tape")),))
         self.assert_refused(tiered, ((0, MigrateTier("nope", "smr")),))
         # A snapshotted volume changes tier, snapshot and all.
@@ -124,6 +151,17 @@ class TestRefusedBeforeAnythingMoves:
         assert not log.audit_violations and not log.iron_findings
         residency = volume_tier_blocks(tiered.sim, "oltp0")
         assert residency["flash"] == residency["disk"] == 0
+        # A disk of every tier's group fails, then is rebuilt from parity.
+        schedule = [(0, FailDisk(g, 1)) for g in range(3)]
+        schedule += [(3, ReplaceDisk(g, 1)) for g in range(3)]
+        log = run_drill(tiered, tuple(schedule), 5, seed=1)
+        assert (log.steps, log.failed_allocations) == (5, 0) and log.rebuild_us > 0
+        assert not log.audit_violations and not log.iron_findings
+        assert not any(d.failed for d in tiered.sim.store.devices)
+
+    @pytest.mark.parametrize("why", sorted(REFUSED_ON_FLASH_POOL))
+    def test_tier_events_on_a_flash_pool(self, flash_pool, why):
+        self.assert_refused(flash_pool, REFUSED_ON_FLASH_POOL[why])
 
     def test_single_aggregate_events_on_a_fleet(self):
         fleet = Fleet(2, 1, 3)

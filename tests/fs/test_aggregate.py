@@ -113,7 +113,7 @@ class TestRAIDStore:
     def test_selected_fraction_trace(self):
         st = make_store()
         st.allocate(10)
-        fr = st.selected_aa_free_fractions()
+        fr = st.groups[0].selected_aa_free_fractions()
         assert fr.size >= 1
         assert np.all((fr >= 0) & (fr <= 1))
 

@@ -109,15 +109,17 @@ def filled():
 
 #: why -> (subject, the volume's virtual VBNs to relocate, volume, tier, refusal).
 RELOCATION_REFUSALS = {
-    "unknown volume": ("flat", lambda vol: [0], "nope", None, AllocationError),
-    "negative virtual VBN": ("flat", lambda vol: [-1], "volA", None, AllocationError),
+    "unknown volume": ("flat", lambda vol: [0], "nope", "ssd", AllocationError),
+    "negative virtual VBN": ("flat", lambda vol: [-1], "volA", "ssd", AllocationError),
     "virtual VBN past the end": (
-        "flat", lambda vol: [vol.nblocks], "volA", None, AllocationError),
+        "flat", lambda vol: [vol.nblocks], "volA", "ssd", AllocationError),
     "unmapped virtual VBN": (
-        "flat", lambda vol: np.flatnonzero(~vol.mapped())[:1], "volA", None, AllocationError),
-    "a tier on a single-tier store": ("flat", lambda vol: [0], "volA", "ssd", TieringError),
-    "no tier on a tiered store": ("tiered", lambda vol: [0], "big", None, TieringError),
+        "flat", lambda vol: np.flatnonzero(~vol.mapped())[:1], "volA", "ssd", AllocationError),
+    # A relocation always names its tier, whatever the number of tiers.
+    "no tier named": ("tiered", lambda vol: [0], "big", None, TieringError),
+    "no tier named, one tier": ("flat", lambda vol: [0], "volA", None, TieringError),
     "unknown tier": ("tiered", lambda vol: [0], "big", "tape", TieringError),
+    "unknown tier, one tier": ("flat", lambda vol: [0], "volA", "tape", TieringError),
     "too little space": (
         "tiered", lambda vol: np.flatnonzero(vol.mapped()), "big", "fast", OutOfSpaceError),
 }
@@ -139,7 +141,8 @@ class TestRelocation:
         fill_volumes(sim)
         vol, used = sim.vols["volA"], sim.store.free_count
         stats = sim.engine.run_cp(
-            CPBatch(relocate={"volA": vol.l2v[:10]}, writes={"volA": np.arange(10)}, ops=10)
+            CPBatch(relocate={"volA": vol.l2v[:10]}, relocate_to="ssd",
+                    writes={"volA": np.arange(10)}, ops=10)
         )
         # 10 copies and 10 writes; the sources, the copies and the
         # superseded virtual VBNs all freed at the same boundary.

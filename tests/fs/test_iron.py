@@ -141,7 +141,7 @@ class TestRepair:
         fill_volumes(s, ops_per_cp=8192)
         vol = s.vols["v"]
         mapped = vol.l2v[vol.l2v >= 0][:5]
-        s.store.metafile.bitmap.free(vol.physical_of(mapped))
+        s.store.members[0].metafile.bitmap.free(vol.physical_of(mapped))
         assert scan(s).count("corrupt") == 5
         repair(s)
         assert scan(s).clean

@@ -249,7 +249,7 @@ class TestObjectTierMount:
 
     def test_background_rebuild_replenishes_the_store_cache(self, object_sim):
         simulate_mount(object_sim, export_topaa(object_sim))
-        assert object_sim.store.cache.seeded
+        assert object_sim.store.members[0].cache.seeded
         rep = background_rebuild(object_sim)
         assert rep["hbps_caches_refreshed"] == 2  # the store and the volume
         for fs in object_sim.spaces():

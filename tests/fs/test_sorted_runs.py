@@ -31,10 +31,9 @@ from repro.core.space import AllocSpace
 from repro.devices import SMRConfig, SMRDrive
 from repro.devices.base import Device, MediaType
 from repro.fs import WaflSim, azcs_expand
-from repro.fs.aggregate import RAIDGroupRuntime, RAIDStore, build_tier_store
+from repro.fs.aggregate import Aggregate, RAIDGroupRuntime, RAIDStore
 from repro.raid.geometry import RAIDGeometry
 from repro.raid.parity import analyze_raid_writes
-from repro.tiering import TieredStore
 from repro.workloads import (
     FileChurnWorkload,
     RandomOverwriteWorkload,
@@ -278,10 +277,10 @@ class MaskRoutedRAIDStore(RAIDStore):
                 g.delayed_frees.add(vbns[mask] - g.offset)
 
 
-class MaskRoutedTieredStore(TieredStore):
+class MaskRoutedAggregate(Aggregate):
     def tier_index_of(self, vbns):
         vbns = np.asarray(vbns, dtype=np.int64)
-        return self._bounds.searchsorted(vbns, side="right") - 1
+        return np.searchsorted([*self.bases, self.nblocks], vbns, side="right") - 1
 
     def log_free(self, vbns):
         vbns = np.asarray(vbns, dtype=np.int64)
@@ -353,15 +352,14 @@ def test_tiered_store_routing_matches_mask_oracle(data, kinds):
                  blocks_per_aa=64)
         for i, kind in enumerate(kinds)
     ]
-    bases = np.cumsum([0] + [t.physical_blocks for t in tiers]).tolist()
-    stores = [cls(tiers, [build_tier_store(t, base=b, seed=0) for t, b in zip(tiers, bases)])
-              for cls in (TieredStore, MaskRoutedTieredStore)]
+    spec = AggregateSpec(tiers=tuple(tiers), volumes=())
+    stores = [cls(spec, seed=0) for cls in (Aggregate, MaskRoutedAggregate)]
     calls: list[list[list[np.ndarray]]] = []
     for store in stores:
         calls.append([[] for _ in store.members])
         for i, member in enumerate(store.members):
             member.log_free = calls[-1][i].append
-    vbns = _edge_vbns(data.draw, stores[0]._bounds.tolist())
+    vbns = _edge_vbns(data.draw, [*stores[0].bases, stores[0].nblocks])
     for store in stores:
         store.log_free(vbns)
     new, old = calls
@@ -398,7 +396,7 @@ def test_trims_match_mask_oracle(data, raid, ndata, n_groups, fail):
     trims: list[list[list[np.ndarray]]] = []
     for store in stores:
         trims.append([])
-        for dev in store.devices:
+        for dev in (d for g in store.groups for d in g.devices):
             log: list[np.ndarray] = []
             trims[-1].append(log)
             dev.trim = lambda dbns, real=dev.trim, log=log: (log.append(np.sort(dbns)), real(dbns))
@@ -409,7 +407,7 @@ def test_trims_match_mask_oracle(data, raid, ndata, n_groups, fail):
     for cp in range(3):
         if cp == 1 and fail is not None and fail < ndata:
             for store in stores:
-                store.fail_disk(0, fail)
+                store.groups[0].fail_disk(fail)
         n = data.draw(st.integers(0, 3000), label="allocate")
         frac = data.draw(st.floats(0, 1), label="free fraction")
         frees = live[rng.random(live.size) < frac]
@@ -423,7 +421,7 @@ def test_trims_match_mask_oracle(data, raid, ndata, n_groups, fail):
         assert [len(t) for t in new] == [len(t) for t in old]
         for got_t, want_t in zip(new, old):
             assert all(np.array_equal(a, b) for a, b in zip(got_t, want_t))
-        for dev_new, dev_old in zip(*(s.devices for s in stores)):
+        for dev_new, dev_old in zip(*([d for g in s.groups for d in g.devices] for s in stores)):
             assert _ssd_state(dev_new) == _ssd_state(dev_old)
 
 

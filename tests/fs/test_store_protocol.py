@@ -1,5 +1,6 @@
-"""Conformance of the three physical stores to the ``Store`` protocol
-(the surface CPEngine, mount, Iron, recovery and the auditor call)."""
+"""Conformance of the one aggregate class over every spec shape: what
+CPEngine, mount, Iron, recovery and the auditor call on ``sim.store``
+behaves the same for one RAID tier, one object tier and several tiers."""
 
 from __future__ import annotations
 
@@ -9,59 +10,49 @@ import pytest
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.core.space import AllocSpace
 from repro.devices.base import Device
-from repro.fs.aggregate import LinearStore, RAIDStore, Store, StoreCPReport
-from repro.tiering import make_tiered_store
+from repro.fs import Aggregate, WaflSim
+from repro.fs.aggregate import StoreCPReport
+from repro.fs.tiers import choose_tier
 
+VOLUMES = (VolumeDecl("v", logical_blocks=4096),)
 
-def _raid() -> RAIDStore:
-    return RAIDStore(
-        TierSpec(label="ssd", media="ssd", n_groups=2, ndata=3,
-                 blocks_per_disk=4096, stripes_per_aa=512),
-        seed=0,
-    )
-
-
-def _linear() -> LinearStore:
-    return LinearStore(16384, blocks_per_aa=1024, seed=0)
-
-
-def _tiered():
-    return make_tiered_store(
-        AggregateSpec(
-            tiers=(
-                TierSpec(label="flash", media="ssd", raid="mirror", ndata=2,
-                         blocks_per_disk=4096, stripes_per_aa=512),
-                TierSpec(label="cloud", media="object", raid="none",
-                         nblocks=16384, blocks_per_aa=1024),
-            ),
-            volumes=(VolumeDecl("v", logical_blocks=4096),),
+SPECS = {
+    "raid": AggregateSpec(
+        tiers=(TierSpec(label="ssd", media="ssd", n_groups=2, ndata=3,
+                        blocks_per_disk=4096, stripes_per_aa=512),),
+        volumes=VOLUMES,
+    ),
+    "linear": AggregateSpec(
+        tiers=(TierSpec(label="s3", media="object", raid="none",
+                        nblocks=16384, blocks_per_aa=1024),),
+        volumes=VOLUMES,
+    ),
+    "tiered": AggregateSpec(
+        tiers=(
+            TierSpec(label="flash", media="ssd", raid="mirror", ndata=2,
+                     blocks_per_disk=4096, stripes_per_aa=512),
+            TierSpec(label="cloud", media="object", raid="none",
+                     nblocks=16384, blocks_per_aa=1024),
         ),
-        seed=0,
-    )
-
-
-#: Exactly what the consumers call.
-SURFACE = {
-    "nblocks", "free_count", "devices", "tier_policy", "allocate", "log_free",
-    "charge_reads", "cp_boundary", "physical_instances", "attach_injector",
-    "selected_aa_free_fractions",
+        volumes=VOLUMES,
+    ),
 }
 
 
-def test_protocol_declares_exactly_the_surface():
-    declared = set(Store.__annotations__) | {
-        n for n in vars(Store) if not n.startswith("_")
-    }
-    assert declared == SURFACE
+def test_every_spec_builds_one_class():
+    stores = [WaflSim.build(spec, seed=0).store for spec in SPECS.values()]
+    assert {type(s) for s in stores} == {Aggregate}
+    assert [s.labels for s in stores] == [["ssd"], ["s3"], ["flash", "cloud"]]
+    # The chooser pins each declared volume; a lone tier takes them all.
+    assert [s.tier_of("v") for s in stores] == ["ssd", "s3", "cloud"]
+    assert stores[2].tier_of("v") == choose_tier(SPECS["tiered"].tiers, "mixed")
 
 
-@pytest.mark.parametrize("make", [_raid, _linear, _tiered], ids=["raid", "linear", "tiered"])
-def test_store_conforms(make):
-    store: Store = make()
-    for name in SURFACE:
-        assert hasattr(store, name), name
+@pytest.mark.parametrize("kind", list(SPECS), ids=list(SPECS))
+def test_store_conforms(kind):
+    store = WaflSim.build(SPECS[kind], seed=0).store
 
-    assert store.tier_policy is None or hasattr(store.tier_policy, "place")
+    assert store.tier_policy is None
     assert store.free_count == store.nblocks
     assert all(isinstance(d, Device) for d in store.devices)
 
@@ -71,7 +62,7 @@ def test_store_conforms(make):
     assert all(isinstance(fs, AllocSpace) for _, fs, _ in instances)
     # A space's offset is its global VBN base.
     assert all(fs.offset == base for _, fs, base in instances)
-    # The instances tile the store's VBN space exactly.
+    # The instances tile the aggregate's VBN space exactly.
     assert spans[0][0] == 0 and spans[-1][1] == store.nblocks
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
@@ -80,7 +71,7 @@ def test_store_conforms(make):
     assert all(fs.injector is marker for _, fs, _ in instances)
     store.attach_injector(None)
 
-    vbns = store.allocate(600)
+    vbns = store.allocate_in(store.labels, 600)
     assert vbns.size == 600 and np.unique(vbns).size == 600
     assert store.free_count == store.nblocks - 600
     store.charge_reads(16)

@@ -55,7 +55,7 @@ class TestThresholdFromConfig:
     def test_build_reads_config(self):
         spec = dataclasses.replace(SPEC, threshold_fraction=0.1)
         sim = WaflSim.build(spec, seed=7)
-        assert sim.store.allocator.threshold_fraction == 0.1
+        assert sim.store.members[0].allocator.threshold_fraction == 0.1
 
     def test_tiered_build_hands_the_cutoff_to_every_raid_member(self):
         spec = AggregateSpec(
@@ -84,7 +84,7 @@ class TestThresholdFromConfig:
     def test_default_comes_from_sim_config(self):
         assert AggregateSpec(tiers=(SSD_TIER,)).threshold_fraction == 0.0
         assert RAIDStore(SSD_TIER, seed=7).allocator.threshold_fraction == 0.0
-        assert WaflSim.build(SPEC, seed=7).store.allocator.threshold_fraction == 0.0
+        assert WaflSim.build(SPEC, seed=7).store.members[0].allocator.threshold_fraction == 0.0
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ def test_cleaning_a_group_past_the_first_tier():
     sim = two_tier_sim()
     fill_volumes(sim)
     sim.run(RandomOverwriteWorkload(sim, ops_per_cp=2048, seed=3), 10)
-    assert sim.store.tier_policy.assignments == {"hot": "fast", "big": "bulk"}
+    assert sim.store.assignments == {"hot": "fast", "big": "bulk"}
 
     report = clean_best_aas(sim, 1, 2)
 

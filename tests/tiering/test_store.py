@@ -1,5 +1,5 @@
-"""TieredStore unit tests: global VBN composition, per-tier capacity
-accounting, tier-pinned allocation, and the workload chooser."""
+"""Multi-tier aggregate unit tests: global VBN composition, per-tier
+capacity accounting, tier-pinned allocation, and the workload chooser."""
 
 from __future__ import annotations
 
@@ -8,15 +8,7 @@ import pytest
 
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.errors import BitmapError, GeometryError, TieringError
-from repro.fs import WaflSim
-from repro.tiering import (
-    StaticTierPolicy,
-    Tier,
-    TieredStore,
-    choose_tier,
-    make_tiered_store,
-    media_role,
-)
+from repro.fs import Aggregate, Tier, WaflSim, choose_tier, media_role
 
 
 def two_tier_spec(**vol_kw) -> AggregateSpec:
@@ -34,11 +26,15 @@ def two_tier_spec(**vol_kw) -> AggregateSpec:
     )
 
 
+def two_tier_store() -> Aggregate:
+    return WaflSim.build(two_tier_spec(), seed=1).store
+
+
 class TestComposition:
     def test_build_returns_tiered_store(self):
         sim = WaflSim.build(two_tier_spec(), seed=1)
         store = sim.store
-        assert isinstance(store, TieredStore)
+        assert isinstance(store, Aggregate)
         assert store.labels == ["flash", "disk"]
         # Mirror: 4 data + 4 copies -> 4*4096 usable; RAID4: 6*4096.
         assert store.nblocks == 4 * 4096 + 6 * 4096
@@ -46,19 +42,19 @@ class TestComposition:
         assert store.bases == [0, 4 * 4096]
 
     def test_log_free_routes_global_vbns_to_their_tier(self):
-        store = make_tiered_store(two_tier_spec(), seed=1)
+        store = two_tier_store()
         split = store.bases[1]
         store.log_free(np.array([store.nblocks - 1, split, split - 1, 0]))
         pending = [
             g.delayed_frees.pending_vbns().tolist()
-            for m in store.members for g in m.groups
+            for g in store.groups
         ]
         # Group-local: the disk tier's group logs its own VBNs from 0.
         assert pending == [[0, split - 1], [0, store.nblocks - split - 1]]
 
     @pytest.mark.parametrize("past_end", [False, True], ids=["negative", "past-end"])
     def test_log_free_refuses_vbns_outside_the_aggregate(self, past_end):
-        store = make_tiered_store(two_tier_spec(), seed=1)
+        store = two_tier_store()
         fast = store.allocate_in(["flash"], 64)
         store.cp_boundary()
         bad = store.nblocks + 5 if past_end else -1
@@ -68,7 +64,7 @@ class TestComposition:
         assert store.cp_boundary().blocks_freed == 0
 
     def test_allocate_in_stays_inside_the_tier(self):
-        store = make_tiered_store(two_tier_spec(), seed=1)
+        store = two_tier_store()
         split = store.bases[1]
         fast = store.allocate_in(["flash"], 128)
         slow = store.allocate_in(["disk"], 128)
@@ -80,19 +76,19 @@ class TestComposition:
         assert usage["flash"]["free"] == usage["flash"]["nblocks"] - 128
 
     def test_unknown_tier_label_raises(self):
-        store = make_tiered_store(two_tier_spec(), seed=1)
+        store = two_tier_store()
         with pytest.raises(TieringError, match="unknown tier"):
             store.allocate_in(["tape"], 1)
 
     def test_physical_instances_are_base_shifted(self):
-        store = make_tiered_store(two_tier_spec(), seed=1)
+        store = two_tier_store()
         bases = [base for _, _, base in store.physical_instances()]
         assert bases[0] == 0
         # The disk tier's groups start at the flash member's span.
         assert store.bases[1] in bases
 
     def test_free_blocks_return_to_their_tier(self):
-        store = make_tiered_store(two_tier_spec(), seed=1)
+        store = two_tier_store()
         fast = store.allocate_in(["flash"], 64)
         slow = store.allocate_in(["disk"], 64)
         store.log_free(np.concatenate([fast, slow]))
@@ -145,16 +141,22 @@ class TestChooser:
 
 
 class TestStaticPolicy:
+    """Per-volume pinning is the aggregate's own placement."""
+
     def test_assignments_route_and_reassign(self):
-        policy = StaticTierPolicy({"a": "flash"}, default="disk")
-        assert policy.tier_of("a") == "flash"
-        assert policy.tier_of("other") == "disk"
-        policy.assign("a", "disk")
-        assert policy.tier_of("a") == "disk"
+        store = two_tier_store()
+        assert store.tier_of("a") == "flash"
+        assert store.tier_of("other") == "disk"  # undeclared: the largest tier
+        store.assign("a", "disk")
+        assert store.tier_of("a") == "disk"
+        with pytest.raises(TieringError, match="unknown tier 'tape'"):
+            store.assign("a", "tape")
+        assert store.tier_of("a") == "disk"
+        # A pinned volume fills its tier first.
+        assert (store.place("a", 64) >= store.bases[1]).all()
 
     def test_build_attaches_chooser_assignments(self):
-        sim = WaflSim.build(two_tier_spec(), seed=1)
-        policy = sim.store.tier_policy
-        assert isinstance(policy, StaticTierPolicy)
-        assert policy.tier_of("a") == "flash"   # oltp -> mirrored SSD
-        assert policy.tier_of("b") == "disk"    # sequential, no SMR tier
+        store = two_tier_store()
+        assert store.tier_policy is None
+        assert store.tier_of("a") == "flash"   # oltp -> mirrored SSD
+        assert store.tier_of("b") == "disk"    # sequential, no SMR tier

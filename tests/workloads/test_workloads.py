@@ -171,7 +171,7 @@ class TestAging:
 class TestTeardownAudit:
     """The benchmark's end-of-run checks reach every allocation space —
     an object tier inside a tiered aggregate included (its member is in
-    ``sim.spaces()`` but not in ``TieredStore.groups``)."""
+    ``sim.spaces()`` but not in ``Aggregate.groups``)."""
 
     @pytest.fixture
     def tiered_sim(self):
