@@ -4,7 +4,11 @@ invariant auditor for every engine a test constructs, and picks the
 Hypothesis profile every ``@settings(...)`` site inherits from:
 ``tier1`` (the default) derandomises, so two tier-1 runs of one commit
 execute the same examples; ``HYPOTHESIS_PROFILE=ci`` searches at random
-with four times the default example budget."""
+with four times the default example budget.  A site's own
+``max_examples`` wins over the profile's: only the sites that take it
+from ``tests/conftest.py``'s ``examples()`` — the cache property modules
+``tests/core/test_hbps_properties.py``, ``test_heap_cache_properties.py``
+and ``test_cache_batch_differential.py`` — scale under ``ci``."""
 
 import os
 import pathlib

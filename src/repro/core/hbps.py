@@ -32,10 +32,9 @@ TopAA metafile (paper section 3.4).
 
 from __future__ import annotations
 
-import operator
 import struct
 from itertools import accumulate, chain, compress
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 import numpy as np
 
@@ -54,6 +53,8 @@ _HEADER = struct.Struct("<IIIIII")  # magic, version, max_score, bin_width, nbin
 #: Page words after the header: per bin ``count, index`` (into the
 #: list page) on page 0, one listed item id each on page 1.
 _U32 = np.dtype("<u4")
+#: ``ndarray.min`` / ``max`` without their Python-level wrappers (hot paths).
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 class HBPS:
@@ -221,42 +222,48 @@ class HBPS:
             self._unlist(item)
         self._maybe_list(item, nb)
 
-    def update_many(
-        self, items: list[int], olds: list[int], news: list[int], entering: list[bool]
-    ) -> None:
-        """:meth:`insert` (where ``entering``; ``olds`` ignored) or
-        :meth:`update` each row, as those calls would in row order — or,
-        where one would raise, not at all.  The histogram moves in two
-        ``bincount``s; only rows that can change the list page take the
-        listing policy (why that is exact: DESIGN.md section 6)."""
-        entered = list(compress(range(len(items)), entering))
-        checked = news + (list(compress(olds, map(operator.not_, entering))) if entered else olds)
-        if not 0 <= min(checked, default=0) <= max(checked, default=0) <= self.max_score:
+    def update_many(self, rows: np.ndarray, entering: AbstractSet[int] = frozenset()) -> None:
+        """:meth:`insert` (the items in ``entering``, a subset of the
+        batch's; their old scores are ignored) or :meth:`update` each
+        ``(item, old, new)`` column of ``rows``, a ``(3, n)`` int64 array,
+        as those calls would in row order — or, where one would raise,
+        not at all.  The histogram moves in two ``bincount``s; only rows
+        that can change the list page take the listing policy, and only
+        they become Python ints (why that is exact: DESIGN.md section 6)."""
+        items = rows[0]
+        below = self.max_score - rows[1:]  # how far each old and new score is below the maximum
+        if entering:  # their rows, found by one search among the sorted entering items
+            probe = np.array(sorted(entering), dtype=np.int64)
+            entered = probe.take(probe.searchsorted(items), mode="clip") == items
+            below[0][entered] = 0
+        # Read as unsigned, ``below`` exceeds ``max_score`` exactly for a score out of range.
+        if _max(below.view(np.uint64), axis=None) > self.max_score:
             raise CacheError(f"score outside [0, {self.max_score}]")
-        if not self._pos.keys().isdisjoint(compress(items, entering)):
+        if not self._pos.keys().isdisjoint(entering):
             raise CacheError("an entering item is already listed; update() it instead")
-        ob, nb = self._bins(np.array((olds, news), dtype=np.int64))
-        if entered:
+        bins = self._bins(below)  # in place
+        ob, nb = bins[0], bins[1]
+        if entering:
             ob[entered] = self.nbins  # an entering item leaves no bin
         counts = self._counts - np.bincount(ob, minlength=self.nbins + 1)[:-1]
-        if min(counts.tolist()) < 0 and self._underflows(ob, nb):
+        if _min(counts) < 0 and self._underflows(ob, nb):
             raise CacheError("histogram underflow in a batch of updates")
         np.add(counts, np.bincount(nb, minlength=self.nbins), out=self._counts)
-        self.updates += len(items) - len(entered)
+        self.updates += items.size - len(entering)
         page = ob != nb
         if self._total > self.list_capacity + 1:
             worst = self._worst_listed_bin()
-            listed = np.fromiter(map(self._pos.__contains__, items), bool, len(items))
+            listed = np.fromiter(map(self._pos.__contains__, items.tolist()), bool, items.size)
             page &= listed | (nb <= (-1 if worst is None else worst))
-            page[entered] = True
-        nb_list = nb.tolist()
-        for i in page.nonzero()[0].tolist():
-            item = items[i]
-            if entering[i]:
+            if entering:
+                page |= entered
+        page = page.nonzero()[0]
+        for item, b in zip(items[page].tolist(), nb[page].tolist()):
+            if item in entering:
                 self._total += 1
             elif item in self._pos:
                 self._unlist(item)
-            self._maybe_list(item, nb_list[i])
+            self._maybe_list(item, b)
 
     def _underflows(self, ob: np.ndarray, nb: np.ndarray) -> bool:
         """Whether a row of :meth:`update_many` (``ob == nbins`` where it
@@ -326,7 +333,7 @@ class HBPS:
             raise CacheError("items and scores differ in length")
         if scores.size and not 0 <= scores.min() <= scores.max() <= self.max_score:
             raise CacheError(f"score outside [0, {self.max_score}]")
-        bins = self._bins(scores)
+        bins = self._bins(self.max_score - scores)
         counts = np.bincount(bins, minlength=self.nbins)
         # Only bins that reach the list page are sorted: up to the first
         # bin at which the running count fills it.
@@ -353,12 +360,13 @@ class HBPS:
             for item in lst:
                 yield item, b
 
-    def _bins(self, scores: np.ndarray) -> np.ndarray:
-        """:meth:`bin_of` over an array of in-range scores."""
-        bins = (self.max_score - scores) // self.bin_width
+    def _bins(self, below: np.ndarray) -> np.ndarray:
+        """:meth:`bin_of` over in-range scores given as ``max_score - score``,
+        in place: ``below`` becomes the bins."""
         if self.max_score % self.bin_width:  # else a score of 0 is alone in the last bin
-            bins[scores == 0] = self.nbins - 1
-        return bins
+            below[below == self.max_score] = (self.nbins - 1) * self.bin_width
+        below //= self.bin_width
+        return below
 
     # ------------------------------------------------------------------
     # Listing policy

@@ -20,9 +20,6 @@ write allocator:
 
 from __future__ import annotations
 
-import operator
-from itertools import compress
-
 import numpy as np
 
 from ..common.constants import HBPS_BIN_WIDTH, HBPS_LIST_CAPACITY
@@ -165,23 +162,25 @@ class RAIDAgnosticAACache:
         """
         if not len(changes):
             return  # nothing moved this CP
-        _rows, (aas, olds, news) = as_changes(changes, self.num_aas)
-        for aa in sorted((held & self._out).intersection(aas)):  # re-enter via return_aa
-            i = aas.index(aa)
-            del aas[i], olds[i], news[i]
+        rows = as_changes(changes, self.num_aas)
+        aas = rows[0].tolist()
+        back = self._out.intersection(aas)  # checked out: these re-enter,
+        stay = held & back  # bar those still being filled (they re-enter via return_aa)
+        if stay:
+            if len(stay) == len(aas):
+                return
+            rows = rows.take([i for i, aa in enumerate(aas) if aa not in stay], axis=1)
+            back.difference_update(stay)
         if self._seeded:
             # Nothing is evicted while seeded: the AAs listed now are those that move.
-            out = map(self._out.__contains__, aas)
-            keep = list(map(operator.or_, out, map(self._hbps.is_listed, aas)))
-            aas, news = list(compress(aas, keep)), list(compress(news, keep))
-            olds = [self._assumed.get(aa, 0) for aa in aas]
-        if not aas:
+            rows = rows[:, [aa in back or self._hbps.is_listed(aa) for aa in rows[0].tolist()]]
+            rows[1] = [self._assumed.get(aa, 0) for aa in rows[0].tolist()]
+        if not rows.size:
             return
-        entering = list(map(self._out.__contains__, aas))
-        self._hbps.update_many(aas, olds, news, entering)
-        self._out.difference_update(compress(aas, entering))
+        self._hbps.update_many(rows, back)
+        self._out.difference_update(back)
         if self._seeded:  # an entry outlives its AA's listing unread
-            self._assumed.update(zip(aas, news))
+            self._assumed.update(zip(rows[0].tolist(), rows[2].tolist()))
 
     # ------------------------------------------------------------------
     # AACache protocol (see :mod:`repro.core.cache`)

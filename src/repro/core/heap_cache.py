@@ -174,18 +174,16 @@ class RAIDAwareAACache:
         """
         if not len(changes):
             return  # nothing moved this CP
-        rows, (aas, _olds, news) = as_changes(changes, self.num_aas)
+        rows = as_changes(changes, self.num_aas)
         if self._known < self.num_aas:
-            rows = rows[self._score[rows[:, 0]] != _UNKNOWN]
-            aas, _olds, news = rows.T.tolist()
-        if news:
-            self._check_scores(min(news), max(news))
-        index, scores = rows[:, 0], rows[:, 2]
-        self._score[index] = scores
-        stay = (held & self._out).intersection(aas) if held else frozenset()
-        self._out.difference_update(aas)
-        self._out.update(stay)
-        self._enter(index, scores, stay)
+            rows = rows[:, self._score[rows[0]] != _UNKNOWN]
+        aas, news = rows[0], rows[2]
+        self._check_scores(news)
+        self._score[aas] = news
+        back = self._out.intersection(aas.tolist())  # checked out: these re-enter,
+        stay = held & back  # bar those still being filled (they re-enter via push_back)
+        self._out.difference_update(back - stay)
+        self._enter(aas, news, stay)
 
     # ------------------------------------------------------------------
     # AACache protocol (see :mod:`repro.core.cache`)
@@ -241,15 +239,11 @@ class RAIDAwareAACache:
         """Supply the scores of previously unknown AAs (a TopAA seed) as
         ``(aa, score)`` pairs or ``(n, 2)`` rows, one batch refused
         whole if invalid."""
-        aas, scores = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        if aas.min(initial=0) < 0 or aas.max(initial=0) >= self.num_aas:
-            raise CacheError(f"an AA outside [0, {self.num_aas}) in a seed")
-        self._check_scores(scores.min(initial=0), scores.max(initial=0))
+        aas, scores = as_changes(pairs, self.num_aas, width=2)
+        self._check_scores(scores)
         known = self._score[aas] != _UNKNOWN
         if known.any():
             raise CacheError(f"AA {aas[known.argmax()]} already populated; use apply_changes")
-        if len(set(aas.tolist())) < aas.size:
-            raise CacheError("an AA is populated twice in one batch")
         self._score[aas] = scores
         self._known += aas.size
         self._enter(aas, scores)
@@ -257,9 +251,11 @@ class RAIDAwareAACache:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _check_scores(self, lowest: int, highest: int) -> None:
-        """Refuse a batch whose scores a key cannot encode."""
-        if not 0 <= lowest <= highest <= self.max_score:
+    def _check_scores(self, scores: np.ndarray) -> None:
+        """Refuse a batch whose scores a key cannot encode: those in
+        ``[0, max_score]`` are the ones with no bit above the key's
+        score bits (a negative one shifts to -1)."""
+        if np.count_nonzero(scores >> (63 - self._shift)):
             raise CacheError(f"negative AA score, or one above {self.max_score}")
 
     def _enter(
@@ -275,7 +271,9 @@ class RAIDAwareAACache:
         self._key.put(aas, keys)
         if stay:
             self._key.put(list(stay), _GONE)
-        blocks = np.bincount(aas >> self._block_bits, minlength=self._block_max.size).nonzero()[0]
+        touched = np.zeros(self._block_max.size, dtype=bool)
+        touched[aas >> self._block_bits] = True
+        blocks = touched.nonzero()[0]
         self._block_max[blocks] = _max(self._key.take(blocks, axis=0), axis=1)
         self.pushes += aas.size - len(stay)
 
@@ -286,7 +284,7 @@ class RAIDAwareAACache:
         if len(scores) != self.num_aas:
             raise CacheError("scores length does not match num_aas")
         scores = np.asarray(scores, dtype=np.int64)
-        self._check_scores(scores.min(), scores.max())
+        self._check_scores(scores)
         out = sorted(self._out)
         snapshots = self._score[out]
         self._score[:] = scores

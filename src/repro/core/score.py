@@ -31,22 +31,35 @@ __all__ = ["ScoreChanges", "ScoreKeeper", "as_changes"]
 ScoreChanges = Union[np.ndarray, Sequence[tuple[int, int, int]]]
 
 
-def as_changes(changes: ScoreChanges, num_aas: int) -> tuple[np.ndarray, list[list[int]]]:
-    """``changes`` as an ``(n, 3)`` int64 array (triples are converted in
-    one pass) plus its three columns as lists.  Raises
-    :class:`CacheError` — before a cache moves anything — unless the
-    AAs are distinct and in ``[0, num_aas)``."""
-    if not isinstance(changes, np.ndarray):
-        changes = np.fromiter(chain.from_iterable(changes), dtype=np.int64).reshape(-1, 3)
-    rows = changes.astype(np.int64, copy=False)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise CacheError(f"score changes must be (n, 3) rows, got shape {rows.shape}")
-    columns = rows.T.tolist()
-    if not 0 <= min(columns[0], default=0) <= max(columns[0], default=0) < num_aas:
-        raise CacheError(f"an AA outside [0, {num_aas}) in a score batch")
-    if len(set(columns[0])) < len(rows):
-        raise CacheError("an AA changes twice in one score batch")
-    return rows, columns
+def as_changes(changes: ScoreChanges, num_aas: int, width: int = 3) -> np.ndarray:
+    """``changes`` — ``(n, width)`` rows or ``width``-tuples — as one
+    ``(width, n)`` int64 array of columns: for a keeper's batch, a view
+    of the columns it was built from.  Raises :class:`CacheError`,
+    before a cache moves anything, unless every row is ``width`` wide
+    and the AAs (column 0) are distinct and in ``[0, num_aas)``; only an
+    AA column that is not ascending (no keeper batch) is sorted, once."""
+    if not len(changes):
+        return np.empty((width, 0), dtype=np.int64)
+    if isinstance(changes, np.ndarray):
+        if changes.ndim != 2 or changes.shape[1] != width:
+            raise CacheError(f"a batch must be (n, {width}) rows, got shape {changes.shape}")
+        columns = changes.T.astype(np.int64, copy=False)
+    else:
+        try:  # no row wider than ``width`` and ``width`` values a row: all ``width`` wide
+            if max(map(len, changes)) != width:
+                raise ValueError
+            columns = np.fromiter(chain.from_iterable(changes), np.int64, width * len(changes))
+        except ValueError:
+            raise CacheError(f"a batch row is not {width} integers wide") from None
+        columns = columns.reshape(-1, width).T
+    aas = columns[0]
+    if np.count_nonzero(aas[1:] <= aas[:-1]):
+        aas = np.sort(aas)
+        if np.count_nonzero(aas[1:] == aas[:-1]):
+            raise CacheError("an AA appears twice in one batch")
+    if aas[0] < 0 or aas[-1] >= num_aas:
+        raise CacheError(f"an AA outside [0, {num_aas}) in a batch")
+    return columns
 
 
 class ScoreKeeper:

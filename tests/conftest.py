@@ -14,6 +14,16 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+def examples(n: int) -> int:
+    """A property test's ``max_examples``: ``n`` under the default
+    ``tier1`` Hypothesis profile, scaled like the loaded profile's own
+    budget (four times under ``ci``).  A site that hard-codes
+    ``max_examples`` keeps it under every profile."""
+    from hypothesis import settings  # only property modules call this
+
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
+
+
 def assert_scores_match(keeper, bitmap) -> None:
     """A keeper's applied scores equal a recount of its bitmap: the
     tests' keeper oracle."""

@@ -195,6 +195,30 @@ class TestBatchRefusal:
             cache.consume([(2, SCORES[2], 5), (2, 5, 7)])
         assert self.snapshot(cache) == before
 
+    @pytest.mark.parametrize("rows", [
+        [(1, 10), (3, 3, 5, 6)],  # six values: once re-chunked into two rows
+        [(1, 10, 20), (3, 30)],
+        [(1, 10, 20, 4)],
+        np.zeros((2, 4), dtype=np.int64),
+        np.zeros((3, 2), dtype=np.int64),
+    ])
+    def test_batch_row_not_three_wide_is_refused(self, cache, rows):
+        before = self.snapshot(cache)
+        with pytest.raises(CacheError, match="wide|rows"):
+            cache.consume(rows)
+        assert self.snapshot(cache) == before
+
+    @pytest.mark.parametrize("pairs", [
+        [(1, 20, 3, 40)],  # once seeded AAs 1 and 3
+        [(1, 20), (3,)],
+        np.array([[1, 2, 3], [4, 5, 6]]),  # once read as pairs (1, 2), (3, 4), (5, 6)
+    ])
+    def test_seed_row_not_two_wide_is_refused(self, pairs):
+        c = RAIDAwareAACache(10)
+        with pytest.raises(CacheError, match="wide|rows"):
+            c.populate(pairs)
+        assert c.known_count == 0
+
     def test_rejected_batch_is_not_half_applied(self, cache):
         aa = cache.select()
         before = self.snapshot(cache)

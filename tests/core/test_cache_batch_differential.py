@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from repro.common import CacheError
 from repro.core import HBPS, RAIDAgnosticAACache, RAIDAwareAACache
 
+from ..conftest import examples
+
 MAX_SCORES = (64, 100)  # 100 is no multiple of any bin width drawn
 BIN_WIDTHS = (7, 16, 64)
 
@@ -124,7 +126,10 @@ def _score_bound(cache) -> int:
 @st.composite
 def batch(draw, cache, scores):
     """One CP's transitions: distinct AAs in any order, true or
-    corrupted old scores, in-range or corrupted new ones."""
+    corrupted old scores, in-range or corrupted new ones.  Now and then
+    the batch is malformed — an AA twice, an AA of -1 or ``num_aas``, a
+    row not three wide (a tuple, or the array's width) — and every
+    cache must refuse it whole.  Returns ``(changes, held, malformed)``."""
     top = _score_bound(cache)
     aas = draw(st.permutations(range(cache.num_aas)))[: draw(st.integers(0, cache.num_aas))]
     corrupt = draw(st.integers(0, 2)) == 0
@@ -138,16 +143,33 @@ def batch(draw, cache, scores):
         if corrupt and draw(st.booleans()):
             new = draw(st.sampled_from((lo, 0, 1, top // 2, top, top + 1)))
         rows.append((aa, old, new))
+    flaw = draw(st.sampled_from((None,) * 6 + ("twice", "outside", "ragged")))
+    if flaw in ("twice", "ragged") and not rows:
+        rows.append((0, int(scores[0]), 0))
+    if flaw == "twice":
+        aa = draw(st.sampled_from([row[0] for row in rows]))
+        rows.insert(draw(st.integers(0, len(rows))), (aa, int(scores[aa]), top))
+    elif flaw == "outside":
+        aa = draw(st.sampled_from((-1, cache.num_aas)))
+        rows.insert(draw(st.integers(0, len(rows))), (aa, 0, 0))
     out = sorted(cache.checked_out)
     held = frozenset(draw(st.lists(st.sampled_from(out), max_size=2))) if out else frozenset()
     if draw(st.integers(0, 5)) == 0:
         held |= {draw(st.integers(0, cache.num_aas - 1))}  # held but not checked out
-    as_array = draw(st.booleans())
-    return (np.array(rows, dtype=np.int64).reshape(-1, 3) if as_array else rows), held
+    as_array, width = draw(st.booleans()), 3
+    if flaw == "ragged":
+        width = draw(st.sampled_from((2, 4)))
+        if as_array:
+            rows = [(row + (0,))[:width] for row in rows]
+        else:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = (rows[i] + (0,))[:width]
+    changes = np.array(rows, dtype=np.int64).reshape(-1, width) if as_array else rows
+    return changes, held, flaw is not None
 
 
 @given(data=st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 def test_batched_consume_matches_per_change_oracle(data):
     cache, scores = data.draw(caches())
     oracle = copy.deepcopy(cache)
@@ -162,8 +184,13 @@ def test_batched_consume_matches_per_change_oracle(data):
             if aa is not None:
                 cache.invalidate(aa, int(scores[aa]))
                 oracle.invalidate(aa, int(scores[aa]))
-        changes, held = data.draw(batch(cache, scores))
+        changes, held, malformed = data.draw(batch(cache, scores))
         before = observe(cache)
+        if malformed:  # no oracle: refused whole, so the twins stay in step
+            with pytest.raises(CacheError):
+                cache.consume(changes, held)
+            assert observe(cache) == before
+            continue
         try:
             apply_oracle(oracle, [tuple(map(int, row)) for row in changes], held)
         except CacheError:
@@ -199,7 +226,7 @@ def test_worst_listed_bin_rises_inside_a_batch():
         h.pop_best()  # five tracked, four listed: room again
     rows = [(5, 20, 5)]  # into a bin worse than the worst listed one
     _per_row(oracle, rows)
-    batched.update_many([5], [20], [5], [False])
+    batched.update_many(np.array([[5], [20], [5]]))
     assert batched.is_listed(5) and oracle.is_listed(5)
     assert batched.to_pages() == oracle.to_pages()
 
@@ -213,7 +240,7 @@ def test_underflow_check_replays_arrivals_in_row_order():
         assert h.pop_best()[0] == 4
     oracle.insert(4, 30)
     _per_row(oracle, [(1, 40, 5), (2, 5, 60), (3, 5, 60)])
-    batched.update_many([4, 1, 2, 3], [-7, 40, 5, 5], [30, 5, 60, 60], [True] + [False] * 3)
+    batched.update_many(np.array([[4, 1, 2, 3], [-7, 40, 5, 5], [30, 5, 60, 60]]), {4})
     assert batched.to_pages() == oracle.to_pages()
     with pytest.raises(CacheError, match="underflow"):  # one claim too many
-        batched.update_many([2, 3], [5, 5], [60, 60], [False] * 2)
+        batched.update_many(np.array([[2, 3], [5, 5], [60, 60]]))

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from repro.common.errors import CacheError
 from repro.core import HBPS
 
+from ..conftest import examples
+
 MAX_SCORE = 1024
 BIN_W = 64
 
@@ -41,7 +43,7 @@ def operation_sequences(draw):
 
 
 @given(ops=operation_sequences(), capacity=st.integers(1, 30))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_hbps_against_reference(ops, capacity):
     h = HBPS(MAX_SCORE, bin_width=BIN_W, list_capacity=capacity)
     ref: dict[int, int] = {}
@@ -90,7 +92,7 @@ def test_hbps_against_reference(ops, capacity):
 
 
 @given(ops=operation_sequences())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_serialization_roundtrip_any_state(ops):
     h = HBPS(MAX_SCORE, bin_width=BIN_W, list_capacity=16)
     ref: dict[int, int] = {}
@@ -121,7 +123,7 @@ def test_serialization_roundtrip_any_state(ops):
     scores=st.lists(st.integers(0, MAX_SCORE), min_size=1, max_size=200),
     capacity=st.integers(1, 50),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_rebuild_then_drain_is_near_sorted(scores, capacity):
     """Draining a rebuilt HBPS yields scores in near-descending order:
     each popped score is within one bin width of the remaining max."""
@@ -148,7 +150,7 @@ def test_rebuild_then_drain_is_near_sorted(scores, capacity):
     bin_width=st.sampled_from([BIN_W, 100]),  # 100 does not divide MAX_SCORE
     gaps=st.booleans(),
 )
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=examples(150), deadline=None, derandomize=True)
 def test_array_build_equals_per_item_inserts(scores, capacity, bin_width, gaps):
     """``build`` (and its ``rebuild(pairs)`` adapter) leaves exactly the
     structure that inserting the items one at a time does — the same

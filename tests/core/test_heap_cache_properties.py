@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core import RAIDAwareAACache
 
+from ..conftest import examples
+
 N_AAS = 24
 MAX_SCORE = 500
 
@@ -50,7 +52,7 @@ def reference_pick(scores: dict[int, int | None], out: set[int]) -> int | None:
     unknown=st.sets(st.integers(0, N_AAS - 1)),
     ops=op_sequences(),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_heap_cache_against_reference(initial, unknown, ops):
     scores = {a: None if a in unknown else s for a, s in enumerate(initial)}
     if unknown:  # TopAA-seeded: the other AAs arrive as one seed
@@ -104,7 +106,7 @@ def test_heap_cache_against_reference(initial, unknown, ops):
     initial=st.lists(st.integers(0, MAX_SCORE), min_size=N_AAS, max_size=N_AAS),
     held_changes=st.lists(st.integers(0, MAX_SCORE), min_size=1, max_size=10),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_held_aa_not_reissued(initial, held_changes):
     """An AA held across CP boundaries never re-enters the heap while
     held, no matter how its score changes."""

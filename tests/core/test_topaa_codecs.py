@@ -215,11 +215,10 @@ def hbps_states(draw):
             out.add(popped[0])
         if not n:
             continue
-        items = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
-        news = rng.integers(0, max_score + 1, size=len(items)).tolist()
-        entering = [i in out for i in items]
-        h.update_many(items, [int(scores[i]) for i in items], news, entering)
-        out.difference_update(items)
+        items = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        news = rng.integers(0, max_score + 1, size=items.size)
+        h.update_many(np.array((items, scores[items], news)), out.intersection(items.tolist()))
+        out.difference_update(items.tolist())
         scores[items] = news
     h.check_invariants()
     return h, n
