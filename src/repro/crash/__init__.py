@@ -27,7 +27,6 @@ from .explorer import (
     Replay,
     crash_at_edge,
     crash_digest,
-    crash_recover_verify,
     sweep_crash_points,
 )
 from .persistence import (
@@ -56,7 +55,6 @@ __all__ = [
     "capture_image",
     "crash_at_edge",
     "crash_digest",
-    "crash_recover_verify",
     "deserialize_fs",
     "record_crash_points",
     "serialize_fs",

@@ -7,7 +7,7 @@ edge, it deep-copies the pristine pre-step state again, re-runs the
 step with the tracer armed to crash at exactly that edge
 (:func:`crash_at_edge`), captures the (possibly torn) shadow image when
 the crash landed inside the persistence write window, recovers through
-the real mount path, and verifies the recovered state three ways:
+the real mount path, and verifies the recovered state four ways:
 
 1. the full :func:`repro.analysis.auditor.audit_sim` invariant audit
    (bitmap popcounts, keeper totals, cache bins, delayed-free
@@ -16,12 +16,15 @@ the real mount path, and verifies the recovered state three ways:
    both) — zero leaked, corrupt or shared blocks against the
    map/snapshot/pending references;
 3. byte-equality: re-serializing the recovered file systems must
-   reproduce the committed image's sealed pages bit for bit.
+   reproduce the committed image's sealed pages bit for bit;
+4. every live SSD data device and mirror twin still holds each block
+   the recovered bitmaps allocate.
 
 The pristine state is never touched: the caller (the ``CrashAt`` event
-of :mod:`repro.drill`) runs the *real* step afterwards and commits, so
-every crash point of step *n* is explored against the committed image
-of step *n-1* — exactly the state WAFL guarantees a crash recovers to.
+of :mod:`repro.drill`) runs the *real* step afterwards, whose CPs the
+engine commits, so every crash point of step *n* is explored against
+the committed image of step *n-1* — exactly the state WAFL guarantees a
+crash recovers to (past ``run_cp``'s commit, the trial's own new image).
 Everything is seeded: the same seed replays the same outcomes, and
 :func:`crash_digest` hashes them.
 """
@@ -38,20 +41,13 @@ from ..analysis.auditor import audit_sim
 from ..common.errors import CrashError
 from ..fs.filesystem import WaflSim
 from .persistence import PersistenceModel, capture_image
-from .registry import (
-    CrashPoint,
-    CrashTracer,
-    boundary_enter_index,
-    commit_edge_index,
-    record_crash_points,
-)
+from .registry import CrashPoint, CrashTracer, boundary_enter_index, record_crash_points
 
 __all__ = [
     "CrashOutcome",
     "Replay",
     "crash_at_edge",
     "crash_digest",
-    "crash_recover_verify",
     "sweep_crash_points",
 ]
 
@@ -82,9 +78,9 @@ class CrashOutcome:
     #: Crash landed at/after the ``cp.boundary`` enter edge, so shadow
     #: pages (and in-place TopAA pages) were mid-write and may be torn.
     in_write_window: bool
-    #: Crash landed *after* the modeled superblock switch (possible when
-    #: the step wraps ``run_cp``, e.g. a traffic step): the shadow was
-    #: adopted, so recovery must land on the new CP, not the old one.
+    #: Crash landed *after* ``run_cp``'s commit (possible when the step
+    #: wraps ``run_cp``, e.g. a traffic step): recovery must land on the
+    #: new CP, not the old one.
     post_commit: bool
     #: The injected CrashError actually fired (sanity: always True).
     crashed: bool
@@ -140,7 +136,7 @@ def crash_digest(header: str, outcomes, committed_digests) -> str:
 # Core sweep
 # ----------------------------------------------------------------------
 def _verify_recovered(model: PersistenceModel, sim: WaflSim) -> list[str]:
-    """All three recovery checks; returns violation strings."""
+    """All four recovery checks; returns violation strings."""
     report = audit_sim(sim)
     problems = [str(v) for v in report.violations]
     problems.extend(str(f) for f in report.iron.findings)
@@ -161,6 +157,12 @@ def _verify_recovered(model: PersistenceModel, sim: WaflSim) -> list[str]:
                 f"[{where}] image: recovered state re-serializes differently "
                 f"from the committed page"
             )
+    for g in sim.store.groups:
+        bpd = g.geometry.blocks_per_disk
+        for d, dev in g.live_ssds():
+            held = g.metafile.bitmap.allocated_in_range(d * bpd, (d + 1) * bpd) - d * bpd
+            if lost := int((~dev.live(held)).sum()):
+                problems.append(f"[{g.where}] {dev.name}: {lost} allocated blocks trimmed")
     return problems
 
 
@@ -173,9 +175,14 @@ def crash_at_edge(
     sim_of: Callable[[object], WaflSim],
 ) -> CrashOutcome:
     """Crash a deep copy of ``state`` at ``point`` (one of the step's
-    recorded ``edges``), recover it, verify it; ``state`` is untouched."""
+    recorded ``edges``), recover it, verify it; ``state`` is untouched.
+
+    A crash before ``run_cp``'s commit recovers against ``model.committed``
+    (with a torn shadow captured first when it landed inside the write
+    window); one after it (a step that wraps ``run_cp``) recovers from
+    the model the trial's engine committed.
+    """
     window_start = boundary_enter_index(edges)
-    commit_idx = commit_edge_index(edges)
     trial = copy.deepcopy(state)
     prev = obs.install_tracer(CrashTracer(crash_at=point.index))
     crashed = False
@@ -185,15 +192,18 @@ def crash_at_edge(
         crashed = True
     finally:
         obs.install_tracer(prev)
-    post_commit = commit_idx is not None and point.index > commit_idx
-    in_window = (
-        not post_commit
-        and window_start is not None
-        and point.index >= window_start
-    )
-    report, violations = crash_recover_verify(
-        model, sim_of(trial), in_window=in_window, post_commit=post_commit
-    )
+    sim = sim_of(trial)
+    post_commit = sim.engine.cp_index > model.committed.cp_index
+    in_window = not post_commit and window_start is not None and point.index >= window_start
+    if post_commit:
+        recovering = sim.engine.persistence
+    else:
+        recovering = model
+        model.shadow = model.shadow_topaa = None
+        if in_window:
+            model.capture_shadow(sim)
+    report = recovering.recover(sim)
+    violations = _verify_recovered(recovering, sim)
     if not crashed:
         violations.append(f"[{point.label}] crash: injected CrashError never fired")
     return CrashOutcome(
@@ -230,31 +240,3 @@ def sweep_crash_points(
     return [
         crash_at_edge(state, run_step, model, edges, point, sim_of) for point in edges
     ]
-
-
-def crash_recover_verify(
-    model: PersistenceModel,
-    sim: WaflSim,
-    *,
-    in_window: bool,
-    post_commit: bool,
-):
-    """Recover a crashed sim and run all three verification passes.
-
-    Pre-commit crashes recover against ``model.committed`` (with a torn
-    shadow captured first when the crash was inside the write window).
-    Post-commit crashes model a crash after the superblock switch: the
-    shadow was adopted, so the crashed sim's *own* post-CP state is the
-    committed image recovery must reproduce.  Returns ``(RecoveryReport,
-    violations)``.
-    """
-    if post_commit:
-        adopted = PersistenceModel(sim, seed=model.committed.cp_index)
-        report = adopted.recover(sim)
-        return report, _verify_recovered(adopted, sim)
-    model.shadow = None
-    model.shadow_topaa = None
-    if in_window:
-        model.capture_shadow(sim)
-    report = model.recover(sim)
-    return report, _verify_recovered(model, sim)

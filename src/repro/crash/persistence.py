@@ -24,6 +24,10 @@ orphaned — restore the committed image, and remount through the real
 :func:`repro.fs.mount.simulate_mount` path with one shared retry
 budget.
 
+A model attaches to its sim's engine, whose ``run_cp`` commits it right
+after the superblock switch: every completed CP is the image a later
+crash recovers to, and no caller has to remember to commit.
+
 One deliberate modeling choice: the TopAA metafile is treated as
 advisory seed data updated *in place* during the CP boundary, outside
 the shadow/commit protocol.  Mount verifies every TopAA page and falls
@@ -356,7 +360,8 @@ class RecoveryReport:
 
 
 class PersistenceModel:
-    """Shadow vs committed metadata images, committed once per CP.
+    """Shadow vs committed metadata images, committed by ``sim.engine``
+    after every CP (the model attaches itself on construction).
 
     The committed image is only ever replaced through :meth:`commit`:
     :attr:`committed` is a read-only property, so ``model.committed = x``
@@ -368,6 +373,7 @@ class PersistenceModel:
         self.sim = sim
         self._rng = make_rng(seed)
         self._committed = capture_image(sim)
+        sim.engine.persistence = self
         #: In-flight image of a crashed CP (set by :meth:`capture_shadow`).
         self.shadow: CommittedImage | None = None
         #: Torn TopAA image paired with the shadow (in-place writes).
@@ -379,13 +385,12 @@ class PersistenceModel:
         """The image a crash recovers to (the last committed CP)."""
         return self._committed
 
-    def commit(self) -> CommittedImage:
-        """Atomic superblock switch after a successful CP: the shadow
-        becomes the committed image.  Call right after ``run_cp``."""
+    def commit(self) -> None:
+        """Atomic superblock switch: the shadow becomes the committed
+        image.  The attached engine calls it once per CP, before trims."""
         self._committed = capture_image(self.sim)
         self.shadow = None
         self.shadow_topaa = None
-        return self._committed
 
     def capture_shadow(self, crashed_sim: WaflSim) -> CommittedImage:
         """Capture the in-flight image of a CP that crashed inside its

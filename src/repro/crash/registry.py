@@ -108,18 +108,3 @@ def boundary_enter_index(edges: list[CrashPoint]) -> int | None:
         if point.name == BOUNDARY_SPAN and point.edge == EDGE_ENTER:
             return point.index
     return None
-
-
-def commit_edge_index(edges: list[CrashPoint]) -> int | None:
-    """Index of the ``cp`` exit edge — the modeled superblock switch.
-
-    ``run_cp`` increments its CP counter right after closing the ``cp``
-    span, so a crash *at* this edge still recovers to the previous CP,
-    while a crash at any later edge (e.g. the enclosing
-    ``traffic.step`` exit) lands after the switch: the shadow image has
-    been adopted and recovery must land on the *new* CP.
-    """
-    for point in edges:
-        if point.name == "cp" and point.edge == EDGE_EXIT:
-            return point.index
-    return None

@@ -32,8 +32,9 @@ Consequences, matching the paper:
   the cost SSD AA sizing eliminates (Figure 4B, section 4.3).
 
 WAFL/ONTAP notifies drives of freed blocks, so the CP engine calls
-:meth:`SSD.trim` for freed physical blocks; without those trims the
-device would consider stale COW data live and relocate it forever.
+:meth:`SSD.trim` for a CP's freed blocks once the CP has committed;
+without those trims the device would consider stale COW data live and
+relocate it forever.
 
 DESIGN.md section 1 documents why this substitution preserves the
 paper's behaviour even though vendor FTLs differ in detail.
@@ -67,8 +68,6 @@ class SSDConfig:
     erase_us: float = 2000.0
     #: Open erase units the FTL streams into concurrently.
     max_open_units: int = 4
-    #: Whether the host sends TRIM for freed blocks (ONTAP does).
-    trim_enabled: bool = True
 
 
 class _OpenUnit:
@@ -117,6 +116,10 @@ class SSD(Device):
     def open_units(self) -> tuple[int, ...]:
         """Erase units currently open (LRU first)."""
         return tuple(self._open)
+
+    def live(self, dbns: np.ndarray) -> np.ndarray:
+        """Which of ``dbns`` hold live data (written, not trimmed since)."""
+        return self._valid[dbns]
 
     def live_fraction(self) -> float:
         """Fraction of logical blocks the device believes are live."""
@@ -192,8 +195,6 @@ class SSD(Device):
         Trims against an *open* unit pay down its relocation liability:
         the freed pages no longer need to move when the unit closes.
         """
-        if not self.config.trim_enabled:
-            return
         dbns = np.asarray(dbns, dtype=np.int64)
         if dbns.size == 0:
             return

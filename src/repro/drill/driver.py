@@ -112,7 +112,7 @@ class Drill:
             schedule, key=lambda entry: steps if entry[0] == END else entry[0]
         )
         self._refuse_unrunnable()
-        #: The image crashes recover to; committed after every step.
+        #: The image crashes recover to; the engine commits every CP.
         self.model = (
             PersistenceModel(self.sim, seed=seed)
             if any(getattr(event, "crashes", False) for _, event in self._schedule)
@@ -183,7 +183,7 @@ class Drill:
                 log.reconstruction_reads += stats.reconstruction_reads
                 log.degraded_stripes += stats.degraded_stripes
             if self.model is not None:
-                log.committed_digests.append(self.model.commit().digest())
+                log.committed_digests.append(self.model.committed.digest())
             if any(degraded_instances(sim) for sim in subject.sims()):
                 log.degraded_steps += 1
         self.step = END

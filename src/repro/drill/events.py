@@ -369,7 +369,7 @@ def _fingerprint(subject, stats) -> tuple:
 @dataclass(frozen=True)
 class CrashAt:
     """The coming step crashes — on deep copies; the subject itself
-    then takes the step for real and the driver commits it.
+    then takes the step for real, and its engine commits each CP.
 
     ``edge="every"`` sweeps every span edge of the step
     (:func:`~repro.crash.explorer.sweep_crash_points`).
@@ -378,7 +378,8 @@ class CrashAt:
     pre-crash state — admission is durable, CP commitment is not — and
     requires bit-identical outcomes.  Each crash is recovered through
     the real mount path and verified (audit, Iron, byte-equality with
-    the committed image).  Evidence: one :class:`CrashOutcome` per crash.
+    the committed image, SSDs still holding every allocated block).
+    Evidence: one :class:`CrashOutcome` per crash.
     """
 
     edge: str = "every"

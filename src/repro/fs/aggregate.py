@@ -12,9 +12,9 @@ Each RAID group and each linear store is an
 delayed-free log, score keeper, AA cache, write allocator and their
 lifecycle); this module adds geometry, device models with time costs
 (:mod:`repro.devices`) and the CP-boundary sequence: price the CP's
-writes on the devices, apply delayed frees (with SSD trims), flush
-batched AA-score deltas into the caches, and drain metafile
-dirty-block counts.
+writes on the devices, apply delayed frees, flush batched AA-score
+deltas into the caches, and drain metafile dirty-block counts; the
+report carries each group's freed VBNs for the post-commit SSD trims.
 
 :class:`Aggregate` is the one store every spec builds: one member per
 tier — a :class:`RAIDStore` of the tier's groups or a
@@ -167,6 +167,8 @@ class GroupCPReport:
     degraded_stripes: int = 0
     blocks_per_disk: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     busy_us: float = 0.0
+    #: Local VBNs whose delayed frees this CP applied (trimmed post-commit).
+    freed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 @dataclass
@@ -493,22 +495,26 @@ class RAIDGroupRuntime(AllocSpace):
             us += dev.write_blocks(azcs_expand(dbns[lo:hi]))
         return us
 
-    def apply_frees(self) -> np.ndarray:
-        """Apply this group's delayed frees and trim the freed blocks
-        on SSD members: data disk ``d`` takes the slice of the sorted
-        VBNs in ``[d * bpd, (d + 1) * bpd)``, rebased to DBNs, and so
-        does its mirror, which holds exactly its DBNs."""
-        freed = super().apply_frees()
-        if freed.size and self.media is MediaType.SSD:
+    def live_ssds(self) -> list[tuple[int, SSD]]:
+        """``(d, device)`` per live SSD data disk ``d`` and mirror twin
+        (which holds exactly data disk ``d``'s DBNs)."""
+        if self.media is not MediaType.SSD:
+            return []
+        mirrors = self.parity_devices if self.geometry.mirrored else []
+        return [(d, dev) for devs in (self.data_devices, mirrors)
+                for d, dev in enumerate(devs) if not dev.failed]
+
+    def trim(self, freed: np.ndarray) -> None:
+        """TRIM the local VBNs a committed CP freed: data disk ``d`` (and
+        its twin) takes the slice of the sorted VBNs in
+        ``[d * bpd, (d + 1) * bpd)``, rebased to DBNs."""
+        members = self.live_ssds()
+        if freed.size and members:
             bpd = self.geometry.blocks_per_disk
             sv = np.sort(freed)
             cuts = np.searchsorted(sv, np.arange(self.geometry.ndata + 1) * bpd).tolist()
-            mirrors = self.parity_devices if self.geometry.mirrored else []
-            for d, dev in enumerate(self.data_devices):
-                for member in (dev, *mirrors[d : d + 1]):
-                    if not member.failed:
-                        member.trim(sv[cuts[d] : cuts[d + 1]] - d * bpd)
-        return freed
+            for d, dev in members:
+                dev.trim(sv[cuts[d] : cuts[d + 1]] - d * bpd)
 
 
 class RAIDStore:
@@ -618,7 +624,8 @@ class RAIDStore:
             report.reconstruction_reads += grp.reconstruction_reads
             report.degraded_stripes += grp.degraded_stripes
             busy.append(grp.busy_us)
-            report.blocks_freed += int(g.apply_frees().size)
+            grp.freed = g.apply_frees()
+            report.blocks_freed += int(grp.freed.size)
         # Flush batched score deltas into the caches (rebalancing).
         with obs.span("cp.cache_flush"):
             self.allocator.cp_flush()

@@ -15,9 +15,13 @@ engine drives one CP at a time:
    the new mappings, and log the superseded virtual/physical blocks as
    delayed frees.
 3. At the CP boundary: price the CP's device writes, apply delayed
-   frees (with SSD trims), flush batched AA-score deltas into the AA
-   caches, and drain metafile dirty-block counts — producing one
+   frees, flush batched AA-score deltas into the AA caches, and drain
+   metafile dirty-block counts — producing one
    :class:`~repro.sim.stats.CPStats` record.
+4. The commit: the ``cp`` span closes and the CP counter moves (the
+   superblock switch).  Post-commit, an attached persistence model
+   adopts the new image and SSDs get TRIM for the CP's applied frees —
+   never before, so a crash recovers with every freed block intact.
 """
 
 from __future__ import annotations
@@ -96,6 +100,9 @@ class CPEngine:
         self.auditor = auditor if auditor is not None else (
             factory() if factory is not None else None
         )
+        #: Committed image, ``commit()``-ed after every CP (duck-typed:
+        #: a :class:`repro.crash.PersistenceModel` attaches itself).
+        self.persistence = None
 
     # ------------------------------------------------------------------
     @property
@@ -246,6 +253,11 @@ class CPEngine:
         cp_span.__exit__(None, None, None)
         self.metrics.add(stats)
         self._cp_index += 1
+        # ---- post-commit: the image is durable, freed blocks may go ----
+        if self.persistence is not None:
+            self.persistence.commit()
+        for group, report in zip(self.store.groups, store_report.groups):
+            group.trim(report.freed)
         if self.auditor is not None:
             self.auditor.after_cp(self, stats)
         return stats

@@ -96,3 +96,11 @@ def share_physical(sim: WaflSim, owner: str, sharer: str, n: int = 5) -> None:
     ``sharer``: its first and last ``n`` mapped VBNs then share."""
     a, b = sim.vols[owner], sim.vols[sharer]
     b.remap(b.l2v[b.l2v >= 0][-n:], a.physical_of(a.l2v[a.l2v >= 0][:n]))
+
+
+def trim_committed(store, report) -> None:
+    """The CP engine's post-commit step for a bare store: each RAID
+    group trims the VBNs its boundary freed (``report.groups`` lines up
+    with ``store.groups``)."""
+    for group, grp in zip(store.groups, report.groups):
+        group.trim(grp.freed)

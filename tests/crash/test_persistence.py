@@ -5,11 +5,15 @@ deserialize into garbage."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.auditor import audit_sim
 from repro.common import (
+    CrashError,
     MountError,
     SerializationError,
     TornWriteError,
@@ -19,21 +23,39 @@ from repro.core import PAGE_KIND_HBPS
 from repro.core.topaa import PAGE_KIND_FS_IMAGE, seal_page, unseal_page
 from repro.crash import (
     SECTOR_BYTES,
+    CrashTracer,
     PersistenceModel,
     capture_image,
     deserialize_fs,
+    record_crash_points,
     serialize_fs,
     tear_page,
 )
 from repro.faults.recovery import instances
-from repro.fs import export_topaa
+from repro.fs import CPBatch, export_topaa
 from repro.workloads import RandomOverwriteWorkload
 
-from ..conftest import share_physical
+from ..conftest import share_physical, small_ssd_sim
 
 
 def churn(sim, *, cps=1, seed=13):
     sim.run(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=seed), cps)
+
+
+def lose_cp(sim, *, seed=13, batch=None):
+    """One CP (churn, or ``batch``) that crashes at its last span edge,
+    the ``cp`` exit: all its work is done, but the superblock switch
+    never happens."""
+    if batch is None:
+        batch = next(iter(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=seed)))
+    probe = copy.deepcopy(sim)
+    edges = record_crash_points(lambda: probe.engine.run_cp(batch))
+    prev = obs.install_tracer(CrashTracer(crash_at=edges[-1].index))
+    try:
+        with pytest.raises(CrashError):
+            sim.engine.run_cp(batch)
+    finally:
+        obs.install_tracer(prev)
 
 
 class TestSerializeRoundTrip:
@@ -185,8 +207,10 @@ class TestTearPage:
 class TestCommitRecover:
     def test_recover_restores_committed_bytes(self, aged_sim):
         model = PersistenceModel(aged_sim, seed=3)
+        churn(aged_sim, seed=14)
         committed = model.committed
-        churn(aged_sim, cps=2, seed=14)
+        assert committed.cp_index == aged_sim.engine.cp_index
+        lose_cp(aged_sim, seed=23)
         diverged = capture_image(aged_sim, cp_index=committed.cp_index)
         assert diverged.pages != committed.pages
         report = model.recover()
@@ -199,36 +223,38 @@ class TestCommitRecover:
 
     def test_recovered_sim_keeps_working(self, aged_sim):
         model = PersistenceModel(aged_sim, seed=3)
-        churn(aged_sim, seed=15)
+        lose_cp(aged_sim, seed=15)
         model.recover()
         churn(aged_sim, cps=2, seed=16)
         aged_sim.verify_consistency()
 
     def test_commit_adopts_new_image(self, aged_sim):
+        # The engine commits the model it carries at the end of run_cp.
         model = PersistenceModel(aged_sim, seed=3)
+        assert aged_sim.engine.persistence is model
         old_digest = model.committed.digest()
         old_cp = model.committed.cp_index
         churn(aged_sim, seed=17)
-        image = model.commit()
-        assert image is model.committed
-        assert image.cp_index == old_cp + 1
+        image = model.committed
+        assert image.cp_index == old_cp + 1 == aged_sim.engine.cp_index
         assert image.digest() != old_digest
         assert model.shadow is None and model.shadow_topaa is None
 
     def test_committed_is_replaced_only_by_commit(self, aged_sim):
         # The read-only property is the whole guard: Python refuses the
-        # assignment from anywhere, and commit() still moves the image.
+        # assignment from anywhere, and the engine's commit() still moves
+        # the image.
         model = PersistenceModel(aged_sim, seed=3)
         old = model.committed
         with pytest.raises(AttributeError):
             model.committed = capture_image(aged_sim)
         assert model.committed is old
         churn(aged_sim, seed=19)
-        assert model.commit() is model.committed is not old
+        assert model.committed is not old
 
     def test_capture_shadow_tears_against_committed(self, aged_sim):
         model = PersistenceModel(aged_sim, seed=3)
-        churn(aged_sim, seed=18)
+        lose_cp(aged_sim, seed=18)
         shadow = model.capture_shadow(aged_sim)
         assert shadow.cp_index == model.committed.cp_index + 1
         assert set(shadow.pages) == set(model.committed.pages)
@@ -255,7 +281,7 @@ class TestCommitRecover:
         model.committed.pages["vol:volA"] = seal_page(
             serialize_fs(vol), PAGE_KIND_FS_IMAGE, vol.topology.num_aas)
         vol.remap(live_v, good)
-        churn(aged_sim, seed=20)
+        lose_cp(aged_sim, seed=20)
         before = capture_image(aged_sim).pages
         with pytest.raises(SerializationError, match="vol:volA"):
             model.recover()
@@ -273,7 +299,7 @@ class TestCommitRecover:
         model.committed.pages["vol:volA"] = seal_page(
             serialize_fs(vol), PAGE_KIND_FS_IMAGE, vol.topology.num_aas)
         vol.restore_maps(vol.l2v.copy(), good, vol.snapshots.items())
-        churn(aged_sim, seed=21)
+        lose_cp(aged_sim, seed=21)
         before = capture_image(aged_sim).pages
         with pytest.raises(SerializationError, match="vol:volA has 1 stale entries"):
             model.recover()
@@ -290,7 +316,7 @@ class TestCommitRecover:
         share_physical(aged_sim, owner, sharer)
         model.commit()
         vol.restore_maps(vol.l2v.copy(), good, vol.snapshots.items())
-        churn(aged_sim, seed=22)
+        lose_cp(aged_sim, seed=22)
         before = capture_image(aged_sim).pages
         with pytest.raises(SerializationError, match="5 extra owners"):
             model.recover()
@@ -304,3 +330,35 @@ class TestCommitRecover:
         )
         with pytest.raises(TornWriteError, match="vol:volA"):
             model.recover()
+
+
+def device_gaps(sim) -> dict[str, tuple[int, int]]:
+    """Per SSD data device: blocks allocated but trimmed, and blocks
+    free but still valid."""
+    gaps = {}
+    for g in sim.store.groups:
+        bpd = g.geometry.blocks_per_disk
+        for d, dev in enumerate(g.data_devices):
+            held = g.metafile.bitmap.test(np.arange(d * bpd, (d + 1) * bpd))
+            live = dev.live(np.arange(bpd))
+            gaps[dev.name] = (int((held & ~live).sum()), int((live & ~held).sum()))
+    return gaps
+
+
+class TestTrimsAfterCommit:
+    """A drive may discard a freed block only once no committed image
+    references it, so a CP lost before its superblock switch leaves
+    every block the recovered bitmaps allocate on its device."""
+
+    def test_lost_cp_leaves_no_allocated_block_trimmed(self):
+        sim = small_ssd_sim(seed=3)
+        sim.engine.run_cp(CPBatch(writes={"volA": np.arange(20_000)}, ops=10_000))
+        model = PersistenceModel(sim, seed=3)
+        assert set(device_gaps(sim).values()) == {(0, 0)}
+        overwrite = make_rng(3).choice(20_000, 5_000, replace=False)
+        lose_cp(sim, batch=CPBatch(writes={"volA": overwrite}, ops=2_500))
+        model.recover()
+        trimmed = {name: gap[0] for name, gap in device_gaps(sim).items()}
+        assert trimmed == dict.fromkeys(trimmed, 0)
+        # What the lost CP wrote stays valid but free until reused.
+        assert sum(gap[1] for gap in device_gaps(sim).values()) == 5_000

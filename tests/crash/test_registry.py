@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -16,7 +17,6 @@ from repro.crash.registry import (
     EDGE_ENTER,
     EDGE_EXIT,
     boundary_enter_index,
-    commit_edge_index,
 )
 from repro.workloads import RandomOverwriteWorkload
 
@@ -51,11 +51,12 @@ class TestRecording:
     def test_window_and_commit_indexes(self, aged_sim, batch):
         edges = record(aged_sim, batch)
         window = boundary_enter_index(edges)
-        commit = commit_edge_index(edges)
-        assert window is not None and commit is not None
-        # The write window opens strictly inside the CP and the modeled
-        # superblock switch is the last edge of a bare run_cp.
-        assert 0 < window < commit == edges[-1].index
+        commit = edges[-1]
+        assert window is not None
+        # The write window opens strictly inside the CP and the cp exit,
+        # the modeled superblock switch, is the last edge of a bare run_cp.
+        assert (commit.name, commit.edge) == ("cp", EDGE_EXIT)
+        assert 0 < window < commit.index
 
     def test_recording_is_deterministic(self, aged_sim, batch):
         a = [(e.name, e.edge) for e in record(aged_sim, batch)]
@@ -110,12 +111,16 @@ class TestInjection:
 
     def test_crash_at_commit_edge_completed_the_work(self, aged_sim, batch):
         """The cp exit edge fires after the span closed: the CP's
-        writes are all done, only the counter bump was lost."""
+        writes are all done, only the counter bump — and the post-commit
+        trims of the blocks it freed — were lost."""
         edges = record(aged_sim, batch)
-        commit = commit_edge_index(edges)
-        trial, tracer = self.crash_at(aged_sim, batch, commit)
-        assert tracer.crashed.edge == EDGE_EXIT
+        trial, tracer = self.crash_at(aged_sim, batch, edges[-1].index)
+        assert (tracer.crashed.name, tracer.crashed.edge) == ("cp", EDGE_EXIT)
         assert trial.engine.cp_index == aged_sim.engine.cp_index
+        assert trial.metrics.cps[-1].blocks_freed > 0
+        for before, after in zip(aged_sim.store.devices, trial.store.devices):
+            held = np.flatnonzero(before.live(np.arange(before.nblocks)))
+            assert after.live(held).all(), after.name
 
     def test_unreached_edge_never_fires(self, aged_sim, batch):
         trial = copy.deepcopy(aged_sim)

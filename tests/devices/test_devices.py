@@ -95,15 +95,6 @@ class TestSSD:
         d.flush_open_units()
         assert d.relocated_blocks == 0
 
-    def test_trim_disabled(self):
-        d = SSD(4096, SSDConfig(erase_block_blocks=64, trim_enabled=False))
-        d.write_blocks(np.arange(0, 64))
-        d.flush_open_units()
-        d.trim(np.arange(0, 64))
-        d.write_blocks(np.arange(0, 32))
-        d.flush_open_units()
-        assert d.relocated_blocks == 32
-
     def test_full_overwrite_no_relocation(self):
         d = self.make()
         d.write_blocks(np.arange(0, 64))

@@ -112,6 +112,8 @@ CLEANING_WITH_FREES_PENDING = {
     "cleaning beside a snapshot delete": (
         (0, Snapshot("volA", "s")), (1, DeleteSnapshot("volA", "s")), (1, CleanAAs(0, 1)),
     ),
+    # The step's crashes recover to the image the cleaning CP committed.
+    "cleaning, then a crash in the same step": ((1, CleanAAs(0, 1)), (1, CrashAt())),
 }
 
 
@@ -188,6 +190,7 @@ class TestRefusedBeforeAnythingMoves:
         assert (log.steps, log.failed_allocations) == (3, 0)
         assert not log.audit_violations and not log.iron_findings
         assert len(log.evidence(CleanAAs)) == 1
+        assert all(o.ok for found in log.evidence(CrashAt) for o in found)
 
 
 class TestChecksDoNotPerturb:

@@ -14,6 +14,8 @@ from repro.fs import (
     RAIDStore,
 )
 
+from ..conftest import trim_committed
+
 
 def make_store(n_groups=2, media=MediaType.SSD, **kw):
     tier = TierSpec(label="t", media=media.value, n_groups=n_groups, ndata=3,
@@ -93,7 +95,10 @@ class TestRAIDStore:
         dev = st.groups[0].data_devices[0]
         assert dev.live_fraction() > 0
         st.log_free(v)
-        st.cp_boundary()
+        report = st.cp_boundary()
+        # The boundary frees; the drive is told only once the CP commits.
+        assert dev.live_fraction() > 0
+        trim_committed(st, report)
         assert dev.live_fraction() == 0.0
 
     def test_mirror_twins_take_their_data_device_trims(self):
@@ -103,7 +108,7 @@ class TestRAIDStore:
         v = st.allocate(3000)
         st.cp_boundary()
         st.log_free(v[::2])
-        st.cp_boundary()
+        trim_committed(st, st.cp_boundary())
         g = st.groups[0]
         for data, twin in zip(g.data_devices, g.parity_devices):
             assert np.array_equal(twin._valid, data._valid)

@@ -27,7 +27,6 @@ from repro.common.arrayops import run_starts
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.constants import AZCS_DATA_BLOCKS, AZCS_REGION_BLOCKS
 from repro.core import DelayedFreeLog
-from repro.core.space import AllocSpace
 from repro.devices import SMRConfig, SMRDrive
 from repro.devices.base import Device, MediaType
 from repro.fs import WaflSim, azcs_expand
@@ -40,6 +39,8 @@ from repro.workloads import (
     SequentialWriteWorkload,
     fill_volumes,
 )
+
+from ..conftest import trim_committed
 
 # ----------------------------------------------------------------------
 # Oracles: the np.unique-based code the run primitive replaced.
@@ -296,15 +297,13 @@ class MaskRoutedAggregate(Aggregate):
                 member.log_free(vbns[mask])
 
 
-def mask_trimmed_apply_frees(self):
-    freed = AllocSpace.apply_frees(self)  # was super().apply_frees()
+def mask_trim(self, freed):
     if freed.size and self.media is MediaType.SSD:
         disks = freed // self.geometry.blocks_per_disk  # the removed disk_of
         dbns = freed % self.geometry.blocks_per_disk  # the old dbn_of
         for d, dev in enumerate(self.data_devices):
             if not dev.failed:
                 dev.trim(dbns[disks == d])
-    return freed
 
 
 # ----------------------------------------------------------------------
@@ -369,8 +368,8 @@ def test_tiered_store_routing_matches_mask_oracle(data, kinds):
 
 
 # ----------------------------------------------------------------------
-# Trims: after each CP, every device's trim calls (as sets) and its FTL
-# state match the mask version.
+# Trims: after each CP's post-commit step, every device's trim calls (as
+# sets) and its FTL state match the mask version.
 
 
 def _ssd_state(dev):
@@ -401,7 +400,7 @@ def test_trims_match_mask_oracle(data, raid, ndata, n_groups, fail):
             trims[-1].append(log)
             dev.trim = lambda dbns, real=dev.trim, log=log: (log.append(np.sort(dbns)), real(dbns))
     for g in stores[1].groups:
-        g.apply_frees = types.MethodType(mask_trimmed_apply_frees, g)
+        g.trim = types.MethodType(mask_trim, g)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="rng"))
     live = np.empty(0, dtype=np.int64)
     for cp in range(3):
@@ -416,7 +415,7 @@ def test_trims_match_mask_oracle(data, raid, ndata, n_groups, fail):
             store.log_free(frees)
         live = np.concatenate([np.setdiff1d(live, frees), got])
         for store in stores:
-            store.cp_boundary()
+            trim_committed(store, store.cp_boundary())
         new, old = trims
         assert [len(t) for t in new] == [len(t) for t in old]
         for got_t, want_t in zip(new, old):
