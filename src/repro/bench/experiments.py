@@ -5,10 +5,10 @@ Experiment` per row — the paper's section 4 figures (this module), the
 traffic, fault, crash, cluster, tier and audit drills
 (:mod:`repro.bench.drills`) and the cache-overhead and ablation
 measurements (:mod:`repro.bench.ablations`).  Everything else consumes
-it: the bench runner plans and executes its units, ``repro <row>`` /
-``repro all`` print a row's tables and claims, ``repro bench`` sweeps
-and gates them, and the CLI's subcommands and ``--experiments`` choices
-are its names.  Adding an entry here is the only edit a new experiment
+it: the bench runner plans and executes its units, ``repro <row>``
+prints a row's tables and claims, ``repro bench`` sweeps and gates
+them, ``repro trace <row> <unit>`` traces one unit, and the CLI's
+subcommands and ``--experiments`` choices are its names.  Adding an entry here is the only edit a new experiment
 needs.  ``bench`` is the top of the package DAG (simlint L201), so the
 table imports every subsystem it runs statically.
 
@@ -59,7 +59,7 @@ from .harness import (
     set_bitmap_checks,
 )
 
-__all__ = ["Claim", "Experiment", "EXPERIMENTS", "PROFILE_UNIT"]
+__all__ = ["Claim", "Experiment", "EXPERIMENTS"]
 
 
 def _comparing(
@@ -135,10 +135,6 @@ FIG6_CONFIGS: dict[str, tuple[PolicyKind, PolicyKind]] = {
 
 #: Offered load sweep, ops/s per client (the figure's x axis).
 FIG6_OFFERED = np.linspace(1000, 12000, 12)
-
-#: The unit ``repro profile`` runs under cProfile: the section 4.1
-#: testbed with both caches, the repository's macro benchmark.
-PROFILE_UNIT = ("fig6", "both caches")
 
 
 def _run_fig6(label: str, *, quick: bool, seed: int) -> dict:

@@ -38,7 +38,7 @@ __all__ = [
     "NCLIENTS",
 ]
 
-#: Where ``repro bench`` / ``trace`` / ``profile`` write (git-ignored).
+#: Where ``repro bench`` / ``trace`` write (git-ignored).
 RESULTS_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks", "results")
 )

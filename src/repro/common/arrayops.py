@@ -1,6 +1,6 @@
 """Shared NumPy primitives for hot paths.
 
-Profiling the CP pipeline (see ``repro profile``) showed that
+Profiling the CP pipeline under cProfile showed that
 ``np.unique`` on integer batches is dominated by its hash-table path.
 On keys sorted by contract the run primitive :func:`run_starts` gives
 the distinct keys and run bounds without it (:func:`sorted_unique` is

@@ -428,7 +428,8 @@ class PersistenceModel:
            superblock switch never happened, so even a fully intact
            shadow image is orphaned.
         2. Restore every instance from its committed page (bitmap,
-           maps, snapshot pins, pending delayed frees).
+           maps, snapshot pins, pending delayed frees), then TRIM every
+           free block on each group's live SSDs.
         3. Remount via :func:`simulate_mount` using the TopAA image
            that survives the crash — the torn in-place pages for a
            write-window crash, the committed ones otherwise — so torn
@@ -477,6 +478,11 @@ class PersistenceModel:
         for where, fs in by_where.items():
             _restore_fs(fs, states[where], where)
             report.restored.append(where)
+        # What the lost CP wrote is free in the restored bitmaps but still
+        # valid on its SSDs: no committed image references it, so TRIM
+        # every free block, uncharged like a mount-time fstrim.
+        for g in target.store.groups:
+            g.trim(g.metafile.bitmap.free_in_range(0, g.metafile.bitmap.nblocks))
         # Remount through the real path with one shared retry budget.
         if budget is None:
             budget = RetryBudget(DEFAULT_MOUNT_RETRIES)

@@ -12,7 +12,8 @@ Quick start::
 
 Instrumented modules call ``obs.span(...)`` / ``obs.count(...)``
 unconditionally; with no tracer installed both are near-free no-ops.
-See ``repro trace --help`` for the CLI front end.
+``repro trace <row> <unit>`` is the CLI front end: it traces one unit
+of any row of the experiment table with the auditor armed.
 """
 
 from . import export, report

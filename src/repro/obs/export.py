@@ -1,8 +1,8 @@
-"""Trace exporters: JSON-lines and Chrome ``trace_event`` format.
+"""Trace exporter: Chrome ``trace_event`` format.
 
-Both exporters are pure functions of the record list and serialize
-with ``sort_keys=True`` and explicit separators, so a traced run with
-a fixed seed exports byte-identical output across reruns (the
+The export is a pure function of the record list and serializes with
+``sort_keys=True`` and explicit separators, so a traced run with a
+fixed seed exports byte-identical output across reruns (the
 determinism tests rely on this).
 
 Chrome format reference: the "Trace Event Format" document —
@@ -18,16 +18,7 @@ from typing import Any, Iterable
 
 from .tracer import KIND_COUNTER, KIND_SPAN, SpanRecord
 
-__all__ = ["to_jsonl", "to_chrome", "chrome_events"]
-
-
-def to_jsonl(records: Iterable[SpanRecord]) -> str:
-    """One JSON object per line, in record (seq) order."""
-    lines = [
-        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
-        for r in records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+__all__ = ["to_chrome", "chrome_events"]
 
 
 def chrome_events(records: Iterable[SpanRecord]) -> list[dict[str, Any]]:

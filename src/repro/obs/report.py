@@ -2,15 +2,16 @@
 
 The tracer's counters intentionally double-count what ``CPStats``
 already counts: every traced block total must equal the counted one.
-:func:`reconcile` cross-checks the two per CP and returns human-
-readable mismatch strings (empty list = reconciled); the invariant
-auditor folds these into its violation report so a drifting
-instrumentation site fails the audit, not just the trace.
+:func:`reconcile_current_cp` cross-checks the two for the CP that just
+ran and returns human-readable mismatch strings (empty list =
+reconciled); the invariant auditor folds these into its violation
+report (``trace-vs-stats``) so a drifting instrumentation site fails
+the audit, not just the trace.
 
 Only CPs whose ``cp.begin`` sentinel survived ring-buffer eviction
-are reconciled: the ring evicts FIFO, so the sentinel (always the
-first record of a CP) being present guarantees the CP's records are
-complete.
+have a complete span tree: the ring evicts FIFO, so the sentinel
+(always the first record of a CP) being present guarantees the CP's
+records are complete.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "span_tree_lines",
     "cp_counter_totals",
     "complete_cps",
-    "reconcile",
     "reconcile_current_cp",
 ]
 
@@ -106,50 +106,23 @@ def span_tree_lines(
     return lines
 
 
-def _check_one(
-    counters: dict[str, float], stats, cp_index: int
-) -> list[str]:
-    problems: list[str] = []
-    for counter_name, attr in RECONCILED_COUNTERS.items():
-        traced = counters.get(counter_name, 0.0)
-        counted = float(getattr(stats, attr))
-        if traced != counted:
-            problems.append(
-                f"CP {cp_index}: traced {counter_name} = {traced:g} but "
-                f"CPStats.{attr} = {counted:g}"
-            )
-    return problems
-
-
-def reconcile(
-    records: Sequence[SpanRecord], cps: Sequence
-) -> list[str]:
-    """Cross-check traced counter totals against ``CPStats`` records.
-
-    ``cps`` is a sequence of :class:`~repro.sim.stats.CPStats`.  Only
-    CPs present in both the trace (with an intact sentinel) and the
-    stats log are compared.  Returns mismatch descriptions.
-    """
-    totals = cp_counter_totals(records)
-    intact = complete_cps(records)
-    by_index = {c.cp_index: c for c in cps}
-    problems: list[str] = []
-    for cp_index in sorted(intact):
-        stats = by_index.get(cp_index)
-        if stats is None:
-            continue
-        problems.extend(
-            _check_one(totals.get(cp_index, {}), stats, cp_index)
-        )
-    return problems
-
-
 def reconcile_current_cp(tracer: Tracer, stats) -> list[str]:
-    """Reconcile the tracer's running totals against one CPStats.
+    """Reconcile the tracer's running totals against one
+    :class:`~repro.sim.stats.CPStats` (none when the tracer is on
+    another CP).
 
     O(number of counters): used by the invariant auditor's ``after_cp``
     hook, which runs inside the CP loop and cannot afford a ring walk.
     """
     if tracer.cp != stats.cp_index:
         return []
-    return _check_one(tracer._cp_totals, stats, stats.cp_index)
+    problems: list[str] = []
+    for counter_name, attr in RECONCILED_COUNTERS.items():
+        traced = tracer._cp_totals.get(counter_name, 0.0)
+        counted = float(getattr(stats, attr))
+        if traced != counted:
+            problems.append(
+                f"CP {stats.cp_index}: traced {counter_name} = {traced:g} but "
+                f"CPStats.{attr} = {counted:g}"
+            )
+    return problems

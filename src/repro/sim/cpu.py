@@ -76,9 +76,9 @@ class CpuModel:
     ) -> dict[str, float]:
         """Per-phase decomposition of :meth:`cp_cpu_us` (same inputs).
 
-        The values sum to ``cp_cpu_us(...)``; ``repro profile`` reports
-        them alongside the wall-clock profile so modeled CPU can be
-        attributed to pipeline phases.
+        The values sum to ``cp_cpu_us(...)``; the Figure 6 units record
+        them (``cpu_phase_us``) so modeled CPU can be attributed to
+        pipeline phases.
         """
         return {
             "client_ops": ops * self.base_us_per_op,

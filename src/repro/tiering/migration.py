@@ -1,12 +1,12 @@
 """Intra-aggregate tier migration.
 
-A tier migration flips the volume's tier assignment and relocates every
-virtual VBN its container map populates — the active file system's and
-every snapshot's — onto the target tier in one CP
-(:attr:`~repro.fs.cp.CPBatch.relocate`): new physical homes there, the
-old homes delayed-freed, the virtual VBNs (and so the snapshots) kept.
-Because the copy *is* a CP, it is priced, audited, and crash-consistent
-like any other CP.
+A tier migration relocates every virtual VBN the volume's container
+map populates — the active file system's and every snapshot's — onto
+the target tier in one CP (:attr:`~repro.fs.cp.CPBatch.relocate`): new
+physical homes there, the old homes delayed-freed, the virtual VBNs
+(and so the snapshots) kept.  Once that CP commits, the volume's tier
+assignment flips to the target.  Because the copy *is* a CP, it is
+priced, audited, and crash-consistent like any other CP.
 
 :func:`rebalance_tiers` is the background pass: it compares each
 volume's current assignment with what the chooser would pick from the
@@ -84,12 +84,15 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
 
     Runs one empty CP first to apply the delayed frees earlier CPs
     queued (as many as a free budget allows), then one CP that relocates
-    the volume's mapped virtual VBNs to the target under the new
-    assignment.  Verifies block conservation — blocks copied == blocks
-    freed == blocks now on the target tier == the volume's mapped set —
-    and raises :class:`TieringError` on any mismatch.  The migration
-    CP's frees are the ones it applied plus the growth of the store's
-    pending delayed frees, so the check holds under any free budget.
+    the volume's mapped virtual VBNs to the target, and re-pins the
+    volume there once that CP has committed: a relocation the engine
+    refuses (:class:`~repro.common.errors.OutOfSpaceError`) moves
+    nothing and leaves the volume where it was.  Verifies block
+    conservation — blocks copied == blocks freed == blocks now on the
+    target tier == the volume's mapped set — and raises
+    :class:`TieringError` on any mismatch.  The migration CP's frees are
+    the ones it applied plus the growth of the store's pending delayed
+    frees, so the check holds under any free budget.
     """
     store = sim.store
     check_pinning(store)
@@ -103,10 +106,10 @@ def migrate_volume_tier(sim, vol_name: str, target: str) -> TierMigrationReport:
 
     sim.engine.run_cp(CPBatch())
 
-    store.assign(vol_name, target)
     mapped = np.flatnonzero(vol.mapped())
     pending = _pending_frees(store)
     stats = sim.engine.run_cp(CPBatch(relocate={vol_name: mapped}, relocate_to=target))
+    store.assign(vol_name, target)
     copied = stats.physical_blocks
     freed = sum(stats.freed_by_tier.values()) + _pending_frees(store) - pending
     used = volume_tier_blocks(sim, vol_name)[target]

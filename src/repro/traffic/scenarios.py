@@ -66,7 +66,7 @@ __all__ = [
 
 SCENARIOS = ("uniform", "noisy-neighbor", "throttled")
 
-#: Tenants a scenario (and ``repro trace``) runs when not told otherwise.
+#: Tenants a scenario runs when not told otherwise.
 DEFAULT_TENANTS = 4
 
 #: Share of physical capacity the tenant volumes fill (section 4.1).

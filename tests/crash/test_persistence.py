@@ -348,7 +348,8 @@ def device_gaps(sim) -> dict[str, tuple[int, int]]:
 class TestTrimsAfterCommit:
     """A drive may discard a freed block only once no committed image
     references it, so a CP lost before its superblock switch leaves
-    every block the recovered bitmaps allocate on its device."""
+    every block the recovered bitmaps allocate on its device, and
+    recovery discards the blocks that CP wrote."""
 
     def test_lost_cp_leaves_no_allocated_block_trimmed(self):
         sim = small_ssd_sim(seed=3)
@@ -360,5 +361,5 @@ class TestTrimsAfterCommit:
         model.recover()
         trimmed = {name: gap[0] for name, gap in device_gaps(sim).items()}
         assert trimmed == dict.fromkeys(trimmed, 0)
-        # What the lost CP wrote stays valid but free until reused.
-        assert sum(gap[1] for gap in device_gaps(sim).values()) == 5_000
+        # What the lost CP wrote is free again, and recovery trimmed it.
+        assert sum(gap[1] for gap in device_gaps(sim).values()) == 0

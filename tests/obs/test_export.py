@@ -1,5 +1,5 @@
-"""Exporter tests: JSON-lines and Chrome trace_event validity, and the
-byte-for-byte determinism both formats guarantee."""
+"""Exporter tests: Chrome trace_event validity, and the byte-for-byte
+determinism the format guarantees."""
 
 from __future__ import annotations
 
@@ -26,27 +26,17 @@ def traced_workload():
     return records
 
 
-class TestJsonl:
-    def test_one_valid_object_per_line(self):
-        records = traced_workload()
-        text = obs.export.to_jsonl(records)
-        assert text.endswith("\n")
-        lines = text.splitlines()
-        assert len(lines) == len(records)
-        docs = [json.loads(line) for line in lines]
-        assert docs[0]["name"] == "cp.begin"
-        assert {d["kind"] for d in docs} == {"span", "counter"}
-
-    def test_empty_records_empty_string(self):
-        assert obs.export.to_jsonl([]) == ""
-
-    def test_byte_identical_across_reruns(self):
-        a = obs.export.to_jsonl(traced_workload())
-        b = obs.export.to_jsonl(traced_workload())
-        assert a == b
-
-
 class TestChrome:
+    def test_one_event_per_record(self):
+        records = traced_workload()
+        events = obs.export.chrome_events(records)
+        assert len(events) == len(records)
+        assert events[0]["name"] == "cp.begin"
+        assert {e["ph"] for e in events} == {"X", "C"}
+
+    def test_empty_records_no_events(self):
+        assert json.loads(obs.export.to_chrome([]))["traceEvents"] == []
+
     def test_document_structure(self):
         doc = json.loads(obs.export.to_chrome(traced_workload()))
         assert doc["displayTimeUnit"] == "ms"

@@ -1,20 +1,19 @@
-"""End-to-end tracing: a traced simulation reconciles exactly with its
-CPStats log, the audit enforces it, and same-seed traced reruns are
-byte-identical (ISSUE acceptance tests)."""
+"""End-to-end tracing: the auditor reconciles every traced CP exactly
+with its CPStats record and fails on drift, and same-seed traced reruns
+are byte-identical."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import obs
-from repro.analysis import InvariantAuditor
+from repro.analysis import InvariantAuditor, arm_global, disarm_global
 from repro.bench.drills import disk_failure_schedule, traffic_engine
 from repro.drill import run_drill
 from repro.obs.report import (
     RECONCILED_COUNTERS,
     complete_cps,
     cp_counter_totals,
-    reconcile,
     span_tree_lines,
 )
 from repro.traffic import run_traffic
@@ -23,33 +22,40 @@ from repro.workloads import RandomOverwriteWorkload, fill_volumes
 from ..conftest import small_ssd_sim
 
 
-def traced_sim_run(n_cps: int = 3):
-    """A small traced single-source run; returns (records, sim)."""
-    tracer = obs.install()
+def audited_sim_run(n_cps: int = 3, *, traced: bool = True):
+    """A small single-source run, every CP audited (raising on any
+    violation); returns (records, sim)."""
+    tracer = obs.install() if traced else None
     try:
         sim = small_ssd_sim()
         fill_volumes(sim)
+        sim.engine.auditor = InvariantAuditor()
         sim.run(RandomOverwriteWorkload(sim, ops_per_cp=512, seed=3), n_cps)
     finally:
         obs.uninstall()
-    return tracer.records(), sim
+    return (tracer.records() if traced else []), sim
 
 
 class TestReconciliation:
     def test_traced_run_reconciles_with_cpstats(self):
-        records, sim = traced_sim_run()
-        intact = complete_cps(records)
-        assert intact, "no complete CPs traced"
-        assert reconcile(records, sim.metrics.cps) == []
+        # The auditor runs its trace-vs-stats check on every traced CP
+        # (one check more than an untraced audit) and it holds.
+        records, sim = audited_sim_run()
+        _, plain = audited_sim_run(traced=False)
+        assert complete_cps(records), "no complete CPs traced"
+        traced_reports, plain_reports = sim.engine.auditor.reports, plain.engine.auditor.reports
+        assert len(traced_reports) == len(plain_reports) == 3
+        for traced, untraced in zip(traced_reports, plain_reports):
+            assert traced.ok and traced.checks_run == untraced.checks_run + 1
 
     def test_every_reconciled_counter_is_emitted(self):
-        records, _ = traced_sim_run()
+        records, _ = audited_sim_run()
         last = max(complete_cps(records))
         emitted = set(cp_counter_totals(records)[last])
         assert set(RECONCILED_COUNTERS) <= emitted
 
     def test_span_tree_covers_the_cp_pipeline(self):
-        records, _ = traced_sim_run()
+        records, _ = audited_sim_run()
         tree = "\n".join(span_tree_lines(records))
         for name in ("cp.allocate", "cp.boundary", "rg.price_writes",
                      "raid.analyze", "cp.cache_flush"):
@@ -57,12 +63,14 @@ class TestReconciliation:
 
     def test_traced_traffic_run_reconciles(self):
         tracer = obs.install()
+        arm_global()
         try:
             run = run_traffic("uniform", n_tenants=2, seed=11, quick=True)
         finally:
+            disarm_global()
             obs.uninstall()
         records = tracer.records()
-        assert reconcile(records, run.sim.metrics.cps) == []
+        assert run.sim.engine.auditor.cps_audited >= len(run.sim.metrics.cps) > 0
         # Per-tenant span tags reach the trace.
         tagged = [
             r for r in records
@@ -121,9 +129,9 @@ class TestDeterminism:
             run_drill(engine, disk_failure_schedule(9), 9)
         finally:
             obs.uninstall()
-        return obs.export.to_jsonl(tracer.records())
+        return obs.export.to_chrome(tracer.records())
 
     def test_chaos_trace_byte_identical_across_reruns(self):
-        # ISSUE acceptance: an enabled trace of a chaos run is
-        # byte-identical across reruns with the same seed.
+        # An enabled trace of a chaos run is byte-identical across
+        # reruns with the same seed.
         assert self.chaos_trace() == self.chaos_trace()

@@ -8,7 +8,6 @@ from repro.obs.report import (
     RECONCILED_COUNTERS,
     complete_cps,
     cp_counter_totals,
-    reconcile,
     reconcile_current_cp,
     span_tree_lines,
 )
@@ -77,35 +76,32 @@ class TestSpanTree:
 
 class TestReconcile:
     def test_matching_run_reconciles(self):
+        # The running totals restart at each CP: the second CP's check
+        # sees only its own counters.
         t = obs.install()
         trace_cp(0)
+        assert reconcile_current_cp(t, matching_stats(0)) == []
         trace_cp(1, virtual=3, physical=3)
-        cps = [matching_stats(0), matching_stats(1, virtual=3, physical=3)]
-        assert reconcile(t.records(), cps) == []
+        assert reconcile_current_cp(t, matching_stats(1, virtual=3, physical=3)) == []
 
     def test_mismatch_is_reported_per_counter(self):
         t = obs.install()
         trace_cp(0)
-        problems = reconcile(t.records(), [matching_stats(0, virtual=9)])
+        problems = reconcile_current_cp(t, matching_stats(0, virtual=9))
         assert len(problems) == 1
         assert "cp.virtual_blocks" in problems[0]
         assert "9" in problems[0] and "8" in problems[0]
 
-    def test_incomplete_cp_is_skipped(self):
-        # Evicted sentinel => partial counters; reconciling them would
-        # always fail, so the CP is excluded.
-        t = obs.install()
-        obs.set_cp(0)
-        obs.count("cp.virtual_blocks", 2)  # no sentinel
-        assert reconcile(t.records(), [matching_stats(0)]) == []
-
-    def test_stats_missing_from_log_is_skipped(self):
-        t = obs.install()
-        trace_cp(5)
-        assert reconcile(t.records(), []) == []
+    def test_evicted_records_still_reconcile(self):
+        # The check reads the running totals, not the ring: a CP whose
+        # records (sentinel included) were evicted still reconciles.
+        t = obs.install(ring_capacity=2)
+        trace_cp(0)
+        assert complete_cps(t.records()) == set() and t.dropped
+        assert reconcile_current_cp(t, matching_stats(0)) == []
 
     def test_reconciled_counter_map_covers_block_accounting(self):
-        # The contract in ISSUE terms: traced block counts == counted.
+        # The contract: traced block counts == counted.
         assert RECONCILED_COUNTERS["cp.virtual_blocks"] == "virtual_blocks"
         assert RECONCILED_COUNTERS["cp.physical_blocks"] == "physical_blocks"
         assert set(RECONCILED_COUNTERS.values()) <= {

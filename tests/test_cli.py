@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import os
+import json
 import re
-import time
 
-import numpy as np
 import pytest
 
+from repro import obs
 from repro.bench import ConfigResult, fmt_table
 from repro.cli import main
+from repro.fs.cp import CPEngine
 
 
 class TestCLI:
@@ -40,10 +40,6 @@ class TestCLI:
         assert main(["fig9", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "drive-throughput gain" in out
-
-    def test_quickstart(self, capsys):
-        assert main(["quickstart"]) == 0
-        assert capsys.readouterr().out.rstrip().endswith("consistency verified")
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -88,6 +84,39 @@ class TestCLI:
         assert "[holds] zero audit violations: 0 (invariant)" in out
 
 
+class TestTrace:
+    @pytest.mark.parametrize("row, unit", [("traffic", "noisy-neighbor"), ("crash", "aging")])
+    def test_writes_a_loadable_chrome_trace(self, row, unit, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        assert main(["trace", row, unit, "--quick", "--out", str(out)]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert {e["ph"] for e in events} == {"X", "C"}
+        assert any(e["name"] == "cp.boundary" for e in events)
+        text = capsys.readouterr().out
+        assert "    cp.boundary" in text  # the last intact CP's span tree
+        assert "trace reconciliation OK" in text
+
+    def test_an_over_counting_boundary_fails_the_auditors_check(self, monkeypatch, tmp_path,
+                                                                capsys):
+        boundary = CPEngine._trace_boundary
+
+        def over_count(store_report, vol_reports) -> None:
+            boundary(store_report, vol_reports)
+            obs.count("cp.physical_blocks", 1, where="store")
+
+        monkeypatch.setattr(CPEngine, "_trace_boundary", staticmethod(over_count))
+        out = tmp_path / "trace.json"
+        assert main(["trace", "traffic", "noisy-neighbor", "--quick", "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "trace reconciliation FAILED" in text and "trace-vs-stats" in text
+        assert json.loads(out.read_text())["traceEvents"]
+
+    def test_an_unknown_unit_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "traffic", "bogus"])
+        assert exc.value.code == 2
+
+
 class TestHarness:
     def test_fmt_table_alignment(self):
         t = fmt_table(["a", "bee"], [[1, 2.5], [333, 0.001]], title="T")
@@ -110,39 +139,3 @@ class TestHarness:
         # 20 cores / 200us = 100k; device 1e6/20 = 50k -> device-bound.
         assert r.capacity_ops == pytest.approx(50_000)
 
-
-def _python_part(seconds: float) -> int:
-    """Pure-Python arithmetic for ``seconds`` of wall time."""
-    end, total = time.perf_counter() + seconds, 0
-    while time.perf_counter() < end:
-        for i in range(1000):
-            total += i * i
-    return total
-
-
-def _numpy_part(a):
-    return np.sort(a)
-
-
-def test_profile_lines_shares_follow_wall_time(capsys):
-    """``profile --lines`` weights each sample by the wall time it
-    stands for, so a NumPy call that drops the GIL and a pure-Python
-    loop of equal ``perf_counter`` time get equal shares."""
-    from repro.cli import _sample_stacks
-
-    a = np.random.default_rng(0).random(2_000_000)
-
-    def run() -> None:
-        for _ in range(10):
-            t0 = time.perf_counter()
-            _numpy_part(a)
-            _python_part(time.perf_counter() - t0)
-
-    _sample_stacks(run, 20, root=os.path.dirname(os.path.abspath(__file__)) + os.sep)
-    functions = capsys.readouterr().out.split("functions (inclusive)")[1]
-    shares = {
-        name: float(pct) / 100
-        for pct, name in re.findall(r"([\d.]+)%\s+test_cli\.py:(\w+)", functions)
-    }
-    assert abs(shares["_python_part"] - 0.5) <= 0.10, shares
-    assert abs(shares["_numpy_part"] - 0.5) <= 0.10, shares

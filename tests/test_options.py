@@ -20,7 +20,7 @@ KEPT = {  # reason -> the options kept for it, as ``Qual(param ...)``
     "the one way to bound a recovery's retries": "PersistenceModel.recover(budget)",
     "tests read a bounded span prefix": "Bitmap.allocated_in_range(limit) AATopology.free_vbns("
     "limit) StripeAATopology.free_vbns(limit) LinearAATopology.free_vbns(limit)",
-    "tests feed the CLI, linter and keeper inputs of their own": "main(argv) _sample_stacks(root)"
+    "tests feed the CLI, linter and keeper inputs of their own": "main(argv)"
     " lint_paths(config) lint_source(path module config) FlowConfig(hot_root_modules)"
     " ScoreKeeper(bitmap)",
     "tests inject an auditor, scrub other windows and replace parity disks": "CPEngine(auditor)"

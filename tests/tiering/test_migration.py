@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.auditor import audit_sim
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
-from repro.common.errors import TieringError
+from repro.common.errors import OutOfSpaceError, TieringError
 from repro.fs import CPBatch, WaflSim
 from repro.tiering import (
     migrate_volume_tier,
@@ -105,6 +105,17 @@ class TestRefusals:
         sim = tiered_sim()
         with pytest.raises(TieringError, match="nope"):
             migrate_volume_tier(sim, "nope", "disk")
+
+    def test_refused_relocation_leaves_the_volume_pinned_where_it_was(self):
+        # The flash tier cannot hold the cold volume: the engine refuses
+        # the relocation CP before anything moves, so the pin stays too.
+        sim = tiered_sim(flash_blocks_per_disk=1024)
+        fill_volumes(sim, ops_per_cp=4096, seed=2)
+        before = volume_tier_blocks(sim, "cold")
+        with pytest.raises(OutOfSpaceError):
+            migrate_volume_tier(sim, "cold", "flash")
+        assert sim.store.tier_of("cold") == "disk"
+        assert volume_tier_blocks(sim, "cold") == before
 
     def test_untierd_sim_is_refused(self):
         flat = WaflSim.build(
