@@ -276,12 +276,12 @@ def _run_fig7(unit: str, *, quick: bool, seed: int) -> dict:
     tetrises, blocks, stripes, partials = np.zeros((4, FIG7_N_GROUPS), dtype=np.int64)
     orig = sim.store.cp_boundary
 
-    def capturing():
-        rep = orig()
+    def capturing(*args):
+        rep = orig(*args)
         for gi, grp in enumerate(rep.groups):
             per_disk[gi] += grp.blocks_per_disk
             tetrises[gi] += grp.tetrises
-            blocks[gi] += grp.blocks
+            blocks[gi] += grp.blocks_written
             stripes[gi] += grp.stripes
             partials[gi] += grp.partial_stripes
         return rep

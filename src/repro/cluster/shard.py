@@ -36,6 +36,7 @@ import json
 
 from ..analysis import arm_global, disarm_global
 from ..common.config import AggregateSpec, VolumeDecl
+from ..fs.cp import CPEngine
 from ..fs.filesystem import WaflSim
 from ..fs.flexvol import FlexVol
 from ..fs.tiers import media_role
@@ -292,7 +293,9 @@ def advance_shard(args: tuple, residents: dict = _RESIDENT) -> tuple[int, dict]:
     calls a history may only grow at or past ``epochs_run``.
     """
     spec, placements, epochs, epoch_cps, audit = args
-    if audit:
+    # An in-process caller's own arming (and its settings) stays as is.
+    arm = audit and CPEngine.default_auditor_factory is None
+    if arm:
         arm_global()
     try:
         rt = residents.get(spec.shard_id)
@@ -306,6 +309,6 @@ def advance_shard(args: tuple, residents: dict = _RESIDENT) -> tuple[int, dict]:
         payload = rt.payload()
         payload["digest"] = digest_of(payload)
     finally:
-        if audit:
+        if arm:
             disarm_global()
     return spec.shard_id, payload

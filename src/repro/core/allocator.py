@@ -350,8 +350,6 @@ class AggregateAllocator:
             raise ValueError("need at least one RAID group space")
         self.spaces = spaces
         self.threshold_fraction = float(threshold_fraction)
-        #: Per-CP local VBNs written per group (drained by the CP engine).
-        self._cp_writes: list[list[np.ndarray]] = [[] for _ in spaces]
         #: Count of group-skips due to the fragmentation cutoff (metric).
         self.threshold_skips = 0
 
@@ -401,9 +399,7 @@ class AggregateAllocator:
                     continue
                 got += taken
                 off = galloc.store_offset
-                cp_w = self._cp_writes[gi]
                 for c in out[base:]:
-                    cp_w.append(c)
                     offs.append(off)
                     lens.append(c.size)
         if not out:
@@ -416,15 +412,6 @@ class AggregateAllocator:
                 np.asarray(offs, dtype=np.int64), np.asarray(lens)
             )
         return result
-
-    def drain_cp_writes(self) -> list[np.ndarray]:
-        """Local VBNs written to each group since the last drain (for
-        stripe/parity/device analysis at the CP boundary)."""
-        drained = [
-            np.concatenate(w) if w else np.empty(0, dtype=np.int64) for w in self._cp_writes
-        ]
-        self._cp_writes = [[] for _ in self.spaces]
-        return drained
 
     def cp_flush(self) -> list[np.ndarray]:
         """Run the CP-boundary protocol on every group allocator."""

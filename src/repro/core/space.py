@@ -265,7 +265,11 @@ class AllocSpace:
 
     def apply_frees(self) -> np.ndarray:
         """Apply this space's delayed frees (all of them, or the
-        budgeted fullest-first subset); returns the VBNs freed."""
+        budgeted fullest-first subset); returns the VBNs freed.  The
+        allocator's pending span is synced first: a same-CP
+        write-then-delete frees a just-allocated VBN, whose bit must be
+        set before the free clears it."""
+        self.allocator.flush_pending()
         if self.free_budget_blocks is None:
             freed = self.delayed_frees.apply_all(self.metafile)
         else:

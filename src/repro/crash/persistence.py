@@ -51,6 +51,7 @@ from ..core.delayed_frees import DelayedFreeLog
 from ..core.topaa import PAGE_KIND_FS_IMAGE, seal_page, unseal_page
 from ..faults.recovery import instances
 from ..fs.filesystem import WaflSim
+from ..fs.flexvol import FlexVol
 from ..fs.iron import map_counts
 from ..fs.mount import (
     DEFAULT_MOUNT_RETRIES,
@@ -117,12 +118,10 @@ def serialize_fs(fs) -> bytes:
     # Sync the allocator's pending-span batch into the bitmap first: a
     # mid-CP capture must reflect every block already handed out, not
     # the batching cursor.
-    alloc = getattr(fs, "allocator", None)
-    if alloc is not None and hasattr(alloc, "flush_pending"):
-        alloc.flush_pending()
+    fs.allocator.flush_pending()
     mf = fs.metafile
     pending = fs.delayed_frees.pending_vbns()
-    is_vol = getattr(fs, "l2v", None) is not None
+    is_vol = isinstance(fs, FlexVol)
     flags = _FLAG_HAS_MAPS if is_vol else 0
     n_snaps = len(fs.snapshots) if is_vol else 0
     parts = [

@@ -11,10 +11,16 @@ Each RAID group and each linear store is an
 :class:`~repro.core.space.AllocSpace` (topology, bitmap metafile,
 delayed-free log, score keeper, AA cache, write allocator and their
 lifecycle); this module adds geometry, device models with time costs
-(:mod:`repro.devices`) and the CP-boundary sequence: price the CP's
-writes on the devices, apply delayed frees, flush batched AA-score
-deltas into the caches, and drain metafile dirty-block counts; the
-report carries each group's freed VBNs for the post-commit SSD trims.
+(:mod:`repro.devices`) and the CP-boundary sequence.  The CP engine
+hands the boundary what the CP did — the physical VBNs it placed and
+the client reads it served — and each level routes them to its owners
+with the bounds it routes frees by (:func:`route_vbns`).  Each owner
+prices its reads, then its writes, on its devices, applies its delayed
+frees, flushes batched AA-score deltas into the caches and drains
+metafile dirty-block counts; :func:`merge_reports` folds the owners'
+reports at every level.  The report carries each group's freed VBNs
+for the post-commit SSD trims.  No level keeps a CP's writes or reads
+past its boundary.
 
 :class:`Aggregate` is the one store every spec builds: one member per
 tier — a :class:`RAIDStore` of the tier's groups or a
@@ -25,7 +31,8 @@ every level, and each space subtracts its own base once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -67,10 +74,11 @@ __all__ = [
     "PolicyKind",
     "TierPolicy",
     "resolve_stripes_per_aa",
-    "route_frees",
+    "route_vbns",
     "RAIDGroupRuntime",
-    "GroupCPReport",
     "StoreCPReport",
+    "GroupCPReport",
+    "merge_reports",
     "RAIDStore",
     "LinearStore",
     "Aggregate",
@@ -130,50 +138,31 @@ def _make_device(tier: TierSpec, name: str) -> Device:
     return HDD(blocks, name=name)
 
 
-def _check_free_range(vbns: np.ndarray, lo: int, hi: int, start: int, stop: int) -> None:
-    """Refuse, before anything is logged, a free batch whose extremes
-    ``lo``/``hi`` leave the VBN space ``[start, stop)``."""
-    if lo < start or hi >= stop:
-        bad = vbns[(vbns < start) | (vbns >= stop)][:8].tolist()
-        raise BitmapError(f"free of VBN(s) {bad} outside the store's VBN space [{start}, {stop})")
-
-
-def route_frees(vbns: np.ndarray, bounds: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``(owner, global VBNs)`` per owner a free batch touches, where
-    owner ``i`` holds ``[bounds[i], bounds[i + 1])``: one sort, cut at
-    the bounds.  The space that logs a slice subtracts its own base."""
-    sv = np.sort(vbns)
-    _check_free_range(sv, int(sv[0]), int(sv[-1]), int(bounds[0]), int(bounds[-1]))
+def route_vbns(vbns: np.ndarray, bounds) -> list[np.ndarray]:
+    """Per owner ``i`` of ``[bounds[i], bounds[i + 1])``, the global VBNs
+    of ``vbns`` it holds — a CP's frees or its writes: one sort, cut at
+    the bounds (a lone owner takes the batch as it is).  A VBN outside
+    every owner refuses the batch (BitmapError) before anything is
+    logged.  The space that takes a slice subtracts its own base."""
+    if vbns.size == 0:
+        return [vbns] * (len(bounds) - 1)
+    lone = len(bounds) == 2
+    sv = vbns if lone else np.sort(vbns)
+    lo, hi = (vbns.min(), vbns.max()) if lone else (sv[0], sv[-1])
+    if lo < bounds[0] or hi >= bounds[-1]:
+        bad = sv[(sv < bounds[0]) | (sv >= bounds[-1])][:8].tolist()
+        raise BitmapError(f"VBN(s) {bad} outside the store's VBN space "
+                          f"[{bounds[0]}, {bounds[-1]})")
+    if lone:
+        return [vbns]
     cuts = np.searchsorted(sv, bounds).tolist()
-    return [(i, sv[cuts[i] : cuts[i + 1]])
-            for i in range(len(cuts) - 1) if cuts[i + 1] > cuts[i]]
-
-
-@dataclass
-class GroupCPReport:
-    """Per-RAID-group slice of one CP (feeds Figure 7)."""
-
-    blocks: int = 0
-    stripes: int = 0
-    full_stripes: int = 0
-    partial_stripes: int = 0
-    tetrises: int = 0
-    chains: int = 0
-    parity_reads: int = 0
-    #: Reads issued to surviving devices to stand in for failed ones
-    #: (degraded writes, degraded metafile/client reads).
-    reconstruction_reads: int = 0
-    #: Stripes written while the group was degraded.
-    degraded_stripes: int = 0
-    blocks_per_disk: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    busy_us: float = 0.0
-    #: Local VBNs whose delayed frees this CP applied (trimmed post-commit).
-    freed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    return [sv[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 @dataclass
 class StoreCPReport:
-    """Aggregated CP-boundary outcome for one physical store."""
+    """One CP-boundary outcome: of a RAID group, a member store, the
+    aggregate or a volume.  Every ``int`` field is a counter."""
 
     #: Bottleneck device busy time (devices operate in parallel).
     device_busy_us: float = 0.0
@@ -187,14 +176,17 @@ class StoreCPReport:
     tetrises: int = 0
     chains: int = 0
     parity_reads: int = 0
+    #: Reads issued to surviving devices to stand in for failed ones
+    #: (degraded writes, degraded metafile/client reads).
     reconstruction_reads: int = 0
+    #: Stripes written while the group was degraded.
     degraded_stripes: int = 0
     cache_ops: int = 0
     aa_switches: int = 0
     #: VBN span covered by this CP's allocations (bitmap bits examined;
     #: ~blocks / selected-AA density — see CpuModel.us_per_spanned_block).
     spanned_blocks: int = 0
-    groups: list[GroupCPReport] = field(default_factory=list)
+    groups: list["GroupCPReport"] = field(default_factory=list)
     #: Aggregates of several tiers only: this CP's outcome sliced per
     #: tier label (each value is one member's report; empty on one tier).
     by_tier: dict[str, "StoreCPReport"] = field(default_factory=dict)
@@ -205,6 +197,33 @@ class StoreCPReport:
         self.cache_ops += deltas[1]
         self.aa_switches += deltas[2]
         self.spanned_blocks += deltas[3]
+
+
+@dataclass
+class GroupCPReport(StoreCPReport):
+    """Per-RAID-group slice of one CP (feeds Figure 7)."""
+
+    stripes: int = 0
+    blocks_per_disk: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    #: Local VBNs whose delayed frees this CP applied (trimmed post-commit).
+    freed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+
+#: Every ``int`` field of a report is a counter that merges by summing.
+_COUNTERS = tuple(f.name for f in fields(StoreCPReport) if isinstance(f.default, int))
+_counters_of = attrgetter(*_COUNTERS)
+
+
+def merge_reports(parts: Sequence[StoreCPReport]) -> StoreCPReport:
+    """Fold CP reports into one — a RAID member's groups, an aggregate's
+    members, the store's and the volumes': every counter sums, the
+    bottleneck busy time is the max (groups, tiers and volumes flush in
+    parallel) and the total busy time sums."""
+    return StoreCPReport(
+        device_busy_us=max((r.device_busy_us for r in parts), default=0.0),
+        device_total_us=float(sum(r.device_total_us for r in parts)),
+        **dict(zip(_COUNTERS, map(sum, zip(*map(_counters_of, parts))))),
+    )
 
 
 class RAIDGroupRuntime(AllocSpace):
@@ -340,6 +359,24 @@ class RAIDGroupRuntime(AllocSpace):
         self._pending_recon_reads += extra
         self._pending_recon_us += us
 
+    def read_random(self, n: float) -> float:
+        """Serve ``n`` client random reads spread uniformly over the data
+        devices; reads aimed at a failed member are reconstructed from
+        the survivors.  Returns the bottleneck device's busy time."""
+        if n <= 0:
+            return 0.0
+        share = int(round(n / max(len(self.data_devices), 1)))
+        us = 0.0
+        degraded = 0
+        for dev in self.data_devices:
+            if dev.failed:
+                degraded += share
+                continue
+            us = max(us, dev.read_blocks(share))
+        if degraded:
+            self._reconstruct_blocks(degraded)
+        return us
+
     def _check_media(self, n: int) -> None:
         """RAID-group fault semantics: reads landing on failed members
         and latent sector errors are reconstructed from parity while
@@ -368,7 +405,14 @@ class RAIDGroupRuntime(AllocSpace):
     # ------------------------------------------------------------------
     def price_cp_writes(self, local_vbns: np.ndarray) -> GroupCPReport:
         """Charge devices for one CP's writes to this group and return
-        the per-group report (stripe/tetris/chain accounting)."""
+        the per-group report (stripe/tetris/chain accounting), with the
+        degraded reads charged since the last CP drained into it."""
+        report = GroupCPReport(
+            device_busy_us=self._pending_recon_us,
+            reconstruction_reads=self._pending_recon_reads,
+            blocks_per_disk=np.zeros(self.geometry.ndata, dtype=np.int64),
+        )
+        self._pending_recon_reads, self._pending_recon_us = 0, 0.0
         if (
             self.unpriced
             and self.media is MediaType.SSD
@@ -376,19 +420,20 @@ class RAIDGroupRuntime(AllocSpace):
             and not self.azcs
             and not self.geometry.mirrored
         ):
-            return self._price_cp_writes_unpriced(local_vbns)
+            return self._price_cp_writes_unpriced(local_vbns, report)
         with obs.span(
             "rg.price_writes", group=self.where, blocks=int(local_vbns.size)
         ):
-            report = self._price_cp_writes(local_vbns)
-            obs.advance_us(report.busy_us)
+            self._price_cp_writes(local_vbns, report)
+            obs.advance_us(report.device_busy_us)
         if obs.active():
             obs.count("raid.full_stripes", report.full_stripes, group=self.where)
             obs.count("raid.partial_stripes", report.partial_stripes, group=self.where)
             obs.count("raid.parity_reads", report.parity_reads, group=self.where)
         return report
 
-    def _price_cp_writes_unpriced(self, local_vbns: np.ndarray) -> GroupCPReport:
+    def _price_cp_writes_unpriced(self, local_vbns: np.ndarray,
+                                  report: GroupCPReport) -> GroupCPReport:
         """Issue one CP's device writes without pricing them.
 
         The per-device data streams and parity-stripe writes are byte
@@ -398,13 +443,6 @@ class RAIDGroupRuntime(AllocSpace):
         classification, parity-read charging, busy-time maxing — only
         feeds statistics the measurement reset clears.
         """
-        report = GroupCPReport(
-            blocks_per_disk=np.zeros(self.geometry.ndata, dtype=np.int64)
-        )
-        report.reconstruction_reads += self._pending_recon_reads
-        report.busy_us += self._pending_recon_us
-        self._pending_recon_reads = 0
-        self._pending_recon_us = 0.0
         if local_vbns.size == 0:
             return report
         bpd = self.geometry.blocks_per_disk
@@ -418,26 +456,18 @@ class RAIDGroupRuntime(AllocSpace):
             dev.write_blocks(sb[bounds[d] : bounds[d + 1]])
         for dev in self.parity_devices:
             dev.write_blocks(touched)
-        report.blocks = int(local_vbns.size)
+        report.blocks_written = int(local_vbns.size)
         report.stripes = int(touched.size)
         return report
 
-    def _price_cp_writes(self, local_vbns: np.ndarray) -> GroupCPReport:
-        report = GroupCPReport(
-            blocks_per_disk=np.zeros(self.geometry.ndata, dtype=np.int64)
-        )
-        # Drain degraded reads accumulated since the last CP into this
-        # CP's accounting so reconstruction I/O is visible per CP.
-        report.reconstruction_reads += self._pending_recon_reads
-        report.busy_us += self._pending_recon_us
-        self._pending_recon_reads = 0
-        self._pending_recon_us = 0.0
+    def _price_cp_writes(self, local_vbns: np.ndarray,
+                         report: GroupCPReport) -> GroupCPReport:
         if local_vbns.size == 0:
             return report
         stats: StripeWriteStats = analyze_raid_writes(
             self.geometry, local_vbns, failed_disks=self.failed_disks
         )
-        report.blocks = stats.data_blocks
+        report.blocks_written = stats.data_blocks
         report.stripes = stats.stripes_written
         report.full_stripes = stats.full_stripes
         report.partial_stripes = stats.partial_stripes
@@ -472,7 +502,7 @@ class RAIDGroupRuntime(AllocSpace):
             us = self._issue_writes(dev, mine)
             us += dev.read_blocks(reads_per_dev)
             busy.append(us)
-        report.busy_us += max(busy) if busy else 0.0
+        report.device_busy_us += max(busy) if busy else 0.0
         return report
 
     def _issue_writes(self, dev: Device, dbns: np.ndarray) -> float:
@@ -549,7 +579,6 @@ class RAIDStore:
             self.groups, threshold_fraction=threshold_fraction
         )
         self._bounds = np.asarray([g.offset for g in self.groups] + [offset], dtype=np.int64)
-        self._pending_read_us: list[float] = [0.0] * len(self.groups)
 
     # ------------------------------------------------------------------
     @property
@@ -567,72 +596,32 @@ class RAIDStore:
     def log_free(self, vbns: np.ndarray) -> None:
         """Log global VBNs for freeing at the next CP boundary, in their groups' logs."""
         vbns = np.asarray(vbns, dtype=np.int64)
-        if vbns.size == 0:
-            return
-        if len(self.groups) == 1:
-            g = self.groups[0]
-            _check_free_range(vbns, int(vbns.min()), int(vbns.max()), g.offset,
-                              g.offset + self.nblocks)
-            g.delayed_frees.add(vbns - g.offset if g.offset else vbns)
-            return
-        for gi, glob in route_frees(vbns, self._bounds):
-            g = self.groups[gi]
-            g.delayed_frees.add(glob - g.offset)
+        for g, glob in zip(self.groups, route_vbns(vbns, self._bounds)):
+            if glob.size:
+                g.delayed_frees.add(glob - g.offset if g.offset else glob)
 
-    def charge_reads(self, n_random: int) -> None:
-        """Queue client random reads to be priced at the CP boundary,
-        spread uniformly across data devices."""
-        if n_random <= 0:
-            return
-        per_group = n_random / len(self.groups)
-        for gi, g in enumerate(self.groups):
-            per_dev = per_group / max(len(g.data_devices), 1)
-            us = 0.0
-            degraded = 0
-            for dev in g.data_devices:
-                share = int(round(per_dev))
-                if dev.failed:
-                    # Reads aimed at a failed member are reconstructed
-                    # from the survivors (charged via the group).
-                    degraded += share
-                    continue
-                us = max(us, dev.read_blocks(share))
-            if degraded:
-                g._reconstruct_blocks(degraded)
-            self._pending_read_us[gi] += us
-
-    def cp_boundary(self) -> StoreCPReport:
-        """Run the store-side CP boundary; see module docstring."""
-        report = StoreCPReport()
-        per_group_writes = self.allocator.drain_cp_writes()
-        busy: list[float] = []
-        for gi, (g, local) in enumerate(zip(self.groups, per_group_writes)):
-            # Sync the group allocator's pending span before applying
-            # frees (a same-CP write-then-delete frees a just-allocated
-            # VBN).
-            g.allocator.flush_pending()
-            grp = g.price_cp_writes(local)
-            grp.busy_us += self._pending_read_us[gi]
-            self._pending_read_us[gi] = 0.0
-            report.groups.append(grp)
-            report.blocks_written += grp.blocks
-            report.full_stripes += grp.full_stripes
-            report.partial_stripes += grp.partial_stripes
-            report.tetrises += grp.tetrises
-            report.chains += grp.chains
-            report.parity_reads += grp.parity_reads
-            report.reconstruction_reads += grp.reconstruction_reads
-            report.degraded_stripes += grp.degraded_stripes
-            busy.append(grp.busy_us)
+    def cp_boundary(self, written: np.ndarray, reads: int) -> StoreCPReport:
+        """Run the store-side CP boundary (see module docstring) for a CP
+        that placed the global VBNs ``written`` here and served ``reads``
+        client random reads, split evenly over the groups."""
+        grps: list[GroupCPReport] = []
+        for g, glob in zip(self.groups, route_vbns(written, self._bounds)):
+            # Reads are charged next to the writes, with no span edge
+            # between: a crash cannot leave a group's reads pending.
+            us = g.read_random(reads / len(self.groups))
+            grp = g.price_cp_writes(glob - g.offset)
+            grp.device_busy_us += us
+            grp.device_total_us = grp.device_busy_us
             grp.freed = g.apply_frees()
-            report.blocks_freed += int(grp.freed.size)
+            grp.blocks_freed = int(grp.freed.size)
+            grps.append(grp)
         # Flush batched score deltas into the caches (rebalancing).
         with obs.span("cp.cache_flush"):
             self.allocator.cp_flush()
-        for g in self.groups:
-            report.add_space_deltas(g.drain_cp())
-        report.device_busy_us = max(busy) if busy else 0.0
-        report.device_total_us = float(sum(busy))
+        for g, grp in zip(self.groups, grps):
+            grp.add_space_deltas(g.drain_cp())
+        report = merge_reports(grps)
+        report.groups = grps
         return report
 
 
@@ -655,9 +644,8 @@ class LinearStore(AllocSpace):
             where="store", policy=policy, seed=seed, offset=base,
         )
         self.nblocks = nblocks
+        self._bounds = (base, base + nblocks)
         self.device = ObjectStore(nblocks)
-        self._cp_writes: list[np.ndarray] = []
-        self._pending_read_us = 0.0
 
     # ------------------------------------------------------------------
     @property
@@ -683,62 +671,32 @@ class LinearStore(AllocSpace):
             )
 
     def allocate(self, n: int) -> np.ndarray:
-        vbns = self.allocator.allocate(n)
-        if vbns.size:
-            self._cp_writes.append(vbns)
-        return vbns
+        return self.allocator.allocate(n)
 
     def log_free(self, vbns: np.ndarray) -> None:
-        vbns = np.asarray(vbns, dtype=np.int64)
-        if vbns.size:
-            _check_free_range(vbns, int(vbns.min()), int(vbns.max()), self.offset,
-                              self.offset + self.nblocks)
-            self.delayed_frees.add(vbns - self.offset if self.offset else vbns)
+        (glob,) = route_vbns(np.asarray(vbns, dtype=np.int64), self._bounds)
+        if glob.size:
+            self.delayed_frees.add(glob - self.offset if self.offset else glob)
 
-    def charge_reads(self, n_random: int) -> None:
-        if n_random > 0:
-            self._pending_read_us += self.device.read_blocks(n_random)
-
-    def cp_boundary(self) -> StoreCPReport:
+    def cp_boundary(self, written: np.ndarray, reads: int) -> StoreCPReport:
+        """The CP boundary of a CP that placed the global VBNs
+        ``written`` here and served ``reads`` client random reads."""
         report = StoreCPReport()
-        if self._cp_writes:
-            vbns = np.sort(np.concatenate(self._cp_writes))
-            self._cp_writes = []
+        read_us = self.device.read_blocks(reads) if reads > 0 else 0.0
+        if written.size:
+            vbns = np.sort(written)
             report.blocks_written = int(vbns.size)
             report.chains = Device.chains_of(vbns)
             with obs.span("store.write", blocks=int(vbns.size)):
                 report.device_busy_us = self.device.write_blocks(vbns - self.offset)
                 obs.advance_us(report.device_busy_us)
-        report.device_busy_us += self._pending_read_us
-        self._pending_read_us = 0.0
-        # Sync the allocator's pending span before applying frees (a
-        # same-CP write-then-delete frees a just-allocated VBN).
-        self.allocator.flush_pending()
+        report.device_busy_us += read_us
         report.blocks_freed = int(self.apply_frees().size)
         with obs.span("cp.cache_flush"):
             self.allocator.cp_flush()
         report.add_space_deltas(self.drain_cp())
         report.device_total_us = report.device_busy_us
         return report
-
-
-#: Counter fields a merged :class:`StoreCPReport` sums over members.
-_SUMMED_FIELDS = (
-    "device_total_us",
-    "metafile_blocks",
-    "blocks_written",
-    "blocks_freed",
-    "full_stripes",
-    "partial_stripes",
-    "tetrises",
-    "chains",
-    "parity_reads",
-    "reconstruction_reads",
-    "degraded_stripes",
-    "cache_ops",
-    "aa_switches",
-    "spanned_blocks",
-)
 
 
 class Aggregate:
@@ -901,35 +859,27 @@ class Aggregate:
         if len(self.members) == 1:
             self.members[0].log_free(vbns)
             return
-        for i, glob in route_frees(vbns, self._bounds):
-            self.members[i].log_free(glob)
+        for member, glob in zip(self.members, route_vbns(vbns, self._bounds)):
+            if glob.size:
+                member.log_free(glob)
 
-    def charge_reads(self, n_random: int) -> None:
-        """Queue client random reads, spread across tiers proportional
-        to capacity (reads land where data lives; capacity is the
-        deterministic stand-in for per-tier residency)."""
-        if n_random <= 0:
-            return
-        left = n_random
-        for member in self.members[:-1]:
-            share = min(left, int(round(n_random * member.nblocks / self.nblocks)))
-            left -= share
-            member.charge_reads(share)
-        self.members[-1].charge_reads(left)
-
-    def cp_boundary(self) -> StoreCPReport:
-        """Run every member's CP boundary.  One member's report is the
-        aggregate's; several merge: counters sum, bottleneck busy time
-        is the max over members (tiers flush in parallel), and each
-        member's report lands in ``by_tier``."""
+    def cp_boundary(self, written: np.ndarray, reads: int) -> StoreCPReport:
+        """Run every member's CP boundary with the ``written`` global VBNs
+        it holds and a share of the ``reads`` proportional to its
+        capacity (the deterministic stand-in for per-tier residency).
+        One member's report is the aggregate's; several merge, and each
+        lands in ``by_tier``."""
         if len(self.members) == 1:
-            return self.members[0].cp_boundary()
-        report = StoreCPReport()
-        for label, member in self._members.items():
-            r = member.cp_boundary()
-            report.by_tier[label] = r
-            for f in _SUMMED_FIELDS:
-                setattr(report, f, getattr(report, f) + getattr(r, f))
-            report.groups.extend(r.groups)
-            report.device_busy_us = max(report.device_busy_us, r.device_busy_us)
+            return self.members[0].cp_boundary(written, reads)
+        shares, left = [], reads
+        for member in self.members[:-1]:
+            share = min(left, int(round(reads * member.nblocks / self.nblocks)))
+            shares.append(share)
+            left -= share
+        shares.append(left)
+        parts = [m.cp_boundary(glob, n) for m, glob, n in
+                 zip(self.members, route_vbns(written, self._bounds), shares)]
+        report = merge_reports(parts)
+        report.groups = [grp for r in parts for grp in r.groups]
+        report.by_tier = dict(zip(self.labels, parts))
         return report

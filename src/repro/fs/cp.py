@@ -5,6 +5,8 @@ efficiently flushes the changes to persistent storage ... as one single
 transaction known as a consistency point" (paper section 2.1).  The
 engine drives one CP at a time:
 
+0. Admission: a batch the CP cannot carry out whole is refused, typed,
+   before anything moves.
 1. Relocations first (segment cleaning, tier migration): each named
    virtual VBN gets a fresh physical home on the named tier and its old
    one is logged as a delayed free; the virtual VBN stays, so every
@@ -14,10 +16,12 @@ engine drives one CP at a time:
    placement: the volume's pinned tier, or the tier policy), install
    the new mappings, and log the superseded virtual/physical blocks as
    delayed frees.
-3. At the CP boundary: price the CP's device writes, apply delayed
-   frees, flush batched AA-score deltas into the AA caches, and drain
-   metafile dirty-block counts — producing one
-   :class:`~repro.sim.stats.CPStats` record.
+3. At the CP boundary the store gets the physical VBNs placed in steps
+   1-2 and the batch's client reads — held by this call alone, so a CP
+   that crashes leaves nothing for the next one to price — and prices
+   them on its devices, applies delayed frees, flushes batched AA-score
+   deltas into the AA caches, and drains metafile dirty-block counts;
+   the reports fold into one :class:`~repro.sim.stats.CPStats` record.
 4. The commit: the ``cp`` span closes and the CP counter moves (the
    superblock switch).  Post-commit, an attached persistence model
    adopts the new image and SSDs get TRIM for the CP's applied frees —
@@ -36,7 +40,7 @@ from ..common.errors import AllocationError, OutOfSpaceError, TieringError
 from ..core.space import AllocSpace
 from ..sim.cpu import CpuModel
 from ..sim.stats import CPStats, MetricsLog
-from .aggregate import Aggregate
+from .aggregate import Aggregate, merge_reports
 from .flexvol import FlexVol
 
 __all__ = ["CPBatch", "CPEngine"]
@@ -120,35 +124,57 @@ class CPEngine:
             *self.vols.values(),
         ]
 
-    def _relocations(self, batch: CPBatch) -> list[tuple[FlexVol, np.ndarray, np.ndarray]]:
-        """``(volume, virtual VBNs, their physical homes)`` per volume
-        of ``batch.relocate``, refused (typed) before anything moves."""
-        if not batch.relocate:
-            return []
-        to = batch.relocate_to
-        if to not in self.store.labels:
-            raise TieringError(f"relocation to tier {to!r}: the aggregate's tiers are "
-                               f"{self.store.labels}")
+    def _admit(self, batch: CPBatch) -> tuple[list, list, list]:
+        """The batch's relocations ``(volume, virtual VBNs, their
+        physical homes)``, writes and deletes ``(volume, logical ids)``,
+        ids deduplicated; refused whole, typed, before anything moves."""
         moves = []
-        for name, virtual in batch.relocate.items():
+        if batch.relocate:
+            to = batch.relocate_to
+            if to not in self.store.labels:
+                raise TieringError(f"relocation to tier {to!r}: the aggregate's tiers are "
+                                   f"{self.store.labels}")
+            for vol, virtual in self._ids(batch.relocate, "relocation", virtual=True):
+                old_p = vol.physical_of(virtual)
+                if (old_p < 0).any():
+                    raise AllocationError(f"FlexVol {vol.name} cannot relocate a virtual VBN "
+                                          "it does not map")
+                moves.append((vol, virtual, old_p))
+            n = sum(int(v.size) for _, v, _ in moves)
+            room = self.store.tier_usage()[to]["free"]
+            if n > room:
+                raise OutOfSpaceError(f"relocation of {n} blocks: {room} free on {to}")
+        writes = self._ids(batch.writes, "write")
+        for vol, ids in writes:
+            if ids.size > vol.free_count:
+                raise OutOfSpaceError(f"FlexVol {vol.name}: {ids.size} blocks written, "
+                                      f"{vol.free_count} virtual VBNs free")
+        need = sum(int(ids.size) for _, ids in writes) + sum(int(v.size) for _, v, _ in moves)
+        if need > self.store.free_count:
+            raise OutOfSpaceError(f"CP needs {need} physical blocks: "
+                                  f"{self.store.free_count} free")
+        return moves, writes, self._ids(batch.deletes, "delete")
+
+    def _ids(self, per_vol: dict[str, np.ndarray], what: str, *,
+             virtual: bool = False) -> list[tuple[FlexVol, np.ndarray]]:
+        """``(volume, sorted unique ids)`` per volume named; an unknown
+        volume or an id outside the volume's logical (or ``virtual``)
+        block space refuses the batch."""
+        out = []
+        for name, ids in per_vol.items():
             vol = self.vols.get(name)
             if vol is None:
-                raise AllocationError(f"relocation in unknown volume {name!r}")
-            virtual = sorted_unique(np.asarray(virtual, dtype=np.int64))
-            inside = virtual[(virtual >= 0) & (virtual < vol.nblocks)]
-            old_p = vol.physical_of(inside)
-            if inside.size < virtual.size or (old_p < 0).any():
-                raise AllocationError(f"FlexVol {name} cannot relocate a virtual VBN it does not map")
-            moves.append((vol, inside, old_p))
-        n = sum(int(v.size) for _, v, _ in moves)
-        room = self.store.tier_usage()[to]["free"]
-        if n > room:
-            raise OutOfSpaceError(f"relocation of {n} blocks: {room} free on {to}")
-        return moves
+                raise AllocationError(f"{what} in unknown volume {name!r}")
+            ids = sorted_unique(np.asarray(ids, dtype=np.int64))
+            limit = vol.nblocks if virtual else vol.l2v.size
+            if ids.size and (ids[0] < 0 or ids[-1] >= limit):
+                raise AllocationError(f"FlexVol {name}: {what} of block(s) outside [0, {limit})")
+            out.append((vol, ids))
+        return out
 
     def run_cp(self, batch: CPBatch) -> CPStats:
         """Execute one consistency point and record its statistics."""
-        moves = self._relocations(batch)
+        moves, writes, deletes = self._admit(batch)
         obs.set_cp(self._cp_index)
         # The sentinel is the FIRST record appended for this CP: the
         # ring evicts FIFO, so its presence guarantees the CP's records
@@ -158,19 +184,22 @@ class CPEngine:
         cp_span.__enter__()
         if self.auditor is not None:
             self.auditor.before_cp(self)
+        # The physical VBNs this CP places, handed to its boundary.
+        placed: list[np.ndarray] = []
         for vol, virtual, old_p in moves:
             n = int(virtual.size)
             with obs.span("cp.relocate", vol=vol.name, blocks=n):
-                vol.remap(virtual, self.store.allocate_in([batch.relocate_to], n))
+                new_p = self.store.allocate_in([batch.relocate_to], n)
+                vol.remap(virtual, new_p)
                 self.store.log_free(old_p)
+            placed.append(new_p)
 
         virtual_blocks = 0
         tier_policy = self.store.tier_policy
-        for name, ids in batch.writes.items():
-            vol = self.vols[name]
-            ids = sorted_unique(np.asarray(ids, dtype=np.int64))
+        for vol, ids in writes:
             if ids.size == 0:
                 continue
+            name = vol.name
             with obs.span("cp.allocate", vol=name, blocks=int(ids.size)):
                 new_v, old_v, old_p = vol.stage_writes(ids)
                 if tier_policy is None:
@@ -184,71 +213,54 @@ class CPEngine:
                     new_p = tier_policy.place(self.store, name, ids, was_mapped)
                 vol.commit_writes(ids, new_v, new_p, old_v)
                 self.store.log_free(old_p)
+            placed.append(new_p)
             obs.count("cp.virtual_blocks", int(ids.size), vol=name)
             virtual_blocks += int(ids.size)
 
-        for name, ids in batch.deletes.items():
-            vol = self.vols[name]
-            ids = sorted_unique(np.asarray(ids, dtype=np.int64))
-            if ids.size == 0:
-                continue
-            old_p = vol.stage_deletes(ids)
-            self.store.log_free(old_p)
-
-        if batch.reads:
-            self.store.charge_reads(batch.reads)
+        for vol, ids in deletes:
+            self.store.log_free(vol.stage_deletes(ids))
+        written = np.concatenate(placed) if placed else np.empty(0, dtype=np.int64)
 
         # ---- CP boundary -------------------------------------------------
         with obs.span("cp.boundary"):
-            store_report = self.store.cp_boundary()
+            store_report = self.store.cp_boundary(written, batch.reads)
             vol_reports = [vol.cp_boundary() for vol in self.vols.values()]
         if obs.active():
             self._trace_boundary(store_report, zip(self.vols.keys(), vol_reports))
-
-        metafile_blocks = store_report.metafile_blocks + sum(
-            r.metafile_blocks for r in vol_reports
-        )
-        cache_ops = store_report.cache_ops + sum(r.cache_ops for r in vol_reports)
-        aa_switches = store_report.aa_switches + sum(r.aa_switches for r in vol_reports)
-        spanned = store_report.spanned_blocks + sum(r.spanned_blocks for r in vol_reports)
+        total = merge_reports([store_report, *vol_reports])
 
         stats = CPStats(
             cp_index=self._cp_index,
             ops=batch.ops,
-            physical_blocks=store_report.blocks_written,
+            physical_blocks=total.blocks_written,
             virtual_blocks=virtual_blocks,
-            blocks_freed=store_report.blocks_freed
-            + sum(r.blocks_freed for r in vol_reports),
-            metafile_blocks_dirtied=metafile_blocks,
-            full_stripes=store_report.full_stripes,
-            partial_stripes=store_report.partial_stripes,
-            tetrises=store_report.tetrises,
-            write_chains=store_report.chains,
-            parity_reads=store_report.parity_reads,
-            reconstruction_reads=store_report.reconstruction_reads,
-            degraded_stripes=store_report.degraded_stripes,
-            device_busy_us=store_report.device_busy_us,
-            device_total_us=store_report.device_total_us,
-            cache_ops=cache_ops,
-            aa_switches=aa_switches,
-            spanned_blocks=spanned,
+            blocks_freed=total.blocks_freed,
+            metafile_blocks_dirtied=total.metafile_blocks,
+            full_stripes=total.full_stripes,
+            partial_stripes=total.partial_stripes,
+            tetrises=total.tetrises,
+            write_chains=total.chains,
+            parity_reads=total.parity_reads,
+            reconstruction_reads=total.reconstruction_reads,
+            degraded_stripes=total.degraded_stripes,
+            device_busy_us=total.device_busy_us,
+            device_total_us=total.device_total_us,
+            cache_ops=total.cache_ops,
+            aa_switches=total.aa_switches,
+            spanned_blocks=total.spanned_blocks,
             ops_by_source=dict(batch.ops_by_source),
-            blocks_by_tier={
-                t: r.blocks_written for t, r in store_report.by_tier.items()
-            },
-            freed_by_tier={
-                t: r.blocks_freed for t, r in store_report.by_tier.items()
-            },
+            blocks_by_tier={t: r.blocks_written for t, r in store_report.by_tier.items()},
+            freed_by_tier={t: r.blocks_freed for t, r in store_report.by_tier.items()},
         )
         stats.cpu_us = self.cpu_model.cp_cpu_us(
             ops=batch.ops,
             blocks=stats.physical_blocks + stats.virtual_blocks,
-            metafile_blocks=metafile_blocks,
-            aa_switches=aa_switches,
-            cache_ops=cache_ops,
-            spanned_blocks=spanned,
+            metafile_blocks=total.metafile_blocks,
+            aa_switches=total.aa_switches,
+            cache_ops=total.cache_ops,
+            spanned_blocks=total.spanned_blocks,
         )
-        self.cache_maintenance_us += self.cpu_model.cache_maintenance_us(cache_ops)
+        self.cache_maintenance_us += self.cpu_model.cache_maintenance_us(total.cache_ops)
         obs.advance_us(stats.cpu_us)
         cp_span.__exit__(None, None, None)
         self.metrics.add(stats)

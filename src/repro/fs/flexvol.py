@@ -260,10 +260,6 @@ class FlexVol(AllocSpace):
         score deltas into the AA cache, drain metafile dirty counts.
         (Virtual VBNs have no device cost; only metadata accounting.)"""
         report = StoreCPReport()
-        # Sync the allocator's pending span before applying frees: a
-        # same-CP write-then-delete frees a just-allocated VBN, whose
-        # bit must be set before the free clears it.
-        self.allocator.flush_pending()
         report.blocks_freed = int(self.apply_frees().size)
         self.allocator.cp_flush()
         report.add_space_deltas(self.drain_cp())

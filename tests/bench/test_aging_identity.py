@@ -35,9 +35,9 @@ class TestAgingLiteIdentity:
     def test_unpriced_aging_reaches_identical_state(self, monkeypatch):
         priced_cps = []
 
-        def priced_writes(group, local_vbns):
+        def priced_writes(group, local_vbns, report):
             priced_cps.append(int(local_vbns.size))
-            return group._price_cp_writes(local_vbns)
+            return group._price_cp_writes(local_vbns, report)
 
         with monkeypatch.context() as m:
             m.setattr(RAIDGroupRuntime, "_price_cp_writes_unpriced", priced_writes)

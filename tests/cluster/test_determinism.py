@@ -16,7 +16,9 @@ from repro.cluster import (
     noisy_fleet_requests,
 )
 from repro.cluster.shard import ShardRuntime, advance_shard, digest_of
+from repro.analysis import arm_global, disarm_global
 from repro.common.errors import GeometryError
+from repro.fs.cp import CPEngine
 
 #: Short epochs keep the module fast; digests only need to be equal.
 EPOCH_CPS = 3
@@ -199,3 +201,20 @@ def test_tenant_streams_independent_of_co_tenants():
     alone = arrivals_of([])
     crowded = arrivals_of(noisy_fleet_requests(4, seed=8)[1:])
     assert alone == crowded
+
+
+def test_advance_shard_leaves_the_callers_arming_alone(monkeypatch):
+    monkeypatch.setattr(CPEngine, "default_auditor_factory", None)  # restored after
+    spec = make_shard_specs(1, seed=55)[0]
+    reqs = tuple((r, 0) for r in noisy_fleet_requests(3, seed=4))
+    arm_global(raise_on_violation=False)
+    outer = CPEngine.default_auditor_factory
+    residents: dict = {}
+    for epochs in (1, 2):
+        advance_shard((spec, reqs, epochs, 3, True), residents)
+        assert CPEngine.default_auditor_factory is outer
+    assert not outer().raise_on_violation
+    # Unarmed, an audited call arms for itself only.
+    disarm_global()
+    advance_shard((spec, reqs, 3, 3, True), residents)
+    assert CPEngine.default_auditor_factory is None

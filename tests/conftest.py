@@ -8,6 +8,10 @@ import pytest
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.fs import WaflSim
 
+#: The written VBNs of a CP boundary that placed nothing.
+NO_VBNS = np.empty(0, dtype=np.int64)
+NO_VBNS.flags.writeable = False
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

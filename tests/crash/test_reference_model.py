@@ -19,7 +19,8 @@ internals:
   at least those.
 
 A rule the API refuses with a typed error leaves the reference as it
-was.  Under ``pytest --audit`` the CP-time auditor checks every CP too.
+was.  The CP-time auditor checks every CP the model's sim takes, with or
+without ``pytest --audit``: a CP after a crash prices only its own work.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.analysis.auditor import InvariantAuditor
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.errors import AllocationError, CrashError, OutOfSpaceError
 from repro.crash import CrashTracer, PersistenceModel
@@ -65,6 +67,7 @@ class ReferenceModel(stateful.RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.sim = WaflSim.build(SPEC, seed=1)
+        self.sim.engine.auditor = InvariantAuditor()
         self.model = PersistenceModel(self.sim, seed=1)
         names = list(self.sim.vols)
         #: Committed ``{logical id: write generation}`` per volume.

@@ -9,6 +9,7 @@ import pytest
 
 from repro.common import DegradedError, MediaError, TransientIOError
 from repro.faults import FaultInjector, FaultKind, attach_everywhere
+from repro.fs import CPBatch
 from repro.raid.geometry import RAIDGeometry
 from repro.raid.parity import analyze_raid_writes
 from repro.workloads import RandomOverwriteWorkload, fill_volumes
@@ -58,9 +59,10 @@ class TestDegradedWrites:
     def test_degraded_client_reads_reconstruct(self, sim):
         sim.store.fail_disk(0, 1)
         g = sim.store.groups[0]
-        sim.store.charge_reads(4000)
+        stats = sim.engine.run_cp(CPBatch(reads=4000))
         assert g.reconstruction_reads > 0
         assert g.degraded_reads > 0
+        assert stats.reconstruction_reads == g.reconstruction_reads
 
     def test_replace_disk_rebuilds(self, sim):
         sim.store.fail_disk(0, 1)

@@ -14,7 +14,7 @@ from repro.fs import (
     RAIDStore,
 )
 
-from ..conftest import trim_committed
+from ..conftest import NO_VBNS, trim_committed
 
 
 def make_store(n_groups=2, media=MediaType.SSD, **kw):
@@ -41,13 +41,13 @@ class TestRAIDStore:
     def test_log_free_refuses_vbns_outside_the_store(self, n_groups, past_end):
         st = make_store(n_groups=n_groups)
         v = st.allocate(512)
-        st.cp_boundary()
+        st.cp_boundary(v, 0)
         bad = st.nblocks + 5 if past_end else -1
         with pytest.raises(BitmapError, match=rf"\[{bad}\] outside .* \[0, {st.nblocks}\)"):
             st.log_free(np.append(v[:4], bad))
         # Refused whole: nothing logged, so the next CP frees nothing.
         assert all(g.delayed_frees.pending_count == 0 for g in st.groups)
-        assert st.cp_boundary().blocks_freed == 0
+        assert st.cp_boundary(NO_VBNS, 0).blocks_freed == 0
 
     def test_allocate_and_free_roundtrip(self):
         st = make_store()
@@ -55,13 +55,12 @@ class TestRAIDStore:
         assert v.size == 1000
         assert st.free_count == st.nblocks - 1000
         st.log_free(v)
-        st.cp_boundary()
+        st.cp_boundary(v, 0)
         assert st.free_count == st.nblocks
 
     def test_cp_report_contents(self):
         st = make_store()
-        st.allocate(600)
-        rep = st.cp_boundary()
+        rep = st.cp_boundary(st.allocate(600), 0)
         assert rep.blocks_written == 600
         assert rep.device_busy_us > 0
         assert rep.full_stripes == 200  # 600 blocks / 3 disks
@@ -72,30 +71,28 @@ class TestRAIDStore:
 
     def test_devices_priced_per_group(self):
         st = make_store()
-        st.allocate(600)
-        rep = st.cp_boundary()
-        assert sum(g.blocks for g in rep.groups) == 600
+        rep = st.cp_boundary(st.allocate(600), 0)
+        assert sum(g.blocks_written for g in rep.groups) == 600
         for grp in rep.groups:
-            assert grp.blocks > 0
-            assert grp.busy_us > 0
+            assert grp.blocks_written > 0
+            assert grp.device_busy_us > 0
             # Empty AAs fill stripe-major: blocks spread evenly on disks.
             assert grp.blocks_per_disk.max() - grp.blocks_per_disk.min() <= 1
 
     def test_parity_device_writes(self):
         st = make_store(n_groups=1)
-        st.allocate(300)
-        st.cp_boundary()
+        st.cp_boundary(st.allocate(300), 0)
         parity = st.groups[0].parity_devices[0]
         assert parity.stats.host_blocks_written == 100  # stripes touched
 
     def test_ssd_trim_on_free(self):
         st = make_store(n_groups=1)
         v = st.allocate(3000)
-        st.cp_boundary()
+        st.cp_boundary(v, 0)
         dev = st.groups[0].data_devices[0]
         assert dev.live_fraction() > 0
         st.log_free(v)
-        report = st.cp_boundary()
+        report = st.cp_boundary(NO_VBNS, 0)
         # The boundary frees; the drive is told only once the CP commits.
         assert dev.live_fraction() > 0
         trim_committed(st, report)
@@ -106,9 +103,9 @@ class TestRAIDStore:
                         blocks_per_disk=8192, stripes_per_aa=1024)
         st = RAIDStore(tier)
         v = st.allocate(3000)
-        st.cp_boundary()
+        st.cp_boundary(v, 0)
         st.log_free(v[::2])
-        trim_committed(st, st.cp_boundary())
+        trim_committed(st, st.cp_boundary(NO_VBNS, 0))
         g = st.groups[0]
         for data, twin in zip(g.data_devices, g.parity_devices):
             assert np.array_equal(twin._valid, data._valid)
@@ -124,15 +121,16 @@ class TestRAIDStore:
 
     def test_charge_reads(self):
         st = make_store()
-        st.charge_reads(300)
-        rep = st.cp_boundary()
+        rep = st.cp_boundary(NO_VBNS, 300)
         assert rep.device_busy_us > 0
+        # The reads were this CP's alone: the next boundary prices none.
+        assert st.cp_boundary(NO_VBNS, 0).device_busy_us == 0
 
     def test_random_policy_store(self):
         st = make_store(policy=PolicyKind.RANDOM, seed=3)
         v = st.allocate(500)
         assert v.size == 500
-        st.cp_boundary()
+        st.cp_boundary(v, 0)
 
     def test_object_media_rejected_in_raid(self):
         with pytest.raises(GeometryError):
@@ -147,8 +145,7 @@ class TestLinearStore:
 
     def test_cp_boundary_prices_device(self):
         st = LinearStore(32768 * 2)
-        st.allocate(500)
-        rep = st.cp_boundary()
+        rep = st.cp_boundary(st.allocate(500), 0)
         assert rep.blocks_written == 500
         assert rep.chains == 1
         assert rep.device_busy_us > 0
@@ -157,7 +154,7 @@ class TestLinearStore:
         st = LinearStore(32768 * 2)
         v = st.allocate(100)
         st.log_free(v)
-        rep = st.cp_boundary()
+        rep = st.cp_boundary(v, 0)
         assert rep.blocks_freed == 100
         assert st.free_count == st.nblocks
 
@@ -165,15 +162,14 @@ class TestLinearStore:
     def test_log_free_refuses_vbns_outside_the_store(self, past_end):
         st = LinearStore(32768 * 2)
         v = st.allocate(100)
-        st.cp_boundary()
+        st.cp_boundary(v, 0)
         bad = st.nblocks + 5 if past_end else -1
         with pytest.raises(BitmapError, match=rf"\[{bad}\] outside .* \[0, {st.nblocks}\)"):
             st.log_free(np.append(v, bad))
         assert st.delayed_frees.pending_count == 0
-        assert st.cp_boundary().blocks_freed == 0
+        assert st.cp_boundary(NO_VBNS, 0).blocks_freed == 0
 
     def test_metafile_accounting(self):
         st = LinearStore(32768 * 4)
-        st.allocate(10)
-        rep = st.cp_boundary()
+        rep = st.cp_boundary(st.allocate(10), 0)
         assert rep.metafile_blocks == 1

@@ -41,9 +41,26 @@ def _flexvol() -> Rig:
     return Rig(vol, lambda n: vol.allocator.allocate(n), vol.cp_boundary)
 
 
+def _store_rig(space: AllocSpace, store) -> Rig:
+    """The CP engine's path for a store: a CP's boundary gets the VBNs
+    allocated since the last one."""
+    placed: list[np.ndarray] = []
+
+    def allocate(n: int) -> np.ndarray:
+        placed.append(store.allocate(n))
+        return placed[-1]
+
+    def cp() -> StoreCPReport:
+        written = np.concatenate(placed) if placed else np.empty(0, dtype=np.int64)
+        placed.clear()
+        return store.cp_boundary(written, 0)
+
+    return Rig(space, allocate, cp)
+
+
 def _linear() -> Rig:
     store = LinearStore(16384, blocks_per_aa=1024, seed=0)
-    return Rig(store, store.allocate, store.cp_boundary)
+    return _store_rig(store, store)
 
 
 def _raid() -> Rig:
@@ -53,7 +70,7 @@ def _raid() -> Rig:
     )
     # Allocation goes through the aggregate, which must follow the
     # group across every rebind without being told.
-    return Rig(store.groups[0], store.allocate, store.cp_boundary)
+    return _store_rig(store.groups[0], store)
 
 
 KINDS = {"flexvol": _flexvol, "linear": _linear, "raid": _raid}

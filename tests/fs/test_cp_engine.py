@@ -9,7 +9,7 @@ from repro.analysis.auditor import audit_sim
 from repro.common.errors import AllocationError, OutOfSpaceError, TieringError
 from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.crash import capture_image
-from repro.fs import CPBatch, WaflSim
+from repro.fs import CPBatch, WaflSim, iron
 from repro.workloads import fill_volumes
 
 from ..conftest import small_ssd_sim, two_tier_sim
@@ -149,3 +149,62 @@ class TestRelocation:
         assert (stats.physical_blocks, stats.blocks_freed) == (20, 30)
         assert sim.store.free_count == used
         assert audit_sim(sim).ok
+
+
+def admission_sim(*vols: VolumeDecl) -> WaflSim:
+    """A one-tier SSD aggregate of 4 data disks x 4,096 blocks, its
+    volumes filled."""
+    sim = WaflSim.build(AggregateSpec(
+        tiers=(TierSpec(label="ssd", media="ssd", ndata=4, blocks_per_disk=4096,
+                        stripes_per_aa=512),),
+        volumes=vols or (VolumeDecl("a", logical_blocks=4000),
+                         VolumeDecl("b", logical_blocks=4000)),
+    ), seed=0)
+    fill_volumes(sim)
+    return sim
+
+
+#: why -> (batch, refusal); ``a`` and ``b`` hold 4,000 logical blocks each.
+ADMISSION_REFUSALS = {
+    "write in an unknown volume": (
+        CPBatch(writes={"a": np.arange(10), "zz": np.arange(10)}), AllocationError),
+    "write past the end": (CPBatch(writes={"a": np.arange(10), "b": [3999, 4000]}),
+                           AllocationError),
+    "negative write": (CPBatch(writes={"b": [-1]}), AllocationError),
+    "delete in an unknown volume": (
+        CPBatch(deletes={"a": np.arange(10), "zz": np.arange(10)}), AllocationError),
+    "delete past the end": (CPBatch(deletes={"a": np.arange(10), "b": [4000]}),
+                            AllocationError),
+    "negative delete": (CPBatch(deletes={"b": [-1]}), AllocationError),
+}
+
+
+def assert_refused_whole(sim, batch, error):
+    image = capture_image(sim).digest()
+    with pytest.raises(error):
+        sim.engine.run_cp(batch)
+    assert capture_image(sim).digest() == image
+    assert audit_sim(sim).ok
+    assert iron.scan(sim).clean
+    stats = sim.engine.run_cp(CPBatch())
+    assert (stats.physical_blocks, stats.virtual_blocks, stats.device_busy_us) == (0, 0, 0)
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("why", sorted(ADMISSION_REFUSALS))
+    def test_refused_before_anything_moves(self, why):
+        batch, error = ADMISSION_REFUSALS[why]
+        assert_refused_whole(admission_sim(), batch, error)
+
+    def test_physical_shortfall(self):
+        sim = admission_sim(VolumeDecl("v", logical_blocks=16000))
+        sim.create_snapshot("v", "pin")  # the overwrite frees nothing
+        assert sim.store.free_count == 384
+        assert_refused_whole(sim, CPBatch(writes={"v": np.arange(1000)}), OutOfSpaceError)
+
+    def test_virtual_shortfall(self):
+        sim = admission_sim(VolumeDecl("v", logical_blocks=4000, virtual_blocks=4096,
+                                             blocks_per_aa=1024))
+        # The overwritten virtual VBNs are freed only at the boundary.
+        assert sim.vols["v"].free_count == 96
+        assert_refused_whole(sim, CPBatch(writes={"v": np.arange(200)}), OutOfSpaceError)

@@ -6,9 +6,9 @@ the precondition the new code relies on — strictly increasing DBNs into
 ``azcs_expand`` and ``Device.write_blocks`` — is pinned on a live
 3-tier aggregate.
 
-The free path routes by one sort and slices the same way: stores cut a
-sorted batch at their owners' bounds, RAID groups trim each disk with
-its slice of the sorted frees.  The per-owner boolean-mask versions they
+The free and write paths route by one sort and slice the same way:
+stores cut a sorted batch of a CP's frees or writes at their owners'
+bounds, RAID groups trim each disk with its slice of the sorted frees.  The per-owner boolean-mask versions they
 replaced are kept below as oracles too, with the two gathers the CP path
 now skips."""
 
@@ -30,7 +30,7 @@ from repro.core import DelayedFreeLog
 from repro.devices import SMRConfig, SMRDrive
 from repro.devices.base import Device, MediaType
 from repro.fs import WaflSim, azcs_expand
-from repro.fs.aggregate import Aggregate, RAIDGroupRuntime, RAIDStore
+from repro.fs.aggregate import Aggregate, RAIDGroupRuntime, RAIDStore, merge_reports
 from repro.raid.geometry import RAIDGeometry
 from repro.raid.parity import analyze_raid_writes
 from repro.workloads import (
@@ -296,6 +296,13 @@ class MaskRoutedAggregate(Aggregate):
             if mask.any():
                 member.log_free(vbns[mask])
 
+    def cp_boundary(self, written, reads):
+        """A CP's writes routed by mask, in allocation order (reads are
+        not routed here)."""
+        idx = self.tier_index_of(written)
+        return merge_reports([member.cp_boundary(written[idx == i], 0)
+                              for i, member in enumerate(self.members)])
+
 
 def mask_trim(self, freed):
     if freed.size and self.media is MediaType.SSD:
@@ -342,9 +349,12 @@ def test_raid_store_routing_matches_mask_oracle(data, n_groups):
                               g_old.delayed_frees.pending_vbns())
 
 
-@given(data=st.data(), kinds=st.lists(st.sampled_from(["raid", "object"]), min_size=1, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_tiered_store_routing_matches_mask_oracle(data, kinds):
+@given(data=st.data(), kinds=st.lists(st.sampled_from(["raid", "object"]), min_size=1, max_size=3),
+       entry=st.sampled_from(["log_free", "cp_boundary"]))
+@settings(max_examples=80, deadline=None)
+def test_tiered_store_routing_matches_mask_oracle(data, kinds, entry):
+    """A CP's frees (``log_free``) and its writes (``cp_boundary``) reach
+    the members the mask version routes them to."""
     tiers = [
         _hdd_tier(f"t{i}", i + 1) if kind == "raid" else
         TierSpec(label=f"t{i}", media="object", raid="none", nblocks=512 * (i + 1),
@@ -356,13 +366,27 @@ def test_tiered_store_routing_matches_mask_oracle(data, kinds):
     calls: list[list[list[np.ndarray]]] = []
     for store in stores:
         calls.append([[] for _ in store.members])
-        for i, member in enumerate(store.members):
-            member.log_free = calls[-1][i].append
+        for member, log in zip(store.members, calls[-1]):
+            if entry == "log_free":
+                member.log_free = log.append
+            else:
+                member.cp_boundary = lambda w, r, log=log: (
+                    log.append(w), aggregate_mod.StoreCPReport())[1]
     vbns = _edge_vbns(data.draw, [*stores[0].bases, stores[0].nblocks])
+    if entry == "cp_boundary":
+        # A CP writes each VBN once, in allocation (not VBN) order.
+        vbns = np.unique(vbns)
+        vbns = vbns[np.random.default_rng(data.draw(st.integers(0, 99))).permutation(vbns.size)]
     for store in stores:
-        store.log_free(vbns)
+        if entry == "log_free":
+            store.log_free(vbns)
+        else:
+            store.cp_boundary(vbns, 0)
     new, old = calls
-    assert [len(c) for c in new] == [len(c) for c in old]  # no call for an empty owner
+    assert [len(c) for c in new] == [len(c) for c in old]  # no free call for an empty owner
+    if entry == "cp_boundary":
+        # Every member's boundary runs once a CP, with what it was written.
+        assert [len(c) for c in new] == [1] * len(kinds)
     for got, want in zip(new, old):
         assert all(np.array_equal(np.sort(a), np.sort(b)) for a, b in zip(got, want))
 
@@ -410,12 +434,12 @@ def test_trims_match_mask_oracle(data, raid, ndata, n_groups, fail):
         n = data.draw(st.integers(0, 3000), label="allocate")
         frac = data.draw(st.floats(0, 1), label="free fraction")
         frees = live[rng.random(live.size) < frac]
+        got = [store.allocate(n) for store in stores]
         for store in stores:
-            got = store.allocate(n)
             store.log_free(frees)
-        live = np.concatenate([np.setdiff1d(live, frees), got])
-        for store in stores:
-            trim_committed(store, store.cp_boundary())
+        live = np.concatenate([np.setdiff1d(live, frees), got[0]])
+        for store, written in zip(stores, got):
+            trim_committed(store, store.cp_boundary(written, 0))
         new, old = trims
         assert [len(t) for t in new] == [len(t) for t in old]
         for got_t, want_t in zip(new, old):

@@ -14,6 +14,8 @@ from repro.fs import Aggregate, WaflSim
 from repro.fs.aggregate import StoreCPReport
 from repro.fs.tiers import choose_tier
 
+from ..conftest import NO_VBNS
+
 VOLUMES = (VolumeDecl("v", logical_blocks=4096),)
 
 SPECS = {
@@ -74,11 +76,10 @@ def test_store_conforms(kind):
     vbns = store.allocate_in(store.labels, 600)
     assert vbns.size == 600 and np.unique(vbns).size == 600
     assert store.free_count == store.nblocks - 600
-    store.charge_reads(16)
-    report = store.cp_boundary()
+    report = store.cp_boundary(vbns, 16)
     assert isinstance(report, StoreCPReport) and report.blocks_written == 600
     store.log_free(vbns[:100])
-    assert store.cp_boundary().blocks_freed == 100
+    assert store.cp_boundary(NO_VBNS, 0).blocks_freed == 100
     assert store.free_count == store.nblocks - 500
     fracs = store.selected_aa_free_fractions()
     assert fracs.dtype == np.float64 and fracs.size >= 1

@@ -10,6 +10,8 @@ from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
 from repro.common.errors import BitmapError, GeometryError, TieringError
 from repro.fs import Aggregate, Tier, WaflSim, choose_tier, media_role
 
+from ..conftest import NO_VBNS
+
 
 def two_tier_spec(**vol_kw) -> AggregateSpec:
     return AggregateSpec(
@@ -56,12 +58,12 @@ class TestComposition:
     def test_log_free_refuses_vbns_outside_the_aggregate(self, past_end):
         store = two_tier_store()
         fast = store.allocate_in(["flash"], 64)
-        store.cp_boundary()
+        store.cp_boundary(fast, 0)
         bad = store.nblocks + 5 if past_end else -1
         with pytest.raises(BitmapError, match=rf"\[{bad}\] outside .* \[0, {store.nblocks}\)"):
             store.log_free(np.append(fast, bad))
         assert all(g.delayed_frees.pending_count == 0 for g in store.groups)
-        assert store.cp_boundary().blocks_freed == 0
+        assert store.cp_boundary(NO_VBNS, 0).blocks_freed == 0
 
     def test_allocate_in_stays_inside_the_tier(self):
         store = two_tier_store()
@@ -92,7 +94,7 @@ class TestComposition:
         fast = store.allocate_in(["flash"], 64)
         slow = store.allocate_in(["disk"], 64)
         store.log_free(np.concatenate([fast, slow]))
-        store.cp_boundary()
+        store.cp_boundary(np.concatenate([fast, slow]), 0)
         usage = store.tier_usage()
         assert usage["flash"]["used"] == 0
         assert usage["disk"]["used"] == 0

@@ -179,7 +179,7 @@ class TestServiceAndCharging:
         assert all(b.writes["volA"].size == 2 * (b.ops - b.reads) for b in batches)
         client_reads = sum(b.reads for b in batches)
         devices = sim.store.groups[0].data_devices
-        # charge_reads spreads a CP's reads over the data devices,
+        # The CP boundary spreads a CP's reads over the data devices,
         # rounding each device's share.
         assert sum(d.stats.blocks_read for d in devices) == pytest.approx(
             client_reads, abs=len(devices) * len(batches))
