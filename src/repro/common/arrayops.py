@@ -10,9 +10,11 @@ bincount (:func:`group_counts`).
 
 from __future__ import annotations
 
+from typing import Collection
+
 import numpy as np
 
-__all__ = ["run_starts", "sorted_unique", "group_counts"]
+__all__ = ["run_starts", "sorted_unique", "group_counts", "in_few"]
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
@@ -33,6 +35,17 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     """
     x = np.sort(a)
     return x[run_starts(x)]
+
+
+def in_few(values: np.ndarray, few: Collection[int]) -> np.ndarray:
+    """Mask of the ``values`` that are in ``few``, a non-empty handful of
+    ints: one vector comparison per int, which beats a binary search of
+    each value among them (its branches mispredict on unsorted values)."""
+    rest = iter(few)
+    mask = values == next(rest)
+    for one in rest:
+        mask |= values == one
+    return mask
 
 
 def group_counts(keys: np.ndarray, nkeys: int) -> tuple[np.ndarray, np.ndarray]:

@@ -165,7 +165,8 @@ class DelayedFreeLog:
         self._pending.clear()
         self._count_backlog = []
         self._pending_total = 0
-        self._hbps.rebuild(())
+        if self._hbps.total_count:  # only apply_best and the counts' readers fill it
+            self._hbps.rebuild(())
         return vbns
 
     def apply_best(self, metafile: BitmapMetafile, max_blocks: int) -> np.ndarray:

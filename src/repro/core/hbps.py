@@ -38,6 +38,7 @@ from typing import AbstractSet, Iterable, Iterator
 
 import numpy as np
 
+from ..common.arrayops import in_few
 from ..common.constants import HBPS_BIN_WIDTH, HBPS_LIST_CAPACITY
 from ..common.errors import CacheError, SerializationError
 
@@ -55,6 +56,8 @@ _HEADER = struct.Struct("<IIIIII")  # magic, version, max_score, bin_width, nbin
 _U32 = np.dtype("<u4")
 #: ``ndarray.min`` / ``max`` without their Python-level wrappers (hot paths).
 _min, _max = np.minimum.reduce, np.maximum.reduce
+#: The bit of item ``i`` in byte ``i >> 3`` of the membership index.
+_BIT = np.array([1 << k for k in range(8)], dtype=np.uint8)
 
 
 class HBPS:
@@ -75,6 +78,10 @@ class HBPS:
     Higher scores are better.  Bin 0 holds the best scores
     ``(max_score - bin_width, max_score]`` and the last bin holds score
     0 exactly, mirroring Figure 5's "31K-32K, 30K-31K, ..." layout.
+    Items are non-negative ids (the list page stores them as ``u32``),
+    and a batch (:meth:`update_many`) names each at most once; the
+    membership index relies on both, and :meth:`check_invariants`
+    catches a caller that breaks them.
     """
 
     __slots__ = (
@@ -85,6 +92,7 @@ class HBPS:
         "_counts",
         "_lists",
         "_pos",
+        "_index",
         "_total",
         "_worst",
         "pops",
@@ -115,6 +123,10 @@ class HBPS:
         self._counts = np.zeros(self.nbins, dtype=np.int64)
         self._lists: list[list[int]] = [[] for _ in range(self.nbins)]
         self._pos: dict[int, int] = {}  # listed item -> its bin
+        #: Membership index of ``_pos``, 1 bit per item id (bit ``i & 7``
+        #: of byte ``i >> 3``), built by the first batch that needs it
+        #: (:meth:`_listed_rows`) and kept in step by every list mutator.
+        self._index: bytearray | None = None
         self._total = 0
         #: Upper bound on the worst listed bin: raised when an item is
         #: listed, walked down past emptied bins when it is next read.
@@ -227,14 +239,15 @@ class HBPS:
         batch's; their old scores are ignored) or :meth:`update` each
         ``(item, old, new)`` column of ``rows``, a ``(3, n)`` int64 array,
         as those calls would in row order — or, where one would raise,
-        not at all.  The histogram moves in two ``bincount``s; only rows
-        that can change the list page take the listing policy, and only
-        they become Python ints (why that is exact: DESIGN.md section 6)."""
+        not at all.  The items must be distinct and non-negative (as
+        :func:`~repro.core.score.as_changes` makes them).  The histogram
+        moves in two ``bincount``s; only rows that change the list page
+        take the listing policy, and only they become Python ints (why
+        that is exact: DESIGN.md section 6)."""
         items = rows[0]
         below = self.max_score - rows[1:]  # how far each old and new score is below the maximum
         if entering:  # their rows, found by one search among the sorted entering items
-            probe = np.array(sorted(entering), dtype=np.int64)
-            entered = probe.take(probe.searchsorted(items), mode="clip") == items
+            entered = in_few(items, entering)
             below[0][entered] = 0
         # Read as unsigned, ``below`` exceeds ``max_score`` exactly for a score out of range.
         if _max(below.view(np.uint64), axis=None) > self.max_score:
@@ -250,20 +263,71 @@ class HBPS:
             raise CacheError("histogram underflow in a batch of updates")
         np.add(counts, np.bincount(nb, minlength=self.nbins), out=self._counts)
         self.updates += items.size - len(entering)
-        page = ob != nb
-        if self._total > self.list_capacity + 1:
-            worst = self._worst_listed_bin()
-            listed = np.fromiter(map(self._pos.__contains__, items.tolist()), bool, items.size)
-            page &= listed | (nb <= (-1 if worst is None else worst))
-            if entering:
-                page |= entered
-        page = page.nonzero()[0]
-        for item, b in zip(items[page].tolist(), nb[page].tolist()):
-            if item in entering:
-                self._total += 1
-            elif item in self._pos:
+        moved = ob != nb
+        if self._total <= self.list_capacity + 1:
+            page = moved.nonzero()[0]  # every moved row takes the listing policy
+            for item, b in zip(items[page].tolist(), nb[page].tolist()):
+                if item in entering:
+                    self._total += 1
+                elif item in self._pos:
+                    self._unlist(item)
+                self._maybe_list(item, b)
+            return
+        # Over ``list_capacity + 1`` items the worst listed bin ``w`` never
+        # rises: rows listed now or landing better than ``w`` take the
+        # listing policy; rows of unlisted items landing in ``w`` fill the
+        # page's room, then each would only evict itself; all other rows
+        # leave the page alone.
+        self._total += len(entering)
+        w = self._worst_listed_bin()
+        w = -1 if w is None else w
+        listed = self._listed_rows(items)
+        page = (moved & (listed | (nb < w))).nonzero()[0]
+        at_worst = (moved & (nb == w) & ~listed).nonzero()[0]
+        done = 0
+        for cut, item, b in zip(
+            at_worst.searchsorted(page).tolist(), items[page].tolist(), nb[page].tolist()
+        ):
+            if cut > done:  # the rows landing in ``w`` before this one
+                self._land_in_worst(items[at_worst[done:cut]], w)
+                done = cut
+            if item in self._pos:  # else evicted by an earlier row, or entering
                 self._unlist(item)
             self._maybe_list(item, b)
+        if done < at_worst.size:
+            self._land_in_worst(items[at_worst[done:]], w)
+
+    def _land_in_worst(self, items: np.ndarray, w: int) -> None:
+        """Unlisted ``items`` moving into bin ``w``, the worst listed bin
+        at batch start, while more than ``list_capacity + 1`` items are
+        tracked.  While ``w`` is still the worst listed bin they fill the
+        page's room in order; each one past that is listed and evicted at
+        once, so it only counts an eviction."""
+        if self._worst_listed_bin() != w:
+            return  # ``w`` emptied: nothing lists into a bin worse than the worst
+        room = self.list_capacity - len(self._pos)
+        for item in items[:room].tolist():
+            self._maybe_list(item, w)
+        self.evictions += max(items.size - room, 0)
+
+    def _listed_rows(self, items: np.ndarray) -> np.ndarray:
+        """Mask of the listed ``items``: one gather on the membership
+        index, built the first time (to cover ``items`` as well).  An
+        item id past the index reads a bit of its last byte, so a
+        ``True`` may be wrong; a ``False`` never is."""
+        if self._index is None:
+            self._reindex(int(_max(items)))
+        bits = np.frombuffer(self._index, np.uint8).take(items >> 3, mode="clip")
+        return (bits & _BIT.take(items & 7)).astype(bool)
+
+    def _reindex(self, top: int) -> None:
+        """Index the listed items afresh, in a bit array covering item
+        ids up to ``top`` and the largest listed one."""
+        ids = np.fromiter(self._pos, np.int64, len(self._pos))
+        if ids.size:
+            top = max(top, int(_max(ids)))
+        self._index = bytearray(top // 8 + 1)
+        np.bitwise_or.at(np.frombuffer(self._index, np.uint8), ids >> 3, _BIT.take(ids & 7))
 
     def _underflows(self, ob: np.ndarray, nb: np.ndarray) -> bool:
         """Whether a row of :meth:`update_many` (``ob == nbins`` where it
@@ -306,7 +370,7 @@ class HBPS:
             return None
         item, b = best
         self._lists[b].pop()
-        del self._pos[item]
+        self._forget(item)
         self._counts[b] -= 1
         self._total -= 1
         self.pops += 1
@@ -325,11 +389,13 @@ class HBPS:
         walks the bitmap metafiles, recomputes every AA score, and
         refills the histogram and list (paper section 3.3.2).  Bins are
         filled best-first, in ``items`` order within a bin, until the
-        list page reaches capacity.  An out-of-range score raises
+        list page reaches capacity.  An out-of-range score, or a negative
+        id among the items it would list (only those are stored), raises
         :class:`CacheError` before anything is reset.
         """
+        items = np.asarray(items)
         scores = np.asarray(scores, dtype=np.int64)
-        if len(items) != scores.size:
+        if items.size != scores.size:
             raise CacheError("items and scores differ in length")
         if scores.size and not 0 <= scores.min() <= scores.max() <= self.max_score:
             raise CacheError(f"score outside [0, {self.max_score}]")
@@ -340,11 +406,16 @@ class HBPS:
         last = int(counts.cumsum().searchsorted(self.list_capacity))
         reach = (bins <= last).nonzero()[0]
         order = reach[bins[reach].argsort(kind="stable")[: self.list_capacity]]
-        listed = np.asarray(items)[order].tolist()
+        listed = items[order]
+        if listed.size and _min(listed) < 0:
+            raise CacheError("a listed item id is negative")
+        listed = listed.tolist()
         listed_bins = bins[order]
         self._counts = counts
         self._total = int(scores.size)
         self._pos = dict(zip(listed, listed_bins.tolist()))
+        if self._index is not None:
+            self._reindex(8 * len(self._index) - 1)
         self._lists = [[] for _ in range(self.nbins)]
         lo = 0
         for b, n in enumerate(np.bincount(listed_bins).tolist()):
@@ -382,20 +453,21 @@ class HBPS:
         """List ``item`` (bin ``b``) if doing so preserves the invariant
         that every bin strictly better than the worst listed bin is
         fully listed — the property behind the 3.125% error margin."""
-        worst = self._worst_listed_bin()
+        listed = len(self._pos)
         # "Everything else is listed and there is room" — the only case
         # where listing an item from a bin worse than the current worst
         # cannot break the full-listing invariant.
-        everything_listed = (
-            self.listed_count == self._total - 1
-            and self.listed_count < self.list_capacity
-        )
-        if worst is None:
-            qualifies = everything_listed
-        else:
-            qualifies = b <= worst or everything_listed
-        if not qualifies:
-            return
+        if not (listed == self._total - 1 and listed < self.list_capacity):
+            if b > self._worst:  # worse than the bound on the worst listed bin
+                return
+            worst = self._worst_listed_bin()
+            if worst is None or b > worst:
+                return
+        index = self._index
+        if index is not None:
+            if item >> 3 >= len(index):
+                index.extend(bytes((item >> 3) + 1 - len(index)))
+            index[item >> 3] |= 1 << (item & 7)
         self._lists[b].append(item)
         self._pos[item] = b
         if b > self._worst:
@@ -406,13 +478,18 @@ class HBPS:
     def _evict_one(self) -> None:
         worst = self._worst_listed_bin()
         assert worst is not None
-        victim = self._lists[worst].pop()
-        del self._pos[victim]
+        self._forget(self._lists[worst].pop())
         self.evictions += 1
 
+    def _forget(self, item: int) -> int:
+        """Drop listed ``item`` from the position map and the membership
+        index; return its bin (its bin list is the caller's to fix)."""
+        if self._index is not None:
+            self._index[item >> 3] &= ~(1 << (item & 7))
+        return self._pos.pop(item)
+
     def _unlist(self, item: int) -> None:
-        b = self._pos.pop(item)
-        lst = self._lists[b]
+        lst = self._lists[self._forget(item)]
         # Swap-remove for O(1): order within a bin is insignificant
         # ("the benefit provided by sorting AAs within a range was found
         # to be negligible", paper section 3.3.2).
@@ -446,6 +523,15 @@ class HBPS:
                 f"bin {b} (better than worst listed bin {worst}) is not fully "
                 f"listed: {sizes[b]} of {counts[b]}"
             )
+        if self._index is not None:
+            index = np.frombuffer(self._index, np.uint8)
+            ids = np.fromiter(self._pos, np.int64, listed)
+            if ids.size and not 0 <= _min(ids) <= _max(ids) < 8 * index.size:
+                raise CacheError("a listed item lies outside the membership index")
+            if int(np.bitwise_count(index).sum()) != listed or not np.all(
+                index.take(ids >> 3) & _BIT.take(ids & 7)
+            ):
+                raise CacheError("membership index does not match the list page")
         get = self._pos.get
         for b in compress(range(self.nbins), sizes):  # empty bins pass both checks
             lst = self._lists[b]

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..common.arrayops import in_few
 from ..common.constants import HBPS_BIN_WIDTH, HBPS_LIST_CAPACITY
 from ..common.errors import CacheError
 from .hbps import HBPS
-from .score import ScoreChanges, as_changes
+from .score import ScoreChanges, as_changes, checked_out_in
 
 __all__ = ["RAIDAgnosticAACache"]
 
@@ -163,13 +164,12 @@ class RAIDAgnosticAACache:
         if not len(changes):
             return  # nothing moved this CP
         rows = as_changes(changes, self.num_aas)
-        aas = rows[0].tolist()
-        back = self._out.intersection(aas)  # checked out: these re-enter,
+        back = checked_out_in(rows[0], self._out)  # checked out: these re-enter,
         stay = held & back  # bar those still being filled (they re-enter via return_aa)
         if stay:
-            if len(stay) == len(aas):
+            if len(stay) == rows.shape[1]:
                 return
-            rows = rows.take([i for i, aa in enumerate(aas) if aa not in stay], axis=1)
+            rows = rows.compress(~in_few(rows[0], stay), axis=1)
             back.difference_update(stay)
         if self._seeded:
             # Nothing is evicted while seeded: the AAs listed now are those that move.

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import CacheError
-from .score import ScoreChanges, as_changes
+from .score import ScoreChanges, as_changes, checked_out_in
 
 __all__ = ["RAIDAwareAACache"]
 
@@ -180,9 +180,10 @@ class RAIDAwareAACache:
         aas, news = rows[0], rows[2]
         self._check_scores(news)
         self._score[aas] = news
-        back = self._out.intersection(aas.tolist())  # checked out: these re-enter,
-        stay = held & back  # bar those still being filled (they re-enter via push_back)
-        self._out.difference_update(back - stay)
+        stay = back = checked_out_in(aas, self._out)  # checked out: these re-enter,
+        if back:
+            stay = held & back  # bar those still being filled (they re-enter via push_back)
+            self._out.difference_update(back - stay)
         self._enter(aas, news, stay)
 
     # ------------------------------------------------------------------
@@ -274,7 +275,10 @@ class RAIDAwareAACache:
         touched = np.zeros(self._block_max.size, dtype=bool)
         touched[aas >> self._block_bits] = True
         blocks = touched.nonzero()[0]
-        self._block_max[blocks] = _max(self._key.take(blocks, axis=0), axis=1)
+        if blocks.size == touched.size:  # every block: no gathered copy of the keys
+            _max(self._key, axis=1, out=self._block_max)
+        else:
+            self._block_max[blocks] = _max(self._key.take(blocks, axis=0), axis=1)
         self.pushes += aas.size - len(stay)
 
     def _build(self, scores: np.ndarray) -> None:

@@ -24,11 +24,17 @@ from ..common.errors import CacheError
 from ..bitmap.bitmap import Bitmap
 from .aa import AATopology
 
-__all__ = ["ScoreChanges", "ScoreKeeper", "as_changes"]
+__all__ = ["ScoreChanges", "ScoreKeeper", "as_changes", "checked_out_in"]
 
 #: One CP's ``(aa, old, new)`` transitions: the ``(n, 3)`` int64 array
 #: :meth:`ScoreKeeper.flush` returns, or a sequence of such triples.
 ScoreChanges = Union[np.ndarray, Sequence[tuple[int, int, int]]]
+
+#: Up to this many rows per checked-out AA, intersecting the checked-out
+#: set with the AA column as a Python list costs less than comparing
+#: the column with each checked-out AA (the measured crossover;
+#: EXPERIMENTS.md).
+_ROWS_PER_OUT = 40
 
 
 def as_changes(changes: ScoreChanges, num_aas: int, width: int = 3) -> np.ndarray:
@@ -60,6 +66,14 @@ def as_changes(changes: ScoreChanges, num_aas: int, width: int = 3) -> np.ndarra
     if aas[0] < 0 or aas[-1] >= num_aas:
         raise CacheError(f"an AA outside [0, {num_aas}) in a batch")
     return columns
+
+
+def checked_out_in(aas: np.ndarray, out: set[int]) -> set[int]:
+    """The AAs of ``out`` — the few a cache has checked out — that the
+    AA column ``aas`` of a batch holds."""
+    if aas.size <= _ROWS_PER_OUT * len(out):
+        return out.intersection(aas.tolist())
+    return {aa for aa in out if np.count_nonzero(aas == aa)}
 
 
 class ScoreKeeper:

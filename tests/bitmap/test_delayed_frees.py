@@ -53,6 +53,20 @@ class TestApplyAll:
         mf, log = make_pair()
         assert log.apply_all(mf).size == 0
 
+    @pytest.mark.parametrize("read_counts", [False, True])
+    def test_apply_all_resets_the_prioritizing_hbps(self, read_counts):
+        """Whether or not the counts were read (which fills the HBPS),
+        the next CP's frees start from an empty HBPS."""
+        mf, log = make_pair()
+        mf.allocate(np.arange(1000))
+        log.add(np.array([1, 2, 300]))
+        if read_counts:
+            assert log.hbps.total_count == 2
+        log.apply_all(mf)
+        log.add(np.array([3, 301, 700]))
+        assert log.hbps.total_count == log.pending_blocks == 3
+        log.check_invariants(mf.bitmap)
+
     def test_batched_frees_amortize_metafile_updates(self):
         """Frees to the same metafile block applied together dirty it
         once — the point of delaying (paper section 3.3)."""

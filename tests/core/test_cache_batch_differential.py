@@ -15,6 +15,12 @@ twins must agree on raising or not, and when neither raised on every
 observable: the HBPS pages and listing, ``stats()``, ``checked_out``,
 the heap's scores, and the next 16 ``select()``s.
 Where the oracle raises, the batched cache must refuse the batch whole.
+
+A second input, :func:`crowded`, draws HBPS populations far over their
+list page with batches long enough for the array paths (the membership
+index's gather, the probe for checked-out AAs) whose rows mostly land
+in the worst listed bin of a full page — rows the batch only counts as
+evictions.
 """
 
 from __future__ import annotations
@@ -168,10 +174,11 @@ def batch(draw, cache, scores):
     return changes, held, flaw is not None
 
 
-@given(data=st.data())
-@settings(max_examples=examples(120), deadline=None)
-def test_batched_consume_matches_per_change_oracle(data):
-    cache, scores = data.draw(caches())
+# ----------------------------------------------------------------------
+def run_twins(data, cache, scores, next_batch):
+    """Rounds of selects, returns and ``next_batch(cache, scores)``
+    batches on ``cache`` and its per-change twin; every round must
+    leave them alike, or both refuse the batch."""
     oracle = copy.deepcopy(cache)
     apply_oracle = (
         oracle_hbps_apply if isinstance(cache, RAIDAgnosticAACache) else oracle_heap_apply
@@ -184,7 +191,7 @@ def test_batched_consume_matches_per_change_oracle(data):
             if aa is not None:
                 cache.invalidate(aa, int(scores[aa]))
                 oracle.invalidate(aa, int(scores[aa]))
-        changes, held, malformed = data.draw(batch(cache, scores))
+        changes, held, malformed = next_batch(cache, scores)
         before = observe(cache)
         if malformed:  # no oracle: refused whole, so the twins stay in step
             with pytest.raises(CacheError):
@@ -205,8 +212,75 @@ def test_batched_consume_matches_per_change_oracle(data):
                 scores[aa] = new
 
 
+@given(data=st.data())
+@settings(max_examples=examples(120), deadline=None)
+def test_batched_consume_matches_per_change_oracle(data):
+    cache, scores = data.draw(caches())
+    run_twins(data, cache, scores, lambda cache, scores: data.draw(batch(cache, scores)))
+
+
 # ----------------------------------------------------------------------
-# HBPS.update_many's two order-sensitive cases, pinned
+# Crowded HBPS caches: long batches into the worst listed bin
+# ----------------------------------------------------------------------
+@st.composite
+def crowded(draw):
+    """An HBPS cache over 2-40 times its list page, most AAs in its best
+    bins (so the page is full of them), the scores its AAs truly have,
+    and the generator its batches come from (their rows are too many to
+    draw one by one)."""
+    num_aas = draw(st.integers(130, 400))
+    max_score = draw(st.sampled_from(MAX_SCORES))
+    bin_width = draw(st.sampled_from(BIN_WIDTHS))
+    list_capacity = draw(st.integers(num_aas // 40, num_aas // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = max_score - rng.integers(0, 2 * bin_width, size=num_aas)
+    scores = np.where(rng.random(num_aas) < 0.7, top, rng.integers(0, max_score + 1, num_aas))
+    scores = scores.clip(0, max_score)
+    cache = RAIDAgnosticAACache(
+        num_aas, max_score, scores, bin_width=bin_width, list_capacity=list_capacity
+    )
+    if draw(st.integers(0, 3)) == 0:
+        cache = RAIDAgnosticAACache.from_pages(
+            cache.to_pages(), num_aas, list_capacity=list_capacity
+        )
+    return cache, scores, rng
+
+
+def crowded_batch(cache, scores, rng):
+    """Distinct AAs, some checked out, some of those held (and now and
+    then an AA held but not out); four rows in five land in the worst
+    listed bin, the rest anywhere.  The batch is an array or triples."""
+    out = sorted(cache.checked_out)
+    n = int(rng.integers(1, cache.num_aas + 1))
+    aas = rng.permutation(cache.num_aas)[:n]
+    if out and n > 2:  # most checked-out AAs ride in the batch
+        ride = [aa for aa in out if rng.random() < 0.8 and aa not in aas][:n]
+        aas[: len(ride)] = ride
+        aas = rng.permutation(np.unique(aas))
+    listed = [b for _item, b in cache.hbps.iter_listed()]
+    lo, hi = cache.hbps.bin_bounds(max(listed)) if listed else (0, cache.aa_blocks)
+    news = np.where(
+        rng.random(aas.size) < 0.8,
+        rng.integers(lo, hi + 1, size=aas.size),
+        rng.integers(0, cache.aa_blocks + 1, size=aas.size),
+    )
+    rows = np.stack((aas, scores[aas], news), axis=1)
+    held = frozenset(aa for aa in out if rng.random() < 0.5)
+    if rng.random() < 0.2:
+        held |= {int(rng.integers(0, cache.num_aas))}
+    changes = rows if rng.random() < 0.5 else [tuple(row) for row in rows.tolist()]
+    return changes, held, False
+
+
+@given(data=st.data())
+@settings(max_examples=examples(80), deadline=None)
+def test_crowded_batches_match_per_change_oracle(data):
+    cache, scores, rng = data.draw(crowded())
+    run_twins(data, cache, scores, lambda cache, scores: crowded_batch(cache, scores, rng))
+
+
+# ----------------------------------------------------------------------
+# HBPS.update_many's order-sensitive cases, pinned
 # ----------------------------------------------------------------------
 def _twins(scores, list_capacity):
     h = HBPS(64, bin_width=16, list_capacity=list_capacity)
@@ -244,3 +318,68 @@ def test_underflow_check_replays_arrivals_in_row_order():
     assert batched.to_pages() == oracle.to_pages()
     with pytest.raises(CacheError, match="underflow"):  # one claim too many
         batched.update_many(np.array([[2, 3], [5, 5], [60, 60]]))
+
+
+def test_rows_into_the_worst_bin_of_a_full_page_only_count_evictions():
+    # 80 items over a 4-entry page: bin 0 (scores 49-64) holds items
+    # 0-39 and the page four of them.  One listed item drops out, so the
+    # first of the 40 rows that follow into bin 0 fills its slot; each
+    # of the other 39 would be listed and evicted at once.
+    batched, oracle = _twins([64] * 40 + [10] * 40, list_capacity=4)
+    first = next(batched.iter_listed())[0]
+    rows = [(first, 64, 20)] + [(i, 10, 60) for i in range(40, 80)]
+    _per_row(oracle, rows)
+    before = batched.evictions
+    batched.update_many(np.array(rows).T)
+    assert batched.evictions - before == oracle.evictions - before == 39
+    assert batched.is_listed(40) and not batched.is_listed(first)
+    assert batched.to_pages() == oracle.to_pages()
+    assert list(batched.iter_listed()) == list(oracle.iter_listed())
+    assert batched._index is not None  # a batch over the page builds the index
+    batched.check_invariants()
+    batched.build(np.arange(80), np.arange(80) % 65)  # a new listing: re-indexed
+    batched.check_invariants()
+
+
+def test_rows_into_a_worst_bin_emptied_by_the_batch_are_not_listed():
+    # Capacity 4: items 0-1 in bin 0, items 2-39 in bin 1, so the page
+    # holds 0, 1 and two of bin 1.  Those two drop to score 10 first,
+    # which leaves bin 1 with nothing listed and two slots free; the 40
+    # rows after them into bin 1 are then worse than the worst listed
+    # bin, so none is listed and none counts an eviction.
+    batched, oracle = _twins([64] * 2 + [40] * 38 + [10] * 40, list_capacity=4)
+    leaving = [item for item, b in batched.iter_listed() if b == 1]
+    assert len(leaving) == 2
+    rows = [(i, 40, 10) for i in leaving] + [(i, 10, 40) for i in range(40, 80)]
+    _per_row(oracle, rows)
+    batched.update_many(np.array(rows).T)
+    assert sorted(item for item, _b in batched.iter_listed()) == [0, 1]
+    assert batched.evictions == oracle.evictions
+    assert batched.to_pages() == oracle.to_pages()
+    batched.check_invariants()
+
+
+def test_repeated_aa_is_refused_before_it_reaches_the_batch_path():
+    # HBPS.update_many takes distinct items, which the array path relies
+    # on: AA 70 moving into the worst listed bin twice.  The cache's one
+    # way in refuses such a batch whole, as an array or as triples.
+    scores = np.array([64] * 60 + [10] * 60)
+    cache = RAIDAgnosticAACache(120, 64, scores, bin_width=16, list_capacity=4)
+    out = cache.select()
+    rows = [(out, 64, 60), (70, 10, 60)] + [(i, 60, 50) for i in range(60, 120)]
+    before = observe(cache)
+    for changes in (rows, np.array(rows)):
+        with pytest.raises(CacheError, match="twice"):
+            cache.apply_changes(changes)
+        assert observe(cache) == before
+
+
+def test_build_refuses_a_negative_item_before_resetting():
+    batched, _oracle = _twins([64] * 60 + [10] * 60, list_capacity=4)
+    batched.update_many(np.array([(i, 10, 60) for i in range(60, 120)]).T)
+    assert batched._index is not None
+    pages = batched.to_pages()
+    with pytest.raises(CacheError, match="negative"):
+        batched.build(np.array([3, -1]), np.array([5, 6]))
+    assert batched.to_pages() == pages
+    batched.check_invariants()

@@ -1,7 +1,11 @@
 """Property-based tests for HBPS against a reference multiset model.
 
 The reference model tracks every (item, score) pair exactly.  After any
-sequence of inserts, updates, removes and pops:
+sequence of inserts, updates, removes, pops, batches (one
+``update_many`` moving every tracked item and inserting every other;
+tracking over ``list_capacity + 1`` items it builds the membership
+index that ``check_invariants`` then checks) and rebuilds (which
+re-index):
 
 * histogram counts must partition the tracked items;
 * every pop must return an item within one bin width of the reference
@@ -32,7 +36,7 @@ def operation_sequences(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["insert", "update", "remove", "pop"]),
+                st.sampled_from(["insert", "update", "remove", "pop", "batch", "rebuild"]),
                 st.integers(0, n_items - 1),
                 st.integers(0, MAX_SCORE),
             ),
@@ -47,6 +51,7 @@ def operation_sequences(draw):
 def test_hbps_against_reference(ops, capacity):
     h = HBPS(MAX_SCORE, bin_width=BIN_W, list_capacity=capacity)
     ref: dict[int, int] = {}
+    everyone = list(range(1 + max((item for _, item, _ in ops), default=0)))
 
     for kind, item, score in ops:
         if kind == "insert":
@@ -64,6 +69,13 @@ def test_hbps_against_reference(ops, capacity):
                 continue
             h.remove(item, ref[item])
             del ref[item]
+        elif kind == "batch":
+            news = [(ref.get(it, 0) + score * (it + 1)) % (MAX_SCORE + 1) for it in everyone]
+            rows = np.array([everyone, [ref.get(it, 0) for it in everyone], news])
+            h.update_many(rows, entering=set(everyone) - set(ref))
+            ref.update(zip(everyone, news))
+        elif kind == "rebuild":
+            h.rebuild(ref.items())
         else:  # pop
             popped = h.pop_best()
             if popped is None:
